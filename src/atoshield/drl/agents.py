@@ -236,10 +236,11 @@ class DdpgAgent:
     def propose(self, s_vec: np.ndarray) -> float:
         return act_with_noise(self.actor, s_vec, self.noise)
 
-    def sample_actions(self, s_vec: np.ndarray, n: int) -> np.ndarray:
-        """Diversified proposals for tree expansion: greedy plus Gaussian jitter."""
-        base = self.act(s_vec)
-        jitter = self.rng.normal(0.0, max(self.noise.exploration_std(), 1e-3), n)
+    def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
+        """Diversified proposals for tree expansion, (rows, n): each state's
+        greedy command plus Gaussian jitter drawn row-major."""
+        base = self.actor.forward(states)
+        jitter = self.rng.normal(0.0, max(self.noise.exploration_std(), 1e-3), (base.shape[0], n))
         return np.clip(base + jitter, -1.0, 1.0)
 
     def act_additional(self, s_vec: np.ndarray) -> float:
@@ -293,10 +294,11 @@ class SacAgent:
         a, _, _, _ = squashed_sample(self.policy, np.atleast_2d(s_vec), self.rng)
         return float(a[0, 0])
 
-    def sample_actions(self, s_vec: np.ndarray, n: int) -> np.ndarray:
-        s = np.repeat(np.atleast_2d(s_vec), n, axis=0)
+    def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
+        """n squashed policy samples per state, (rows, n), drawn row-major."""
+        s = np.repeat(np.atleast_2d(states), n, axis=0)
         a, _, _, _ = squashed_sample(self.policy, s, self.rng)
-        return a[:, 0]
+        return a[:, 0].reshape(-1, n)
 
     def act_additional(self, s_vec: np.ndarray) -> float:
         return act(self.additional, s_vec)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 KMH_PER_MPS = 3.6
 JOULES_PER_KWH = 3.6e6
 KG_PER_TONNE = 1000.0
@@ -258,6 +260,110 @@ def step(
         energy_regen=energy_regen,
         accel_applied=a,
         done=arrived,
+        arrived=arrived,
+    )
+
+
+@dataclass(frozen=True)
+class BatchOutcome:
+    """Transitions of many (state, command) rows at once, as parallel arrays."""
+
+    loc: np.ndarray  # m
+    vel: np.ndarray  # km/h
+    time: np.ndarray  # s
+    reward: np.ndarray
+    accel: np.ndarray  # m/s^2 after clamping
+    arrived: np.ndarray  # bool
+
+
+def _segment_values(
+    segments: tuple[tuple[float, float, float], ...], loc: np.ndarray
+) -> np.ndarray:
+    # array form of _segment_value: the first half-open segment holding loc wins
+    out = np.full(loc.shape, segments[0][2])
+    for start, end, value in reversed(segments):
+        out = np.where((start <= loc) & (loc < end), value, out)
+    return np.where(loc >= segments[-1][1], segments[-1][2], out)
+
+
+def _check_positions(track: TrackSection, loc: np.ndarray) -> None:
+    outside = (loc < 0.0) | (loc > track.length)
+    if outside.any():
+        raise ValueError(f"position {loc[outside][0]} outside [0, {track.length}]")
+
+
+def limits_at(track: TrackSection, loc: np.ndarray) -> np.ndarray:
+    """:func:`limit_at` over an array of positions."""
+    _check_positions(track, loc)
+    return _segment_values(track.limit_segments, loc)
+
+
+def step_batch(
+    model: TrainModel,
+    track: TrackSection,
+    loc,
+    vel,
+    time,
+    cmd,
+    weights: RewardWeights = DEFAULT_WEIGHTS,
+    prev_accel=0.0,
+) -> BatchOutcome:
+    """:func:`step` over broadcast arrays of states and commands.
+
+    Every row is bitwise what :func:`step` gives for the same state, command
+    and previous acceleration: the arithmetic is the scalar kernel's, operation
+    for operation, and the same invalid inputs raise the same errors.
+    """
+    loc, vel, time, cmd, prev_accel = (
+        np.asarray(x, dtype=float) for x in (loc, vel, time, cmd, prev_accel)
+    )
+    bad_cmd = np.abs(cmd) > 1.0 + 1e-12
+    if bad_cmd.any():
+        raise ValueError(f"command must lie in [-1, 1], got {cmd[bad_cmd][0]}")
+    if (vel < 0.0).any():
+        raise ValueError(f"velocity must be nonnegative, got {vel[vel < 0.0][0]}")
+    _check_positions(track, loc)
+    dt = track.dt
+    v0 = vel / KMH_PER_MPS
+    traction = cmd > 0.0
+    # base / max(vel, base) is 1.0 at or below the knee and base / vel above it
+    factor_traction = model.base_speed_traction / np.maximum(vel, model.base_speed_traction)
+    factor_braking = model.base_speed_braking / np.maximum(vel, model.base_speed_braking)
+    a_motor = np.where(
+        traction,
+        model.max_accel * cmd * factor_traction,
+        np.where(cmd < 0.0, model.max_decel * cmd * factor_braking, 0.0),
+    )
+    resistance = (model.davis_r1 + model.davis_r2 * vel + model.davis_r3 * vel * vel) / 1000.0
+    a_net = a_motor - resistance + _segment_values(track.grade_segments, loc)
+    a = np.minimum(model.max_accel, np.maximum(-model.max_decel, a_net))
+
+    v1 = np.maximum(0.0, v0 + a * dt)
+    mean_speed = 0.5 * (v0 + v1)
+    dist = mean_speed * dt
+    raw_loc = loc + dist
+    arrived = raw_loc >= track.length
+    t1 = np.broadcast_to(time + dt, arrived.shape)
+
+    e_term = np.where(
+        traction,
+        weights.alpha_traction * (a_motor * model.mass_kg * dist / JOULES_PER_KWH),
+        weights.alpha_regen
+        * (-model.regen_efficiency * np.abs(a_motor) * model.mass_kg * dist / JOULES_PER_KWH),
+    )
+    d_term = np.where(
+        arrived,
+        weights.alpha_time_terminal * np.abs(t1 - track.scheduled_time),
+        weights.alpha_time_step * np.abs(mean_speed - track.mean_speed_target),
+    )
+    jerk = np.abs(a - prev_accel) / dt
+    c_term = np.where(jerk > weights.jerk_threshold, weights.comfort_penalty, 0.0)
+    return BatchOutcome(
+        loc=np.where(arrived, track.length, raw_loc),
+        vel=v1 * KMH_PER_MPS,
+        time=t1,
+        reward=-(e_term + d_term + c_term),
+        accel=a,
         arrived=arrived,
     )
 

@@ -6,25 +6,43 @@ exactly at the next policy-update step so the lookahead never outlives the
 network weights it was computed with.  Returns back up with a fixed discount
 over the uniform mean of children, and the root with the best backed-up
 return wins (ties resolve toward harder braking).
+
+The tree grows one level at a time.  Every node of a level sits at the same
+environment step, so a level's frontier is expanded together: one sampler
+call for all its nodes, then one array step (:func:`~.dynamics.step_batch`)
+over the (node, sample) pairs, whose outcome both certifies each pair
+(:func:`~.shield.safe_mask`) and, when it is safe, becomes the child.  A level
+wider than ``_BLOCK_PAIRS`` pairs is stepped in blocks of that many.  Children
+keep their sample order under their parent, so a sampler whose draws depend
+only on the state gives the same tree as expanding one node at a time, depth
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .dynamics import OperationState, StepOutcome
+import numpy as np
 
+from .dynamics import BatchOutcome, OperationState, condition_of, step_batch
+from .shield import SafetySpec, safe_mask
 
-class SimulatorView(Protocol):
-    def simulate(self, state: OperationState, cmd: float, prev_accel: float) -> StepOutcome: ...
+if TYPE_CHECKING:
+    from .trainer import TrainEnv
 
+# (node, sample) pairs per array step: a wide level runs in blocks, so the
+# kernels' temporaries stay small however many pairs the level holds
+_BLOCK_PAIRS = 4096
 
-class ShieldView(Protocol):
-    def is_safe(self, state: OperationState, cmd: float) -> bool: ...
+PolicySampler = Callable[[Sequence[OperationState], int], np.ndarray]
+"""``(states, n) -> array (len(states), n)``: n commands in [-1, 1] per state.
 
-
-PolicySampler = Callable[[OperationState, int], Sequence[float]]
+The tree calls it once per level with the level's expandable nodes in order
+(roots in safe-set order, then each parent's children in sample order).  A
+sampler that draws random numbers draws them row-major, so row i's samples
+come before row i+1's.
+"""
 
 
 @dataclass
@@ -41,9 +59,11 @@ class SearchConfig:
             raise ValueError("update_frequency must be >= 1")
         if not 0.0 < self.backup_discount <= 1.0:
             raise ValueError("backup_discount must be in (0, 1]")
+        if self.action_grid < 2:
+            raise ValueError("action_grid must be >= 2")
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     state: OperationState
     incoming_cmd: float
@@ -55,9 +75,30 @@ class SearchNode:
     accel: float = 0.0  # applied accel entering the node, threads the jerk term
 
 
+def _nodes(
+    out: BatchOutcome, cmds: np.ndarray, depth_step: int, rows=slice(None)
+) -> list[SearchNode]:
+    """One node per selected row of a transition batch."""
+    return [
+        SearchNode(
+            state=OperationState(loc=loc, vel=vel, time=time, last_condition=condition_of(cmd)),
+            incoming_cmd=cmd,
+            rollout_reward=reward,
+            depth_step=depth_step,
+            terminal=arrived,
+            accel=accel,
+        )
+        for loc, vel, time, cmd, reward, arrived, accel in zip(
+            *(values[rows].tolist() for values in (
+                out.loc, out.vel, out.time, cmds, out.reward, out.arrived, out.accel
+            ))
+        )
+    ]
+
+
 def build_tree(
-    env: SimulatorView,
-    shield: ShieldView,
+    env: "TrainEnv",
+    spec: SafetySpec,
     policy: PolicySampler,
     state_unsafe: OperationState,
     safe_set: Sequence[float],
@@ -68,50 +109,51 @@ def build_tree(
     """Grow one root per safe candidate command taken from the unsafe state.
 
     ``t`` is the environment step at which the unsafe proposal occurred; roots
-    therefore sit at step t+1.  Unsafe policy samples are dropped rather than
-    replaced, so branches can die out before the update step and get pruned.
+    therefore sit at step t+1.  Transitions use ``env``'s model, track and
+    reward weights.  Unsafe policy samples are dropped rather than replaced,
+    so branches can die out before the update step and get pruned.
     """
     if not safe_set:
         raise ValueError("safe_set must be nonempty")
-    roots = []
-    for cmd in safe_set:
-        out = env.simulate(state_unsafe, cmd, prev_accel)
-        root = SearchNode(
-            state=out.next_state,
-            incoming_cmd=cmd,
-            rollout_reward=out.reward,
-            depth_step=t + 1,
-            terminal=out.done,
-            accel=out.accel_applied,
-        )
-        _expand(root, env, shield, policy, cfg)
-        roots.append(root)
+    model, track, weights = env.model, env.track, env.weights
+    cmds = np.asarray(safe_set, dtype=float)
+    out = step_batch(
+        model, track, state_unsafe.loc, state_unsafe.vel, state_unsafe.time,
+        cmds, weights, prev_accel,
+    )
+    roots = _nodes(out, cmds, t + 1)
+    frontier = roots
+    depth_step = t + 1
+    width = cfg.expansion_width
+    while depth_step % cfg.update_frequency != 0:
+        frontier = [node for node in frontier if not node.terminal]
+        if not frontier:
+            break
+        samples = np.asarray(policy([node.state for node in frontier], width), dtype=float)
+        if samples.shape != (len(frontier), width):
+            raise ValueError(
+                f"sampler returned shape {samples.shape}, expected {(len(frontier), width)}"
+            )
+        cmd = samples.ravel()  # pair k is sample k % width of parent k // width
+        p_loc, p_vel, p_time, p_accel, p_cmd = np.array(
+            [(n.state.loc, n.state.vel, n.state.time, n.accel, n.incoming_cmd) for n in frontier]
+        ).T
+        depth_step += 1
+        children = []
+        for lo in range(0, cmd.size, _BLOCK_PAIRS):
+            pair = np.arange(lo, min(lo + _BLOCK_PAIRS, cmd.size))
+            parent = pair // width
+            loc, vel = p_loc[parent], p_vel[parent]
+            out = step_batch(model, track, loc, vel, p_time[parent], cmd[pair], weights,
+                             p_accel[parent])
+            safe = safe_mask(spec, model, track, loc, vel, np.sign(p_cmd[parent]), cmd[pair], out)
+            kept = np.flatnonzero(safe)
+            block = _nodes(out, cmd[pair], depth_step, kept)
+            for k, child in zip(parent[kept].tolist(), block):
+                frontier[k].children.append(child)
+            children += block
+        frontier = children
     return roots
-
-
-def _expand(
-    node: SearchNode,
-    env: SimulatorView,
-    shield: ShieldView,
-    policy: PolicySampler,
-    cfg: SearchConfig,
-) -> None:
-    if node.terminal or node.depth_step % cfg.update_frequency == 0:
-        return
-    for cmd in policy(node.state, cfg.expansion_width):
-        if not shield.is_safe(node.state, cmd):
-            continue
-        out = env.simulate(node.state, cmd, node.accel)
-        child = SearchNode(
-            state=out.next_state,
-            incoming_cmd=cmd,
-            rollout_reward=out.reward,
-            depth_step=node.depth_step + 1,
-            terminal=out.done,
-            accel=out.accel_applied,
-        )
-        node.children.append(child)
-        _expand(child, env, shield, policy, cfg)
 
 
 def prune(node: SearchNode, update_frequency: int) -> SearchNode | None:
@@ -131,10 +173,6 @@ def prune(node: SearchNode, update_frequency: int) -> SearchNode | None:
     if node.terminal or node.depth_step % update_frequency == 0:
         return node
     return None
-
-
-def prune_roots(roots: Sequence[SearchNode], cfg: SearchConfig) -> list[SearchNode]:
-    return [kept for kept in (prune(r, cfg.update_frequency) for r in roots) if kept is not None]
 
 
 def backup(node: SearchNode, cfg: SearchConfig) -> float:
@@ -162,8 +200,8 @@ def select_safe_action(roots: Sequence[SearchNode]) -> float:
 
 
 def search_safe_action(
-    env: SimulatorView,
-    shield: ShieldView,
+    env: "TrainEnv",
+    spec: SafetySpec,
     policy: PolicySampler,
     state_unsafe: OperationState,
     safe_set: Sequence[float],
@@ -176,8 +214,8 @@ def search_safe_action(
     Falls back to the hardest-braking safe candidate when pruning kills every
     root, the conservative default for a train protection system.
     """
-    roots = build_tree(env, shield, policy, state_unsafe, safe_set, t, cfg, prev_accel)
-    roots = prune_roots(roots, cfg)
+    roots = build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel)
+    roots = [kept for kept in (prune(r, cfg.update_frequency) for r in roots) if kept is not None]
     if not roots:
         return min(safe_set)
     for root in roots:

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .dynamics import (
     KMH_PER_MPS,
+    BatchOutcome,
     Condition,
     OperationState,
     StepOutcome,
@@ -25,7 +28,9 @@ from .dynamics import (
     condition_of,
     davis_resistance_accel,
     limit_at,
+    limits_at,
     step,
+    step_batch,
 )
 
 FULL_BRAKING = -1.0
@@ -213,8 +218,116 @@ def is_safe(
     return SAFE
 
 
+def _span_overspeed_batch(
+    track: TrackSection,
+    start_loc: np.ndarray,
+    start_vel: np.ndarray,
+    accel: np.ndarray,
+    end_loc: np.ndarray,
+    end_vel: np.ndarray,
+) -> np.ndarray:
+    """:func:`span_overspeed` over arrays of spans."""
+    over = end_vel > limits_at(track, np.minimum(end_loc, track.length))
+    v0 = start_vel / KMH_PER_MPS
+    for seg_start, _, seg_limit in track.limit_segments:
+        if seg_start > track.length:
+            continue
+        rows = np.flatnonzero((start_loc < seg_start) & (seg_start <= end_loc))
+        if rows.size == 0:
+            continue
+        v_cross_sq = v0[rows] * v0[rows] + 2.0 * accel[rows] * (seg_start - start_loc[rows])
+        too_fast = np.sqrt(np.maximum(v_cross_sq, 0.0)) * KMH_PER_MPS > seg_limit
+        over[rows[(v_cross_sq > 0.0) & too_fast]] = True
+    return over
+
+
+def _brake_recoverable_batch(
+    spec: SafetySpec,
+    model: TrainModel,
+    track: TrackSection,
+    loc: np.ndarray,
+    vel: np.ndarray,
+    after_traction: np.ndarray,
+) -> np.ndarray:
+    """:func:`brake_recoverable` over arrays of states.
+
+    Rows that miss the fast path follow their braking trajectories together,
+    one array step per interval, each row leaving the loop as it resolves.
+    """
+    if _never_accelerates_unpowered(model, track):
+        lowest = np.full(loc.shape, math.inf)
+        for _, end, lim in track.limit_segments:
+            lowest = np.where(end > loc, np.minimum(lowest, lim), lowest)
+        ok = vel <= lowest
+    else:
+        ok = np.zeros(loc.shape, dtype=bool)
+    slow = np.flatnonzero(~ok)
+    if slow.size == 0:
+        return ok
+    cur_loc, cur_vel = loc[slow], vel[slow]
+    pending = np.ones(slow.size, dtype=bool)  # neither recovered nor failed yet
+    if spec.forbid_direct_reversal:
+        rows = np.flatnonzero(after_traction[slow])
+        if rows.size:
+            out = step_batch(model, track, cur_loc[rows], cur_vel[rows], 0.0, 0.0)
+            pending[rows] = ~_span_overspeed_batch(
+                track, cur_loc[rows], cur_vel[rows], out.accel, out.loc, out.vel
+            )
+            cur_loc[rows], cur_vel[rows] = out.loc, out.vel
+    recovered = np.zeros(slow.size, dtype=bool)
+    for _ in range(_RECOVERY_STEP_CAP):
+        stopped = pending & ((cur_vel <= 0.0) | (cur_loc >= track.length))
+        recovered |= stopped
+        pending &= ~stopped
+        rows = np.flatnonzero(pending)
+        if rows.size == 0:
+            break
+        out = step_batch(model, track, cur_loc[rows], cur_vel[rows], 0.0, FULL_BRAKING)
+        pending[rows] = ~_span_overspeed_batch(
+            track, cur_loc[rows], cur_vel[rows], out.accel, out.loc, out.vel
+        )
+        cur_loc[rows], cur_vel[rows] = out.loc, out.vel
+    else:
+        raise RuntimeError("braking trajectory failed to terminate")
+    ok[slow] = recovered
+    return ok
+
+
+def safe_mask(
+    spec: SafetySpec,
+    model: TrainModel,
+    track: TrackSection,
+    loc: np.ndarray,
+    vel: np.ndarray,
+    last_sign: np.ndarray,
+    cmd: np.ndarray,
+    out: BatchOutcome,
+) -> np.ndarray:
+    """``is_safe(...).safe`` for every row, certified from the rows' step outcome.
+
+    Row i is the state (loc[i], vel[i]) whose last condition has the sign
+    ``last_sign[i]`` (+1 traction, -1 braking, 0 coasting), under command
+    ``cmd[i]``; ``out`` is :func:`step_batch` of those rows.  Only the
+    outcome's kinematics are read, so rewards computed with any weights and
+    previous accelerations serve.
+    """
+    ok = ~_span_overspeed_batch(track, loc, vel, out.accel, out.loc, out.vel)
+    if spec.forbid_direct_reversal:
+        ok &= ~(((last_sign > 0) & (cmd < 0.0)) | ((last_sign < 0) & (cmd > 0.0)))
+    ok &= ~(~out.arrived & floor_applies(spec, track, out.loc) & (out.vel <= spec.min_speed))
+    rows = np.flatnonzero(ok)
+    ok[rows] = _brake_recoverable_batch(
+        spec, model, track, out.loc[rows], out.vel[rows], cmd[rows] > 0.0
+    )
+    return ok
+
+
 def command_grid(size: int) -> list[float]:
-    """Uniform candidate commands over [-1, 1], always containing -1, 0 and +1."""
+    """Uniform candidate commands over [-1, 1], always containing -1, 0 and +1.
+
+    An odd size gives ``size`` points.  An even size has no grid point at 0,
+    so 0 is added and the grid has ``size + 1`` points.
+    """
     if size < 2:
         raise ValueError(f"grid size must be >= 2, got {size}")
     grid = []

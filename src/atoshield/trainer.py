@@ -32,7 +32,7 @@ from .drl.agents import (
 )
 from .drl.buffers import EliteBuffer, ReplayBuffer, Trajectory, elite_insert
 from .search_tree import SearchConfig, search_safe_action
-from .shield import SafetySpec, is_safe, shield_filter, span_overspeed
+from .shield import shield_filter, span_overspeed
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -101,9 +101,10 @@ class TrainResult:
 class TrainEnv:
     """Episode-stateful wrapper over the pure dynamics step.
 
-    ``step`` advances the live episode (threading the previous acceleration
-    into the comfort term and enforcing the step budget); ``simulate`` is a
-    pure view of the same transition for shields and tree search.
+    ``step`` advances the live episode, threading the previous acceleration
+    into the comfort term and enforcing the step budget.  The tree search
+    reads ``model``, ``track`` and ``weights`` to simulate the same
+    transitions without touching the episode.
     """
 
     def __init__(
@@ -127,9 +128,6 @@ class TrainEnv:
         self.steps = 0
         return self.state
 
-    def simulate(self, state: OperationState, cmd: float, prev_accel: float = 0.0) -> StepOutcome:
-        return step(self.model, self.track, state, cmd, self.weights, prev_accel)
-
     def step(self, cmd: float) -> StepOutcome:
         out = step(self.model, self.track, self.state, cmd, self.weights, self.prev_accel)
         self.state = out.next_state
@@ -148,18 +146,6 @@ class TrainEnv:
         return out
 
 
-class _ShieldBoolView:
-    """Adapter giving the tree a bare boolean safety check."""
-
-    def __init__(self, spec: SafetySpec, model: TrainModel, track: TrackSection):
-        self.spec = spec
-        self.model = model
-        self.track = track
-
-    def is_safe(self, state: OperationState, cmd: float) -> bool:
-        return is_safe(self.spec, self.model, self.track, state, cmd).safe
-
-
 class _ConstantPolicy:
     """Stand-in network that always emits one command (the noise-test probe)."""
 
@@ -176,8 +162,8 @@ class _ConstantPolicy:
     def act_additional(self, s_vec) -> float:
         return self.cmd
 
-    def sample_actions(self, s_vec, n: int) -> np.ndarray:
-        return np.full(n, self.cmd)
+    def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
+        return np.full((len(states), n), self.cmd)
 
 
 def normalize_state(state: OperationState, track: TrackSection) -> np.ndarray:
@@ -191,16 +177,25 @@ def normalize_state(state: OperationState, track: TrackSection) -> np.ndarray:
     )
 
 
+def normalize_states(states: Sequence[OperationState], track: TrackSection) -> np.ndarray:
+    """:func:`normalize_state` of each state, one row per state."""
+    length, top, scheduled = track.length, track.max_limit, track.scheduled_time
+    return np.array([(s.loc / length, s.vel / top, s.time / scheduled) for s in states])
+
+
 def make_agent(variant: str, cfg_agent: AgentConfig, rng: np.random.Generator):
     if variant_base(variant) == "ddpg":
         return DdpgAgent(3, cfg_agent, rng)
     return SacAgent(3, cfg_agent, rng)
 
 
-def _jitter_sampler(act_fn: Callable, track: TrackSection, rng: np.random.Generator, std: float):
-    def sampler(state: OperationState, n: int) -> np.ndarray:
-        base = act_fn(normalize_state(state, track))
-        return np.clip(base + rng.normal(0.0, std, n), -1.0, 1.0)
+def _jitter_sampler(net, track: TrackSection, rng: np.random.Generator, std: float):
+    """Tree sampler around a deterministic net: its command plus Gaussian jitter,
+    drawn row-major over the (states, n) result."""
+
+    def sampler(states: Sequence[OperationState], n: int) -> np.ndarray:
+        base = net.forward(normalize_states(states, track))
+        return np.clip(base + rng.normal(0.0, std, (len(states), n)), -1.0, 1.0)
 
     return sampler
 
@@ -216,16 +211,14 @@ class _ActionSelector:
         self.correction = variant_correction(variant)
         self.greedy = greedy
         self.use_additional = use_additional
-        self.shield_view = _ShieldBoolView(cfg.safety, cfg.train, cfg.track)
-        std = 0.2
-        noise = getattr(agent, "noise", None)
-        if noise is not None:
-            std = noise.exploration_std()
-        if hasattr(agent, "sample_actions") and not use_additional:
-            self.sampler = lambda state, n: agent.sample_actions(normalize_state(state, cfg.track), n)
+        if use_additional:
+            noise = getattr(agent, "noise", None)
+            std = noise.exploration_std() if noise is not None else 0.2
+            self.sampler = _jitter_sampler(agent.additional, cfg.track, agent.rng, std)
         else:
-            rng = getattr(agent, "rng", np.random.default_rng(0))
-            self.sampler = _jitter_sampler(self._policy_fn(), cfg.track, rng, std)
+            self.sampler = lambda states, n: agent.sample_actions(
+                normalize_states(states, cfg.track), n
+            )
 
     def _policy_fn(self) -> Callable:
         if self.use_additional:
@@ -245,7 +238,7 @@ class _ActionSelector:
         if self.correction == "tree":
             def chooser(safe_set: Sequence[float]) -> float:
                 return search_safe_action(
-                    self.env, self.shield_view, self.sampler, state, safe_set,
+                    self.env, self.cfg.safety, self.sampler, state, safe_set,
                     t, self.cfg.search, self.env.prev_accel,
                 )
         else:

@@ -1,12 +1,17 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive (plain loops, no shared code with the
-package internals) so it can serve as an oracle.
+package internals) so it can serve as an oracle.  The tree reference grows
+node by node on the scalar ``step`` and ``is_safe``, the kernels the array
+forms are held equal to, and shares only the pruning, backup and selection
+that both tree builders feed.
 """
 
 import numpy as np
 
-from atoshield.search_tree import SearchNode
+from atoshield.dynamics import step
+from atoshield.search_tree import SearchNode, backup, prune, select_safe_action
+from atoshield.shield import is_safe
 
 
 def random_tree(rng, max_depth=5, max_width=5, t_up=5):
@@ -37,6 +42,55 @@ def brute_backup(node, discount):
     for child in node.children:
         total += brute_backup(child, discount)
     return node.rollout_reward + discount * (total / len(node.children))
+
+
+def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel=0.0):
+    """Depth-first tree growth, one node at a time: a single-state sampler
+    call per expanded node, then the scalar ``is_safe`` and ``step`` per sample."""
+
+    def child_of(state, cmd, accel, depth_step):
+        out = step(env.model, env.track, state, cmd, env.weights, accel)
+        return SearchNode(
+            state=out.next_state,
+            incoming_cmd=cmd,
+            rollout_reward=out.reward,
+            depth_step=depth_step,
+            terminal=out.done,
+            accel=out.accel_applied,
+        )
+
+    def expand(node):
+        if node.terminal or node.depth_step % cfg.update_frequency == 0:
+            return
+        for cmd in policy([node.state], cfg.expansion_width)[0]:
+            if not is_safe(spec, env.model, env.track, node.state, cmd).safe:
+                continue
+            child = child_of(node.state, cmd, node.accel, node.depth_step + 1)
+            node.children.append(child)
+            expand(child)
+
+    roots = []
+    for cmd in safe_set:
+        root = child_of(state_unsafe, cmd, prev_accel, t + 1)
+        expand(root)
+        roots.append(root)
+    return roots
+
+
+def reference_search(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel=0.0):
+    """The correction pipeline over :func:`reference_build_tree`."""
+    roots = reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel)
+    return reference_choice(roots, safe_set, cfg)
+
+
+def reference_choice(roots, safe_set, cfg):
+    """Prune, back up and select over built roots, falling back to hardest braking."""
+    roots = [r for r in roots if prune(r, cfg.update_frequency) is not None]
+    if not roots:
+        return min(safe_set)
+    for root in roots:
+        backup(root, cfg)
+    return select_safe_action(roots)
 
 
 def pcc_brute(x, y):

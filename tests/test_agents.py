@@ -312,6 +312,13 @@ class TestAgents:
                 assert -1.0 <= agent.propose(s) <= 1.0
                 assert np.all(np.abs(agent.sample_actions(s, 5)) <= 1.0)
 
+    def test_batched_sample_actions_shape_and_range(self, rng):
+        for agent in (DdpgAgent(3, SMALL, rng), SacAgent(3, SMALL, rng)):
+            for rows, n in ((1, 5), (7, 3), (45, 5)):
+                samples = agent.sample_actions(rng.normal(0, 1, (rows, 3)), n)
+                assert samples.shape == (rows, n)
+                assert np.all(np.abs(samples) <= 1.0)
+
     def test_checkpoint_round_trip(self, rng, tmp_path):
         agent = DdpgAgent(3, SMALL, rng)
         path = tmp_path / "ckpt.json"

@@ -76,6 +76,15 @@ class TestValidateConfig:
             validate_config(dump(tmp_path, blob))
         assert any("update_frequency" in e for e in err.value.errors)
 
+    def test_action_grid_below_two_rejected(self, tmp_path, default_yaml):
+        # a one-point grid has no room for both -1 and +1; it must fail at load,
+        # not at the first intervention
+        blob = copy.deepcopy(default_yaml)
+        blob["search"]["action_grid"] = 1
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert any(e.startswith("search:") and "action_grid" in e for e in err.value.errors)
+
     def test_search_inherits_run_cadence(self, default_yaml, tmp_path):
         blob = copy.deepcopy(default_yaml)
         blob["run"]["t_up"] = 4

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from atoshield.dynamics import (
     motor_accel,
     reward_terms,
     step,
+    step_batch,
     validate_model,
     validate_track,
 )
@@ -179,6 +181,85 @@ class TestStep:
             arrived=False, total_time=1.0,
         )
         assert out.reward == -(e + d + c)
+
+
+GRADED = make_track(
+    limits=((0.0, 600.0, 70.0), (600.0, 1000.0, 45.0), (1000.0, 1500.0, 80.0)),
+    grades=((0.0, 700.0, -0.004), (700.0, 1500.0, 0.006)),
+)
+WEIGHTS = RewardWeights(alpha_traction=2.0, alpha_regen=4.0, jerk_threshold=2.5)
+
+
+def assert_rows_match(track, rows, weights=WEIGHTS):
+    """step_batch over the rows equals the scalar step of each row, bitwise.
+
+    A row is (loc, vel, time, cmd, prev_accel); a prev_accel of None sits
+    exactly one jerk threshold below the row's applied acceleration.
+    """
+    model = make_model()
+    prev = []
+    for loc, vel, time, cmd, prev_accel in rows:
+        if prev_accel is None:
+            a = step(model, track, OperationState(loc, vel, time), cmd, weights).accel_applied
+            prev_accel = a - weights.jerk_threshold * track.dt
+        prev.append(prev_accel)
+    loc, vel, time, cmd = (np.array(col) for col in list(zip(*rows))[:4])
+    out = step_batch(model, track, loc, vel, time, cmd, weights, np.array(prev))
+    for i, (row, prev_accel) in enumerate(zip(rows, prev)):
+        want = step(model, track, OperationState(*row[:3]), row[3], weights, prev_accel)
+        got = (out.loc[i], out.vel[i], out.time[i], out.reward[i], out.accel[i])
+        assert [float(x).hex() for x in got] == [
+            x.hex() for x in (want.next_state.loc, want.next_state.vel, want.next_state.time,
+                              want.reward, want.accel_applied)
+        ], row
+        assert out.arrived[i] == want.arrived
+
+
+BOUNDARIES = [0.0, 499.999, 500.0, 600.0, 700.0, 1000.0, 1499.0, 1500.0]
+ROW = st.tuples(
+    st.one_of(st.sampled_from(BOUNDARIES), st.floats(0.0, 1500.0)),
+    st.one_of(st.sampled_from([0.0, 40.0, 50.0]), st.floats(0.0, 4.0), st.floats(0.0, 130.0)),
+    st.floats(0.0, 300.0),
+    st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+    st.one_of(st.none(), st.floats(-3.0, 3.0)),
+)
+
+
+class TestStepBatch:
+    @given(rows=st.lists(ROW, min_size=1, max_size=30), graded=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_step_bitwise(self, rows, graded):
+        assert_rows_match(GRADED if graded else make_track(), rows)
+
+    def test_named_edge_cases(self):
+        assert_rows_match(make_track(), [
+            (10.0, 2.0, 0.0, -1.0, 0.0),  # stops partway through the interval
+            (1499.5, 60.0, 90.0, 0.0, 0.0),  # arrival clamps the position
+            (500.0, 59.0, 3.0, 0.4, 0.0),  # exactly on a segment boundary
+            (1500.0, 0.0, 3.0, 0.0, 0.0),  # the end point belongs to the last segment
+            (200.0, 45.0, 3.0, 0.6, 0.0),  # traction energy branch above the knee
+            (200.0, 55.0, 3.0, -0.6, 0.0),  # regen energy branch above the knee
+            (200.0, 30.0, 3.0, 0.5, None),  # jerk exactly at the threshold
+            (200.0, 30.0, 3.0, -0.5, 2.0),  # jerk beyond the threshold
+        ])
+        assert_rows_match(GRADED, [(650.0, 30.0, 0.0, 0.2, 0.0), (700.0, 30.0, 0.0, -0.2, None)])
+
+    def test_broadcasts_one_state_over_commands(self, model, track):
+        cmds = np.array([-1.0, 0.0, 1.0])
+        out = step_batch(model, track, 100.0, 30.0, 5.0, cmds)
+        assert out.time.shape == out.loc.shape == (3,)
+        for i, cmd in enumerate(cmds):
+            want = step(model, track, OperationState(100.0, 30.0, 5.0), cmd)
+            assert out.vel[i] == want.next_state.vel
+
+    @pytest.mark.parametrize("loc, vel, cmd", [
+        (100.0, 30.0, 1.5), (100.0, -1.0, 0.0), (-1.0, 30.0, 0.0), (1500.5, 30.0, 0.0),
+    ])
+    def test_rejects_what_step_rejects(self, model, track, loc, vel, cmd):
+        with pytest.raises(ValueError):
+            step(model, track, OperationState(loc, vel), cmd)
+        with pytest.raises(ValueError):
+            step_batch(model, track, [100.0, loc], [30.0, vel], 0.0, [0.0, cmd])
 
 
 class TestRewardTerms:

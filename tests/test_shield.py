@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atoshield.dynamics import Condition, OperationState, limit_at, step, validate_track
+from atoshield import shield
+from atoshield.dynamics import Condition, OperationState, limit_at, step, step_batch, validate_track
 from atoshield.shield import (
     Label,
     Rule,
@@ -14,6 +15,7 @@ from atoshield.shield import (
     is_safe,
     label,
     safe_action_set,
+    safe_mask,
     shield_filter,
 )
 
@@ -125,6 +127,7 @@ class TestCommandGrid:
             for anchor in (-1.0, 0.0, 1.0):
                 assert anchor in grid
             assert grid == sorted(grid)
+            assert len(grid) == (size if size % 2 else size + 1)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -249,6 +252,72 @@ class TestBrakeRecoverable:
         # 80 km/h one metre before the 60 zone
         state = OperationState(loc=499.0, vel=80.0)
         assert not brake_recoverable(PLAIN, model, track, state)
+
+
+CONDITION_SIGN = {Condition.TRACTION: 1, Condition.COASTING: 0, Condition.BRAKING: -1}
+
+
+def mask_and_verdicts(spec, track, rows):
+    """safe_mask over (loc, vel, last_condition, cmd) rows, and is_safe of each row."""
+    model = make_model()
+    loc, vel, conds, cmd = zip(*rows)
+    loc, vel, cmd = np.array(loc), np.array(vel), np.array(cmd)
+    signs = np.array([CONDITION_SIGN[c] for c in conds])
+    out = step_batch(model, track, loc, vel, 0.0, cmd)
+    got = safe_mask(spec, model, track, loc, vel, signs, cmd, out)
+    want = [is_safe(spec, model, track, OperationState(r[0], r[1], 0.0, r[2]), r[3]).safe
+            for r in rows]
+    return got.tolist(), want
+
+
+SHIELD_ROW = st.tuples(
+    st.floats(0.0, 1500.0),
+    st.one_of(st.floats(0.0, 95.0), st.floats(55.0, 85.0)),  # the second often misses the fast path
+    st.sampled_from(list(Condition)),
+    st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+)
+GRADED_SHIELD = make_track(
+    limits=((0.0, 600.0, 70.0), (600.0, 1000.0, 45.0), (1000.0, 1500.0, 80.0)),
+    grades=((0.0, 700.0, -0.004), (700.0, 1500.0, 0.006)),
+)
+
+
+class TestSafeMask:
+    @given(
+        rows=st.lists(SHIELD_ROW, min_size=1, max_size=30),
+        forbid=st.booleans(),
+        floor=st.booleans(),
+        graded=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_is_safe(self, rows, forbid, floor, graded):
+        spec = SafetySpec(min_speed=8.0, enforce_min_speed=floor,
+                          forbid_direct_reversal=forbid, terminal_zone=200.0)
+        got, want = mask_and_verdicts(spec, GRADED_SHIELD if graded else make_track(), rows)
+        assert got == want
+
+    def test_slow_braking_path_cases(self, track):
+        # above the 60 km/h zone ahead, so recoverability needs the braking loop
+        rows = [(300.0, 75.0, Condition.TRACTION, -1.0), (300.0, 75.0, Condition.TRACTION, 0.5),
+                (440.0, 78.0, Condition.BRAKING, -0.2), (440.0, 78.0, Condition.COASTING, -1.0),
+                (1200.0, 70.0, Condition.TRACTION, 0.3),
+                # recoverable by braking at once, not after the coast the reversal rule forces
+                (380.0, 75.0, Condition.TRACTION, 0.2)]
+        verdicts = {}
+        for spec in (PLAIN, REVERSAL):
+            got, want = mask_and_verdicts(spec, track, rows)
+            assert got == want
+            assert True in want and False in want
+            verdicts[spec] = want
+        assert verdicts[PLAIN][-1] and not verdicts[REVERSAL][-1]
+
+    def test_recovery_cap_raises_like_scalar(self, model, track, monkeypatch):
+        monkeypatch.setattr(shield, "_RECOVERY_STEP_CAP", 2)
+        state = OperationState(loc=300.0, vel=75.0)
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            is_safe(PLAIN, model, track, state, -1.0)
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            mask_and_verdicts(PLAIN, track, [(300.0, 75.0, Condition.COASTING, -1.0)])
 
 
 def test_unrecoverable_error_carries_position(model, track):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from atoshield.config import default_scenario_path, load_config
+from atoshield.dynamics import OperationState
 from atoshield.trainer import (
     RunConfig,
     TrainEnv,
     execute,
     noise_test,
     normalize_state,
+    normalize_states,
     pcc,
     robustness_run,
     train,
@@ -55,19 +57,21 @@ class TestTrainEnv:
             out = env.step(0.0)  # coasting from rest goes nowhere
         assert out.done and not out.arrived
 
-    def test_simulate_is_pure(self):
-        env = TrainEnv(make_model(), make_track())
-        state = env.reset()
-        before = env.state
-        env.simulate(state, 1.0)
-        assert env.state == before and env.steps == 0
-
     def test_normalization_ranges(self):
         track = make_track()
         vec = normalize_state(env_state := type("S", (), {"loc": 750.0, "vel": 40.0, "time": 55.0})(), track)
         assert vec[0] == pytest.approx(0.5)
         assert vec[1] == pytest.approx(0.5)
         assert vec[2] == pytest.approx(0.5)
+
+
+    def test_batch_normalization_rows_match_single(self):
+        track = make_track()
+        states = [OperationState(loc=750.0, vel=40.0, time=55.0), OperationState(loc=3.0, vel=0.1)]
+        rows = normalize_states(states, track)
+        assert rows.shape == (2, 3)
+        for row, state in zip(rows, states):
+            assert row.tolist() == normalize_state(state, track).tolist()
 
 
 class TestTrain:
