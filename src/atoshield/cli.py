@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, default_scenario_path, load_config
+from .config import ConfigError, ScenarioConfig, _validate_run, default_scenario_path, load_config
 from .drl.agents import load_checkpoint, save_checkpoint
 from .shield import UnrecoverableStateError
 from .trainer import (
+    VARIANTS,
     EpisodeMetrics,
     execute,
     noise_test,
@@ -97,14 +98,24 @@ def write_summary(path: Path, payload: dict) -> None:
 
 
 def _load(args) -> ScenarioConfig:
+    """The scenario file with the command-line overrides applied and validated."""
     cfg = load_config(args.config)
     run = cfg.run
-    if getattr(args, "agent", None):
+    if getattr(args, "agent", None) is not None:
         run = dataclasses.replace(run, agent=args.agent.replace("-", "_"))
-    if getattr(args, "seed", None):
-        run = dataclasses.replace(run, seeds=tuple(int(s) for s in args.seed.split(",")))
-    if getattr(args, "episodes", None):
+    if getattr(args, "seed", None) is not None:
+        try:
+            seeds = tuple(int(s) for s in args.seed.split(","))
+        except ValueError:
+            raise ConfigError([f"--seed: expected comma-separated integers, got {args.seed!r}"]) from None
+        run = dataclasses.replace(run, seeds=seeds)
+    if getattr(args, "episodes", None) is not None:
         run = dataclasses.replace(run, max_episodes=args.episodes)
+    # the file itself passed validation, so every error here comes from a flag
+    flags = {"run.agent": "--agent", "run.seeds": "--seed", "run.max_episodes": "--episodes"}
+    errors = _validate_run(run, cfg.search)
+    if errors:
+        raise ConfigError([f"{flags.get(e.split(':')[0], 'override')}: {e}" for e in errors])
     return dataclasses.replace(cfg, run=run)
 
 
@@ -329,15 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p, checkpoint=False, episodes=None):
         p.add_argument("--config", default=str(default_scenario_path()),
                        help="scenario YAML (defaults to the bundled section)")
         p.add_argument("--seed", default=None, help="comma-separated seed list override")
-        p.add_argument("--episodes", type=int, default=None, help="episode count override")
-        p.add_argument("--agent", default=None,
-                       choices=[v.replace("_", "-") for v in
-                                ("ssa_ddpg", "ssa_sac", "shield_ddpg", "shield_sac",
-                                 "plain_ddpg", "plain_sac")],
+        p.add_argument("--episodes", type=int, default=episodes, help="episode count override")
+        p.add_argument("--agent", default=None, choices=[v.replace("_", "-") for v in VARIANTS],
                        help="agent variant override")
         p.add_argument("--out", required=True, help="output directory")
         if checkpoint:
@@ -357,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_execute)
 
     p = sub.add_parser("noise-test", help="constant-command probe through the shield path")
-    common(p)
+    common(p, episodes=1)
     p.add_argument("--cmd", type=float, default=1.0, help="constant command in [-1, 1]")
-    p.set_defaults(func=cmd_noise_test, episodes_default=1)
+    p.set_defaults(func=cmd_noise_test)
 
     p = sub.add_parser("robustness", help="disturbed-execution correlation study")
     common(p, checkpoint=True)
@@ -385,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "episodes", None) is None and hasattr(args, "episodes_default"):
-        args.episodes = args.episodes_default
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -45,6 +45,7 @@ _BLOCKS = ("train", "track", "safety", "reward", "agent", "search", "run")
 
 _FIELD_MAP = {
     "train": TrainModel,
+    "track": TrackSection,
     "safety": SafetySpec,
     "reward": RewardWeights,
     "agent": AgentConfig,
@@ -125,6 +126,8 @@ def _validate_run(run: RunConfig, search: SearchConfig) -> list[str]:
         errors.append("run.t_up: must be >= 1")
     if not run.seeds:
         errors.append("run.seeds: need at least one seed")
+    elif any(not isinstance(s, int) or s < 0 for s in run.seeds):
+        errors.append("run.seeds: every seed must be an integer >= 0")
     if run.agent not in VARIANTS:
         errors.append(f"run.agent: must be one of {', '.join(VARIANTS)}")
     if run.step_budget is not None and run.step_budget < 1:
@@ -154,9 +157,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if not isinstance(content, dict):
             errors.append(f"{name}: expected a mapping")
             content = {}
-        if name == "track":
-            blocks[name] = _coerce_track(content, errors)
-        elif name == "search":
+        if name == "search":
             blocks[name] = _coerce_search(content, raw.get("run", {}) or {}, errors)
         else:
             blocks[name] = _coerce_block(name, _FIELD_MAP[name], content, errors)
@@ -177,10 +178,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return cfg
 
 
-def _coerce_track(raw: dict, errors: list[str]) -> TrackSection | None:
-    return _coerce_block("track", TrackSection, raw, errors)
-
-
 def _coerce_search(raw: dict, run_raw: dict, errors: list[str]) -> SearchConfig | None:
     raw = dict(raw)
     # the tree's horizon is the learner's update cadence; inherit when unset
@@ -197,8 +194,3 @@ def _resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
             safety, terminal_zone=default_terminal_zone(cfg.train, cfg.track)
         )
     return dataclasses.replace(cfg, safety=safety)
-
-
-def validate_config(path: str | Path) -> ScenarioConfig:
-    """Spec surface: typed config on success, ConfigError listing every violation."""
-    return load_config(path)

@@ -11,7 +11,7 @@ from .agents import (
     update_critic,
     update_sac,
 )
-from .buffers import EliteBuffer, ReplayBuffer, Trajectory, elite_insert
+from .buffers import EliteBuffer, ReplayBuffer, Trajectory
 from .nets import Adam, Mlp, soft_update
 from .noise import NoiseProcess, act, act_with_noise
 
@@ -29,7 +29,6 @@ __all__ = [
     "act_with_noise",
     "additional_actor_converged",
     "critic_target",
-    "elite_insert",
     "load_checkpoint",
     "save_checkpoint",
     "soft_update",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .buffers import EliteBuffer, ReplayBuffer, Trajectory
+from .buffers import EliteBuffer, Trajectory
 from .nets import Adam, Mlp, soft_update
 from .noise import NoiseProcess, act, act_with_noise
 
@@ -317,15 +317,6 @@ class SacAgent:
             "softq": self.softq,
             "additional": self.additional,
         }
-
-    # exploration bookkeeping mirrors the deterministic agent's surface
-    @property
-    def noise(self):
-        return None
-
-
-def make_buffers(cfg: AgentConfig) -> tuple[ReplayBuffer, EliteBuffer]:
-    return ReplayBuffer(cfg.replay_capacity), EliteBuffer(cfg.elite_capacity)
 
 
 def save_checkpoint(path: str | Path, agent, additional_converged: bool = False) -> None:

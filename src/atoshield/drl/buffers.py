@@ -53,9 +53,6 @@ class ReplayBuffer:
         d = np.array([row[4] for row in rows], dtype=float)
         return s, a, r, s2, d
 
-    def transitions(self):
-        return list(self._data)
-
 
 class EliteBuffer:
     """Keeps the highest-return complete trajectories, sorted best first.
@@ -83,6 +80,7 @@ class EliteBuffer:
         return self._items[-1].total_return
 
     def insert(self, traj: Trajectory) -> bool:
+        """Best-in-worst-out admission; returns whether the trajectory was kept."""
         if len(self._items) >= self.capacity:
             if traj.total_return < self.min_return:
                 return False
@@ -98,8 +96,3 @@ class EliteBuffer:
         k = min(batch_size, len(self._items))
         idx = rng.choice(len(self._items), size=k, replace=False)
         return [self._items[i] for i in idx]
-
-
-def elite_insert(buffer: EliteBuffer, traj: Trajectory) -> bool:
-    """Best-in-worst-out admission; returns whether the trajectory was kept."""
-    return buffer.insert(traj)

@@ -1,4 +1,14 @@
-"""Training and evaluation loops binding simulator, shield, tree and learners.
+"""Training and evaluation on one episode loop over simulator, shield, tree and learners.
+
+``_run_episode`` runs every episode of ``train``, ``execute``, ``noise_test``
+and ``robustness_run``.  Per step, the policy (a plain ``s_vec -> float``
+callable) proposes, the corrector ``(state, proposed, t) -> (cmd,
+interventions)`` shields the proposal as ``variant_correction`` says, the
+environment executes the command, and the optional learner hook
+``learn(s_vec, cmd, outcome, t)`` sees the transition before the episode can
+end on it.  The loop returns the metrics and each step's record
+``(s_vec, cmd, outcome)``, from which training builds its elite trajectory
+and the robustness study its speed, action and acceleration sequences.
 
 One ``train`` call runs a single seed of a single agent variant; multi-seed
 experiments are independent runs (safe to execute in parallel processes).
@@ -8,6 +18,7 @@ every executed command has passed the shield whenever the variant carries one.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -30,12 +41,15 @@ from .drl.agents import (
     additional_actor_converged,
     update_additional_actor,
 )
-from .drl.buffers import EliteBuffer, ReplayBuffer, Trajectory, elite_insert
-from .search_tree import SearchConfig, search_safe_action
+from .drl.buffers import EliteBuffer, ReplayBuffer, Trajectory
+from .search_tree import search_safe_action
 from .shield import shield_filter, span_overspeed
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
+
+# (state, proposed, t) -> (executed command, number of shield interventions)
+Corrector = Callable[[OperationState, float, int], tuple[float, int]]
 
 VARIANTS = ("ssa_ddpg", "ssa_sac", "shield_ddpg", "shield_sac", "plain_ddpg", "plain_sac")
 
@@ -134,36 +148,8 @@ class TrainEnv:
         self.prev_accel = out.accel_applied
         self.steps += 1
         if self.step_budget is not None and self.steps >= self.step_budget and not out.done:
-            out = StepOutcome(
-                next_state=out.next_state,
-                reward=out.reward,
-                energy_traction=out.energy_traction,
-                energy_regen=out.energy_regen,
-                accel_applied=out.accel_applied,
-                done=True,
-                arrived=False,
-            )
+            out = dataclasses.replace(out, done=True, arrived=False)
         return out
-
-
-class _ConstantPolicy:
-    """Stand-in network that always emits one command (the noise-test probe)."""
-
-    def __init__(self, cmd: float):
-        self.cmd = cmd
-        self.rng = np.random.default_rng(0)
-
-    def act(self, s_vec) -> float:
-        return self.cmd
-
-    def propose(self, s_vec) -> float:
-        return self.cmd
-
-    def act_additional(self, s_vec) -> float:
-        return self.cmd
-
-    def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
-        return np.full((len(states), n), self.cmd)
 
 
 def normalize_state(state: OperationState, track: TrackSection) -> np.ndarray:
@@ -200,148 +186,94 @@ def _jitter_sampler(net, track: TrackSection, rng: np.random.Generator, std: flo
     return sampler
 
 
-class _ActionSelector:
-    """Proposal plus shield correction for one variant; counts interventions."""
+def _agent_sampler(agent, track: TrackSection):
+    """Tree sampler from the agent's own batched ``sample_actions``."""
+    return lambda states, n: agent.sample_actions(normalize_states(states, track), n)
 
-    def __init__(self, cfg: "ScenarioConfig", env: TrainEnv, agent, variant: str, greedy: bool,
-                 use_additional: bool = False):
-        self.cfg = cfg
-        self.env = env
-        self.agent = agent
-        self.correction = variant_correction(variant)
-        self.greedy = greedy
-        self.use_additional = use_additional
-        if use_additional:
-            noise = getattr(agent, "noise", None)
-            std = noise.exploration_std() if noise is not None else 0.2
-            self.sampler = _jitter_sampler(agent.additional, cfg.track, agent.rng, std)
-        else:
-            self.sampler = lambda states, n: agent.sample_actions(
-                normalize_states(states, cfg.track), n
+
+def _corrector(cfg: "ScenarioConfig", env: TrainEnv, correction: str, sampler) -> Corrector:
+    """The shield step of one correction kind (see :func:`variant_correction`).
+
+    ``"none"`` executes every proposal.  Otherwise ``shield_filter`` replaces
+    an unsafe proposal with ``min`` of the safe set (hardest safe braking, the
+    fixed fallback) or, for ``"tree"``, with the search over ``sampler``.
+    """
+    if correction == "none":
+        return lambda state, proposed, t: (proposed, False)
+
+    def correct(state: OperationState, proposed: float, t: int) -> tuple[float, bool]:
+        def tree(safe_set: Sequence[float]) -> float:
+            return search_safe_action(
+                env, cfg.safety, sampler, state, safe_set, t, cfg.search, env.prev_accel
             )
 
-    def _policy_fn(self) -> Callable:
-        if self.use_additional:
-            return self.agent.act_additional
-        return self.agent.act
-
-    def propose(self, s_vec: np.ndarray) -> float:
-        if self.greedy or not hasattr(self.agent, "propose"):
-            return self._policy_fn()(s_vec)
-        if self.use_additional:
-            return self.agent.act_additional(s_vec)
-        return self.agent.propose(s_vec)
-
-    def correct(self, state: OperationState, proposed: float, t: int) -> tuple[float, bool]:
-        if self.correction == "none":
-            return proposed, False
-        if self.correction == "tree":
-            def chooser(safe_set: Sequence[float]) -> float:
-                return search_safe_action(
-                    self.env, self.cfg.safety, self.sampler, state, safe_set,
-                    t, self.cfg.search, self.env.prev_accel,
-                )
-        else:
-            chooser = min  # hardest safe braking, the conservative fixed fallback
         return shield_filter(
-            self.cfg.safety, self.cfg.train, self.cfg.track, state, proposed,
-            chooser, self.cfg.search.action_grid,
+            cfg.safety, cfg.train, cfg.track, state, proposed,
+            tree if correction == "tree" else min, cfg.search.action_grid,
         )
 
-
-@dataclass
-class _StepRecord:
-    cmd: float
-    vel: float
-    accel: float
-
-
-def _episode_metrics(
-    episode: int,
-    track: TrackSection,
-    rewards: list[float],
-    protect: int,
-    overspeed: int,
-    e_tr: float,
-    e_re: float,
-    final_state: OperationState,
-    arrived: bool,
-    select_times: list[float],
-) -> EpisodeMetrics:
-    return EpisodeMetrics(
-        episode=episode,
-        total_reward=float(sum(rewards)),
-        protect_times=protect,
-        overspeed_steps=overspeed,
-        traction_energy_kwh=e_tr,
-        regen_energy_kwh=e_re,
-        run_time_s=final_state.time,
-        schedule_deviation_s=final_state.time - track.scheduled_time,
-        arrived=arrived,
-        action_select_mean_s=float(np.mean(select_times)) if select_times else 0.0,
-    )
+    return correct
 
 
 def _run_episode(
     cfg: "ScenarioConfig",
     env: TrainEnv,
-    selector: _ActionSelector,
+    policy: Callable[[np.ndarray], float],
+    correct: Corrector,
     episode: int,
-    disturbance: tuple[float, float, np.random.Generator] | None = None,
-    collect: bool = False,
-) -> tuple[EpisodeMetrics, list[_StepRecord]]:
-    """One greedy episode under a selector; optionally perturbing final commands."""
+    learn: Callable[[np.ndarray, float, StepOutcome, int], None] | None = None,
+) -> tuple[EpisodeMetrics, list[tuple[np.ndarray, float, StepOutcome]]]:
+    """One episode; returns its metrics and each step's (s_vec, cmd, outcome).
+
+    ``policy`` and ``correct`` are timed together as action selection.
+    """
     track = cfg.track
     state = env.reset()
-    rewards: list[float] = []
-    records: list[_StepRecord] = []
+    steps: list[tuple[np.ndarray, float, StepOutcome]] = []
     select_times: list[float] = []
     protect = 0
     overspeed = 0
-    e_tr = 0.0
-    e_re = 0.0
-    arrived = False
     t = 0
     while True:
         s_vec = normalize_state(state, track)
         tic = time.perf_counter()
-        proposed = selector.propose(s_vec)
-        cmd, intervened = selector.correct(state, proposed, t)
+        cmd, interventions = correct(state, policy(s_vec), t)
         select_times.append(time.perf_counter() - tic)
-        protect += int(intervened)
-        if disturbance is not None:
-            eps_r, delta_r, drng = disturbance
-            if drng.random() < eps_r:
-                disturbed = float(np.clip(cmd + drng.uniform(-delta_r, delta_r), -1.0, 1.0))
-                cmd, re_intervened = selector.correct(state, disturbed, t)
-                protect += int(re_intervened)
+        protect += int(interventions)
         out = env.step(cmd)
         if span_overspeed(track, state.loc, state.vel, out.accel_applied,
                           out.next_state.loc, out.next_state.vel):
             overspeed += 1
-        rewards.append(out.reward)
-        e_tr += out.energy_traction
-        e_re += out.energy_regen
-        if collect:
-            records.append(_StepRecord(cmd=cmd, vel=out.next_state.vel, accel=out.accel_applied))
+        steps.append((s_vec, cmd, out))
+        if learn is not None:
+            learn(s_vec, cmd, out, t)
         state = out.next_state
         t += 1
         if out.done:
-            arrived = out.arrived
             break
-    metrics = _episode_metrics(
-        episode, track, rewards, protect, overspeed, e_tr, e_re, state, arrived, select_times
+    metrics = EpisodeMetrics(
+        episode=episode,
+        total_reward=float(sum(o.reward for _, _, o in steps)),
+        protect_times=protect,
+        overspeed_steps=overspeed,
+        traction_energy_kwh=sum(o.energy_traction for _, _, o in steps),
+        regen_energy_kwh=sum(o.energy_regen for _, _, o in steps),
+        run_time_s=state.time,
+        schedule_deviation_s=state.time - track.scheduled_time,
+        arrived=out.arrived,
+        action_select_mean_s=float(np.mean(select_times)),
     )
-    return metrics, records
+    return metrics, steps
 
 
 def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     """Run one seeded training of the configured variant on the scenario.
 
-    Per step: propose with exploration, shield-check, correct unsafe proposals
-    per the variant, store the executed transition; every t_up steps run the
-    learner updates.  Completed episodes pass through the elite gate, and the
-    additional actor regresses onto elite samples at every episode end.
+    Episodes run the agent's exploring ``propose`` through the variant's
+    corrector.  The learner hook stores every executed transition and runs
+    one learner update every t_up steps.  Each finished episode passes
+    through the elite gate, and the additional actor regresses onto elite
+    samples at every episode end.
     """
     variant = cfg.run.agent
     rng = np.random.default_rng(seed)
@@ -350,70 +282,32 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     replay = ReplayBuffer(cfg.agent.replay_capacity)
     elite = EliteBuffer(cfg.agent.elite_capacity)
     episodes = cfg.run.resolved_episodes(variant)
-    t_up = cfg.run.t_up
-    selector = _ActionSelector(cfg, env, agent, variant, greedy=False)
-    all_metrics: list[EpisodeMetrics] = []
+    correct = _corrector(cfg, env, variant_correction(variant), _agent_sampler(agent, cfg.track))
     noise = getattr(agent, "noise", None)
 
+    def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, t: int) -> None:
+        s2_vec = normalize_state(out.next_state, cfg.track)
+        replay.push(s_vec, cmd, out.reward, s2_vec, float(out.done))
+        if (t + 1) % cfg.run.t_up == 0 and len(replay) >= cfg.agent.batch_size:
+            agent.update(replay.sample(cfg.agent.batch_size, rng))
+
+    all_metrics: list[EpisodeMetrics] = []
     for j in range(episodes):
         if noise is not None:
             noise.reset()
             if noise.kind == "gaussian" and episodes > 1:
                 noise.scale = cfg.agent.noise_scale * max(0.0, 1.0 - j / (episodes - 1))
-
-        track = cfg.track
-        state = env.reset()
-        ep_rewards: list[float] = []
-        traj_states: list[np.ndarray] = []
-        traj_actions: list[float] = []
-        select_times: list[float] = []
-        protect = 0
-        overspeed = 0
-        e_tr = 0.0
-        e_re = 0.0
-        arrived = False
-        t = 0
-        while True:
-            s_vec = normalize_state(state, track)
-            tic = time.perf_counter()
-            proposed = selector.propose(s_vec)
-            cmd, intervened = selector.correct(state, proposed, t)
-            select_times.append(time.perf_counter() - tic)
-            protect += int(intervened)
-            out = env.step(cmd)
-            if span_overspeed(track, state.loc, state.vel, out.accel_applied,
-                              out.next_state.loc, out.next_state.vel):
-                overspeed += 1
-            s2_vec = normalize_state(out.next_state, track)
-            replay.push(s_vec, cmd, out.reward, s2_vec, float(out.done))
-            ep_rewards.append(out.reward)
-            traj_states.append(s_vec)
-            traj_actions.append(cmd)
-            e_tr += out.energy_traction
-            e_re += out.energy_regen
-            state = out.next_state
-            t += 1
-            if t % t_up == 0 and len(replay) >= cfg.agent.batch_size:
-                agent.update(replay.sample(cfg.agent.batch_size, rng))
-            if out.done:
-                arrived = out.arrived
-                break
-
-        traj = Trajectory(
-            states=np.stack(traj_states),
-            actions=np.array(traj_actions),
-            rewards=np.array(ep_rewards),
-            total_return=float(sum(ep_rewards)),
-        )
-        elite_insert(elite, traj)
+        metrics, steps = _run_episode(cfg, env, agent.propose, correct, j, learn)
+        elite.insert(Trajectory(
+            states=np.stack([s_vec for s_vec, _, _ in steps]),
+            actions=np.array([cmd for _, cmd, _ in steps]),
+            rewards=np.array([o.reward for _, _, o in steps]),
+            total_return=metrics.total_reward,
+        ))
         for _ in range(cfg.agent.additional_updates_per_episode):
             sample = elite.sample(cfg.agent.elite_minibatch, rng)
             update_additional_actor(sample, agent.additional, agent.additional_adam)
-
-        all_metrics.append(
-            _episode_metrics(j, track, ep_rewards, protect, overspeed, e_tr, e_re,
-                             state, arrived, select_times)
-        )
+        all_metrics.append(metrics)
 
     converged = len(elite) > 0 and additional_actor_converged(
         elite, agent.additional, cfg.agent.convergence_eps
@@ -429,26 +323,20 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     )
 
 
-def _execute_impl(
-    agent,
-    cfg: "ScenarioConfig",
-    use_additional: bool,
-    episodes: int,
-    seed: int,
-    collect: bool,
-    disturbance: tuple[float, float, np.random.Generator] | None = None,
-) -> tuple[list[EpisodeMetrics], list[list[_StepRecord]]]:
+def _greedy_rollout(agent, cfg: "ScenarioConfig", use_additional: bool, seed: int):
+    """Env, greedy policy and variant corrector for shielded runs of a trained
+    agent; reseeds ``agent.rng``, which the tree's samplers draw from."""
     agent.rng = np.random.default_rng(seed)
     env = TrainEnv(cfg.train, cfg.track, cfg.reward, cfg.run.resolved_budget(cfg.track))
-    selector = _ActionSelector(cfg, env, agent, cfg.run.agent, greedy=True,
-                               use_additional=use_additional)
-    metrics = []
-    sequences = []
-    for ep in range(episodes):
-        m, records = _run_episode(cfg, env, selector, ep, disturbance=disturbance, collect=collect)
-        metrics.append(m)
-        sequences.append(records)
-    return metrics, sequences
+    if use_additional:
+        noise = getattr(agent, "noise", None)
+        std = noise.exploration_std() if noise is not None else 0.2
+        policy = agent.act_additional
+        sampler = _jitter_sampler(agent.additional, cfg.track, agent.rng, std)
+    else:
+        policy = agent.act
+        sampler = _agent_sampler(agent, cfg.track)
+    return env, policy, _corrector(cfg, env, variant_correction(cfg.run.agent), sampler)
 
 
 def execute(
@@ -459,8 +347,8 @@ def execute(
     seed: int = 0,
 ) -> list[EpisodeMetrics]:
     """Greedy shielded rollouts of a trained agent; no learning, no noise."""
-    metrics, _ = _execute_impl(agent, cfg, use_additional, episodes, seed, collect=False)
-    return metrics
+    env, policy, correct = _greedy_rollout(agent, cfg, use_additional, seed)
+    return [_run_episode(cfg, env, policy, correct, ep)[0] for ep in range(episodes)]
 
 
 def noise_test(
@@ -470,17 +358,17 @@ def noise_test(
 
     The protect count from the all-traction probe is the transferability
     baseline: a deployed network is only credible when it needs far fewer
-    interventions than the probe does.
+    interventions than the probe does.  The probe and its tree expansions
+    are deterministic, so ``seed`` does not change the output.
     """
-    probe = _ConstantPolicy(constant_cmd)
-    probe.rng = np.random.default_rng(seed)
     env = TrainEnv(cfg.train, cfg.track, cfg.reward, cfg.run.resolved_budget(cfg.track))
-    selector = _ActionSelector(cfg, env, probe, "ssa_ddpg", greedy=True)
-    out = []
-    for ep in range(episodes):
-        m, _ = _run_episode(cfg, env, selector, ep)
-        out.append(m)
-    return out
+    correct = _corrector(
+        cfg, env, "tree", lambda states, n: np.full((len(states), n), constant_cmd)
+    )
+    return [
+        _run_episode(cfg, env, lambda s_vec: constant_cmd, correct, ep)[0]
+        for ep in range(episodes)
+    ]
 
 
 @dataclass
@@ -528,17 +416,27 @@ def robustness_run(
     correlation triple covers the aligned speed, action and acceleration
     sequences, truncated to the shorter run.
     """
-    _, base_seq = _execute_impl(agent, cfg, False, 1, seed, collect=True)
+    env, policy, correct = _greedy_rollout(agent, cfg, False, seed)
+    _, base = _run_episode(cfg, env, policy, correct, 0)
     drng = np.random.default_rng(seed + 7919)
-    dist_metrics, dist_seq = _execute_impl(
-        agent, cfg, False, 1, seed, collect=True,
-        disturbance=(eps_r, delta_r, drng),
-    )
-    base, dist = base_seq[0], dist_seq[0]
+    env, policy, correct = _greedy_rollout(agent, cfg, False, seed)
+
+    def disturbed(state: OperationState, proposed: float, t: int) -> tuple[float, int]:
+        cmd, interventions = correct(state, proposed, t)
+        if drng.random() < eps_r:
+            noisy = float(np.clip(cmd + drng.uniform(-delta_r, delta_r), -1.0, 1.0))
+            cmd, again = correct(state, noisy, t)
+            interventions += again
+        return cmd, interventions
+
+    metrics, dist = _run_episode(cfg, env, policy, disturbed, 0)
     n = min(len(base), len(dist))
-    triple = PccTriple(
-        speed=_pcc_or_none([r.vel for r in base[:n]], [r.vel for r in dist[:n]]),
-        action=_pcc_or_none([r.cmd for r in base[:n]], [r.cmd for r in dist[:n]]),
-        accel=_pcc_or_none([r.accel for r in base[:n]], [r.accel for r in dist[:n]]),
-    )
-    return dist_metrics[0], triple
+
+    def sequences(steps):
+        """Speed, action and acceleration over the first n steps."""
+        return ([out.next_state.vel for _, _, out in steps[:n]],
+                [cmd for _, cmd, _ in steps[:n]],
+                [out.accel_applied for _, _, out in steps[:n]])
+
+    triple = PccTriple(*(_pcc_or_none(b, d) for b, d in zip(sequences(base), sequences(dist))))
+    return metrics, triple

@@ -16,7 +16,7 @@ from atoshield.drl.agents import (
     update_critic,
     update_sac,
 )
-from atoshield.drl.buffers import EliteBuffer, Trajectory, elite_insert
+from atoshield.drl.buffers import EliteBuffer, Trajectory
 from atoshield.drl.nets import Adam, Mlp
 
 from oracles import flatten_grads, max_rel_error, numeric_gradient, relu_kink_margin
@@ -238,13 +238,13 @@ class TestAdditionalActor:
     def test_convergence_gate_strict_inequality(self, rng):
         net = Mlp([3, 6, 1], "tanh", rng)
         elite = EliteBuffer(4)
-        elite_insert(elite, flat_traj(net, rng))
+        elite.insert(flat_traj(net, rng))
         assert additional_actor_converged(elite, net, eps=1e-12)
         # craft a trajectory whose error is exactly eps
         states = rng.normal(0, 1, (4, 3))
         actions = net.forward(states)[:, 0] + 0.1
         exact = Trajectory(states=states, actions=actions, rewards=np.zeros(4), total_return=1.0)
-        elite_insert(elite, exact)
+        elite.insert(exact)
         mse = float(np.mean((actions - net.forward(states)[:, 0]) ** 2))
         assert not additional_actor_converged(elite, net, eps=mse)
         assert additional_actor_converged(elite, net, eps=mse + 1e-9)
@@ -252,11 +252,11 @@ class TestAdditionalActor:
     def test_universal_quantifier(self, rng):
         net = Mlp([3, 6, 1], "tanh", rng)
         elite = EliteBuffer(4)
-        elite_insert(elite, flat_traj(net, rng))
+        elite.insert(flat_traj(net, rng))
         bad_states = rng.normal(0, 1, (4, 3))
         bad = Trajectory(states=bad_states, actions=net.forward(bad_states)[:, 0] + 1.0,
                          rewards=np.zeros(4), total_return=2.0)
-        elite_insert(elite, bad)
+        elite.insert(bad)
         assert not additional_actor_converged(elite, net, eps=1e-3)
 
     def test_empty_buffer_rejected(self, rng):

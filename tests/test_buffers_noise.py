@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atoshield.drl.buffers import EliteBuffer, ReplayBuffer, Trajectory, elite_insert
+from atoshield.drl.buffers import EliteBuffer, ReplayBuffer, Trajectory
 from atoshield.drl.nets import Mlp
 from atoshield.drl.noise import NoiseProcess, act, act_with_noise
 
@@ -23,8 +23,8 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=3)
         for i in range(5):
             buf.push(np.array([i]), float(i), 0.0, np.array([i]), 0.0)
-        kept = [row[1] for row in buf.transitions()]
-        assert kept == [2.0, 3.0, 4.0]
+        _, kept, _, _, _ = buf.sample(len(buf), np.random.default_rng(0))
+        assert sorted(kept.tolist()) == [2.0, 3.0, 4.0]
 
     @given(capacity=st.integers(1, 20), extra=st.integers(0, 30))
     @settings(max_examples=50)
@@ -33,8 +33,8 @@ class TestReplayBuffer:
         n = capacity + extra
         for i in range(n):
             buf.push(np.array([i]), float(i), 0.0, np.array([i]), 0.0)
-        kept = [row[1] for row in buf.transitions()]
-        assert kept == [float(i) for i in range(n - capacity, n)]
+        _, kept, _, _, _ = buf.sample(len(buf), np.random.default_rng(0))
+        assert sorted(kept.tolist()) == [float(i) for i in range(n - capacity, n)]
 
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(10)
@@ -51,27 +51,27 @@ class TestReplayBuffer:
 class TestEliteBuffer:
     def test_displaces_worst(self):
         buf = EliteBuffer(2)
-        assert elite_insert(buf, traj(5.0))
-        assert elite_insert(buf, traj(3.0))
-        assert elite_insert(buf, traj(4.0))
+        assert buf.insert(traj(5.0))
+        assert buf.insert(traj(3.0))
+        assert buf.insert(traj(4.0))
         assert [t.total_return for t in buf] == [5.0, 4.0]
 
     def test_worse_than_minimum_rejected_when_full(self):
         buf = EliteBuffer(2)
-        elite_insert(buf, traj(5.0))
-        elite_insert(buf, traj(4.0))
-        assert not elite_insert(buf, traj(1.0))
+        buf.insert(traj(5.0))
+        buf.insert(traj(4.0))
+        assert not buf.insert(traj(1.0))
         assert [t.total_return for t in buf] == [5.0, 4.0]
 
     def test_empty_buffer_accepts_anything(self):
         buf = EliteBuffer(3)
-        assert elite_insert(buf, traj(-1e9))
+        assert buf.insert(traj(-1e9))
 
     def test_equal_to_minimum_enters(self):
         buf = EliteBuffer(2)
-        elite_insert(buf, traj(5.0))
-        elite_insert(buf, traj(4.0))
-        assert elite_insert(buf, traj(4.0))
+        buf.insert(traj(5.0))
+        buf.insert(traj(4.0))
+        assert buf.insert(traj(4.0))
 
     @given(returns=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=40))
     @settings(max_examples=50)
@@ -80,7 +80,7 @@ class TestEliteBuffer:
         buf = EliteBuffer(5)
         last_min = -float("inf")
         for r in returns:
-            elite_insert(buf, traj(r))
+            buf.insert(traj(r))
             stored = [t.total_return for t in buf]
             assert stored == sorted(stored, reverse=True)
             if len(buf) == buf.capacity:

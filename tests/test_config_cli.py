@@ -12,7 +12,7 @@ from atoshield.cli import (
     read_metrics_csv,
     write_metrics_csv,
 )
-from atoshield.config import ConfigError, default_scenario_path, load_config, validate_config
+from atoshield.config import ConfigError, default_scenario_path, load_config
 from atoshield.trainer import EpisodeMetrics
 
 
@@ -29,7 +29,7 @@ def dump(tmp_path, blob, name="scenario.yaml"):
 
 class TestValidateConfig:
     def test_bundled_default_is_valid(self):
-        cfg = validate_config(default_scenario_path())
+        cfg = load_config(default_scenario_path())
         assert cfg.track.length == 1500.0
         assert cfg.safety.terminal_zone is not None
 
@@ -37,14 +37,14 @@ class TestValidateConfig:
         blob = copy.deepcopy(default_yaml)
         blob["track"]["grade_segments"] = [[0.0, 1500.0, -2.0]]
         with pytest.raises(ConfigError) as err:
-            validate_config(dump(tmp_path, blob))
+            load_config(dump(tmp_path, blob))
         assert any("motor bound" in e for e in err.value.errors)
 
     def test_overlapping_limits_reported(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
         blob["track"]["limit_segments"] = [[0.0, 900.0, 80.0], [500.0, 1500.0, 60.0]]
         with pytest.raises(ConfigError) as err:
-            validate_config(dump(tmp_path, blob))
+            load_config(dump(tmp_path, blob))
         assert any("overlap" in e for e in err.value.errors)
 
     def test_unknown_keys_rejected(self, tmp_path, default_yaml):
@@ -52,7 +52,7 @@ class TestValidateConfig:
         blob["track"]["banana"] = 1
         blob["extra_block"] = {}
         with pytest.raises(ConfigError) as err:
-            validate_config(dump(tmp_path, blob))
+            load_config(dump(tmp_path, blob))
         msgs = "\n".join(err.value.errors)
         assert "track.banana" in msgs and "extra_block" in msgs
 
@@ -61,19 +61,21 @@ class TestValidateConfig:
         blob["train"]["mass_tonnes"] = -5.0
         blob["agent"]["gamma"] = 2.0
         blob["run"]["agent"] = "mystery"
+        blob["run"]["seeds"] = [0, -1]
         with pytest.raises(ConfigError) as err:
-            validate_config(dump(tmp_path, blob))
+            load_config(dump(tmp_path, blob))
         msgs = "\n".join(err.value.errors)
         assert "train.mass_tonnes" in msgs
         assert "agent.gamma" in msgs
         assert "run.agent" in msgs
+        assert "run.seeds" in msgs
 
     def test_tree_cadence_must_match_update_cadence(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
         blob["search"]["update_frequency"] = 7
         blob["run"]["t_up"] = 5
         with pytest.raises(ConfigError) as err:
-            validate_config(dump(tmp_path, blob))
+            load_config(dump(tmp_path, blob))
         assert any("update_frequency" in e for e in err.value.errors)
 
     def test_action_grid_below_two_rejected(self, tmp_path, default_yaml):
@@ -88,7 +90,7 @@ class TestValidateConfig:
     def test_search_inherits_run_cadence(self, default_yaml, tmp_path):
         blob = copy.deepcopy(default_yaml)
         blob["run"]["t_up"] = 4
-        cfg = validate_config(dump(tmp_path, blob))
+        cfg = load_config(dump(tmp_path, blob))
         assert cfg.search.update_frequency == 4
 
 
@@ -153,6 +155,22 @@ class TestCli:
         blob["agent"]["gamma"] = -1
         path = dump(tmp_path, blob)
         assert main(["validate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--episodes", "0"], "--episodes"),
+        (["train", "--episodes", "-2"], "--episodes"),
+        (["noise-test", "--episodes", "0"], "--episodes"),
+        (["noise-test", "--episodes", "-1"], "--episodes"),
+        (["train", "--seed", "a"], "--seed"),
+        (["train", "--seed", ""], "--seed"),
+        (["noise-test", "--seed", "1,,2"], "--seed"),
+        (["noise-test", "--seed", "-1"], "--seed"),
+    ])
+    def test_bad_override_exit_2_names_flag(self, argv, flag, tiny_yaml, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(tiny_yaml), "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()  # rejected before anything ran
 
     def test_train_writes_expected_artifacts(self, tiny_yaml, tmp_path):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atoshield.config import default_scenario_path, load_config
+from atoshield.drl.agents import DdpgAgent
 from atoshield.dynamics import OperationState
 from atoshield.trainer import (
     RunConfig,
@@ -107,6 +108,20 @@ class TestTrain:
         b = train(cfg, seed=11)
         assert a.rewards == b.rewards
         assert [m.protect_times for m in a.metrics] == [m.protect_times for m in b.metrics]
+
+    def test_learner_updates_every_t_up_steps_of_each_episode(self, monkeypatch):
+        # with batch_size 1 the replay is never too short, so each episode's
+        # t_up-th, 2*t_up-th, ... step updates, its last step included
+        cfg = scenario(max_episodes=3, agent="plain_ddpg")
+        cfg = dataclasses.replace(cfg, agent=dataclasses.replace(cfg.agent, batch_size=1))
+        calls = []
+        update = DdpgAgent.update
+        monkeypatch.setattr(DdpgAgent, "update",
+                            lambda agent, batch: calls.append(batch) or update(agent, batch))
+        result = train(cfg, seed=0)
+        steps = [round(m.run_time_s / cfg.track.dt) for m in result.metrics]
+        assert any(n % cfg.run.t_up == 0 for n in steps)
+        assert len(calls) == sum(n // cfg.run.t_up for n in steps)
 
     def test_protect_times_counts_every_intervention(self, short_ssa_result):
         assert all(m.protect_times >= 0 for m in short_ssa_result.metrics)
