@@ -16,7 +16,7 @@ from .dynamics import (
     validate_model,
     validate_track,
 )
-from .search_tree import SearchConfig, SearchNode, backup, build_tree, prune, select_safe_action
+from .search_tree import SearchConfig, SearchTree, backup, build_tree, prune, select_safe_action
 from .shield import (
     Label,
     Rule,

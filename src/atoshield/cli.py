@@ -212,10 +212,9 @@ def cmd_execute(args) -> int:
 def cmd_noise_test(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
-    rows = []
-    for seed in cfg.run.seeds:
-        metrics = noise_test(cfg, args.cmd, episodes=args.episodes, seed=seed)
-        rows += [(seed, m) for m in metrics]
+    # the probe is deterministic, so every seed's rows are the same run
+    metrics = noise_test(cfg, args.cmd, episodes=args.episodes)
+    rows = [(seed, m) for seed in cfg.run.seeds for m in metrics]
     write_metrics_csv(out / "noise_test_metrics.csv", rows)
     write_summary(out / "summary.json", {
         "command": "noise_test",
@@ -403,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except UnrecoverableStateError as exc:
         print(f"shield abort: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 1
 
 

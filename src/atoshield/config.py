@@ -68,6 +68,9 @@ def _coerce_block(name: str, cls, raw: dict, errors: list[str]):
             errors.append(f"{name}.{key}: unknown key")
             continue
         if key in _LIST_FIELDS and value is not None:
+            if not isinstance(value, (list, tuple)):
+                errors.append(f"{name}.{key}: expected a list, got {value!r}")
+                continue
             value = tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in value)
         kwargs[key] = value
     try:

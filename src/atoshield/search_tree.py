@@ -7,25 +7,34 @@ network weights it was computed with.  Returns back up with a fixed discount
 over the uniform mean of children, and the root with the best backed-up
 return wins (ties resolve toward harder braking).
 
-The tree grows one level at a time.  Every node of a level sits at the same
-environment step, so a level's frontier is expanded together: one sampler
-call for all its nodes, then one array step (:func:`~.dynamics.step_batch`)
-over the (node, sample) pairs, whose outcome both certifies each pair
-(:func:`~.shield.safe_mask`) and, when it is safe, becomes the child.  A level
-wider than ``_BLOCK_PAIRS`` pairs is stepped in blocks of that many.  Children
-keep their sample order under their parent, so a sampler whose draws depend
-only on the state gives the same tree as expanding one node at a time, depth
-first.
+The tree is one struct-of-arrays per level, with no Python object per node.
+Every node of a level sits at the same environment step, so level k holds
+the nodes entered at step ``t + 1 + k`` as parallel arrays (:class:`Level`):
+command, reward, state, applied acceleration, whether the episode ended, and
+the row of the parent in the previous level.  :func:`build_tree` appends one
+level per step: one sampler call over the raw ``(loc, vel, time)`` rows of the
+level's open nodes, then one array step (:func:`~.dynamics.step_batch`) over
+the (node, sample) pairs, whose outcome both certifies each pair
+(:func:`~.shield.safe_mask`) and, when it is safe, becomes a row of the next
+level.  A level wider than ``_BLOCK_PAIRS`` pairs is stepped in blocks of that
+many.  Children keep their sample order under their parent, so a level's
+``parent`` column never decreases, and a sampler whose draws depend only on
+the state gives the same tree as expanding one node at a time, depth first.
+
+:func:`prune` and :func:`backup` are each one bottom-up pass over the levels,
+and :func:`select_safe_action` reads the root level.  Children are summed
+with ``np.bincount(parent, weights=...)``, which adds in input order (sample
+order), as a sequential sum over each node's children does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .dynamics import BatchOutcome, OperationState, condition_of, step_batch
+from .dynamics import BatchOutcome, OperationState, step_batch
 from .shield import SafetySpec, safe_mask
 
 if TYPE_CHECKING:
@@ -35,13 +44,14 @@ if TYPE_CHECKING:
 # kernels' temporaries stay small however many pairs the level holds
 _BLOCK_PAIRS = 4096
 
-PolicySampler = Callable[[Sequence[OperationState], int], np.ndarray]
-"""``(states, n) -> array (len(states), n)``: n commands in [-1, 1] per state.
+PolicySampler = Callable[[np.ndarray, int], np.ndarray]
+"""``(states, n) -> array (rows, n)``: n commands in [-1, 1] per state.
 
-The tree calls it once per level with the level's expandable nodes in order
-(roots in safe-set order, then each parent's children in sample order).  A
-sampler that draws random numbers draws them row-major, so row i's samples
-come before row i+1's.
+``states`` is a ``(rows, 3)`` array of raw ``(loc, vel, time)`` rows.  The tree
+calls the sampler once per level with the level's open (non-terminal) nodes
+in row order (roots in safe-set order, then each parent's children in sample
+order).  A sampler that draws random numbers draws them row-major, so row
+i's samples come before row i+1's.
 """
 
 
@@ -63,37 +73,77 @@ class SearchConfig:
             raise ValueError("action_grid must be >= 2")
 
 
-@dataclass(slots=True)
-class SearchNode:
-    state: OperationState
-    incoming_cmd: float
-    rollout_reward: float
-    depth_step: int  # absolute environment step index of entering this node
-    children: list["SearchNode"] = field(default_factory=list)
-    backed_return: float | None = None
-    terminal: bool = False
-    accel: float = 0.0  # applied accel entering the node, threads the jerk term
+@dataclass(slots=True, eq=False)
+class Level:
+    """The nodes of one tree depth as parallel arrays, one row per node."""
+
+    cmd: np.ndarray  # command entering the node
+    reward: np.ndarray  # reward of that transition
+    loc: np.ndarray  # state entered: m
+    vel: np.ndarray  # km/h
+    time: np.ndarray  # s
+    accel: np.ndarray  # applied accel entering the node, threads the jerk term
+    terminal: np.ndarray  # bool: the transition ended the episode
+    parent: np.ndarray  # row of the parent in the previous level; roots: 0, the unsafe state
+    alive: np.ndarray | None = None  # bool, set by prune
+    ret: np.ndarray | None = None  # backed-up return, set by backup
+
+    def __len__(self) -> int:
+        return len(self.cmd)
 
 
-def _nodes(
-    out: BatchOutcome, cmds: np.ndarray, depth_step: int, rows=slice(None)
-) -> list[SearchNode]:
-    """One node per selected row of a transition batch."""
-    return [
-        SearchNode(
-            state=OperationState(loc=loc, vel=vel, time=time, last_condition=condition_of(cmd)),
-            incoming_cmd=cmd,
-            rollout_reward=reward,
-            depth_step=depth_step,
-            terminal=arrived,
-            accel=accel,
-        )
-        for loc, vel, time, cmd, reward, arrived, accel in zip(
-            *(values[rows].tolist() for values in (
-                out.loc, out.vel, out.time, cmds, out.reward, out.arrived, out.accel
-            ))
-        )
-    ]
+_ARRAYS = tuple(f.name for f in fields(Level) if f.name not in ("alive", "ret"))
+
+
+def _level(out: BatchOutcome, cmd: np.ndarray, parent: np.ndarray, rows=slice(None)) -> Level:
+    """The selected rows of a transition batch as a level."""
+    return Level(
+        cmd=cmd[rows], reward=out.reward[rows], loc=out.loc[rows], vel=out.vel[rows],
+        time=out.time[rows], accel=out.accel[rows], terminal=out.arrived[rows],
+        parent=parent[rows],
+    )
+
+
+class SearchTree:
+    """The correction tree from one unsafe state, level by level.
+
+    ``levels[0]`` holds the roots, entered at environment step ``root_step``;
+    no level is empty.  Iterating the tree (or reading ``children``) walks it
+    node by node as :class:`NodeView` objects, made only on demand; after
+    :func:`prune` only surviving nodes are walked.
+    """
+
+    def __init__(self, levels: list[Level], root_step: int):
+        self.levels = levels
+        self.root_step = root_step
+
+    @property
+    def children(self) -> list["NodeView"]:
+        return NodeView(self, -1, 0).children
+
+    def __iter__(self):
+        return iter(self.children)
+
+
+class NodeView:
+    """Node ``row`` of level ``depth`` (depth -1 is the unsafe state)."""
+
+    __slots__ = ("tree", "depth", "row")
+
+    def __init__(self, tree: SearchTree, depth: int, row: int):
+        self.tree, self.depth, self.row = tree, depth, row
+
+    @property
+    def children(self) -> list["NodeView"]:
+        if self.depth + 1 == len(self.tree.levels):
+            return []
+        below = self.tree.levels[self.depth + 1]
+        lo, hi = np.searchsorted(below.parent, (self.row, self.row + 1))
+        return [
+            NodeView(self.tree, self.depth + 1, k)
+            for k in range(int(lo), int(hi))
+            if below.alive is None or below.alive[k]
+        ]
 
 
 def build_tree(
@@ -105,7 +155,7 @@ def build_tree(
     t: int,
     cfg: SearchConfig,
     prev_accel: float = 0.0,
-) -> list[SearchNode]:
+) -> SearchTree:
     """Grow one root per safe candidate command taken from the unsafe state.
 
     ``t`` is the environment step at which the unsafe proposal occurred; roots
@@ -121,82 +171,87 @@ def build_tree(
         model, track, state_unsafe.loc, state_unsafe.vel, state_unsafe.time,
         cmds, weights, prev_accel,
     )
-    roots = _nodes(out, cmds, t + 1)
-    frontier = roots
-    depth_step = t + 1
+    levels = [_level(out, cmds, np.zeros(cmds.size, dtype=np.intp))]
     width = cfg.expansion_width
+    depth_step = t + 1
     while depth_step % cfg.update_frequency != 0:
-        frontier = [node for node in frontier if not node.terminal]
-        if not frontier:
+        above = levels[-1]
+        open_rows = np.flatnonzero(~above.terminal)
+        if open_rows.size == 0:
             break
-        samples = np.asarray(policy([node.state for node in frontier], width), dtype=float)
-        if samples.shape != (len(frontier), width):
+        states = np.column_stack((above.loc[open_rows], above.vel[open_rows], above.time[open_rows]))
+        samples = np.asarray(policy(states, width), dtype=float)
+        if samples.shape != (open_rows.size, width):
             raise ValueError(
-                f"sampler returned shape {samples.shape}, expected {(len(frontier), width)}"
+                f"sampler returned shape {samples.shape}, expected {(open_rows.size, width)}"
             )
-        cmd = samples.ravel()  # pair k is sample k % width of parent k // width
-        p_loc, p_vel, p_time, p_accel, p_cmd = np.array(
-            [(n.state.loc, n.state.vel, n.state.time, n.accel, n.incoming_cmd) for n in frontier]
-        ).T
+        cmd = samples.ravel()  # pair k is sample k % width of open row k // width
+        pair_parent = np.repeat(open_rows, width)
         depth_step += 1
-        children = []
+        blocks = []
         for lo in range(0, cmd.size, _BLOCK_PAIRS):
-            pair = np.arange(lo, min(lo + _BLOCK_PAIRS, cmd.size))
-            parent = pair // width
-            loc, vel = p_loc[parent], p_vel[parent]
-            out = step_batch(model, track, loc, vel, p_time[parent], cmd[pair], weights,
-                             p_accel[parent])
-            safe = safe_mask(spec, model, track, loc, vel, np.sign(p_cmd[parent]), cmd[pair], out)
-            kept = np.flatnonzero(safe)
-            block = _nodes(out, cmd[pair], depth_step, kept)
-            for k, child in zip(parent[kept].tolist(), block):
-                frontier[k].children.append(child)
-            children += block
-        frontier = children
-    return roots
+            pairs = slice(lo, lo + _BLOCK_PAIRS)
+            parent, block_cmd = pair_parent[pairs], cmd[pairs]
+            loc, vel = above.loc[parent], above.vel[parent]
+            out = step_batch(model, track, loc, vel, above.time[parent], block_cmd, weights,
+                             above.accel[parent])
+            safe = safe_mask(spec, model, track, loc, vel, np.sign(above.cmd[parent]),
+                             block_cmd, out)
+            blocks.append(_level(out, block_cmd, parent, np.flatnonzero(safe)))
+        level = blocks[0] if len(blocks) == 1 else Level(
+            *(np.concatenate([getattr(b, name) for b in blocks]) for name in _ARRAYS)
+        )
+        if not len(level):
+            break
+        levels.append(level)
+    return SearchTree(levels, t + 1)
 
 
-def prune(node: SearchNode, update_frequency: int) -> SearchNode | None:
-    """Drop every branch that fails to reach the update step.
+def prune(tree: SearchTree, update_frequency: int) -> SearchTree | None:
+    """Keep only the branches that reach the update step or end the episode.
 
-    A surviving leaf either sits exactly on an update step or ended the
-    episode; interior nodes whose subtrees die out entirely are removed.
-    Returns None when nothing of the tree survives.
+    One bottom-up pass sets each level's ``alive``: a node survives when it
+    ended the episode, sits on an update step, or has a surviving child.
+    Returns the tree, or None when no root survives.
     """
-    node.children = [
-        kept
-        for kept in (prune(child, update_frequency) for child in node.children)
-        if kept is not None
-    ]
-    if node.children:
-        return node
-    if node.terminal or node.depth_step % update_frequency == 0:
-        return node
-    return None
+    below = None
+    for depth in range(len(tree.levels) - 1, -1, -1):
+        level = tree.levels[depth]
+        if (tree.root_step + depth) % update_frequency == 0:
+            alive = np.ones(len(level), dtype=bool)
+        else:
+            alive = level.terminal.copy()
+            if below is not None:
+                alive |= np.bincount(below.parent[below.alive], minlength=len(level)) > 0
+        level.alive = alive
+        below = level
+    return tree if tree.levels[0].alive.any() else None
 
 
-def backup(node: SearchNode, cfg: SearchConfig) -> float:
-    """Fill backed-up returns: leaves keep their rollout reward, branch nodes
-    add the discounted mean of their children's returns."""
-    if not node.children:
-        node.backed_return = node.rollout_reward
-    else:
-        child_mean = sum(backup(child, cfg) for child in node.children) / len(node.children)
-        node.backed_return = node.rollout_reward + cfg.backup_discount * child_mean
-    return node.backed_return
+def backup(tree: SearchTree, cfg: SearchConfig) -> None:
+    """Fill each level's ``ret`` over a pruned tree: leaves keep their reward,
+    branch nodes add the discounted mean of their surviving children's returns."""
+    below = None
+    for level in reversed(tree.levels):
+        ret = level.reward.copy()
+        if below is not None:
+            kids = below.parent[below.alive]
+            count = np.bincount(kids, minlength=len(level))
+            total = np.bincount(kids, weights=below.ret[below.alive], minlength=len(level))
+            branch = count > 0
+            ret[branch] += cfg.backup_discount * (total[branch] / count[branch])
+        level.ret = ret
+        below = level
 
 
-def select_safe_action(roots: Sequence[SearchNode]) -> float:
-    """Command of the root with maximal backed-up return; ties brake harder."""
-    if not roots:
+def select_safe_action(tree: SearchTree) -> float:
+    """Command of the surviving root with maximal backed-up return; ties brake harder."""
+    roots = tree.levels[0]
+    rows = np.flatnonzero(roots.alive)
+    if rows.size == 0:
         raise ValueError("no surviving roots to select from")
-    best = roots[0]
-    for root in roots[1:]:
-        if root.backed_return > best.backed_return or (
-            root.backed_return == best.backed_return and root.incoming_cmd < best.incoming_cmd
-        ):
-            best = root
-    return best.incoming_cmd
+    ret = roots.ret[rows]
+    return float(roots.cmd[rows[ret == ret.max()]].min())
 
 
 def search_safe_action(
@@ -214,10 +269,8 @@ def search_safe_action(
     Falls back to the hardest-braking safe candidate when pruning kills every
     root, the conservative default for a train protection system.
     """
-    roots = build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel)
-    roots = [kept for kept in (prune(r, cfg.update_frequency) for r in roots) if kept is not None]
-    if not roots:
+    tree = build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel)
+    if prune(tree, cfg.update_frequency) is None:
         return min(safe_set)
-    for root in roots:
-        backup(root, cfg)
-    return select_safe_action(roots)
+    backup(tree, cfg)
+    return select_safe_action(tree)

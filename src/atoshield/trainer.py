@@ -163,10 +163,9 @@ def normalize_state(state: OperationState, track: TrackSection) -> np.ndarray:
     )
 
 
-def normalize_states(states: Sequence[OperationState], track: TrackSection) -> np.ndarray:
-    """:func:`normalize_state` of each state, one row per state."""
-    length, top, scheduled = track.length, track.max_limit, track.scheduled_time
-    return np.array([(s.loc / length, s.vel / top, s.time / scheduled) for s in states])
+def normalize_states(states: np.ndarray, track: TrackSection) -> np.ndarray:
+    """:func:`normalize_state` of each raw ``(loc, vel, time)`` row of a ``(rows, 3)`` array."""
+    return states / np.array([track.length, track.max_limit, track.scheduled_time])
 
 
 def make_agent(variant: str, cfg_agent: AgentConfig, rng: np.random.Generator):
@@ -179,7 +178,7 @@ def _jitter_sampler(net, track: TrackSection, rng: np.random.Generator, std: flo
     """Tree sampler around a deterministic net: its command plus Gaussian jitter,
     drawn row-major over the (states, n) result."""
 
-    def sampler(states: Sequence[OperationState], n: int) -> np.ndarray:
+    def sampler(states: np.ndarray, n: int) -> np.ndarray:
         base = net.forward(normalize_states(states, track))
         return np.clip(base + rng.normal(0.0, std, (len(states), n)), -1.0, 1.0)
 

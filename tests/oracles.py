@@ -1,29 +1,72 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive (plain loops, no shared code with the
-package internals) so it can serve as an oracle.  The tree reference grows
-node by node on the scalar ``step`` and ``is_safe``, the kernels the array
-forms are held equal to, and shares only the pruning, backup and selection
-that both tree builders feed.
+package internals) so it can serve as an oracle.  The tree reference is a
+plain node object per node, grown depth first on the scalar ``step`` and
+``is_safe`` (the kernels the array forms are held equal to), then pruned,
+backed up and selected recursively.
 """
 
 import numpy as np
 
 from atoshield.dynamics import step
-from atoshield.search_tree import SearchNode, backup, prune, select_safe_action
 from atoshield.shield import is_safe
+
+
+class RefNode:
+    """One tree node as a Python object, children in sample order."""
+
+    def __init__(self, cmd, reward, depth_step, state=None, accel=0.0, terminal=False,
+                 children=()):
+        self.cmd = cmd
+        self.reward = reward
+        self.depth_step = depth_step
+        self.state = state  # OperationState entered, None in synthetic trees
+        self.accel = accel
+        self.terminal = terminal
+        self.children = list(children)
+        self.ret = None
+
+
+def ref_prune(node, update_frequency):
+    """Drop every branch that fails to reach the update step; None if all of it dies."""
+    node.children = [
+        kept
+        for kept in (ref_prune(child, update_frequency) for child in node.children)
+        if kept is not None
+    ]
+    if node.children or node.terminal or node.depth_step % update_frequency == 0:
+        return node
+    return None
+
+
+def ref_backup(node, discount):
+    """Fill ``ret``: leaves keep their reward, branches add the discounted child mean."""
+    if not node.children:
+        node.ret = node.reward
+    else:
+        total = 0.0
+        for child in node.children:
+            total += ref_backup(child, discount)
+        node.ret = node.reward + discount * (total / len(node.children))
+    return node.ret
+
+
+def ref_select(roots):
+    """Command of the root with maximal return, scanning in order; ties brake harder."""
+    best = roots[0]
+    for root in roots[1:]:
+        if root.ret > best.ret or (root.ret == best.ret and root.cmd < best.cmd):
+            best = root
+    return best.cmd
 
 
 def random_tree(rng, max_depth=5, max_width=5, t_up=5):
     """Random pruned-shaped tree: every leaf lands on an update step."""
 
     def grow(depth_step, depth_left):
-        node = SearchNode(
-            state=None,
-            incoming_cmd=float(rng.uniform(-1, 1)),
-            rollout_reward=float(rng.uniform(-10, 10)),
-            depth_step=depth_step,
-        )
+        node = RefNode(cmd=float(rng.uniform(-1, 1)), reward=float(rng.uniform(-10, 10)),
+                       depth_step=depth_step)
         if depth_left > 0 and depth_step % t_up != 0:
             width = int(rng.integers(1, max_width + 1))
             node.children = [grow(depth_step + 1, depth_left - 1) for _ in range(width)]
@@ -34,38 +77,75 @@ def random_tree(rng, max_depth=5, max_width=5, t_up=5):
     return grow(start, min(depth_left, max_depth))
 
 
+def random_forest(rng, t_up, root_step, max_width, p_stop, p_terminal, max_nodes=1500):
+    """Random unpruned forest of 1-9 roots.
+
+    Nodes expand to max_width children (half the time to 1..max_width) until
+    the update step, except terminal nodes and, with probability p_stop, nodes
+    whose samples were all unsafe (off-cadence leaves that die).  Rewards and
+    commands come from small sets half the time, so returns and commands tie."""
+    made = 0
+
+    def value(choices, low, high):
+        return float(rng.choice(choices)) if rng.random() < 0.5 else float(rng.uniform(low, high))
+
+    def grow(depth_step):
+        nonlocal made
+        made += 1
+        node = RefNode(cmd=value([-1.0, -0.5, 0.0, 0.5, 1.0], -1, 1),
+                       reward=value([-1.0, 0.0, 0.5, 2.0], -10, 10),
+                       depth_step=depth_step, terminal=bool(rng.random() < p_terminal))
+        if node.terminal or depth_step % t_up == 0 or rng.random() < p_stop:
+            return node
+        width = max_width if rng.random() < 0.5 else int(rng.integers(1, max_width + 1))
+        for _ in range(width):
+            if made >= max_nodes:
+                break
+            node.children.append(grow(depth_step + 1))
+        return node
+
+    return [grow(root_step) for _ in range(int(rng.integers(1, 10)))]
+
+
 def brute_backup(node, discount):
     """Direct recursive evaluation of the backup rule, no mutation."""
     if not node.children:
-        return node.rollout_reward
+        return node.reward
     total = 0.0
     for child in node.children:
         total += brute_backup(child, discount)
-    return node.rollout_reward + discount * (total / len(node.children))
+    return node.reward + discount * (total / len(node.children))
+
+
+def breadth_first_levels(roots):
+    """The forest as lists of nodes per depth, each with its parent's position
+    in the previous depth (roots: 0), in the order a breadth-first walk meets them."""
+    levels = [[(root, 0) for root in roots]]
+    while True:
+        below = [(child, k) for k, (node, _) in enumerate(levels[-1]) for child in node.children]
+        if not below:
+            return levels
+        levels.append(below)
 
 
 def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel=0.0):
-    """Depth-first tree growth, one node at a time: a single-state sampler
-    call per expanded node, then the scalar ``is_safe`` and ``step`` per sample."""
+    """Depth-first tree growth, one node at a time: a one-row sampler call per
+    expanded node, then the scalar ``is_safe`` and ``step`` per sample."""
 
     def child_of(state, cmd, accel, depth_step):
         out = step(env.model, env.track, state, cmd, env.weights, accel)
-        return SearchNode(
-            state=out.next_state,
-            incoming_cmd=cmd,
-            rollout_reward=out.reward,
-            depth_step=depth_step,
-            terminal=out.done,
-            accel=out.accel_applied,
-        )
+        return RefNode(cmd=cmd, reward=out.reward, depth_step=depth_step,
+                       state=out.next_state, accel=out.accel_applied, terminal=out.done)
 
     def expand(node):
         if node.terminal or node.depth_step % cfg.update_frequency == 0:
             return
-        for cmd in policy([node.state], cfg.expansion_width)[0]:
-            if not is_safe(spec, env.model, env.track, node.state, cmd).safe:
+        s = node.state
+        for cmd in policy(np.array([[s.loc, s.vel, s.time]]), cfg.expansion_width)[0]:
+            cmd = float(cmd)
+            if not is_safe(spec, env.model, env.track, s, cmd).safe:
                 continue
-            child = child_of(node.state, cmd, node.accel, node.depth_step + 1)
+            child = child_of(s, cmd, node.accel, node.depth_step + 1)
             node.children.append(child)
             expand(child)
 
@@ -85,12 +165,12 @@ def reference_search(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_acc
 
 def reference_choice(roots, safe_set, cfg):
     """Prune, back up and select over built roots, falling back to hardest braking."""
-    roots = [r for r in roots if prune(r, cfg.update_frequency) is not None]
+    roots = [r for r in roots if ref_prune(r, cfg.update_frequency) is not None]
     if not roots:
         return min(safe_set)
     for root in roots:
-        backup(root, cfg)
-    return select_safe_action(roots)
+        ref_backup(root, cfg.backup_discount)
+    return ref_select(roots)
 
 
 def pcc_brute(x, y):

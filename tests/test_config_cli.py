@@ -4,6 +4,7 @@ import json
 import pytest
 import yaml
 
+from atoshield import cli
 from atoshield.cli import (
     ablation_hidden,
     main,
@@ -13,7 +14,8 @@ from atoshield.cli import (
     write_metrics_csv,
 )
 from atoshield.config import ConfigError, default_scenario_path, load_config
-from atoshield.trainer import EpisodeMetrics
+from atoshield.drl.nets import Mlp
+from atoshield.trainer import EpisodeMetrics, noise_test
 
 
 @pytest.fixture()
@@ -86,6 +88,18 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
         assert any(e.startswith("search:") and "action_grid" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("run", "seeds", 5),
+        ("agent", "hidden_sizes", 64),
+        ("track", "limit_segments", 3),
+    ])
+    def test_scalar_in_list_field_names_the_field(self, tmp_path, default_yaml, block, key, value):
+        blob = copy.deepcopy(default_yaml)
+        blob[block][key] = value
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert f"{block}.{key}: expected a list, got {value}" in err.value.errors
 
     def test_search_inherits_run_cadence(self, default_yaml, tmp_path):
         blob = copy.deepcopy(default_yaml)
@@ -213,6 +227,42 @@ class TestCli:
                      "--cmd", "1.0", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mean_protect_times"] > 0
+
+    def test_noise_test_runs_probe_once_for_all_seeds(self, tiny_yaml, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return noise_test(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "noise_test", counted)
+        out = tmp_path / "nt"
+        assert main(["noise-test", "--config", str(tiny_yaml), "--seed", "0,1,2",
+                     "--cmd", "1.0", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        # the same bytes as one probe per seed, each under its own label
+        cfg = load_config(tiny_yaml)
+        per_seed = [(seed, m) for seed in (0, 1, 2)
+                    for m in noise_test(cfg, 1.0, episodes=1, seed=seed)]
+        write_metrics_csv(tmp_path / "per_seed.csv", per_seed)
+        assert (out / "noise_test_metrics.csv").read_bytes() == (
+            tmp_path / "per_seed.csv").read_bytes()
+        summary = json.loads((out / "summary.json").read_text())
+        want = cli._exec_summary([m for _, m in per_seed])
+        for timing in (summary, want):
+            del timing["mean_action_select_ms"]
+        assert summary == {"command": "noise_test", "constant_cmd": 1.0, **want}
+
+    def test_numerical_error_exit_1_one_line(self, tiny_yaml, tmp_path, monkeypatch, capsys):
+        def diverged(self, x):
+            raise FloatingPointError("network produced non-finite output")
+
+        monkeypatch.setattr(Mlp, "forward", diverged)
+        code = main(["train", "--config", str(tiny_yaml), "--seed", "0",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "numerical error: network produced non-finite output\n"
 
     def test_robustness_single_cell(self, tiny_yaml, tmp_path):
         train_out = tmp_path / "t2"

@@ -1,14 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-
-import dataclasses
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atoshield import trainer
 from atoshield.config import default_scenario_path, load_config
-from atoshield.dynamics import OperationState
+from atoshield.dynamics import OperationState, condition_of
 from atoshield.search_tree import (
+    Level,
     SearchConfig,
-    SearchNode,
+    SearchTree,
     backup,
     build_tree,
     prune,
@@ -20,8 +24,14 @@ from atoshield.trainer import TrainEnv
 
 from conftest import make_model, make_track
 from oracles import (
+    RefNode,
+    breadth_first_levels,
     brute_backup,
+    random_forest,
     random_tree,
+    ref_backup,
+    ref_prune,
+    ref_select,
     reference_build_tree,
     reference_choice,
     reference_search,
@@ -40,28 +50,61 @@ def seeded_policy(seed, scale=0.4):
     return lambda states, n: np.clip(rng.normal(0.2, scale, (len(states), n)), -1.0, 1.0)
 
 
-def pruned(roots, cfg=CFG):
-    return [kept for kept in (prune(r, cfg.update_frequency) for r in roots) if kept is not None]
-
-
 @pytest.fixture()
 def env(model, track):
     return TrainEnv(model, track)
 
 
-def leaves(node):
-    if not node.children:
-        return [node]
+def to_tree(roots, root_step):
+    """The SearchTree of a reference forest, flattened breadth first."""
+    levels = []
+    for rows in breadth_first_levels(roots):
+        nodes = [n for n, _ in rows]
+
+        def column(read):
+            return np.array([read(n) for n in nodes], dtype=float)
+
+        def state(name):
+            return column(lambda n: 0.0 if n.state is None else getattr(n.state, name))
+
+        levels.append(Level(
+            cmd=column(lambda n: n.cmd), reward=column(lambda n: n.reward),
+            loc=state("loc"), vel=state("vel"), time=state("time"),
+            accel=column(lambda n: n.accel),
+            terminal=np.array([n.terminal for n in nodes], dtype=bool),
+            parent=np.array([k for _, k in rows], dtype=np.intp),
+        ))
+    return SearchTree(levels, root_step)
+
+
+def assert_same_levels(tree, roots):
+    """Every level equals the reference forest's breadth-first rows, exactly."""
+    want = breadth_first_levels(roots)
+    assert tree.root_step == roots[0].depth_step
+    assert len(tree.levels) == len(want)
+    for depth, (level, rows) in enumerate(zip(tree.levels, want)):
+        nodes = [n for n, _ in rows]
+        assert all(n.depth_step == tree.root_step + depth for n in nodes)
+        assert level.cmd.tolist() == [n.cmd for n in nodes]
+        assert level.reward.tolist() == [n.reward for n in nodes]
+        assert level.loc.tolist() == [n.state.loc for n in nodes]
+        assert level.vel.tolist() == [n.state.vel for n in nodes]
+        assert level.time.tolist() == [n.state.time for n in nodes]
+        assert level.accel.tolist() == [n.accel for n in nodes]
+        assert level.terminal.tolist() == [n.terminal for n in nodes]
+        assert level.parent.tolist() == [k for _, k in rows]
+
+
+def surviving_leaves(tree):
+    """(environment step, terminal) of every surviving node without a surviving child."""
     out = []
-    for child in node.children:
-        out += leaves(child)
-    return out
-
-
-def all_nodes(node):
-    out = [node]
-    for child in node.children:
-        out += all_nodes(child)
+    for depth, level in enumerate(tree.levels):
+        below = tree.levels[depth + 1] if depth + 1 < len(tree.levels) else None
+        has_child = np.zeros(len(level), dtype=bool)
+        if below is not None:
+            has_child[below.parent[below.alive]] = True
+        for row in np.flatnonzero(level.alive & ~has_child):
+            out.append((tree.root_step + depth, bool(level.terminal[row])))
     return out
 
 
@@ -69,87 +112,90 @@ class TestBuildTree:
     def test_update_step_gives_depth_one(self, env):
         state = OperationState(loc=100.0, vel=40.0)
         # roots land on step t+1 = 5, an update step, so no expansion happens
-        roots = build_tree(env, PLAIN, steady_policy(0.2), state, [0.0, 0.5], 4, CFG)
-        assert len(roots) == 2
-        assert all(not r.children for r in roots)
-        assert all(r.depth_step == 5 for r in roots)
+        tree = build_tree(env, PLAIN, steady_policy(0.2), state, [0.0, 0.5], 4, CFG)
+        assert len(tree.levels) == 1 and len(tree.levels[0]) == 2
+        assert tree.root_step == 5
 
     def test_width_one_is_single_path(self, env):
         cfg = SearchConfig(expansion_width=1, update_frequency=5, action_grid=9)
         state = OperationState(loc=100.0, vel=40.0)
-        roots = build_tree(env, PLAIN, steady_policy(0.1), state, [0.3], 0, cfg)
-        node = roots[0]
-        length = 1
-        while node.children:
-            assert len(node.children) == 1
-            node = node.children[0]
-            length += 1
-        assert length <= cfg.update_frequency
+        tree = build_tree(env, PLAIN, steady_policy(0.1), state, [0.3], 0, cfg)
+        assert all(len(level) == 1 for level in tree.levels)
+        assert all(level.parent.tolist() == [0] for level in tree.levels)
+        assert len(tree.levels) <= cfg.update_frequency
 
     def test_unsafe_policy_starves_expansion(self, env, model, track):
         # a policy that always floors the throttle right at the limit is
         # never certified, so non-update-step roots end up childless
         state = OperationState(loc=200.0, vel=79.8)
-        roots = build_tree(env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, CFG)
-        kept = pruned(roots)
-        assert kept == [] or all(
-            leaf.terminal or leaf.depth_step % CFG.update_frequency == 0
-            for r in kept for leaf in leaves(r)
-        )
+        tree = build_tree(env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, CFG)
+        if prune(tree, CFG.update_frequency) is not None:
+            assert all(terminal or step % CFG.update_frequency == 0
+                       for step, terminal in surviving_leaves(tree))
         # the orchestrator falls back to hardest braking
         chosen = search_safe_action(
             env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, CFG
         )
         assert chosen in (-1.0, -0.5)
 
-    def test_every_node_shield_certified(self, env, model, track):
+    @pytest.mark.parametrize("spec", [PLAIN, SafetySpec(forbid_direct_reversal=True)],
+                             ids=["plain", "reversal"])
+    def test_every_node_shield_certified(self, env, model, track, spec):
         state = OperationState(loc=300.0, vel=55.0)
-        roots = build_tree(env, PLAIN, seeded_policy(3), state, [-0.5, 0.0, 0.4], 1, CFG)
-        for root in roots:
-            stack = [(state, root)]
-            while stack:
-                parent_state, node = stack.pop()
-                assert is_safe(PLAIN, model, track, parent_state, node.incoming_cmd).safe
-                for child in node.children:
-                    stack.append((node.state, child))
+        safe_set = safe_action_set(spec, model, track, state, 9)
+        tree = build_tree(env, spec, seeded_policy(3), state, safe_set, 1, CFG)
+        assert len(tree.levels) > 1
+        for cmd in tree.levels[0].cmd:
+            assert is_safe(spec, model, track, state, float(cmd)).safe
+        for above, level in zip(tree.levels, tree.levels[1:]):
+            for cmd, k in zip(level.cmd.tolist(), level.parent.tolist()):
+                parent = OperationState(
+                    loc=float(above.loc[k]), vel=float(above.vel[k]), time=float(above.time[k]),
+                    last_condition=condition_of(float(above.cmd[k])),
+                )
+                assert is_safe(spec, model, track, parent, cmd).safe
 
     def test_deterministic_with_seeded_sampler(self, env):
         state = OperationState(loc=300.0, vel=55.0)
 
         def run():
-            roots = build_tree(env, PLAIN, seeded_policy(7), state, [-0.5, 0.0], 2, CFG)
-            roots = pruned(roots)
-            return [backup(r, CFG) for r in roots]
+            tree = build_tree(env, PLAIN, seeded_policy(7), state, [-0.5, 0.0], 2, CFG)
+            assert prune(tree, CFG.update_frequency) is tree
+            backup(tree, CFG)
+            return [level.ret.tolist() for level in tree.levels]
 
         assert run() == run()
 
     def test_depth_law_after_pruning(self, env):
         state = OperationState(loc=300.0, vel=50.0)
         for t in range(0, 10):
-            roots = build_tree(env, PLAIN, seeded_policy(t), state, [0.0, 0.3], t, CFG)
-            for root in pruned(roots):
-                for leaf in leaves(root):
-                    assert leaf.terminal or leaf.depth_step % CFG.update_frequency == 0
-                depth = max(n.depth_step for n in all_nodes(root)) - root.depth_step + 1
-                assert depth <= CFG.update_frequency
+            tree = build_tree(env, PLAIN, seeded_policy(t), state, [0.0, 0.3], t, CFG)
+            assert len(tree.levels) <= CFG.update_frequency
+            if prune(tree, CFG.update_frequency) is None:
+                continue
+            for step, terminal in surviving_leaves(tree):
+                assert terminal or step % CFG.update_frequency == 0
+
+    def test_node_walk_counts_nodes(self, env):
+        # the on-demand node views walk every node before pruning, survivors after
+        state = OperationState(loc=300.0, vel=55.0)
+        tree = build_tree(env, PLAIN, seeded_policy(5, scale=0.9), state, [-0.5, 0.0, 0.4], 1, CFG)
+
+        def count(node):
+            return 1 + sum(count(child) for child in node.children)
+
+        assert sum(count(root) for root in tree) == sum(len(level) for level in tree.levels)
+        prune(tree, CFG.update_frequency)
+        assert sum(count(root) for root in tree) == sum(int(lv.alive.sum()) for lv in tree.levels)
 
 
 def wavy_policy(states, n):
-    """Deterministic sampler: each command depends only on the state and its slot."""
+    """Deterministic sampler: each command depends only on the raw state row and its slot."""
     return np.array([
-        [float(np.clip(np.sin(0.013 * s.loc + 0.7 * j) + 0.02 * s.vel - 0.6, -1.0, 1.0))
+        [min(1.0, max(-1.0, math.sin(0.013 * loc + 0.7 * j) + 0.02 * vel + 0.001 * time - 0.6))
          for j in range(n)]
-        for s in states
+        for loc, vel, time in states.tolist()
     ]).reshape(len(states), n)
-
-
-def assert_same_tree(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.incoming_cmd, a.rollout_reward, a.state, a.accel, a.depth_step, a.terminal) == (
-            b.incoming_cmd, b.rollout_reward, b.state, b.accel, b.depth_step, b.terminal
-        )
-        assert_same_tree(a.children, b.children)
 
 
 GRADED = make_track(
@@ -162,7 +208,7 @@ FLOOR_AND_REVERSAL = SafetySpec(
 
 
 class TestMatchesDepthFirstReference:
-    """The level-batched tree is node-for-node the depth-first one."""
+    """The level arrays are the depth-first reference tree, flattened breadth first."""
 
     @pytest.mark.parametrize(
         "spec", [PLAIN, SafetySpec(forbid_direct_reversal=True), FLOOR_AND_REVERSAL],
@@ -181,15 +227,16 @@ class TestMatchesDepthFirstReference:
             if not safe_set:
                 continue
             args = (env, spec, policy, state, safe_set, t, cfg, prev_accel)
-            assert_same_tree(build_tree(*args), reference_build_tree(*args))
+            assert_same_levels(build_tree(*args), reference_build_tree(*args))
             assert search_safe_action(*args) == reference_search(*args)
 
     def test_all_unsafe_samples_fall_back_to_hardest_braking(self, env):
         state = OperationState(loc=200.0, vel=79.8)
         args = (env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, CFG)
-        roots = build_tree(*args)
-        assert_same_tree(roots, reference_build_tree(*args))
-        assert pruned(roots) == []
+        tree = build_tree(*args)
+        assert_same_levels(tree, reference_build_tree(*args))
+        assert prune(tree, CFG.update_frequency) is None
+        assert not tree.levels[0].alive.any()
         assert search_safe_action(*args) == reference_search(*args) == -1.0
 
     def test_constant_probe_at_t_up_7(self, monkeypatch):
@@ -204,7 +251,7 @@ class TestMatchesDepthFirstReference:
 
         def checked_search(*args):
             want = reference_build_tree(*args)
-            assert_same_tree(build_tree(*args), want)
+            assert_same_levels(build_tree(*args), want)
             chosen = search_safe_action(*args)
             assert chosen == reference_choice(want, args[4], args[6])
             checked.append(chosen)
@@ -214,107 +261,174 @@ class TestMatchesDepthFirstReference:
         metrics = trainer.noise_test(cfg, 1.0, episodes=1)
         assert len(checked) == metrics[0].protect_times > 0
 
+    def test_sampler_gets_raw_state_rows_of_open_nodes(self, env):
+        seen = []
+
+        def recording(states, n):
+            seen.append(states.copy())
+            return wavy_policy(states, n)
+
+        state = OperationState(loc=300.0, vel=55.0, time=3.0)
+        tree = build_tree(env, PLAIN, recording, state, [-0.5, 0.0, 0.4], 3, CFG)
+        assert len(seen) == len(tree.levels) - 1 > 0
+        for states, level in zip(seen, tree.levels):
+            open_rows = ~level.terminal
+            assert states.shape == (int(open_rows.sum()), 3)
+            assert states.tolist() == np.column_stack(
+                (level.loc, level.vel, level.time))[open_rows].tolist()
+
     def test_sampler_shape_checked(self, env):
         with pytest.raises(ValueError, match="shape"):
             build_tree(env, PLAIN, lambda states, n: np.zeros(n),
                        OperationState(loc=100.0, vel=30.0), [0.0], 0, CFG)
 
 
-def node(step_idx, reward, children=()):
-    return SearchNode(
-        state=None, incoming_cmd=0.0, rollout_reward=reward,
-        depth_step=step_idx, children=list(children),
-    )
+def node(step_idx, reward, children=(), terminal=False, cmd=0.0):
+    return RefNode(cmd=cmd, reward=reward, depth_step=step_idx, terminal=terminal,
+                   children=children)
 
 
 class TestPrune:
     def test_complete_tree_unchanged(self):
-        root = node(4, 1.0, [node(5, 2.0), node(5, 3.0)])
-        kept = prune(root, 5)
-        assert kept is root and len(kept.children) == 2
+        tree = to_tree([node(4, 1.0, [node(5, 2.0), node(5, 3.0)])], 4)
+        assert prune(tree, 5) is tree
+        assert [lv.alive.tolist() for lv in tree.levels] == [[True], [True, True]]
 
     def test_truncated_branch_removed(self):
         # one child stops short of the update step and must vanish entirely
         short = node(4, 9.0)  # 4 % 5 != 0, childless
         full = node(4, 1.0, [node(5, 2.0)])
-        root = node(3, 0.0, [short, full])
-        kept = prune(root, 5)
-        assert kept is root
-        assert kept.children == [full]
+        tree = to_tree([node(3, 0.0, [short, full])], 3)
+        assert prune(tree, 5) is tree
+        assert [lv.alive.tolist() for lv in tree.levels] == [[True], [False, True], [True]]
+        (root,) = tree.children
+        assert [child.row for child in root.children] == [1]
 
     def test_everything_truncated_gives_none(self):
-        root = node(3, 0.0, [node(4, 1.0), node(4, 2.0)])
-        assert prune(root, 5) is None
+        tree = to_tree([node(3, 0.0, [node(4, 1.0), node(4, 2.0)])], 3)
+        assert prune(tree, 5) is None
+        assert tree.children == []
 
     def test_terminal_leaf_survives_off_cadence(self):
-        done = node(4, 5.0)
-        done.terminal = True
-        root = node(3, 0.0, [done])
-        assert prune(root, 5) is root
+        tree = to_tree([node(3, 0.0, [node(4, 5.0, terminal=True)])], 3)
+        assert prune(tree, 5) is tree
+        assert [lv.alive.tolist() for lv in tree.levels] == [[True], [True]]
+
+    def test_dead_roots_dropped_live_ones_kept(self):
+        tree = to_tree([node(4, 0.0), node(4, 0.0, [node(5, 1.0)]), node(4, 0.0)], 4)
+        assert prune(tree, 5) is tree
+        assert tree.levels[0].alive.tolist() == [False, True, False]
 
 
 class TestBackup:
+    @staticmethod
+    def backed(roots, root_step, discount=CFG.backup_discount):
+        tree = to_tree(roots, root_step)
+        assert prune(tree, CFG.update_frequency) is tree
+        backup(tree, dataclasses.replace(CFG, backup_discount=discount))
+        return tree
+
     def test_leaf_keeps_rollout_reward(self):
-        leaf = node(5, 2.5)
-        assert backup(leaf, CFG) == 2.5
+        assert self.backed([node(5, 2.5)], 5).levels[0].ret.tolist() == [2.5]
 
     def test_branch_mixes_discounted_child_mean(self):
-        root = node(4, 1.0, [node(5, 2.0), node(5, 4.0)])
-        assert backup(root, CFG) == pytest.approx(1.0 + 0.9 * 3.0)
+        tree = self.backed([node(4, 1.0, [node(5, 2.0), node(5, 4.0)])], 4)
+        assert tree.levels[0].ret[0] == pytest.approx(1.0 + 0.9 * 3.0)
 
     def test_three_node_chain(self):
-        root = node(3, 1.0, [node(4, 1.0, [node(5, 1.0)])])
-        assert backup(root, CFG) == pytest.approx(1.0 + 0.9 * (1.0 + 0.9 * 1.0))
+        tree = self.backed([node(3, 1.0, [node(4, 1.0, [node(5, 1.0)])])], 3)
+        assert tree.levels[0].ret[0] == pytest.approx(1.0 + 0.9 * (1.0 + 0.9 * 1.0))
+
+    def test_dead_children_left_out_of_the_mean(self):
+        tree = self.backed([node(3, 1.0, [node(4, 100.0), node(4, 2.0, [node(5, 4.0)])])], 3)
+        assert tree.levels[0].ret[0] == pytest.approx(1.0 + 0.9 * (2.0 + 0.9 * 4.0))
+
+    def test_wide_nodes_sum_children_in_sample_order(self, rng):
+        # past 8 children a pairwise sum rounds differently from the sequential one
+        for _ in range(200):
+            kids = [node(5, float(rng.uniform(-10, 10))) for _ in range(int(rng.integers(9, 13)))]
+            root = node(4, float(rng.uniform(-10, 10)), kids)
+            assert self.backed([root], 4).levels[0].ret[0] == ref_backup(root, CFG.backup_discount)
 
     def test_randomized_trees_match_brute_force(self, rng):
         for _ in range(300):
-            tree = random_tree(rng)
-            got = backup(tree, CFG)
-            want = brute_backup(tree, CFG.backup_discount)
-            assert got == pytest.approx(want, abs=1e-9)
-            for n in all_nodes(tree):
-                assert n.backed_return == pytest.approx(
-                    brute_backup(n, CFG.backup_discount), abs=1e-9
-                )
+            root = random_tree(rng)
+            tree = self.backed([root], root.depth_step)
+            for level, rows in zip(tree.levels, breadth_first_levels([root])):
+                assert level.ret.tolist() == [brute_backup(n, CFG.backup_discount) for n, _ in rows]
 
 
 class TestSelect:
+    @staticmethod
+    def chosen(returns_and_cmds):
+        # roots on an update step survive and are leaves, so ret is the reward
+        tree = to_tree([node(5, r, cmd=c) for r, c in returns_and_cmds], 5)
+        prune(tree, 5)
+        backup(tree, CFG)
+        return select_safe_action(tree)
+
     def test_argmax(self):
-        a = node(5, 0.0)
-        a.backed_return, a.incoming_cmd = 3.7, 0.5
-        b = node(5, 0.0)
-        b.backed_return, b.incoming_cmd = 2.1, -0.5
-        assert select_safe_action([a, b]) == 0.5
+        assert self.chosen([(3.7, 0.5), (2.1, -0.5)]) == 0.5
 
     def test_tie_breaks_toward_braking(self):
-        a = node(5, 0.0)
-        a.backed_return, a.incoming_cmd = 2.0, 0.5
-        b = node(5, 0.0)
-        b.backed_return, b.incoming_cmd = 2.0, -0.25
-        assert select_safe_action([a, b]) == -0.25
-        assert select_safe_action([b, a]) == -0.25
+        assert self.chosen([(2.0, 0.5), (2.0, -0.25)]) == -0.25
+        assert self.chosen([(2.0, -0.25), (2.0, 0.5)]) == -0.25
 
     def test_single_root(self):
-        a = node(5, 0.0)
-        a.backed_return, a.incoming_cmd = -1.0, 0.75
-        assert select_safe_action([a]) == 0.75
+        assert self.chosen([(-1.0, 0.75)]) == 0.75
 
     def test_empty_rejected(self):
+        tree = to_tree([node(3, 0.0), node(3, 1.0)], 3)
+        assert prune(tree, 5) is None
         with pytest.raises(ValueError):
-            select_safe_action([])
+            select_safe_action(tree)
 
     def test_randomized_selection_is_exact_argmax(self, rng):
         for _ in range(200):
-            k = int(rng.integers(1, 9))
-            roots = []
-            for _ in range(k):
-                r = node(5, 0.0)
-                r.backed_return = float(rng.choice([1.0, 2.0, rng.uniform(-5, 5)]))
-                r.incoming_cmd = float(rng.uniform(-1, 1))
-                roots.append(r)
-            best = max(r.backed_return for r in roots)
-            want = min(r.incoming_cmd for r in roots if r.backed_return == best)
-            assert select_safe_action(roots) == want
+            pairs = [(float(rng.choice([1.0, 2.0, rng.uniform(-5, 5)])), float(rng.uniform(-1, 1)))
+                     for _ in range(int(rng.integers(1, 9)))]
+            best = max(r for r, _ in pairs)
+            assert self.chosen(pairs) == min(c for r, c in pairs if r == best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t_up=st.integers(2, 6),
+    root_step=st.integers(1, 10),
+    max_width=st.integers(1, 12),
+    p_stop=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    p_terminal=st.sampled_from([0.0, 0.1, 0.4]),
+    discount=st.sampled_from([0.9, 1.0, 0.37]),
+)
+def test_array_prune_backup_select_equal_naive_oracle(
+    seed, t_up, root_step, max_width, p_stop, p_terminal, discount
+):
+    """Over random level trees (more than 8 children per node, off-cadence
+    terminals, all roots dying), the array passes equal the recursive oracle
+    exactly, ties toward braking included."""
+    rng = np.random.default_rng(seed)
+    roots = random_forest(rng, t_up, root_step, max_width, p_stop, p_terminal)
+    full = breadth_first_levels(roots)
+    tree = to_tree(roots, root_step)
+    cfg = SearchConfig(expansion_width=1, update_frequency=t_up, backup_discount=discount)
+
+    kept = prune(tree, t_up)
+    survivors = [r for r in roots if ref_prune(r, t_up) is not None]
+    alive = {id(n) for rows in breadth_first_levels(survivors) for n, _ in rows}
+    assert [lv.alive.tolist() for lv in tree.levels] == [
+        [id(n) in alive for n, _ in rows] for rows in full
+    ]
+    if not survivors:
+        assert kept is None
+        return
+    assert kept is tree
+    backup(tree, cfg)
+    for root in survivors:
+        ref_backup(root, discount)
+    for level, rows in zip(tree.levels, full):
+        assert level.ret[level.alive].tolist() == [n.ret for n, _ in rows if id(n) in alive]
+    assert select_safe_action(tree) == ref_select(survivors)
 
 
 def test_search_config_validation():

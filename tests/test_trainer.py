@@ -68,9 +68,10 @@ class TestTrainEnv:
 
     def test_batch_normalization_rows_match_single(self):
         track = make_track()
-        states = [OperationState(loc=750.0, vel=40.0, time=55.0), OperationState(loc=3.0, vel=0.1)]
-        rows = normalize_states(states, track)
-        assert rows.shape == (2, 3)
+        states = [OperationState(loc=750.0, vel=40.0, time=55.0), OperationState(loc=3.0, vel=0.1),
+                  OperationState(loc=1234.567, vel=77.7, time=101.3)]
+        rows = normalize_states(np.array([[s.loc, s.vel, s.time] for s in states]), track)
+        assert rows.shape == (3, 3)
         for row, state in zip(rows, states):
             assert row.tolist() == normalize_state(state, track).tolist()
 
