@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, _validate_run, default_scenario_path, load_config
-from .drl.agents import load_checkpoint, save_checkpoint
+from .drl.agents import CheckpointError, load_checkpoint, save_checkpoint
 from .shield import UnrecoverableStateError
 from .trainer import (
     VARIANTS,
@@ -397,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnrecoverableStateError as exc:

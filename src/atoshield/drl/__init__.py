@@ -1,5 +1,6 @@
 from .agents import (
     AgentConfig,
+    CheckpointError,
     DdpgAgent,
     SacAgent,
     additional_actor_converged,
@@ -18,6 +19,7 @@ from .noise import NoiseProcess, act, act_with_noise
 __all__ = [
     "AgentConfig",
     "Adam",
+    "CheckpointError",
     "DdpgAgent",
     "EliteBuffer",
     "Mlp",

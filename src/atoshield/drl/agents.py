@@ -83,23 +83,20 @@ def update_critic(critic: Mlp, adam: Adam, s: np.ndarray, a: np.ndarray, y: np.n
     return loss
 
 
-def _negate(param_grads):
-    return [(-gw, -gb) for gw, gb in param_grads]
-
-
 def update_actor(actor: Mlp, adam: Adam, critic, s: np.ndarray) -> float:
     """One ascent step on mean Q(s, mu(s)); returns the pre-step objective.
 
-    The critic only needs ``forward_cached`` and ``backward``, so analytic
-    stand-ins work in tests; its parameters are left untouched here.
+    The critic only needs ``forward_cached`` and an input-only
+    ``backward(..., params=False)``, so analytic stand-ins work in tests; its
+    parameters are left untouched here.
     """
     s = np.atleast_2d(s)
     a, cache_a = actor.forward_cached(s)
     q, cache_q = critic.forward_cached(np.concatenate([s, a], axis=1))
     objective = float(np.mean(q[:, 0]))
-    _, grad_in = critic.backward(cache_q, np.full_like(q, 1.0 / q.shape[0]))
+    _, grad_in = critic.backward(cache_q, np.full_like(q, 1.0 / q.shape[0]), params=False)
     grads, _ = actor.backward(cache_a, grad_in[:, -1:])
-    adam.step(actor, _negate(grads))
+    adam.step(actor, -grads)
     return objective
 
 
@@ -162,7 +159,7 @@ def update_sac(
 
     # policy loss mean(alpha log pi - Q) through the reparameterized sample
     batch_n = s.shape[0]
-    _, dq_in = softq.backward(cache_q, np.ones_like(q_new))
+    _, dq_in = softq.backward(cache_q, np.ones_like(q_new), params=False)
     dq_da = dq_in[:, -1:]
     a_sq = aux["a"]
     dsquash = 1.0 - a_sq**2
@@ -212,6 +209,7 @@ class DdpgAgent:
     """Deterministic policy-gradient learner with OU/Gaussian exploration."""
 
     kind = "ddpg"
+    net_names = ("actor", "critic", "actor_target", "critic_target", "additional")
 
     def __init__(self, state_dim: int, cfg: AgentConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -222,13 +220,17 @@ class DdpgAgent:
         self.actor_target = self.actor.clone()
         self.critic_target = self.critic.clone()
         self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng)
-        self.actor_adam = Adam(self.actor, cfg.actor_lr)
-        self.critic_adam = Adam(self.critic, cfg.critic_lr)
-        self.additional_adam = Adam(self.additional, cfg.resolved_additional_lr())
+        self.build_optimizers()
         self.noise = NoiseProcess(
             kind=cfg.noise_kind, ou_theta=cfg.ou_theta, ou_sigma=cfg.ou_sigma,
             scale=cfg.noise_scale, seed=int(rng.integers(2**31)),
         )
+
+    def build_optimizers(self) -> None:
+        """Fresh Adam state, at the configured rates, for every trained net."""
+        self.actor_adam = Adam(self.actor, self.cfg.actor_lr)
+        self.critic_adam = Adam(self.critic, self.cfg.critic_lr)
+        self.additional_adam = Adam(self.additional, self.cfg.resolved_additional_lr())
 
     def act(self, s_vec: np.ndarray) -> float:
         return act(self.actor, s_vec)
@@ -256,19 +258,14 @@ class DdpgAgent:
         return {"critic_loss": critic_loss, "actor_objective": actor_objective}
 
     def named_nets(self) -> dict[str, Mlp]:
-        return {
-            "actor": self.actor,
-            "critic": self.critic,
-            "actor_target": self.actor_target,
-            "critic_target": self.critic_target,
-            "additional": self.additional,
-        }
+        return {name: getattr(self, name) for name in self.net_names}
 
 
 class SacAgent:
     """Entropy-regularized stochastic learner with value and soft-Q heads."""
 
     kind = "sac"
+    net_names = ("policy", "value", "value_target", "softq", "additional")
 
     def __init__(self, state_dim: int, cfg: AgentConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -279,12 +276,16 @@ class SacAgent:
         self.value_target = self.value.clone()
         self.softq = Mlp([state_dim + 1, *hidden, 1], "identity", rng)
         self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng)
+        self.build_optimizers()
+
+    def build_optimizers(self) -> None:
+        """Fresh Adam state, at the configured rates, for every trained net."""
         self.adams = {
-            "policy": Adam(self.policy, cfg.actor_lr),
-            "value": Adam(self.value, cfg.sac_value_lr),
-            "softq": Adam(self.softq, cfg.sac_softq_lr),
+            "policy": Adam(self.policy, self.cfg.actor_lr),
+            "value": Adam(self.value, self.cfg.sac_value_lr),
+            "softq": Adam(self.softq, self.cfg.sac_softq_lr),
         }
-        self.additional_adam = Adam(self.additional, cfg.resolved_additional_lr())
+        self.additional_adam = Adam(self.additional, self.cfg.resolved_additional_lr())
 
     def act(self, s_vec: np.ndarray) -> float:
         out = self.policy.forward(s_vec)
@@ -310,13 +311,7 @@ class SacAgent:
         )
 
     def named_nets(self) -> dict[str, Mlp]:
-        return {
-            "policy": self.policy,
-            "value": self.value,
-            "value_target": self.value_target,
-            "softq": self.softq,
-            "additional": self.additional,
-        }
+        return {name: getattr(self, name) for name in self.net_names}
 
 
 def save_checkpoint(path: str | Path, agent, additional_converged: bool = False) -> None:
@@ -330,33 +325,58 @@ def save_checkpoint(path: str | Path, agent, additional_converged: bool = False)
     Path(path).write_text(json.dumps(blob))
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that does not hold a loadable agent."""
+
+    def __init__(self, path: str | Path, field: str, problem: str):
+        super().__init__(f"checkpoint {path}: {field}: {problem}")
+
+
+# agent class for each ``kind``, the learner family a variant trains
+AGENT_KINDS = {"ddpg": DdpgAgent, "sac": SacAgent}
+
+
 def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator):
-    """Rebuild an agent from a checkpoint; stored layer sizes win over cfg."""
-    blob = json.loads(Path(path).read_text())
-    nets = {name: Mlp.from_dict(d) for name, d in blob["nets"].items()}
-    state_dim = next(iter(nets.values())).layer_sizes[0]
-    if blob["kind"] == "ddpg":
-        agent = DdpgAgent(state_dim, cfg, rng)
-    elif blob["kind"] == "sac":
-        agent = SacAgent(state_dim, cfg, rng)
-    else:
-        raise ValueError(f"unknown agent kind {blob['kind']!r} in checkpoint")
+    """Rebuild an agent from a checkpoint; stored hidden sizes win over cfg.
+
+    Raises CheckpointError, naming the file and the field, for a file that is
+    not a format-1 checkpoint of a known kind holding exactly that kind's
+    nets, each with weights and biases shaped as its layer sizes say.
+    """
+    try:
+        blob = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise CheckpointError(path, "file", f"not JSON ({exc})") from None
+    if not isinstance(blob, dict):
+        raise CheckpointError(path, "file", "expected a JSON object")
+    if blob.get("format") != 1:
+        raise CheckpointError(path, "format", f"expected 1, got {blob.get('format')!r}")
+    kind = blob.get("kind")
+    if kind not in AGENT_KINDS:
+        raise CheckpointError(path, "kind", f"expected one of {sorted(AGENT_KINDS)}, got {kind!r}")
+    agent_cls = AGENT_KINDS[kind]
+    stored = blob.get("nets")
+    if not isinstance(stored, dict) or set(stored) != set(agent_cls.net_names):
+        got = sorted(stored) if isinstance(stored, dict) else stored
+        raise CheckpointError(path, "nets",
+                              f"kind {kind!r} needs nets {sorted(agent_cls.net_names)}, got {got!r}")
+    nets = {}
+    for name in agent_cls.net_names:
+        try:
+            nets[name] = Mlp.from_dict(stored[name])
+        except KeyError as exc:
+            raise CheckpointError(path, f"nets.{name}", f"missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(path, f"nets.{name}", str(exc)) from None
+    agent = agent_cls(nets["additional"].layer_sizes[0], cfg, rng)
     for name, net in nets.items():
-        current = agent.named_nets()[name]
-        current.layer_sizes = net.layer_sizes
-        current.weights = net.weights
-        current.biases = net.biases
-        current.output_activation = net.output_activation
-    # optimizer moments were sized for the config nets; rebuild for the loaded ones
-    if blob["kind"] == "ddpg":
-        agent.actor_adam = Adam(agent.actor, cfg.actor_lr)
-        agent.critic_adam = Adam(agent.critic, cfg.critic_lr)
-    else:
-        agent.adams = {
-            "policy": Adam(agent.policy, cfg.actor_lr),
-            "value": Adam(agent.value, cfg.sac_value_lr),
-            "softq": Adam(agent.softq, cfg.sac_softq_lr),
-        }
-    agent.additional_adam = Adam(agent.additional, cfg.resolved_additional_lr())
+        built = getattr(agent, name)
+        want = (built.layer_sizes[0], built.layer_sizes[-1], built.output_activation)
+        got = (net.layer_sizes[0], net.layer_sizes[-1], net.output_activation)
+        if got != want:
+            raise CheckpointError(path, f"nets.{name}",
+                                  f"expected (inputs, outputs, activation) {want}, got {got}")
+        setattr(agent, name, net)
+    agent.build_optimizers()
     agent.additional_converged = bool(blob.get("additional_converged", False))
     return agent

@@ -3,7 +3,6 @@ trajectory buffer that feeds the self-protection actor."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,34 +23,56 @@ class Trajectory:
 
 
 class ReplayBuffer:
-    """Bounded FIFO store of (s, a, r, s', d) transitions with uniform sampling."""
+    """Bounded FIFO store of (s, a, r, s', d) transitions with uniform sampling.
+
+    Transitions live in preallocated ring arrays, one per field; the state
+    arrays are sized by the first pushed state, whose shape every later state
+    must match.  Row ``next`` is written next, so once the ring is full it
+    holds the oldest transition.  ``sample`` draws indices counted oldest
+    first, as over a FIFO queue, and maps index ``i`` to row
+    ``(i + next) % capacity`` once full (to row ``i`` before).
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._data = deque(maxlen=capacity)
+        self._size = 0
+        self._next = 0
+        # np.empty leaves capacity that is never written out of resident memory
+        self._s = self._s2 = None
+        self._a = np.empty(capacity)
+        self._r = np.empty(capacity)
+        self._d = np.empty(capacity)
 
     def push(self, s: np.ndarray, a: float, r: float, s2: np.ndarray, d: float) -> None:
-        self._data.append((s, a, r, s2, d))
+        if self._s is None:
+            self._s = np.empty((self.capacity, *np.shape(s)))
+            self._s2 = np.empty_like(self._s)
+        shape = self._s.shape[1:]
+        if np.shape(s) != shape or np.shape(s2) != shape:
+            raise ValueError(f"state shapes {np.shape(s)} and {np.shape(s2)} do not match the stored {shape}")
+        i = self._next
+        self._s[i] = s
+        self._a[i] = a
+        self._r[i] = r
+        self._s2[i] = s2
+        self._d[i] = d
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         """Uniform sample without replacement (with replacement only if short)."""
-        n = len(self._data)
+        n = self._size
         if n == 0:
             raise ValueError("cannot sample from an empty buffer")
-        replace = batch_size > n
-        idx = rng.choice(n, size=batch_size, replace=replace)
-        rows = [self._data[i] for i in idx]
-        s = np.stack([row[0] for row in rows])
-        a = np.array([row[1] for row in rows], dtype=float)
-        r = np.array([row[2] for row in rows], dtype=float)
-        s2 = np.stack([row[3] for row in rows])
-        d = np.array([row[4] for row in rows], dtype=float)
-        return s, a, r, s2, d
+        idx = rng.choice(n, size=batch_size, replace=batch_size > n)
+        if n == self.capacity:
+            idx = (idx + self._next) % self.capacity
+        return self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._d[idx]
 
 
 class EliteBuffer:

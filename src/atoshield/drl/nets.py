@@ -3,6 +3,16 @@
 ReLU hidden layers throughout; the output layer is tanh for policies that
 emit commands and identity for value heads.  Gradients are exact, which the
 test suite pins against central finite differences.
+
+Each network keeps all of its parameters in one vector, ``Mlp.flat``, laid
+out layer by layer as weights (row-major) then biases.  ``weights[i]`` and
+``biases[i]`` are reshaped views into it, so writing through a view writes
+the vector.  ``backward`` returns the parameter gradient as one vector of the
+same layout, and ``Adam``, ``soft_update`` and ``copy_from`` each run their
+elementwise arithmetic once over the whole vector; elementwise results do not
+depend on how the vector is split, so they equal a per-array update bitwise.
+``backward(..., params=False)`` computes only d(loss)/d(input), for callers
+that differentiate through a network they do not train.
 """
 
 from __future__ import annotations
@@ -22,26 +32,38 @@ class Mlp:
     ):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in layer_sizes):
+            raise ValueError(f"layer sizes must be positive integers, got {list(layer_sizes)}")
         if output_activation not in _ACTIVATIONS:
             raise ValueError(f"output_activation must be one of {_ACTIVATIONS}")
         rng = rng if rng is not None else np.random.default_rng()
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for i, (n_in, n_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-            if i == len(layer_sizes) - 2:
-                w = rng.uniform(-final_init_scale, final_init_scale, (n_in, n_out))
+        pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs))
+        self.weights, self.biases = self._split(self.flat)
+        for i, (n_in, n_out) in enumerate(pairs):
+            if i == len(pairs) - 1:
+                self.weights[i][...] = rng.uniform(-final_init_scale, final_init_scale, (n_in, n_out))
             else:
                 # He-uniform for the ReLU stack
                 bound = np.sqrt(6.0 / n_in)
-                w = rng.uniform(-bound, bound, (n_in, n_out))
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out))
+                self.weights[i][...] = rng.uniform(-bound, bound, (n_in, n_out))
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    def _split(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weights, biases) views into a vector laid out like ``flat``."""
+        weights, biases = [], []
+        offset = 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(vec[offset : offset + n_in * n_out].reshape(n_in, n_out))
+            offset += n_in * n_out
+            biases.append(vec[offset : offset + n_out])
+            offset += n_out
+        return weights, biases
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, _ = self.forward_cached(x)
@@ -67,20 +89,28 @@ class Mlp:
         return h, cache
 
     def backward(
-        self, cache: list[np.ndarray], grad_out: np.ndarray
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Backpropagate d(loss)/d(output); returns per-layer grads and d(loss)/d(input)."""
+        self, cache: list[np.ndarray], grad_out: np.ndarray, params: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Backpropagate d(loss)/d(output).
+
+        Returns d(loss)/d(parameters) as one vector laid out like ``flat``
+        (None when ``params`` is false) and d(loss)/d(input).
+        """
         grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
         if self.output_activation == "tanh":
             grad = grad * (1.0 - cache[-1] ** 2)
-        param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers
+        param_grad = None
+        if params:
+            param_grad = np.empty_like(self.flat)
+            grad_w, grad_b = self._split(param_grad)
         for i in range(self.n_layers - 1, -1, -1):
-            inp = cache[i]
-            param_grads[i] = (inp.T @ grad, grad.sum(axis=0))
+            if params:
+                np.matmul(cache[i].T, grad, out=grad_w[i])
+                np.sum(grad, axis=0, out=grad_b[i])
             grad = grad @ self.weights[i].T
             if i > 0:
                 grad = grad * (cache[i] > 0.0)
-        return param_grads, grad
+        return param_grad, grad
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -92,8 +122,7 @@ class Mlp:
     def copy_from(self, other: "Mlp") -> None:
         if other.layer_sizes != self.layer_sizes:
             raise ValueError("layer size mismatch")
-        for dst, src in zip(self.parameters(), other.parameters()):
-            dst[...] = src
+        self.flat[...] = other.flat
 
     def clone(self) -> "Mlp":
         twin = Mlp(self.layer_sizes, self.output_activation, np.random.default_rng(0))
@@ -110,14 +139,27 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "Mlp":
+        """Rebuild a network from ``to_dict`` output.
+
+        Raises ValueError naming the first field whose shape does not match
+        ``layer_sizes`` exactly, since a view would broadcast some mismatches.
+        """
         net = cls(blob["layer_sizes"], blob["output_activation"], np.random.default_rng(0))
-        net.weights = [np.asarray(w, dtype=float) for w in blob["weights"]]
-        net.biases = [np.asarray(b, dtype=float) for b in blob["biases"]]
+        for field, views in (("weights", net.weights), ("biases", net.biases)):
+            stored = blob[field]
+            if not isinstance(stored, list) or len(stored) != net.n_layers:
+                raise ValueError(f"{field}: expected a list of {net.n_layers} arrays")
+            for i, (view, values) in enumerate(zip(views, stored)):
+                values = np.asarray(values, dtype=float)
+                if values.shape != view.shape:
+                    raise ValueError(f"{field}[{i}]: expected shape {view.shape}, got {values.shape}")
+                view[...] = values
         return net
 
 
 class Adam:
-    """Per-network Adam state; ``step`` applies one descent update in place."""
+    """Per-network Adam state over the flat parameter vector; ``step``
+    applies one descent update in place."""
 
     def __init__(self, net: Mlp, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -125,29 +167,25 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p) for p in net.parameters()]
-        self._v = [np.zeros_like(p) for p in net.parameters()]
+        self._m = np.zeros_like(net.flat)
+        self._v = np.zeros_like(net.flat)
 
-    def step(self, net: Mlp, param_grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        flat_grads = []
-        for gw, gb in param_grads:
-            flat_grads.append(gw)
-            flat_grads.append(gb)
+    def step(self, net: Mlp, grad: np.ndarray) -> None:
+        """One update from ``grad``, a vector laid out like ``net.flat``."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(net.parameters(), flat_grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        net.flat -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     """target <- (1 - tau) * target + tau * online, elementwise."""
     if target.layer_sizes != online.layer_sizes:
         raise ValueError("layer size mismatch between target and online nets")
-    for t, o in zip(target.parameters(), online.parameters()):
-        t *= 1.0 - tau
-        t += tau * o
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat

@@ -35,9 +35,8 @@ from .dynamics import (
     step,
 )
 from .drl.agents import (
+    AGENT_KINDS,
     AgentConfig,
-    DdpgAgent,
-    SacAgent,
     additional_actor_converged,
     update_additional_actor,
 )
@@ -169,9 +168,7 @@ def normalize_states(states: np.ndarray, track: TrackSection) -> np.ndarray:
 
 
 def make_agent(variant: str, cfg_agent: AgentConfig, rng: np.random.Generator):
-    if variant_base(variant) == "ddpg":
-        return DdpgAgent(3, cfg_agent, rng)
-    return SacAgent(3, cfg_agent, rng)
+    return AGENT_KINDS[variant_base(variant)](3, cfg_agent, rng)
 
 
 def _jitter_sampler(net, track: TrackSection, rng: np.random.Generator, std: float):

@@ -4,8 +4,12 @@ Everything here is deliberately naive (plain loops, no shared code with the
 package internals) so it can serve as an oracle.  The tree reference is a
 plain node object per node, grown depth first on the scalar ``step`` and
 ``is_safe`` (the kernels the array forms are held equal to), then pruned,
-backed up and selected recursively.
+backed up and selected recursively.  The learner references keep one
+array, or one tuple, per parameter or transition, as the package did before
+it moved to flat vectors and ring arrays.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -213,14 +217,6 @@ def numeric_gradient(loss_fn, net, eps=1e-6):
     return grad
 
 
-def flatten_grads(param_grads):
-    out = []
-    for gw, gb in param_grads:
-        out.append(np.asarray(gw).ravel())
-        out.append(np.asarray(gb).ravel())
-    return np.concatenate(out)
-
-
 def relu_kink_margin(net, x):
     """Smallest |pre-activation| over the hidden stack; finite differences are
     only trustworthy when every unit sits clear of its kink."""
@@ -236,3 +232,60 @@ def relu_kink_margin(net, x):
 def max_rel_error(analytic, numeric):
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+class ReferenceReplayBuffer:
+    """FIFO replay as a deque of transition tuples, sampled by stacking rows."""
+
+    def __init__(self, capacity):
+        self._data = deque(maxlen=capacity)
+
+    def push(self, s, a, r, s2, d):
+        self._data.append((s, a, r, s2, d))
+
+    def sample(self, batch_size, rng):
+        n = len(self._data)
+        idx = rng.choice(n, size=batch_size, replace=batch_size > n)
+        rows = [self._data[i] for i in idx]
+        return (
+            np.stack([row[0] for row in rows]),
+            np.array([row[1] for row in rows], dtype=float),
+            np.array([row[2] for row in rows], dtype=float),
+            np.stack([row[3] for row in rows]),
+            np.array([row[4] for row in rows], dtype=float),
+        )
+
+
+def reference_backward(net, cache, grad_out):
+    """Per-layer (d/dW, d/db) pairs and d/d(input), one array per parameter."""
+    grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    if net.output_activation == "tanh":
+        grad = grad * (1.0 - cache[-1] ** 2)
+    pairs = [None] * net.n_layers
+    for i in range(net.n_layers - 1, -1, -1):
+        pairs[i] = (cache[i].T @ grad, grad.sum(axis=0))
+        grad = grad @ net.weights[i].T
+        if i > 0:
+            grad = grad * (cache[i] > 0.0)
+    return pairs, grad
+
+
+class ReferenceAdam:
+    """Adam with one moment array per parameter array, updated array by array."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -1,8 +1,15 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atoshield.drl.agents import (
     AgentConfig,
+    CheckpointError,
     DdpgAgent,
     SacAgent,
     additional_actor_converged,
@@ -19,7 +26,7 @@ from atoshield.drl.agents import (
 from atoshield.drl.buffers import EliteBuffer, Trajectory
 from atoshield.drl.nets import Adam, Mlp
 
-from oracles import flatten_grads, max_rel_error, numeric_gradient, relu_kink_margin
+from oracles import max_rel_error, numeric_gradient, relu_kink_margin
 
 SMALL = AgentConfig(hidden_sizes=(8, 8), batch_size=8, replay_capacity=64,
                     actor_lr=1e-3, critic_lr=1e-3, sac_softq_lr=1e-3)
@@ -32,18 +39,18 @@ class BowlCritic:
         a = x[:, -1:]
         return -((a - 0.5) ** 2), x
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, params=True):
         grad_in = np.zeros_like(cache)
         grad_in[:, -1:] = grad_out * (-2.0 * (cache[:, -1:] - 0.5))
-        return [], grad_in
+        return None, grad_in
 
 
 class ConstantCritic:
     def forward_cached(self, x):
         return np.full((x.shape[0], 1), 3.0), x
 
-    def backward(self, cache, grad_out):
-        return [], np.zeros_like(cache)
+    def backward(self, cache, grad_out, params=True):
+        return None, np.zeros_like(cache)
 
 
 class TestCriticTarget:
@@ -150,7 +157,7 @@ class TestUpdateActor:
             _, grad_in = bowl.backward(cache_q, np.full_like(q, 1.0 / q.shape[0]))
             grads, _ = actor.backward(cache_a, grad_in[:, -1:])
             numeric = numeric_gradient(objective, actor)
-            assert max_rel_error(flatten_grads(grads), numeric) < 1e-4
+            assert max_rel_error(grads, numeric) < 1e-4
 
 
 class TestSac:
@@ -281,7 +288,7 @@ class TestAdditionalActor:
             pred, cache = net.forward_cached(states)
             err = pred - actions[:, None]
             grads, _ = net.backward(cache, 2.0 * err / err.size)
-            assert max_rel_error(flatten_grads(grads), numeric_gradient(loss, net)) < 1e-4
+            assert max_rel_error(grads, numeric_gradient(loss, net)) < 1e-4
 
 
 class TestAgents:
@@ -336,3 +343,99 @@ class TestAgents:
         twin = load_checkpoint(path, SMALL, np.random.default_rng(0))
         s = rng.normal(0, 1, 3)
         assert twin.act(s) == agent.act(s)
+
+
+def saved(tmp_path, agent, edit=None):
+    """Save ``agent``, apply ``edit`` to the JSON blob, and return the path."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, agent)
+    if edit is not None:
+        blob = json.loads(path.read_text())
+        edit(blob)
+        path.write_text(json.dumps(blob))
+    return path
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    def test_loaded_nets_keep_flat_views(self, cls, rng, tmp_path):
+        agent = cls(3, SMALL, rng)
+        twin = load_checkpoint(saved(tmp_path, agent), SMALL, np.random.default_rng(0))
+        for name, net in twin.named_nets().items():
+            assert net is getattr(twin, name)
+            assert np.array_equal(net.flat, agent.named_nets()[name].flat)
+            for p in net.parameters():
+                assert np.shares_memory(p, net.flat)
+
+    @pytest.mark.parametrize("cls,adams", [
+        (DdpgAgent, lambda a: {"actor": a.actor_adam, "critic": a.critic_adam,
+                               "additional": a.additional_adam}),
+        (SacAgent, lambda a: {**a.adams, "additional": a.additional_adam}),
+    ])
+    def test_optimizers_rebuilt_for_stored_sizes(self, cls, adams, rng, tmp_path):
+        # stored hidden sizes win over the config, and so must the Adam state
+        agent = cls(3, AgentConfig(hidden_sizes=(5, 7)), rng)
+        twin = load_checkpoint(saved(tmp_path, agent), SMALL, np.random.default_rng(0))
+        fresh = adams(cls(3, SMALL, np.random.default_rng(0)))
+        for name, adam in adams(twin).items():
+            assert adam._m.shape == getattr(twin, name).flat.shape
+            assert adam.lr == fresh[name].lr
+        twin.update((rng.normal(0, 1, (8, 3)), rng.uniform(-1, 1, 8), rng.normal(0, 1, 8),
+                     rng.normal(0, 1, (8, 3)), np.zeros(8)))
+
+    @given(kind=st.sampled_from(["ddpg", "sac"]),
+           hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           extra=st.none() | st.lists(st.integers(1, 12), min_size=1, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_save_load_round_trip(self, kind, hidden, extra, seed):
+        cfg = AgentConfig(hidden_sizes=tuple(hidden),
+                          additional_hidden_sizes=None if extra is None else tuple(extra))
+        rng = np.random.default_rng(seed)
+        agent = (DdpgAgent if kind == "ddpg" else SacAgent)(3, cfg, rng)
+        with tempfile.TemporaryDirectory() as tmp:
+            twin = load_checkpoint(saved(Path(tmp), agent), SMALL, np.random.default_rng(0))
+        assert twin.kind == kind
+        assert set(twin.named_nets()) == set(agent.named_nets())
+        for name, net in agent.named_nets().items():
+            loaded = twin.named_nets()[name]
+            assert loaded.layer_sizes == net.layer_sizes
+            assert loaded.flat.tobytes() == net.flat.tobytes()
+        states = rng.normal(0, 1, (4, 3))
+        for s in states:
+            assert twin.act(s) == agent.act(s)
+            assert twin.act_additional(s) == agent.act_additional(s)
+
+    @pytest.mark.parametrize("field,edit", [
+        ("format", lambda b: b.update(format=2)),
+        ("format", lambda b: b.pop("format")),
+        ("kind", lambda b: b.pop("kind")),
+        ("kind", lambda b: b.update(kind="td3")),
+        ("nets", lambda b: b.update(nets={})),
+        ("nets", lambda b: b.update(kind="sac")),
+        ("nets", lambda b: b["nets"].pop("critic_target")),
+        ("nets", lambda b: b["nets"].update(extra=b["nets"]["actor"])),
+        ("nets.actor", lambda b: b["nets"]["actor"].pop("weights")),
+        ("nets.critic", lambda b: b["nets"]["critic"]["biases"].__setitem__(0, [[0.0] * 8])),
+        ("nets.critic", lambda b: b["nets"]["critic"]["biases"].__setitem__(2, [])),
+        ("nets.actor", lambda b: b["nets"]["actor"]["weights"].pop()),
+        ("nets.actor", lambda b: b["nets"]["actor"].update(layer_sizes=[3, 0, 1])),
+        ("nets.additional", lambda b: b["nets"]["additional"].update(output_activation="relu")),
+        ("nets.actor", lambda b: b["nets"]["actor"].update(output_activation="identity")),
+        ("nets.critic", lambda b: b["nets"].update(critic=b["nets"]["actor_target"])),
+    ])
+    def test_bad_schema_names_file_and_field(self, rng, tmp_path, field, edit):
+        path = saved(tmp_path, DdpgAgent(3, SMALL, rng), edit)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, SMALL, np.random.default_rng(0))
+        message = str(info.value)
+        assert isinstance(info.value, ValueError)
+        assert message.startswith(f"checkpoint {path}: {field}: ")
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
+    def test_unreadable_file(self, tmp_path, text):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(CheckpointError, match=r": file: "):
+            load_checkpoint(path, SMALL, np.random.default_rng(0))

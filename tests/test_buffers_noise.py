@@ -7,6 +7,8 @@ from atoshield.drl.buffers import EliteBuffer, ReplayBuffer, Trajectory
 from atoshield.drl.nets import Mlp
 from atoshield.drl.noise import NoiseProcess, act, act_with_noise
 
+from oracles import ReferenceReplayBuffer
+
 
 def traj(total_return, length=4):
     rng = np.random.default_rng(int(abs(total_return) * 1000) + length)
@@ -46,6 +48,34 @@ class TestReplayBuffer:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ReplayBuffer(4).sample(1, np.random.default_rng(0))
+
+    @given(capacity=st.integers(1, 40), pushes=st.integers(1, 120), batch=st.integers(1, 60),
+           dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_sample_equals_deque_reference(self, capacity, pushes, batch, dim, seed):
+        # covers the wrap-around (pushes > capacity) and batch > len (with replacement)
+        data = np.random.default_rng(seed)
+        buf, ref = ReplayBuffer(capacity), ReferenceReplayBuffer(capacity)
+        for _ in range(pushes):
+            row = (data.normal(size=dim), float(data.uniform(-1, 1)), float(data.normal()),
+                   data.normal(size=dim), float(data.integers(0, 2)))
+            buf.push(*row)
+            ref.push(*row)
+        got = buf.sample(batch, np.random.default_rng(seed + 1))
+        want = ref.sample(batch, np.random.default_rng(seed + 1))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.zeros(1), np.zeros(4), np.zeros((1, 3))])
+    def test_state_of_wrong_shape_fails_at_push(self, bad):
+        buf = ReplayBuffer(8)
+        buf.push(np.zeros(3), 0.0, 0.0, np.zeros(3), 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            buf.push(bad, 0.0, 0.0, np.zeros(3), 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            buf.push(np.zeros(3), 0.0, 0.0, bad, 0.0)
+        assert len(buf) == 1
 
 
 class TestEliteBuffer:

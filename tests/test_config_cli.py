@@ -221,6 +221,16 @@ class TestCli:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_bad_checkpoint_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps({"format": 1, "kind": "ddpg", "nets": {}}))
+        code = main(["execute", "--config", str(tiny_yaml), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt}: nets: ")
+        assert err.count("\n") == 1
+
     def test_noise_test_command(self, tiny_yaml, tmp_path):
         out = tmp_path / "nt"
         assert main(["noise-test", "--config", str(tiny_yaml), "--seed", "0",

@@ -5,7 +5,7 @@ import pytest
 
 from atoshield.drl.nets import Adam, Mlp, soft_update
 
-from oracles import flatten_grads, max_rel_error, numeric_gradient, relu_kink_margin
+from oracles import ReferenceAdam, max_rel_error, numeric_gradient, reference_backward, relu_kink_margin
 
 
 def sample_clear_of_kinks(seed, sizes, activation, batch, margin=1e-4):
@@ -60,7 +60,7 @@ class TestGradients:
             out, cache = net.forward_cached(x)
             err = out[:, 0] - target
             grads, _ = net.backward(cache, (2.0 * err / err.size)[:, None])
-            assert max_rel_error(flatten_grads(grads), numeric_gradient(loss, net)) < 1e-4
+            assert max_rel_error(grads, numeric_gradient(loss, net)) < 1e-4
 
     def test_tanh_head_gradient_matches_finite_differences(self):
         for trial in range(10):
@@ -71,7 +71,7 @@ class TestGradients:
 
             _, cache = net.forward_cached(x)
             grads, _ = net.backward(cache, np.ones((4, 1)))
-            assert max_rel_error(flatten_grads(grads), numeric_gradient(loss, net)) < 1e-4
+            assert max_rel_error(grads, numeric_gradient(loss, net)) < 1e-4
 
     def test_input_gradient(self):
         net, x, _ = sample_clear_of_kinks(7, (3, 5, 1), "identity", 1)
@@ -85,6 +85,71 @@ class TestGradients:
             down[0, i] -= eps
             numeric = (net.forward(up)[0, 0] - net.forward(down)[0, 0]) / (2 * eps)
             assert grad_in[0, i] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+
+
+NET_SHAPES = [((3, 8, 1), "tanh"), ((4, 16, 16, 1), "identity"), ((3, 5, 7, 2), "identity"),
+              ((1, 1), "tanh")]
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
+    def test_full_backward_equals_per_layer_reference(self, sizes, activation):
+        rng = np.random.default_rng(11)
+        net = Mlp(list(sizes), activation, rng, final_init_scale=0.5)
+        x = rng.normal(0, 1, (9, sizes[0]))
+        _, cache = net.forward_cached(x)
+        g_out = rng.normal(0, 1, (9, sizes[-1]))
+        grads, grad_in = net.backward(cache, g_out)
+        pairs, ref_in = reference_backward(net, cache, g_out)
+        ref = np.concatenate([g.ravel() for pair in pairs for g in pair])
+        assert grads.shape == net.flat.shape
+        assert grads.tobytes() == ref.tobytes()
+        assert grad_in.tobytes() == ref_in.tobytes()
+
+    @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
+    def test_input_only_backward_equals_full_bitwise(self, sizes, activation):
+        rng = np.random.default_rng(12)
+        net = Mlp(list(sizes), activation, rng, final_init_scale=0.5)
+        for rows in (1, 7, 256):
+            _, cache = net.forward_cached(rng.normal(0, 1, (rows, sizes[0])))
+            g_out = rng.normal(0, 1, (rows, sizes[-1]))
+            _, full = net.backward(cache, g_out)
+            none, only = net.backward(cache, g_out, params=False)
+            assert none is None
+            assert only.tobytes() == full.tobytes()
+
+    def test_views_share_the_flat_vector(self, rng):
+        net = Mlp([3, 8, 8, 2], "identity", rng)
+        for twin in (net, net.clone(), Mlp.from_dict(net.to_dict())):
+            assert len(twin.parameters()) == 2 * twin.n_layers
+            for p in twin.parameters():
+                assert np.shares_memory(p, twin.flat)
+            assert twin.flat.size == sum(p.size for p in twin.parameters())
+            assert np.array_equal(twin.flat, net.flat)
+        clone = net.clone()
+        clone.flat[0] += 1.0
+        assert clone.weights[0][0, 0] == net.weights[0][0, 0] + 1.0
+        assert not np.shares_memory(clone.flat, net.flat)
+
+    @pytest.mark.parametrize("field,index,shape", [
+        ("biases", 0, (1, 8)), ("biases", 1, (1,)), ("weights", 0, (8, 3)), ("weights", 1, (8, 1)),
+    ])
+    def test_from_dict_rejects_misshapen_arrays(self, rng, field, index, shape):
+        blob = Mlp([3, 8, 2], "identity", rng).to_dict()
+        blob[field][index] = np.zeros(shape).tolist()
+        with pytest.raises(ValueError, match=rf"{field}\[{index}\]"):
+            Mlp.from_dict(blob)
+
+    def test_from_dict_rejects_missing_layer(self, rng):
+        blob = Mlp([3, 8, 2], "identity", rng).to_dict()
+        blob["biases"].pop()
+        with pytest.raises(ValueError, match="biases"):
+            Mlp.from_dict(blob)
+
+    @pytest.mark.parametrize("sizes", [[3, 0, 1], [3, -2, 1], [3, 2.5, 1], [3, "8", 1]])
+    def test_layer_sizes_must_be_positive_integers(self, sizes):
+        with pytest.raises(ValueError, match="positive integers"):
+            Mlp(sizes, "tanh", np.random.default_rng(0))
 
 
 class TestSoftUpdate:
@@ -131,8 +196,7 @@ class TestAdam:
         net = Mlp([2, 3, 1], "tanh", rng)
         adam = Adam(net, lr=0.1)
         before = [p.copy() for p in net.parameters()]
-        zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-        adam.step(net, zero)
+        adam.step(net, np.zeros_like(net.flat))
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p, b)
 
@@ -143,8 +207,24 @@ class TestAdam:
         adam = Adam(net, lr=0.05)
         for _ in range(500):
             w = net.weights[0][0, 0]
-            adam.step(net, [(np.array([[2.0 * w]]), np.array([0.0]))])
+            adam.step(net, np.array([2.0 * w, 0.0]))
         assert abs(net.weights[0][0, 0]) < 1e-2
+
+
+    @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
+    def test_flat_step_equals_per_array_reference(self, sizes, activation):
+        rng = np.random.default_rng(13)
+        net = Mlp(list(sizes), activation, rng, final_init_scale=0.5)
+        ref_params = [p.copy() for p in net.parameters()]
+        adam, ref = Adam(net, lr=3e-3), ReferenceAdam(ref_params, lr=3e-3)
+        for _ in range(6):
+            grad = rng.normal(0, 1, net.flat.shape) * rng.choice([1e-9, 1.0, 1e3])
+            splits = np.cumsum([p.size for p in ref_params])[:-1]
+            ref_grads = [g.reshape(p.shape) for g, p in zip(np.split(grad, splits), ref_params)]
+            adam.step(net, grad)
+            ref.step(ref_params, ref_grads)
+            for p, q in zip(net.parameters(), ref_params):
+                assert p.tobytes() == q.tobytes()
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -214,3 +215,40 @@ class TestRobustness:
         metrics, triple = robustness_run(short_ssa_result.agent, cfg, 0.5, 0.5, seed=4)
         assert metrics.overspeed_steps == 0
         assert triple.speed is None or -1.0 <= triple.speed <= 1.0
+
+
+# Recorded before the learner moved to flat parameter vectors and ring-array
+# replay (numpy 2.4, OpenBLAS 0.3.31); an optimisation of the learner's data
+# path must leave every value unchanged.
+PINNED = {
+    "shield_sac": (
+        [(0, -52094.72676276551, 0, 0, 44.73332885263479, -10.759914463834338, 257.0, 147.0, True),
+         (1, -78821.20532398463, 0, 0, 36.38338969531823, -6.550451318180885, 330.0, 220.0, False),
+         (2, -79518.03649036576, 0, 0, 17.895792487513987, -4.843670626662472, 330.0, 220.0, False)],
+        {"policy": "d22f2ccc60efcd00", "value": "c862f0dc295dfe08", "value_target": "acb93f52625042d5",
+         "softq": "9b2c6c6fef304d2d", "additional": "afa6bc31877125c7"},
+    ),
+    "ssa_ddpg": (
+        [(0, -38776.597663390974, 3, 0, 33.52106287388897, -4.23218086219391, 198.0, 88.0, True),
+         (1, -36148.33644896005, 9, 0, 39.478613774868236, -4.336519349542367, 180.0, 70.0, True),
+         (2, -29228.34203505135, 4, 0, 33.0306817609962, -1.8177059190803722, 164.0, 54.0, True)],
+        {"actor": "9c0d37cf464598db", "critic": "182f68c222748f67", "actor_target": "31fc3d518e3321e3",
+         "critic_target": "71ad36e1da8d7854", "additional": "f974092e67013835"},
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED))
+def test_seeded_training_outputs_pinned(variant):
+    # batch 16 so updates run from the first steps; capacity 150 so the replay ring wraps
+    cfg = scenario(max_episodes=3, agent=variant)
+    cfg = dataclasses.replace(cfg, agent=dataclasses.replace(cfg.agent, batch_size=16, replay_capacity=150))
+    result = train(cfg, seed=4)
+    rows = [tuple(v for k, v in dataclasses.asdict(m).items() if k != "action_select_mean_s")
+            for m in result.metrics]
+    weights = {
+        name: hashlib.sha256(np.concatenate([p.ravel() for p in net.parameters()]).tobytes()).hexdigest()[:16]
+        for name, net in result.agent.named_nets().items()
+    }
+    assert sum(m.run_time_s for m in result.metrics) / cfg.track.dt > 2 * cfg.agent.replay_capacity
+    assert (rows, weights) == PINNED[variant]
