@@ -91,6 +91,11 @@ def _validate_safety(spec: SafetySpec, track: TrackSection) -> list[str]:
     return errors
 
 
+def _is_int(value) -> bool:
+    """A YAML integer: ``True`` and ``16.5`` are not layer widths or counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_agent(agent: AgentConfig) -> list[str]:
     errors = []
     for name in ("actor_lr", "critic_lr", "sac_value_lr", "sac_softq_lr"):
@@ -104,39 +109,49 @@ def _validate_agent(agent: AgentConfig) -> list[str]:
         errors.append("agent.soft_tau: must be in (0, 1]")
     if agent.entropy_alpha < 0.0:
         errors.append("agent.entropy_alpha: must be >= 0")
-    if agent.elite_minibatch < 1:
-        errors.append("agent.elite_minibatch: must be >= 1")
-    if agent.elite_capacity < agent.elite_minibatch:
-        errors.append("agent.elite_capacity: must be >= elite_minibatch")
     if agent.convergence_eps <= 0.0:
         errors.append("agent.convergence_eps: must be > 0")
-    if agent.batch_size < 1:
-        errors.append("agent.batch_size: must be >= 1")
-    if agent.replay_capacity < agent.batch_size:
-        errors.append("agent.replay_capacity: must be >= batch_size")
     if agent.noise_kind not in ("ou", "gaussian"):
         errors.append("agent.noise_kind: must be 'ou' or 'gaussian'")
-    if not agent.hidden_sizes or any(h < 1 for h in agent.hidden_sizes):
-        errors.append("agent.hidden_sizes: need at least one positive layer width")
+    counts = ("elite_minibatch", "elite_capacity", "batch_size", "replay_capacity",
+              "additional_updates_per_episode")
+    ok = {name for name in counts if _is_int(getattr(agent, name))}
+    errors += [f"agent.{name}: must be an integer" for name in counts if name not in ok]
+    # a bound between two fields is checked only once both are integers
+    if "elite_minibatch" in ok and agent.elite_minibatch < 1:
+        errors.append("agent.elite_minibatch: must be >= 1")
+    if {"elite_minibatch", "elite_capacity"} <= ok and agent.elite_capacity < agent.elite_minibatch:
+        errors.append("agent.elite_capacity: must be >= elite_minibatch")
+    if "batch_size" in ok and agent.batch_size < 1:
+        errors.append("agent.batch_size: must be >= 1")
+    if {"batch_size", "replay_capacity"} <= ok and agent.replay_capacity < agent.batch_size:
+        errors.append("agent.replay_capacity: must be >= batch_size")
+    if "additional_updates_per_episode" in ok and agent.additional_updates_per_episode < 0:
+        errors.append("agent.additional_updates_per_episode: must be >= 0")
+    if not agent.hidden_sizes or not all(_is_int(h) and h >= 1 for h in agent.hidden_sizes):
+        errors.append("agent.hidden_sizes: need at least one layer width, each an integer >= 1")
+    if agent.additional_hidden_sizes is not None and not all(
+        _is_int(h) and h >= 1 for h in agent.additional_hidden_sizes
+    ):
+        errors.append("agent.additional_hidden_sizes: every layer width must be an integer >= 1")
     return errors
 
 
 def _validate_run(run: RunConfig, search: SearchConfig) -> list[str]:
     errors = []
-    if run.max_episodes is not None and run.max_episodes < 1:
-        errors.append("run.max_episodes: must be >= 1")
-    if run.t_up < 1:
-        errors.append("run.t_up: must be >= 1")
+    for name, optional in (("max_episodes", True), ("t_up", False), ("step_budget", True),
+                           ("execution_episodes", False)):
+        value = getattr(run, name)
+        if optional and value is None:
+            continue
+        if not _is_int(value) or value < 1:
+            errors.append(f"run.{name}: must be an integer >= 1")
     if not run.seeds:
         errors.append("run.seeds: need at least one seed")
-    elif any(not isinstance(s, int) or s < 0 for s in run.seeds):
+    elif any(not _is_int(s) or s < 0 for s in run.seeds):
         errors.append("run.seeds: every seed must be an integer >= 0")
     if run.agent not in VARIANTS:
         errors.append(f"run.agent: must be one of {', '.join(VARIANTS)}")
-    if run.step_budget is not None and run.step_budget < 1:
-        errors.append("run.step_budget: must be >= 1")
-    if run.execution_episodes < 1:
-        errors.append("run.execution_episodes: must be >= 1")
     if search is not None and search.update_frequency != run.t_up:
         errors.append(
             "search.update_frequency: must equal run.t_up (the tree's depth "

@@ -10,6 +10,11 @@ end on it.  The loop returns the metrics and each step's record
 ``(s_vec, cmd, outcome)``, from which training builds its elite trajectory
 and the robustness study its speed, action and acceleration sequences.
 
+Inside ``train``, each episode's additional-actor fit runs on one worker
+thread, overlapped with the next episode's rollout.  Between a fit's submit
+and its join only the worker touches the additional actor and its optimiser;
+nothing in the rollout reads them.
+
 One ``train`` call runs a single seed of a single agent variant; multi-seed
 experiments are independent runs (safe to execute in parallel processes).
 Protect times are counted exactly as the number of shield interventions, and
@@ -270,7 +275,20 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     one learner update every t_up steps.  Each finished episode passes
     through the elite gate, and the additional actor regresses onto elite
     samples at every episode end.
+
+    That regression runs on one worker thread, overlapped with the next
+    episode's rollout: at each episode end the main thread draws all of the
+    episode's elite samples from ``rng`` (in the order a sequential fit would
+    draw them, since no draw depends on a fit), waits for the previous fit,
+    then submits one job that runs the imitation steps in sequence.  Only the
+    worker touches ``agent.additional`` and ``agent.additional_adam`` between
+    a submit and its join; the last fit is joined before the convergence
+    check, and a fit's exception reaches the caller at the next join.
     """
+    # imported here, so that importing the package (every command's set-up)
+    # does not pay for concurrent.futures, which loads logging
+    from concurrent.futures import ThreadPoolExecutor
+
     variant = cfg.run.agent
     rng = np.random.default_rng(seed)
     agent = make_agent(variant, cfg.agent, rng)
@@ -287,23 +305,31 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
         if (t + 1) % cfg.run.t_up == 0 and len(replay) >= cfg.agent.batch_size:
             agent.update(replay.sample(cfg.agent.batch_size, rng))
 
-    all_metrics: list[EpisodeMetrics] = []
-    for j in range(episodes):
-        if noise is not None:
-            noise.reset()
-            if noise.kind == "gaussian" and episodes > 1:
-                noise.scale = cfg.agent.noise_scale * max(0.0, 1.0 - j / (episodes - 1))
-        metrics, steps = _run_episode(cfg, env, agent.propose, correct, j, learn)
-        elite.insert(Trajectory(
-            states=np.stack([s_vec for s_vec, _, _ in steps]),
-            actions=np.array([cmd for _, cmd, _ in steps]),
-            rewards=np.array([o.reward for _, _, o in steps]),
-            total_return=metrics.total_reward,
-        ))
-        for _ in range(cfg.agent.additional_updates_per_episode):
-            sample = elite.sample(cfg.agent.elite_minibatch, rng)
+    def fit_additional(samples: list[list[Trajectory]]) -> None:
+        for sample in samples:
             update_additional_actor(sample, agent.additional, agent.additional_adam)
-        all_metrics.append(metrics)
+
+    all_metrics: list[EpisodeMetrics] = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        fit = worker.submit(fit_additional, [])  # nothing to fit before the first episode
+        for j in range(episodes):
+            if noise is not None:
+                noise.reset()
+                if noise.kind == "gaussian" and episodes > 1:
+                    noise.scale = cfg.agent.noise_scale * max(0.0, 1.0 - j / (episodes - 1))
+            metrics, steps = _run_episode(cfg, env, agent.propose, correct, j, learn)
+            elite.insert(Trajectory(
+                states=np.stack([s_vec for s_vec, _, _ in steps]),
+                actions=np.array([cmd for _, cmd, _ in steps]),
+                rewards=np.array([o.reward for _, _, o in steps]),
+                total_return=metrics.total_reward,
+            ))
+            samples = [elite.sample(cfg.agent.elite_minibatch, rng)
+                       for _ in range(cfg.agent.additional_updates_per_episode)]
+            fit.result()
+            fit = worker.submit(fit_additional, samples)
+            all_metrics.append(metrics)
+        fit.result()
 
     converged = len(elite) > 0 and additional_actor_converged(
         elite, agent.additional, cfg.agent.convergence_eps

@@ -4,7 +4,7 @@ import json
 import pytest
 import yaml
 
-from atoshield import cli
+from atoshield import cli, trainer
 from atoshield.cli import (
     ablation_hidden,
     main,
@@ -100,6 +100,41 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
         assert f"{block}.{key}: expected a list, got {value}" in err.value.errors
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("agent", "hidden_sizes", [16.5]),
+        ("agent", "hidden_sizes", [True]),
+        ("agent", "hidden_sizes", [16, 0]),
+        ("agent", "additional_hidden_sizes", [16.5]),
+        ("agent", "additional_hidden_sizes", [0]),
+        ("agent", "batch_size", 16.5),
+        ("agent", "batch_size", True),
+        ("agent", "replay_capacity", 5e4),
+        ("agent", "elite_minibatch", 2.5),
+        ("agent", "elite_capacity", 20.5),
+        ("agent", "additional_updates_per_episode", 2.5),
+        ("agent", "additional_updates_per_episode", -1),
+        ("run", "max_episodes", 1.5),
+        ("run", "step_budget", 20.5),
+        ("run", "execution_episodes", True),
+    ])
+    def test_bad_size_is_one_error_naming_the_field(self, tmp_path, default_yaml, capsys,
+                                                    block, key, value):
+        # each of these used to pass validation and then fail (or run) in training
+        blob = copy.deepcopy(default_yaml)
+        blob[block][key] = value
+        path = dump(tmp_path, blob)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(f"{block}.{key}: ")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"{block}.{key}: " in capsys.readouterr().err
+
+    def test_no_additional_updates_is_valid(self, tmp_path, default_yaml):
+        blob = copy.deepcopy(default_yaml)
+        blob["agent"]["additional_updates_per_episode"] = 0
+        assert load_config(dump(tmp_path, blob)).agent.additional_updates_per_episode == 0
 
     def test_search_inherits_run_cadence(self, default_yaml, tmp_path):
         blob = copy.deepcopy(default_yaml)
@@ -268,6 +303,19 @@ class TestCli:
             raise FloatingPointError("network produced non-finite output")
 
         monkeypatch.setattr(Mlp, "forward", diverged)
+        code = main(["train", "--config", str(tiny_yaml), "--seed", "0",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "numerical error: network produced non-finite output\n"
+
+    def test_numerical_error_in_additional_fit_exit_1_one_line(self, tiny_yaml, tmp_path,
+                                                              monkeypatch, capsys):
+        # the fit runs on a worker thread; its error must reach the CLI like any other
+        def diverged(*args):
+            raise FloatingPointError("network produced non-finite output")
+
+        monkeypatch.setattr(trainer, "update_additional_actor", diverged)
         code = main(["train", "--config", str(tiny_yaml), "--seed", "0",
                      "--out", str(tmp_path / "out")])
         assert code == 1

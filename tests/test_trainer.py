@@ -1,9 +1,16 @@
+import ast
 import dataclasses
-import hashlib
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import atoshield
+from atoshield import trainer
 from atoshield.config import default_scenario_path, load_config
 from atoshield.drl.agents import DdpgAgent
 from atoshield.dynamics import OperationState
@@ -130,6 +137,46 @@ class TestTrain:
         assert any(m.protect_times > 0 for m in short_ssa_result.metrics)
 
 
+class TestAdditionalFitWorker:
+    """The additional actor's fit runs on one worker thread, joined inside ``train``."""
+
+    def test_fit_runs_off_the_main_thread_and_the_worker_is_joined(self, monkeypatch):
+        cfg = scenario(max_episodes=3, agent="plain_ddpg")
+        threads = []
+        update = trainer.update_additional_actor
+        monkeypatch.setattr(trainer, "update_additional_actor",
+                            lambda *args: threads.append(threading.current_thread()) or update(*args))
+        before = threading.active_count()
+        train(cfg, seed=0)
+        assert threading.active_count() == before
+        assert len(threads) == 3 * cfg.agent.additional_updates_per_episode
+        assert threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("episode", [0, 2])
+    def test_fit_error_reaches_the_caller_unchanged(self, monkeypatch, episode):
+        # episode 0's fit is joined after episode 1's rollout; episode 2's, the last,
+        # just before train returns
+        cfg = scenario(max_episodes=3, agent="plain_ddpg")
+        per_episode = cfg.agent.additional_updates_per_episode
+        error = FloatingPointError("network produced non-finite output")
+        calls = []
+        update = trainer.update_additional_actor
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == episode * per_episode + 1:
+                raise error
+            return update(*args)
+
+        monkeypatch.setattr(trainer, "update_additional_actor", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as err:
+            train(cfg, seed=0)
+        assert err.value is error
+        assert threading.active_count() == before
+        assert len(calls) == episode * per_episode + 1  # the failed job stops at its failing step
+
+
 class TestExecute:
     def test_same_seed_same_checkpoint_identical(self, short_ssa_result):
         cfg = scenario(max_episodes=12)
@@ -217,38 +264,103 @@ class TestRobustness:
         assert triple.speed is None or -1.0 <= triple.speed <= 1.0
 
 
-# Recorded before the learner moved to flat parameter vectors and ring-array
-# replay (numpy 2.4, OpenBLAS 0.3.31); an optimisation of the learner's data
-# path must leave every value unchanged.
+# Each pinned training runs in a child interpreter with one BLAS thread, set
+# before numpy loads: the additional actor's large imitation matmuls round
+# differently with the BLAS thread count, so the pins must not depend on the
+# host's default.  The child prints the repr of a dict of plain values.
+_PINNED_RUN = """
+import dataclasses, hashlib, sys
+import numpy as np
+from atoshield.config import default_scenario_path, load_config
+from atoshield.trainer import train
+
+cfg = load_config(default_scenario_path())
+# batch 16 so updates run from the first steps; capacity 150 so the replay ring wraps
+cfg = dataclasses.replace(
+    cfg,
+    run=dataclasses.replace(cfg.run, max_episodes=3, agent=sys.argv[1]),
+    agent=dataclasses.replace(cfg.agent, batch_size=16, replay_capacity=150),
+)
+result = train(cfg, seed=4)
+print(repr({
+    "rows": [tuple(v for k, v in dataclasses.asdict(m).items() if k != "action_select_mean_s")
+             for m in result.metrics],
+    "weights": {
+        name: hashlib.sha256(np.concatenate([p.ravel() for p in net.parameters()]).tobytes()).hexdigest()[:16]
+        for name, net in result.agent.named_nets().items()
+    },
+    "wraps": sum(m.run_time_s for m in result.metrics) / cfg.track.dt > 2 * cfg.agent.replay_capacity,
+}))
+"""
+
+# Recorded with one BLAS thread (numpy 2.4, OpenBLAS 0.3.31) before the
+# additional actor's fit moved to a worker thread; neither that overlap nor an
+# optimisation of the learner's data path may change any value.
 PINNED = {
     "shield_sac": (
         [(0, -52094.72676276551, 0, 0, 44.73332885263479, -10.759914463834338, 257.0, 147.0, True),
          (1, -78821.20532398463, 0, 0, 36.38338969531823, -6.550451318180885, 330.0, 220.0, False),
          (2, -79518.03649036576, 0, 0, 17.895792487513987, -4.843670626662472, 330.0, 220.0, False)],
         {"policy": "d22f2ccc60efcd00", "value": "c862f0dc295dfe08", "value_target": "acb93f52625042d5",
-         "softq": "9b2c6c6fef304d2d", "additional": "afa6bc31877125c7"},
+         "softq": "9b2c6c6fef304d2d", "additional": "4c90a1e345e1acd6"},
     ),
     "ssa_ddpg": (
         [(0, -38776.597663390974, 3, 0, 33.52106287388897, -4.23218086219391, 198.0, 88.0, True),
          (1, -36148.33644896005, 9, 0, 39.478613774868236, -4.336519349542367, 180.0, 70.0, True),
          (2, -29228.34203505135, 4, 0, 33.0306817609962, -1.8177059190803722, 164.0, 54.0, True)],
         {"actor": "9c0d37cf464598db", "critic": "182f68c222748f67", "actor_target": "31fc3d518e3321e3",
-         "critic_target": "71ad36e1da8d7854", "additional": "f974092e67013835"},
+         "critic_target": "71ad36e1da8d7854", "additional": "377c4580509601e3"},
     ),
 }
 
 
+def _run_with_one_blas_thread(script: str, *args: str):
+    """Run ``script`` in a child interpreter with one BLAS thread; return the
+    literal it prints."""
+    src = str(Path(atoshield.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    return ast.literal_eval(proc.stdout)
+
+
 @pytest.mark.parametrize("variant", sorted(PINNED))
 def test_seeded_training_outputs_pinned(variant):
-    # batch 16 so updates run from the first steps; capacity 150 so the replay ring wraps
-    cfg = scenario(max_episodes=3, agent=variant)
-    cfg = dataclasses.replace(cfg, agent=dataclasses.replace(cfg.agent, batch_size=16, replay_capacity=150))
-    result = train(cfg, seed=4)
-    rows = [tuple(v for k, v in dataclasses.asdict(m).items() if k != "action_select_mean_s")
-            for m in result.metrics]
-    weights = {
-        name: hashlib.sha256(np.concatenate([p.ravel() for p in net.parameters()]).tobytes()).hexdigest()[:16]
-        for name, net in result.agent.named_nets().items()
-    }
-    assert sum(m.run_time_s for m in result.metrics) / cfg.track.dt > 2 * cfg.agent.replay_capacity
-    assert (rows, weights) == PINNED[variant]
+    out = _run_with_one_blas_thread(_PINNED_RUN, variant)
+    assert out["wraps"]
+    assert (out["rows"], out["weights"]) == PINNED[variant]
+
+
+# Three trainings on threads of their own (each with its fit worker: more
+# threads than cores), switching threads every 10 us; a write to any net
+# outside the fit's ownership rule would show as a changed weight.
+_STRESS_RUN = """
+import dataclasses, sys, threading
+from atoshield.config import default_scenario_path, load_config
+from atoshield.trainer import train
+
+cfg = load_config(default_scenario_path())
+cfg = dataclasses.replace(
+    cfg,
+    run=dataclasses.replace(cfg.run, max_episodes=3, agent="plain_ddpg"),
+    agent=dataclasses.replace(cfg.agent, batch_size=16, hidden_sizes=(16, 16)),
+)
+
+def weights():
+    return {name: net.flat.tobytes() for name, net in train(cfg, seed=2).agent.named_nets().items()}
+
+alone = weights()
+results = []
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=lambda: results.append(weights())) for _ in range(3)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+print(repr({"alive": sum(t.is_alive() for t in threads), "same": [r == alone for r in results]}))
+"""
+
+
+def test_concurrent_trainings_under_fast_thread_switching_match_one_alone():
+    assert _run_with_one_blas_thread(_STRESS_RUN) == {"alive": 0, "same": [True] * 3}
