@@ -3,7 +3,9 @@
 Every command reads one scenario file, writes per-seed metrics CSVs, a raw
 plus window-smoothed reward-curve CSV where training is involved, and a JSON
 summary with the run's comparison statistics.  Exit status is 0 only when
-every requested seed completed without a shield abort.
+every requested seed completed without a shield abort.  ``train`` runs every
+seed even when one fails: a failed seed's summary entry is ``{"seed",
+"error"}``, one stderr line names it, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -150,6 +153,19 @@ def _train_one_seed(config_path: str, agent: str | None, seed: int,
     }
 
 
+def _seed_run(seed: int, run) -> dict:
+    """``run()``'s digest, or ``{"seed", "error"}`` when the seed's training
+    hit a shield abort or a numerical error; a failure prints one line."""
+    try:
+        return run()
+    except UnrecoverableStateError as exc:
+        error = f"shield abort: {exc}"
+    except FloatingPointError as exc:
+        error = f"numerical error: {exc}"
+    print(f"seed {seed}: {error}", file=sys.stderr)
+    return {"seed": seed, "error": error}
+
+
 def cmd_train(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
@@ -157,12 +173,15 @@ def cmd_train(args) -> int:
     jobs = [(str(args.config), args.agent, s, args.episodes, str(out)) for s in seeds]
     if args.workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            digests = list(pool.map(_train_one_seed, *zip(*jobs)))
+            futures = [pool.submit(_train_one_seed, *job) for job in jobs]
+            runs = [_seed_run(seed, fut.result) for seed, fut in zip(seeds, futures)]
     else:
-        digests = [_train_one_seed(*job) for job in jobs]
-    write_summary(out / "summary.json", {"command": "train", "runs": digests})
-    print(f"trained {len(digests)} run(s) -> {out}")
-    return 0
+        runs = [_seed_run(seed, functools.partial(_train_one_seed, *job))
+                for seed, job in zip(seeds, jobs)]
+    write_summary(out / "summary.json", {"command": "train", "runs": runs})
+    failed = sum("error" in r for r in runs)
+    print(f"trained {len(runs) - failed} of {len(runs)} run(s) -> {out}")
+    return 1 if failed else 0
 
 
 def _exec_summary(metrics: list[EpisodeMetrics]) -> dict:

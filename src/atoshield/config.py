@@ -3,7 +3,9 @@
 The file has seven blocks (train, track, safety, reward, agent, search, run),
 each mapping onto one runtime dataclass.  Validation is all-at-once: every
 violated invariant is reported with its field path, and unknown keys are
-rejected rather than ignored.
+rejected rather than ignored.  A value of the wrong type (a string or a bool
+where a number belongs, a number where true/false belongs) is reported
+first, and a block holding one is not checked against its invariants.
 """
 
 from __future__ import annotations
@@ -54,25 +56,61 @@ _FIELD_MAP = {
 
 _LIST_FIELDS = {"limit_segments", "grade_segments", "seeds", "hidden_sizes", "additional_hidden_sizes"}
 
+# annotations (strings, as every config module defers them) of the fields
+# that hold one number
+_NUMBER_TYPES = {"float", "int", "float | None", "int | None"}
+
 
 def default_scenario_path() -> Path:
     """Filesystem path of the bundled synthetic section."""
     return Path(resources.files("atoshield").joinpath("data/default.yaml"))
 
 
+def _is_number(value) -> bool:
+    """A YAML int or float; ``True`` is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_error(field: dataclasses.Field, value) -> str | None:
+    """Why ``value`` has the wrong type for a number or flag field, if it does."""
+    if value is None and field.default is None:
+        return None
+    if field.type in _NUMBER_TYPES and not _is_number(value):
+        return f"expected a number, got {value!r}"
+    if field.type == "bool" and not isinstance(value, bool):
+        return f"expected true or false, got {value!r}"
+    return None
+
+
 def _coerce_block(name: str, cls, raw: dict, errors: list[str]):
+    """The block's dataclass from its raw mapping, or None when a value has
+    the wrong type or the constructor rejects it."""
     known = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
+    mistyped = False
     for key, value in raw.items():
         if key not in known:
             errors.append(f"{name}.{key}: unknown key")
+            continue
+        problem = _type_error(known[key], value)
+        if problem:
+            errors.append(f"{name}.{key}: {problem}")
+            mistyped = True
             continue
         if key in _LIST_FIELDS and value is not None:
             if not isinstance(value, (list, tuple)):
                 errors.append(f"{name}.{key}: expected a list, got {value!r}")
                 continue
             value = tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in value)
+            if key.endswith("_segments"):
+                bad = [i for i, seg in enumerate(value)
+                       if not (isinstance(seg, tuple) and len(seg) == 3 and all(map(_is_number, seg)))]
+                errors += [f"{name}.{key}[{i}]: expected three numbers [start, end, value], "
+                           f"got {raw[key][i]!r}" for i in bad]
+                mistyped = mistyped or bool(bad)
         kwargs[key] = value
+    if mistyped:
+        return None
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -199,7 +237,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def _coerce_search(raw: dict, run_raw: dict, errors: list[str]) -> SearchConfig | None:
     raw = dict(raw)
     # the tree's horizon is the learner's update cadence; inherit when unset
-    if "update_frequency" not in raw and "t_up" in run_raw:
+    # (a mistyped t_up is reported once, under run)
+    if "update_frequency" not in raw and isinstance(run_raw, dict) and _is_number(run_raw.get("t_up")):
         raw["update_frequency"] = run_raw["t_up"]
     return _coerce_block("search", SearchConfig, raw, errors)
 

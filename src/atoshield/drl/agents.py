@@ -96,7 +96,7 @@ def update_actor(actor: Mlp, adam: Adam, critic, s: np.ndarray) -> float:
     objective = float(np.mean(q[:, 0]))
     _, grad_in = critic.backward(cache_q, np.full_like(q, 1.0 / q.shape[0]), params=False)
     grads, _ = actor.backward(cache_a, grad_in[:, -1:])
-    adam.step(actor, -grads)
+    adam.step(actor, np.negative(grads, out=grads))
     return objective
 
 
@@ -105,16 +105,24 @@ def gaussian_log_prob(eps: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     return -0.5 * (eps**2 + np.log(2.0 * np.pi)) - log_std
 
 
+def squashed_draw(policy: Mlp, s: np.ndarray, rng: np.random.Generator):
+    """One reparameterized tanh-squashed action per row of ``s``.
+
+    Returns the actions, (rows, 1), then what the log-prob and the gradients
+    need: the forward cache, the clipped log-std, std and the unit draw.
+    """
+    out, cache = policy.forward_cached(s)
+    log_std = np.clip(out[:, 1:2], LOG_STD_MIN, LOG_STD_MAX)
+    std = np.exp(log_std)
+    eps = rng.standard_normal((out.shape[0], 1))
+    a = np.tanh(out[:, 0:1] + std * eps)
+    return a, cache, log_std, std, eps
+
+
 def squashed_sample(policy: Mlp, s: np.ndarray, rng: np.random.Generator):
     """Draw tanh-squashed actions with everything the gradients need."""
-    out, cache = policy.forward_cached(s)
-    mean = out[:, 0:1]
-    raw = out[:, 1:2]
-    log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
-    std = np.exp(log_std)
-    eps = rng.standard_normal(mean.shape)
-    u = mean + std * eps
-    a = np.tanh(u)
+    a, cache, log_std, std, eps = squashed_draw(policy, s, rng)
+    raw = cache[-1][:, 1:2]
     log_prob = gaussian_log_prob(eps, log_std) - np.log(1.0 - a**2 + _TANH_EPS)
     clip_mask = ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(float)
     return a, log_prob, cache, {
@@ -243,7 +251,8 @@ class DdpgAgent:
         greedy command plus Gaussian jitter drawn row-major."""
         base = self.actor.forward(states)
         jitter = self.rng.normal(0.0, max(self.noise.exploration_std(), 1e-3), (base.shape[0], n))
-        return np.clip(base + jitter, -1.0, 1.0)
+        jitter += base
+        return np.clip(jitter, -1.0, 1.0, out=jitter)
 
     def act_additional(self, s_vec: np.ndarray) -> float:
         return act(self.additional, s_vec)
@@ -292,14 +301,12 @@ class SacAgent:
         return float(np.tanh(out[0, 0]))
 
     def propose(self, s_vec: np.ndarray) -> float:
-        a, _, _, _ = squashed_sample(self.policy, np.atleast_2d(s_vec), self.rng)
-        return float(a[0, 0])
+        return float(squashed_draw(self.policy, s_vec, self.rng)[0][0, 0])
 
     def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
         """n squashed policy samples per state, (rows, n), drawn row-major."""
         s = np.repeat(np.atleast_2d(states), n, axis=0)
-        a, _, _, _ = squashed_sample(self.policy, s, self.rng)
-        return a[:, 0].reshape(-1, n)
+        return squashed_draw(self.policy, s, self.rng)[0].reshape(-1, n)
 
     def act_additional(self, s_vec: np.ndarray) -> float:
         return act(self.additional, s_vec)

@@ -13,6 +13,16 @@ elementwise arithmetic once over the whole vector; elementwise results do not
 depend on how the vector is split, so they equal a per-array update bitwise.
 ``backward(..., params=False)`` computes only d(loss)/d(input), for callers
 that differentiate through a network they do not train.
+
+In place, but only on what the call owns: ``forward_cached`` and
+``backward`` apply each layer's bias, activation and ReLU mask in place to
+the array that layer's matmul has just allocated, so they make no throwaway
+arrays.  They never write into an array the caller passed in or still holds
+(the input, ``grad_out``, a cache), and every array they return or cache is
+fresh on every call, so a caller may keep any of them as long as it likes.
+``Adam`` runs its update in two scratch vectors of its own.  Each in-place
+form does the floating-point operations of the plain expression it stands
+for, in the same order, so results are bitwise those of that expression.
 """
 
 from __future__ import annotations
@@ -76,13 +86,12 @@ class Mlp:
         h = x
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+            h = h @ w
+            h += b
             if i < last:
-                h = np.maximum(z, 0.0)
+                np.maximum(h, 0.0, out=h)
             elif self.output_activation == "tanh":
-                h = np.tanh(z)
-            else:
-                h = z
+                np.tanh(h, out=h)
             cache.append(h)
         if not np.all(np.isfinite(h)):
             raise FloatingPointError("network produced non-finite output")
@@ -98,7 +107,10 @@ class Mlp:
         """
         grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
         if self.output_activation == "tanh":
-            grad = grad * (1.0 - cache[-1] ** 2)
+            slope = cache[-1] ** 2
+            np.subtract(1.0, slope, out=slope)
+            slope *= grad
+            grad = slope
         param_grad = None
         if params:
             param_grad = np.empty_like(self.flat)
@@ -109,7 +121,7 @@ class Mlp:
                 np.sum(grad, axis=0, out=grad_b[i])
             grad = grad @ self.weights[i].T
             if i > 0:
-                grad = grad * (cache[i] > 0.0)
+                grad *= cache[i] > 0.0
         return param_grad, grad
 
     def parameters(self) -> list[np.ndarray]:
@@ -159,7 +171,8 @@ class Mlp:
 
 class Adam:
     """Per-network Adam state over the flat parameter vector; ``step``
-    applies one descent update in place."""
+    applies one descent update in place, with two private scratch vectors
+    instead of temporaries."""
 
     def __init__(self, net: Mlp, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -169,18 +182,33 @@ class Adam:
         self.t = 0
         self._m = np.zeros_like(net.flat)
         self._v = np.zeros_like(net.flat)
+        self._step = np.empty_like(net.flat)
+        self._denom = np.empty_like(net.flat)
 
     def step(self, net: Mlp, grad: np.ndarray) -> None:
-        """One update from ``grad``, a vector laid out like ``net.flat``."""
+        """One update from ``grad``, a vector laid out like ``net.flat``.
+
+        Operation for operation: m = beta1 m + (1 - beta1) g, v = beta2 v +
+        ((1 - beta2) g) g, flat -= (lr (m / bc1)) / (sqrt(v / bc2) + eps).
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        m, v = self._m, self._v
+        m, v, step, denom = self._m, self._v, self._step, self._denom
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        np.multiply(1.0 - self.beta1, grad, out=step)
+        m += step
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        net.flat -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        np.multiply(1.0 - self.beta2, grad, out=step)
+        step *= grad
+        v += step
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, bc1, out=step)
+        np.multiply(self.lr, step, out=step)
+        step /= denom
+        net.flat -= step
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:

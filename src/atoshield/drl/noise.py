@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +53,11 @@ def act(policy, state_vec: np.ndarray) -> float:
     """Deterministic command from a policy net on one normalized state."""
     out = policy.forward(state_vec)
     value = float(out[0, 0])
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FloatingPointError("policy produced a non-finite command")
     return value
 
 
 def act_with_noise(policy, state_vec: np.ndarray, noise: NoiseProcess) -> float:
     """Exploratory command: policy output plus one noise draw, clipped to [-1, 1]."""
-    return float(np.clip(act(policy, state_vec) + noise.sample(), -1.0, 1.0))
+    return min(1.0, max(-1.0, act(policy, state_vec) + noise.sample()))

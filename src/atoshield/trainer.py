@@ -5,8 +5,9 @@ and ``robustness_run``.  Per step, the policy (a plain ``s_vec -> float``
 callable) proposes, the corrector ``(state, proposed, t) -> (cmd,
 interventions)`` shields the proposal as ``variant_correction`` says, the
 environment executes the command, and the optional learner hook
-``learn(s_vec, cmd, outcome, t)`` sees the transition before the episode can
-end on it.  The loop returns the metrics and each step's record
+``learn(s_vec, cmd, outcome, s2_vec, t)`` sees the transition before the
+episode can end on it.  Each state is normalized once: ``s2_vec`` is the
+next step's ``s_vec``.  The loop returns the metrics and each step's record
 ``(s_vec, cmd, outcome)``, from which training builds its elite trajectory
 and the robustness study its speed, action and acceleration sequences.
 
@@ -222,7 +223,7 @@ def _run_episode(
     policy: Callable[[np.ndarray], float],
     correct: Corrector,
     episode: int,
-    learn: Callable[[np.ndarray, float, StepOutcome, int], None] | None = None,
+    learn: Callable[[np.ndarray, float, StepOutcome, np.ndarray, int], None] | None = None,
 ) -> tuple[EpisodeMetrics, list[tuple[np.ndarray, float, StepOutcome]]]:
     """One episode; returns its metrics and each step's (s_vec, cmd, outcome).
 
@@ -235,8 +236,8 @@ def _run_episode(
     protect = 0
     overspeed = 0
     t = 0
+    s_vec = normalize_state(state, track)
     while True:
-        s_vec = normalize_state(state, track)
         tic = time.perf_counter()
         cmd, interventions = correct(state, policy(s_vec), t)
         select_times.append(time.perf_counter() - tic)
@@ -246,9 +247,11 @@ def _run_episode(
                           out.next_state.loc, out.next_state.vel):
             overspeed += 1
         steps.append((s_vec, cmd, out))
+        s2_vec = normalize_state(out.next_state, track)
         if learn is not None:
-            learn(s_vec, cmd, out, t)
+            learn(s_vec, cmd, out, s2_vec, t)
         state = out.next_state
+        s_vec = s2_vec
         t += 1
         if out.done:
             break
@@ -299,8 +302,7 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     correct = _corrector(cfg, env, variant_correction(variant), _agent_sampler(agent, cfg.track))
     noise = getattr(agent, "noise", None)
 
-    def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, t: int) -> None:
-        s2_vec = normalize_state(out.next_state, cfg.track)
+    def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, s2_vec: np.ndarray, t: int) -> None:
         replay.push(s_vec, cmd, out.reward, s2_vec, float(out.done))
         if (t + 1) % cfg.run.t_up == 0 and len(replay) >= cfg.agent.batch_size:
             agent.update(replay.sample(cfg.agent.batch_size, rng))

@@ -177,6 +177,30 @@ class TestSac:
         assert np.all(a > -1.0) and np.all(a < 1.0)
         assert np.all(np.isfinite(log_prob))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           states=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                           min_size=1, max_size=6),
+           n=st.integers(1, 5),
+           log_std_shift=st.sampled_from([0.0, -30.0, 5.0]))
+    def test_command_draws_equal_the_full_sample(self, seed, states, n, log_std_shift):
+        # propose and sample_actions skip the log-prob but make the same draw
+        agent = SacAgent(3, SMALL, np.random.default_rng(seed))
+        agent.policy.biases[-1][1] += log_std_shift  # reach both log-std clips
+        policy, states = agent.policy, np.array(states)
+
+        agent.rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        proposed = agent.propose(states[0])
+        a, _, _, _ = squashed_sample(policy, states[:1], rng)
+        assert np.float64(proposed).tobytes() == a[0, 0].tobytes()
+        assert agent.rng.random() == rng.random()
+
+        agent.rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batched = agent.sample_actions(states, n)
+        a, _, _, _ = squashed_sample(policy, np.repeat(states, n, axis=0), rng)
+        assert batched.tobytes() == a[:, 0].reshape(-1, n).tobytes()
+        assert agent.rng.random() == rng.random()
+
     def test_zero_alpha_moves_policy_toward_bowl_optimum(self):
         rng = np.random.default_rng(5)
         cfg = AgentConfig(hidden_sizes=(16,), entropy_alpha=0.0, actor_lr=3e-3,
@@ -318,6 +342,15 @@ class TestAgents:
                 assert -1.0 <= agent.act(s) <= 1.0
                 assert -1.0 <= agent.propose(s) <= 1.0
                 assert np.all(np.abs(agent.sample_actions(s, 5)) <= 1.0)
+
+    def test_ddpg_sample_actions_is_clipped_jitter(self, rng):
+        agent = DdpgAgent(3, SMALL, rng)
+        agent.actor.biases[-1][...] = 0.9  # push some rows past the clip
+        states = rng.normal(0, 1, (7, 3))
+        std = max(agent.noise.exploration_std(), 1e-3)
+        agent.rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        want = np.clip(agent.actor.forward(states) + twin.normal(0.0, std, (7, 4)), -1.0, 1.0)
+        assert agent.sample_actions(states, 4).tobytes() == want.tobytes()
 
     def test_batched_sample_actions_shape_and_range(self, rng):
         for agent in (DdpgAgent(3, SMALL, rng), SacAgent(3, SMALL, rng)):

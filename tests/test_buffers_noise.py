@@ -125,6 +125,30 @@ class TestNoise:
         x = np.array([0.2, 0.4, 0.1])
         assert act_with_noise(net, x, noise) == act(net, x)
 
+    @pytest.mark.parametrize("bias", [-2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.0])
+    @pytest.mark.parametrize("noise_value", [-2.5, -0.5, 0.0, 0.5, 2.5])
+    def test_clip_equals_numpy_clip(self, bias, noise_value):
+        # an identity head with zero weights commands exactly its bias, so the
+        # sum lands on, inside and beyond both bounds, including exactly +-1
+        net = Mlp([3, 1], "identity", np.random.default_rng(0))
+        net.biases[0][...] = bias
+        noise = NoiseProcess(kind="gaussian", scale=0.0, seed=0)
+        noise.sample = lambda: noise_value
+        x = np.array([0.2, 0.4, 0.1])
+        got = act_with_noise(net, x, noise)
+        want = float(np.clip(act(net, x) + noise_value, -1.0, 1.0))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_non_finite_command_faults(self):
+        class Diverged:
+            def forward(self, x):
+                return np.array([[np.nan]])
+
+        noise = NoiseProcess(kind="gaussian", seed=0)
+        with pytest.raises(FloatingPointError):
+            act_with_noise(Diverged(), np.zeros(3), noise)
+
     def test_ou_mean_reversion_without_diffusion(self):
         noise = NoiseProcess(kind="ou", ou_theta=0.25, ou_sigma=0.0, seed=0)
         noise._state = 1.0

@@ -15,6 +15,7 @@ from atoshield.cli import (
 )
 from atoshield.config import ConfigError, default_scenario_path, load_config
 from atoshield.drl.nets import Mlp
+from atoshield.shield import UnrecoverableStateError
 from atoshield.trainer import EpisodeMetrics, noise_test
 
 
@@ -130,6 +131,72 @@ class TestValidateConfig:
         assert err.value.errors[0].startswith(f"{block}.{key}: ")
         assert main(["validate", "--config", str(path)]) == 2
         assert f"{block}.{key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("train", "mass_tonnes", "heavy"),
+        ("train", "max_decel", None),
+        ("track", "length", "long"),
+        ("track", "dt", True),
+        ("safety", "min_speed", "x"),
+        ("safety", "terminal_zone", True),
+        ("reward", "alpha_traction", "x"),
+        ("agent", "gamma", "x"),
+        ("agent", "actor_lr", "1e-3"),  # YAML 1.1 reads this as a string
+        ("agent", "additional_actor_lr", False),
+        ("agent", "batch_size", "256"),
+        ("search", "expansion_width", "5"),
+        ("search", "backup_discount", False),
+        ("run", "t_up", "x"),
+        ("run", "step_budget", "x"),
+    ])
+    def test_non_number_is_one_error_naming_the_field(self, tmp_path, default_yaml, capsys,
+                                                      block, key, value):
+        blob = copy.deepcopy(default_yaml)
+        blob[block][key] = value
+        path = dump(tmp_path, blob)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.errors == [f"{block}.{key}: expected a number, got {value!r}"]
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"{block}.{key}: expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x", 1, None])
+    def test_flag_must_be_true_or_false(self, tmp_path, default_yaml, value):
+        # a non-empty string used to switch the rule on silently
+        blob = copy.deepcopy(default_yaml)
+        blob["safety"]["enforce_min_speed"] = value
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == [f"safety.enforce_min_speed: expected true or false, got {value!r}"]
+
+    @pytest.mark.parametrize("block, key", [
+        ("agent", "additional_actor_lr"),
+        ("agent", "additional_hidden_sizes"),
+        ("safety", "terminal_zone"),
+        ("run", "max_episodes"),
+        ("run", "step_budget"),
+    ])
+    def test_none_is_legal_where_it_is_the_default(self, tmp_path, default_yaml, block, key):
+        blob = copy.deepcopy(default_yaml)
+        blob[block][key] = None
+        load_config(dump(tmp_path, blob))
+
+    @pytest.mark.parametrize("segment", [[0.0, "a", 80.0], [0.0, 1500.0], [0.0, 1500.0, True], 7])
+    def test_segment_must_be_three_numbers(self, tmp_path, default_yaml, segment):
+        blob = copy.deepcopy(default_yaml)
+        blob["track"]["grade_segments"] = [segment]
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == [
+            f"track.grade_segments[0]: expected three numbers [start, end, value], got {segment!r}"
+        ]
+
+    def test_run_block_not_a_mapping_is_one_error(self, tmp_path, default_yaml):
+        blob = copy.deepcopy(default_yaml)
+        blob["run"] = 5
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == ["run: expected a mapping"]
 
     def test_no_additional_updates_is_valid(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
@@ -298,6 +365,33 @@ class TestCli:
             del timing["mean_action_select_ms"]
         assert summary == {"command": "noise_test", "constant_cmd": 1.0, **want}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("error, label", [
+        (UnrecoverableStateError("no safe command"), "shield abort"),
+        (FloatingPointError("network produced non-finite output"), "numerical error"),
+    ])
+    def test_failed_seed_does_not_lose_the_others(self, tiny_yaml, tmp_path, monkeypatch, capsys,
+                                                  workers, error, label):
+        def train_or_fail(cfg, seed):
+            if seed == 1:
+                raise error
+            return trainer.train(cfg, seed)
+
+        monkeypatch.setattr(cli, "train", train_or_fail)  # forked workers inherit it
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(tiny_yaml), "--seed", "0,1,2",
+                     "--workers", str(workers), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"seed 1: {label}: {error}\n"
+        for seed in (0, 2):
+            assert (out / f"checkpoint_ssa_ddpg_seed{seed}.json").exists()
+            assert (out / f"metrics_ssa_ddpg_seed{seed}.csv").exists()
+        assert not (out / "metrics_ssa_ddpg_seed1.csv").exists()
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [r["seed"] for r in runs] == [0, 1, 2]
+        assert runs[1] == {"seed": 1, "error": f"{label}: {error}"}
+        assert all("error" not in runs[i] and runs[i]["episodes"] == 2 for i in (0, 2))
+
     def test_numerical_error_exit_1_one_line(self, tiny_yaml, tmp_path, monkeypatch, capsys):
         def diverged(self, x):
             raise FloatingPointError("network produced non-finite output")
@@ -307,7 +401,7 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "numerical error: network produced non-finite output\n"
+        assert err == "seed 0: numerical error: network produced non-finite output\n"
 
     def test_numerical_error_in_additional_fit_exit_1_one_line(self, tiny_yaml, tmp_path,
                                                               monkeypatch, capsys):
@@ -320,7 +414,7 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "numerical error: network produced non-finite output\n"
+        assert err == "seed 0: numerical error: network produced non-finite output\n"
 
     def test_robustness_single_cell(self, tiny_yaml, tmp_path):
         train_out = tmp_path / "t2"

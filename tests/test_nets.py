@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,100 @@ class TestAdam:
             ref.step(ref_params, ref_grads)
             for p, q in zip(net.parameters(), ref_params):
                 assert p.tobytes() == q.tobytes()
+
+
+    def test_step_leaves_the_gradient(self, rng):
+        net = Mlp([3, 8, 1], "tanh", rng)
+        adam = Adam(net, lr=1e-2)
+        grad = rng.normal(0, 1, net.flat.shape)
+        before = grad.copy()
+        for _ in range(3):
+            adam.step(net, grad)
+        assert grad.tobytes() == before.tobytes()
+
+    def test_alternating_optimisers_equal_reference(self):
+        # each Adam's scratch is its own: interleaved steps on two nets match
+        # two per-array references stepped the same way
+        rng = np.random.default_rng(17)
+        nets = [Mlp([3, 8, 1], "tanh", rng), Mlp([4, 5, 5, 2], "identity", rng)]
+        adams = [Adam(nets[0], lr=3e-3), Adam(nets[1], lr=1e-2, beta1=0.8)]
+        refs_params = [[p.copy() for p in net.parameters()] for net in nets]
+        refs = [ReferenceAdam(refs_params[0], lr=3e-3), ReferenceAdam(refs_params[1], lr=1e-2, beta1=0.8)]
+        for _ in range(5):
+            for net, adam, ref, ref_params in zip(nets, adams, refs, refs_params):
+                grad = rng.normal(0, 1, net.flat.shape)
+                splits = np.cumsum([p.size for p in ref_params])[:-1]
+                adam.step(net, grad)
+                ref.step(ref_params, [g.reshape(p.shape) for g, p in zip(np.split(grad, splits), ref_params)])
+        for net, ref_params in zip(nets, refs_params):
+            for p, q in zip(net.parameters(), ref_params):
+                assert p.tobytes() == q.tobytes()
+
+
+class TestNoAliasing:
+    """The in-place kernels write only into arrays their own call allocated."""
+
+    @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
+    def test_outputs_and_caches_survive_later_calls(self, sizes, activation):
+        rng = np.random.default_rng(19)
+        net = Mlp(list(sizes), activation, rng, final_init_scale=0.5)
+        x = rng.normal(0, 1, (6, sizes[0]))
+        y, cache = net.forward_cached(x)
+        y_plain = net.forward(x)
+        kept = [a.copy() for a in (x, y, y_plain, *cache)]
+        x2 = rng.normal(0, 1, (6, sizes[0]))
+        y2, cache2 = net.forward_cached(x2)
+        net.forward(x2)
+        net.backward(cache2, rng.normal(0, 1, y2.shape))
+        net.backward(cache, rng.normal(0, 1, y.shape), params=False)
+        for now, then in zip((x, y, y_plain, *cache), kept):
+            assert now.tobytes() == then.tobytes()
+
+    @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
+    @pytest.mark.parametrize("params", [True, False])
+    def test_backward_leaves_grad_out_and_cache(self, sizes, activation, params):
+        rng = np.random.default_rng(23)
+        net = Mlp(list(sizes), activation, rng, final_init_scale=0.5)
+        y, cache = net.forward_cached(rng.normal(0, 1, (6, sizes[0])))
+        grad_out = rng.normal(0, 1, y.shape)
+        kept = [a.copy() for a in (grad_out, *cache)]
+        net.backward(cache, grad_out, params=params)
+        for now, then in zip((grad_out, *cache), kept):
+            assert now.tobytes() == then.tobytes()
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocations:
+    """The learner's kernels make no throwaway arrays of their working size."""
+
+    def test_adam_step_allocates_less_than_one_parameter_vector(self):
+        rng = np.random.default_rng(29)
+        net = Mlp([4, 64, 64, 1], "identity", rng)
+        adam = Adam(net, lr=1e-3)
+        grad = rng.normal(0, 1, net.flat.shape)
+        adam.step(net, grad)  # warm-up
+        assert traced_peak(lambda: adam.step(net, grad)) < net.flat.nbytes
+
+    def test_forward_cached_keeps_what_it_allocates(self):
+        rng = np.random.default_rng(31)
+        net = Mlp([4, 64, 64, 1], "identity", rng)
+        x = rng.normal(0, 1, (256, 4))
+        net.forward_cached(x)  # warm-up
+        out = []
+        peak = traced_peak(lambda: out.append(net.forward_cached(x)))
+        _, cache = out[0]
+        kept = sum(a.nbytes for a in cache[1:])
+        assert peak <= kept + 256 * 64 * 8
 
 
 class TestSerialization:

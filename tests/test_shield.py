@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atoshield import shield
@@ -237,6 +237,53 @@ class TestSoundness:
                 continue
             state = out.next_state
             assert safe_action_set(REVERSAL, model, track, state, 9)
+
+
+@st.composite
+def generated_sections(draw):
+    """Valid sections with 2-4 limit segments and nonzero grades."""
+    length = draw(st.floats(600.0, 2500.0))
+    n_limits = draw(st.integers(2, 4))
+    cuts = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=n_limits - 1,
+                                max_size=n_limits - 1, unique=True)))
+    edges = [0.0, *(c * length for c in cuts), length]
+    limits = draw(st.lists(st.floats(30.0, 100.0), min_size=n_limits, max_size=n_limits))
+    n_grades = draw(st.integers(1, 3))
+    grade_cuts = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=n_grades - 1,
+                                      max_size=n_grades - 1, unique=True)))
+    grade_edges = [0.0, *(c * length for c in grade_cuts), length]
+    # positive grade helps the train along; the steep-slope check bounds both signs
+    grades = draw(st.lists(st.floats(-0.3, 0.008).filter(lambda g: g != 0.0),
+                           min_size=n_grades, max_size=n_grades))
+    track = make_track(
+        length=length,
+        limits=tuple(zip(edges, edges[1:], limits)),
+        grades=tuple(zip(grade_edges, grade_edges[1:], grades)),
+    )
+    assume(validate_track(make_model(), track) == [])
+    return track
+
+
+class TestRecoverabilityOnGeneratedSections:
+    @pytest.mark.parametrize("spec", [PLAIN, REVERSAL], ids=["plain", "reversal"])
+    @settings(max_examples=25, deadline=None)
+    @given(track=generated_sections(), seed=st.integers(0, 2**32 - 1),
+           floor=st.sampled_from([-1.0, -0.5, 0.0, 0.5]))
+    def test_random_walk_keeps_a_safe_command(self, spec, track, seed, floor):
+        # proposals uniform on [floor, 1]: the higher the floor, the more the
+        # walk drives into the limits and the shield has to act
+        model = make_model()
+        rng = np.random.default_rng(seed)
+        state = OperationState()
+        for _ in range(300):
+            proposed = float(rng.uniform(floor, 1.0))
+            cmd, _ = shield_filter(spec, model, track, state, proposed, min, grid_size=9)
+            out = step(model, track, state, cmd)
+            if out.done:
+                state = OperationState()
+                continue
+            state = out.next_state
+            assert safe_action_set(spec, model, track, state, 9)
 
 
 class TestBrakeRecoverable:
