@@ -4,8 +4,12 @@ A proposed command is safe when (a) one simulated control interval keeps the
 speed inside the posted band at every traversed position, (b) it does not jump
 directly between traction and braking when that transition is forbidden, and
 (c) the successor state is recoverable: a maximal service-braking trajectory
-from it clears every downstream limit.  Recoverability is the computable
-stand-in for the winning region of the underlying safety game.
+from it clears every downstream limit.  The trajectory ends at its first
+provably clear state, one at or below every downstream limit on a track where
+unpowered motion never speeds up, since braking on from there only slows the
+train; otherwise it ends at a stop, at the section end or at an overspeed.
+Recoverability is the computable stand-in for the winning region of the
+underlying safety game.
 """
 
 from __future__ import annotations
@@ -157,29 +161,27 @@ def brake_recoverable(
 
     When direct reversals are forbidden and the state was just produced by
     traction, braking is not immediately available, so the recovery trajectory
-    coasts for one interval first.  The recovery only answers for speed limits;
-    the floor and transition rules are one-step concerns.
+    coasts for one interval first.  When unpowered motion never speeds up on
+    the track, the trajectory ends at its first state, the given one
+    included, at or below every downstream limit: braking only slows the
+    train from there, so rolling on to a stop would give the same verdict.
+    The recovery only answers for speed limits; the floor and transition
+    rules are one-step concerns.
     """
-    # exact fast path: an unpowered train never speeds up on a valid track,
-    # so a state at or below every downstream limit is always recoverable
-    if state.vel <= _min_downstream_limit(track, state.loc) and _never_accelerates_unpowered(
-        model, track
-    ):
-        return True
+    clear = _never_accelerates_unpowered(model, track)
     current = state
-    if spec.forbid_direct_reversal and current.last_condition is Condition.TRACTION:
-        out = step(model, track, current, 0.0)
-        if _step_violates_limits(current, out, track):
-            return False
-        current = out.next_state
-    for _ in range(_RECOVERY_STEP_CAP):
-        if current.vel <= 0.0 or current.loc >= track.length:
+    coast = spec.forbid_direct_reversal and current.last_condition is Condition.TRACTION
+    steps = 0
+    while not (clear and current.vel <= _min_downstream_limit(track, current.loc)):
+        if not coast and (current.vel <= 0.0 or current.loc >= track.length):
             return True
-        out = step(model, track, current, FULL_BRAKING)
+        if steps == _RECOVERY_STEP_CAP:
+            raise RuntimeError("braking trajectory failed to terminate")
+        out = step(model, track, current, 0.0 if coast else FULL_BRAKING)
         if _step_violates_limits(current, out, track):
             return False
-        current = out.next_state
-    raise RuntimeError("braking trajectory failed to terminate")
+        current, coast, steps = out.next_state, False, steps + 1
+    return True
 
 
 def _reversal_violated(spec: SafetySpec, state: OperationState, cmd: float) -> bool:
@@ -251,46 +253,33 @@ def _brake_recoverable_batch(
 ) -> np.ndarray:
     """:func:`brake_recoverable` over arrays of states.
 
-    Rows that miss the fast path follow their braking trajectories together,
-    one array step per interval, each row leaving the loop as it resolves.
+    The rows follow their trajectories together, one array step per interval.
+    A row leaves the loop where the scalar rollout ends: recovered at its
+    first provably clear state, at a stop or at the section end, or failed at
+    its first overspeed.
     """
-    if _never_accelerates_unpowered(model, track):
-        lowest = np.full(loc.shape, math.inf)
-        for _, end, lim in track.limit_segments:
-            lowest = np.where(end > loc, np.minimum(lowest, lim), lowest)
-        ok = vel <= lowest
-    else:
-        ok = np.zeros(loc.shape, dtype=bool)
-    slow = np.flatnonzero(~ok)
-    if slow.size == 0:
-        return ok
-    cur_loc, cur_vel = loc[slow], vel[slow]
-    pending = np.ones(slow.size, dtype=bool)  # neither recovered nor failed yet
-    if spec.forbid_direct_reversal:
-        rows = np.flatnonzero(after_traction[slow])
-        if rows.size:
-            out = step_batch(model, track, cur_loc[rows], cur_vel[rows], 0.0, 0.0)
-            pending[rows] = ~_span_overspeed_batch(
-                track, cur_loc[rows], cur_vel[rows], out.accel, out.loc, out.vel
-            )
-            cur_loc[rows], cur_vel[rows] = out.loc, out.vel
-    recovered = np.zeros(slow.size, dtype=bool)
-    for _ in range(_RECOVERY_STEP_CAP):
-        stopped = pending & ((cur_vel <= 0.0) | (cur_loc >= track.length))
-        recovered |= stopped
-        pending &= ~stopped
-        rows = np.flatnonzero(pending)
+    clear = _never_accelerates_unpowered(model, track)
+    ok = np.zeros(loc.shape, dtype=bool)
+    rows = np.arange(loc.size)
+    coast = after_traction & spec.forbid_direct_reversal
+    steps = 0
+    while True:
+        done = ~coast & ((vel <= 0.0) | (loc >= track.length))
+        if clear:
+            lowest = np.full(loc.shape, math.inf)
+            for _, end, lim in track.limit_segments:
+                lowest = np.where(end > loc, np.minimum(lowest, lim), lowest)
+            done |= vel <= lowest
+        ok[rows[done]] = True
+        rows, loc, vel, coast = rows[~done], loc[~done], vel[~done], coast[~done]
         if rows.size == 0:
-            break
-        out = step_batch(model, track, cur_loc[rows], cur_vel[rows], 0.0, FULL_BRAKING)
-        pending[rows] = ~_span_overspeed_batch(
-            track, cur_loc[rows], cur_vel[rows], out.accel, out.loc, out.vel
-        )
-        cur_loc[rows], cur_vel[rows] = out.loc, out.vel
-    else:
-        raise RuntimeError("braking trajectory failed to terminate")
-    ok[slow] = recovered
-    return ok
+            return ok
+        if steps == _RECOVERY_STEP_CAP:
+            raise RuntimeError("braking trajectory failed to terminate")
+        out = step_batch(model, track, loc, vel, 0.0, np.where(coast, 0.0, FULL_BRAKING))
+        live = ~_span_overspeed_batch(track, loc, vel, out.accel, out.loc, out.vel)
+        rows, loc, vel = rows[live], out.loc[live], out.vel[live]
+        coast, steps = np.zeros(rows.size, dtype=bool), steps + 1
 
 
 def safe_mask(

@@ -4,17 +4,69 @@ Everything here is deliberately naive (plain loops, no shared code with the
 package internals) so it can serve as an oracle.  The tree reference is a
 plain node object per node, grown depth first on the scalar ``step`` and
 ``is_safe`` (the kernels the array forms are held equal to), then pruned,
-backed up and selected recursively.  The learner references keep one
-array, or one tuple, per parameter or transition, as the package did before
-it moved to flat vectors and ring arrays.
+backed up and selected recursively.  The recoverability reference tests for
+a clear state only at entry and otherwise brakes all the way to a stop.  The
+learner references keep one array, or one tuple, per parameter or
+transition, as the package did before it moved to flat vectors and ring
+arrays.
 """
 
 from collections import deque
 
 import numpy as np
 
-from atoshield.dynamics import step
-from atoshield.shield import is_safe
+from atoshield.dynamics import Condition, condition_of, davis_resistance_accel, step
+from atoshield.shield import floor_applies, is_safe, span_overspeed
+
+
+def _overspeeds(track, state, out):
+    nxt = out.next_state
+    return span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
+
+
+def ref_brake_to_stop(spec, model, track, state):
+    """Full braking to a stop or to the section end, after the one coast the
+    reversal rule forces; recoverable unless some interval overspeeds."""
+    current = state
+    if spec.forbid_direct_reversal and current.last_condition is Condition.TRACTION:
+        out = step(model, track, current, 0.0)
+        if _overspeeds(track, current, out):
+            return False
+        current = out.next_state
+    while current.vel > 0.0 and current.loc < track.length:
+        out = step(model, track, current, -1.0)
+        if _overspeeds(track, current, out):
+            return False
+        current = out.next_state
+    return True
+
+
+def ref_brake_recoverable(spec, model, track, state):
+    """Recoverability with one clear-state test, at entry: a state at or below
+    every downstream limit, on a track where standstill resistance outweighs
+    every grade, is recoverable.  Any other state goes to
+    :func:`ref_brake_to_stop`."""
+    downstream = [lim for _, end, lim in track.limit_segments if end > state.loc]
+    steepest = max(grade for _, _, grade in track.grade_segments)
+    if davis_resistance_accel(model, 0.0) >= steepest and state.vel <= min(
+        downstream, default=np.inf
+    ):
+        return True
+    return ref_brake_to_stop(spec, model, track, state)
+
+
+def ref_is_safe(spec, model, track, state, cmd):
+    """``is_safe(...).safe`` with :func:`ref_brake_recoverable` for recoverability."""
+    conditions = {state.last_condition, condition_of(cmd)}
+    if spec.forbid_direct_reversal and conditions == {Condition.TRACTION, Condition.BRAKING}:
+        return False
+    out = step(model, track, state, cmd)
+    if _overspeeds(track, state, out):
+        return False
+    nxt = out.next_state
+    if not out.arrived and floor_applies(spec, track, nxt.loc) and nxt.vel <= spec.min_speed:
+        return False
+    return ref_brake_recoverable(spec, model, track, nxt)
 
 
 class RefNode:

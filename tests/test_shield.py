@@ -20,6 +20,7 @@ from atoshield.shield import (
 )
 
 from conftest import make_model, make_track
+from oracles import ref_brake_recoverable, ref_brake_to_stop, ref_is_safe
 
 STRICT_FLOOR = SafetySpec(min_speed=0.0, enforce_min_speed=True, terminal_zone=150.0)
 PLAIN = SafetySpec()
@@ -286,6 +287,54 @@ class TestRecoverabilityOnGeneratedSections:
             assert safe_action_set(spec, model, track, state, 9)
 
 
+def downstream_minimum(track, loc):
+    """Lowest limit from loc on; at the section end, the last segment's."""
+    return min(lim for _, end, lim in track.limit_segments if end > loc or end == track.length)
+
+
+@st.composite
+def sections_with_states(draw):
+    """A generated section and 1-20 (loc, vel, last condition, command) rows,
+    each at a posted limit or above the downstream minimum, often within
+    2 km/h of it and within 2 m before a limit boundary."""
+    track = draw(generated_sections())
+    edges = [start for start, _, _ in track.limit_segments] + [track.length]
+    limits = [lim for _, _, lim in track.limit_segments]
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        loc = draw(st.one_of(st.sampled_from(edges), st.floats(0.0, track.length),
+                             st.sampled_from(edges).flatmap(
+                                 lambda e: st.floats(max(0.0, e - 2.0), e))))
+        lowest = downstream_minimum(track, loc)
+        vel = draw(st.one_of(st.sampled_from(limits), st.floats(lowest, lowest + 2.0),
+                             st.floats(lowest, max(lowest, 100.0))))
+        rows.append((loc, vel, draw(st.sampled_from(list(Condition))),
+                     draw(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)))))
+    return track, rows
+
+
+class TestRecoverabilityAgainstFullRollout:
+    @pytest.mark.parametrize("spec", [PLAIN, REVERSAL], ids=["plain", "reversal"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=sections_with_states())
+    def test_verdicts_match_braking_to_a_stop(self, spec, case):
+        # the rollout's early exit at the first clear state must never change a verdict
+        track, rows = case
+        model = make_model()
+        states = [OperationState(loc, vel, 0.0, cond) for loc, vel, cond, _ in rows]
+        recoverable = [ref_brake_recoverable(spec, model, track, s) for s in states]
+        assert [brake_recoverable(spec, model, track, s) for s in states] == recoverable
+        loc, vel, conds, _ = zip(*rows)
+        after_traction = np.array([cond is Condition.TRACTION for cond in conds])
+        assert shield._brake_recoverable_batch(
+            spec, model, track, np.array(loc), np.array(vel), after_traction
+        ).tolist() == recoverable
+        got, verdicts = mask_and_verdicts(spec, track, rows)
+        want = [ref_is_safe(spec, model, track, OperationState(loc, vel, 0.0, cond), cmd)
+                for loc, vel, cond, cmd in rows]
+        assert got == verdicts == want
+
+
 class TestBrakeRecoverable:
     def test_fast_path_matches_simulation(self, model, track, rng):
         # states below every downstream limit must agree with the simulated tail
@@ -294,6 +343,19 @@ class TestBrakeRecoverable:
             vel = float(rng.uniform(0.0, 59.0))
             state = OperationState(loc=loc, vel=vel)
             assert brake_recoverable(PLAIN, model, track, state)
+            assert ref_brake_to_stop(PLAIN, model, track, state)
+
+    def test_rollout_stops_at_first_clear_state(self, model, track, monkeypatch):
+        # 75 km/h at 300 m is clear of the 60 km/h zone ahead after five
+        # braking intervals; braking on to a stop would take nineteen
+        calls = []
+        monkeypatch.setattr(shield, "step", lambda *a: calls.append(a) or step(*a))
+        monkeypatch.setattr(shield, "step_batch", lambda *a: calls.append(a) or step_batch(*a))
+        assert brake_recoverable(PLAIN, model, track, OperationState(loc=300.0, vel=75.0))
+        assert len(calls) == 5
+        loc, vel = np.array([300.0]), np.array([75.0])
+        assert shield._brake_recoverable_batch(PLAIN, model, track, loc, vel, np.array([False]))
+        assert len(calls) == 10
 
     def test_hopeless_state_not_recoverable(self, model, track):
         # 80 km/h one metre before the 60 zone
