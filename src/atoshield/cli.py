@@ -116,7 +116,7 @@ def _load(args) -> ScenarioConfig:
         run = dataclasses.replace(run, max_episodes=args.episodes)
     # the file itself passed validation, so every error here comes from a flag
     flags = {"run.agent": "--agent", "run.seeds": "--seed", "run.max_episodes": "--episodes"}
-    errors = _validate_run(run, cfg.search)
+    errors = _validate_run(run)
     if errors:
         raise ConfigError([f"{flags.get(e.split(':')[0], 'override')}: {e}" for e in errors])
     return dataclasses.replace(cfg, run=run)

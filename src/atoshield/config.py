@@ -51,6 +51,7 @@ _FIELD_MAP = {
     "safety": SafetySpec,
     "reward": RewardWeights,
     "agent": AgentConfig,
+    "search": SearchConfig,
     "run": RunConfig,
 }
 
@@ -175,7 +176,7 @@ def _validate_agent(agent: AgentConfig) -> list[str]:
     return errors
 
 
-def _validate_run(run: RunConfig, search: SearchConfig) -> list[str]:
+def _validate_run(run: RunConfig) -> list[str]:
     errors = []
     for name, optional in (("max_episodes", True), ("t_up", False), ("step_budget", True),
                            ("execution_episodes", False)):
@@ -190,11 +191,6 @@ def _validate_run(run: RunConfig, search: SearchConfig) -> list[str]:
         errors.append("run.seeds: every seed must be an integer >= 0")
     if run.agent not in VARIANTS:
         errors.append(f"run.agent: must be one of {', '.join(VARIANTS)}")
-    if search is not None and search.update_frequency != run.t_up:
-        errors.append(
-            "search.update_frequency: must equal run.t_up (the tree's depth "
-            "bound is the update cadence)"
-        )
     return errors
 
 
@@ -213,10 +209,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if not isinstance(content, dict):
             errors.append(f"{name}: expected a mapping")
             content = {}
-        if name == "search":
-            blocks[name] = _coerce_search(content, raw.get("run", {}) or {}, errors)
-        else:
-            blocks[name] = _coerce_block(name, _FIELD_MAP[name], content, errors)
+        blocks[name] = _coerce_block(name, _FIELD_MAP[name], content, errors)
     if any(b is None for b in blocks.values()):
         raise ConfigError(errors)
 
@@ -228,19 +221,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not track_errors:
         errors += _validate_safety(cfg.safety, cfg.track)
     errors += _validate_agent(cfg.agent)
-    errors += _validate_run(cfg.run, cfg.search)
+    errors += _validate_run(cfg.run)
     if errors:
         raise ConfigError(errors)
     return cfg
-
-
-def _coerce_search(raw: dict, run_raw: dict, errors: list[str]) -> SearchConfig | None:
-    raw = dict(raw)
-    # the tree's horizon is the learner's update cadence; inherit when unset
-    # (a mistyped t_up is reported once, under run)
-    if "update_frequency" not in raw and isinstance(run_raw, dict) and _is_number(run_raw.get("t_up")):
-        raw["update_frequency"] = run_raw["t_up"]
-    return _coerce_block("search", SearchConfig, raw, errors)
 
 
 def _resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:

@@ -3,12 +3,19 @@
 All operations here are pure functions of their inputs; states are immutable.
 Velocities are carried in km/h (what speed limits are posted in), accelerations
 in m/s^2, positions in m, times in s, energies in kWh.
+
+Each formula has one body over a table of elementwise primitives, run on
+Python floats by :func:`step` and on numpy arrays by :func:`step_batch`, so a
+physics fix edits only that body.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -25,12 +32,16 @@ class Condition(str, Enum):
     BRAKING = "braking"
 
 
+# read once: an enum attribute read costs more than the rest of condition_of
+_TRACTION, _COASTING, _BRAKING = Condition.TRACTION, Condition.COASTING, Condition.BRAKING
+
+
 def condition_of(cmd: float) -> Condition:
     if cmd > 0.0:
-        return Condition.TRACTION
+        return _TRACTION
     if cmd < 0.0:
-        return Condition.BRAKING
-    return Condition.COASTING
+        return _BRAKING
+    return _COASTING
 
 
 @dataclass(frozen=True)
@@ -47,7 +58,7 @@ class TrainModel:
     base_speed_braking: float = 50.0  # km/h
     regen_efficiency: float = 0.3  # fraction of braking work recovered
 
-    @property
+    @cached_property
     def mass_kg(self) -> float:
         return self.mass_tonnes * KG_PER_TONNE
 
@@ -76,7 +87,7 @@ class TrackSection:
             self, "grade_segments", tuple(tuple(seg) for seg in self.grade_segments)
         )
 
-    @property
+    @cached_property
     def mean_speed_target(self) -> float:
         """Schedule-implied mean speed, m/s."""
         return self.length / self.scheduled_time
@@ -84,6 +95,11 @@ class TrackSection:
     @property
     def max_limit(self) -> float:
         return max(seg[2] for seg in self.limit_segments)
+
+    @cached_property
+    def max_grade(self) -> float:
+        """Steepest downhill pull (m/s^2): the largest signed grade acceleration."""
+        return max(seg[2] for seg in self.grade_segments)
 
 
 @dataclass(frozen=True)
@@ -122,29 +138,55 @@ class RewardWeights:
 DEFAULT_WEIGHTS = RewardWeights()
 
 
-def _segment_value(segments: tuple[tuple[float, float, float], ...], loc: float) -> float:
-    # Half-open [start, end) lookup; the final segment is closed at its end.
-    last = segments[-1]
-    if loc >= last[1]:
-        return last[2]
-    for start, end, value in segments:
-        if start <= loc < end:
-            return value
-    return segments[0][2]
+class Ops:
+    """The primitives each shared body takes as ``ops``: :data:`FLOATS` for
+    one state, :data:`ARRAYS` for the tree's rows (``abs`` and the operators
+    work on both).  ``any`` and ``all`` say whether some or every row is set;
+    a body uses them only to skip work."""
+
+    def __init__(self, **primitives):
+        vars(self).update(primitives)  # plain instance attributes read fastest
+
+
+FLOATS = Ops(
+    where=lambda cond, a, b: a if cond else b,
+    # the builtins' two-argument max and min, without their call overhead
+    maximum=lambda a, b: b if b > a else a,
+    minimum=lambda a, b: b if b < a else a,
+    sqrt=math.sqrt, any=operator.truth, all=operator.truth,
+)
+ARRAYS = Ops(
+    where=np.where, maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
+    any=np.ndarray.any, all=np.ndarray.all,
+)
+
+
+def segment_value(ops: Ops, segments: tuple[tuple[float, float, float], ...], loc):
+    """The value of the segment holding ``loc``: the first one whose end lies
+    beyond it, so each segment owns [start, end) of a tiling and the final
+    segment also owns its end point."""
+    value = segments[-1][2]
+    for _, end, seg_value in segments[-2::-1]:
+        value = ops.where(loc < end, seg_value, value)
+    return value
 
 
 def limit_at(track: TrackSection, loc: float) -> float:
     """Posted speed limit (km/h) at a position."""
     if loc < 0.0 or loc > track.length:
         raise ValueError(f"position {loc} outside [0, {track.length}]")
-    return _segment_value(track.limit_segments, loc)
+    return segment_value(FLOATS, track.limit_segments, loc)
 
 
 def grade_accel(track: TrackSection, loc: float) -> float:
     """Signed gravity acceleration (m/s^2) from the grade profile at a position."""
     if loc < 0.0 or loc > track.length:
         raise ValueError(f"position {loc} outside [0, {track.length}]")
-    return _segment_value(track.grade_segments, loc)
+    return segment_value(FLOATS, track.grade_segments, loc)
+
+
+def _davis(model: TrainModel, vel):
+    return (model.davis_r1 + model.davis_r2 * vel + model.davis_r3 * vel * vel) / 1000.0
 
 
 def davis_resistance_accel(model: TrainModel, vel: float) -> float:
@@ -155,7 +197,16 @@ def davis_resistance_accel(model: TrainModel, vel: float) -> float:
     """
     if vel < 0.0:
         raise ValueError(f"velocity must be nonnegative, got {vel}")
-    return (model.davis_r1 + model.davis_r2 * vel + model.davis_r3 * vel * vel) / 1000.0
+    return _davis(model, vel)
+
+
+def _motor_accel(ops: Ops, model: TrainModel, cmd, vel):
+    # base / max(vel, base) is 1.0 at or below the knee and base / vel above
+    # it; a zero command gives a zero braking force
+    traction = cmd > 0.0
+    peak = ops.where(traction, model.max_accel, model.max_decel)
+    base = ops.where(traction, model.base_speed_traction, model.base_speed_braking)
+    return peak * cmd * (base / ops.maximum(vel, base))
 
 
 def motor_accel(model: TrainModel, cmd: float, vel: float) -> float:
@@ -168,13 +219,24 @@ def motor_accel(model: TrainModel, cmd: float, vel: float) -> float:
         raise ValueError(f"command must lie in [-1, 1], got {cmd}")
     if vel < 0.0:
         raise ValueError(f"velocity must be nonnegative, got {vel}")
-    if cmd > 0.0:
-        factor = 1.0 if vel <= model.base_speed_traction else model.base_speed_traction / vel
-        return model.max_accel * cmd * factor
-    if cmd < 0.0:
-        factor = 1.0 if vel <= model.base_speed_braking else model.base_speed_braking / vel
-        return model.max_decel * cmd * factor
-    return 0.0
+    return _motor_accel(FLOATS, model, cmd, vel)
+
+
+def _reward_terms(
+    ops: Ops, track, weights, cmd, energy_traction, energy_regen,
+    mean_speed, accel_applied, prev_accel, arrived, total_time,
+):
+    e_term = ops.where(
+        cmd > 0.0, weights.alpha_traction * energy_traction, weights.alpha_regen * energy_regen
+    )
+    d_term = ops.where(
+        arrived,
+        weights.alpha_time_terminal * abs(total_time - track.scheduled_time),
+        weights.alpha_time_step * abs(mean_speed - track.mean_speed_target),
+    )
+    jerk = abs(accel_applied - prev_accel) / track.dt
+    c_term = ops.where(jerk > weights.jerk_threshold, weights.comfort_penalty, 0.0)
+    return e_term, d_term, c_term
 
 
 def reward_terms(
@@ -196,17 +258,42 @@ def reward_terms(
     tracking to schedule deviation on the terminal step, and the comfort
     penalty fires only when jerk strictly exceeds the threshold.
     """
-    if cmd > 0.0:
-        e_term = weights.alpha_traction * energy_traction
-    else:
-        e_term = weights.alpha_regen * energy_regen
-    if arrived:
-        d_term = weights.alpha_time_terminal * abs(total_time - track.scheduled_time)
-    else:
-        d_term = weights.alpha_time_step * abs(mean_speed - track.mean_speed_target)
-    jerk = abs(accel_applied - prev_accel) / track.dt
-    c_term = weights.comfort_penalty if jerk > weights.jerk_threshold else 0.0
-    return e_term, d_term, c_term
+    return _reward_terms(
+        FLOATS, track, weights, cmd, energy_traction, energy_regen,
+        mean_speed, accel_applied, prev_accel, arrived, total_time,
+    )
+
+
+def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel):
+    """One unchecked interval: (loc, vel, time, reward, traction energy,
+    regen energy, applied acceleration, arrived) of the next state."""
+    dt = track.dt
+    v0 = vel / KMH_PER_MPS  # m/s
+    a_motor = _motor_accel(ops, model, cmd, vel)
+    a_net = a_motor - _davis(model, vel) + segment_value(ops, track.grade_segments, loc)
+    a = ops.minimum(model.max_accel, ops.maximum(-model.max_decel, a_net))
+
+    v1 = ops.maximum(0.0, v0 + a * dt)
+    mean_speed = 0.5 * (v0 + v1)
+    dist = mean_speed * dt
+    raw_loc = loc + dist
+    arrived = raw_loc >= track.length
+    t1 = time + dt
+
+    traction = cmd > 0.0
+    mass = model.mass_kg
+    energy_traction = ops.where(traction, a_motor * mass * dist / JOULES_PER_KWH, 0.0)
+    energy_regen = ops.where(
+        traction, 0.0, -model.regen_efficiency * abs(a_motor) * mass * dist / JOULES_PER_KWH
+    )
+    e_term, d_term, c_term = _reward_terms(
+        ops, track, weights, cmd, energy_traction, energy_regen,
+        mean_speed, a, prev_accel, arrived, t1,
+    )
+    return (
+        ops.where(arrived, track.length, raw_loc), v1 * KMH_PER_MPS, t1,
+        -(e_term + d_term + c_term), energy_traction, energy_regen, a, arrived,
+    )
 
 
 def step(
@@ -225,43 +312,16 @@ def step(
     """
     if abs(cmd) > 1.0 + 1e-12:
         raise ValueError(f"command must lie in [-1, 1], got {cmd}")
-    dt = track.dt
-    v0 = state.vel / KMH_PER_MPS  # m/s
-    a_motor = motor_accel(model, cmd, state.vel)
-    a_net = a_motor - davis_resistance_accel(model, state.vel) + grade_accel(track, state.loc)
-    a = min(model.max_accel, max(-model.max_decel, a_net))
-
-    v1 = max(0.0, v0 + a * dt)
-    mean_speed = 0.5 * (v0 + v1)
-    dist = mean_speed * dt
-    raw_loc = state.loc + dist
-    arrived = raw_loc >= track.length
-    loc1 = track.length if arrived else raw_loc
-    t1 = state.time + dt
-
-    if cmd > 0.0:
-        energy_traction = a_motor * model.mass_kg * dist / JOULES_PER_KWH
-        energy_regen = 0.0
-    else:
-        energy_traction = 0.0
-        energy_regen = -model.regen_efficiency * abs(a_motor) * model.mass_kg * dist / JOULES_PER_KWH
-
-    e_term, d_term, c_term = reward_terms(
-        track, weights, cmd, energy_traction, energy_regen,
-        mean_speed, a, prev_accel, arrived, t1,
+    if state.vel < 0.0:
+        raise ValueError(f"velocity must be nonnegative, got {state.vel}")
+    if state.loc < 0.0 or state.loc > track.length:
+        raise ValueError(f"position {state.loc} outside [0, {track.length}]")
+    loc, vel, time, reward, energy_traction, energy_regen, accel, arrived = _transition(
+        FLOATS, model, track, state.loc, state.vel, state.time, cmd, weights, prev_accel
     )
-    next_state = OperationState(
-        loc=loc1, vel=v1 * KMH_PER_MPS, time=t1, last_condition=condition_of(cmd)
-    )
-    return StepOutcome(
-        next_state=next_state,
-        reward=-(e_term + d_term + c_term),
-        energy_traction=energy_traction,
-        energy_regen=energy_regen,
-        accel_applied=a,
-        done=arrived,
-        arrived=arrived,
-    )
+    # positional: keyword arguments cost a third of the construction
+    next_state = OperationState(loc, vel, time, condition_of(cmd))
+    return StepOutcome(next_state, reward, energy_traction, energy_regen, accel, arrived, arrived)
 
 
 @dataclass(frozen=True)
@@ -274,28 +334,6 @@ class BatchOutcome:
     reward: np.ndarray
     accel: np.ndarray  # m/s^2 after clamping
     arrived: np.ndarray  # bool
-
-
-def _segment_values(
-    segments: tuple[tuple[float, float, float], ...], loc: np.ndarray
-) -> np.ndarray:
-    # array form of _segment_value: the first half-open segment holding loc wins
-    out = np.full(loc.shape, segments[0][2])
-    for start, end, value in reversed(segments):
-        out = np.where((start <= loc) & (loc < end), value, out)
-    return np.where(loc >= segments[-1][1], segments[-1][2], out)
-
-
-def _check_positions(track: TrackSection, loc: np.ndarray) -> None:
-    outside = (loc < 0.0) | (loc > track.length)
-    if outside.any():
-        raise ValueError(f"position {loc[outside][0]} outside [0, {track.length}]")
-
-
-def limits_at(track: TrackSection, loc: np.ndarray) -> np.ndarray:
-    """:func:`limit_at` over an array of positions."""
-    _check_positions(track, loc)
-    return _segment_values(track.limit_segments, loc)
 
 
 def step_batch(
@@ -311,8 +349,8 @@ def step_batch(
     """:func:`step` over broadcast arrays of states and commands.
 
     Every row is bitwise what :func:`step` gives for the same state, command
-    and previous acceleration: the arithmetic is the scalar kernel's, operation
-    for operation, and the same invalid inputs raise the same errors.
+    and previous acceleration, since both run the same kernel, and the same
+    invalid inputs raise the same errors.
     """
     loc, vel, time, cmd, prev_accel = (
         np.asarray(x, dtype=float) for x in (loc, vel, time, cmd, prev_accel)
@@ -322,49 +360,15 @@ def step_batch(
         raise ValueError(f"command must lie in [-1, 1], got {cmd[bad_cmd][0]}")
     if (vel < 0.0).any():
         raise ValueError(f"velocity must be nonnegative, got {vel[vel < 0.0][0]}")
-    _check_positions(track, loc)
-    dt = track.dt
-    v0 = vel / KMH_PER_MPS
-    traction = cmd > 0.0
-    # base / max(vel, base) is 1.0 at or below the knee and base / vel above it
-    factor_traction = model.base_speed_traction / np.maximum(vel, model.base_speed_traction)
-    factor_braking = model.base_speed_braking / np.maximum(vel, model.base_speed_braking)
-    a_motor = np.where(
-        traction,
-        model.max_accel * cmd * factor_traction,
-        np.where(cmd < 0.0, model.max_decel * cmd * factor_braking, 0.0),
+    outside = (loc < 0.0) | (loc > track.length)
+    if outside.any():
+        raise ValueError(f"position {loc[outside][0]} outside [0, {track.length}]")
+    loc1, vel1, t1, reward, _, _, accel, arrived = _transition(
+        ARRAYS, model, track, loc, vel, time, cmd, weights, prev_accel
     )
-    resistance = (model.davis_r1 + model.davis_r2 * vel + model.davis_r3 * vel * vel) / 1000.0
-    a_net = a_motor - resistance + _segment_values(track.grade_segments, loc)
-    a = np.minimum(model.max_accel, np.maximum(-model.max_decel, a_net))
-
-    v1 = np.maximum(0.0, v0 + a * dt)
-    mean_speed = 0.5 * (v0 + v1)
-    dist = mean_speed * dt
-    raw_loc = loc + dist
-    arrived = raw_loc >= track.length
-    t1 = np.broadcast_to(time + dt, arrived.shape)
-
-    e_term = np.where(
-        traction,
-        weights.alpha_traction * (a_motor * model.mass_kg * dist / JOULES_PER_KWH),
-        weights.alpha_regen
-        * (-model.regen_efficiency * np.abs(a_motor) * model.mass_kg * dist / JOULES_PER_KWH),
-    )
-    d_term = np.where(
-        arrived,
-        weights.alpha_time_terminal * np.abs(t1 - track.scheduled_time),
-        weights.alpha_time_step * np.abs(mean_speed - track.mean_speed_target),
-    )
-    jerk = np.abs(a - prev_accel) / dt
-    c_term = np.where(jerk > weights.jerk_threshold, weights.comfort_penalty, 0.0)
     return BatchOutcome(
-        loc=np.where(arrived, track.length, raw_loc),
-        vel=v1 * KMH_PER_MPS,
-        time=t1,
-        reward=-(e_term + d_term + c_term),
-        accel=a,
-        arrived=arrived,
+        loc=loc1, vel=vel1, time=np.broadcast_to(t1, arrived.shape),
+        reward=reward, accel=accel, arrived=arrived,
     )
 
 

@@ -58,15 +58,12 @@ i's samples come before row i+1's.
 @dataclass
 class SearchConfig:
     expansion_width: int = 5  # policy samples per expanded node
-    update_frequency: int = 5  # environment steps between policy updates
     backup_discount: float = 0.9
     action_grid: int = 9  # candidate grid used to form the safe set
 
     def __post_init__(self):
         if self.expansion_width < 1:
             raise ValueError("expansion_width must be >= 1")
-        if self.update_frequency < 1:
-            raise ValueError("update_frequency must be >= 1")
         if not 0.0 < self.backup_discount <= 1.0:
             raise ValueError("backup_discount must be in (0, 1]")
         if self.action_grid < 2:
@@ -153,18 +150,22 @@ def build_tree(
     state_unsafe: OperationState,
     safe_set: Sequence[float],
     t: int,
+    t_up: int,
     cfg: SearchConfig,
     prev_accel: float = 0.0,
 ) -> SearchTree:
     """Grow one root per safe candidate command taken from the unsafe state.
 
     ``t`` is the environment step at which the unsafe proposal occurred; roots
-    therefore sit at step t+1.  Transitions use ``env``'s model, track and
+    therefore sit at step t+1.  Branches end at the next multiple of ``t_up``,
+    the policy-update cadence.  Transitions use ``env``'s model, track and
     reward weights.  Unsafe policy samples are dropped rather than replaced,
     so branches can die out before the update step and get pruned.
     """
     if not safe_set:
         raise ValueError("safe_set must be nonempty")
+    if t_up < 1:
+        raise ValueError("t_up must be >= 1")
     model, track, weights = env.model, env.track, env.weights
     cmds = np.asarray(safe_set, dtype=float)
     out = step_batch(
@@ -174,7 +175,7 @@ def build_tree(
     levels = [_level(out, cmds, np.zeros(cmds.size, dtype=np.intp))]
     width = cfg.expansion_width
     depth_step = t + 1
-    while depth_step % cfg.update_frequency != 0:
+    while depth_step % t_up != 0:
         above = levels[-1]
         open_rows = np.flatnonzero(~above.terminal)
         if open_rows.size == 0:
@@ -207,7 +208,7 @@ def build_tree(
     return SearchTree(levels, t + 1)
 
 
-def prune(tree: SearchTree, update_frequency: int) -> SearchTree | None:
+def prune(tree: SearchTree, t_up: int) -> SearchTree | None:
     """Keep only the branches that reach the update step or end the episode.
 
     One bottom-up pass sets each level's ``alive``: a node survives when it
@@ -217,7 +218,7 @@ def prune(tree: SearchTree, update_frequency: int) -> SearchTree | None:
     below = None
     for depth in range(len(tree.levels) - 1, -1, -1):
         level = tree.levels[depth]
-        if (tree.root_step + depth) % update_frequency == 0:
+        if (tree.root_step + depth) % t_up == 0:
             alive = np.ones(len(level), dtype=bool)
         else:
             alive = level.terminal.copy()
@@ -261,6 +262,7 @@ def search_safe_action(
     state_unsafe: OperationState,
     safe_set: Sequence[float],
     t: int,
+    t_up: int,
     cfg: SearchConfig,
     prev_accel: float = 0.0,
 ) -> float:
@@ -269,8 +271,8 @@ def search_safe_action(
     Falls back to the hardest-braking safe candidate when pruning kills every
     root, the conservative default for a train protection system.
     """
-    tree = build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel)
-    if prune(tree, cfg.update_frequency) is None:
+    tree = build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg, prev_accel)
+    if prune(tree, t_up) is None:
         return min(safe_set)
     backup(tree, cfg)
     return select_safe_action(tree)

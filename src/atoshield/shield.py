@@ -10,11 +10,15 @@ unpowered motion never speeds up, since braking on from there only slows the
 train; otherwise it ends at a stop, at the section end or at an overspeed.
 Recoverability is the computable stand-in for the winning region of the
 underlying safety game.
+
+Each safety formula has one body over the primitives of ``dynamics``, run on
+floats for one state and on arrays for the tree, so a fix edits only that
+body.  One certifier gives each (state, command) row a rule code, which
+:func:`is_safe` maps to its verdict.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -22,23 +26,25 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import (
+    ARRAYS,
+    FLOATS,
     KMH_PER_MPS,
     BatchOutcome,
     Condition,
     OperationState,
-    StepOutcome,
+    Ops,
     TrackSection,
     TrainModel,
-    condition_of,
     davis_resistance_accel,
     limit_at,
-    limits_at,
+    segment_value,
     step,
     step_batch,
 )
 
 FULL_BRAKING = -1.0
 _RECOVERY_STEP_CAP = 100_000
+_TRACTION, _BRAKING = Condition.TRACTION, Condition.BRAKING  # enum attribute reads are slow
 
 
 class Label(str, Enum):
@@ -102,6 +108,19 @@ def label(spec: SafetySpec, track: TrackSection, state: OperationState) -> Label
     return Label.IN_BAND
 
 
+def _span_overspeed(ops: Ops, track, start_loc, start_vel, accel, end_loc, end_vel):
+    over = end_vel > segment_value(ops, track.limit_segments, end_loc)
+    v0 = start_vel / KMH_PER_MPS
+    for seg_start, _, seg_limit in track.limit_segments:
+        crossed = (start_loc < seg_start) & (seg_start <= end_loc)
+        if not ops.any(crossed):
+            continue
+        v_cross_sq = v0 * v0 + 2.0 * accel * (seg_start - start_loc)
+        too_fast = ops.sqrt(ops.maximum(v_cross_sq, 0.0)) * KMH_PER_MPS > seg_limit
+        over = over | (crossed & (v_cross_sq > 0.0) & too_fast)
+    return over
+
+
 def span_overspeed(
     track: TrackSection,
     start_loc: float,
@@ -117,41 +136,24 @@ def span_overspeed(
     monotone inside each segment, which makes the boundary crossings and the
     endpoint the only places a violation can first appear.
     """
-    if end_vel > limit_at(track, min(end_loc, track.length)):
-        return True
-    if end_loc <= start_loc:
-        return False
-    v0 = start_vel / KMH_PER_MPS
-    for seg_start, _, seg_limit in track.limit_segments:
-        if start_loc < seg_start <= end_loc and seg_start <= track.length:
-            v_cross_sq = v0 * v0 + 2.0 * accel * (seg_start - start_loc)
-            if v_cross_sq <= 0.0:
-                continue
-            if math.sqrt(v_cross_sq) * KMH_PER_MPS > seg_limit:
-                return True
-    return False
+    return _span_overspeed(FLOATS, track, start_loc, start_vel, accel, end_loc, end_vel)
 
 
-def _step_violates_limits(state: OperationState, outcome: StepOutcome, track: TrackSection) -> bool:
-    return span_overspeed(
-        track, state.loc, state.vel, outcome.accel_applied,
-        outcome.next_state.loc, outcome.next_state.vel,
-    )
-
-
-def _min_downstream_limit(track: TrackSection, loc: float) -> float:
-    lowest = math.inf
-    for _, end, lim in track.limit_segments:
-        if end > loc and lim < lowest:
-            lowest = lim
-    return lowest
-
-
-def _never_accelerates_unpowered(model: TrainModel, track: TrackSection) -> bool:
+def _rollout_ends(ops: Ops, model, track: TrackSection, loc, vel, coast):
+    """Whether a recovery rollout ends recovered at this state: at a provably
+    clear state, or, with no coast pending, at a stop or at the section end."""
+    within = False
     # On a no-steep-slope track, standstill resistance dominates every grade,
-    # so coasting and braking speeds are nonincreasing at any speed.
-    max_grade = max(g for _, _, g in track.grade_segments)
-    return davis_resistance_accel(model, 0.0) >= max_grade
+    # so coasting and braking speeds never rise, and a state at or below every
+    # limit whose segment ends beyond it (the final segment owns its end
+    # point, as in the limit lookup) is clear.
+    if davis_resistance_accel(model, 0.0) >= track.max_grade:
+        within = vel <= track.limit_segments[-1][2]
+        for _, end, lim in track.limit_segments[:-1]:
+            within = within & ((end <= loc) | (vel <= lim))
+        if ops.all(within):
+            return within
+    return within | ops.where(coast, False, (vel <= 0.0) | (loc >= track.length))
 
 
 def brake_recoverable(
@@ -168,79 +170,18 @@ def brake_recoverable(
     The recovery only answers for speed limits; the floor and transition
     rules are one-step concerns.
     """
-    clear = _never_accelerates_unpowered(model, track)
     current = state
-    coast = spec.forbid_direct_reversal and current.last_condition is Condition.TRACTION
+    coast = spec.forbid_direct_reversal and current.last_condition is _TRACTION
     steps = 0
-    while not (clear and current.vel <= _min_downstream_limit(track, current.loc)):
-        if not coast and (current.vel <= 0.0 or current.loc >= track.length):
-            return True
+    while not _rollout_ends(FLOATS, model, track, current.loc, current.vel, coast):
         if steps == _RECOVERY_STEP_CAP:
             raise RuntimeError("braking trajectory failed to terminate")
-        out = step(model, track, current, 0.0 if coast else FULL_BRAKING)
-        if _step_violates_limits(current, out, track):
+        out = step(model, track, current, FLOATS.where(coast, 0.0, FULL_BRAKING))
+        nxt = out.next_state
+        if span_overspeed(track, current.loc, current.vel, out.accel_applied, nxt.loc, nxt.vel):
             return False
-        current, coast, steps = out.next_state, False, steps + 1
+        current, coast, steps = nxt, False, steps + 1
     return True
-
-
-def _reversal_violated(spec: SafetySpec, state: OperationState, cmd: float) -> bool:
-    if not spec.forbid_direct_reversal:
-        return False
-    proposed = condition_of(cmd)
-    if state.last_condition is Condition.TRACTION and proposed is Condition.BRAKING:
-        return True
-    if state.last_condition is Condition.BRAKING and proposed is Condition.TRACTION:
-        return True
-    return False
-
-
-def is_safe(
-    spec: SafetySpec,
-    model: TrainModel,
-    track: TrackSection,
-    state: OperationState,
-    cmd: float,
-) -> ShieldVerdict:
-    """Certify one command from one state against all configured rules."""
-    if _reversal_violated(spec, state, cmd):
-        return ShieldVerdict(False, Rule.REVERSAL)
-    out = step(model, track, state, cmd)
-    if _step_violates_limits(state, out, track):
-        return ShieldVerdict(False, Rule.OVERSPEED)
-    nxt = out.next_state
-    if (
-        not out.arrived
-        and floor_applies(spec, track, nxt.loc)
-        and nxt.vel <= spec.min_speed
-    ):
-        return ShieldVerdict(False, Rule.UNDERSPEED)
-    if not brake_recoverable(spec, model, track, nxt):
-        return ShieldVerdict(False, Rule.UNRECOVERABLE)
-    return SAFE
-
-
-def _span_overspeed_batch(
-    track: TrackSection,
-    start_loc: np.ndarray,
-    start_vel: np.ndarray,
-    accel: np.ndarray,
-    end_loc: np.ndarray,
-    end_vel: np.ndarray,
-) -> np.ndarray:
-    """:func:`span_overspeed` over arrays of spans."""
-    over = end_vel > limits_at(track, np.minimum(end_loc, track.length))
-    v0 = start_vel / KMH_PER_MPS
-    for seg_start, _, seg_limit in track.limit_segments:
-        if seg_start > track.length:
-            continue
-        rows = np.flatnonzero((start_loc < seg_start) & (seg_start <= end_loc))
-        if rows.size == 0:
-            continue
-        v_cross_sq = v0[rows] * v0[rows] + 2.0 * accel[rows] * (seg_start - start_loc[rows])
-        too_fast = np.sqrt(np.maximum(v_cross_sq, 0.0)) * KMH_PER_MPS > seg_limit
-        over[rows[(v_cross_sq > 0.0) & too_fast]] = True
-    return over
 
 
 def _brake_recoverable_batch(
@@ -258,31 +199,94 @@ def _brake_recoverable_batch(
     first provably clear state, at a stop or at the section end, or failed at
     its first overspeed.
     """
-    clear = _never_accelerates_unpowered(model, track)
     ok = np.zeros(loc.shape, dtype=bool)
     rows = np.arange(loc.size)
     coast = after_traction & spec.forbid_direct_reversal
     steps = 0
     while True:
-        done = ~coast & ((vel <= 0.0) | (loc >= track.length))
-        if clear:
-            lowest = np.full(loc.shape, math.inf)
-            for _, end, lim in track.limit_segments:
-                lowest = np.where(end > loc, np.minimum(lowest, lim), lowest)
-            done |= vel <= lowest
+        done = _rollout_ends(ARRAYS, model, track, loc, vel, coast)
         ok[rows[done]] = True
         rows, loc, vel, coast = rows[~done], loc[~done], vel[~done], coast[~done]
         if rows.size == 0:
             return ok
         if steps == _RECOVERY_STEP_CAP:
             raise RuntimeError("braking trajectory failed to terminate")
-        out = step_batch(model, track, loc, vel, 0.0, np.where(coast, 0.0, FULL_BRAKING))
-        live = ~_span_overspeed_batch(track, loc, vel, out.accel, out.loc, out.vel)
+        out = step_batch(model, track, loc, vel, 0.0, ARRAYS.where(coast, 0.0, FULL_BRAKING))
+        live = ~_span_overspeed(ARRAYS, track, loc, vel, out.accel, out.loc, out.vel)
         rows, loc, vel = rows[live], out.loc[live], out.vel[live]
         coast, steps = np.zeros(rows.size, dtype=bool), steps + 1
 
 
-def safe_mask(
+def _certify(ops: Ops, spec, model, track, subject, last_sign, cmd, advance, recover):
+    """The rule code of each (state, command) row; see :data:`RULE_OF_CODE`.
+
+    Rules run in priority order and work stops once every row has a code.
+    ``advance(model, track, subject, cmd)`` gives each row's overspeed flag,
+    whether it arrived and the next states; ``recover(spec, model, track,
+    open, next_states, cmd)`` answers for the rows in the mask ``open``.
+    """
+    # code + rule * (code == 0 and broken): a row keeps the first rule it breaks
+    code = 0
+    if spec.forbid_direct_reversal:
+        code = 1 * (last_sign * cmd < 0.0)
+        if ops.all(code):
+            return code
+    overspeeds, arrived, nxt = advance(model, track, subject, cmd)
+    code = code + 2 * ((code == 0) & overspeeds)
+    if spec.enforce_min_speed:
+        floor = floor_applies(spec, track, nxt.loc) & (nxt.vel <= spec.min_speed)
+        code = code + 3 * ((code == 0) & ops.where(arrived, False, floor))
+    if ops.all(code):
+        return code
+    return ops.where(recover(spec, model, track, code == 0, nxt, cmd), code, 4)
+
+
+# the rule each certifier code stands for: 0 is safe, then in priority order
+RULE_OF_CODE = (None, Rule.REVERSAL, Rule.OVERSPEED, Rule.UNDERSPEED, Rule.UNRECOVERABLE)
+_VERDICT_OF_CODE = (SAFE,) + tuple(ShieldVerdict(False, rule) for rule in RULE_OF_CODE[1:])
+
+
+def _advance_state(model, track, state, cmd):
+    # by the ledger's names: each is_safe is one dynamics.step and one span check
+    out = step(model, track, state, cmd)
+    nxt = out.next_state
+    over = span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
+    return over, out.arrived, nxt
+
+
+def _recover_state(spec, model, track, open_row, nxt, cmd):
+    return brake_recoverable(spec, model, track, nxt)
+
+
+def is_safe(
+    spec: SafetySpec,
+    model: TrainModel,
+    track: TrackSection,
+    state: OperationState,
+    cmd: float,
+) -> ShieldVerdict:
+    """Certify one command from one state against all configured rules."""
+    last = state.last_condition
+    sign = 1 if last is _TRACTION else -1 if last is _BRAKING else 0
+    code = _certify(FLOATS, spec, model, track, state, sign, cmd, _advance_state, _recover_state)
+    return _VERDICT_OF_CODE[code]
+
+
+def _advance_rows(model, track, rows, cmd):
+    loc, vel, out = rows
+    return _span_overspeed(ARRAYS, track, loc, vel, out.accel, out.loc, out.vel), out.arrived, out
+
+
+def _recover_rows(spec, model, track, open_rows, out, cmd):
+    ok = np.ones(open_rows.shape, dtype=bool)
+    rows = np.flatnonzero(open_rows)
+    ok[rows] = _brake_recoverable_batch(
+        spec, model, track, out.loc[rows], out.vel[rows], cmd[rows] > 0.0
+    )
+    return ok
+
+
+def rule_codes(
     spec: SafetySpec,
     model: TrainModel,
     track: TrackSection,
@@ -292,7 +296,7 @@ def safe_mask(
     cmd: np.ndarray,
     out: BatchOutcome,
 ) -> np.ndarray:
-    """``is_safe(...).safe`` for every row, certified from the rows' step outcome.
+    """The code of :func:`is_safe`'s verdict for every row; see :data:`RULE_OF_CODE`.
 
     Row i is the state (loc[i], vel[i]) whose last condition has the sign
     ``last_sign[i]`` (+1 traction, -1 braking, 0 coasting), under command
@@ -300,15 +304,14 @@ def safe_mask(
     outcome's kinematics are read, so rewards computed with any weights and
     previous accelerations serve.
     """
-    ok = ~_span_overspeed_batch(track, loc, vel, out.accel, out.loc, out.vel)
-    if spec.forbid_direct_reversal:
-        ok &= ~(((last_sign > 0) & (cmd < 0.0)) | ((last_sign < 0) & (cmd > 0.0)))
-    ok &= ~(~out.arrived & floor_applies(spec, track, out.loc) & (out.vel <= spec.min_speed))
-    rows = np.flatnonzero(ok)
-    ok[rows] = _brake_recoverable_batch(
-        spec, model, track, out.loc[rows], out.vel[rows], cmd[rows] > 0.0
+    return _certify(
+        ARRAYS, spec, model, track, (loc, vel, out), last_sign, cmd, _advance_rows, _recover_rows
     )
-    return ok
+
+
+def safe_mask(*args) -> np.ndarray:
+    """``is_safe(...).safe`` for every row: :func:`rule_codes` (same arguments) is 0."""
+    return rule_codes(*args) == 0
 
 
 def command_grid(size: int) -> list[float]:

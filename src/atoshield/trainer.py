@@ -206,7 +206,8 @@ def _corrector(cfg: "ScenarioConfig", env: TrainEnv, correction: str, sampler) -
     def correct(state: OperationState, proposed: float, t: int) -> tuple[float, bool]:
         def tree(safe_set: Sequence[float]) -> float:
             return search_safe_action(
-                env, cfg.safety, sampler, state, safe_set, t, cfg.search, env.prev_accel
+                env, cfg.safety, sampler, state, safe_set, t, cfg.run.t_up, cfg.search,
+                env.prev_accel,
             )
 
         return shield_filter(

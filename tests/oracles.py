@@ -1,27 +1,212 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive (plain loops, no shared code with the
-package internals) so it can serve as an oracle.  The tree reference is a
-plain node object per node, grown depth first on the scalar ``step`` and
-``is_safe`` (the kernels the array forms are held equal to), then pruned,
-backed up and selected recursively.  The recoverability reference tests for
-a clear state only at entry and otherwise brakes all the way to a stop.  The
-learner references keep one array, or one tuple, per parameter or
-transition, as the package did before it moved to flat vectors and ring
-arrays.
+package internals) so it can serve as an oracle.  :func:`ref_step` and
+:func:`ref_span_overspeed` are the scalar physics as it stood before the
+package wrote each formula once for floats and arrays, copied verbatim with
+the helpers they call, so a change to a shared kernel cannot pass its tests
+by moving both of its callers at once.  The tree reference is a plain node
+object per node, grown depth first on the scalar ``step`` and ``is_safe``
+(the kernels the array forms are held equal to), then pruned, backed up and
+selected recursively.  The recoverability reference tests for a clear state
+only at entry and otherwise brakes all the way to a stop.  The learner
+references keep one array, or one tuple, per parameter or transition, as the
+package did before it moved to flat vectors and ring arrays.
 """
 
+import math
 from collections import deque
 
 import numpy as np
 
-from atoshield.dynamics import Condition, condition_of, davis_resistance_accel, step
-from atoshield.shield import floor_applies, is_safe, span_overspeed
+from atoshield.dynamics import (
+    DEFAULT_WEIGHTS,
+    JOULES_PER_KWH,
+    KMH_PER_MPS,
+    Condition,
+    OperationState,
+    StepOutcome,
+    condition_of,
+    step,
+)
+from atoshield.shield import floor_applies, is_safe
+
+
+def _ref_segment_value(segments, loc):
+    # Half-open [start, end) lookup; the final segment is closed at its end.
+    last = segments[-1]
+    if loc >= last[1]:
+        return last[2]
+    for start, end, value in segments:
+        if start <= loc < end:
+            return value
+    return segments[0][2]
+
+
+def _ref_limit_at(track, loc):
+    """Posted speed limit (km/h) at a position."""
+    if loc < 0.0 or loc > track.length:
+        raise ValueError(f"position {loc} outside [0, {track.length}]")
+    return _ref_segment_value(track.limit_segments, loc)
+
+
+def _ref_grade_accel(track, loc):
+    """Signed gravity acceleration (m/s^2) from the grade profile at a position."""
+    if loc < 0.0 or loc > track.length:
+        raise ValueError(f"position {loc} outside [0, {track.length}]")
+    return _ref_segment_value(track.grade_segments, loc)
+
+
+def _ref_davis_resistance_accel(model, vel):
+    """Running-resistance deceleration (m/s^2) from the quadratic Davis law.
+
+    Coefficients are specific forces in N/tonne with speed in km/h, so the
+    polynomial divided by 1000 is directly an acceleration.
+    """
+    if vel < 0.0:
+        raise ValueError(f"velocity must be nonnegative, got {vel}")
+    return (model.davis_r1 + model.davis_r2 * vel + model.davis_r3 * vel * vel) / 1000.0
+
+
+def _ref_motor_accel(model, cmd, vel):
+    """Acceleration commanded from the motor, m/s^2.
+
+    The envelope is constant-force below the base speed (full command gives
+    +-max accel) and constant-power above it (force falls off as base/v).
+    """
+    if abs(cmd) > 1.0 + 1e-12:
+        raise ValueError(f"command must lie in [-1, 1], got {cmd}")
+    if vel < 0.0:
+        raise ValueError(f"velocity must be nonnegative, got {vel}")
+    if cmd > 0.0:
+        factor = 1.0 if vel <= model.base_speed_traction else model.base_speed_traction / vel
+        return model.max_accel * cmd * factor
+    if cmd < 0.0:
+        factor = 1.0 if vel <= model.base_speed_braking else model.base_speed_braking / vel
+        return model.max_decel * cmd * factor
+    return 0.0
+
+
+def _ref_reward_terms(
+    track,
+    weights,
+    cmd,
+    energy_traction,
+    energy_regen,
+    mean_speed,
+    accel_applied,
+    prev_accel,
+    arrived,
+    total_time,
+):
+    """Energy, timekeeping and comfort penalty terms for one transition.
+
+    Returns (E_t, D_t, C_t); the step reward is the negated sum.  The energy
+    branch follows the command sign, the time term switches from mean-speed
+    tracking to schedule deviation on the terminal step, and the comfort
+    penalty fires only when jerk strictly exceeds the threshold.
+    """
+    if cmd > 0.0:
+        e_term = weights.alpha_traction * energy_traction
+    else:
+        e_term = weights.alpha_regen * energy_regen
+    if arrived:
+        d_term = weights.alpha_time_terminal * abs(total_time - track.scheduled_time)
+    else:
+        d_term = weights.alpha_time_step * abs(mean_speed - track.mean_speed_target)
+    jerk = abs(accel_applied - prev_accel) / track.dt
+    c_term = weights.comfort_penalty if jerk > weights.jerk_threshold else 0.0
+    return e_term, d_term, c_term
+
+
+def ref_step(
+    model,
+    track,
+    state,
+    cmd,
+    weights=DEFAULT_WEIGHTS,
+    prev_accel=0.0,
+):
+    """Advance one control interval with semi-implicit Euler integration.
+
+    Net acceleration is motor - resistance + grade, clamped to the vehicle
+    bounds; velocity is floored at zero (the train does not roll back) and
+    displacement uses the interval's mean speed.
+    """
+    if abs(cmd) > 1.0 + 1e-12:
+        raise ValueError(f"command must lie in [-1, 1], got {cmd}")
+    dt = track.dt
+    v0 = state.vel / KMH_PER_MPS  # m/s
+    a_motor = _ref_motor_accel(model, cmd, state.vel)
+    a_net = a_motor - _ref_davis_resistance_accel(model, state.vel) + _ref_grade_accel(track, state.loc)
+    a = min(model.max_accel, max(-model.max_decel, a_net))
+
+    v1 = max(0.0, v0 + a * dt)
+    mean_speed = 0.5 * (v0 + v1)
+    dist = mean_speed * dt
+    raw_loc = state.loc + dist
+    arrived = raw_loc >= track.length
+    loc1 = track.length if arrived else raw_loc
+    t1 = state.time + dt
+
+    if cmd > 0.0:
+        energy_traction = a_motor * model.mass_kg * dist / JOULES_PER_KWH
+        energy_regen = 0.0
+    else:
+        energy_traction = 0.0
+        energy_regen = -model.regen_efficiency * abs(a_motor) * model.mass_kg * dist / JOULES_PER_KWH
+
+    e_term, d_term, c_term = _ref_reward_terms(
+        track, weights, cmd, energy_traction, energy_regen,
+        mean_speed, a, prev_accel, arrived, t1,
+    )
+    next_state = OperationState(
+        loc=loc1, vel=v1 * KMH_PER_MPS, time=t1, last_condition=condition_of(cmd)
+    )
+    return StepOutcome(
+        next_state=next_state,
+        reward=-(e_term + d_term + c_term),
+        energy_traction=energy_traction,
+        energy_regen=energy_regen,
+        accel_applied=a,
+        done=arrived,
+        arrived=arrived,
+    )
+
+
+def ref_span_overspeed(
+    track,
+    start_loc,
+    start_vel,
+    accel,
+    end_loc,
+    end_vel,
+):
+    """Whether speed exceeds the posted limit anywhere on a traversed span.
+
+    Within one control interval acceleration is constant, so the speed when
+    crossing a limit boundary at distance d is sqrt(v0^2 + 2 a d).  Speed is
+    monotone inside each segment, which makes the boundary crossings and the
+    endpoint the only places a violation can first appear.
+    """
+    if end_vel > _ref_limit_at(track, min(end_loc, track.length)):
+        return True
+    if end_loc <= start_loc:
+        return False
+    v0 = start_vel / KMH_PER_MPS
+    for seg_start, _, seg_limit in track.limit_segments:
+        if start_loc < seg_start <= end_loc and seg_start <= track.length:
+            v_cross_sq = v0 * v0 + 2.0 * accel * (seg_start - start_loc)
+            if v_cross_sq <= 0.0:
+                continue
+            if math.sqrt(v_cross_sq) * KMH_PER_MPS > seg_limit:
+                return True
+    return False
 
 
 def _overspeeds(track, state, out):
     nxt = out.next_state
-    return span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
+    return ref_span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
 
 
 def ref_brake_to_stop(spec, model, track, state):
@@ -29,12 +214,12 @@ def ref_brake_to_stop(spec, model, track, state):
     reversal rule forces; recoverable unless some interval overspeeds."""
     current = state
     if spec.forbid_direct_reversal and current.last_condition is Condition.TRACTION:
-        out = step(model, track, current, 0.0)
+        out = ref_step(model, track, current, 0.0)
         if _overspeeds(track, current, out):
             return False
         current = out.next_state
     while current.vel > 0.0 and current.loc < track.length:
-        out = step(model, track, current, -1.0)
+        out = ref_step(model, track, current, -1.0)
         if _overspeeds(track, current, out):
             return False
         current = out.next_state
@@ -44,13 +229,13 @@ def ref_brake_to_stop(spec, model, track, state):
 def ref_brake_recoverable(spec, model, track, state):
     """Recoverability with one clear-state test, at entry: a state at or below
     every downstream limit, on a track where standstill resistance outweighs
-    every grade, is recoverable.  Any other state goes to
+    every grade, is recoverable.  The final segment's limit is downstream of
+    every position, its end point included.  Any other state goes to
     :func:`ref_brake_to_stop`."""
-    downstream = [lim for _, end, lim in track.limit_segments if end > state.loc]
+    segments = track.limit_segments
+    downstream = [lim for _, end, lim in segments[:-1] if end > state.loc] + [segments[-1][2]]
     steepest = max(grade for _, _, grade in track.grade_segments)
-    if davis_resistance_accel(model, 0.0) >= steepest and state.vel <= min(
-        downstream, default=np.inf
-    ):
+    if _ref_davis_resistance_accel(model, 0.0) >= steepest and state.vel <= min(downstream):
         return True
     return ref_brake_to_stop(spec, model, track, state)
 
@@ -60,7 +245,7 @@ def ref_is_safe(spec, model, track, state, cmd):
     conditions = {state.last_condition, condition_of(cmd)}
     if spec.forbid_direct_reversal and conditions == {Condition.TRACTION, Condition.BRAKING}:
         return False
-    out = step(model, track, state, cmd)
+    out = ref_step(model, track, state, cmd)
     if _overspeeds(track, state, out):
         return False
     nxt = out.next_state
@@ -84,14 +269,14 @@ class RefNode:
         self.ret = None
 
 
-def ref_prune(node, update_frequency):
+def ref_prune(node, t_up):
     """Drop every branch that fails to reach the update step; None if all of it dies."""
     node.children = [
         kept
-        for kept in (ref_prune(child, update_frequency) for child in node.children)
+        for kept in (ref_prune(child, t_up) for child in node.children)
         if kept is not None
     ]
-    if node.children or node.terminal or node.depth_step % update_frequency == 0:
+    if node.children or node.terminal or node.depth_step % t_up == 0:
         return node
     return None
 
@@ -184,7 +369,7 @@ def breadth_first_levels(roots):
         levels.append(below)
 
 
-def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel=0.0):
+def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg, prev_accel=0.0):
     """Depth-first tree growth, one node at a time: a one-row sampler call per
     expanded node, then the scalar ``is_safe`` and ``step`` per sample."""
 
@@ -194,7 +379,7 @@ def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev
                        state=out.next_state, accel=out.accel_applied, terminal=out.done)
 
     def expand(node):
-        if node.terminal or node.depth_step % cfg.update_frequency == 0:
+        if node.terminal or node.depth_step % t_up == 0:
             return
         s = node.state
         for cmd in policy(np.array([[s.loc, s.vel, s.time]]), cfg.expansion_width)[0]:
@@ -213,15 +398,15 @@ def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev
     return roots
 
 
-def reference_search(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel=0.0):
+def reference_search(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg, prev_accel=0.0):
     """The correction pipeline over :func:`reference_build_tree`."""
-    roots = reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, cfg, prev_accel)
-    return reference_choice(roots, safe_set, cfg)
+    roots = reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg, prev_accel)
+    return reference_choice(roots, safe_set, t_up, cfg)
 
 
-def reference_choice(roots, safe_set, cfg):
+def reference_choice(roots, safe_set, t_up, cfg):
     """Prune, back up and select over built roots, falling back to hardest braking."""
-    roots = [r for r in roots if ref_prune(r, cfg.update_frequency) is not None]
+    roots = [r for r in roots if ref_prune(r, t_up) is not None]
     if not roots:
         return min(safe_set)
     for root in roots:

@@ -73,13 +73,13 @@ class TestValidateConfig:
         assert "run.agent" in msgs
         assert "run.seeds" in msgs
 
-    def test_tree_cadence_must_match_update_cadence(self, tmp_path, default_yaml):
+    def test_tree_cadence_is_not_a_search_key(self, tmp_path, default_yaml):
+        # the tree's depth bound is run.t_up; a separate search key could only disagree
         blob = copy.deepcopy(default_yaml)
-        blob["search"]["update_frequency"] = 7
-        blob["run"]["t_up"] = 5
+        blob["search"]["update_frequency"] = 5
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
-        assert any("update_frequency" in e for e in err.value.errors)
+        assert err.value.errors == ["search.update_frequency: unknown key"]
 
     def test_action_grid_below_two_rejected(self, tmp_path, default_yaml):
         # a one-point grid has no room for both -1 and +1; it must fail at load,
@@ -203,11 +203,19 @@ class TestValidateConfig:
         blob["agent"]["additional_updates_per_episode"] = 0
         assert load_config(dump(tmp_path, blob)).agent.additional_updates_per_episode == 0
 
-    def test_search_inherits_run_cadence(self, default_yaml, tmp_path):
+    def test_search_follows_run_cadence(self, default_yaml, tmp_path, monkeypatch):
         blob = copy.deepcopy(default_yaml)
         blob["run"]["t_up"] = 4
         cfg = load_config(dump(tmp_path, blob))
-        assert cfg.search.update_frequency == 4
+        cadences = []
+
+        def recording(env, spec, policy, state, safe_set, t, t_up, *rest):
+            cadences.append(t_up)
+            return min(safe_set)
+
+        monkeypatch.setattr(trainer, "search_safe_action", recording)
+        trainer.noise_test(cfg, 1.0, episodes=1)
+        assert cadences and set(cadences) == {4}
 
 
 class TestHelpers:

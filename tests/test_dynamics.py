@@ -23,6 +23,7 @@ from atoshield.dynamics import (
 )
 
 from conftest import make_model, make_track
+from oracles import ref_step
 
 
 class TestDavisResistance:
@@ -191,7 +192,8 @@ WEIGHTS = RewardWeights(alpha_traction=2.0, alpha_regen=4.0, jerk_threshold=2.5)
 
 
 def assert_rows_match(track, rows, weights=WEIGHTS):
-    """step_batch over the rows equals the scalar step of each row, bitwise.
+    """step_batch over the rows equals the scalar step of each row, and the
+    reference copy of the scalar step, bitwise.
 
     A row is (loc, vel, time, cmd, prev_accel); a prev_accel of None sits
     exactly one jerk threshold below the row's applied acceleration.
@@ -206,13 +208,19 @@ def assert_rows_match(track, rows, weights=WEIGHTS):
     loc, vel, time, cmd = (np.array(col) for col in list(zip(*rows))[:4])
     out = step_batch(model, track, loc, vel, time, cmd, weights, np.array(prev))
     for i, (row, prev_accel) in enumerate(zip(rows, prev)):
-        want = step(model, track, OperationState(*row[:3]), row[3], weights, prev_accel)
-        got = (out.loc[i], out.vel[i], out.time[i], out.reward[i], out.accel[i])
-        assert [float(x).hex() for x in got] == [
-            x.hex() for x in (want.next_state.loc, want.next_state.vel, want.next_state.time,
-                              want.reward, want.accel_applied)
+        state = OperationState(*row[:3])
+        want = step(model, track, state, row[3], weights, prev_accel)
+        ref = ref_step(model, track, state, row[3], weights, prev_accel)
+        assert [x.hex() for x in (want.energy_traction, want.energy_regen)] == [
+            x.hex() for x in (ref.energy_traction, ref.energy_regen)
         ], row
-        assert out.arrived[i] == want.arrived
+        got = (out.loc[i], out.vel[i], out.time[i], out.reward[i], out.accel[i])
+        for outcome in (want, ref):
+            assert [float(x).hex() for x in got] == [
+                x.hex() for x in (outcome.next_state.loc, outcome.next_state.vel,
+                                  outcome.next_state.time, outcome.reward, outcome.accel_applied)
+            ], row
+            assert out.arrived[i] == outcome.arrived
 
 
 BOUNDARIES = [0.0, 499.999, 500.0, 600.0, 700.0, 1000.0, 1499.0, 1500.0]

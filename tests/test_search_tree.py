@@ -37,7 +37,8 @@ from oracles import (
     reference_search,
 )
 
-CFG = SearchConfig(expansion_width=3, update_frequency=5, backup_discount=0.9, action_grid=9)
+CFG = SearchConfig(expansion_width=3, backup_discount=0.9, action_grid=9)
+T_UP = 5  # the policy-update cadence: every branch ends on a multiple of it
 PLAIN = SafetySpec()
 
 
@@ -112,29 +113,29 @@ class TestBuildTree:
     def test_update_step_gives_depth_one(self, env):
         state = OperationState(loc=100.0, vel=40.0)
         # roots land on step t+1 = 5, an update step, so no expansion happens
-        tree = build_tree(env, PLAIN, steady_policy(0.2), state, [0.0, 0.5], 4, CFG)
+        tree = build_tree(env, PLAIN, steady_policy(0.2), state, [0.0, 0.5], 4, T_UP, CFG)
         assert len(tree.levels) == 1 and len(tree.levels[0]) == 2
         assert tree.root_step == 5
 
     def test_width_one_is_single_path(self, env):
-        cfg = SearchConfig(expansion_width=1, update_frequency=5, action_grid=9)
+        cfg = SearchConfig(expansion_width=1, action_grid=9)
         state = OperationState(loc=100.0, vel=40.0)
-        tree = build_tree(env, PLAIN, steady_policy(0.1), state, [0.3], 0, cfg)
+        tree = build_tree(env, PLAIN, steady_policy(0.1), state, [0.3], 0, T_UP, cfg)
         assert all(len(level) == 1 for level in tree.levels)
         assert all(level.parent.tolist() == [0] for level in tree.levels)
-        assert len(tree.levels) <= cfg.update_frequency
+        assert len(tree.levels) <= T_UP
 
     def test_unsafe_policy_starves_expansion(self, env, model, track):
         # a policy that always floors the throttle right at the limit is
         # never certified, so non-update-step roots end up childless
         state = OperationState(loc=200.0, vel=79.8)
-        tree = build_tree(env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, CFG)
-        if prune(tree, CFG.update_frequency) is not None:
-            assert all(terminal or step % CFG.update_frequency == 0
+        tree = build_tree(env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG)
+        if prune(tree, T_UP) is not None:
+            assert all(terminal or step % T_UP == 0
                        for step, terminal in surviving_leaves(tree))
         # the orchestrator falls back to hardest braking
         chosen = search_safe_action(
-            env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, CFG
+            env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG
         )
         assert chosen in (-1.0, -0.5)
 
@@ -143,7 +144,7 @@ class TestBuildTree:
     def test_every_node_shield_certified(self, env, model, track, spec):
         state = OperationState(loc=300.0, vel=55.0)
         safe_set = safe_action_set(spec, model, track, state, 9)
-        tree = build_tree(env, spec, seeded_policy(3), state, safe_set, 1, CFG)
+        tree = build_tree(env, spec, seeded_policy(3), state, safe_set, 1, T_UP, CFG)
         assert len(tree.levels) > 1
         for cmd in tree.levels[0].cmd:
             assert is_safe(spec, model, track, state, float(cmd)).safe
@@ -159,8 +160,8 @@ class TestBuildTree:
         state = OperationState(loc=300.0, vel=55.0)
 
         def run():
-            tree = build_tree(env, PLAIN, seeded_policy(7), state, [-0.5, 0.0], 2, CFG)
-            assert prune(tree, CFG.update_frequency) is tree
+            tree = build_tree(env, PLAIN, seeded_policy(7), state, [-0.5, 0.0], 2, T_UP, CFG)
+            assert prune(tree, T_UP) is tree
             backup(tree, CFG)
             return [level.ret.tolist() for level in tree.levels]
 
@@ -169,23 +170,24 @@ class TestBuildTree:
     def test_depth_law_after_pruning(self, env):
         state = OperationState(loc=300.0, vel=50.0)
         for t in range(0, 10):
-            tree = build_tree(env, PLAIN, seeded_policy(t), state, [0.0, 0.3], t, CFG)
-            assert len(tree.levels) <= CFG.update_frequency
-            if prune(tree, CFG.update_frequency) is None:
+            tree = build_tree(env, PLAIN, seeded_policy(t), state, [0.0, 0.3], t, T_UP, CFG)
+            assert len(tree.levels) <= T_UP
+            if prune(tree, T_UP) is None:
                 continue
             for step, terminal in surviving_leaves(tree):
-                assert terminal or step % CFG.update_frequency == 0
+                assert terminal or step % T_UP == 0
 
     def test_node_walk_counts_nodes(self, env):
         # the on-demand node views walk every node before pruning, survivors after
         state = OperationState(loc=300.0, vel=55.0)
-        tree = build_tree(env, PLAIN, seeded_policy(5, scale=0.9), state, [-0.5, 0.0, 0.4], 1, CFG)
+        tree = build_tree(env, PLAIN, seeded_policy(5, scale=0.9), state, [-0.5, 0.0, 0.4], 1,
+                          T_UP, CFG)
 
         def count(node):
             return 1 + sum(count(child) for child in node.children)
 
         assert sum(count(root) for root in tree) == sum(len(level) for level in tree.levels)
-        prune(tree, CFG.update_frequency)
+        prune(tree, T_UP)
         assert sum(count(root) for root in tree) == sum(int(lv.alive.sum()) for lv in tree.levels)
 
 
@@ -219,41 +221,38 @@ class TestMatchesDepthFirstReference:
     @pytest.mark.parametrize("track", [make_track(), GRADED], ids=["flat", "graded"])
     def test_trees_and_choices_identical(self, spec, policy, track):
         env = TrainEnv(make_model(), track)
-        cfg = SearchConfig(expansion_width=3, update_frequency=4)
+        cfg = SearchConfig(expansion_width=3)
         for loc, vel, t, prev_accel in [(300.0, 55.0, 0, 0.0), (460.0, 66.0, 1, 0.8),
                                         (1380.0, 40.0, 5, -1.1), (40.0, 12.0, 2, 0.3)]:
             state = OperationState(loc=loc, vel=vel, time=float(t))
             safe_set = safe_action_set(spec, env.model, track, state, 9)
             if not safe_set:
                 continue
-            args = (env, spec, policy, state, safe_set, t, cfg, prev_accel)
+            args = (env, spec, policy, state, safe_set, t, 4, cfg, prev_accel)
             assert_same_levels(build_tree(*args), reference_build_tree(*args))
             assert search_safe_action(*args) == reference_search(*args)
 
     def test_all_unsafe_samples_fall_back_to_hardest_braking(self, env):
         state = OperationState(loc=200.0, vel=79.8)
-        args = (env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, CFG)
+        args = (env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG)
         tree = build_tree(*args)
         assert_same_levels(tree, reference_build_tree(*args))
-        assert prune(tree, CFG.update_frequency) is None
+        assert prune(tree, T_UP) is None
         assert not tree.levels[0].alive.any()
         assert search_safe_action(*args) == reference_search(*args) == -1.0
 
     def test_constant_probe_at_t_up_7(self, monkeypatch):
         # every correction of a +1 noise-test episode, checked against the reference
         cfg = load_config(default_scenario_path())
-        cfg = dataclasses.replace(
-            cfg,
-            run=dataclasses.replace(cfg.run, t_up=7),
-            search=dataclasses.replace(cfg.search, update_frequency=7),
-        )
+        cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, t_up=7))
         checked = []
 
         def checked_search(*args):
             want = reference_build_tree(*args)
             assert_same_levels(build_tree(*args), want)
             chosen = search_safe_action(*args)
-            assert chosen == reference_choice(want, args[4], args[6])
+            assert args[6] == 7
+            assert chosen == reference_choice(want, args[4], args[6], args[7])
             checked.append(chosen)
             return chosen
 
@@ -269,7 +268,7 @@ class TestMatchesDepthFirstReference:
             return wavy_policy(states, n)
 
         state = OperationState(loc=300.0, vel=55.0, time=3.0)
-        tree = build_tree(env, PLAIN, recording, state, [-0.5, 0.0, 0.4], 3, CFG)
+        tree = build_tree(env, PLAIN, recording, state, [-0.5, 0.0, 0.4], 3, T_UP, CFG)
         assert len(seen) == len(tree.levels) - 1 > 0
         for states, level in zip(seen, tree.levels):
             open_rows = ~level.terminal
@@ -280,7 +279,7 @@ class TestMatchesDepthFirstReference:
     def test_sampler_shape_checked(self, env):
         with pytest.raises(ValueError, match="shape"):
             build_tree(env, PLAIN, lambda states, n: np.zeros(n),
-                       OperationState(loc=100.0, vel=30.0), [0.0], 0, CFG)
+                       OperationState(loc=100.0, vel=30.0), [0.0], 0, T_UP, CFG)
 
 
 def node(step_idx, reward, children=(), terminal=False, cmd=0.0):
@@ -324,7 +323,7 @@ class TestBackup:
     @staticmethod
     def backed(roots, root_step, discount=CFG.backup_discount):
         tree = to_tree(roots, root_step)
-        assert prune(tree, CFG.update_frequency) is tree
+        assert prune(tree, T_UP) is tree
         backup(tree, dataclasses.replace(CFG, backup_discount=discount))
         return tree
 
@@ -411,7 +410,7 @@ def test_array_prune_backup_select_equal_naive_oracle(
     roots = random_forest(rng, t_up, root_step, max_width, p_stop, p_terminal)
     full = breadth_first_levels(roots)
     tree = to_tree(roots, root_step)
-    cfg = SearchConfig(expansion_width=1, update_frequency=t_up, backup_discount=discount)
+    cfg = SearchConfig(expansion_width=1, backup_discount=discount)
 
     kept = prune(tree, t_up)
     survivors = [r for r in roots if ref_prune(r, t_up) is not None]
@@ -438,5 +437,6 @@ def test_search_config_validation():
         SearchConfig(expansion_width=0)
     with pytest.raises(ValueError):
         SearchConfig(backup_discount=0.0)
-    with pytest.raises(ValueError):
-        SearchConfig(update_frequency=0)
+    with pytest.raises(ValueError, match="t_up"):
+        build_tree(TrainEnv(make_model(), make_track()), PLAIN, steady_policy(0.0),
+                   OperationState(loc=100.0, vel=30.0), [0.0], 0, 0, CFG)

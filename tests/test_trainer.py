@@ -332,6 +332,16 @@ def test_seeded_training_outputs_pinned(variant):
     assert (out["rows"], out["weights"]) == PINNED[variant]
 
 
+def test_deep_probe_outputs_pinned():
+    # the +1 probe at t_up=7 runs 29 deep corrections through the array
+    # kernels, which the pinned trainings barely reach; no learner, so no BLAS
+    cfg = scenario(t_up=7)
+    (metrics,) = noise_test(cfg, 1.0, episodes=1)
+    row = tuple(v for k, v in dataclasses.asdict(metrics).items() if k != "action_select_mean_s")
+    assert row == (0, -11272.905669026382, 29, 0, 71.89755939033539, -13.249240801457471,
+                   90.0, -20.0, True)
+
+
 # Three trainings on threads of their own (each with its fit worker: more
 # threads than cores), switching threads every 10 us; a write to any net
 # outside the fit's ownership rule would show as a changed weight.
