@@ -176,6 +176,17 @@ def _validate_agent(agent: AgentConfig) -> list[str]:
     return errors
 
 
+def _validate_search(search: SearchConfig) -> list[str]:
+    errors = []
+    if not _is_int(search.expansion_width) or search.expansion_width < 1:
+        errors.append("search.expansion_width: must be an integer >= 1")
+    if not 0.0 < search.backup_discount <= 1.0:
+        errors.append("search.backup_discount: must be in (0, 1]")
+    if not _is_int(search.action_grid) or search.action_grid < 2:
+        errors.append("search.action_grid: must be an integer >= 2")
+    return errors
+
+
 def _validate_run(run: RunConfig) -> list[str]:
     errors = []
     for name, optional in (("max_episodes", True), ("t_up", False), ("step_budget", True),
@@ -221,6 +232,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not track_errors:
         errors += _validate_safety(cfg.safety, cfg.track)
     errors += _validate_agent(cfg.agent)
+    errors += _validate_search(cfg.search)
     errors += _validate_run(cfg.run)
     if errors:
         raise ConfigError(errors)

@@ -54,33 +54,25 @@ class AgentConfig:
         return self.additional_hidden_sizes if self.additional_hidden_sizes is not None else tuple(self.hidden_sizes)
 
 
-def critic_target(r: np.ndarray, s2: np.ndarray, d: np.ndarray, target_nets, gamma: float) -> np.ndarray:
-    """Bootstrapped regression target y = r + gamma * (1 - d) * V(s').
+def critic_target(r: np.ndarray, v2: np.ndarray, d: np.ndarray, gamma: float) -> np.ndarray:
+    """Bootstrapped regression target y = r + gamma * (1 - d) * V(s') from V(s')."""
+    return np.asarray(r, dtype=float) + gamma * (1.0 - np.asarray(d, dtype=float)) * v2
 
-    ``target_nets`` is an (actor_target, critic_target) pair for the
-    deterministic learner, where V(s') = Q(s', mu(s')), or a lone value net
-    for the entropy-regularized one, which folds the entropy bonus into V.
-    """
-    r = np.asarray(r, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if isinstance(target_nets, tuple):
-        actor_t, critic_t = target_nets
-        a2 = actor_t.forward(s2)
-        v2 = critic_t.forward(np.concatenate([np.atleast_2d(s2), a2], axis=1))[:, 0]
-    else:
-        v2 = target_nets.forward(s2)[:, 0]
-    return r + gamma * (1.0 - d) * v2
+
+def regress(net: Mlp, adam: Adam, x: np.ndarray, y: np.ndarray) -> float:
+    """One MSE descent step of net(x)[:, 0] toward y; returns the pre-step loss."""
+    pred, cache = net.forward_cached(x)
+    err = pred[:, 0] - y
+    loss = float(np.mean(err**2))
+    grads, _ = net.backward(cache, (2.0 * err / err.size)[:, None])
+    adam.step(net, grads)
+    return loss
 
 
 def update_critic(critic: Mlp, adam: Adam, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:
     """One MSE descent step of Q(s, a) toward y; returns the pre-step loss."""
     a = np.asarray(a, dtype=float).reshape(-1, 1)
-    q, cache = critic.forward_cached(np.concatenate([np.atleast_2d(s), a], axis=1))
-    err = q[:, 0] - y
-    loss = float(np.mean(err**2))
-    grads, _ = critic.backward(cache, (2.0 * err / err.size)[:, None])
-    adam.step(critic, grads)
-    return loss
+    return regress(critic, adam, np.concatenate([np.atleast_2d(s), a], axis=1), y)
 
 
 def update_actor(actor: Mlp, adam: Adam, critic, s: np.ndarray) -> float:
@@ -149,7 +141,7 @@ def update_sac(
     alpha = cfg.entropy_alpha
 
     # soft-Q regression toward r + gamma (1 - d) V_target(s')
-    y_q = critic_target(r, s2, d, value_target, cfg.gamma)
+    y_q = critic_target(r, value_target.forward(s2)[:, 0], d, cfg.gamma)
     q_loss = update_critic(softq, adams["softq"], s, a, y_q)
 
     # fresh squashed sample shared by the value target and the policy step
@@ -158,12 +150,7 @@ def update_sac(
     q_new, cache_q = softq.forward_cached(q_in)
 
     # value regression toward Q(s, a~) - alpha log pi(a~|s)
-    y_v = q_new[:, 0] - alpha * log_prob[:, 0]
-    v_out, cache_v = value.forward_cached(s)
-    v_err = v_out[:, 0] - y_v
-    v_loss = float(np.mean(v_err**2))
-    v_grads, _ = value.backward(cache_v, (2.0 * v_err / v_err.size)[:, None])
-    adams["value"].step(value, v_grads)
+    v_loss = regress(value, adams["value"], s, q_new[:, 0] - alpha * log_prob[:, 0])
 
     # policy loss mean(alpha log pi - Q) through the reparameterized sample
     batch_n = s.shape[0]
@@ -192,14 +179,17 @@ def update_additional_actor(trajectories: list[Trajectory], net: Mlp, adam: Adam
     """
     if not trajectories:
         return None
-    s = np.concatenate([t.states for t in trajectories], axis=0)
-    a = np.concatenate([t.actions for t in trajectories])[:, None]
-    pred, cache = net.forward_cached(s)
-    err = pred - a
-    loss = float(np.mean(err**2))
-    grads, _ = net.backward(cache, 2.0 * err / err.size)
-    adam.step(net, grads)
-    return loss
+    return regress(net, adam, np.concatenate([t.states for t in trajectories], axis=0),
+                   np.concatenate([t.actions for t in trajectories]))
+
+
+def jitter_samples(net: Mlp, states: np.ndarray, n: int, rng: np.random.Generator, std: float) -> np.ndarray:
+    """n proposals per state, (rows, n): the net's command plus Gaussian
+    jitter of scale ``std`` drawn row-major, clipped to [-1, 1]."""
+    base = net.forward(states)
+    jitter = rng.normal(0.0, std, (base.shape[0], n))
+    jitter += base
+    return np.clip(jitter, -1.0, 1.0, out=jitter)
 
 
 def additional_actor_converged(elite: EliteBuffer, net: Mlp, eps: float) -> bool:
@@ -249,17 +239,16 @@ class DdpgAgent:
     def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
         """Diversified proposals for tree expansion, (rows, n): each state's
         greedy command plus Gaussian jitter drawn row-major."""
-        base = self.actor.forward(states)
-        jitter = self.rng.normal(0.0, max(self.noise.exploration_std(), 1e-3), (base.shape[0], n))
-        jitter += base
-        return np.clip(jitter, -1.0, 1.0, out=jitter)
+        return jitter_samples(self.actor, states, n, self.rng, max(self.noise.exploration_std(), 1e-3))
 
     def act_additional(self, s_vec: np.ndarray) -> float:
         return act(self.additional, s_vec)
 
     def update(self, batch) -> dict[str, float]:
         s, a, r, s2, d = batch
-        y = critic_target(r, s2, d, (self.actor_target, self.critic_target), self.cfg.gamma)
+        s2 = np.atleast_2d(s2)
+        q2 = self.critic_target.forward(np.concatenate([s2, self.actor_target.forward(s2)], axis=1))
+        y = critic_target(r, q2[:, 0], d, self.cfg.gamma)
         critic_loss = update_critic(self.critic, self.critic_adam, s, a, y)
         actor_objective = update_actor(self.actor, self.actor_adam, self.critic, s)
         soft_update(self.actor_target, self.actor, self.cfg.soft_tau)

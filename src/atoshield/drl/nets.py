@@ -124,13 +124,6 @@ class Mlp:
                 grad *= cache[i] > 0.0
         return param_grad, grad
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
     def copy_from(self, other: "Mlp") -> None:
         if other.layer_sizes != self.layer_sizes:
             raise ValueError("layer size mismatch")

@@ -92,8 +92,9 @@ class TrackSection:
         """Schedule-implied mean speed, m/s."""
         return self.length / self.scheduled_time
 
-    @property
+    @cached_property
     def max_limit(self) -> float:
+        """Highest posted limit, km/h."""
         return max(seg[2] for seg in self.limit_segments)
 
     @cached_property
@@ -171,20 +172,6 @@ def segment_value(ops: Ops, segments: tuple[tuple[float, float, float], ...], lo
     return value
 
 
-def limit_at(track: TrackSection, loc: float) -> float:
-    """Posted speed limit (km/h) at a position."""
-    if loc < 0.0 or loc > track.length:
-        raise ValueError(f"position {loc} outside [0, {track.length}]")
-    return segment_value(FLOATS, track.limit_segments, loc)
-
-
-def grade_accel(track: TrackSection, loc: float) -> float:
-    """Signed gravity acceleration (m/s^2) from the grade profile at a position."""
-    if loc < 0.0 or loc > track.length:
-        raise ValueError(f"position {loc} outside [0, {track.length}]")
-    return segment_value(FLOATS, track.grade_segments, loc)
-
-
 def _davis(model: TrainModel, vel):
     return (model.davis_r1 + model.davis_r2 * vel + model.davis_r3 * vel * vel) / 1000.0
 
@@ -201,6 +188,8 @@ def davis_resistance_accel(model: TrainModel, vel: float) -> float:
 
 
 def _motor_accel(ops: Ops, model: TrainModel, cmd, vel):
+    """Motor acceleration, m/s^2: constant force below the base speed (full
+    command gives +-max accel), constant power above it (force ~ base/v)."""
     # base / max(vel, base) is 1.0 at or below the knee and base / vel above
     # it; a zero command gives a zero braking force
     traction = cmd > 0.0
@@ -209,23 +198,13 @@ def _motor_accel(ops: Ops, model: TrainModel, cmd, vel):
     return peak * cmd * (base / ops.maximum(vel, base))
 
 
-def motor_accel(model: TrainModel, cmd: float, vel: float) -> float:
-    """Acceleration commanded from the motor, m/s^2.
-
-    The envelope is constant-force below the base speed (full command gives
-    +-max accel) and constant-power above it (force falls off as base/v).
-    """
-    if abs(cmd) > 1.0 + 1e-12:
-        raise ValueError(f"command must lie in [-1, 1], got {cmd}")
-    if vel < 0.0:
-        raise ValueError(f"velocity must be nonnegative, got {vel}")
-    return _motor_accel(FLOATS, model, cmd, vel)
-
-
 def _reward_terms(
     ops: Ops, track, weights, cmd, energy_traction, energy_regen,
     mean_speed, accel_applied, prev_accel, arrived, total_time,
 ):
+    """(E_t, D_t, C_t), whose negated sum is the step reward: energy by the
+    command's sign, mean-speed tracking or, on arrival, schedule deviation,
+    and a comfort penalty when jerk strictly exceeds the threshold."""
     e_term = ops.where(
         cmd > 0.0, weights.alpha_traction * energy_traction, weights.alpha_regen * energy_regen
     )
@@ -237,31 +216,6 @@ def _reward_terms(
     jerk = abs(accel_applied - prev_accel) / track.dt
     c_term = ops.where(jerk > weights.jerk_threshold, weights.comfort_penalty, 0.0)
     return e_term, d_term, c_term
-
-
-def reward_terms(
-    track: TrackSection,
-    weights: RewardWeights,
-    cmd: float,
-    energy_traction: float,
-    energy_regen: float,
-    mean_speed: float,
-    accel_applied: float,
-    prev_accel: float,
-    arrived: bool,
-    total_time: float,
-) -> tuple[float, float, float]:
-    """Energy, timekeeping and comfort penalty terms for one transition.
-
-    Returns (E_t, D_t, C_t); the step reward is the negated sum.  The energy
-    branch follows the command sign, the time term switches from mean-speed
-    tracking to schedule deviation on the terminal step, and the comfort
-    penalty fires only when jerk strictly exceeds the threshold.
-    """
-    return _reward_terms(
-        FLOATS, track, weights, cmd, energy_traction, energy_regen,
-        mean_speed, accel_applied, prev_accel, arrived, total_time,
-    )
 
 
 def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel):

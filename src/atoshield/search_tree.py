@@ -57,17 +57,11 @@ i's samples come before row i+1's.
 
 @dataclass
 class SearchConfig:
+    """Tree search settings; ``config.load_config`` checks their bounds."""
+
     expansion_width: int = 5  # policy samples per expanded node
     backup_discount: float = 0.9
     action_grid: int = 9  # candidate grid used to form the safe set
-
-    def __post_init__(self):
-        if self.expansion_width < 1:
-            raise ValueError("expansion_width must be >= 1")
-        if not 0.0 < self.backup_discount <= 1.0:
-            raise ValueError("backup_discount must be in (0, 1]")
-        if self.action_grid < 2:
-            raise ValueError("action_grid must be >= 2")
 
 
 @dataclass(slots=True, eq=False)

@@ -1,4 +1,4 @@
-"""Runtime action shield: speed-band labelling, safety checks and safe sets.
+"""Runtime action shield: safety checks, safe command sets and the filter.
 
 A proposed command is safe when (a) one simulated control interval keeps the
 speed inside the posted band at every traversed position, (b) it does not jump
@@ -36,7 +36,6 @@ from .dynamics import (
     TrackSection,
     TrainModel,
     davis_resistance_accel,
-    limit_at,
     segment_value,
     step,
     step_batch,
@@ -45,12 +44,6 @@ from .dynamics import (
 FULL_BRAKING = -1.0
 _RECOVERY_STEP_CAP = 100_000
 _TRACTION, _BRAKING = Condition.TRACTION, Condition.BRAKING  # enum attribute reads are slow
-
-
-class Label(str, Enum):
-    BELOW_MIN = "below_min"
-    IN_BAND = "in_band"
-    OVER_LIMIT = "over_limit"
 
 
 class Rule(str, Enum):
@@ -97,15 +90,6 @@ def floor_applies(spec: SafetySpec, track: TrackSection, loc: float) -> bool:
     if spec.terminal_zone is None:
         raise ValueError("terminal_zone must be resolved before enforcing the floor")
     return loc < track.length - spec.terminal_zone
-
-
-def label(spec: SafetySpec, track: TrackSection, state: OperationState) -> Label:
-    """Observer mapping a state onto the speed band; the limit is inclusive."""
-    if state.vel > limit_at(track, state.loc):
-        return Label.OVER_LIMIT
-    if floor_applies(spec, track, state.loc) and state.vel <= spec.min_speed:
-        return Label.BELOW_MIN
-    return Label.IN_BAND
 
 
 def _span_overspeed(ops: Ops, track, start_loc, start_vel, accel, end_loc, end_vel):

@@ -44,6 +44,7 @@ from .drl.agents import (
     AGENT_KINDS,
     AgentConfig,
     additional_actor_converged,
+    jitter_samples,
     update_additional_actor,
 )
 from .drl.buffers import EliteBuffer, ReplayBuffer, Trajectory
@@ -157,20 +158,15 @@ class TrainEnv:
         return out
 
 
-def normalize_state(state: OperationState, track: TrackSection) -> np.ndarray:
-    """Scale (loc, vel, time) into unit-ish ranges for the networks."""
-    return np.array(
-        [
-            state.loc / track.length,
-            state.vel / track.max_limit,
-            state.time / track.scheduled_time,
-        ]
-    )
-
-
 def normalize_states(states: np.ndarray, track: TrackSection) -> np.ndarray:
-    """:func:`normalize_state` of each raw ``(loc, vel, time)`` row of a ``(rows, 3)`` array."""
+    """Scale raw ``(loc, vel, time)`` rows, or one such vector, into unit-ish
+    ranges for the networks."""
     return states / np.array([track.length, track.max_limit, track.scheduled_time])
+
+
+def normalize_state(state: OperationState, track: TrackSection) -> np.ndarray:
+    """:func:`normalize_states` of one state's ``(loc, vel, time)`` vector."""
+    return normalize_states(np.array([state.loc, state.vel, state.time]), track)
 
 
 def make_agent(variant: str, cfg_agent: AgentConfig, rng: np.random.Generator):
@@ -178,14 +174,9 @@ def make_agent(variant: str, cfg_agent: AgentConfig, rng: np.random.Generator):
 
 
 def _jitter_sampler(net, track: TrackSection, rng: np.random.Generator, std: float):
-    """Tree sampler around a deterministic net: its command plus Gaussian jitter,
-    drawn row-major over the (states, n) result."""
-
-    def sampler(states: np.ndarray, n: int) -> np.ndarray:
-        base = net.forward(normalize_states(states, track))
-        return np.clip(base + rng.normal(0.0, std, (len(states), n)), -1.0, 1.0)
-
-    return sampler
+    """Tree sampler around a deterministic net: :func:`jitter_samples` of the
+    normalized states."""
+    return lambda states, n: jitter_samples(net, normalize_states(states, track), n, rng, std)
 
 
 def _agent_sampler(agent, track: TrackSection):

@@ -425,13 +425,18 @@ def pcc_brute(x, y):
     return cov / (vx**0.5 * vy**0.5)
 
 
+def layer_arrays(net):
+    """The net's parameter arrays, layer by layer: weights, then biases."""
+    return [p for pair in zip(net.weights, net.biases) for p in pair]
+
+
 def flatten_params(net):
-    return np.concatenate([p.ravel() for p in net.parameters()])
+    return np.concatenate([p.ravel() for p in layer_arrays(net)])
 
 
 def set_flat_params(net, flat):
     offset = 0
-    for p in net.parameters():
+    for p in layer_arrays(net):
         p[...] = flat[offset : offset + p.size].reshape(p.shape)
         offset += p.size
 

@@ -26,7 +26,7 @@ from atoshield.drl.agents import (
 from atoshield.drl.buffers import EliteBuffer, Trajectory
 from atoshield.drl.nets import Adam, Mlp
 
-from oracles import max_rel_error, numeric_gradient, relu_kink_margin
+from oracles import layer_arrays, max_rel_error, numeric_gradient, relu_kink_margin
 
 SMALL = AgentConfig(hidden_sizes=(8, 8), batch_size=8, replay_capacity=64,
                     actor_lr=1e-3, critic_lr=1e-3, sac_softq_lr=1e-3)
@@ -53,32 +53,46 @@ class ConstantCritic:
         return None, np.zeros_like(cache)
 
 
+def random_batch(rng, rows=8):
+    """(s, a, r, s2, d) as the replay buffer samples it, half terminal."""
+    return (rng.normal(0, 1, (rows, 3)), rng.uniform(-1, 1, rows), rng.normal(0, 1, rows),
+            rng.normal(0, 1, (rows, 3)), np.arange(rows) % 2.0)
+
+
 class TestCriticTarget:
-    def test_terminal_cuts_bootstrap(self, rng):
-        nets = (Mlp([2, 4, 1], "tanh", rng), Mlp([3, 4, 1], "identity", rng))
-        y = critic_target(np.array([5.0]), np.array([[0.1, 0.2]]), np.array([1.0]), nets, 0.99)
+    def test_terminal_cuts_bootstrap(self):
+        y = critic_target(np.array([5.0]), np.array([123.0]), np.array([1.0]), 0.99)
         assert y[0] == 5.0
 
-    def test_zero_gamma_cuts_bootstrap(self, rng):
-        nets = (Mlp([2, 4, 1], "tanh", rng), Mlp([3, 4, 1], "identity", rng))
-        y = critic_target(np.array([5.0]), np.array([[0.1, 0.2]]), np.array([0.0]), nets, 0.0)
+    def test_zero_gamma_cuts_bootstrap(self):
+        y = critic_target(np.array([5.0]), np.array([123.0]), np.array([0.0]), 0.0)
         assert y[0] == 5.0
 
     def test_bootstrap_arithmetic(self):
-        class Two:
-            def forward(self, x):
-                return np.full((np.atleast_2d(x).shape[0], 1), 2.0)
-
-        y = critic_target(np.array([1.0]), np.array([[0.0, 0.0]]), np.array([0.0]), (Two(), Two()), 0.99)
+        y = critic_target(np.array([1.0]), np.array([2.0]), np.array([0.0]), 0.99)
         assert y[0] == pytest.approx(2.98)
 
-    def test_sac_form_uses_value_net(self):
-        class Val:
-            def forward(self, x):
-                return np.full((np.atleast_2d(x).shape[0], 1), 4.0)
+    def test_ddpg_form_uses_target_actor_and_critic(self, rng):
+        # the critic regresses toward r + gamma (1 - d) Q'(s', mu'(s')), with
+        # the target twins moved off the online nets so a mix-up shows
+        agent = DdpgAgent(3, SMALL, rng)
+        agent.actor_target.flat += 0.1
+        agent.critic_target.flat -= 0.1
+        s, a, r, s2, d = batch = random_batch(rng)
+        q2 = agent.critic_target.forward(np.concatenate([s2, agent.actor_target.forward(s2)], axis=1))
+        y = r + SMALL.gamma * (1.0 - d) * q2[:, 0]
+        q = agent.critic.forward(np.concatenate([s, a[:, None]], axis=1))[:, 0]
+        assert agent.update(batch)["critic_loss"] == float(np.mean((q - y) ** 2))
 
-        y = critic_target(np.array([1.0]), np.array([[0.0, 0.0]]), np.array([0.0]), Val(), 0.5)
-        assert y[0] == pytest.approx(3.0)
+    def test_sac_form_uses_value_net(self, rng):
+        # soft-Q regresses toward r + gamma (1 - d) V_target(s'), with the
+        # value target moved off the online value net so a mix-up shows
+        agent = SacAgent(3, SMALL, rng)
+        agent.value_target.flat += 0.1
+        s, a, r, s2, d = batch = random_batch(rng)
+        y = r + SMALL.gamma * (1.0 - d) * agent.value_target.forward(s2)[:, 0]
+        q = agent.softq.forward(np.concatenate([s, a[:, None]], axis=1))[:, 0]
+        assert agent.update(batch)["softq_loss"] == float(np.mean((q - y) ** 2))
 
 
 class TestUpdateCritic:
@@ -88,10 +102,10 @@ class TestUpdateCritic:
         s = rng.normal(0, 1, (6, 2))
         a = rng.uniform(-1, 1, 6)
         y = critic.forward(np.concatenate([s, a[:, None]], axis=1))[:, 0]
-        before = [p.copy() for p in critic.parameters()]
+        before = [p.copy() for p in layer_arrays(critic)]
         loss = update_critic(critic, adam, s, a, y)
         assert loss == 0.0
-        for p, b in zip(critic.parameters(), before):
+        for p, b in zip(layer_arrays(critic), before):
             assert np.allclose(p, b)
 
     def test_single_transition_hand_arithmetic(self):
@@ -118,9 +132,9 @@ class TestUpdateActor:
     def test_constant_critic_leaves_actor(self, rng):
         actor = Mlp([2, 4, 1], "tanh", rng)
         adam = Adam(actor, lr=0.1)
-        before = [p.copy() for p in actor.parameters()]
+        before = [p.copy() for p in layer_arrays(actor)]
         update_actor(actor, adam, ConstantCritic(), rng.normal(0, 1, (5, 2)))
-        for p, b in zip(actor.parameters(), before):
+        for p, b in zip(layer_arrays(actor), before):
             assert np.allclose(p, b)
 
     def test_ascends_toward_bowl_optimum(self, rng):
@@ -397,7 +411,7 @@ class TestCheckpoint:
         for name, net in twin.named_nets().items():
             assert net is getattr(twin, name)
             assert np.array_equal(net.flat, agent.named_nets()[name].flat)
-            for p in net.parameters():
+            for p in layer_arrays(net):
                 assert np.shares_memory(p, net.flat)
 
     @pytest.mark.parametrize("cls,adams", [

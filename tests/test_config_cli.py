@@ -88,7 +88,16 @@ class TestValidateConfig:
         blob["search"]["action_grid"] = 1
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
-        assert any(e.startswith("search:") and "action_grid" in e for e in err.value.errors)
+        assert err.value.errors == ["search.action_grid: must be an integer >= 2"]
+
+    def test_every_search_violation_reported_at_once(self, tmp_path, default_yaml):
+        blob = copy.deepcopy(default_yaml)
+        blob["search"].update(expansion_width=0, action_grid=1, backup_discount=1.5)
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == ["search.expansion_width: must be an integer >= 1",
+                                    "search.backup_discount: must be in (0, 1]",
+                                    "search.action_grid: must be an integer >= 2"]
 
     @pytest.mark.parametrize("block, key, value", [
         ("run", "seeds", 5),
@@ -118,6 +127,8 @@ class TestValidateConfig:
         ("run", "max_episodes", 1.5),
         ("run", "step_budget", 20.5),
         ("run", "execution_episodes", True),
+        ("search", "expansion_width", 2.5),
+        ("search", "action_grid", 4.5),
     ])
     def test_bad_size_is_one_error_naming_the_field(self, tmp_path, default_yaml, capsys,
                                                     block, key, value):

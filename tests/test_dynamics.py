@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from atoshield.dynamics import (
     DEFAULT_WEIGHTS,
+    FLOATS,
     Condition,
     OperationState,
     RewardWeights,
     TrainModel,
+    _motor_accel,
+    _reward_terms,
     davis_resistance_accel,
-    grade_accel,
-    limit_at,
-    motor_accel,
-    reward_terms,
+    segment_value,
     step,
     step_batch,
     validate_model,
@@ -46,44 +46,44 @@ class TestDavisResistance:
 
 class TestMotorAccel:
     def test_full_traction_below_base_speed(self, model):
-        assert motor_accel(model, 1.0, 20.0) == pytest.approx(1.2)
+        assert _motor_accel(FLOATS, model, 1.0, 20.0) == pytest.approx(1.2)
 
     def test_coasting_is_zero(self, model):
         for v in (0.0, 50.0, 110.0):
-            assert motor_accel(model, 0.0, v) == 0.0
+            assert _motor_accel(FLOATS, model, 0.0, v) == 0.0
 
     def test_constant_power_halving(self, model):
         # at twice the braking base speed the envelope halves, times half command
         v = 2.0 * model.base_speed_braking
-        assert motor_accel(model, -0.5, v) == pytest.approx(-0.3)
+        assert _motor_accel(FLOATS, model, -0.5, v) == pytest.approx(-0.3)
 
-    def test_command_out_of_range_rejected(self, model):
-        with pytest.raises(ValueError):
-            motor_accel(model, 1.5, 10.0)
+    def test_command_out_of_range_rejected(self, model, track):
+        with pytest.raises(ValueError, match="command"):
+            step(model, track, OperationState(loc=100.0, vel=10.0), 1.5)
 
     @given(cmd=st.floats(-1.0, 1.0), vel=st.floats(0.0, 150.0))
     def test_sign_follows_command(self, cmd, vel):
-        a = motor_accel(make_model(), cmd, vel)
+        a = _motor_accel(FLOATS, make_model(), cmd, vel)
         assert math.copysign(1.0, a) == math.copysign(1.0, cmd) or a == 0.0
 
 
 class TestGradeAccel:
     def test_flat_track(self, track):
         for loc in (0.0, 700.0, 1500.0):
-            assert grade_accel(track, loc) == 0.0
+            assert segment_value(FLOATS, track.grade_segments, loc) == 0.0
 
     def test_segment_lookup(self):
         track = make_track(grades=((0.0, 500.0, -0.01), (500.0, 1500.0, 0.02)))
-        assert grade_accel(track, 100.0) == -0.01
+        assert segment_value(FLOATS, track.grade_segments, 100.0) == -0.01
 
     def test_boundary_belongs_to_next_segment(self):
         track = make_track(grades=((0.0, 500.0, -0.01), (500.0, 1500.0, 0.02)))
-        assert grade_accel(track, 500.0) == 0.02
-        assert grade_accel(track, 1500.0) == 0.02  # final segment closed
+        assert segment_value(FLOATS, track.grade_segments, 500.0) == 0.02
+        assert segment_value(FLOATS, track.grade_segments, 1500.0) == 0.02  # final segment closed
 
-    def test_out_of_range_rejected(self, track):
-        with pytest.raises(ValueError):
-            grade_accel(track, 1500.1)
+    def test_out_of_range_rejected(self, model, track):
+        with pytest.raises(ValueError, match="outside"):
+            step(model, track, OperationState(loc=1500.1), 0.0)
 
 
 class TestStep:
@@ -166,8 +166,8 @@ class TestStep:
         out = step(model, track, state, cmd, prev_accel=prev_accel)
         # mean speed reconstructed from km/h states carries one float roundtrip
         mean_speed = 0.5 * (vel + out.next_state.vel) / 3.6
-        e, d, c = reward_terms(
-            track, DEFAULT_WEIGHTS, cmd, out.energy_traction, out.energy_regen,
+        e, d, c = _reward_terms(
+            FLOATS, track, DEFAULT_WEIGHTS, cmd, out.energy_traction, out.energy_regen,
             mean_speed, out.accel_applied, prev_accel, out.arrived, out.next_state.time,
         )
         assert out.reward == pytest.approx(-(e + d + c), abs=1e-9)
@@ -177,8 +177,8 @@ class TestStep:
         model = make_model(davis_r1=0.0, davis_r2=0.0, davis_r3=0.0)
         track = make_track()
         out = step(model, track, OperationState(loc=700.0, vel=36.0), 0.0)
-        e, d, c = reward_terms(
-            track, DEFAULT_WEIGHTS, 0.0, 0.0, 0.0, 10.0, 0.0, 0.0,
+        e, d, c = _reward_terms(
+            FLOATS, track, DEFAULT_WEIGHTS, 0.0, 0.0, 0.0, 10.0, 0.0, 0.0,
             arrived=False, total_time=1.0,
         )
         assert out.reward == -(e + d + c)
@@ -272,30 +272,30 @@ class TestStepBatch:
 
 class TestRewardTerms:
     def test_on_time_terminal_has_zero_time_penalty(self, track):
-        _, d, _ = reward_terms(
-            track, DEFAULT_WEIGHTS, 0.5, 1.0, 0.0, 10.0, 0.0, 0.0,
+        _, d, _ = _reward_terms(
+            FLOATS, track, DEFAULT_WEIGHTS, 0.5, 1.0, 0.0, 10.0, 0.0, 0.0,
             arrived=True, total_time=track.scheduled_time,
         )
         assert d == 0.0
 
     def test_jerk_at_threshold_is_not_punished(self, track):
         # threshold is strict: change of exactly sigma draws no penalty
-        _, _, c = reward_terms(
-            track, DEFAULT_WEIGHTS, 0.5, 0.0, 0.0, track.mean_speed_target,
+        _, _, c = _reward_terms(
+            FLOATS, track, DEFAULT_WEIGHTS, 0.5, 0.0, 0.0, track.mean_speed_target,
             accel_applied=DEFAULT_WEIGHTS.jerk_threshold, prev_accel=0.0,
             arrived=False, total_time=10.0,
         )
         assert c == 0.0
-        _, _, c = reward_terms(
-            track, DEFAULT_WEIGHTS, 0.5, 0.0, 0.0, track.mean_speed_target,
+        _, _, c = _reward_terms(
+            FLOATS, track, DEFAULT_WEIGHTS, 0.5, 0.0, 0.0, track.mean_speed_target,
             accel_applied=DEFAULT_WEIGHTS.jerk_threshold + 1e-6, prev_accel=0.0,
             arrived=False, total_time=10.0,
         )
         assert c == DEFAULT_WEIGHTS.comfort_penalty
 
     def test_traction_weight_scales_energy(self, track):
-        e, _, _ = reward_terms(
-            track, RewardWeights(alpha_traction=3.0), 0.8, 2.0, 0.0,
+        e, _, _ = _reward_terms(
+            FLOATS, track, RewardWeights(alpha_traction=3.0), 0.8, 2.0, 0.0,
             10.0, 0.0, 0.0, arrived=False, total_time=5.0,
         )
         assert e == pytest.approx(6.0)
@@ -331,6 +331,6 @@ class TestValidators:
 
 
 def test_limit_lookup_half_open(track):
-    assert limit_at(track, 499.999) == 80.0
-    assert limit_at(track, 500.0) == 60.0
-    assert limit_at(track, 1500.0) == 80.0
+    assert segment_value(FLOATS, track.limit_segments, 499.999) == 80.0
+    assert segment_value(FLOATS, track.limit_segments, 500.0) == 60.0
+    assert segment_value(FLOATS, track.limit_segments, 1500.0) == 80.0

@@ -6,7 +6,14 @@ import pytest
 
 from atoshield.drl.nets import Adam, Mlp, soft_update
 
-from oracles import ReferenceAdam, max_rel_error, numeric_gradient, reference_backward, relu_kink_margin
+from oracles import (
+    ReferenceAdam,
+    layer_arrays,
+    max_rel_error,
+    numeric_gradient,
+    reference_backward,
+    relu_kink_margin,
+)
 
 
 def sample_clear_of_kinks(seed, sizes, activation, batch, margin=1e-4):
@@ -122,10 +129,10 @@ class TestFlatLayout:
     def test_views_share_the_flat_vector(self, rng):
         net = Mlp([3, 8, 8, 2], "identity", rng)
         for twin in (net, net.clone(), Mlp.from_dict(net.to_dict())):
-            assert len(twin.parameters()) == 2 * twin.n_layers
-            for p in twin.parameters():
+            assert len(twin.weights) == len(twin.biases) == len(twin.layer_sizes) - 1
+            for p in layer_arrays(twin):
                 assert np.shares_memory(p, twin.flat)
-            assert twin.flat.size == sum(p.size for p in twin.parameters())
+            assert twin.flat.size == sum(p.size for p in layer_arrays(twin))
             assert np.array_equal(twin.flat, net.flat)
         clone = net.clone()
         clone.flat[0] += 1.0
@@ -158,15 +165,15 @@ class TestSoftUpdate:
         online = Mlp([2, 3, 1], "tanh", rng)
         target = Mlp([2, 3, 1], "tanh", rng)
         soft_update(target, online, 1.0)
-        for t, o in zip(target.parameters(), online.parameters()):
+        for t, o in zip(layer_arrays(target), layer_arrays(online)):
             assert np.array_equal(t, o)
 
     def test_tau_zero_keeps_target(self, rng):
         online = Mlp([2, 3, 1], "tanh", rng)
         target = Mlp([2, 3, 1], "tanh", rng)
-        before = [p.copy() for p in target.parameters()]
+        before = [p.copy() for p in layer_arrays(target)]
         soft_update(target, online, 0.0)
-        for t, b in zip(target.parameters(), before):
+        for t, b in zip(layer_arrays(target), before):
             assert np.array_equal(t, b)
 
     def test_halfway_blend_on_scalars(self):
@@ -196,9 +203,9 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self, rng):
         net = Mlp([2, 3, 1], "tanh", rng)
         adam = Adam(net, lr=0.1)
-        before = [p.copy() for p in net.parameters()]
+        before = [p.copy() for p in layer_arrays(net)]
         adam.step(net, np.zeros_like(net.flat))
-        for p, b in zip(net.parameters(), before):
+        for p, b in zip(layer_arrays(net), before):
             assert np.array_equal(p, b)
 
     def test_descends_a_quadratic(self):
@@ -216,7 +223,7 @@ class TestAdam:
     def test_flat_step_equals_per_array_reference(self, sizes, activation):
         rng = np.random.default_rng(13)
         net = Mlp(list(sizes), activation, rng, final_init_scale=0.5)
-        ref_params = [p.copy() for p in net.parameters()]
+        ref_params = [p.copy() for p in layer_arrays(net)]
         adam, ref = Adam(net, lr=3e-3), ReferenceAdam(ref_params, lr=3e-3)
         for _ in range(6):
             grad = rng.normal(0, 1, net.flat.shape) * rng.choice([1e-9, 1.0, 1e3])
@@ -224,7 +231,7 @@ class TestAdam:
             ref_grads = [g.reshape(p.shape) for g, p in zip(np.split(grad, splits), ref_params)]
             adam.step(net, grad)
             ref.step(ref_params, ref_grads)
-            for p, q in zip(net.parameters(), ref_params):
+            for p, q in zip(layer_arrays(net), ref_params):
                 assert p.tobytes() == q.tobytes()
 
 
@@ -243,7 +250,7 @@ class TestAdam:
         rng = np.random.default_rng(17)
         nets = [Mlp([3, 8, 1], "tanh", rng), Mlp([4, 5, 5, 2], "identity", rng)]
         adams = [Adam(nets[0], lr=3e-3), Adam(nets[1], lr=1e-2, beta1=0.8)]
-        refs_params = [[p.copy() for p in net.parameters()] for net in nets]
+        refs_params = [[p.copy() for p in layer_arrays(net)] for net in nets]
         refs = [ReferenceAdam(refs_params[0], lr=3e-3), ReferenceAdam(refs_params[1], lr=1e-2, beta1=0.8)]
         for _ in range(5):
             for net, adam, ref, ref_params in zip(nets, adams, refs, refs_params):
@@ -252,7 +259,7 @@ class TestAdam:
                 adam.step(net, grad)
                 ref.step(ref_params, [g.reshape(p.shape) for g, p in zip(np.split(grad, splits), ref_params)])
         for net, ref_params in zip(nets, refs_params):
-            for p, q in zip(net.parameters(), ref_params):
+            for p, q in zip(layer_arrays(net), ref_params):
                 assert p.tobytes() == q.tobytes()
 
 

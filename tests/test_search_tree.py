@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atoshield import trainer
-from atoshield.config import default_scenario_path, load_config
+from atoshield.config import ConfigError, default_scenario_path, load_config
 from atoshield.dynamics import OperationState, condition_of
 from atoshield.search_tree import (
     Level,
@@ -430,13 +431,14 @@ def test_array_prune_backup_select_equal_naive_oracle(
     assert select_safe_action(tree) == ref_select(survivors)
 
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(action_grid=1)
-    with pytest.raises(ValueError):
-        SearchConfig(expansion_width=0)
-    with pytest.raises(ValueError):
-        SearchConfig(backup_discount=0.0)
+def test_search_config_validation(tmp_path):
+    base = yaml.safe_load(default_scenario_path().read_text())
+    for key, value in (("action_grid", 1), ("expansion_width", 0), ("backup_discount", 0.0)):
+        path = tmp_path / f"{key}.yaml"
+        path.write_text(yaml.safe_dump({**base, "search": {**base["search"], key: value}}))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert [e.split(":")[0] for e in err.value.errors] == [f"search.{key}"]
     with pytest.raises(ValueError, match="t_up"):
         build_tree(TrainEnv(make_model(), make_track()), PLAIN, steady_policy(0.0),
                    OperationState(loc=100.0, vel=30.0), [0.0], 0, 0, CFG)

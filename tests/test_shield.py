@@ -4,25 +4,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atoshield import shield
-from atoshield.dynamics import Condition, OperationState, limit_at, step, step_batch, validate_track
+from atoshield.dynamics import Condition, OperationState, step, step_batch, validate_track
 from atoshield.shield import (
     RULE_OF_CODE,
-    Label,
     Rule,
     SafetySpec,
     UnrecoverableStateError,
     brake_recoverable,
     command_grid,
     is_safe,
-    label,
     rule_codes,
     safe_action_set,
     safe_mask,
     shield_filter,
+    span_overspeed,
 )
 
 from conftest import make_model, make_track
-from oracles import ref_brake_recoverable, ref_brake_to_stop, ref_is_safe
+from oracles import _ref_limit_at, ref_brake_recoverable, ref_brake_to_stop, ref_is_safe
 
 STRICT_FLOOR = SafetySpec(min_speed=0.0, enforce_min_speed=True, terminal_zone=150.0)
 PLAIN = SafetySpec()
@@ -42,9 +41,9 @@ def oracle_violation(model, track, state, cmd, subsamples=64):
             v_sq = v0 * v0 + 2.0 * a * d
             v_kmh = np.sqrt(max(0.0, v_sq)) * 3.6
             pos = min(s0.loc + d, track.length)
-            if v_kmh > limit_at(track, pos) + 1e-9:
+            if v_kmh > _ref_limit_at(track, pos) + 1e-9:
                 return True
-        return out.next_state.vel > limit_at(track, out.next_state.loc) + 1e-9
+        return out.next_state.vel > _ref_limit_at(track, out.next_state.loc) + 1e-9
 
     out = step(model, track, state, cmd)
     if span_bad(state, out):
@@ -58,29 +57,28 @@ def oracle_violation(model, track, state, cmd, subsamples=64):
     return False
 
 
-class TestLabel:
+class TestSpeedBand:
+    """The band the certifier holds a state to: the posted limit is
+    inclusive, and the floor holds only outside the terminal zone."""
+
     def test_standstill_with_strict_floor(self, model, track):
         state = OperationState(loc=200.0, vel=0.0)
-        assert label(STRICT_FLOOR, track, state) is Label.BELOW_MIN
+        assert is_safe(STRICT_FLOOR, model, track, state, 0.0).violated_rule is Rule.UNDERSPEED
 
-    def test_limit_is_inclusive(self, model, track):
-        state = OperationState(loc=200.0, vel=80.0)
-        assert label(PLAIN, track, state) is Label.IN_BAND
+    def test_limit_is_inclusive(self, track):
+        assert not span_overspeed(track, 200.0, 80.0, 0.0, 200.0, 80.0)
 
-    def test_above_limit(self, model, track):
-        state = OperationState(loc=200.0, vel=81.0)
-        assert label(PLAIN, track, state) is Label.OVER_LIMIT
+    def test_above_limit(self, track):
+        assert span_overspeed(track, 200.0, 81.0, 0.0, 200.0, 81.0)
 
-    def test_floor_waived_in_terminal_zone(self, track):
+    def test_floor_waived_in_terminal_zone(self, model, track):
         state = OperationState(loc=1400.0, vel=0.0)
-        assert label(STRICT_FLOOR, track, state) is Label.IN_BAND
+        assert is_safe(STRICT_FLOOR, model, track, state, 0.0).safe
 
     @given(vel=st.floats(0.0, 120.0), loc=st.floats(0.0, 1500.0))
     def test_over_limit_iff_above_local_limit(self, vel, loc):
         track = make_track()
-        state = OperationState(loc=loc, vel=vel)
-        verdict = label(PLAIN, track, state)
-        assert (verdict is Label.OVER_LIMIT) == (vel > limit_at(track, loc))
+        assert span_overspeed(track, loc, vel, 0.0, loc, vel) == (vel > _ref_limit_at(track, loc))
 
 
 class TestIsSafe:
@@ -199,8 +197,8 @@ class TestSoundness:
         checked = 0
         for _ in range(800):
             loc = float(rng.uniform(0.0, track.length - 1.0))
-            vel = float(rng.uniform(0.0, limit_at(track, loc)))
-            cond = rng.choice(list(Condition))
+            vel = float(rng.uniform(0.0, _ref_limit_at(track, loc)))
+            cond = list(Condition)[rng.integers(len(Condition))]
             state = OperationState(loc=loc, vel=vel, last_condition=cond)
             cmd = float(rng.uniform(-1.0, 1.0))
             if is_safe(PLAIN, model, track, state, cmd).safe:
@@ -216,7 +214,7 @@ class TestSoundness:
         assert validate_track(model, track) == []
         for _ in range(500):
             loc = float(rng.uniform(0.0, track.length - 1.0))
-            vel = float(rng.uniform(0.0, limit_at(track, loc)))
+            vel = float(rng.uniform(0.0, _ref_limit_at(track, loc)))
             state = OperationState(loc=loc, vel=vel)
             cmd = float(rng.uniform(-1.0, 1.0))
             if is_safe(PLAIN, model, track, state, cmd).safe:

@@ -13,6 +13,7 @@ import atoshield
 from atoshield import trainer
 from atoshield.config import default_scenario_path, load_config
 from atoshield.drl.agents import DdpgAgent
+from atoshield.drl.nets import Mlp
 from atoshield.dynamics import OperationState
 from atoshield.trainer import (
     RunConfig,
@@ -82,6 +83,27 @@ class TestTrainEnv:
         assert rows.shape == (3, 3)
         for row, state in zip(rows, states):
             assert row.tolist() == normalize_state(state, track).tolist()
+
+
+@pytest.mark.parametrize("std", [0.0, 0.5])
+def test_jitter_sampler_is_clipped_gaussian_jitter_bitwise(std):
+    # the additional actor's tree sampler: the net's command on the normalized
+    # states plus N(0, std) jitter drawn row-major, clipped; std 0 is the
+    # annealed Gaussian noise of the last training episode
+    track = make_track()
+    net = Mlp([3, 8, 1], "tanh", np.random.default_rng(2), final_init_scale=3.0)
+    states = np.array([[0.0, 0.0, 0.0], [750.0, 40.0, 55.0], [1499.0, 79.9, 200.0]])
+    scale = np.array([track.length, track.max_limit, track.scheduled_time])
+    sampler = trainer._jitter_sampler(net, track, np.random.default_rng(9), std)
+    rng = np.random.default_rng(9)
+    clipped = 0
+    for n in (1, 5, 2):
+        got = sampler(states, n)
+        want = np.clip(net.forward(states / scale) + rng.normal(0.0, std, (len(states), n)), -1.0, 1.0)
+        assert got.shape == (len(states), n)
+        assert got.tobytes() == want.tobytes()
+        clipped += int(np.sum(np.abs(got) == 1.0))
+    assert (clipped > 0) == (std > 0.0)
 
 
 class TestTrain:
@@ -286,7 +308,7 @@ print(repr({
     "rows": [tuple(v for k, v in dataclasses.asdict(m).items() if k != "action_select_mean_s")
              for m in result.metrics],
     "weights": {
-        name: hashlib.sha256(np.concatenate([p.ravel() for p in net.parameters()]).tobytes()).hexdigest()[:16]
+        name: hashlib.sha256(net.flat.tobytes()).hexdigest()[:16]
         for name, net in result.agent.named_nets().items()
     },
     "wraps": sum(m.run_time_s for m in result.metrics) / cfg.track.dt > 2 * cfg.agent.replay_capacity,
