@@ -5,12 +5,23 @@ and target twins, and an entropy-regularized stochastic actor with separate
 value and soft-Q heads.  Both emit commands in [-1, 1].  The additional actor
 is a plain regression onto the elite buffer's stored safe actions; once it
 reproduces every stored trajectory it can serve as the final policy.
+
+Both agents build every net in float32 (``dtype``).  An update stays
+float32 from the replay sample to ``Adam.step``: states, net inputs,
+activations, caches, gradients, the SAC draws and log-probs, and the Adam
+state.  Only the columns built from the float64 rewards (regression
+targets and errors) stay float64, as do the losses reported; they reach a
+net through the cast at ``backward``'s entry.  Every command an agent
+hands out (``act``, ``propose``, ``act_additional``) is a Python float, and
+the tree casts ``sample_actions`` rows to float64, so the shield and the
+dynamics see the same float64 arithmetic at any net dtype.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +82,8 @@ def regress(net: Mlp, adam: Adam, x: np.ndarray, y: np.ndarray) -> float:
 
 def update_critic(critic: Mlp, adam: Adam, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:
     """One MSE descent step of Q(s, a) toward y; returns the pre-step loss."""
-    a = np.asarray(a, dtype=float).reshape(-1, 1)
-    return regress(critic, adam, np.concatenate([np.atleast_2d(s), a], axis=1), y)
+    x = np.concatenate([np.atleast_2d(s), np.reshape(a, (-1, 1))], axis=1, dtype=critic.flat.dtype)
+    return regress(critic, adam, x, y)
 
 
 def update_actor(actor: Mlp, adam: Adam, critic, s: np.ndarray) -> float:
@@ -94,19 +105,20 @@ def update_actor(actor: Mlp, adam: Adam, critic, s: np.ndarray) -> float:
 
 def gaussian_log_prob(eps: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Log-density of u = mean + std*eps under N(mean, std^2), reparameterized."""
-    return -0.5 * (eps**2 + np.log(2.0 * np.pi)) - log_std
+    return -0.5 * (eps**2 + math.log(2.0 * math.pi)) - log_std
 
 
 def squashed_draw(policy: Mlp, s: np.ndarray, rng: np.random.Generator):
     """One reparameterized tanh-squashed action per row of ``s``.
 
+    The unit draw is made in the policy's dtype, so every array here has it.
     Returns the actions, (rows, 1), then what the log-prob and the gradients
     need: the forward cache, the clipped log-std, std and the unit draw.
     """
     out, cache = policy.forward_cached(s)
     log_std = np.clip(out[:, 1:2], LOG_STD_MIN, LOG_STD_MAX)
     std = np.exp(log_std)
-    eps = rng.standard_normal((out.shape[0], 1))
+    eps = rng.standard_normal((out.shape[0], 1), dtype=out.dtype)
     a = np.tanh(out[:, 0:1] + std * eps)
     return a, cache, log_std, std, eps
 
@@ -116,7 +128,7 @@ def squashed_sample(policy: Mlp, s: np.ndarray, rng: np.random.Generator):
     a, cache, log_std, std, eps = squashed_draw(policy, s, rng)
     raw = cache[-1][:, 1:2]
     log_prob = gaussian_log_prob(eps, log_std) - np.log(1.0 - a**2 + _TANH_EPS)
-    clip_mask = ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(float)
+    clip_mask = ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(raw.dtype)
     return a, log_prob, cache, {
         "a": a, "std": std, "eps": eps, "clip_mask": clip_mask,
     }
@@ -179,8 +191,8 @@ def update_additional_actor(trajectories: list[Trajectory], net: Mlp, adam: Adam
     """
     if not trajectories:
         return None
-    return regress(net, adam, np.concatenate([t.states for t in trajectories], axis=0),
-                   np.concatenate([t.actions for t in trajectories]))
+    states = np.concatenate([t.states for t in trajectories], axis=0, dtype=net.flat.dtype)
+    return regress(net, adam, states, np.concatenate([t.actions for t in trajectories]))
 
 
 def jitter_samples(net: Mlp, states: np.ndarray, n: int, rng: np.random.Generator, std: float) -> np.ndarray:
@@ -208,27 +220,25 @@ class DdpgAgent:
 
     kind = "ddpg"
     net_names = ("actor", "critic", "actor_target", "critic_target", "additional")
+    dtype = np.float32
 
     def __init__(self, state_dim: int, cfg: AgentConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
-        self.actor = Mlp([state_dim, *hidden, 1], "tanh", rng)
-        self.critic = Mlp([state_dim + 1, *hidden, 1], "identity", rng)
+        self.actor = Mlp([state_dim, *hidden, 1], "tanh", rng, dtype=self.dtype)
+        self.critic = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype)
         self.actor_target = self.actor.clone()
         self.critic_target = self.critic.clone()
-        self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng)
-        self.build_optimizers()
+        self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
+                              dtype=self.dtype)
+        self.actor_adam = Adam(self.actor, cfg.actor_lr)
+        self.critic_adam = Adam(self.critic, cfg.critic_lr)
+        self.additional_adam = Adam(self.additional, cfg.resolved_additional_lr())
         self.noise = NoiseProcess(
             kind=cfg.noise_kind, ou_theta=cfg.ou_theta, ou_sigma=cfg.ou_sigma,
             scale=cfg.noise_scale, seed=int(rng.integers(2**31)),
         )
-
-    def build_optimizers(self) -> None:
-        """Fresh Adam state, at the configured rates, for every trained net."""
-        self.actor_adam = Adam(self.actor, self.cfg.actor_lr)
-        self.critic_adam = Adam(self.critic, self.cfg.critic_lr)
-        self.additional_adam = Adam(self.additional, self.cfg.resolved_additional_lr())
 
     def act(self, s_vec: np.ndarray) -> float:
         return act(self.actor, s_vec)
@@ -264,26 +274,24 @@ class SacAgent:
 
     kind = "sac"
     net_names = ("policy", "value", "value_target", "softq", "additional")
+    dtype = np.float32
 
     def __init__(self, state_dim: int, cfg: AgentConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
-        self.policy = Mlp([state_dim, *hidden, 2], "identity", rng)
-        self.value = Mlp([state_dim, *hidden, 1], "identity", rng)
+        self.policy = Mlp([state_dim, *hidden, 2], "identity", rng, dtype=self.dtype)
+        self.value = Mlp([state_dim, *hidden, 1], "identity", rng, dtype=self.dtype)
         self.value_target = self.value.clone()
-        self.softq = Mlp([state_dim + 1, *hidden, 1], "identity", rng)
-        self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng)
-        self.build_optimizers()
-
-    def build_optimizers(self) -> None:
-        """Fresh Adam state, at the configured rates, for every trained net."""
+        self.softq = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype)
+        self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
+                              dtype=self.dtype)
         self.adams = {
-            "policy": Adam(self.policy, self.cfg.actor_lr),
-            "value": Adam(self.value, self.cfg.sac_value_lr),
-            "softq": Adam(self.softq, self.cfg.sac_softq_lr),
+            "policy": Adam(self.policy, cfg.actor_lr),
+            "value": Adam(self.value, cfg.sac_value_lr),
+            "softq": Adam(self.softq, cfg.sac_softq_lr),
         }
-        self.additional_adam = Adam(self.additional, self.cfg.resolved_additional_lr())
+        self.additional_adam = Adam(self.additional, cfg.resolved_additional_lr())
 
     def act(self, s_vec: np.ndarray) -> float:
         out = self.policy.forward(s_vec)
@@ -335,9 +343,12 @@ AGENT_KINDS = {"ddpg": DdpgAgent, "sac": SacAgent}
 def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator):
     """Rebuild an agent from a checkpoint; stored hidden sizes win over cfg.
 
+    The agent is built as ``cfg`` says but with the stored hidden sizes, and
+    the stored weights are written into its own nets, rounded to their dtype.
     Raises CheckpointError, naming the file and the field, for a file that is
     not a format-1 checkpoint of a known kind holding exactly that kind's
-    nets, each with weights and biases shaped as its layer sizes say.
+    nets, each with weights and biases shaped as its layer sizes say and
+    with the layer sizes and activation the agent builds for it.
     """
     try:
         blob = json.loads(Path(path).read_text())
@@ -364,15 +375,16 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
             raise CheckpointError(path, f"nets.{name}", f"missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise CheckpointError(path, f"nets.{name}", str(exc)) from None
-    agent = agent_cls(nets["additional"].layer_sizes[0], cfg, rng)
+    main, extra = nets[agent_cls.net_names[0]].layer_sizes, nets["additional"].layer_sizes
+    agent = agent_cls(extra[0], replace(cfg, hidden_sizes=tuple(main[1:-1]),
+                                        additional_hidden_sizes=tuple(extra[1:-1])), rng)
     for name, net in nets.items():
         built = getattr(agent, name)
-        want = (built.layer_sizes[0], built.layer_sizes[-1], built.output_activation)
-        got = (net.layer_sizes[0], net.layer_sizes[-1], net.output_activation)
+        want = (built.layer_sizes, built.output_activation)
+        got = (net.layer_sizes, net.output_activation)
         if got != want:
             raise CheckpointError(path, f"nets.{name}",
-                                  f"expected (inputs, outputs, activation) {want}, got {got}")
-        setattr(agent, name, net)
-    agent.build_optimizers()
+                                  f"expected (layer sizes, activation) {want}, got {got}")
+        built.copy_from(net)
     agent.additional_converged = bool(blob.get("additional_converged", False))
     return agent

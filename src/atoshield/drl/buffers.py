@@ -26,11 +26,13 @@ class ReplayBuffer:
     """Bounded FIFO store of (s, a, r, s', d) transitions with uniform sampling.
 
     Transitions live in preallocated ring arrays, one per field; the state
-    arrays are sized by the first pushed state, whose shape every later state
-    must match.  Row ``next`` is written next, so once the ring is full it
-    holds the oldest transition.  ``sample`` draws indices counted oldest
-    first, as over a FIFO queue, and maps index ``i`` to row
-    ``(i + next) % capacity`` once full (to row ``i`` before).
+    arrays take the shape and the floating dtype of the first pushed state;
+    every later state must match that shape and is stored in that dtype.
+    Actions, rewards and done flags are float64.  Row ``next`` is written
+    next, so once the ring is full it holds the oldest transition.
+    ``sample`` draws indices counted oldest first, as over a FIFO queue, and
+    maps index ``i`` to row ``(i + next) % capacity`` once full (to row ``i``
+    before).
     """
 
     def __init__(self, capacity: int):
@@ -47,7 +49,8 @@ class ReplayBuffer:
 
     def push(self, s: np.ndarray, a: float, r: float, s2: np.ndarray, d: float) -> None:
         if self._s is None:
-            self._s = np.empty((self.capacity, *np.shape(s)))
+            dtype = np.promote_types(np.asarray(s).dtype, np.float32)  # integer states store as floats
+            self._s = np.empty((self.capacity, *np.shape(s)), dtype=dtype)
             self._s2 = np.empty_like(self._s)
         shape = self._s.shape[1:]
         if np.shape(s) != shape or np.shape(s2) != shape:

@@ -23,6 +23,15 @@ fresh on every call, so a caller may keep any of them as long as it likes.
 ``Adam`` runs its update in two scratch vectors of its own.  Each in-place
 form does the floating-point operations of the plain expression it stands
 for, in the same order, so results are bitwise those of that expression.
+
+One dtype per network: ``Mlp(..., dtype=)`` sets the dtype of ``flat``
+(float64 by default), and every array a network or its ``Adam`` makes
+follows ``flat.dtype``: caches, outputs, parameter and input gradients, and
+the Adam moments and scratch.  ``forward_cached`` and ``backward`` cast
+their input and ``grad_out`` to that dtype once, at entry, so a float32 net
+fed float64 arrays still computes wholly in float32.  The initial weights
+are drawn in float64 and rounded, so float32 and float64 nets built from the
+same generator hold the same weights up to that rounding.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ class Mlp:
         output_activation: str = "tanh",
         rng: np.random.Generator | None = None,
         final_init_scale: float = 3e-3,
+        dtype=np.float64,
     ):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
@@ -50,7 +60,7 @@ class Mlp:
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-        self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs))
+        self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs), dtype=dtype)
         self.weights, self.biases = self._split(self.flat)
         for i, (n_in, n_out) in enumerate(pairs):
             if i == len(pairs) - 1:
@@ -81,7 +91,7 @@ class Mlp:
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass keeping per-layer inputs for the backward pass."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=self.flat.dtype))
         cache = [x]
         h = x
         last = self.n_layers - 1
@@ -105,7 +115,7 @@ class Mlp:
         Returns d(loss)/d(parameters) as one vector laid out like ``flat``
         (None when ``params`` is false) and d(loss)/d(input).
         """
-        grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
+        grad = np.atleast_2d(np.asarray(grad_out, dtype=self.flat.dtype))
         if self.output_activation == "tanh":
             slope = cache[-1] ** 2
             np.subtract(1.0, slope, out=slope)
@@ -130,7 +140,8 @@ class Mlp:
         self.flat[...] = other.flat
 
     def clone(self) -> "Mlp":
-        twin = Mlp(self.layer_sizes, self.output_activation, np.random.default_rng(0))
+        twin = Mlp(self.layer_sizes, self.output_activation, np.random.default_rng(0),
+                   dtype=self.flat.dtype)
         twin.copy_from(self)
         return twin
 

@@ -295,7 +295,9 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     noise = getattr(agent, "noise", None)
 
     def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, s2_vec: np.ndarray, t: int) -> None:
-        replay.push(s_vec, cmd, out.reward, s2_vec, float(out.done))
+        # the ring stores states in the dtype of the first push: the learner's
+        s, s2 = s_vec.astype(agent.dtype), s2_vec.astype(agent.dtype)
+        replay.push(s, cmd, out.reward, s2, float(out.done))
         if (t + 1) % cfg.run.t_up == 0 and len(replay) >= cfg.agent.batch_size:
             agent.update(replay.sample(cfg.agent.batch_size, rng))
 

@@ -25,6 +25,12 @@ from atoshield.drl.agents import (
 )
 from atoshield.drl.buffers import EliteBuffer, Trajectory
 from atoshield.drl.nets import Adam, Mlp
+from atoshield.dynamics import OperationState
+from atoshield.search_tree import SearchConfig, search_safe_action
+from atoshield.shield import SafetySpec, is_safe, safe_action_set
+from atoshield.trainer import TrainEnv, normalize_states
+
+from conftest import make_model, make_track
 
 from oracles import layer_arrays, max_rel_error, numeric_gradient, relu_kink_margin
 
@@ -206,7 +212,7 @@ class TestSac:
         agent.rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         proposed = agent.propose(states[0])
         a, _, _, _ = squashed_sample(policy, states[:1], rng)
-        assert np.float64(proposed).tobytes() == a[0, 0].tobytes()
+        assert np.float64(proposed).tobytes() == np.float64(a[0, 0]).tobytes()
         assert agent.rng.random() == rng.random()
 
         agent.rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -392,6 +398,40 @@ class TestAgents:
         assert twin.act(s) == agent.act(s)
 
 
+class TestSafetyBoundary:
+    """Float32 nets hand the shield and the tree float64 commands only."""
+
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    def test_commands_are_python_floats(self, cls, rng):
+        agent = cls(3, SMALL, rng)
+        assert all(net.flat.dtype == np.float32 for net in agent.named_nets().values())
+        for s in rng.uniform(0.0, 1.2, (10, 3)):
+            for cmd in (agent.propose(s), agent.act(s), agent.act_additional(s)):
+                assert type(cmd) is float
+                assert -1.0 <= cmd <= 1.0
+
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    @pytest.mark.parametrize("loc,vel,t", [(300.0, 55.0, 1), (460.0, 66.0, 2), (1380.0, 40.0, 0)])
+    def test_tree_over_sample_actions_picks_a_safe_command(self, cls, loc, vel, t, rng):
+        model, track = make_model(), make_track()
+        agent = cls(3, SMALL, rng)
+        env = TrainEnv(model, track)
+        spec, cfg = SafetySpec(), SearchConfig(expansion_width=3, action_grid=9)
+        state = OperationState(loc=loc, vel=vel, time=float(t))
+        safe_set = safe_action_set(spec, model, track, state, cfg.action_grid)
+        drawn = []
+
+        def sampler(states, n):
+            drawn.append(agent.sample_actions(normalize_states(states, track), n))
+            return drawn[-1]
+
+        chosen = search_safe_action(env, spec, sampler, state, safe_set, t, 5, cfg)
+        assert drawn, "the tree never expanded"
+        assert type(chosen) is float
+        assert chosen in safe_set
+        assert is_safe(spec, model, track, state, chosen).safe
+
+
 def saved(tmp_path, agent, edit=None):
     """Save ``agent``, apply ``edit`` to the JSON blob, and return the path."""
     path = tmp_path / "ckpt.json"
@@ -453,6 +493,25 @@ class TestCheckpoint:
             assert twin.act(s) == agent.act(s)
             assert twin.act_additional(s) == agent.act_additional(s)
 
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    def test_float64_weights_load_into_float32_nets(self, cls, rng, tmp_path):
+        # a blob written from float64 nets of the same sizes: each stored
+        # weight is rounded to the nearest float32
+        agent = cls(3, SMALL, rng)
+        doubles = {name: Mlp(net.layer_sizes, net.output_activation, rng, final_init_scale=0.5)
+                   for name, net in agent.named_nets().items()}
+        path = saved(tmp_path, agent, lambda b: b["nets"].update(
+            {name: net.to_dict() for name, net in doubles.items()}))
+        twin = load_checkpoint(path, SMALL, np.random.default_rng(0))
+        for name, net in twin.named_nets().items():
+            assert net.flat.dtype == np.float32
+            assert net.flat.tobytes() == doubles[name].flat.astype(np.float32).tobytes()
+        bad = saved(tmp_path, agent, lambda b: b["nets"].update(
+            {name: net.to_dict() for name, net in doubles.items()},
+            additional={**doubles["additional"].to_dict(), "biases": [[0.0] * 3, [0.0] * 8, [0.0]]}))
+        with pytest.raises(CheckpointError, match=r": nets\.additional: biases\[0\]"):
+            load_checkpoint(bad, SMALL, np.random.default_rng(0))
+
     @pytest.mark.parametrize("field,edit", [
         ("format", lambda b: b.update(format=2)),
         ("format", lambda b: b.pop("format")),
@@ -470,6 +529,8 @@ class TestCheckpoint:
         ("nets.additional", lambda b: b["nets"]["additional"].update(output_activation="relu")),
         ("nets.actor", lambda b: b["nets"]["actor"].update(output_activation="identity")),
         ("nets.critic", lambda b: b["nets"].update(critic=b["nets"]["actor_target"])),
+        ("nets.critic", lambda b: b["nets"].update(
+            critic=Mlp([4, 5, 1], "identity", np.random.default_rng(0)).to_dict())),
     ])
     def test_bad_schema_names_file_and_field(self, rng, tmp_path, field, edit):
         path = saved(tmp_path, DdpgAgent(3, SMALL, rng), edit)

@@ -67,6 +67,21 @@ class TestReplayBuffer:
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
 
+    def test_float32_states_come_back_as_pushed(self):
+        # the ring takes its state dtype from the first push; the rest stays float64
+        data = np.random.default_rng(3)
+        buf = ReplayBuffer(16)
+        rows = [(data.uniform(0, 1.2, 3).astype(np.float32), float(i), 0.5 * i,
+                 data.uniform(0, 1.2, 3).astype(np.float32), 0.0) for i in range(10)]
+        for row in rows:
+            buf.push(*row)
+        s, a, r, s2, d = buf.sample(10, np.random.default_rng(0))
+        assert s.dtype == s2.dtype == np.float32
+        assert a.dtype == r.dtype == d.dtype == np.float64
+        for k, i in enumerate(a.astype(int)):
+            assert s[k].tobytes() == rows[i][0].tobytes()
+            assert s2[k].tobytes() == rows[i][3].tobytes()
+
     @pytest.mark.parametrize("bad", [np.zeros(1), np.zeros(4), np.zeros((1, 3))])
     def test_state_of_wrong_shape_fails_at_push(self, bad):
         buf = ReplayBuffer(8)

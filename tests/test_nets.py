@@ -139,6 +139,12 @@ class TestFlatLayout:
         assert clone.weights[0][0, 0] == net.weights[0][0, 0] + 1.0
         assert not np.shares_memory(clone.flat, net.flat)
 
+    def test_clone_keeps_the_dtype(self, rng):
+        net = Mlp([3, 8, 2], "identity", rng, dtype=np.float32)
+        twin = net.clone()
+        assert twin.flat.dtype == np.float32
+        assert twin.flat.tobytes() == net.flat.tobytes()
+
     @pytest.mark.parametrize("field,index,shape", [
         ("biases", 0, (1, 8)), ("biases", 1, (1,)), ("weights", 0, (8, 3)), ("weights", 1, (8, 1)),
     ])
@@ -306,27 +312,66 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 class TestAllocations:
-    """The learner's kernels make no throwaway arrays of their working size."""
+    """The learner's kernels make no throwaway arrays of their working size,
+    in either dtype: a float32 kernel that upcast to float64 would double its
+    bytes and fail the same bounds."""
 
-    def test_adam_step_allocates_less_than_one_parameter_vector(self):
+    def test_adam_step_allocates_less_than_one_parameter_vector(self, dtype):
         rng = np.random.default_rng(29)
-        net = Mlp([4, 64, 64, 1], "identity", rng)
+        net = Mlp([4, 64, 64, 1], "identity", rng, dtype=dtype)
         adam = Adam(net, lr=1e-3)
-        grad = rng.normal(0, 1, net.flat.shape)
+        grad = rng.normal(0, 1, net.flat.shape).astype(dtype)
         adam.step(net, grad)  # warm-up
         assert traced_peak(lambda: adam.step(net, grad)) < net.flat.nbytes
+        assert net.flat.dtype == dtype
 
-    def test_forward_cached_keeps_what_it_allocates(self):
+    def test_forward_cached_keeps_what_it_allocates(self, dtype):
+        # float64 input: a float32 net casts it once, within the margin
         rng = np.random.default_rng(31)
-        net = Mlp([4, 64, 64, 1], "identity", rng)
+        net = Mlp([4, 64, 64, 1], "identity", rng, dtype=dtype)
         x = rng.normal(0, 1, (256, 4))
         net.forward_cached(x)  # warm-up
         out = []
         peak = traced_peak(lambda: out.append(net.forward_cached(x)))
         _, cache = out[0]
         kept = sum(a.nbytes for a in cache[1:])
-        assert peak <= kept + 256 * 64 * 8
+        assert all(a.dtype == dtype for a in cache)
+        assert peak <= kept + 256 * 64 * np.dtype(dtype).itemsize
+
+
+class TestPrecision:
+    """A float32 net against a float64 net holding the same weights.
+
+    Bounds set from measurement: over 20 seeds, on inputs in [0, 1.2]^3 (the
+    normalized state box) at batch 256, the largest gap, relative to the
+    largest float64 magnitude, was 7.3e-7 forward and 9.8e-7 for the
+    parameter gradient on the [64, 64] nets the agents train, and 3.6e-6 and
+    5.0e-6 on four 256-wide layers.  1e-5 is about 84 float32 epsilons.
+    """
+
+    @pytest.mark.parametrize("sizes,activation", [
+        ((3, 64, 64, 1), "tanh"), ((4, 64, 64, 1), "identity"), ((3, 64, 64, 2), "identity"),
+        ((3, 256, 256, 256, 256, 1), "tanh"),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float32_tracks_float64(self, sizes, activation, seed):
+        rng = np.random.default_rng(seed)
+        single = Mlp(list(sizes), activation, rng, final_init_scale=0.5,
+                     dtype=np.float32)
+        double = Mlp(list(sizes), activation, np.random.default_rng(0))
+        double.flat[...] = single.flat
+        x = rng.uniform(0.0, 1.2, (256, sizes[0]))
+        y32, cache32 = single.forward_cached(x)
+        y64, cache64 = double.forward_cached(x)
+        assert y32.dtype == np.float32 and y64.dtype == np.float64
+        assert np.max(np.abs(y32 - y64)) <= 1e-5 * np.max(np.abs(y64))
+        g_out = rng.normal(0, 1, y64.shape) / 256
+        g32, _ = single.backward(cache32, g_out)
+        g64, _ = double.backward(cache64, g_out)
+        assert g32.dtype == np.float32
+        assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64))
 
 
 class TestSerialization:

@@ -315,23 +315,24 @@ print(repr({
 }))
 """
 
-# Recorded with one BLAS thread (numpy 2.4, OpenBLAS 0.3.31) before the
-# additional actor's fit moved to a worker thread; neither that overlap nor an
-# optimisation of the learner's data path may change any value.
+# Recorded with one BLAS thread (numpy 2.4, OpenBLAS 0.3.31) after the
+# agents moved to float32 nets, float32 SAC draws and float32 replay states; an
+# optimisation of the learner's data path, or the fit's overlap with the
+# rollout, may not change any value.
 PINNED = {
     "shield_sac": (
-        [(0, -52094.72676276551, 0, 0, 44.73332885263479, -10.759914463834338, 257.0, 147.0, True),
-         (1, -78821.20532398463, 0, 0, 36.38338969531823, -6.550451318180885, 330.0, 220.0, False),
-         (2, -79518.03649036576, 0, 0, 17.895792487513987, -4.843670626662472, 330.0, 220.0, False)],
-        {"policy": "d22f2ccc60efcd00", "value": "c862f0dc295dfe08", "value_target": "acb93f52625042d5",
-         "softq": "9b2c6c6fef304d2d", "additional": "4c90a1e345e1acd6"},
+        [(0, -24720.264657647145, 0, 0, 45.21124827243675, -12.555519528918586, 179.0, 69.0, True),
+         (1, -85124.23772283921, 0, 0, 26.3494835674501, -7.0875054103746, 330.0, 220.0, False),
+         (2, -83515.88027922717, 0, 0, 17.075242101343417, -4.728227200615383, 330.0, 220.0, False)],
+        {"policy": "f16e8f33c21d5c7d", "value": "56472580af8c8e19", "value_target": "43abb869cf958e2a",
+         "softq": "9d35c1755649a422", "additional": "2f65418fff9ef63c"},
     ),
     "ssa_ddpg": (
-        [(0, -38776.597663390974, 3, 0, 33.52106287388897, -4.23218086219391, 198.0, 88.0, True),
-         (1, -36148.33644896005, 9, 0, 39.478613774868236, -4.336519349542367, 180.0, 70.0, True),
-         (2, -29228.34203505135, 4, 0, 33.0306817609962, -1.8177059190803722, 164.0, 54.0, True)],
-        {"actor": "9c0d37cf464598db", "critic": "182f68c222748f67", "actor_target": "31fc3d518e3321e3",
-         "critic_target": "71ad36e1da8d7854", "additional": "377c4580509601e3"},
+        [(0, -38776.579743824346, 3, 0, 33.52101355873018, -4.232188669677897, 198.0, 88.0, True),
+         (1, -36148.003796883175, 9, 0, 39.47752147193935, -4.336518075666252, 180.0, 70.0, True),
+         (2, -29235.31348286408, 4, 0, 32.98153390779595, -1.817657738194077, 164.0, 54.0, True)],
+        {"actor": "a829d5d9620e44ca", "critic": "9edf5f0c01790fbe", "actor_target": "e41c8626c8a5b479",
+         "critic_target": "942d20261701cb93", "additional": "5f66d4022216c504"},
     ),
 }
 
