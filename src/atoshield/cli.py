@@ -139,7 +139,7 @@ def _train_one_seed(config_path: str, agent: str | None, seed: int,
     ckpt = out / f"checkpoint_{tag}.json"
     save_checkpoint(ckpt, result.agent, result.converged)
     write_metrics_csv(out / f"metrics_{tag}.csv", [(seed, m) for m in result.metrics])
-    write_curve_csv(out / f"curve_{tag}.csv", result.rewards)
+    write_curve_csv(out / f"curve_{tag}.csv", [m.total_reward for m in result.metrics])
     last = result.metrics[-min(10, len(result.metrics)):]
     return {
         "seed": seed,

@@ -10,12 +10,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One complete episode: per-step normalized states, executed commands,
-    rewards, and the episode return used for ranking."""
+    """One complete episode, one row per step: the normalized state each
+    command was chosen in, the executed command, the speed after the step
+    (km/h) and the applied acceleration (m/s^2).  ``total_return``, the
+    reward summed in step order, ranks it in the elite buffer."""
 
     states: np.ndarray  # (T, state_dim)
     actions: np.ndarray  # (T,)
-    rewards: np.ndarray  # (T,)
+    speeds: np.ndarray  # (T,)
+    accels: np.ndarray  # (T,)
     total_return: float
 
     def __len__(self) -> int:

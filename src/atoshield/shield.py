@@ -323,7 +323,7 @@ def safe_action_set(
     model: TrainModel,
     track: TrackSection,
     state: OperationState,
-    candidate_grid_size: int = 21,
+    candidate_grid_size: int,
 ) -> list[float]:
     """Safe subset of the command grid, ordered by command value."""
     return [
@@ -340,19 +340,20 @@ def shield_filter(
     state: OperationState,
     proposed: float,
     chooser: Callable[[Sequence[float]], float],
-    grid_size: int = 21,
-) -> tuple[float, bool]:
+    grid_size: int,
+) -> tuple[float, int]:
     """Pass a safe proposal through untouched, otherwise substitute a safe one.
 
-    Returns (command, intervened); callers count interventions as the protect
-    times.  Raises :class:`UnrecoverableStateError` when nothing on the grid
-    is safe, which recoverability makes unreachable from certified states.
+    Returns (command, interventions): 0 for a passed proposal, 1 for a
+    substituted one; callers sum them as the protect times.  Raises
+    :class:`UnrecoverableStateError` when nothing on the grid is safe, which
+    recoverability makes unreachable from certified states.
     """
     if is_safe(spec, model, track, state, proposed).safe:
-        return proposed, False
+        return proposed, 0
     candidates = safe_action_set(spec, model, track, state, grid_size)
     if not candidates:
         raise UnrecoverableStateError(
             f"no safe command at loc={state.loc:.1f} m, vel={state.vel:.1f} km/h"
         )
-    return chooser(candidates), True
+    return chooser(candidates), 1

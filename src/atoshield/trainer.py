@@ -7,9 +7,9 @@ interventions)`` shields the proposal as ``variant_correction`` says, the
 environment executes the command, and the optional learner hook
 ``learn(s_vec, cmd, outcome, s2_vec, t)`` sees the transition before the
 episode can end on it.  Each state is normalized once: ``s2_vec`` is the
-next step's ``s_vec``.  The loop returns the metrics and each step's record
-``(s_vec, cmd, outcome)``, from which training builds its elite trajectory
-and the robustness study its speed, action and acceleration sequences.
+next step's ``s_vec``.  The loop returns the metrics and the episode's
+:class:`~atoshield.drl.buffers.Trajectory`, which training inserts into the
+elite buffer as is and the robustness study correlates column by column.
 
 Inside ``train``, each episode's additional-actor fit runs on one worker
 thread, overlapped with the next episode's rollout.  Between a fit's submit
@@ -114,7 +114,6 @@ class TrainResult:
     agent: object
     elite: EliteBuffer
     metrics: list[EpisodeMetrics]
-    rewards: list[float]
     converged: bool
 
 
@@ -192,9 +191,9 @@ def _corrector(cfg: "ScenarioConfig", env: TrainEnv, correction: str, sampler) -
     fixed fallback) or, for ``"tree"``, with the search over ``sampler``.
     """
     if correction == "none":
-        return lambda state, proposed, t: (proposed, False)
+        return lambda state, proposed, t: (proposed, 0)
 
-    def correct(state: OperationState, proposed: float, t: int) -> tuple[float, bool]:
+    def correct(state: OperationState, proposed: float, t: int) -> tuple[float, int]:
         def tree(safe_set: Sequence[float]) -> float:
             return search_safe_action(
                 env, cfg.safety, sampler, state, safe_set, t, cfg.run.t_up, cfg.search,
@@ -216,29 +215,33 @@ def _run_episode(
     correct: Corrector,
     episode: int,
     learn: Callable[[np.ndarray, float, StepOutcome, np.ndarray, int], None] | None = None,
-) -> tuple[EpisodeMetrics, list[tuple[np.ndarray, float, StepOutcome]]]:
-    """One episode; returns its metrics and each step's (s_vec, cmd, outcome).
+) -> tuple[EpisodeMetrics, Trajectory]:
+    """One episode; returns its metrics and its :class:`Trajectory`.
 
     ``policy`` and ``correct`` are timed together as action selection.
     """
     track = cfg.track
     state = env.reset()
-    steps: list[tuple[np.ndarray, float, StepOutcome]] = []
-    select_times: list[float] = []
-    protect = 0
-    overspeed = 0
-    t = 0
+    states, actions, speeds, accels = [], [], [], []
+    reward = traction = regen = select_s = 0.0
+    protect = overspeed = t = 0
     s_vec = normalize_state(state, track)
     while True:
         tic = time.perf_counter()
         cmd, interventions = correct(state, policy(s_vec), t)
-        select_times.append(time.perf_counter() - tic)
-        protect += int(interventions)
+        select_s += time.perf_counter() - tic
+        protect += interventions
         out = env.step(cmd)
         if span_overspeed(track, state.loc, state.vel, out.accel_applied,
                           out.next_state.loc, out.next_state.vel):
             overspeed += 1
-        steps.append((s_vec, cmd, out))
+        states.append(s_vec)
+        actions.append(cmd)
+        speeds.append(out.next_state.vel)
+        accels.append(out.accel_applied)
+        reward += out.reward
+        traction += out.energy_traction
+        regen += out.energy_regen
         s2_vec = normalize_state(out.next_state, track)
         if learn is not None:
             learn(s_vec, cmd, out, s2_vec, t)
@@ -249,17 +252,18 @@ def _run_episode(
             break
     metrics = EpisodeMetrics(
         episode=episode,
-        total_reward=float(sum(o.reward for _, _, o in steps)),
+        total_reward=float(reward),
         protect_times=protect,
         overspeed_steps=overspeed,
-        traction_energy_kwh=sum(o.energy_traction for _, _, o in steps),
-        regen_energy_kwh=sum(o.energy_regen for _, _, o in steps),
+        traction_energy_kwh=traction,
+        regen_energy_kwh=regen,
         run_time_s=state.time,
         schedule_deviation_s=state.time - track.scheduled_time,
         arrived=out.arrived,
-        action_select_mean_s=float(np.mean(select_times)),
+        action_select_mean_s=select_s / t,
     )
-    return metrics, steps
+    return metrics, Trajectory(np.stack(states), np.array(actions), np.array(speeds),
+                               np.array(accels), metrics.total_reward)
 
 
 def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
@@ -313,13 +317,8 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
                 noise.reset()
                 if noise.kind == "gaussian" and episodes > 1:
                     noise.scale = cfg.agent.noise_scale * max(0.0, 1.0 - j / (episodes - 1))
-            metrics, steps = _run_episode(cfg, env, agent.propose, correct, j, learn)
-            elite.insert(Trajectory(
-                states=np.stack([s_vec for s_vec, _, _ in steps]),
-                actions=np.array([cmd for _, cmd, _ in steps]),
-                rewards=np.array([o.reward for _, _, o in steps]),
-                total_return=metrics.total_reward,
-            ))
+            metrics, trajectory = _run_episode(cfg, env, agent.propose, correct, j, learn)
+            elite.insert(trajectory)
             samples = [elite.sample(cfg.agent.elite_minibatch, rng)
                        for _ in range(cfg.agent.additional_updates_per_episode)]
             fit.result()
@@ -336,7 +335,6 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
         agent=agent,
         elite=elite,
         metrics=all_metrics,
-        rewards=[m.total_reward for m in all_metrics],
         converged=converged,
     )
 
@@ -449,12 +447,7 @@ def robustness_run(
 
     metrics, dist = _run_episode(cfg, env, policy, disturbed, 0)
     n = min(len(base), len(dist))
-
-    def sequences(steps):
-        """Speed, action and acceleration over the first n steps."""
-        return ([out.next_state.vel for _, _, out in steps[:n]],
-                [cmd for _, cmd, _ in steps[:n]],
-                [out.accel_applied for _, _, out in steps[:n]])
-
-    triple = PccTriple(*(_pcc_or_none(b, d) for b, d in zip(sequences(base), sequences(dist))))
+    triple = PccTriple(_pcc_or_none(base.speeds[:n], dist.speeds[:n]),
+                       _pcc_or_none(base.actions[:n], dist.actions[:n]),
+                       _pcc_or_none(base.accels[:n], dist.accels[:n]))
     return metrics, triple

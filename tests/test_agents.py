@@ -263,7 +263,8 @@ class TestSac:
 def flat_traj(net, rng, n=6, state_dim=3):
     states = rng.normal(0, 1, (n, state_dim))
     actions = net.forward(states)[:, 0]
-    return Trajectory(states=states, actions=actions, rewards=np.zeros(n), total_return=0.0)
+    return Trajectory(states=states, actions=actions, speeds=np.zeros(n), accels=np.zeros(n),
+                      total_return=0.0)
 
 
 class TestAdditionalActor:
@@ -294,7 +295,8 @@ class TestAdditionalActor:
         # craft a trajectory whose error is exactly eps
         states = rng.normal(0, 1, (4, 3))
         actions = net.forward(states)[:, 0] + 0.1
-        exact = Trajectory(states=states, actions=actions, rewards=np.zeros(4), total_return=1.0)
+        exact = Trajectory(states=states, actions=actions, speeds=np.zeros(4), accels=np.zeros(4),
+                           total_return=1.0)
         elite.insert(exact)
         mse = float(np.mean((actions - net.forward(states)[:, 0]) ** 2))
         assert not additional_actor_converged(elite, net, eps=mse)
@@ -306,7 +308,7 @@ class TestAdditionalActor:
         elite.insert(flat_traj(net, rng))
         bad_states = rng.normal(0, 1, (4, 3))
         bad = Trajectory(states=bad_states, actions=net.forward(bad_states)[:, 0] + 1.0,
-                         rewards=np.zeros(4), total_return=2.0)
+                         speeds=np.zeros(4), accels=np.zeros(4), total_return=2.0)
         elite.insert(bad)
         assert not additional_actor_converged(elite, net, eps=1e-3)
 
@@ -323,7 +325,8 @@ class TestAdditionalActor:
             if relu_kink_margin(net, states) <= 1e-4:
                 continue
             actions = rng.uniform(-1, 1, 5)
-            traj = Trajectory(states=states, actions=actions, rewards=np.zeros(5), total_return=0.0)
+            traj = Trajectory(states=states, actions=actions, speeds=np.zeros(5), accels=np.zeros(5),
+                              total_return=0.0)
 
             def loss():
                 pred = net.forward(states)[:, 0]

@@ -15,7 +15,8 @@ def traj(total_return, length=4):
     return Trajectory(
         states=rng.normal(0, 1, (length, 3)),
         actions=rng.uniform(-1, 1, length),
-        rewards=np.full(length, total_return / length),
+        speeds=np.zeros(length),
+        accels=np.zeros(length),
         total_return=float(total_return),
     )
 

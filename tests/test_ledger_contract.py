@@ -4,8 +4,11 @@ The ledger wraps package functions and methods by name, so renaming or
 deleting one of them breaks every traced benchmark run.  These tests install
 it the way a traced run does: every name it wraps must resolve, uninstalling
 must put every original back, and a built correction tree must still walk.
+The run harness's host-speed marks sit in ``TrainEnv.reset`` and
+``TrainEnv.step``, so every episode must reset and step through them.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,11 +17,12 @@ import numpy as np
 import pytest
 
 from atoshield import search_tree
+from atoshield.config import default_scenario_path, load_config
 from atoshield.drl import agents, buffers, nets
 from atoshield.dynamics import OperationState
 from atoshield.search_tree import SearchConfig, build_tree, prune
 from atoshield.shield import SafetySpec, safe_action_set
-from atoshield.trainer import TrainEnv
+from atoshield.trainer import TrainEnv, noise_test, train
 
 from conftest import make_model, make_track
 
@@ -100,3 +104,24 @@ def test_built_tree_walks_under_the_ledger(ledger_module):
     assert ledger.counters["nodes_built"] == built
     assert ledger.counters["nodes_kept"] > 0
     assert ledger.counters["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("run", ["noise_test", "train"])
+def test_every_episode_resets_and_steps_through_train_env(monkeypatch, run):
+    # benchmarks/run.py places its host-speed marks by patching TrainEnv.reset
+    # and TrainEnv.step on the class: an episode that reset or stepped any
+    # other way would run outside its marks
+    calls = {"reset": 0, "step": 0}
+    for name in calls:
+        method = getattr(TrainEnv, name)
+
+        def counted(env, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(env, *args, **kwargs)
+
+        monkeypatch.setattr(TrainEnv, name, counted)
+    cfg = load_config(default_scenario_path())
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, max_episodes=1, agent="ssa_ddpg"))
+    metrics = noise_test(cfg, 1.0, episodes=1) if run == "noise_test" else train(cfg, 0).metrics
+    assert len(metrics) == 1
+    assert calls == {"reset": 1, "step": round(metrics[0].run_time_s / cfg.track.dt)}

@@ -173,7 +173,7 @@ class TestShieldFilter:
     def test_safe_passthrough_is_bitwise(self, model, track):
         state = OperationState(loc=100.0, vel=30.0)
         proposed = 0.123456789
-        out, intervened = shield_filter(PLAIN, model, track, state, proposed, min)
+        out, intervened = shield_filter(PLAIN, model, track, state, proposed, min, grid_size=21)
         assert out == proposed and not intervened
 
     def test_unsafe_replaced_by_chooser(self, model, track):
@@ -187,7 +187,7 @@ class TestShieldFilter:
         state = OperationState(loc=200.0, vel=80.0)
         count = 0
         for _ in range(2):
-            _, intervened = shield_filter(PLAIN, model, track, state, 1.0, min)
+            _, intervened = shield_filter(PLAIN, model, track, state, 1.0, min, grid_size=21)
             count += int(intervened)
         assert count == 2
 
@@ -483,4 +483,5 @@ def test_unrecoverable_error_carries_position(model, track):
     # violate an artificially strict floor
     spec = SafetySpec(min_speed=200.0, enforce_min_speed=True, terminal_zone=10.0)
     with pytest.raises(UnrecoverableStateError):
-        shield_filter(spec, make_model(), track, OperationState(loc=100.0, vel=30.0), 0.5, min)
+        shield_filter(spec, make_model(), track, OperationState(loc=100.0, vel=30.0), 0.5, min,
+                      grid_size=21)

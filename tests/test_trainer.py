@@ -133,11 +133,31 @@ class TestTrain:
         for r in returns:
             assert any(abs(r - er) < 1e-9 for er in episode_returns)
 
+    def test_elite_trajectories_replay_bitwise(self, short_ssa_result):
+        # each elite record is its episode as executed: replaying the commands
+        # from rest gives back its states, speeds, accelerations and return
+        cfg = scenario(max_episodes=12, agent="ssa_ddpg")
+        env = TrainEnv(cfg.train, cfg.track, cfg.reward, cfg.run.resolved_budget(cfg.track))
+        assert len(short_ssa_result.elite) > 0
+        for traj in short_ssa_result.elite:
+            assert traj.states.shape == (len(traj), 3)
+            assert len(traj.speeds) == len(traj.accels) == len(traj)
+            state, total = env.reset(), 0.0
+            for t, cmd in enumerate(traj.actions):
+                assert traj.states[t].tobytes() == normalize_state(state, cfg.track).tobytes()
+                out = env.step(float(cmd))
+                assert out.next_state.vel == traj.speeds[t]
+                assert out.accel_applied == traj.accels[t]
+                assert out.done == (t == len(traj) - 1)
+                total += out.reward
+                state = out.next_state
+            assert total == traj.total_return
+
     def test_seeded_determinism(self):
         cfg = scenario(max_episodes=4)
         a = train(cfg, seed=11)
         b = train(cfg, seed=11)
-        assert a.rewards == b.rewards
+        assert [m.total_reward for m in a.metrics] == [m.total_reward for m in b.metrics]
         assert [m.protect_times for m in a.metrics] == [m.protect_times for m in b.metrics]
 
     def test_learner_updates_every_t_up_steps_of_each_episode(self, monkeypatch):
