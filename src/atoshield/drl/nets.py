@@ -14,15 +14,23 @@ depend on how the vector is split, so they equal a per-array update bitwise.
 ``backward(..., params=False)`` computes only d(loss)/d(input), for callers
 that differentiate through a network they do not train.
 
-In place, but only on what the call owns: ``forward_cached`` and
-``backward`` apply each layer's bias, activation and ReLU mask in place to
-the array that layer's matmul has just allocated, so they make no throwaway
-arrays.  They never write into an array the caller passed in or still holds
+In place, but only on what the call owns: ``forward_cached`` applies each
+layer's bias and activation in place to the array that layer's matmul has
+just allocated, so it makes no throwaway arrays.  ``backward`` writes each
+hidden layer's input-gradient product (``np.dot``, BLAS's fast path also for
+the one-column output layer, where ``@`` is several times slower) and its
+ReLU mask into scratch arrays the network owns, one pair per hidden layer,
+made on first use and grown to the largest batch seen; a call works in
+``[:rows]`` views of them.  So one network runs one ``backward`` at a time:
+two threads must not backpropagate through the same network at once.
+Neither method writes into an array the caller passed in or still holds
 (the input, ``grad_out``, a cache), and every array they return or cache is
-fresh on every call, so a caller may keep any of them as long as it likes.
-``Adam`` runs its update in two scratch vectors of its own.  Each in-place
-form does the floating-point operations of the plain expression it stands
-for, in the same order, so results are bitwise those of that expression.
+fresh on every call (the parameter gradient and the input gradient
+included), so a caller may keep any of them as long as it likes.  ``Adam``
+runs its update in two scratch vectors of its own, and ``soft_update``
+blends in one that the target network owns.  Each in-place form does the
+floating-point operations of the plain expression it stands for, in the
+same order, so results are bitwise those of that expression.
 
 One dtype per network: ``Mlp(..., dtype=)`` sets the dtype of ``flat``
 (float64 by default), and every array a network or its ``Adam`` makes
@@ -62,6 +70,11 @@ class Mlp:
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs), dtype=dtype)
         self.weights, self.biases = self._split(self.flat)
+        # backward's per-hidden-layer (product, ReLU mask) scratch, and
+        # soft_update's blend vector when this net is a target
+        self._scratch_rows = -1
+        self._scratch = []
+        self._blend = None
         for i, (n_in, n_out) in enumerate(pairs):
             if i == len(pairs) - 1:
                 self.weights[i][...] = rng.uniform(-final_init_scale, final_init_scale, (n_in, n_out))
@@ -125,14 +138,25 @@ class Mlp:
         if params:
             param_grad = np.empty_like(self.flat)
             grad_w, grad_b = self._split(param_grad)
+        rows = grad.shape[0]
+        if rows > self._scratch_rows:
+            self._scratch = [(np.empty((rows, n), self.flat.dtype), np.empty((rows, n), bool))
+                             for n in self.layer_sizes[1:-1]]
+            self._scratch_rows = rows
         for i in range(self.n_layers - 1, -1, -1):
             if params:
                 np.matmul(cache[i].T, grad, out=grad_w[i])
                 np.sum(grad, axis=0, out=grad_b[i])
-            grad = grad @ self.weights[i].T
-            if i > 0:
-                grad *= cache[i] > 0.0
-        return param_grad, grad
+            w_t = self.weights[i].T
+            # np.dot multiplies two one-element operands as scalars and keeps
+            # a -0.0 that @ sums to +0.0, so that one case stays on @
+            dot = np.matmul if grad.size == w_t.size == 1 else np.dot
+            if i == 0:
+                return param_grad, dot(grad, w_t)
+            product, mask = self._scratch[i - 1]
+            grad = dot(grad, w_t, out=product[:rows])
+            np.greater(cache[i], 0.0, out=mask[:rows])
+            grad *= mask[:rows]
 
     def copy_from(self, other: "Mlp") -> None:
         if other.layer_sizes != self.layer_sizes:
@@ -219,5 +243,9 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     """target <- (1 - tau) * target + tau * online, elementwise."""
     if target.layer_sizes != online.layer_sizes:
         raise ValueError("layer size mismatch between target and online nets")
+    dtype = np.result_type(tau, online.flat)
+    if target._blend is None or target._blend.dtype != dtype:
+        target._blend = np.empty(online.flat.shape, dtype)
     target.flat *= 1.0 - tau
-    target.flat += tau * online.flat
+    np.multiply(tau, online.flat, out=target._blend)
+    target.flat += target._blend

@@ -499,8 +499,9 @@ class ReferenceReplayBuffer:
 
 
 def reference_backward(net, cache, grad_out):
-    """Per-layer (d/dW, d/db) pairs and d/d(input), one array per parameter."""
-    grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    """Per-layer (d/dW, d/db) pairs and d/d(input), one array per parameter,
+    from plain expressions in the net's dtype, with ``@`` for every product."""
+    grad = np.atleast_2d(np.asarray(grad_out, dtype=net.flat.dtype))
     if net.output_activation == "tanh":
         grad = grad * (1.0 - cache[-1] ** 2)
     pairs = [None] * net.n_layers

@@ -97,22 +97,42 @@ class TestGradients:
 
 NET_SHAPES = [((3, 8, 1), "tanh"), ((4, 16, 16, 1), "identity"), ((3, 5, 7, 2), "identity"),
               ((1, 1), "tanh")]
+# NET_SHAPES plus the agents' shapes: critic and value heads, the DDPG
+# actor, and the SAC policy's two-column head
+BACKWARD_SHAPES = NET_SHAPES + [((4, 64, 64, 1), "identity"), ((3, 64, 64, 1), "tanh"),
+                                ((3, 64, 64, 2), "identity")]
+
+
+def backward_and_reference(net, rows, rng):
+    """``net.backward`` on a fresh batch, with the reference's param and
+    input gradients flattened the same way."""
+    _, cache = net.forward_cached(rng.normal(0, 1, (rows, net.layer_sizes[0])))
+    g_out = rng.normal(0, 1, (rows, net.layer_sizes[-1]))
+    g_out[::3] = 0.0  # zero gradients: the products must keep their signed zeros
+    grads, grad_in = net.backward(cache, g_out)
+    pairs, ref_in = reference_backward(net, cache, g_out)
+    ref = np.concatenate([g.ravel() for pair in pairs for g in pair])
+    return (grads, grad_in), (ref, ref_in)
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestFlatLayout:
-    @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
+    @pytest.mark.parametrize("sizes,activation", BACKWARD_SHAPES)
     def test_full_backward_equals_per_layer_reference(self, sizes, activation):
-        rng = np.random.default_rng(11)
-        net = Mlp(list(sizes), activation, rng, final_init_scale=0.5)
-        x = rng.normal(0, 1, (9, sizes[0]))
-        _, cache = net.forward_cached(x)
-        g_out = rng.normal(0, 1, (9, sizes[-1]))
-        grads, grad_in = net.backward(cache, g_out)
-        pairs, ref_in = reference_backward(net, cache, g_out)
-        ref = np.concatenate([g.ravel() for pair in pairs for g in pair])
-        assert grads.shape == net.flat.shape
-        assert grads.tobytes() == ref.tobytes()
-        assert grad_in.tobytes() == ref_in.tobytes()
+        # one net per dtype, through a growing then shrinking batch
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(11)
+            net = Mlp(list(sizes), activation, rng, final_init_scale=0.5, dtype=dtype)
+            for rows in (1, 256, 1077, 9):
+                got, want = backward_and_reference(net, rows, rng)
+                assert got[0].shape == net.flat.shape
+                assert got[0].dtype == dtype
+                assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
     def test_input_only_backward_equals_full_bitwise(self, sizes, activation):
@@ -125,6 +145,27 @@ class TestFlatLayout:
             none, only = net.backward(cache, g_out, params=False)
             assert none is None
             assert only.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_scratch_reuse_equals_reference(self, dtype):
+        # backward's per-net scratch must not leak one call into the next:
+        # shrink and regrow one net's batch, interleave two nets of one
+        # shape, and run a clone beside its original; every call, and every
+        # array it returned, must still match the reference at the end
+        rng = np.random.default_rng(13)
+        net = Mlp([4, 64, 64, 1], "identity", rng, final_init_scale=0.5, dtype=dtype)
+        other = Mlp([4, 64, 64, 1], "identity", rng, final_init_scale=0.5, dtype=dtype)
+        calls = [(net, 1077), (net, 256), (net, 1077)]
+        calls += [(net, 256), (other, 1077), (net, 1077), (other, 256)]
+        twin = net.clone()
+        calls += [(twin, 256), (net, 1077), (twin, 1077), (net, 256)]
+        kept = []
+        for which, rows in calls:
+            got, want = backward_and_reference(which, rows, rng)
+            assert_same_bytes(got, want)
+            kept.append((got, want))
+        for got, want in kept:
+            assert_same_bytes(got, want)
 
     def test_views_share_the_flat_vector(self, rng):
         net = Mlp([3, 8, 8, 2], "identity", rng)
@@ -203,6 +244,22 @@ class TestSoftUpdate:
     def test_shape_mismatch_faults(self, rng):
         with pytest.raises(ValueError):
             soft_update(Mlp([2, 1], "tanh", rng), Mlp([3, 1], "tanh", rng), 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tau", [0.01, np.float64(0.01)])
+    def test_equals_the_plain_expression_bitwise(self, dtype, tau):
+        # a numpy float64 tau promotes a float32 blend to float64, as the
+        # plain expression does
+        rng = np.random.default_rng(43)
+        online = Mlp([4, 16, 16, 1], "identity", rng, dtype=dtype)
+        target = Mlp([4, 16, 16, 1], "identity", rng, dtype=dtype)
+        plain = target.flat.copy()
+        for _ in range(3):
+            online.flat += rng.normal(0, 0.1, online.flat.shape).astype(dtype)
+            soft_update(target, online, tau)
+            plain *= 1.0 - tau
+            plain += tau * online.flat
+            assert target.flat.tobytes() == plain.tobytes()
 
 
 class TestAdam:
@@ -339,6 +396,28 @@ class TestAllocations:
         kept = sum(a.nbytes for a in cache[1:])
         assert all(a.dtype == dtype for a in cache)
         assert peak <= kept + 256 * 64 * np.dtype(dtype).itemsize
+
+
+    def test_backward_keeps_what_it_returns(self, dtype):
+        # the margin is one (rows, width) array; numpy's buffered cast of the
+        # bool ReLU mask in ``grad *= mask`` takes part of it
+        rng = np.random.default_rng(37)
+        net = Mlp([4, 64, 64, 1], "identity", rng, dtype=dtype)
+        _, cache = net.forward_cached(rng.normal(0, 1, (256, 4)))
+        grad_out = rng.normal(0, 1, (256, 1)).astype(dtype)
+        net.backward(cache, grad_out)  # warm-up: makes the scratch
+        out = []
+        peak = traced_peak(lambda: out.append(net.backward(cache, grad_out)))
+        grads, grad_in = out[0]
+        assert grads.dtype == grad_in.dtype == dtype
+        assert peak <= grads.nbytes + grad_in.nbytes + 256 * 64 * np.dtype(dtype).itemsize
+
+    def test_soft_update_allocates_less_than_one_parameter_vector(self, dtype):
+        rng = np.random.default_rng(41)
+        online = Mlp([4, 64, 64, 1], "identity", rng, dtype=dtype)
+        target = online.clone()
+        soft_update(target, online, 0.01)  # warm-up: makes the blend vector
+        assert traced_peak(lambda: soft_update(target, online, 0.01)) < online.flat.nbytes
 
 
 class TestPrecision:
