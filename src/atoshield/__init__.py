@@ -1,7 +1,6 @@
 """Shielded reinforcement-learning control for automatic train operation."""
 
 from .dynamics import (
-    Condition,
     OperationState,
     RewardWeights,
     StepOutcome,

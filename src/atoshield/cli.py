@@ -128,13 +128,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _train_one_seed(config_path: str, agent: str | None, seed: int,
-                    episodes: int | None, out_dir: str) -> dict:
+def _train_one_seed(cfg: ScenarioConfig, seed: int, out: Path) -> dict:
     """Worker for one seeded training run; writes its artifacts, returns a digest."""
-    args = argparse.Namespace(config=config_path, agent=agent, seed=str(seed), episodes=episodes)
-    cfg = _load(args)
     result = train(cfg, seed)
-    out = Path(out_dir)
     tag = f"{cfg.run.agent}_seed{seed}"
     ckpt = out / f"checkpoint_{tag}.json"
     save_checkpoint(ckpt, result.agent, result.converged)
@@ -170,14 +166,13 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     seeds = list(cfg.run.seeds)
-    jobs = [(str(args.config), args.agent, s, args.episodes, str(out)) for s in seeds]
     if args.workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_train_one_seed, *job) for job in jobs]
+            futures = [pool.submit(_train_one_seed, cfg, seed, out) for seed in seeds]
             runs = [_seed_run(seed, fut.result) for seed, fut in zip(seeds, futures)]
     else:
-        runs = [_seed_run(seed, functools.partial(_train_one_seed, *job))
-                for seed, job in zip(seeds, jobs)]
+        runs = [_seed_run(seed, functools.partial(_train_one_seed, cfg, seed, out))
+                for seed in seeds]
     write_summary(out / "summary.json", {"command": "train", "runs": runs})
     failed = sum("error" in r for r in runs)
     print(f"trained {len(runs) - failed} of {len(runs)} run(s) -> {out}")

@@ -2,7 +2,9 @@
 
 All operations here are pure functions of their inputs; states are immutable.
 Velocities are carried in km/h (what speed limits are posted in), accelerations
-in m/s^2, positions in m, times in s, energies in kWh.
+in m/s^2, positions in m, times in s, energies in kWh.  A state carries the
+command that entered it (``last_cmd``, 0 for a fresh state), so the shield's
+reversal rule reads the drivetrain's last working condition from its sign.
 
 Each formula has one body over a table of elementwise primitives, run on
 Python floats by :func:`step` and on numpy arrays by :func:`step_batch`, so a
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -22,26 +23,6 @@ import numpy as np
 KMH_PER_MPS = 3.6
 JOULES_PER_KWH = 3.6e6
 KG_PER_TONNE = 1000.0
-
-
-class Condition(str, Enum):
-    """Discrete working condition of the drivetrain."""
-
-    TRACTION = "traction"
-    COASTING = "coasting"
-    BRAKING = "braking"
-
-
-# read once: an enum attribute read costs more than the rest of condition_of
-_TRACTION, _COASTING, _BRAKING = Condition.TRACTION, Condition.COASTING, Condition.BRAKING
-
-
-def condition_of(cmd: float) -> Condition:
-    if cmd > 0.0:
-        return _TRACTION
-    if cmd < 0.0:
-        return _BRAKING
-    return _COASTING
 
 
 @dataclass(frozen=True)
@@ -76,7 +57,6 @@ class TrackSection:
     limit_segments: tuple[tuple[float, float, float], ...]  # limit in km/h
     grade_segments: tuple[tuple[float, float, float], ...]  # signed accel, m/s^2
     scheduled_time: float  # s
-    schedule_margin: float = 30.0  # s
     dt: float = 1.0  # control/integration step, s
 
     def __post_init__(self):
@@ -105,12 +85,13 @@ class TrackSection:
 
 @dataclass(frozen=True)
 class OperationState:
-    """Instantaneous operating point: where, how fast, for how long."""
+    """Instantaneous operating point: where, how fast, for how long, and the
+    command that entered it (> 0 traction, < 0 braking, 0 coasting)."""
 
     loc: float = 0.0  # m
     vel: float = 0.0  # km/h
     time: float = 0.0  # s
-    last_condition: Condition = Condition.COASTING
+    last_cmd: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -274,7 +255,7 @@ def step(
         FLOATS, model, track, state.loc, state.vel, state.time, cmd, weights, prev_accel
     )
     # positional: keyword arguments cost a third of the construction
-    next_state = OperationState(loc, vel, time, condition_of(cmd))
+    next_state = OperationState(loc, vel, time, cmd)
     return StepOutcome(next_state, reward, energy_traction, energy_regen, accel, arrived, arrived)
 
 
@@ -382,8 +363,6 @@ def validate_track(model: TrainModel, track: TrackSection) -> list[str]:
         errors.append("track.length: must be > 0")
     if track.scheduled_time <= 0.0:
         errors.append("track.scheduled_time: must be > 0")
-    if track.schedule_margin < 0.0:
-        errors.append("track.schedule_margin: must be >= 0")
     if track.dt <= 0.0:
         errors.append("track.dt: must be > 0")
     errors += _check_tiling(track.limit_segments, track.length, "limit_segments")

@@ -15,9 +15,10 @@ the row of the parent in the previous level.  :func:`build_tree` appends one
 level per step: one sampler call over the raw ``(loc, vel, time)`` rows of the
 level's open nodes, then one array step (:func:`~.dynamics.step_batch`) over
 the (node, sample) pairs, whose outcome both certifies each pair
-(:func:`~.shield.safe_mask`) and, when it is safe, becomes a row of the next
-level.  A level wider than ``_BLOCK_PAIRS`` pairs is stepped in blocks of that
-many.  Children keep their sample order under their parent, so a level's
+(:func:`~.shield.rule_codes` is 0, with the parent's ``cmd`` as the command
+that entered its state) and, when it is safe, becomes a row of the next
+level.  A level wider than ``_BLOCK_PAIRS`` pairs is stepped in blocks of
+that many.  Children keep their sample order under their parent, so a level's
 ``parent`` column never decreases, and a sampler whose draws depend only on
 the state gives the same tree as expanding one node at a time, depth first.
 
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .dynamics import BatchOutcome, OperationState, step_batch
-from .shield import SafetySpec, safe_mask
+from .shield import SafetySpec, rule_codes
 
 if TYPE_CHECKING:
     from .trainer import TrainEnv
@@ -190,8 +191,7 @@ def build_tree(
             loc, vel = above.loc[parent], above.vel[parent]
             out = step_batch(model, track, loc, vel, above.time[parent], block_cmd, weights,
                              above.accel[parent])
-            safe = safe_mask(spec, model, track, loc, vel, np.sign(above.cmd[parent]),
-                             block_cmd, out)
+            safe = rule_codes(spec, model, track, loc, vel, above.cmd[parent], block_cmd, out) == 0
             blocks.append(_level(out, block_cmd, parent, np.flatnonzero(safe)))
         level = blocks[0] if len(blocks) == 1 else Level(
             *(np.concatenate([getattr(b, name) for b in blocks]) for name in _ARRAYS)

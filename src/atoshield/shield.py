@@ -13,8 +13,12 @@ underlying safety game.
 
 Each safety formula has one body over the primitives of ``dynamics``, run on
 floats for one state and on arrays for the tree, so a fix edits only that
-body.  One certifier gives each (state, command) row a rule code, which
-:func:`is_safe` maps to its verdict.
+body.  A (state, command) row gets a rule code (:data:`RULE_OF_CODE`) in two
+stages: the one-step rules (reversal, overspeed, then the floor) read the
+state's ``last_cmd``, the command and the stepped transition, and only a row
+that breaks none of them is rolled out for recoverability.  :func:`is_safe`
+runs the stages on one state and maps the code to its verdict;
+:func:`rule_codes` runs them on the tree's rows.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .dynamics import (
     FLOATS,
     KMH_PER_MPS,
     BatchOutcome,
-    Condition,
     OperationState,
     Ops,
     TrackSection,
@@ -43,7 +46,6 @@ from .dynamics import (
 
 FULL_BRAKING = -1.0
 _RECOVERY_STEP_CAP = 100_000
-_TRACTION, _BRAKING = Condition.TRACTION, Condition.BRAKING  # enum attribute reads are slow
 
 
 class Rule(str, Enum):
@@ -155,7 +157,7 @@ def brake_recoverable(
     rules are one-step concerns.
     """
     current = state
-    coast = spec.forbid_direct_reversal and current.last_condition is _TRACTION
+    coast = spec.forbid_direct_reversal and current.last_cmd > 0.0
     steps = 0
     while not _rollout_ends(FLOATS, model, track, current.loc, current.vel, coast):
         if steps == _RECOVERY_STEP_CAP:
@@ -174,7 +176,7 @@ def _brake_recoverable_batch(
     track: TrackSection,
     loc: np.ndarray,
     vel: np.ndarray,
-    after_traction: np.ndarray,
+    last_cmd: np.ndarray,
 ) -> np.ndarray:
     """:func:`brake_recoverable` over arrays of states.
 
@@ -185,7 +187,7 @@ def _brake_recoverable_batch(
     """
     ok = np.zeros(loc.shape, dtype=bool)
     rows = np.arange(loc.size)
-    coast = after_traction & spec.forbid_direct_reversal
+    coast = (last_cmd > 0.0) & spec.forbid_direct_reversal
     steps = 0
     while True:
         done = _rollout_ends(ARRAYS, model, track, loc, vel, coast)
@@ -201,45 +203,25 @@ def _brake_recoverable_batch(
         coast, steps = np.zeros(rows.size, dtype=bool), steps + 1
 
 
-def _certify(ops: Ops, spec, model, track, subject, last_sign, cmd, advance, recover):
-    """The rule code of each (state, command) row; see :data:`RULE_OF_CODE`.
-
-    Rules run in priority order and work stops once every row has a code.
-    ``advance(model, track, subject, cmd)`` gives each row's overspeed flag,
-    whether it arrived and the next states; ``recover(spec, model, track,
-    open, next_states, cmd)`` answers for the rows in the mask ``open``.
-    """
+def _one_step_code(ops: Ops, spec, track, last_cmd, cmd, overspeeds, arrived, loc, vel):
+    """The code of the first one-step rule each row breaks, 0 when it breaks
+    none: a direct reversal from ``last_cmd`` to ``cmd``, an overspeed on the
+    traversed span, then a floor breach at the next state ``(loc, vel)``."""
     # code + rule * (code == 0 and broken): a row keeps the first rule it breaks
     code = 0
     if spec.forbid_direct_reversal:
-        code = 1 * (last_sign * cmd < 0.0)
-        if ops.all(code):
-            return code
-    overspeeds, arrived, nxt = advance(model, track, subject, cmd)
+        # signs, not a product: -0.5 * 5e-324 rounds to -0.0
+        code = 1 * ((last_cmd > 0.0) & (cmd < 0.0) | (last_cmd < 0.0) & (cmd > 0.0))
     code = code + 2 * ((code == 0) & overspeeds)
     if spec.enforce_min_speed:
-        floor = floor_applies(spec, track, nxt.loc) & (nxt.vel <= spec.min_speed)
+        floor = floor_applies(spec, track, loc) & (vel <= spec.min_speed)
         code = code + 3 * ((code == 0) & ops.where(arrived, False, floor))
-    if ops.all(code):
-        return code
-    return ops.where(recover(spec, model, track, code == 0, nxt, cmd), code, 4)
+    return code
 
 
 # the rule each certifier code stands for: 0 is safe, then in priority order
 RULE_OF_CODE = (None, Rule.REVERSAL, Rule.OVERSPEED, Rule.UNDERSPEED, Rule.UNRECOVERABLE)
 _VERDICT_OF_CODE = (SAFE,) + tuple(ShieldVerdict(False, rule) for rule in RULE_OF_CODE[1:])
-
-
-def _advance_state(model, track, state, cmd):
-    # by the ledger's names: each is_safe is one dynamics.step and one span check
-    out = step(model, track, state, cmd)
-    nxt = out.next_state
-    over = span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
-    return over, out.arrived, nxt
-
-
-def _recover_state(spec, model, track, open_row, nxt, cmd):
-    return brake_recoverable(spec, model, track, nxt)
 
 
 def is_safe(
@@ -250,24 +232,17 @@ def is_safe(
     cmd: float,
 ) -> ShieldVerdict:
     """Certify one command from one state against all configured rules."""
-    last = state.last_condition
-    sign = 1 if last is _TRACTION else -1 if last is _BRAKING else 0
-    code = _certify(FLOATS, spec, model, track, state, sign, cmd, _advance_state, _recover_state)
-    return _VERDICT_OF_CODE[code]
-
-
-def _advance_rows(model, track, rows, cmd):
-    loc, vel, out = rows
-    return _span_overspeed(ARRAYS, track, loc, vel, out.accel, out.loc, out.vel), out.arrived, out
-
-
-def _recover_rows(spec, model, track, open_rows, out, cmd):
-    ok = np.ones(open_rows.shape, dtype=bool)
-    rows = np.flatnonzero(open_rows)
-    ok[rows] = _brake_recoverable_batch(
-        spec, model, track, out.loc[rows], out.vel[rows], cmd[rows] > 0.0
+    # by the ledger's names: one dynamics.step, one span check and, for a
+    # command no one-step rule rejects, one brake_recoverable
+    out = step(model, track, state, cmd)
+    nxt = out.next_state
+    over = span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
+    code = _one_step_code(
+        FLOATS, spec, track, state.last_cmd, cmd, over, out.arrived, nxt.loc, nxt.vel
     )
-    return ok
+    if code == 0 and not brake_recoverable(spec, model, track, nxt):
+        code = 4
+    return _VERDICT_OF_CODE[code]
 
 
 def rule_codes(
@@ -276,26 +251,24 @@ def rule_codes(
     track: TrackSection,
     loc: np.ndarray,
     vel: np.ndarray,
-    last_sign: np.ndarray,
+    last_cmd: np.ndarray,
     cmd: np.ndarray,
     out: BatchOutcome,
 ) -> np.ndarray:
     """The code of :func:`is_safe`'s verdict for every row; see :data:`RULE_OF_CODE`.
 
-    Row i is the state (loc[i], vel[i]) whose last condition has the sign
-    ``last_sign[i]`` (+1 traction, -1 braking, 0 coasting), under command
-    ``cmd[i]``; ``out`` is :func:`step_batch` of those rows.  Only the
-    outcome's kinematics are read, so rewards computed with any weights and
-    previous accelerations serve.
+    Row i is the state (loc[i], vel[i]) entered by command ``last_cmd[i]``,
+    under command ``cmd[i]``; ``out`` is :func:`step_batch` of those rows.
+    Only the outcome's kinematics are read, so rewards computed with any
+    weights and previous accelerations serve.
     """
-    return _certify(
-        ARRAYS, spec, model, track, (loc, vel, out), last_sign, cmd, _advance_rows, _recover_rows
-    )
-
-
-def safe_mask(*args) -> np.ndarray:
-    """``is_safe(...).safe`` for every row: :func:`rule_codes` (same arguments) is 0."""
-    return rule_codes(*args) == 0
+    over = _span_overspeed(ARRAYS, track, loc, vel, out.accel, out.loc, out.vel)
+    code = _one_step_code(ARRAYS, spec, track, last_cmd, cmd, over, out.arrived, out.loc, out.vel)
+    rows = np.flatnonzero(code == 0)
+    if rows.size:
+        ok = _brake_recoverable_batch(spec, model, track, out.loc[rows], out.vel[rows], cmd[rows])
+        code[rows[~ok]] = 4
+    return code
 
 
 def command_grid(size: int) -> list[float]:

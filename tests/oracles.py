@@ -23,10 +23,8 @@ from atoshield.dynamics import (
     DEFAULT_WEIGHTS,
     JOULES_PER_KWH,
     KMH_PER_MPS,
-    Condition,
     OperationState,
     StepOutcome,
-    condition_of,
     step,
 )
 from atoshield.shield import floor_applies, is_safe
@@ -160,9 +158,7 @@ def ref_step(
         track, weights, cmd, energy_traction, energy_regen,
         mean_speed, a, prev_accel, arrived, t1,
     )
-    next_state = OperationState(
-        loc=loc1, vel=v1 * KMH_PER_MPS, time=t1, last_condition=condition_of(cmd)
-    )
+    next_state = OperationState(loc=loc1, vel=v1 * KMH_PER_MPS, time=t1, last_cmd=cmd)
     return StepOutcome(
         next_state=next_state,
         reward=-(e_term + d_term + c_term),
@@ -209,11 +205,20 @@ def _overspeeds(track, state, out):
     return ref_span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
 
 
+def _ref_condition(cmd):
+    """The drivetrain's working condition under a command."""
+    if cmd > 0.0:
+        return "traction"
+    if cmd < 0.0:
+        return "braking"
+    return "coasting"
+
+
 def ref_brake_to_stop(spec, model, track, state):
     """Full braking to a stop or to the section end, after the one coast the
     reversal rule forces; recoverable unless some interval overspeeds."""
     current = state
-    if spec.forbid_direct_reversal and current.last_condition is Condition.TRACTION:
+    if spec.forbid_direct_reversal and _ref_condition(current.last_cmd) == "traction":
         out = ref_step(model, track, current, 0.0)
         if _overspeeds(track, current, out):
             return False
@@ -242,8 +247,8 @@ def ref_brake_recoverable(spec, model, track, state):
 
 def ref_is_safe(spec, model, track, state, cmd):
     """``is_safe(...).safe`` with :func:`ref_brake_recoverable` for recoverability."""
-    conditions = {state.last_condition, condition_of(cmd)}
-    if spec.forbid_direct_reversal and conditions == {Condition.TRACTION, Condition.BRAKING}:
+    conditions = {_ref_condition(state.last_cmd), _ref_condition(cmd)}
+    if spec.forbid_direct_reversal and conditions == {"traction", "braking"}:
         return False
     out = ref_step(model, track, state, cmd)
     if _overspeeds(track, state, out):

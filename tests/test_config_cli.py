@@ -73,13 +73,18 @@ class TestValidateConfig:
         assert "run.agent" in msgs
         assert "run.seeds" in msgs
 
-    def test_tree_cadence_is_not_a_search_key(self, tmp_path, default_yaml):
+    @pytest.mark.parametrize("block, key", [
         # the tree's depth bound is run.t_up; a separate search key could only disagree
+        ("search", "update_frequency"),
+        # nothing read the schedule margin, so a file that sets it must hear so
+        ("track", "schedule_margin"),
+    ], ids=["search.update_frequency", "track.schedule_margin"])
+    def test_retired_key_is_unknown(self, tmp_path, default_yaml, block, key):
         blob = copy.deepcopy(default_yaml)
-        blob["search"]["update_frequency"] = 5
+        blob[block][key] = 5
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
-        assert err.value.errors == ["search.update_frequency: unknown key"]
+        assert err.value.errors == [f"{block}.{key}: unknown key"]
 
     def test_action_grid_below_two_rejected(self, tmp_path, default_yaml):
         # a one-point grid has no room for both -1 and +1; it must fail at load,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from atoshield.dynamics import (
     DEFAULT_WEIGHTS,
     FLOATS,
-    Condition,
     OperationState,
     RewardWeights,
     TrainModel,
@@ -98,7 +97,7 @@ class TestStep:
         assert out.next_state.vel == pytest.approx((1.2 - 0.0084) * 3.6)
         assert out.energy_traction > 0.0
         assert out.energy_regen == 0.0
-        assert out.next_state.last_condition is Condition.TRACTION
+        assert out.next_state.last_cmd == 1.0
 
     def test_braking_produces_regen_only(self, model, track):
         out = step(model, track, OperationState(loc=200.0, vel=60.0), -1.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from atoshield import trainer
 from atoshield.config import ConfigError, default_scenario_path, load_config
-from atoshield.dynamics import OperationState, condition_of
+from atoshield.dynamics import OperationState
 from atoshield.search_tree import (
     Level,
     SearchConfig,
@@ -153,7 +153,7 @@ class TestBuildTree:
             for cmd, k in zip(level.cmd.tolist(), level.parent.tolist()):
                 parent = OperationState(
                     loc=float(above.loc[k]), vel=float(above.vel[k]), time=float(above.time[k]),
-                    last_condition=condition_of(float(above.cmd[k])),
+                    last_cmd=float(above.cmd[k]),
                 )
                 assert is_safe(spec, model, track, parent, cmd).safe
 

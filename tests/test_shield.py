@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atoshield import shield
-from atoshield.dynamics import Condition, OperationState, step, step_batch, validate_track
+from atoshield.dynamics import OperationState, step, step_batch, validate_track
 from atoshield.shield import (
     RULE_OF_CODE,
     Rule,
@@ -15,7 +15,6 @@ from atoshield.shield import (
     is_safe,
     rule_codes,
     safe_action_set,
-    safe_mask,
     shield_filter,
     span_overspeed,
 )
@@ -26,6 +25,9 @@ from oracles import _ref_limit_at, ref_brake_recoverable, ref_brake_to_stop, ref
 STRICT_FLOOR = SafetySpec(min_speed=0.0, enforce_min_speed=True, terminal_zone=150.0)
 PLAIN = SafetySpec()
 REVERSAL = SafetySpec(forbid_direct_reversal=True)
+# a command, or the last command a state carries: full braking, coasting and
+# full traction, or any value in [-1, 1]
+COMMAND = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
 
 
 def oracle_violation(model, track, state, cmd, subsamples=64):
@@ -88,17 +90,21 @@ class TestIsSafe:
         assert not verdict.safe and verdict.violated_rule is Rule.OVERSPEED
 
     def test_reversal_from_traction(self, model, track):
-        state = OperationState(loc=200.0, vel=40.0, last_condition=Condition.TRACTION)
+        state = OperationState(loc=200.0, vel=40.0, last_cmd=0.5)
         verdict = is_safe(REVERSAL, model, track, state, -0.5)
         assert not verdict.safe and verdict.violated_rule is Rule.REVERSAL
 
-    def test_reversal_from_braking(self, model, track):
-        state = OperationState(loc=200.0, vel=40.0, last_condition=Condition.BRAKING)
-        verdict = is_safe(REVERSAL, model, track, state, 0.5)
+    # a subnormal command reverses too, though -0.5 * 5e-324 rounds to -0.0
+    @pytest.mark.parametrize("cmd", [0.5, 5e-324], ids=["half", "subnormal"])
+    def test_reversal_from_braking(self, model, track, cmd):
+        state = OperationState(loc=200.0, vel=40.0, last_cmd=-0.5)
+        verdict = is_safe(REVERSAL, model, track, state, cmd)
         assert not verdict.safe and verdict.violated_rule is Rule.REVERSAL
+        codes = rule_codes(REVERSAL, model, track, *batch_args(track, [(200.0, 40.0, -0.5, cmd)]))
+        assert codes.tolist() == [1]
 
     def test_coasting_never_reverses(self, model, track):
-        state = OperationState(loc=200.0, vel=40.0, last_condition=Condition.TRACTION)
+        state = OperationState(loc=200.0, vel=40.0, last_cmd=1.0)
         assert is_safe(REVERSAL, model, track, state, 0.0).safe
 
     def test_start_of_motion_is_safe(self, model, track):
@@ -198,8 +204,8 @@ class TestSoundness:
         for _ in range(800):
             loc = float(rng.uniform(0.0, track.length - 1.0))
             vel = float(rng.uniform(0.0, _ref_limit_at(track, loc)))
-            cond = list(Condition)[rng.integers(len(Condition))]
-            state = OperationState(loc=loc, vel=vel, last_condition=cond)
+            last_cmd = (1.0, 0.0, -1.0)[rng.integers(3)]
+            state = OperationState(loc=loc, vel=vel, last_cmd=last_cmd)
             cmd = float(rng.uniform(-1.0, 1.0))
             if is_safe(PLAIN, model, track, state, cmd).safe:
                 checked += 1
@@ -300,7 +306,7 @@ def downstream_minimum(track, loc):
 
 @st.composite
 def sections_with_states(draw):
-    """A generated section and 1-20 (loc, vel, last condition, command) rows,
+    """A generated section and 1-20 (loc, vel, last command, command) rows,
     each at a posted limit or above the downstream minimum, often within
     2 km/h of it and within 2 m before a limit boundary."""
     track = draw(generated_sections())
@@ -314,8 +320,7 @@ def sections_with_states(draw):
         lowest = downstream_minimum(track, loc)
         vel = draw(st.one_of(st.sampled_from(limits), st.floats(lowest, lowest + 2.0),
                              st.floats(lowest, max(lowest, 100.0))))
-        rows.append((loc, vel, draw(st.sampled_from(list(Condition))),
-                     draw(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)))))
+        rows.append((loc, vel, draw(COMMAND), draw(COMMAND)))
     return track, rows
 
 
@@ -327,17 +332,16 @@ class TestRecoverabilityAgainstFullRollout:
         # the rollout's early exit at the first clear state must never change a verdict
         track, rows = case
         model = make_model()
-        states = [OperationState(loc, vel, 0.0, cond) for loc, vel, cond, _ in rows]
+        states = [OperationState(loc, vel, 0.0, last) for loc, vel, last, _ in rows]
         recoverable = [ref_brake_recoverable(spec, model, track, s) for s in states]
         assert [brake_recoverable(spec, model, track, s) for s in states] == recoverable
-        loc, vel, conds, _ = zip(*rows)
-        after_traction = np.array([cond is Condition.TRACTION for cond in conds])
+        loc, vel, last, _ = zip(*rows)
         assert shield._brake_recoverable_batch(
-            spec, model, track, np.array(loc), np.array(vel), after_traction
+            spec, model, track, np.array(loc), np.array(vel), np.array(last)
         ).tolist() == recoverable
         got, verdicts = mask_and_verdicts(spec, track, rows)
-        want = [ref_is_safe(spec, model, track, OperationState(loc, vel, 0.0, cond), cmd)
-                for loc, vel, cond, cmd in rows]
+        want = [ref_is_safe(spec, model, track, OperationState(loc, vel, 0.0, last), cmd)
+                for loc, vel, last, cmd in rows]
         assert got == verdicts == want
 
 
@@ -360,7 +364,7 @@ class TestBrakeRecoverable:
         assert brake_recoverable(PLAIN, model, track, OperationState(loc=300.0, vel=75.0))
         assert len(calls) == 5
         loc, vel = np.array([300.0]), np.array([75.0])
-        assert shield._brake_recoverable_batch(PLAIN, model, track, loc, vel, np.array([False]))
+        assert shield._brake_recoverable_batch(PLAIN, model, track, loc, vel, np.array([0.0]))
         assert len(calls) == 10
 
     def test_hopeless_state_not_recoverable(self, model, track):
@@ -372,31 +376,26 @@ class TestBrakeRecoverable:
         # the reversal rule makes the rollout coast first from the section end,
         # and that coast leaves the train above the last segment's 30 km/h
         track = make_track(length=600.0, limits=((0.0, 300.0, 40.0), (300.0, 600.0, 30.0)))
-        state = OperationState(loc=600.0, vel=31.0, last_condition=Condition.TRACTION)
+        state = OperationState(loc=600.0, vel=31.0, last_cmd=1.0)
         assert not ref_brake_to_stop(REVERSAL, model, track, state)
         assert not ref_brake_recoverable(REVERSAL, model, track, state)
         assert not brake_recoverable(REVERSAL, model, track, state)
         assert not shield._brake_recoverable_batch(
-            REVERSAL, model, track, np.array([600.0]), np.array([31.0]), np.array([True])
+            REVERSAL, model, track, np.array([600.0]), np.array([31.0]), np.array([1.0])
         ).any()
         assert brake_recoverable(PLAIN, model, track, state)
 
 
-CONDITION_SIGN = {Condition.TRACTION: 1, Condition.COASTING: 0, Condition.BRAKING: -1}
-
-
 def batch_args(track, rows):
-    """The (loc, vel, last_sign, cmd, out) arrays of (loc, vel, last_condition, cmd) rows."""
-    loc, vel, conds, cmd = zip(*rows)
-    loc, vel, cmd = np.array(loc), np.array(vel), np.array(cmd)
-    signs = np.array([CONDITION_SIGN[c] for c in conds])
-    return loc, vel, signs, cmd, step_batch(make_model(), track, loc, vel, 0.0, cmd)
+    """The (loc, vel, last_cmd, cmd, out) arrays of (loc, vel, last_cmd, cmd) rows."""
+    loc, vel, last, cmd = (np.array(column) for column in zip(*rows))
+    return loc, vel, last, cmd, step_batch(make_model(), track, loc, vel, 0.0, cmd)
 
 
 def mask_and_verdicts(spec, track, rows):
-    """safe_mask over (loc, vel, last_condition, cmd) rows, and is_safe of each row."""
+    """Whether rule_codes is 0 on each (loc, vel, last_cmd, cmd) row, and is_safe of each row."""
     model = make_model()
-    got = safe_mask(spec, model, track, *batch_args(track, rows))
+    got = rule_codes(spec, model, track, *batch_args(track, rows)) == 0
     want = [is_safe(spec, model, track, OperationState(r[0], r[1], 0.0, r[2]), r[3]).safe
             for r in rows]
     return got.tolist(), want
@@ -410,8 +409,8 @@ def ref_verdicts(spec, track, rows):
 SHIELD_ROW = st.tuples(
     st.floats(0.0, 1500.0),
     st.one_of(st.floats(0.0, 95.0), st.floats(55.0, 85.0)),  # the second often misses the fast path
-    st.sampled_from(list(Condition)),
-    st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+    COMMAND,
+    COMMAND,
 )
 GRADED_SHIELD = make_track(
     limits=((0.0, 600.0, 70.0), (600.0, 1000.0, 45.0), (1000.0, 1500.0, 80.0)),
@@ -443,7 +442,7 @@ class TestSafeMask:
     @settings(max_examples=150, deadline=None)
     def test_rule_codes_match_violated_rule(self, rows, forbid, floor, graded):
         # the last row breaks both the reversal rule and the 60 km/h limit ahead
-        rows = [*rows, (495.0, 79.0, Condition.BRAKING, 1.0)]
+        rows = [*rows, (495.0, 79.0, -1.0, 1.0)]
         spec = SafetySpec(min_speed=8.0, enforce_min_speed=floor,
                           forbid_direct_reversal=forbid, terminal_zone=200.0)
         track = GRADED_SHIELD if graded else make_track()
@@ -456,11 +455,11 @@ class TestSafeMask:
 
     def test_slow_braking_path_cases(self, track):
         # above the 60 km/h zone ahead, so recoverability needs the braking loop
-        rows = [(300.0, 75.0, Condition.TRACTION, -1.0), (300.0, 75.0, Condition.TRACTION, 0.5),
-                (440.0, 78.0, Condition.BRAKING, -0.2), (440.0, 78.0, Condition.COASTING, -1.0),
-                (1200.0, 70.0, Condition.TRACTION, 0.3),
+        rows = [(300.0, 75.0, 1.0, -1.0), (300.0, 75.0, 1.0, 0.5),
+                (440.0, 78.0, -1.0, -0.2), (440.0, 78.0, 0.0, -1.0),
+                (1200.0, 70.0, 1.0, 0.3),
                 # recoverable by braking at once, not after the coast the reversal rule forces
-                (380.0, 75.0, Condition.TRACTION, 0.2)]
+                (380.0, 75.0, 1.0, 0.2)]
         verdicts = {}
         for spec in (PLAIN, REVERSAL):
             got, want = mask_and_verdicts(spec, track, rows)
@@ -475,7 +474,7 @@ class TestSafeMask:
         with pytest.raises(RuntimeError, match="failed to terminate"):
             is_safe(PLAIN, model, track, state, -1.0)
         with pytest.raises(RuntimeError, match="failed to terminate"):
-            mask_and_verdicts(PLAIN, track, [(300.0, 75.0, Condition.COASTING, -1.0)])
+            mask_and_verdicts(PLAIN, track, [(300.0, 75.0, 0.0, -1.0)])
 
 
 def test_unrecoverable_error_carries_position(model, track):
