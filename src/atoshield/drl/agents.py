@@ -108,25 +108,27 @@ def gaussian_log_prob(eps: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     return -0.5 * (eps**2 + math.log(2.0 * math.pi)) - log_std
 
 
-def squashed_draw(policy: Mlp, s: np.ndarray, rng: np.random.Generator):
-    """One reparameterized tanh-squashed action per row of ``s``.
+def squashed_draw(out: np.ndarray, rng: np.random.Generator):
+    """One reparameterized tanh-squashed action per row of a policy output.
 
-    The unit draw is made in the policy's dtype, so every array here has it.
-    Returns the actions, (rows, 1), then what the log-prob and the gradients
-    need: the forward cache, the clipped log-std, std and the unit draw.
+    ``out`` is the policy's (rows, 2) output of means and raw log-stds, from
+    ``forward`` or ``forward_cached``.  The unit draw is made in its dtype,
+    so every array here has it.  Returns the actions, (rows, 1), then what
+    the log-prob and the gradients need: the clipped log-std, std and the
+    unit draw.
     """
-    out, cache = policy.forward_cached(s)
-    log_std = np.clip(out[:, 1:2], LOG_STD_MIN, LOG_STD_MAX)
+    log_std = np.minimum(np.maximum(out[:, 1:2], LOG_STD_MIN), LOG_STD_MAX)
     std = np.exp(log_std)
     eps = rng.standard_normal((out.shape[0], 1), dtype=out.dtype)
     a = np.tanh(out[:, 0:1] + std * eps)
-    return a, cache, log_std, std, eps
+    return a, log_std, std, eps
 
 
 def squashed_sample(policy: Mlp, s: np.ndarray, rng: np.random.Generator):
     """Draw tanh-squashed actions with everything the gradients need."""
-    a, cache, log_std, std, eps = squashed_draw(policy, s, rng)
-    raw = cache[-1][:, 1:2]
+    out, cache = policy.forward_cached(s)
+    a, log_std, std, eps = squashed_draw(out, rng)
+    raw = out[:, 1:2]
     log_prob = gaussian_log_prob(eps, log_std) - np.log(1.0 - a**2 + _TANH_EPS)
     clip_mask = ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(raw.dtype)
     return a, log_prob, cache, {
@@ -298,12 +300,12 @@ class SacAgent:
         return float(np.tanh(out[0, 0]))
 
     def propose(self, s_vec: np.ndarray) -> float:
-        return float(squashed_draw(self.policy, s_vec, self.rng)[0][0, 0])
+        return float(squashed_draw(self.policy.forward(s_vec), self.rng)[0][0, 0])
 
     def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
         """n squashed policy samples per state, (rows, n), drawn row-major."""
         s = np.repeat(np.atleast_2d(states), n, axis=0)
-        return squashed_draw(self.policy, s, self.rng)[0].reshape(-1, n)
+        return squashed_draw(self.policy.forward(s), self.rng)[0].reshape(-1, n)
 
     def act_additional(self, s_vec: np.ndarray) -> float:
         return act(self.additional, s_vec)

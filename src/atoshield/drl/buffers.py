@@ -35,7 +35,8 @@ class ReplayBuffer:
     next, so once the ring is full it holds the oldest transition.
     ``sample`` draws indices counted oldest first, as over a FIFO queue, and
     maps index ``i`` to row ``(i + next) % capacity`` once full (to row ``i``
-    before).
+    before).  It gathers those rows with ``ndarray.take``, which copies the
+    same rows as fancy indexing but on numpy's contiguous gather loop.
     """
 
     def __init__(self, capacity: int):
@@ -78,7 +79,8 @@ class ReplayBuffer:
         idx = rng.choice(n, size=batch_size, replace=batch_size > n)
         if n == self.capacity:
             idx = (idx + self._next) % self.capacity
-        return self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._d[idx]
+        s, s2 = self._s.take(idx, axis=0), self._s2.take(idx, axis=0)
+        return s, self._a.take(idx), self._r.take(idx), s2, self._d.take(idx)
 
 
 class EliteBuffer:

@@ -15,22 +15,24 @@ depend on how the vector is split, so they equal a per-array update bitwise.
 that differentiate through a network they do not train.
 
 In place, but only on what the call owns: ``forward_cached`` applies each
-layer's bias and activation in place to the array that layer's matmul has
-just allocated, so it makes no throwaway arrays.  ``backward`` writes each
-hidden layer's input-gradient product (``np.dot``, BLAS's fast path also for
-the one-column output layer, where ``@`` is several times slower) and its
-ReLU mask into scratch arrays the network owns, one pair per hidden layer,
-made on first use and grown to the largest batch seen; a call works in
-``[:rows]`` views of them.  So one network runs one ``backward`` at a time:
-two threads must not backpropagate through the same network at once.
-Neither method writes into an array the caller passed in or still holds
-(the input, ``grad_out``, a cache), and every array they return or cache is
-fresh on every call (the parameter gradient and the input gradient
-included), so a caller may keep any of them as long as it likes.  ``Adam``
-runs its update in two scratch vectors of its own, and ``soft_update``
-blends in one that the target network owns.  Each in-place form does the
-floating-point operations of the plain expression it stands for, in the
-same order, so results are bitwise those of that expression.
+layer's bias and activation in place to the array its matmul allocated, and
+``forward``, the same loop without the cache, writes its hidden layers into
+scratch the network owns, so only its output is fresh.  The ReLU runs
+against a same-shape zeros block: the same bytes as against 0.0, on numpy's
+contiguous loop.  ``backward`` writes each hidden layer's input-gradient
+product (``np.dot``, BLAS's fast path also for the one-column output layer,
+where ``@`` is several times slower) and ReLU mask into that scratch: two
+product buffers that alternate by layer, the bool mask and the zeros, each
+flat, the largest batch seen times the widest hidden layer (3 x itemsize +
+1 bytes per row and unit), used through C-contiguous views.  So one network
+runs one ``forward`` or ``backward`` at a time.  Neither method writes into
+an array the caller passed in or still holds (the input, ``grad_out``, a
+cache), and every array they return or cache is fresh on every call, so a
+caller may keep any of them as long as it likes.  ``Adam`` runs its update
+in two scratch vectors of its own, and ``soft_update`` blends in one that
+the target network owns.  Each in-place form does the floating-point
+operations of the plain expression it stands for, in the same order, so
+results are bitwise those of that expression.
 
 One dtype per network: ``Mlp(..., dtype=)`` sets the dtype of ``flat``
 (float64 by default), and every array a network or its ``Adam`` makes
@@ -70,10 +72,11 @@ class Mlp:
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs), dtype=dtype)
         self.weights, self.biases = self._split(self.flat)
-        # backward's per-hidden-layer (product, ReLU mask) scratch, and
+        # the layer loops' scratch and its views (see _scratch_views), and
         # soft_update's blend vector when this net is a target
         self._scratch_rows = -1
-        self._scratch = []
+        self._scratch = None
+        self._views = {}
         self._blend = None
         for i, (n_in, n_out) in enumerate(pairs):
             if i == len(pairs) - 1:
@@ -99,26 +102,56 @@ class Mlp:
         return weights, biases
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.forward_cached(x)
-        return y
+        """Forward pass returning only the output, with no cache."""
+        return self._layers(x, None)
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass keeping per-layer inputs for the backward pass."""
-        x = np.atleast_2d(np.asarray(x, dtype=self.flat.dtype))
-        cache = [x]
-        h = x
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
-            h += b
-            if i < last:
-                np.maximum(h, 0.0, out=h)
-            elif self.output_activation == "tanh":
-                np.tanh(h, out=h)
+        cache = []
+        return self._layers(x, cache), cache
+
+    def _layers(self, x: np.ndarray, cache: list | None) -> np.ndarray:
+        """The one layer loop; with a ``cache`` list it appends each layer's
+        input and the output, without one the hidden layers run in scratch."""
+        h = np.array(x, dtype=self.flat.dtype, copy=None, ndmin=2)
+        if cache is not None:
             cache.append(h)
-        if not np.all(np.isfinite(h)):
+        hidden = zip(self.weights, self.biases, self._scratch_views(h.shape[0]))
+        for w, b, (product, _, zeros) in hidden:
+            h = h @ w if cache is not None else np.matmul(h, w, out=product)
+            h += b
+            np.maximum(h, zeros, out=h)
+            if cache is not None:
+                cache.append(h)
+        h = h @ self.weights[-1]
+        h += self.biases[-1]
+        if self.output_activation == "tanh":
+            np.tanh(h, out=h)
+        if cache is not None:
+            cache.append(h)
+        if not np.isfinite(h).all():
             raise FloatingPointError("network produced non-finite output")
-        return h, cache
+        return h
+
+    def _scratch_views(self, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per hidden layer, (rows, width) views of the scratch: a product
+        buffer (alternating by layer), the ReLU mask and the ReLU zeros; the
+        views of up to 16 batch sizes are kept."""
+        views = self._views.get(rows)
+        if views is None:
+            if rows > self._scratch_rows:
+                size, dtype = rows * max(self.layer_sizes[1:-1], default=0), self.flat.dtype
+                self._scratch = (np.empty(size, dtype), np.empty(size, dtype),
+                                 np.empty(size, bool), np.zeros(size, dtype))
+                self._scratch_rows, self._views = rows, {}
+            elif len(self._views) >= 16:
+                self._views = {}
+            first, second, mask, zeros = self._scratch
+            views = self._views[rows] = [
+                tuple(a[: rows * n].reshape(rows, n) for a in ((first, second)[j % 2], mask, zeros))
+                for j, n in enumerate(self.layer_sizes[1:-1])
+            ]
+        return views
 
     def backward(
         self, cache: list[np.ndarray], grad_out: np.ndarray, params: bool = True
@@ -128,7 +161,7 @@ class Mlp:
         Returns d(loss)/d(parameters) as one vector laid out like ``flat``
         (None when ``params`` is false) and d(loss)/d(input).
         """
-        grad = np.atleast_2d(np.asarray(grad_out, dtype=self.flat.dtype))
+        grad = np.array(grad_out, dtype=self.flat.dtype, copy=None, ndmin=2)
         if self.output_activation == "tanh":
             slope = cache[-1] ** 2
             np.subtract(1.0, slope, out=slope)
@@ -138,25 +171,21 @@ class Mlp:
         if params:
             param_grad = np.empty_like(self.flat)
             grad_w, grad_b = self._split(param_grad)
-        rows = grad.shape[0]
-        if rows > self._scratch_rows:
-            self._scratch = [(np.empty((rows, n), self.flat.dtype), np.empty((rows, n), bool))
-                             for n in self.layer_sizes[1:-1]]
-            self._scratch_rows = rows
+        views = self._scratch_views(grad.shape[0])
         for i in range(self.n_layers - 1, -1, -1):
             if params:
                 np.matmul(cache[i].T, grad, out=grad_w[i])
-                np.sum(grad, axis=0, out=grad_b[i])
+                np.add.reduce(grad, axis=0, out=grad_b[i])
             w_t = self.weights[i].T
             # np.dot multiplies two one-element operands as scalars and keeps
             # a -0.0 that @ sums to +0.0, so that one case stays on @
             dot = np.matmul if grad.size == w_t.size == 1 else np.dot
             if i == 0:
                 return param_grad, dot(grad, w_t)
-            product, mask = self._scratch[i - 1]
-            grad = dot(grad, w_t, out=product[:rows])
-            np.greater(cache[i], 0.0, out=mask[:rows])
-            grad *= mask[:rows]
+            product, mask, _ = views[i - 1]
+            grad = dot(grad, w_t, out=product)
+            np.greater(cache[i], 0.0, out=mask)
+            grad *= mask
 
     def copy_from(self, other: "Mlp") -> None:
         if other.layer_sizes != self.layer_sizes:

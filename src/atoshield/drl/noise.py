@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,11 +50,7 @@ class NoiseProcess:
 
 def act(policy, state_vec: np.ndarray) -> float:
     """Deterministic command from a policy net on one normalized state."""
-    out = policy.forward(state_vec)
-    value = float(out[0, 0])
-    if not math.isfinite(value):
-        raise FloatingPointError("policy produced a non-finite command")
-    return value
+    return float(policy.forward(state_vec)[0, 0])
 
 
 def act_with_noise(policy, state_vec: np.ndarray, noise: NoiseProcess) -> float:

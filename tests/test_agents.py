@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atoshield.drl.agents import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     AgentConfig,
     CheckpointError,
     DdpgAgent,
@@ -17,6 +19,7 @@ from atoshield.drl.agents import (
     gaussian_log_prob,
     load_checkpoint,
     save_checkpoint,
+    squashed_draw,
     squashed_sample,
     update_actor,
     update_additional_actor,
@@ -197,6 +200,18 @@ class TestSac:
         assert np.all(a > -1.0) and np.all(a < 1.0)
         assert np.all(np.isfinite(log_prob))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_log_std_clip_equals_numpy_clip(self, dtype):
+        # at the bounds, past them, inside, at -0.0, and at non-finite values
+        raw = np.array([LOG_STD_MIN, LOG_STD_MAX, LOG_STD_MIN - 5.0, LOG_STD_MAX + 5.0,
+                        np.nextafter(LOG_STD_MIN, 0.0), np.nextafter(LOG_STD_MAX, 0.0),
+                        -0.0, 0.0, 0.7, -np.inf, np.inf, np.nan], dtype)
+        out = np.stack([np.zeros_like(raw), raw], axis=1)
+        _, log_std, _, _ = squashed_draw(out, np.random.default_rng(0))
+        want = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)[:, None]
+        assert log_std.dtype == want.dtype == dtype
+        assert log_std.tobytes() == want.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            states=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
@@ -374,6 +389,13 @@ class TestAgents:
         agent.rng, twin = np.random.default_rng(3), np.random.default_rng(3)
         want = np.clip(agent.actor.forward(states) + twin.normal(0.0, std, (7, 4)), -1.0, 1.0)
         assert agent.sample_actions(states, 4).tobytes() == want.tobytes()
+
+    def test_nan_weight_faults_at_the_net(self, rng):
+        # the net's output check is what stops a non-finite command
+        agent = DdpgAgent(3, SMALL, rng)
+        agent.actor.weights[-1][0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="network produced non-finite output"):
+            agent.propose(rng.normal(0, 1, 3))
 
     def test_batched_sample_actions_shape_and_range(self, rng):
         for agent in (DdpgAgent(3, SMALL, rng), SacAgent(3, SMALL, rng)):

@@ -83,6 +83,25 @@ class TestReplayBuffer:
             assert s[k].tobytes() == rows[i][0].tobytes()
             assert s2[k].tobytes() == rows[i][3].tobytes()
 
+    def test_sample_equals_fancy_index_gather(self):
+        # integer states, before and after the ring wraps: every field comes
+        # back with the bytes of indexing the ring with the drawn rows
+        buf = ReplayBuffer(7)
+        for i in range(12):
+            buf.push(np.array([i, -i, 2 * i]), 0.5 * i, -float(i), np.array([i + 1, 0, i]), float(i % 2))
+            if i in (4, 11):
+                rng, twin = np.random.default_rng(i), np.random.default_rng(i)
+                got = buf.sample(9, rng)
+                idx = twin.choice(len(buf), size=9, replace=True)
+                if len(buf) == buf.capacity:
+                    idx = (idx + buf._next) % buf.capacity
+                rings = (buf._s, buf._a, buf._r, buf._s2, buf._d)
+                for g, ring in zip(got, rings):
+                    want = ring[idx]
+                    assert g.dtype == want.dtype and g.shape == want.shape
+                    assert g.tobytes() == want.tobytes()
+        assert got[0].dtype == np.float64  # integer states store as floats
+
     @pytest.mark.parametrize("bad", [np.zeros(1), np.zeros(4), np.zeros((1, 3))])
     def test_state_of_wrong_shape_fails_at_push(self, bad):
         buf = ReplayBuffer(8)
@@ -157,13 +176,12 @@ class TestNoise:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_non_finite_command_faults(self):
-        class Diverged:
-            def forward(self, x):
-                return np.array([[np.nan]])
-
+        # the net's own output check is the one check on the command
+        net = Mlp([3, 4, 1], "tanh", np.random.default_rng(0))
+        net.weights[-1][0, 0] = np.nan
         noise = NoiseProcess(kind="gaussian", seed=0)
-        with pytest.raises(FloatingPointError):
-            act_with_noise(Diverged(), np.zeros(3), noise)
+        with pytest.raises(FloatingPointError, match="network produced non-finite output"):
+            act_with_noise(net, np.zeros(3), noise)
 
     def test_ou_mean_reversion_without_diffusion(self):
         noise = NoiseProcess(kind="ou", ou_theta=0.25, ou_sigma=0.0, seed=0)

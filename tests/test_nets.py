@@ -134,6 +134,40 @@ class TestFlatLayout:
                 assert got[0].dtype == dtype
                 assert_same_bytes(got, want)
 
+    @pytest.mark.parametrize("sizes,activation", BACKWARD_SHAPES)
+    def test_forward_equals_forward_cached_bitwise(self, sizes, activation):
+        # one net per dtype, so forward's scratch grows and is reused; 1-D
+        # inputs take the single-row path of the decision loop; both equal
+        # the plain per-layer expression
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(14)
+            net = Mlp(list(sizes), activation, rng, final_init_scale=0.5, dtype=dtype)
+            for rows in (1, 256, 1077, 9):
+                x = rng.normal(0, 1, (rows, sizes[0]))
+                want = x.astype(dtype)
+                for w, b in zip(net.weights[:-1], net.biases[:-1]):
+                    want = np.maximum(want @ w + b, 0.0)
+                want = want @ net.weights[-1] + net.biases[-1]
+                if activation == "tanh":
+                    want = np.tanh(want)
+                for given in (x, x[0]) if rows == 1 else (x,):
+                    assert_same_bytes([net.forward(given), net.forward_cached(given)[0]], [want, want])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_against_zeros_equals_scalar_zero(self, dtype):
+        # the layer loop's ReLU runs against a zeros block cut from a longer
+        # flat buffer; it must keep every byte of np.maximum(h, 0.0), over
+        # pre-activations of exactly -0.0 as well as +0.0, subnormals,
+        # infinities and NaN
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([-0.0, 0.0, tiny, -tiny, np.inf, -np.inf, np.nan, 1.5, -1.5], dtype)
+        for rows, width in ((1, 64), (256, 64), (9, 7)):
+            h = np.resize(special, (rows, width))
+            want = np.maximum(h, 0.0)
+            zeros = np.zeros(300 * 64, dtype)[: rows * width].reshape(rows, -1)
+            np.maximum(h, zeros, out=h)
+            assert h.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
     def test_input_only_backward_equals_full_bitwise(self, sizes, activation):
         rng = np.random.default_rng(12)
@@ -398,6 +432,17 @@ class TestAllocations:
         assert peak <= kept + 256 * 64 * np.dtype(dtype).itemsize
 
 
+    def test_forward_keeps_one_layer_above_what_it_returns(self, dtype):
+        # the cache-free forward runs its hidden layers in the net's scratch
+        rng = np.random.default_rng(33)
+        net = Mlp([4, 64, 64, 1], "identity", rng, dtype=dtype)
+        x = rng.normal(0, 1, (256, 4))
+        net.forward(x)  # warm-up: makes the scratch
+        out = []
+        peak = traced_peak(lambda: out.append(net.forward(x)))
+        assert out[0].dtype == dtype
+        assert peak <= out[0].nbytes + 256 * 64 * np.dtype(dtype).itemsize
+
     def test_backward_keeps_what_it_returns(self, dtype):
         # the margin is one (rows, width) array; numpy's buffered cast of the
         # bool ReLU mask in ``grad *= mask`` takes part of it
@@ -411,6 +456,30 @@ class TestAllocations:
         grads, grad_in = out[0]
         assert grads.dtype == grad_in.dtype == dtype
         assert peak <= grads.nbytes + grad_in.nbytes + 256 * 64 * np.dtype(dtype).itemsize
+
+    def test_wide_net_scratch_is_two_products_a_mask_and_zeros(self, dtype):
+        # the paper's four 256-wide layers: what a warmed net keeps between
+        # calls is rows x widest layer x (two products + zeros + a bool mask)
+        rows = 1077
+        rng = np.random.default_rng(39)
+        net = Mlp([3, 256, 256, 256, 256, 1], "tanh", rng, dtype=dtype)
+        x = rng.normal(0, 1, (rows, 3))
+        grad_out = rng.normal(0, 1, (rows, 1))
+        # a twin's warm-up fills numpy's small-buffer caches, which the
+        # traced difference would otherwise count
+        _, cache = net.clone().forward_cached(x)
+        net.clone().backward(cache, grad_out)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = net.forward_cached(x)[1]
+            net.backward(cache, grad_out)
+            del cache
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # plus one page for the array and tuple objects that hold them
+        assert kept <= rows * 256 * (3 * np.dtype(dtype).itemsize + 1) + 4096
 
     def test_soft_update_allocates_less_than_one_parameter_vector(self, dtype):
         rng = np.random.default_rng(41)

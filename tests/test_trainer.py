@@ -323,7 +323,7 @@ cfg = dataclasses.replace(
     run=dataclasses.replace(cfg.run, max_episodes=3, agent=sys.argv[1]),
     agent=dataclasses.replace(cfg.agent, batch_size=16, replay_capacity=150),
 )
-result = train(cfg, seed=4)
+result = train(cfg, seed=int(sys.argv[2]))
 print(repr({
     "rows": [tuple(v for k, v in dataclasses.asdict(m).items() if k != "action_select_mean_s")
              for m in result.metrics],
@@ -354,7 +354,18 @@ PINNED = {
         {"actor": "a829d5d9620e44ca", "critic": "9edf5f0c01790fbe", "actor_target": "e41c8626c8a5b479",
          "critic_target": "942d20261701cb93", "additional": "5f66d4022216c504"},
     ),
+    "ssa_sac": (
+        [(0, -49387.484591895474, 0, 0, 48.80853858478582, -7.395879287672748, 231.0, 121.0, True),
+         (1, -34146.168745721014, 4, 0, 49.05277442933249, -6.98878429443225, 179.0, 69.0, True),
+         (2, -14399.563815867827, 2, 0, 37.54395411814582, -6.117982160904052, 131.0, 21.0, True)],
+        {"policy": "7e28c4e290bce8ff", "value": "12b3548382d894a4", "value_target": "d65fe41230e6cbfc",
+         "softq": "98b1b3a4572dd36d", "additional": "b93ef331807c41c9"},
+    ),
 }
+# the training seed of each pin: ssa_sac at seed 4 never intervenes, so it
+# would not reach the tree's batched policy samples; at seed 2 it corrects
+# 6 commands through 8 SacAgent.sample_actions calls
+PINNED_SEEDS = {"shield_sac": 4, "ssa_ddpg": 4, "ssa_sac": 2}
 
 
 def _run_with_one_blas_thread(script: str, *args: str):
@@ -370,7 +381,7 @@ def _run_with_one_blas_thread(script: str, *args: str):
 
 @pytest.mark.parametrize("variant", sorted(PINNED))
 def test_seeded_training_outputs_pinned(variant):
-    out = _run_with_one_blas_thread(_PINNED_RUN, variant)
+    out = _run_with_one_blas_thread(_PINNED_RUN, variant, str(PINNED_SEEDS[variant]))
     assert out["wraps"]
     assert (out["rows"], out["weights"]) == PINNED[variant]
 
