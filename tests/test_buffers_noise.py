@@ -175,14 +175,6 @@ class TestNoise:
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    def test_non_finite_command_faults(self):
-        # the net's own output check is the one check on the command
-        net = Mlp([3, 4, 1], "tanh", np.random.default_rng(0))
-        net.weights[-1][0, 0] = np.nan
-        noise = NoiseProcess(kind="gaussian", seed=0)
-        with pytest.raises(FloatingPointError, match="network produced non-finite output"):
-            act_with_noise(net, np.zeros(3), noise)
-
     def test_ou_mean_reversion_without_diffusion(self):
         noise = NoiseProcess(kind="ou", ou_theta=0.25, ou_sigma=0.0, seed=0)
         noise._state = 1.0
