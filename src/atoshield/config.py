@@ -17,10 +17,12 @@ from pathlib import Path
 
 import yaml
 
-from .dynamics import RewardWeights, TrackSection, TrainModel, validate_model, validate_track
+from .dynamics import (
+    OperationState, RewardWeights, TrackSection, TrainModel, step, validate_model, validate_track,
+)
 from .drl.agents import AgentConfig
 from .search_tree import SearchConfig
-from .shield import SafetySpec, default_terminal_zone
+from .shield import SafetySpec, default_terminal_zone, floor_applies
 from .trainer import VARIANTS, RunConfig
 
 
@@ -42,8 +44,6 @@ class ScenarioConfig:
     search: SearchConfig
     run: RunConfig
 
-
-_BLOCKS = ("train", "track", "safety", "reward", "agent", "search", "run")
 
 _FIELD_MAP = {
     "train": TrainModel,
@@ -119,14 +119,23 @@ def _coerce_block(name: str, cls, raw: dict, errors: list[str]):
         return None
 
 
-def _validate_safety(spec: SafetySpec, track: TrackSection) -> list[str]:
+def _validate_safety(spec: SafetySpec, model: TrainModel, track: TrackSection) -> list[str]:
     errors = []
     if spec.min_speed < 0.0:
         errors.append("safety.min_speed: must be >= 0")
     if spec.terminal_zone < 0.0:
         errors.append("safety.terminal_zone: must be >= 0")
-    elif track is not None and spec.terminal_zone >= track.length:
+    elif spec.terminal_zone >= track.length:
         errors.append("safety.terminal_zone: must be smaller than the track length")
+    if errors:
+        return errors
+    # the shield's floor test on the fastest first interval: when even full
+    # traction from standstill breaks the floor, no first command is safe
+    out = step(model, track, OperationState(), 1.0)
+    nxt = out.next_state
+    if not out.arrived and floor_applies(spec, track, nxt.loc) and nxt.vel <= spec.min_speed:
+        errors.append(f"safety.min_speed: full traction from standstill reaches only "
+                      f"{nxt.vel:.2f} km/h in one interval, not above the floor")
     return errors
 
 
@@ -212,38 +221,31 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(["top level: expected a mapping of config blocks"])
     errors: list[str] = []
     for key in raw:
-        if key not in _BLOCKS:
+        if key not in _FIELD_MAP:
             errors.append(f"{key}: unknown block")
     blocks: dict[str, object] = {}
-    for name in _BLOCKS:
+    for name, cls in _FIELD_MAP.items():
         content = raw.get(name, {}) or {}
         if not isinstance(content, dict):
             errors.append(f"{name}: expected a mapping")
             content = {}
-        blocks[name] = _coerce_block(name, _FIELD_MAP[name], content, errors)
+        blocks[name] = _coerce_block(name, cls, content, errors)
     if any(b is None for b in blocks.values()):
         raise ConfigError(errors)
 
     cfg = ScenarioConfig(**blocks)
-    cfg = _resolve_defaults(cfg)
-    errors += validate_model(cfg.train)
-    track_errors = validate_track(cfg.train, cfg.track)
-    errors += track_errors
-    if not track_errors:
-        errors += _validate_safety(cfg.safety, cfg.track)
+    # the safety block needs a sound train and track: its derived terminal
+    # zone divides by the braking rate, and the floor check steps the train
+    physics_errors = validate_model(cfg.train) + validate_track(cfg.train, cfg.track)
+    errors += physics_errors
+    if not physics_errors:
+        if cfg.safety.terminal_zone is None:
+            zone = default_terminal_zone(cfg.train, cfg.track)
+            cfg.safety = dataclasses.replace(cfg.safety, terminal_zone=zone)
+        errors += _validate_safety(cfg.safety, cfg.train, cfg.track)
     errors += _validate_agent(cfg.agent)
     errors += _validate_search(cfg.search)
     errors += _validate_run(cfg.run)
     if errors:
         raise ConfigError(errors)
     return cfg
-
-
-def _resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Fill the derived defaults that need the whole config in hand."""
-    safety = cfg.safety
-    if safety.terminal_zone is None:
-        safety = dataclasses.replace(
-            safety, terminal_zone=default_terminal_zone(cfg.train, cfg.track)
-        )
-    return dataclasses.replace(cfg, safety=safety)

@@ -77,11 +77,6 @@ class TrackSection:
         """Highest posted limit, km/h."""
         return max(seg[2] for seg in self.limit_segments)
 
-    @cached_property
-    def max_grade(self) -> float:
-        """Steepest downhill pull (m/s^2): the largest signed grade acceleration."""
-        return max(seg[2] for seg in self.grade_segments)
-
 
 @dataclass(frozen=True)
 class OperationState:
@@ -123,8 +118,8 @@ DEFAULT_WEIGHTS = RewardWeights()
 class Ops:
     """The primitives each shared body takes as ``ops``: :data:`FLOATS` for
     one state, :data:`ARRAYS` for the tree's rows (``abs`` and the operators
-    work on both).  ``any`` and ``all`` say whether some or every row is set;
-    a body uses them only to skip work."""
+    work on both).  ``any`` says whether some row is set; a body uses it only
+    to skip work."""
 
     def __init__(self, **primitives):
         vars(self).update(primitives)  # plain instance attributes read fastest
@@ -135,11 +130,11 @@ FLOATS = Ops(
     # the builtins' two-argument max and min, without their call overhead
     maximum=lambda a, b: b if b > a else a,
     minimum=lambda a, b: b if b < a else a,
-    sqrt=math.sqrt, any=operator.truth, all=operator.truth,
+    sqrt=math.sqrt, any=operator.truth,
 )
 ARRAYS = Ops(
     where=np.where, maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
-    any=np.ndarray.any, all=np.ndarray.all,
+    any=np.ndarray.any,
 )
 
 
@@ -357,6 +352,8 @@ def validate_track(model: TrainModel, track: TrackSection) -> list[str]:
     overlaps, that resistance minus grade acceleration stays within
     [0, max motor acceleration] for all speeds up to the local limit.  Both
     bounds are monotone in speed, so the extremes at v=0 and v=limit suffice.
+    The lower bound is exact, with no tolerance: the shield's recovery
+    rollout relies on unpowered motion never speeding up.
     """
     errors = []
     if track.length <= 0.0:
@@ -375,7 +372,7 @@ def validate_track(model: TrainModel, track: TrackSection) -> list[str]:
 
     tol = 1e-9
     for gi, (gs, ge, g) in enumerate(track.grade_segments):
-        if davis_resistance_accel(model, 0.0) - g < -tol:
+        if davis_resistance_accel(model, 0.0) < g:
             errors.append(
                 f"track.grade_segments[{gi}]: downhill grade {g} exceeds "
                 "standstill resistance (coasting would accelerate)"

@@ -5,11 +5,12 @@ speed inside the posted band at every traversed position, (b) it does not jump
 directly between traction and braking when that transition is forbidden, and
 (c) the successor state is recoverable: a maximal service-braking trajectory
 from it clears every downstream limit.  The trajectory ends at its first
-provably clear state, one at or below every downstream limit on a track where
-unpowered motion never speeds up, since braking on from there only slows the
-train; otherwise it ends at a stop, at the section end or at an overspeed.
-Recoverability is the computable stand-in for the winning region of the
-underlying safety game.
+provably clear state, one at or below every downstream limit, at the section
+end or at an overspeed.  Track validation guarantees, exactly, that
+standstill resistance is at least every grade, so unpowered motion never
+speeds up and braking on from a clear state only slows the train; the
+rollout relies on that.  Recoverability is the computable stand-in for the
+winning region of the underlying safety game.
 
 Each safety formula has one body over the primitives of ``dynamics``, run on
 floats for one state and on arrays for the tree, so a fix edits only that
@@ -38,7 +39,6 @@ from .dynamics import (
     Ops,
     TrackSection,
     TrainModel,
-    davis_resistance_accel,
     segment_value,
     step,
     step_batch,
@@ -125,21 +125,17 @@ def span_overspeed(
     return _span_overspeed(FLOATS, track, start_loc, start_vel, accel, end_loc, end_vel)
 
 
-def _rollout_ends(ops: Ops, model, track: TrackSection, loc, vel, coast):
+def _rollout_ends(ops: Ops, track: TrackSection, loc, vel, coast):
     """Whether a recovery rollout ends recovered at this state: at a provably
-    clear state, or, with no coast pending, at a stop or at the section end."""
-    within = False
-    # On a no-steep-slope track, standstill resistance dominates every grade,
-    # so coasting and braking speeds never rise, and a state at or below every
-    # limit whose segment ends beyond it (the final segment owns its end
-    # point, as in the limit lookup) is clear.
-    if davis_resistance_accel(model, 0.0) >= track.max_grade:
-        within = vel <= track.limit_segments[-1][2]
-        for _, end, lim in track.limit_segments[:-1]:
-            within = within & ((end <= loc) | (vel <= lim))
-        if ops.all(within):
-            return within
-    return within | ops.where(coast, False, (vel <= 0.0) | (loc >= track.length))
+    clear state, or, with no coast pending, at the section end."""
+    # Validation makes standstill resistance dominate every grade, so coasting
+    # and braking speeds never rise, and a state at or below every limit whose
+    # segment ends beyond it (the final segment owns its end point, as in the
+    # limit lookup) is clear.  Every limit is > 0, so a stopped train is clear.
+    within = vel <= track.limit_segments[-1][2]
+    for _, end, lim in track.limit_segments[:-1]:
+        within = within & ((end <= loc) | (vel <= lim))
+    return within | ops.where(coast, False, loc >= track.length)
 
 
 def brake_recoverable(
@@ -149,17 +145,18 @@ def brake_recoverable(
 
     When direct reversals are forbidden and the state was just produced by
     traction, braking is not immediately available, so the recovery trajectory
-    coasts for one interval first.  When unpowered motion never speeds up on
-    the track, the trajectory ends at its first state, the given one
-    included, at or below every downstream limit: braking only slows the
-    train from there, so rolling on to a stop would give the same verdict.
+    coasts for one interval first.  The trajectory ends at its first state,
+    the given one included, at or below every downstream limit: on a
+    validated track standstill resistance is at least every grade, so
+    braking only slows the train from there and rolling on to a stop would
+    give the same verdict.
     The recovery only answers for speed limits; the floor and transition
     rules are one-step concerns.
     """
     current = state
     coast = spec.forbid_direct_reversal and current.last_cmd > 0.0
     steps = 0
-    while not _rollout_ends(FLOATS, model, track, current.loc, current.vel, coast):
+    while not _rollout_ends(FLOATS, track, current.loc, current.vel, coast):
         if steps == _RECOVERY_STEP_CAP:
             raise RuntimeError("braking trajectory failed to terminate")
         out = step(model, track, current, FLOATS.where(coast, 0.0, FULL_BRAKING))
@@ -182,15 +179,15 @@ def _brake_recoverable_batch(
 
     The rows follow their trajectories together, one array step per interval.
     A row leaves the loop where the scalar rollout ends: recovered at its
-    first provably clear state, at a stop or at the section end, or failed at
-    its first overspeed.
+    first provably clear state or at the section end, or failed at its first
+    overspeed.
     """
     ok = np.zeros(loc.shape, dtype=bool)
     rows = np.arange(loc.size)
     coast = (last_cmd > 0.0) & spec.forbid_direct_reversal
     steps = 0
     while True:
-        done = _rollout_ends(ARRAYS, model, track, loc, vel, coast)
+        done = _rollout_ends(ARRAYS, track, loc, vel, coast)
         ok[rows[done]] = True
         rows, loc, vel, coast = rows[~done], loc[~done], vel[~done], coast[~done]
         if rows.size == 0:

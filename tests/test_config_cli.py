@@ -43,6 +43,30 @@ class TestValidateConfig:
             load_config(dump(tmp_path, blob))
         assert any("motor bound" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize("block, edits, field", [
+        # a hair above standstill resistance (0.0084 m/s^2): the shield's
+        # recovery rollout relies on the exact bound
+        ("track", {"grade_segments": [[0.0, 1500.0, 0.0084 + 5e-10]]},
+         "track.grade_segments[0]: downhill"),
+        # full traction from standstill reaches about 4.3 km/h in one interval,
+        # so every episode would abort at its first command
+        ("safety", {"enforce_min_speed": True, "min_speed": 5.0}, "safety.min_speed: "),
+        # the derived terminal zone divides by the braking rate
+        ("train", {"max_decel": 0.0}, "train.max_decel: "),
+    ], ids=["band_grade", "infeasible_floor", "no_braking"])
+    def test_unrunnable_scenario_is_one_error_naming_the_field(
+        self, tmp_path, default_yaml, capsys, block, edits, field
+    ):
+        blob = copy.deepcopy(default_yaml)
+        blob[block].update(edits)
+        path = dump(tmp_path, blob)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(field)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_overlapping_limits_reported(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
         blob["track"]["limit_segments"] = [[0.0, 900.0, 80.0], [500.0, 1500.0, 60.0]]

@@ -310,10 +310,20 @@ class TestValidators:
         errors = validate_track(model, track)
         assert any("motor bound" in e for e in errors)
 
-    def test_steep_downhill_rejected(self, model):
-        track = make_track(grades=((0.0, 1500.0, 2.0),))
+    # standstill resistance bounds the grade exactly: it is accepted, and a
+    # grade one float above it is rejected
+    @pytest.mark.parametrize("grade, rejected", [
+        (2.0, True),
+        (davis_resistance_accel(make_model(), 0.0), False),
+        (np.nextafter(davis_resistance_accel(make_model(), 0.0), np.inf), True),
+    ], ids=["steep", "standstill", "above_standstill"])
+    def test_steep_downhill_rejected(self, model, grade, rejected):
+        track = make_track(grades=((0.0, 1500.0, float(grade)),))
         errors = validate_track(model, track)
-        assert any("downhill" in e for e in errors)
+        if rejected:
+            assert any("downhill" in e for e in errors)
+        else:
+            assert errors == []
 
     def test_overlapping_limit_segments_rejected(self, model):
         track = make_track(limits=((0.0, 800.0, 80.0), (500.0, 1500.0, 60.0)))

@@ -4,7 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atoshield import shield
-from atoshield.dynamics import OperationState, step, step_batch, validate_track
+from atoshield.dynamics import (
+    OperationState, davis_resistance_accel, step, step_batch, validate_track,
+)
 from atoshield.shield import (
     RULE_OF_CODE,
     Rule,
@@ -254,7 +256,8 @@ class TestSoundness:
 
 @st.composite
 def generated_sections(draw):
-    """Valid sections with 2-4 limit segments and nonzero grades."""
+    """Valid sections with 2-4 limit segments and nonzero grades, at times one
+    as steep downhill as validation allows."""
     length = draw(st.floats(600.0, 2500.0))
     n_limits = draw(st.integers(2, 4))
     cuts = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=n_limits - 1,
@@ -265,9 +268,11 @@ def generated_sections(draw):
     grade_cuts = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=n_grades - 1,
                                       max_size=n_grades - 1, unique=True)))
     grade_edges = [0.0, *(c * length for c in grade_cuts), length]
-    # positive grade helps the train along; the steep-slope check bounds both signs
-    grades = draw(st.lists(st.floats(-0.3, 0.008).filter(lambda g: g != 0.0),
-                           min_size=n_grades, max_size=n_grades))
+    # positive grade helps the train along; the steep-slope check bounds both
+    # signs, and a grade equal to standstill resistance is the steepest it allows
+    grade = st.one_of(st.floats(-0.3, 0.008).filter(lambda g: g != 0.0),
+                      st.just(davis_resistance_accel(make_model(), 0.0)))
+    grades = draw(st.lists(grade, min_size=n_grades, max_size=n_grades))
     track = make_track(
         length=length,
         limits=tuple(zip(edges, edges[1:], limits)),
