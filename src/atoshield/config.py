@@ -3,9 +3,11 @@
 The file has seven blocks (train, track, safety, reward, agent, search, run),
 each mapping onto one runtime dataclass.  Validation is all-at-once: every
 violated invariant is reported with its field path, and unknown keys are
-rejected rather than ignored.  A value of the wrong type (a string or a bool
-where a number belongs, a number where true/false belongs) is reported
-first, and a block holding one is not checked against its invariants.
+rejected rather than ignored.  Each field's type comes from its annotation:
+a value of the wrong type (a string or a bool where a number belongs, a
+fraction where an integer belongs, a number where true/false belongs) is
+reported first, and a block holding one is not checked against its
+invariants.
 """
 
 from __future__ import annotations
@@ -55,12 +57,6 @@ _FIELD_MAP = {
     "run": RunConfig,
 }
 
-_LIST_FIELDS = {"limit_segments", "grade_segments", "seeds", "hidden_sizes", "additional_hidden_sizes"}
-
-# annotations (strings, as every config module defers them) of the fields
-# that hold one number
-_NUMBER_TYPES = {"float", "int", "float | None", "int | None"}
-
 
 def default_scenario_path() -> Path:
     """Filesystem path of the bundled synthetic section."""
@@ -72,15 +68,40 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _type_error(field: dataclasses.Field, value) -> str | None:
-    """Why ``value`` has the wrong type for a number or flag field, if it does."""
-    if value is None and field.default is None:
-        return None
-    if field.type in _NUMBER_TYPES and not _is_number(value):
-        return f"expected a number, got {value!r}"
-    if field.type == "bool" and not isinstance(value, bool):
-        return f"expected true or false, got {value!r}"
-    return None
+def _is_int(value) -> bool:
+    """A YAML integer: ``True`` and ``16.5`` are not layer widths or counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_segment(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_is_number, value))
+
+
+# The type of a config field, by its annotation (a string, as every config
+# module defers them) without a trailing ``| None``, which admits None: what a
+# value must satisfy and how an error names it.  A ``tuple[...]`` field holds
+# a list, and its predicate and words are for each element.
+_KINDS = {
+    "float": (_is_number, "a number"),
+    "int": (_is_int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (_is_int, "an integer"),
+    "tuple[tuple[float, float, float], ...]": (_is_segment, "three numbers [start, end, value]"),
+}
+
+
+def _type_errors(path: str, field: dataclasses.Field, value) -> list[str]:
+    """Why ``value`` has the wrong type for ``field``, one line per fault."""
+    kind = field.type.removesuffix(" | None")
+    if value is None and kind != field.type:
+        return []
+    accepts, words = _KINDS[kind]
+    if not kind.startswith("tuple["):
+        return [] if accepts(value) else [f"{path}: expected {words}, got {value!r}"]
+    if not isinstance(value, (list, tuple)):
+        return [f"{path}: expected a list, got {value!r}"]
+    return [f"{path}[{i}]: expected {words}, got {v!r}" for i, v in enumerate(value) if not accepts(v)]
 
 
 def _coerce_block(name: str, cls, raw: dict, errors: list[str]):
@@ -93,22 +114,11 @@ def _coerce_block(name: str, cls, raw: dict, errors: list[str]):
         if key not in known:
             errors.append(f"{name}.{key}: unknown key")
             continue
-        problem = _type_error(known[key], value)
-        if problem:
-            errors.append(f"{name}.{key}: {problem}")
-            mistyped = True
-            continue
-        if key in _LIST_FIELDS and value is not None:
-            if not isinstance(value, (list, tuple)):
-                errors.append(f"{name}.{key}: expected a list, got {value!r}")
-                continue
-            value = tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in value)
-            if key.endswith("_segments"):
-                bad = [i for i, seg in enumerate(value)
-                       if not (isinstance(seg, tuple) and len(seg) == 3 and all(map(_is_number, seg)))]
-                errors += [f"{name}.{key}[{i}]: expected three numbers [start, end, value], "
-                           f"got {raw[key][i]!r}" for i in bad]
-                mistyped = mistyped or bool(bad)
+        problems = _type_errors(f"{name}.{key}", known[key], value)
+        errors += problems
+        mistyped = mistyped or bool(problems)
+        if isinstance(value, list):
+            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[key] = value
     if mistyped:
         return None
@@ -129,6 +139,14 @@ def _validate_safety(spec: SafetySpec, model: TrainModel, track: TrackSection) -
         errors.append("safety.terminal_zone: must be smaller than the track length")
     if errors:
         return errors
+    # where the floor applies, a segment must leave speeds above the floor
+    # and at or below its limit
+    low = next(((i, seg) for i, seg in enumerate(track.limit_segments)
+                if seg[0] < track.length - spec.terminal_zone and seg[2] <= spec.min_speed), None)
+    if spec.enforce_min_speed and low:
+        i, (start, end, limit) = low
+        return [f"safety.min_speed: {spec.min_speed} km/h is not below the {limit} km/h limit "
+                f"of track.limit_segments[{i}] ({start}-{end} m), where the floor applies"]
     # the shield's floor test on the fastest first interval: when even full
     # traction from standstill breaks the floor, no first command is safe
     out = step(model, track, OperationState(), 1.0)
@@ -137,11 +155,6 @@ def _validate_safety(spec: SafetySpec, model: TrainModel, track: TrackSection) -
         errors.append(f"safety.min_speed: full traction from standstill reaches only "
                       f"{nxt.vel:.2f} km/h in one interval, not above the floor")
     return errors
-
-
-def _is_int(value) -> bool:
-    """A YAML integer: ``True`` and ``16.5`` are not layer widths or counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _validate_agent(agent: AgentConfig) -> list[str]:
@@ -161,54 +174,44 @@ def _validate_agent(agent: AgentConfig) -> list[str]:
         errors.append("agent.convergence_eps: must be > 0")
     if agent.noise_kind not in ("ou", "gaussian"):
         errors.append("agent.noise_kind: must be 'ou' or 'gaussian'")
-    counts = ("elite_minibatch", "elite_capacity", "batch_size", "replay_capacity",
-              "additional_updates_per_episode")
-    ok = {name for name in counts if _is_int(getattr(agent, name))}
-    errors += [f"agent.{name}: must be an integer" for name in counts if name not in ok]
-    # a bound between two fields is checked only once both are integers
-    if "elite_minibatch" in ok and agent.elite_minibatch < 1:
+    if agent.elite_minibatch < 1:
         errors.append("agent.elite_minibatch: must be >= 1")
-    if {"elite_minibatch", "elite_capacity"} <= ok and agent.elite_capacity < agent.elite_minibatch:
+    if agent.elite_capacity < agent.elite_minibatch:
         errors.append("agent.elite_capacity: must be >= elite_minibatch")
-    if "batch_size" in ok and agent.batch_size < 1:
+    if agent.batch_size < 1:
         errors.append("agent.batch_size: must be >= 1")
-    if {"batch_size", "replay_capacity"} <= ok and agent.replay_capacity < agent.batch_size:
+    if agent.replay_capacity < agent.batch_size:
         errors.append("agent.replay_capacity: must be >= batch_size")
-    if "additional_updates_per_episode" in ok and agent.additional_updates_per_episode < 0:
+    if agent.additional_updates_per_episode < 0:
         errors.append("agent.additional_updates_per_episode: must be >= 0")
-    if not agent.hidden_sizes or not all(_is_int(h) and h >= 1 for h in agent.hidden_sizes):
-        errors.append("agent.hidden_sizes: need at least one layer width, each an integer >= 1")
-    if agent.additional_hidden_sizes is not None and not all(
-        _is_int(h) and h >= 1 for h in agent.additional_hidden_sizes
-    ):
-        errors.append("agent.additional_hidden_sizes: every layer width must be an integer >= 1")
+    if not agent.hidden_sizes or min(agent.hidden_sizes) < 1:
+        errors.append("agent.hidden_sizes: need at least one layer width, each >= 1")
+    if agent.additional_hidden_sizes and min(agent.additional_hidden_sizes) < 1:
+        errors.append("agent.additional_hidden_sizes: every layer width must be >= 1")
     return errors
 
 
 def _validate_search(search: SearchConfig) -> list[str]:
     errors = []
-    if not _is_int(search.expansion_width) or search.expansion_width < 1:
-        errors.append("search.expansion_width: must be an integer >= 1")
+    if search.expansion_width < 1:
+        errors.append("search.expansion_width: must be >= 1")
     if not 0.0 < search.backup_discount <= 1.0:
         errors.append("search.backup_discount: must be in (0, 1]")
-    if not _is_int(search.action_grid) or search.action_grid < 2:
-        errors.append("search.action_grid: must be an integer >= 2")
+    if search.action_grid < 2:
+        errors.append("search.action_grid: must be >= 2")
     return errors
 
 
 def _validate_run(run: RunConfig) -> list[str]:
     errors = []
-    for name, optional in (("max_episodes", True), ("t_up", False), ("step_budget", True),
-                           ("execution_episodes", False)):
+    for name in ("max_episodes", "t_up", "step_budget", "execution_episodes"):
         value = getattr(run, name)
-        if optional and value is None:
-            continue
-        if not _is_int(value) or value < 1:
-            errors.append(f"run.{name}: must be an integer >= 1")
+        if value is not None and value < 1:
+            errors.append(f"run.{name}: must be >= 1")
     if not run.seeds:
         errors.append("run.seeds: need at least one seed")
-    elif any(not _is_int(s) or s < 0 for s in run.seeds):
-        errors.append("run.seeds: every seed must be an integer >= 0")
+    elif min(run.seeds) < 0:
+        errors.append("run.seeds: every seed must be >= 0")
     if run.agent not in VARIANTS:
         errors.append(f"run.agent: must be one of {', '.join(VARIANTS)}")
     return errors

@@ -1,10 +1,11 @@
 import copy
+import dataclasses
 import json
 
 import pytest
 import yaml
 
-from atoshield import cli, trainer
+from atoshield import cli, config, trainer
 from atoshield.cli import (
     ablation_hidden,
     main,
@@ -67,6 +68,32 @@ class TestValidateConfig:
         assert main(["validate", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    def test_floor_at_a_posted_limit_is_one_error_naming_the_segment(self, tmp_path, default_yaml,
+                                                                     capsys):
+        # the train would have to run above 4.2 and at most 4.0 km/h in [500, 1000),
+        # so the shield used to abort there at run time
+        blob = copy.deepcopy(default_yaml)
+        blob["track"]["limit_segments"][1][2] = 4.0
+        blob["track"]["scheduled_time"] = 600
+        blob["safety"].update(enforce_min_speed=True, min_speed=4.2)
+        path = dump(tmp_path, blob)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        error = ("safety.min_speed: 4.2 km/h is not below the 4.0 km/h limit of "
+                 "track.limit_segments[1] (500.0-1000.0 m), where the floor applies")
+        assert err.value.errors == [error]
+        assert main(["validate", "--config", str(path)]) == 2
+        assert error in capsys.readouterr().err
+        blob["safety"]["enforce_min_speed"] = False
+        load_config(dump(tmp_path, blob))
+
+    def test_type_table_knows_every_field(self):
+        # a field of a type the table lacks would raise KeyError at load
+        for block, cls in config._FIELD_MAP.items():
+            for field in dataclasses.fields(cls):
+                kind = field.type.removesuffix(" | None")
+                assert kind in config._KINDS, f"{block}.{field.name}: {field.type}"
+
     def test_overlapping_limits_reported(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
         blob["track"]["limit_segments"] = [[0.0, 900.0, 80.0], [500.0, 1500.0, 60.0]]
@@ -117,16 +144,16 @@ class TestValidateConfig:
         blob["search"]["action_grid"] = 1
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
-        assert err.value.errors == ["search.action_grid: must be an integer >= 2"]
+        assert err.value.errors == ["search.action_grid: must be >= 2"]
 
     def test_every_search_violation_reported_at_once(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
         blob["search"].update(expansion_width=0, action_grid=1, backup_discount=1.5)
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
-        assert err.value.errors == ["search.expansion_width: must be an integer >= 1",
+        assert err.value.errors == ["search.expansion_width: must be >= 1",
                                     "search.backup_discount: must be in (0, 1]",
-                                    "search.action_grid: must be an integer >= 2"]
+                                    "search.action_grid: must be >= 2"]
 
     @pytest.mark.parametrize("block, key, value", [
         ("run", "seeds", 5),
@@ -140,65 +167,72 @@ class TestValidateConfig:
             load_config(dump(tmp_path, blob))
         assert f"{block}.{key}: expected a list, got {value}" in err.value.errors
 
-    @pytest.mark.parametrize("block, key, value", [
-        ("agent", "hidden_sizes", [16.5]),
-        ("agent", "hidden_sizes", [True]),
-        ("agent", "hidden_sizes", [16, 0]),
-        ("agent", "additional_hidden_sizes", [16.5]),
-        ("agent", "additional_hidden_sizes", [0]),
-        ("agent", "batch_size", 16.5),
-        ("agent", "batch_size", True),
-        ("agent", "replay_capacity", 5e4),
-        ("agent", "elite_minibatch", 2.5),
-        ("agent", "elite_capacity", 20.5),
-        ("agent", "additional_updates_per_episode", 2.5),
-        ("agent", "additional_updates_per_episode", -1),
-        ("run", "max_episodes", 1.5),
-        ("run", "step_budget", 20.5),
-        ("run", "execution_episodes", True),
-        ("search", "expansion_width", 2.5),
-        ("search", "action_grid", 4.5),
+    @pytest.mark.parametrize("block, key, value, error", [
+        ("agent", "hidden_sizes", [16.5], "agent.hidden_sizes[0]: expected an integer, got 16.5"),
+        ("agent", "hidden_sizes", [True], "agent.hidden_sizes[0]: expected an integer, got True"),
+        ("agent", "hidden_sizes", [16, 0],
+         "agent.hidden_sizes: need at least one layer width, each >= 1"),
+        ("agent", "additional_hidden_sizes", [16, 2.5],
+         "agent.additional_hidden_sizes[1]: expected an integer, got 2.5"),
+        ("agent", "additional_hidden_sizes", [0],
+         "agent.additional_hidden_sizes: every layer width must be >= 1"),
+        ("agent", "batch_size", 16.5, "agent.batch_size: expected an integer, got 16.5"),
+        ("agent", "batch_size", True, "agent.batch_size: expected an integer, got True"),
+        ("agent", "replay_capacity", 5e4, "agent.replay_capacity: expected an integer, got 50000.0"),
+        ("agent", "elite_minibatch", 2.5, "agent.elite_minibatch: expected an integer, got 2.5"),
+        ("agent", "elite_capacity", 20.5, "agent.elite_capacity: expected an integer, got 20.5"),
+        ("agent", "additional_updates_per_episode", 2.5,
+         "agent.additional_updates_per_episode: expected an integer, got 2.5"),
+        ("agent", "additional_updates_per_episode", -1,
+         "agent.additional_updates_per_episode: must be >= 0"),
+        ("run", "max_episodes", 1.5, "run.max_episodes: expected an integer, got 1.5"),
+        ("run", "step_budget", 20.5, "run.step_budget: expected an integer, got 20.5"),
+        ("run", "execution_episodes", True, "run.execution_episodes: expected an integer, got True"),
+        ("run", "seeds", [0, 1.5], "run.seeds[1]: expected an integer, got 1.5"),
+        ("search", "expansion_width", 2.5, "search.expansion_width: expected an integer, got 2.5"),
+        ("search", "action_grid", 4.5, "search.action_grid: expected an integer, got 4.5"),
     ])
     def test_bad_size_is_one_error_naming_the_field(self, tmp_path, default_yaml, capsys,
-                                                    block, key, value):
+                                                    block, key, value, error):
         # each of these used to pass validation and then fail (or run) in training
         blob = copy.deepcopy(default_yaml)
         blob[block][key] = value
         path = dump(tmp_path, blob)
         with pytest.raises(ConfigError) as err:
             load_config(path)
-        assert len(err.value.errors) == 1
-        assert err.value.errors[0].startswith(f"{block}.{key}: ")
+        assert err.value.errors == [error]
         assert main(["validate", "--config", str(path)]) == 2
-        assert f"{block}.{key}: " in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block, key, value", [
-        ("train", "mass_tonnes", "heavy"),
-        ("train", "max_decel", None),
-        ("track", "length", "long"),
-        ("track", "dt", True),
-        ("safety", "min_speed", "x"),
-        ("safety", "terminal_zone", True),
-        ("reward", "alpha_traction", "x"),
-        ("agent", "gamma", "x"),
-        ("agent", "actor_lr", "1e-3"),  # YAML 1.1 reads this as a string
-        ("agent", "additional_actor_lr", False),
-        ("agent", "batch_size", "256"),
-        ("search", "expansion_width", "5"),
-        ("search", "backup_discount", False),
-        ("run", "t_up", "x"),
-        ("run", "step_budget", "x"),
+    @pytest.mark.parametrize("block, key, value, expected", [
+        ("train", "mass_tonnes", "heavy", "a number"),
+        ("train", "max_decel", None, "a number"),
+        ("track", "length", "long", "a number"),
+        ("track", "dt", True, "a number"),
+        ("safety", "min_speed", "x", "a number"),
+        ("safety", "terminal_zone", True, "a number"),
+        ("reward", "alpha_traction", "x", "a number"),
+        ("agent", "gamma", "x", "a number"),
+        ("agent", "actor_lr", "1e-3", "a number"),  # YAML 1.1 reads this as a string
+        ("agent", "additional_actor_lr", False, "a number"),
+        ("agent", "batch_size", "256", "an integer"),
+        ("agent", "noise_kind", 5, "a string"),
+        ("search", "expansion_width", "5", "an integer"),
+        ("search", "backup_discount", False, "a number"),
+        ("run", "t_up", "x", "an integer"),
+        ("run", "step_budget", "x", "an integer"),
+        ("run", "agent", ["ssa_ddpg"], "a string"),
     ])
     def test_non_number_is_one_error_naming_the_field(self, tmp_path, default_yaml, capsys,
-                                                      block, key, value):
+                                                      block, key, value, expected):
         blob = copy.deepcopy(default_yaml)
         blob[block][key] = value
         path = dump(tmp_path, blob)
         with pytest.raises(ConfigError) as err:
             load_config(path)
-        assert err.value.errors == [f"{block}.{key}: expected a number, got {value!r}"]
+        assert err.value.errors == [f"{block}.{key}: expected {expected}, got {value!r}"]
         assert main(["validate", "--config", str(path)]) == 2
-        assert f"{block}.{key}: expected a number" in capsys.readouterr().err
+        assert f"{block}.{key}: expected {expected}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["x", 1, None])
     def test_flag_must_be_true_or_false(self, tmp_path, default_yaml, value):
