@@ -97,12 +97,13 @@ def floor_applies(spec: SafetySpec, track: TrackSection, loc: float) -> bool:
 def _span_overspeed(ops: Ops, track, start_loc, start_vel, accel, end_loc, end_vel):
     over = end_vel > segment_value(ops, track.limit_segments, end_loc)
     v0 = start_vel / KMH_PER_MPS
-    for seg_start, _, seg_limit in track.limit_segments:
+    limits = track.limit_segments
+    for (_, _, before), (seg_start, _, after) in zip(limits, limits[1:]):
         crossed = (start_loc < seg_start) & (seg_start <= end_loc)
         if not ops.any(crossed):
             continue
         v_cross_sq = v0 * v0 + 2.0 * accel * (seg_start - start_loc)
-        too_fast = ops.sqrt(ops.maximum(v_cross_sq, 0.0)) * KMH_PER_MPS > seg_limit
+        too_fast = ops.sqrt(ops.maximum(v_cross_sq, 0.0)) * KMH_PER_MPS > min(before, after)
         over = over | (crossed & (v_cross_sq > 0.0) & too_fast)
     return over
 
@@ -120,7 +121,10 @@ def span_overspeed(
     Within one control interval acceleration is constant, so the speed when
     crossing a limit boundary at distance d is sqrt(v0^2 + 2 a d).  Speed is
     monotone inside each segment, which makes the boundary crossings and the
-    endpoint the only places a violation can first appear.
+    endpoint the only places a violation can first appear.  A crossing speed
+    is held to the lower of the two limits that meet there: the segment being
+    left bounds the speed on its way to the boundary, the one being entered
+    bounds it from the boundary on.
     """
     return _span_overspeed(FLOATS, track, start_loc, start_vel, accel, end_loc, end_vel)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from atoshield.config import default_scenario_path, load_config
-from atoshield.dynamics import TrackSection, TrainModel
+from atoshield.dynamics import TrackSection, TrainModel, davis_resistance_accel, validate_track
 
 
 def make_model(**kw) -> TrainModel:
@@ -27,6 +27,38 @@ def make_track(
         dt=dt,
         **kw,
     )
+
+
+def seeded_sections(seed: int, count: int) -> list[TrackSection]:
+    """``count`` valid sections drawn from ``default_rng(seed)``: 2-4 limit
+    segments of 30-100 km/h and 1-3 grade segments, at times one as steep
+    downhill as validation allows, with a schedule at 60% of the mean limit."""
+    rng = np.random.default_rng(seed)
+    steepest = davis_resistance_accel(make_model(), 0.0)
+    sections = []
+    while len(sections) < count:
+        length = rng.uniform(600.0, 2500.0)
+
+        def edges(n):
+            cuts = np.sort(rng.choice(np.arange(1, 10), n - 1, replace=False)) / 10.0
+            return [0.0, *(cuts * length), length]
+
+        limit_edges = edges(rng.integers(2, 5))
+        limits = rng.uniform(30.0, 100.0, len(limit_edges) - 1)
+        grade_edges = edges(rng.integers(1, 4))
+        grades = [steepest if rng.random() < 0.2 else rng.uniform(-0.3, 0.008)
+                  for _ in grade_edges[1:]]
+        mean_limit = sum(lim * (e - s) for s, e, lim in zip(limit_edges, limit_edges[1:], limits))
+        mean_limit /= length
+        track = make_track(
+            length=length,
+            limits=tuple(zip(limit_edges, limit_edges[1:], map(float, limits))),
+            grades=tuple(zip(grade_edges, grade_edges[1:], map(float, grades))),
+            scheduled_time=length / (0.6 * mean_limit / 3.6),
+        )
+        if validate_track(make_model(), track) == []:
+            sections.append(track)
+    return sections
 
 
 @pytest.fixture(scope="session")

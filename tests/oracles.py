@@ -3,9 +3,12 @@
 Everything here is deliberately naive (plain loops, no shared code with the
 package internals) so it can serve as an oracle.  :func:`ref_step` and
 :func:`ref_span_overspeed` are the scalar physics as it stood before the
-package wrote each formula once for floats and arrays, copied verbatim with
-the helpers they call, so a change to a shared kernel cannot pass its tests
-by moving both of its callers at once.  The tree reference is a plain node
+package wrote each formula once for floats and arrays, copied with the
+helpers they call, so a change to a shared kernel cannot pass its tests by
+moving both of its callers at once; the one edit since holds a limit
+boundary's crossing speed to the lower of the two limits that meet there.
+:func:`ref_true_overspeed` judges an executed span from the closed-form
+motion over each limit segment it touches, so it does not share that rule.  The tree reference is a plain node
 object per node, grown depth first on the scalar ``step`` and ``is_safe``
 (the kernels the array forms are held equal to), then pruned, backed up and
 selected recursively.  The recoverability reference tests for a clear state
@@ -190,12 +193,42 @@ def ref_span_overspeed(
     if end_loc <= start_loc:
         return False
     v0 = start_vel / KMH_PER_MPS
-    for seg_start, _, seg_limit in track.limit_segments:
+    limits = track.limit_segments
+    for (_, _, before), (seg_start, _, after) in zip(limits, limits[1:]):
         if start_loc < seg_start <= end_loc and seg_start <= track.length:
             v_cross_sq = v0 * v0 + 2.0 * accel * (seg_start - start_loc)
             if v_cross_sq <= 0.0:
                 continue
-            if math.sqrt(v_cross_sq) * KMH_PER_MPS > seg_limit:
+            if math.sqrt(v_cross_sq) * KMH_PER_MPS > min(before, after):
+                return True
+    return False
+
+
+_ROUNDING_KMH = 1e-9
+
+
+def ref_true_overspeed(track, start_loc, start_vel, accel, end_loc):
+    """Whether the train runs above a posted limit anywhere on one executed
+    span, judged from the closed-form motion alone, with no code shared with
+    the shield.
+
+    With ``accel`` constant over the span, the speed at x is
+    sqrt(v0^2 + 2 accel (x - start_loc)), monotone in x.  So on each limit
+    segment [s, e) that the span touches, its sup over the touched part
+    [max(s, start_loc), min(e, end_loc)] is at one end of that part (at e, it
+    is the speed on the way to e), and it must not exceed that segment's own
+    limit.  ``_ROUNDING_KMH`` absorbs the float rounding of the closed form
+    against the stepped speed.
+    """
+
+    def kmh_at(x):
+        v_sq = (start_vel / KMH_PER_MPS) ** 2 + 2.0 * accel * (x - start_loc)
+        return math.sqrt(max(v_sq, 0.0)) * KMH_PER_MPS
+
+    for seg_start, seg_end, limit in track.limit_segments:
+        if start_loc < seg_end and seg_start <= end_loc:
+            lo, hi = max(seg_start, start_loc), min(seg_end, end_loc)
+            if max(kmh_at(lo), kmh_at(hi)) > limit + _ROUNDING_KMH:
                 return True
     return False
 

@@ -125,8 +125,6 @@ class TestIsSafe:
         verdict = is_safe(PLAIN, model, track, OperationState(loc=100.0, vel=30.0), 0.3)
         assert verdict.safe and verdict.violated_rule is None
 
-    @pytest.mark.xfail(strict=True, reason="a boundary crossing is compared only with the "
-                       "limit being entered, so an overspeed just before a limit rise is missed")
     def test_overspeed_before_a_limit_rise(self, model, track):
         # reaches 1,000 m at 60.7 km/h, still inside the 60 km/h segment [500, 1000)
         assert not is_safe(PLAIN, model, track, OperationState(loc=995.0, vel=59.9), 1.0).safe

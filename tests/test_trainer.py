@@ -14,7 +14,7 @@ from atoshield import trainer
 from atoshield.config import default_scenario_path, load_config
 from atoshield.drl.agents import DdpgAgent
 from atoshield.drl.nets import Mlp
-from atoshield.dynamics import OperationState
+from atoshield.dynamics import OperationState, validate_track
 from atoshield.trainer import (
     RunConfig,
     TrainEnv,
@@ -29,8 +29,8 @@ from atoshield.trainer import (
     variant_correction,
 )
 
-from conftest import make_model, make_track
-from oracles import pcc_brute
+from conftest import make_model, make_track, seeded_sections
+from oracles import pcc_brute, ref_true_overspeed
 
 
 def scenario(**run_overrides):
@@ -306,6 +306,57 @@ class TestRobustness:
         assert triple.speed is None or -1.0 <= triple.speed <= 1.0
 
 
+def record_spans(monkeypatch) -> list:
+    """Collects every executed step as (state before it, its outcome)."""
+    spans = []
+    env_step = TrainEnv.step
+
+    def recording(self, cmd):
+        before = self.state
+        out = env_step(self, cmd)
+        spans.append((before, out))
+        return out
+
+    monkeypatch.setattr(TrainEnv, "step", recording)
+    return spans
+
+
+def true_overspeeds(track, spans) -> list:
+    return [(before.loc, before.vel, out.accel_applied) for before, out in spans
+            if ref_true_overspeed(track, before.loc, before.vel, out.accel_applied,
+                                  out.next_state.loc)]
+
+
+class TestNoExecutedOverspeed:
+    """The independent judge finds no overspeed in any executed step of the
+    shielded paths, including just before a limit rise."""
+
+    def test_probe_on_the_default_section(self, monkeypatch):
+        spans = record_spans(monkeypatch)
+        cfg = scenario()
+        noise_test(cfg, 1.0)
+        assert spans
+        assert true_overspeeds(cfg.track, spans) == []
+
+    def test_probe_on_seeded_sections(self, monkeypatch):
+        spans = record_spans(monkeypatch)
+        base = scenario()
+        for i, track in enumerate(seeded_sections(2311, 16)):
+            assert validate_track(base.train, track) == []
+            spans.clear()
+            noise_test(dataclasses.replace(base, track=track), 1.0)
+            assert spans
+            assert true_overspeeds(track, spans) == [], f"section {i}"
+
+    @pytest.mark.parametrize("variant", ["ssa_ddpg", "shield_sac"])
+    def test_short_training_on_the_default_section(self, monkeypatch, variant):
+        spans = record_spans(monkeypatch)
+        cfg = scenario(max_episodes=2, agent=variant)
+        train(cfg, seed=0)
+        assert spans
+        assert true_overspeeds(cfg.track, spans) == []
+
+
 # Each pinned training runs in a child interpreter with one BLAS thread, set
 # before numpy loads: the additional actor's large imitation matmuls round
 # differently with the BLAS thread count, so the pins must not depend on the
@@ -336,9 +387,10 @@ print(repr({
 """
 
 # Recorded with one BLAS thread (numpy 2.4, OpenBLAS 0.3.31) after the
-# agents moved to float32 nets, float32 SAC draws and float32 replay states; an
-# optimisation of the learner's data path, or the fit's overlap with the
-# rollout, may not change any value.
+# agents moved to float32 nets, float32 SAC draws and float32 replay states,
+# and for ssa_ddpg again after the shield held a limit boundary's crossing
+# speed to the lower of its two limits; an optimisation of the learner's data
+# path, or the fit's overlap with the rollout, may not change any value.
 PINNED = {
     "shield_sac": (
         [(0, -24720.264657647145, 0, 0, 45.21124827243675, -12.555519528918586, 179.0, 69.0, True),
@@ -348,11 +400,11 @@ PINNED = {
          "softq": "9d35c1755649a422", "additional": "2f65418fff9ef63c"},
     ),
     "ssa_ddpg": (
-        [(0, -38776.579743824346, 3, 0, 33.52101355873018, -4.232188669677897, 198.0, 88.0, True),
-         (1, -36148.003796883175, 9, 0, 39.47752147193935, -4.336518075666252, 180.0, 70.0, True),
-         (2, -29235.31348286408, 4, 0, 32.98153390779595, -1.817657738194077, 164.0, 54.0, True)],
-        {"actor": "a829d5d9620e44ca", "critic": "9edf5f0c01790fbe", "actor_target": "e41c8626c8a5b479",
-         "critic_target": "942d20261701cb93", "additional": "5f66d4022216c504"},
+        [(0, -38810.35852302294, 3, 0, 33.74978152518154, -4.19287254886525, 198.0, 88.0, True),
+         (1, -38140.68829381618, 7, 0, 37.435363097199506, -3.5342324459092644, 188.0, 78.0, True),
+         (2, -32549.320815197316, 3, 0, 29.59197789971807, -1.3636713233258444, 176.0, 66.0, True)],
+        {"actor": "f91c7aff809c8cfc", "critic": "b94795b581aa1c02", "actor_target": "772e9e2aad6ea9c0",
+         "critic_target": "96d62734f06e9ae5", "additional": "28b6d0ed8ff554b0"},
     ),
     "ssa_sac": (
         [(0, -49387.484591895474, 0, 0, 48.80853858478582, -7.395879287672748, 231.0, 121.0, True),
@@ -387,13 +439,13 @@ def test_seeded_training_outputs_pinned(variant):
 
 
 def test_deep_probe_outputs_pinned():
-    # the +1 probe at t_up=7 runs 29 deep corrections through the array
+    # the +1 probe at t_up=7 runs 30 deep corrections through the array
     # kernels, which the pinned trainings barely reach; no learner, so no BLAS
     cfg = scenario(t_up=7)
     (metrics,) = noise_test(cfg, 1.0, episodes=1)
     row = tuple(v for k, v in dataclasses.asdict(metrics).items() if k != "action_select_mean_s")
-    assert row == (0, -11272.905669026382, 29, 0, 71.89755939033539, -13.249240801457471,
-                   90.0, -20.0, True)
+    assert row == (0, -11138.660031768753, 30, 0, 71.918336529981, -13.70347005084101,
+                   91.0, -19.0, True)
 
 
 # Three trainings on threads of their own (each with its fit worker: more
