@@ -6,8 +6,8 @@ violated invariant is reported with its field path, and unknown keys are
 rejected rather than ignored.  Each field's type comes from its annotation:
 a value of the wrong type (a string or a bool where a number belongs, a
 fraction where an integer belongs, a number where true/false belongs) is
-reported first, and a block holding one is not checked against its
-invariants.
+reported, and a block holding one is not checked against its invariants,
+nor is any check that reads that block.
 """
 
 from __future__ import annotations
@@ -233,22 +233,24 @@ def load_config(path: str | Path) -> ScenarioConfig:
             errors.append(f"{name}: expected a mapping")
             content = {}
         blocks[name] = _coerce_block(name, cls, content, errors)
-    if any(b is None for b in blocks.values()):
-        raise ConfigError(errors)
-
-    cfg = ScenarioConfig(**blocks)
+    # a block that failed its type check is not checked against its
+    # invariants, nor is a check that reads it; the other blocks still are
+    train, track, safety = blocks["train"], blocks["track"], blocks["safety"]
+    physics_errors = validate_model(train) if train else []
+    if train and track:
+        physics_errors += validate_track(train, track)
+    errors += physics_errors
     # the safety block needs a sound train and track: its derived terminal
     # zone divides by the braking rate, and the floor check steps the train
-    physics_errors = validate_model(cfg.train) + validate_track(cfg.train, cfg.track)
-    errors += physics_errors
-    if not physics_errors:
-        if cfg.safety.terminal_zone is None:
-            zone = default_terminal_zone(cfg.train, cfg.track)
-            cfg.safety = dataclasses.replace(cfg.safety, terminal_zone=zone)
-        errors += _validate_safety(cfg.safety, cfg.train, cfg.track)
-    errors += _validate_agent(cfg.agent)
-    errors += _validate_search(cfg.search)
-    errors += _validate_run(cfg.run)
+    if train and track and safety and not physics_errors:
+        if safety.terminal_zone is None:
+            safety = dataclasses.replace(safety, terminal_zone=default_terminal_zone(train, track))
+            blocks["safety"] = safety
+        errors += _validate_safety(safety, train, track)
+    for name, check in (("agent", _validate_agent), ("search", _validate_search),
+                        ("run", _validate_run)):
+        if blocks[name]:
+            errors += check(blocks[name])
     if errors:
         raise ConfigError(errors)
-    return cfg
+    return ScenarioConfig(**blocks)

@@ -31,6 +31,59 @@ def dump(tmp_path, blob, name="scenario.yaml"):
     return path
 
 
+def case_ids(cases):
+    """``block-key-value`` ids, which leave out a case's expected outcome."""
+    return [f"{block}-{key}-{value}" for block, key, value, _ in cases]
+
+
+# each of these used to pass validation and then fail (or run) in training
+BAD_SIZES = [
+    ("agent", "hidden_sizes", [16.5], "agent.hidden_sizes[0]: expected an integer, got 16.5"),
+    ("agent", "hidden_sizes", [True], "agent.hidden_sizes[0]: expected an integer, got True"),
+    ("agent", "hidden_sizes", [16, 0],
+     "agent.hidden_sizes: need at least one layer width, each >= 1"),
+    ("agent", "additional_hidden_sizes", [16, 2.5],
+     "agent.additional_hidden_sizes[1]: expected an integer, got 2.5"),
+    ("agent", "additional_hidden_sizes", [0],
+     "agent.additional_hidden_sizes: every layer width must be >= 1"),
+    ("agent", "batch_size", 16.5, "agent.batch_size: expected an integer, got 16.5"),
+    ("agent", "batch_size", True, "agent.batch_size: expected an integer, got True"),
+    ("agent", "replay_capacity", 5e4, "agent.replay_capacity: expected an integer, got 50000.0"),
+    ("agent", "elite_minibatch", 2.5, "agent.elite_minibatch: expected an integer, got 2.5"),
+    ("agent", "elite_capacity", 20.5, "agent.elite_capacity: expected an integer, got 20.5"),
+    ("agent", "additional_updates_per_episode", 2.5,
+     "agent.additional_updates_per_episode: expected an integer, got 2.5"),
+    ("agent", "additional_updates_per_episode", -1,
+     "agent.additional_updates_per_episode: must be >= 0"),
+    ("run", "max_episodes", 1.5, "run.max_episodes: expected an integer, got 1.5"),
+    ("run", "step_budget", 20.5, "run.step_budget: expected an integer, got 20.5"),
+    ("run", "execution_episodes", True, "run.execution_episodes: expected an integer, got True"),
+    ("run", "seeds", [0, 1.5], "run.seeds[1]: expected an integer, got 1.5"),
+    ("search", "expansion_width", 2.5, "search.expansion_width: expected an integer, got 2.5"),
+    ("search", "action_grid", 4.5, "search.action_grid: expected an integer, got 4.5"),
+]
+
+MISTYPED = [
+    ("train", "mass_tonnes", "heavy", "a number"),
+    ("train", "max_decel", None, "a number"),
+    ("track", "length", "long", "a number"),
+    ("track", "dt", True, "a number"),
+    ("safety", "min_speed", "x", "a number"),
+    ("safety", "terminal_zone", True, "a number"),
+    ("reward", "alpha_traction", "x", "a number"),
+    ("agent", "gamma", "x", "a number"),
+    ("agent", "actor_lr", "1e-3", "a number"),  # YAML 1.1 reads this as a string
+    ("agent", "additional_actor_lr", False, "a number"),
+    ("agent", "batch_size", "256", "an integer"),
+    ("agent", "noise_kind", 5, "a string"),
+    ("search", "expansion_width", "5", "an integer"),
+    ("search", "backup_discount", False, "a number"),
+    ("run", "t_up", "x", "an integer"),
+    ("run", "step_budget", "x", "an integer"),
+    ("run", "agent", ["ssa_ddpg"], "a string"),
+]
+
+
 class TestValidateConfig:
     def test_bundled_default_is_valid(self):
         cfg = load_config(default_scenario_path())
@@ -124,6 +177,17 @@ class TestValidateConfig:
         assert "run.agent" in msgs
         assert "run.seeds" in msgs
 
+    def test_mistyped_value_skips_only_its_block(self, tmp_path, default_yaml):
+        # agent.gamma breaks an invariant of the mistyped block, so it goes unchecked
+        blob = copy.deepcopy(default_yaml)
+        blob["agent"].update(batch_size=16.5, gamma=2.0)
+        blob["run"]["t_up"] = 0
+        blob["train"]["mass_tonnes"] = -5.0
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == ["agent.batch_size: expected an integer, got 16.5",
+                                    "train.mass_tonnes: must be > 0", "run.t_up: must be >= 1"]
+
     @pytest.mark.parametrize("block, key", [
         # the tree's depth bound is run.t_up; a separate search key could only disagree
         ("search", "update_frequency"),
@@ -167,34 +231,9 @@ class TestValidateConfig:
             load_config(dump(tmp_path, blob))
         assert f"{block}.{key}: expected a list, got {value}" in err.value.errors
 
-    @pytest.mark.parametrize("block, key, value, error", [
-        ("agent", "hidden_sizes", [16.5], "agent.hidden_sizes[0]: expected an integer, got 16.5"),
-        ("agent", "hidden_sizes", [True], "agent.hidden_sizes[0]: expected an integer, got True"),
-        ("agent", "hidden_sizes", [16, 0],
-         "agent.hidden_sizes: need at least one layer width, each >= 1"),
-        ("agent", "additional_hidden_sizes", [16, 2.5],
-         "agent.additional_hidden_sizes[1]: expected an integer, got 2.5"),
-        ("agent", "additional_hidden_sizes", [0],
-         "agent.additional_hidden_sizes: every layer width must be >= 1"),
-        ("agent", "batch_size", 16.5, "agent.batch_size: expected an integer, got 16.5"),
-        ("agent", "batch_size", True, "agent.batch_size: expected an integer, got True"),
-        ("agent", "replay_capacity", 5e4, "agent.replay_capacity: expected an integer, got 50000.0"),
-        ("agent", "elite_minibatch", 2.5, "agent.elite_minibatch: expected an integer, got 2.5"),
-        ("agent", "elite_capacity", 20.5, "agent.elite_capacity: expected an integer, got 20.5"),
-        ("agent", "additional_updates_per_episode", 2.5,
-         "agent.additional_updates_per_episode: expected an integer, got 2.5"),
-        ("agent", "additional_updates_per_episode", -1,
-         "agent.additional_updates_per_episode: must be >= 0"),
-        ("run", "max_episodes", 1.5, "run.max_episodes: expected an integer, got 1.5"),
-        ("run", "step_budget", 20.5, "run.step_budget: expected an integer, got 20.5"),
-        ("run", "execution_episodes", True, "run.execution_episodes: expected an integer, got True"),
-        ("run", "seeds", [0, 1.5], "run.seeds[1]: expected an integer, got 1.5"),
-        ("search", "expansion_width", 2.5, "search.expansion_width: expected an integer, got 2.5"),
-        ("search", "action_grid", 4.5, "search.action_grid: expected an integer, got 4.5"),
-    ])
+    @pytest.mark.parametrize("block, key, value, error", BAD_SIZES, ids=case_ids(BAD_SIZES))
     def test_bad_size_is_one_error_naming_the_field(self, tmp_path, default_yaml, capsys,
                                                     block, key, value, error):
-        # each of these used to pass validation and then fail (or run) in training
         blob = copy.deepcopy(default_yaml)
         blob[block][key] = value
         path = dump(tmp_path, blob)
@@ -204,25 +243,7 @@ class TestValidateConfig:
         assert main(["validate", "--config", str(path)]) == 2
         assert error in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block, key, value, expected", [
-        ("train", "mass_tonnes", "heavy", "a number"),
-        ("train", "max_decel", None, "a number"),
-        ("track", "length", "long", "a number"),
-        ("track", "dt", True, "a number"),
-        ("safety", "min_speed", "x", "a number"),
-        ("safety", "terminal_zone", True, "a number"),
-        ("reward", "alpha_traction", "x", "a number"),
-        ("agent", "gamma", "x", "a number"),
-        ("agent", "actor_lr", "1e-3", "a number"),  # YAML 1.1 reads this as a string
-        ("agent", "additional_actor_lr", False, "a number"),
-        ("agent", "batch_size", "256", "an integer"),
-        ("agent", "noise_kind", 5, "a string"),
-        ("search", "expansion_width", "5", "an integer"),
-        ("search", "backup_discount", False, "a number"),
-        ("run", "t_up", "x", "an integer"),
-        ("run", "step_budget", "x", "an integer"),
-        ("run", "agent", ["ssa_ddpg"], "a string"),
-    ])
+    @pytest.mark.parametrize("block, key, value, expected", MISTYPED, ids=case_ids(MISTYPED))
     def test_non_number_is_one_error_naming_the_field(self, tmp_path, default_yaml, capsys,
                                                       block, key, value, expected):
         blob = copy.deepcopy(default_yaml)
