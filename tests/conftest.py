@@ -35,17 +35,17 @@ def seeded_sections(seed: int, count: int) -> list[TrackSection]:
     downhill as validation allows, with a schedule at 60% of the mean limit."""
     rng = np.random.default_rng(seed)
     steepest = davis_resistance_accel(make_model(), 0.0)
+
+    def edges(n, length):
+        cuts = np.sort(rng.choice(np.arange(1, 10), n - 1, replace=False)) / 10.0
+        return [0.0, *(cuts * length), length]
+
     sections = []
     while len(sections) < count:
         length = rng.uniform(600.0, 2500.0)
-
-        def edges(n):
-            cuts = np.sort(rng.choice(np.arange(1, 10), n - 1, replace=False)) / 10.0
-            return [0.0, *(cuts * length), length]
-
-        limit_edges = edges(rng.integers(2, 5))
+        limit_edges = edges(rng.integers(2, 5), length)
         limits = rng.uniform(30.0, 100.0, len(limit_edges) - 1)
-        grade_edges = edges(rng.integers(1, 4))
+        grade_edges = edges(rng.integers(1, 4), length)
         grades = [steepest if rng.random() < 0.2 else rng.uniform(-0.3, 0.008)
                   for _ in grade_edges[1:]]
         mean_limit = sum(lim * (e - s) for s, e, lim in zip(limit_edges, limit_edges[1:], limits))

@@ -5,10 +5,11 @@ package internals) so it can serve as an oracle.  :func:`ref_step` and
 :func:`ref_span_overspeed` are the scalar physics as it stood before the
 package wrote each formula once for floats and arrays, copied with the
 helpers they call, so a change to a shared kernel cannot pass its tests by
-moving both of its callers at once; the one edit since holds a limit
-boundary's crossing speed to the lower of the two limits that meet there.
-:func:`ref_true_overspeed` judges an executed span from the closed-form
-motion over each limit segment it touches, so it does not share that rule.  The tree reference is a plain node
+moving both of its callers at once; like the package, the span check holds
+a limit boundary's crossing speed to the lower of the two limits that meet
+there.  :func:`ref_true_overspeed` judges an executed span from the
+closed-form motion over each limit segment it touches, so it does not rest
+on that boundary rule.  The tree reference is a plain node
 object per node, grown depth first on the scalar ``step`` and ``is_safe``
 (the kernels the array forms are held equal to), then pruned, backed up and
 selected recursively.  The recoverability reference tests for a clear state
