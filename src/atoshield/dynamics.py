@@ -8,7 +8,9 @@ reversal rule reads the drivetrain's last working condition from its sign.
 
 Each formula has one body over a table of elementwise primitives, run on
 Python floats by :func:`step` and on numpy arrays by :func:`step_batch`, so a
-physics fix edits only that body.
+physics fix edits only that body.  The motion of an interval has its own
+body, which the shield certifies on without the energies and reward that a
+step adds on top.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class Ops:
     """The primitives each shared body takes as ``ops``: :data:`FLOATS` for
     one state, :data:`ARRAYS` for the tree's rows (``abs`` and the operators
     work on both).  ``any`` says whether some row is set; a body uses it only
-    to skip work."""
+    to skip work or to raise, and ``first(x, mask)`` is x on the first set row."""
 
     def __init__(self, **primitives):
         vars(self).update(primitives)  # plain instance attributes read fastest
@@ -130,11 +132,11 @@ FLOATS = Ops(
     # the builtins' two-argument max and min, without their call overhead
     maximum=lambda a, b: b if b > a else a,
     minimum=lambda a, b: b if b < a else a,
-    sqrt=math.sqrt, any=operator.truth,
+    sqrt=math.sqrt, any=operator.truth, first=lambda x, mask: x,
 )
 ARRAYS = Ops(
     where=np.where, maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
-    any=np.ndarray.any,
+    any=operator.methodcaller("any"), first=lambda x, mask: x[mask][0],
 )
 
 
@@ -194,9 +196,10 @@ def _reward_terms(
     return e_term, d_term, c_term
 
 
-def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel):
-    """One unchecked interval: (loc, vel, time, reward, traction energy,
-    regen energy, applied acceleration, arrived) of the next state."""
+def _kinematics(ops: Ops, model, track, loc, vel, cmd):
+    """One unchecked interval's motion: (motor acceleration, applied
+    acceleration, mean speed in m/s, distance, next loc, next vel in km/h,
+    arrived).  The next loc is clamped to the section end on arrival."""
     dt = track.dt
     v0 = vel / KMH_PER_MPS  # m/s
     a_motor = _motor_accel(ops, model, cmd, vel)
@@ -208,8 +211,19 @@ def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel
     dist = mean_speed * dt
     raw_loc = loc + dist
     arrived = raw_loc >= track.length
-    t1 = time + dt
+    return (
+        a_motor, a, mean_speed, dist, ops.where(arrived, track.length, raw_loc),
+        v1 * KMH_PER_MPS, arrived,
+    )
 
+
+def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel):
+    """One unchecked interval: (loc, vel, time, reward, traction energy,
+    regen energy, applied acceleration, arrived) of the next state."""
+    a_motor, a, mean_speed, dist, loc1, vel1, arrived = _kinematics(
+        ops, model, track, loc, vel, cmd
+    )
+    t1 = time + track.dt
     traction = cmd > 0.0
     mass = model.mass_kg
     energy_traction = ops.where(traction, a_motor * mass * dist / JOULES_PER_KWH, 0.0)
@@ -220,10 +234,22 @@ def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel
         ops, track, weights, cmd, energy_traction, energy_regen,
         mean_speed, a, prev_accel, arrived, t1,
     )
-    return (
-        ops.where(arrived, track.length, raw_loc), v1 * KMH_PER_MPS, t1,
-        -(e_term + d_term + c_term), energy_traction, energy_regen, a, arrived,
-    )
+    return loc1, vel1, t1, -(e_term + d_term + c_term), energy_traction, energy_regen, a, arrived
+
+
+def _check_step_inputs(ops: Ops, track, loc, vel, cmd) -> None:
+    """Raise the ValueError of the first out-of-range input: a command outside
+    [-1, 1], a negative speed, then a position outside the section (on arrays,
+    naming the first offending row)."""
+    bad = abs(cmd) > 1.0 + 1e-12
+    if ops.any(bad):
+        raise ValueError(f"command must lie in [-1, 1], got {ops.first(cmd, bad)}")
+    bad = vel < 0.0
+    if ops.any(bad):
+        raise ValueError(f"velocity must be nonnegative, got {ops.first(vel, bad)}")
+    bad = (loc < 0.0) | (loc > track.length)
+    if ops.any(bad):
+        raise ValueError(f"position {ops.first(loc, bad)} outside [0, {track.length}]")
 
 
 def step(
@@ -240,12 +266,7 @@ def step(
     bounds; velocity is floored at zero (the train does not roll back) and
     displacement uses the interval's mean speed.
     """
-    if abs(cmd) > 1.0 + 1e-12:
-        raise ValueError(f"command must lie in [-1, 1], got {cmd}")
-    if state.vel < 0.0:
-        raise ValueError(f"velocity must be nonnegative, got {state.vel}")
-    if state.loc < 0.0 or state.loc > track.length:
-        raise ValueError(f"position {state.loc} outside [0, {track.length}]")
+    _check_step_inputs(FLOATS, track, state.loc, state.vel, cmd)
     loc, vel, time, reward, energy_traction, energy_regen, accel, arrived = _transition(
         FLOATS, model, track, state.loc, state.vel, state.time, cmd, weights, prev_accel
     )
@@ -285,14 +306,7 @@ def step_batch(
     loc, vel, time, cmd, prev_accel = (
         np.asarray(x, dtype=float) for x in (loc, vel, time, cmd, prev_accel)
     )
-    bad_cmd = np.abs(cmd) > 1.0 + 1e-12
-    if bad_cmd.any():
-        raise ValueError(f"command must lie in [-1, 1], got {cmd[bad_cmd][0]}")
-    if (vel < 0.0).any():
-        raise ValueError(f"velocity must be nonnegative, got {vel[vel < 0.0][0]}")
-    outside = (loc < 0.0) | (loc > track.length)
-    if outside.any():
-        raise ValueError(f"position {loc[outside][0]} outside [0, {track.length}]")
+    _check_step_inputs(ARRAYS, track, loc, vel, cmd)
     loc1, vel1, t1, reward, _, _, accel, arrived = _transition(
         ARRAYS, model, track, loc, vel, time, cmd, weights, prev_accel
     )

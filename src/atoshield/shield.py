@@ -16,10 +16,13 @@ Each safety formula has one body over the primitives of ``dynamics``, run on
 floats for one state and on arrays for the tree, so a fix edits only that
 body.  A (state, command) row gets a rule code (:data:`RULE_OF_CODE`) in two
 stages: the one-step rules (reversal, overspeed, then the floor) read the
-state's ``last_cmd``, the command and the stepped transition, and only a row
+state's ``last_cmd``, the command and the interval's motion, and only a row
 that breaks none of them is rolled out for recoverability.  :func:`is_safe`
 runs the stages on one state and maps the code to its verdict;
-:func:`rule_codes` runs them on the tree's rows.
+:func:`rule_codes` runs them on the tree's rows.  The certifier steps on the
+kinematic body of ``dynamics`` alone, with no reward or energy terms, and
+checks a state against the section as :func:`~.dynamics.step` does only where
+the state comes from its caller.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from .dynamics import (
     Ops,
     TrackSection,
     TrainModel,
+    _check_step_inputs,
+    _kinematics,
     segment_value,
-    step,
-    step_batch,
 )
 
 FULL_BRAKING = -1.0
@@ -157,17 +160,20 @@ def brake_recoverable(
     The recovery only answers for speed limits; the floor and transition
     rules are one-step concerns.
     """
-    current = state
-    coast = spec.forbid_direct_reversal and current.last_cmd > 0.0
+    loc, vel = state.loc, state.vel
+    coast = spec.forbid_direct_reversal and state.last_cmd > 0.0
     steps = 0
-    while not _rollout_ends(FLOATS, track, current.loc, current.vel, coast):
+    while not _rollout_ends(FLOATS, track, loc, vel, coast):
         if steps == _RECOVERY_STEP_CAP:
             raise RuntimeError("braking trajectory failed to terminate")
-        out = step(model, track, current, FLOATS.where(coast, 0.0, FULL_BRAKING))
-        nxt = out.next_state
-        if span_overspeed(track, current.loc, current.vel, out.accel_applied, nxt.loc, nxt.vel):
+        cmd = 0.0 if coast else FULL_BRAKING
+        if steps == 0:
+            # every later state is the kernel's own output, in range by construction
+            _check_step_inputs(FLOATS, track, loc, vel, cmd)
+        _, accel, _, _, loc1, vel1, _ = _kinematics(FLOATS, model, track, loc, vel, cmd)
+        if span_overspeed(track, loc, vel, accel, loc1, vel1):
             return False
-        current, coast, steps = nxt, False, steps + 1
+        loc, vel, coast, steps = loc1, vel1, False, steps + 1
     return True
 
 
@@ -192,16 +198,22 @@ def _brake_recoverable_batch(
     steps = 0
     while True:
         done = _rollout_ends(ARRAYS, track, loc, vel, coast)
-        ok[rows[done]] = True
-        rows, loc, vel, coast = rows[~done], loc[~done], vel[~done], coast[~done]
+        ok[rows] = done  # rows still open were never set
+        keep = ~done
+        rows, loc, vel = rows[keep], loc[keep], vel[keep]
         if rows.size == 0:
             return ok
         if steps == _RECOVERY_STEP_CAP:
             raise RuntimeError("braking trajectory failed to terminate")
-        out = step_batch(model, track, loc, vel, 0.0, ARRAYS.where(coast, 0.0, FULL_BRAKING))
-        live = ~_span_overspeed(ARRAYS, track, loc, vel, out.accel, out.loc, out.vel)
-        rows, loc, vel = rows[live], out.loc[live], out.vel[live]
-        coast, steps = np.zeros(rows.size, dtype=bool), steps + 1
+        if steps == 0:
+            # only the first interval coasts, and only its states come from
+            # the caller: every later state is the kernel's own output
+            cmd = ARRAYS.where(coast[keep], 0.0, FULL_BRAKING)
+            _check_step_inputs(ARRAYS, track, loc, vel, cmd)
+        _, accel, _, _, loc1, vel1, _ = _kinematics(ARRAYS, model, track, loc, vel, cmd)
+        live = ~_span_overspeed(ARRAYS, track, loc, vel, accel, loc1, vel1)
+        rows, loc, vel = rows[live], loc1[live], vel1[live]
+        coast, cmd, steps = False, FULL_BRAKING, steps + 1
 
 
 def _one_step_code(ops: Ops, spec, track, last_cmd, cmd, overspeeds, arrived, loc, vel):
@@ -233,15 +245,15 @@ def is_safe(
     cmd: float,
 ) -> ShieldVerdict:
     """Certify one command from one state against all configured rules."""
-    # by the ledger's names: one dynamics.step, one span check and, for a
-    # command no one-step rule rejects, one brake_recoverable
-    out = step(model, track, state, cmd)
-    nxt = out.next_state
-    over = span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
-    code = _one_step_code(
-        FLOATS, spec, track, state.last_cmd, cmd, over, out.arrived, nxt.loc, nxt.vel
-    )
-    if code == 0 and not brake_recoverable(spec, model, track, nxt):
+    # by the ledger's names: one span check and, for a command no one-step
+    # rule rejects, one brake_recoverable, over the interval's kinematics
+    loc, vel = state.loc, state.vel
+    _check_step_inputs(FLOATS, track, loc, vel, cmd)
+    _, accel, _, _, loc1, vel1, arrived = _kinematics(FLOATS, model, track, loc, vel, cmd)
+    over = span_overspeed(track, loc, vel, accel, loc1, vel1)
+    code = _one_step_code(FLOATS, spec, track, state.last_cmd, cmd, over, arrived, loc1, vel1)
+    # the rollout reads no clock, so the next state's time is left at 0
+    if code == 0 and not brake_recoverable(spec, model, track, OperationState(loc1, vel1, 0.0, cmd)):
         code = 4
     return _VERDICT_OF_CODE[code]
 

@@ -5,6 +5,12 @@ from atoshield.config import default_scenario_path, load_config
 from atoshield.dynamics import TrackSection, TrainModel, davis_resistance_accel, validate_track
 
 
+# (loc, vel, cmd) rows that dynamics.step rejects on the default section: a
+# command beyond full traction, a negative speed, a position before the start
+# and one past the end
+BAD_STEP_INPUTS = [(100.0, 30.0, 1.5), (100.0, -1.0, 0.0), (-1.0, 30.0, 0.0), (1500.5, 30.0, 0.0)]
+
+
 def make_model(**kw) -> TrainModel:
     return TrainModel(**kw)
 

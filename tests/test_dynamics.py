@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atoshield.dynamics import (
+    ARRAYS,
     DEFAULT_WEIGHTS,
     FLOATS,
     OperationState,
     RewardWeights,
     TrainModel,
+    _kinematics,
     _motor_accel,
     _reward_terms,
     davis_resistance_accel,
@@ -21,7 +23,7 @@ from atoshield.dynamics import (
     validate_track,
 )
 
-from conftest import make_model, make_track
+from conftest import BAD_STEP_INPUTS, make_model, make_track
 from oracles import ref_step
 
 
@@ -259,14 +261,42 @@ class TestStepBatch:
             want = step(model, track, OperationState(100.0, 30.0, 5.0), cmd)
             assert out.vel[i] == want.next_state.vel
 
-    @pytest.mark.parametrize("loc, vel, cmd", [
-        (100.0, 30.0, 1.5), (100.0, -1.0, 0.0), (-1.0, 30.0, 0.0), (1500.5, 30.0, 0.0),
-    ])
+    @pytest.mark.parametrize("loc, vel, cmd", BAD_STEP_INPUTS)
     def test_rejects_what_step_rejects(self, model, track, loc, vel, cmd):
         with pytest.raises(ValueError):
             step(model, track, OperationState(loc, vel), cmd)
         with pytest.raises(ValueError):
             step_batch(model, track, [100.0, loc], [30.0, vel], 0.0, [0.0, cmd])
+
+
+# standstill under each command, and arrivals at and onto the section end
+KINEMATIC_EDGES = [
+    (200.0, 0.0, 0.0, -1.0, 0.0), (200.0, 0.0, 0.0, 0.0, 0.0), (200.0, 0.0, 0.0, 1.0, 0.0),
+    (1499.5, 60.0, 90.0, 0.0, 0.0), (1500.0, 0.0, 90.0, 0.0, 0.0), (1500.0, 30.0, 90.0, -1.0, 0.0),
+]
+
+
+class TestKinematics:
+    """The kinematic body the shield certifies on is the motion step and
+    step_batch report, bitwise."""
+
+    @given(rows=st.lists(ROW, min_size=1, max_size=30), graded=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_step_and_step_batch_bitwise(self, rows, graded):
+        track = GRADED if graded else make_track()
+        model = make_model()
+        rows = [*rows, *KINEMATIC_EDGES]
+        loc, vel, time, cmd = (np.array(col) for col in list(zip(*rows))[:4])
+        batch = step_batch(model, track, loc, vel, time, cmd)
+        _, accel, _, _, loc1, vel1, arrived = _kinematics(ARRAYS, model, track, loc, vel, cmd)
+        for i, (row_loc, row_vel, row_time, row_cmd, _) in enumerate(rows):
+            out = step(model, track, OperationState(row_loc, row_vel, row_time), row_cmd)
+            want = [x.hex() for x in (out.next_state.loc, out.next_state.vel, out.accel_applied)]
+            kin = _kinematics(FLOATS, model, track, row_loc, row_vel, row_cmd)
+            assert [x.hex() for x in (kin[4], kin[5], kin[1])] == want, rows[i]
+            assert [float(x[i]).hex() for x in (batch.loc, batch.vel, batch.accel)] == want
+            assert [float(x[i]).hex() for x in (loc1, vel1, accel)] == want
+            assert kin[6] == out.arrived == batch.arrived[i] == arrived[i]
 
 
 class TestRewardTerms:

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from atoshield import shield
+from atoshield import dynamics, shield
 from atoshield.dynamics import (
     OperationState, davis_resistance_accel, step, step_batch, validate_track,
 )
@@ -21,7 +23,7 @@ from atoshield.shield import (
     span_overspeed,
 )
 
-from conftest import make_model, make_track
+from conftest import BAD_STEP_INPUTS, make_model, make_track
 from oracles import _ref_limit_at, ref_brake_recoverable, ref_brake_to_stop, ref_is_safe
 
 STRICT_FLOOR = SafetySpec(min_speed=0.0, enforce_min_speed=True, terminal_zone=150.0)
@@ -362,8 +364,8 @@ class TestBrakeRecoverable:
         # 75 km/h at 300 m is clear of the 60 km/h zone ahead after five
         # braking intervals; braking on to a stop would take nineteen
         calls = []
-        monkeypatch.setattr(shield, "step", lambda *a: calls.append(a) or step(*a))
-        monkeypatch.setattr(shield, "step_batch", lambda *a: calls.append(a) or step_batch(*a))
+        kinematics = shield._kinematics
+        monkeypatch.setattr(shield, "_kinematics", lambda *a: calls.append(a) or kinematics(*a))
         assert brake_recoverable(PLAIN, model, track, OperationState(loc=300.0, vel=75.0))
         assert len(calls) == 5
         loc, vel = np.array([300.0]), np.array([75.0])
@@ -487,3 +489,117 @@ def test_unrecoverable_error_carries_position(model, track):
     with pytest.raises(UnrecoverableStateError):
         shield_filter(spec, make_model(), track, OperationState(loc=100.0, vel=30.0), 0.5, min,
                       grid_size=21)
+
+
+FLOOR_AND_REVERSAL = SafetySpec(min_speed=8.0, enforce_min_speed=True,
+                                forbid_direct_reversal=True, terminal_zone=200.0)
+# (loc, vel, last_cmd, cmd) rows whose recovery rollouts step: above the
+# 60 km/h zone ahead, entered by traction, braking and coasting
+ROLLOUT_ROWS = [(300.0, 75.0, 1.0, 0.2), (300.0, 75.0, 0.0, -1.0),
+                (440.0, 78.0, -1.0, -0.2), (380.0, 75.0, 1.0, 0.0)]
+
+
+class TestCertifierRunsKinematicsOnly:
+    @pytest.mark.parametrize("spec", [PLAIN, REVERSAL, FLOOR_AND_REVERSAL],
+                             ids=["plain", "reversal", "floor-and-reversal"])
+    def test_no_reward_or_energy_term(self, spec, model, track, monkeypatch):
+        loc, vel, last, cmd, out = batch_args(track, ROLLOUT_ROWS)
+        states = [OperationState(r[0], r[1], 0.0, r[2]) for r in ROLLOUT_ROWS]
+
+        def certify():
+            return (
+                [is_safe(spec, model, track, s, c) for s, c in zip(states, cmd.tolist())],
+                [safe_action_set(spec, model, track, s, 9) for s in states],
+                [brake_recoverable(spec, model, track, s) for s in states],
+                shield._brake_recoverable_batch(spec, model, track, loc, vel, last).tolist(),
+                rule_codes(spec, model, track, loc, vel, last, cmd, out).tolist(),
+            )
+
+        want = certify()
+        intervals = []
+        kinematics = shield._kinematics
+        monkeypatch.setattr(shield, "_kinematics", lambda *a: intervals.append(a) or kinematics(*a))
+
+        def no_reward(*args):
+            raise AssertionError("the certifier ran a reward or energy term")
+
+        # _transition runs _reward_terms after both energies, so no step or
+        # step_batch can run unseen
+        monkeypatch.setattr(dynamics, "_reward_terms", no_reward)
+        assert certify() == want
+        # the rollouts stepped: more intervals than one per certified command
+        assert len(intervals) > len(ROLLOUT_ROWS) * (1 + 9)
+        if spec.forbid_direct_reversal:
+            intervals.clear()
+            assert brake_recoverable(spec, model, track, states[0])
+            assert intervals[0][-1] == 0.0  # the coast the reversal rule forces
+
+    def test_rollout_states_match_step(self, model, track):
+        # the rollout's states are the ones step gives: one coast, then five
+        # braking intervals to the first clear state
+        state = OperationState(300.0, 75.0, 0.0, 1.0)
+        expected = []
+        current, cmd = state, 0.0
+        for _ in range(6):
+            current = step(model, track, current, cmd).next_state
+            expected.append((current.loc, current.vel))
+            cmd = -1.0
+        seen = []
+        kinematics = shield._kinematics
+
+        def record(*args):
+            result = kinematics(*args)
+            seen.append((result[4], result[5]))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shield, "_kinematics", record)
+            assert brake_recoverable(REVERSAL, model, track, state)
+        assert seen == expected
+
+
+class TestErrorParity:
+    """The certifier raises step's errors on the inputs step rejects."""
+
+    @pytest.mark.parametrize("loc, vel, cmd", BAD_STEP_INPUTS)
+    def test_certifier_rejects_what_step_rejects(self, model, track, loc, vel, cmd):
+        state = OperationState(loc, vel)
+        with pytest.raises(ValueError) as want:
+            step(model, track, state, cmd)
+        text = re.escape(str(want.value))
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            is_safe(PLAIN, model, track, state, cmd)
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            shield_filter(PLAIN, model, track, state, cmd, min, 9)
+        if abs(cmd) <= 1.0:  # the grid's commands are all in range
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                safe_action_set(PLAIN, model, track, state, 9)
+
+    # start states above the last 80 km/h limit, so the rollout steps from them
+    @pytest.mark.parametrize("spec, loc, last_cmd", [
+        (PLAIN, -1.0, 0.0), (REVERSAL, -1.0, 1.0), (REVERSAL, 1500.5, 1.0),
+    ], ids=["brake-before-start", "coast-before-start", "coast-past-end"])
+    def test_rollout_rejects_the_state_it_steps_from(self, model, track, spec, loc, last_cmd):
+        state = OperationState(loc, 100.0, 0.0, last_cmd)
+        first = 0.0 if spec.forbid_direct_reversal and last_cmd > 0.0 else -1.0
+        with pytest.raises(ValueError) as want:
+            step(model, track, state, first)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            brake_recoverable(spec, model, track, state)
+        # a clear row before the bad one: step_batch names the first bad row
+        loc_rows, vel_rows, last_rows = [100.0, loc], [30.0, 100.0], [0.0, last_cmd]
+        with pytest.raises(ValueError) as want:
+            step_batch(model, track, loc_rows, vel_rows, 0.0, [-1.0, first])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            shield._brake_recoverable_batch(
+                spec, model, track, np.array(loc_rows), np.array(vel_rows), np.array(last_rows)
+            )
+
+    @pytest.mark.parametrize("loc, vel", [(100.0, -1.0), (1500.5, 100.0), (-1.0, 30.0)])
+    def test_rollout_ends_before_stepping_from_a_clear_state(self, model, track, loc, vel):
+        # a start state the rollout does not step from is judged, not checked
+        state = OperationState(loc, vel)
+        assert brake_recoverable(PLAIN, model, track, state)
+        assert shield._brake_recoverable_batch(
+            PLAIN, model, track, np.array([loc]), np.array([vel]), np.array([0.0])
+        ).all()
