@@ -534,29 +534,6 @@ class TestCertifierRunsKinematicsOnly:
             assert brake_recoverable(spec, model, track, states[0])
             assert intervals[0][-1] == 0.0  # the coast the reversal rule forces
 
-    def test_rollout_states_match_step(self, model, track):
-        # the rollout's states are the ones step gives: one coast, then five
-        # braking intervals to the first clear state
-        state = OperationState(300.0, 75.0, 0.0, 1.0)
-        expected = []
-        current, cmd = state, 0.0
-        for _ in range(6):
-            current = step(model, track, current, cmd).next_state
-            expected.append((current.loc, current.vel))
-            cmd = -1.0
-        seen = []
-        kinematics = shield._kinematics
-
-        def record(*args):
-            result = kinematics(*args)
-            seen.append((result[4], result[5]))
-            return result
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shield, "_kinematics", record)
-            assert brake_recoverable(REVERSAL, model, track, state)
-        assert seen == expected
-
 
 class TestErrorParity:
     """The certifier raises step's errors on the inputs step rejects."""
