@@ -346,8 +346,27 @@ def cmd_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one stderr line and exit status 2, as the
+    commands report a bad config."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _command(text: str) -> float:
+    """A ``--cmd`` value: a finite number in [-1, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not -1.0 <= value <= 1.0:  # NaN fails the comparison
+        raise argparse.ArgumentTypeError(f"expected a finite number in [-1, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atoshield",
         description="Shielded RL train-operation trainer and experiment suite",
     )
@@ -379,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-test", help="constant-command probe through the shield path")
     common(p, episodes=1)
-    p.add_argument("--cmd", type=float, default=1.0, help="constant command in [-1, 1]")
+    p.add_argument("--cmd", type=_command, default=1.0, help="constant command in [-1, 1]")
     p.set_defaults(func=cmd_noise_test)
 
     p = sub.add_parser("robustness", help="disturbed-execution correlation study")
@@ -406,6 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "robustness" and (args.eps_r is None) != (args.delta_r is None):
+        parser.error("robustness: --eps-r and --delta-r go together; give both or neither")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -13,6 +13,7 @@ nor is any check that reads that block.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -47,15 +48,7 @@ class ScenarioConfig:
     run: RunConfig
 
 
-_FIELD_MAP = {
-    "train": TrainModel,
-    "track": TrackSection,
-    "safety": SafetySpec,
-    "reward": RewardWeights,
-    "agent": AgentConfig,
-    "search": SearchConfig,
-    "run": RunConfig,
-}
+_FIELD_MAP = typing.get_type_hints(ScenarioConfig)
 
 
 def default_scenario_path() -> Path:

@@ -98,7 +98,6 @@ class StepOutcome:
     energy_traction: float  # kWh, >= 0
     energy_regen: float  # kWh, stored negative
     accel_applied: float  # m/s^2 after clamping
-    done: bool
     arrived: bool
 
 
@@ -120,8 +119,9 @@ DEFAULT_WEIGHTS = RewardWeights()
 class Ops:
     """The primitives each shared body takes as ``ops``: :data:`FLOATS` for
     one state, :data:`ARRAYS` for the tree's rows (``abs`` and the operators
-    work on both).  ``any`` says whether some row is set; a body uses it only
-    to skip work or to raise, and ``first(x, mask)`` is x on the first set row."""
+    work on both).  ``any`` and ``all`` say whether some or every row is set;
+    a body uses them only to skip work or to raise, and ``first_bad(x, ok)``
+    is x on the first row that ``ok`` leaves unset."""
 
     def __init__(self, **primitives):
         vars(self).update(primitives)  # plain instance attributes read fastest
@@ -132,11 +132,12 @@ FLOATS = Ops(
     # the builtins' two-argument max and min, without their call overhead
     maximum=lambda a, b: b if b > a else a,
     minimum=lambda a, b: b if b < a else a,
-    sqrt=math.sqrt, any=operator.truth, first=lambda x, mask: x,
+    sqrt=math.sqrt, any=operator.truth, all=operator.truth, first_bad=lambda x, ok: x,
 )
 ARRAYS = Ops(
     where=np.where, maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
-    any=operator.methodcaller("any"), first=lambda x, mask: x[mask][0],
+    any=operator.methodcaller("any"), all=operator.methodcaller("all"),
+    first_bad=lambda x, ok: x[~ok][0],
 )
 
 
@@ -240,16 +241,17 @@ def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel
 def _check_step_inputs(ops: Ops, track, loc, vel, cmd) -> None:
     """Raise the ValueError of the first out-of-range input: a command outside
     [-1, 1], a negative speed, then a position outside the section (on arrays,
-    naming the first offending row)."""
-    bad = abs(cmd) > 1.0 + 1e-12
-    if ops.any(bad):
-        raise ValueError(f"command must lie in [-1, 1], got {ops.first(cmd, bad)}")
-    bad = vel < 0.0
-    if ops.any(bad):
-        raise ValueError(f"velocity must be nonnegative, got {ops.first(vel, bad)}")
-    bad = (loc < 0.0) | (loc > track.length)
-    if ops.any(bad):
-        raise ValueError(f"position {ops.first(loc, bad)} outside [0, {track.length}]")
+    naming the first offending row).  Each check states what is in range, so
+    that NaN, which fails every comparison, is out of range."""
+    ok = abs(cmd) <= 1.0 + 1e-12
+    if not ops.all(ok):
+        raise ValueError(f"command must lie in [-1, 1], got {ops.first_bad(cmd, ok)}")
+    ok = vel >= 0.0
+    if not ops.all(ok):
+        raise ValueError(f"velocity must be nonnegative, got {ops.first_bad(vel, ok)}")
+    ok = (loc >= 0.0) & (loc <= track.length)
+    if not ops.all(ok):
+        raise ValueError(f"position {ops.first_bad(loc, ok)} outside [0, {track.length}]")
 
 
 def step(
@@ -272,7 +274,7 @@ def step(
     )
     # positional: keyword arguments cost a third of the construction
     next_state = OperationState(loc, vel, time, cmd)
-    return StepOutcome(next_state, reward, energy_traction, energy_regen, accel, arrived, arrived)
+    return StepOutcome(next_state, reward, energy_traction, energy_regen, accel, arrived)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ and ``robustness_run``.  Per step, the policy (a plain ``s_vec -> float``
 callable) proposes, the corrector ``(state, proposed, t) -> (cmd,
 interventions)`` shields the proposal as ``variant_correction`` says, the
 environment executes the command, and the optional learner hook
-``learn(s_vec, cmd, outcome, s2_vec, t)`` sees the transition before the
-episode can end on it.  Each state is normalized once: ``s2_vec`` is the
-next step's ``s_vec``.  The loop returns the metrics and the episode's
+``learn(s_vec, cmd, outcome, s2_vec, done, t)`` sees the transition, with
+``done`` set when it ends the episode: on arrival, or at the step budget of
+``RunConfig.resolved_budget``.  Each state is normalized once: ``s2_vec`` is
+the next step's ``s_vec``.  The loop returns the metrics and the episode's
 :class:`~atoshield.drl.buffers.Trajectory`, which training inserts into the
 elite buffer as is and the robustness study correlates column by column.
 
@@ -24,7 +25,6 @@ every executed command has passed the shield whenever the variant carries one.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -42,7 +42,6 @@ from .dynamics import (
 )
 from .drl.agents import (
     AGENT_KINDS,
-    AgentConfig,
     additional_actor_converged,
     jitter_samples,
     update_additional_actor,
@@ -109,8 +108,6 @@ class EpisodeMetrics:
 
 @dataclass
 class TrainResult:
-    variant: str
-    seed: int
     agent: object
     elite: EliteBuffer
     metrics: list[EpisodeMetrics]
@@ -121,39 +118,28 @@ class TrainEnv:
     """Episode-stateful wrapper over the pure dynamics step.
 
     ``step`` advances the live episode, threading the previous acceleration
-    into the comfort term and enforcing the step budget.  The tree search
+    into the comfort term; the episode loop ends the episode.  The tree search
     reads ``model``, ``track`` and ``weights`` to simulate the same
     transitions without touching the episode.
     """
 
-    def __init__(
-        self,
-        model: TrainModel,
-        track: TrackSection,
-        weights: RewardWeights = DEFAULT_WEIGHTS,
-        step_budget: int | None = None,
-    ):
+    def __init__(self, model: TrainModel, track: TrackSection,
+                 weights: RewardWeights = DEFAULT_WEIGHTS):
         self.model = model
         self.track = track
         self.weights = weights
-        self.step_budget = step_budget
         self.state = OperationState()
         self.prev_accel = 0.0
-        self.steps = 0
 
     def reset(self) -> OperationState:
         self.state = OperationState()
         self.prev_accel = 0.0
-        self.steps = 0
         return self.state
 
     def step(self, cmd: float) -> StepOutcome:
         out = step(self.model, self.track, self.state, cmd, self.weights, self.prev_accel)
         self.state = out.next_state
         self.prev_accel = out.accel_applied
-        self.steps += 1
-        if self.step_budget is not None and self.steps >= self.step_budget and not out.done:
-            out = dataclasses.replace(out, done=True, arrived=False)
         return out
 
 
@@ -166,10 +152,6 @@ def normalize_states(states: np.ndarray, track: TrackSection) -> np.ndarray:
 def normalize_state(state: OperationState, track: TrackSection) -> np.ndarray:
     """:func:`normalize_states` of one state's ``(loc, vel, time)`` vector."""
     return normalize_states(np.array([state.loc, state.vel, state.time]), track)
-
-
-def make_agent(variant: str, cfg_agent: AgentConfig, rng: np.random.Generator):
-    return AGENT_KINDS[variant_base(variant)](3, cfg_agent, rng)
 
 
 def _jitter_sampler(net, track: TrackSection, rng: np.random.Generator, std: float):
@@ -214,13 +196,14 @@ def _run_episode(
     policy: Callable[[np.ndarray], float],
     correct: Corrector,
     episode: int,
-    learn: Callable[[np.ndarray, float, StepOutcome, np.ndarray, int], None] | None = None,
+    learn: Callable[[np.ndarray, float, StepOutcome, np.ndarray, bool, int], None] | None = None,
 ) -> tuple[EpisodeMetrics, Trajectory]:
-    """One episode; returns its metrics and its :class:`Trajectory`.
+    """One episode, to arrival or the step budget; returns its metrics and :class:`Trajectory`.
 
     ``policy`` and ``correct`` are timed together as action selection.
     """
     track = cfg.track
+    budget = cfg.run.resolved_budget(track)
     state = env.reset()
     states, actions, speeds, accels = [], [], [], []
     reward = traction = regen = select_s = 0.0
@@ -243,12 +226,13 @@ def _run_episode(
         traction += out.energy_traction
         regen += out.energy_regen
         s2_vec = normalize_state(out.next_state, track)
+        done = out.arrived or t + 1 >= budget
         if learn is not None:
-            learn(s_vec, cmd, out, s2_vec, t)
+            learn(s_vec, cmd, out, s2_vec, done, t)
         state = out.next_state
         s_vec = s2_vec
         t += 1
-        if out.done:
+        if done:
             break
     metrics = EpisodeMetrics(
         episode=episode,
@@ -290,18 +274,19 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
 
     variant = cfg.run.agent
     rng = np.random.default_rng(seed)
-    agent = make_agent(variant, cfg.agent, rng)
-    env = TrainEnv(cfg.train, cfg.track, cfg.reward, cfg.run.resolved_budget(cfg.track))
+    agent = AGENT_KINDS[variant_base(variant)](3, cfg.agent, rng)
+    env = TrainEnv(cfg.train, cfg.track, cfg.reward)
     replay = ReplayBuffer(cfg.agent.replay_capacity)
     elite = EliteBuffer(cfg.agent.elite_capacity)
     episodes = cfg.run.resolved_episodes(variant)
     correct = _corrector(cfg, env, variant_correction(variant), _agent_sampler(agent, cfg.track))
     noise = getattr(agent, "noise", None)
 
-    def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, s2_vec: np.ndarray, t: int) -> None:
+    def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, s2_vec: np.ndarray, done: bool,
+              t: int) -> None:
         # the ring stores states in the dtype of the first push: the learner's
         s, s2 = s_vec.astype(agent.dtype), s2_vec.astype(agent.dtype)
-        replay.push(s, cmd, out.reward, s2, float(out.done))
+        replay.push(s, cmd, out.reward, s2, float(done))
         if (t + 1) % cfg.run.t_up == 0 and len(replay) >= cfg.agent.batch_size:
             agent.update(replay.sample(cfg.agent.batch_size, rng))
 
@@ -329,21 +314,14 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     converged = len(elite) > 0 and additional_actor_converged(
         elite, agent.additional, cfg.agent.convergence_eps
     )
-    return TrainResult(
-        variant=variant,
-        seed=seed,
-        agent=agent,
-        elite=elite,
-        metrics=all_metrics,
-        converged=converged,
-    )
+    return TrainResult(agent=agent, elite=elite, metrics=all_metrics, converged=converged)
 
 
 def _greedy_rollout(agent, cfg: "ScenarioConfig", use_additional: bool, seed: int):
     """Env, greedy policy and variant corrector for shielded runs of a trained
     agent; reseeds ``agent.rng``, which the tree's samplers draw from."""
     agent.rng = np.random.default_rng(seed)
-    env = TrainEnv(cfg.train, cfg.track, cfg.reward, cfg.run.resolved_budget(cfg.track))
+    env = TrainEnv(cfg.train, cfg.track, cfg.reward)
     if use_additional:
         noise = getattr(agent, "noise", None)
         std = noise.exploration_std() if noise is not None else 0.2
@@ -377,7 +355,7 @@ def noise_test(
     interventions than the probe does.  The probe and its tree expansions
     are deterministic, so ``seed`` does not change the output.
     """
-    env = TrainEnv(cfg.train, cfg.track, cfg.reward, cfg.run.resolved_budget(cfg.track))
+    env = TrainEnv(cfg.train, cfg.track, cfg.reward)
     correct = _corrector(
         cfg, env, "tree", lambda states, n: np.full((len(states), n), constant_cmd)
     )

@@ -7,8 +7,11 @@ from atoshield.dynamics import TrackSection, TrainModel, davis_resistance_accel,
 
 # (loc, vel, cmd) rows that dynamics.step rejects on the default section: a
 # command beyond full traction, a negative speed, a position before the start
-# and one past the end
-BAD_STEP_INPUTS = [(100.0, 30.0, 1.5), (100.0, -1.0, 0.0), (-1.0, 30.0, 0.0), (1500.5, 30.0, 0.0)]
+# and one past the end, then a NaN command, speed and position, which fail
+# every comparison and so must fail each range check
+NAN = float("nan")
+BAD_STEP_INPUTS = [(100.0, 30.0, 1.5), (100.0, -1.0, 0.0), (-1.0, 30.0, 0.0), (1500.5, 30.0, 0.0),
+                   (100.0, 30.0, NAN), (100.0, NAN, 0.0), (NAN, 30.0, 0.0)]
 
 
 def make_model(**kw) -> TrainModel:

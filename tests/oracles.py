@@ -169,7 +169,6 @@ def ref_step(
         energy_traction=energy_traction,
         energy_regen=energy_regen,
         accel_applied=a,
-        done=arrived,
         arrived=arrived,
     )
 
@@ -415,7 +414,7 @@ def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg
     def child_of(state, cmd, accel, depth_step):
         out = step(env.model, env.track, state, cmd, env.weights, accel)
         return RefNode(cmd=cmd, reward=out.reward, depth_step=depth_step,
-                       state=out.next_state, accel=out.accel_applied, terminal=out.done)
+                       state=out.next_state, accel=out.accel_applied, terminal=out.arrived)
 
     def expand(node):
         if node.terminal or node.depth_step % t_up == 0:

@@ -391,6 +391,27 @@ class TestCli:
         assert flag in capsys.readouterr().err
         assert not out.exists()  # rejected before anything ran
 
+    @pytest.mark.parametrize("argv", [
+        ["noise-test", "--cmd", "2"],
+        ["noise-test", "--cmd", "-1.5"],
+        ["noise-test", "--cmd", "nan"],
+        ["noise-test", "--cmd", "inf"],
+        ["noise-test", "--cmd", "x"],
+        ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3"],
+        ["robustness", "--checkpoint", "ckpt.json", "--delta-r", "0.3"],
+    ])
+    def test_bad_flag_exit_2_one_line(self, argv, tiny_yaml, tmp_path, capsys):
+        # argparse rejects the flag before any command runs: a command outside
+        # [-1, 1] or not a number, or one disturbance flag without the other
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--config", str(tiny_yaml), "--out", str(out)])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: " in err
+        assert argv[-2] in err  # the flag at fault
+        assert not out.exists()
+
     def test_train_writes_expected_artifacts(self, tiny_yaml, tmp_path):
         out = tmp_path / "out"
         assert main(["train", "--config", str(tiny_yaml), "--out", str(out)]) == 0

@@ -112,7 +112,7 @@ class TestStep:
 
     def test_arrival_flags_and_clamp(self, model, track):
         out = step(model, track, OperationState(loc=1499.0, vel=60.0), 0.0)
-        assert out.arrived and out.done
+        assert out.arrived
         assert out.next_state.loc == track.length
 
     def test_accel_clamped_to_vehicle_bounds(self, model, track):
@@ -148,7 +148,7 @@ class TestStep:
         prev = state.vel
         for _ in range(200):
             out = step(model, track, state, 0.0)
-            if out.done:
+            if out.arrived:
                 break
             if prev > 0.0:
                 assert out.next_state.vel < prev or out.next_state.vel == 0.0

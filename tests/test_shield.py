@@ -10,10 +10,9 @@ from atoshield.dynamics import (
     OperationState, davis_resistance_accel, step, step_batch, validate_track,
 )
 from atoshield.shield import (
-    RULE_OF_CODE,
-    Rule,
     SafetySpec,
     UnrecoverableStateError,
+    Verdict,
     brake_recoverable,
     command_grid,
     is_safe,
@@ -69,7 +68,7 @@ class TestSpeedBand:
 
     def test_standstill_with_strict_floor(self, model, track):
         state = OperationState(loc=200.0, vel=0.0)
-        assert is_safe(STRICT_FLOOR, model, track, state, 0.0).violated_rule is Rule.UNDERSPEED
+        assert is_safe(STRICT_FLOOR, model, track, state, 0.0) is Verdict.UNDERSPEED
 
     def test_limit_is_inclusive(self, track):
         assert not span_overspeed(track, 200.0, 80.0, 0.0, 200.0, 80.0)
@@ -91,19 +90,19 @@ class TestIsSafe:
     def test_full_traction_at_limit_is_overspeed(self, model, track):
         state = OperationState(loc=200.0, vel=80.0)
         verdict = is_safe(PLAIN, model, track, state, 1.0)
-        assert not verdict.safe and verdict.violated_rule is Rule.OVERSPEED
+        assert not verdict.safe and verdict is Verdict.OVERSPEED
 
     def test_reversal_from_traction(self, model, track):
         state = OperationState(loc=200.0, vel=40.0, last_cmd=0.5)
         verdict = is_safe(REVERSAL, model, track, state, -0.5)
-        assert not verdict.safe and verdict.violated_rule is Rule.REVERSAL
+        assert not verdict.safe and verdict is Verdict.REVERSAL
 
     # a subnormal command reverses too, though -0.5 * 5e-324 rounds to -0.0
     @pytest.mark.parametrize("cmd", [0.5, 5e-324], ids=["half", "subnormal"])
     def test_reversal_from_braking(self, model, track, cmd):
         state = OperationState(loc=200.0, vel=40.0, last_cmd=-0.5)
         verdict = is_safe(REVERSAL, model, track, state, cmd)
-        assert not verdict.safe and verdict.violated_rule is Rule.REVERSAL
+        assert not verdict.safe and verdict is Verdict.REVERSAL
         codes = rule_codes(REVERSAL, model, track, *batch_args(track, [(200.0, 40.0, -0.5, cmd)]))
         assert codes.tolist() == [1]
 
@@ -116,7 +115,7 @@ class TestIsSafe:
 
     def test_standstill_coast_is_underspeed_with_floor(self, model, track):
         verdict = is_safe(STRICT_FLOOR, model, track, OperationState(), 0.0)
-        assert not verdict.safe and verdict.violated_rule is Rule.UNDERSPEED
+        assert not verdict.safe and verdict is Verdict.UNDERSPEED
 
     def test_approaching_drop_too_fast_is_unsafe(self, model, track):
         # 80 km/h just before the 60 km/h zone cannot brake down in time
@@ -125,7 +124,15 @@ class TestIsSafe:
 
     def test_verdict_rule_consistency(self, model, track):
         verdict = is_safe(PLAIN, model, track, OperationState(loc=100.0, vel=30.0), 0.3)
-        assert verdict.safe and verdict.violated_rule is None
+        assert verdict.safe and verdict is Verdict.SAFE
+
+    def test_verdict_values_are_the_rule_codes(self):
+        # the codes rule_codes gives, in priority order; only SAFE is safe,
+        # and every verdict is truthy, SAFE included
+        assert [(v.name, v.value) for v in Verdict] == [
+            ("SAFE", 0), ("REVERSAL", 1), ("OVERSPEED", 2), ("UNDERSPEED", 3), ("UNRECOVERABLE", 4)]
+        assert [v.safe for v in Verdict] == [True, False, False, False, False]
+        assert all(map(bool, Verdict))
 
     def test_overspeed_before_a_limit_rise(self, model, track):
         # reaches 1,000 m at 60.7 km/h, still inside the 60 km/h segment [500, 1000)
@@ -235,7 +242,7 @@ class TestSoundness:
             proposed = float(rng.uniform(-1.0, 1.0))
             cmd, _ = shield_filter(PLAIN, model, track, state, proposed, min, grid_size=9)
             out = step(model, track, state, cmd)
-            if out.done:
+            if out.arrived:
                 state = OperationState()
                 continue
             state = out.next_state
@@ -247,7 +254,7 @@ class TestSoundness:
             proposed = float(rng.uniform(-1.0, 1.0))
             cmd, _ = shield_filter(REVERSAL, model, track, state, proposed, min, grid_size=9)
             out = step(model, track, state, cmd)
-            if out.done:
+            if out.arrived:
                 state = OperationState()
                 continue
             state = out.next_state
@@ -297,7 +304,7 @@ class TestRecoverabilityOnGeneratedSections:
             proposed = float(rng.uniform(floor, 1.0))
             cmd, _ = shield_filter(spec, model, track, state, proposed, min, grid_size=9)
             out = step(model, track, state, cmd)
-            if out.done:
+            if out.arrived:
                 state = OperationState()
                 continue
             state = out.next_state
@@ -455,8 +462,8 @@ class TestSafeMask:
         codes = rule_codes(spec, model, track, *batch_args(track, rows))
         want = [is_safe(spec, model, track, OperationState(r[0], r[1], 0.0, r[2]), r[3])
                 for r in rows]
-        assert [RULE_OF_CODE[c] for c in codes.tolist()] == [v.violated_rule for v in want]
-        assert want[-1].violated_rule is (Rule.REVERSAL if forbid else Rule.OVERSPEED)
+        assert codes.tolist() == [v.value for v in want]
+        assert want[-1] is (Verdict.REVERSAL if forbid else Verdict.OVERSPEED)
 
     def test_slow_braking_path_cases(self, track):
         # above the 60 km/h zone ahead, so recoverability needs the braking loop

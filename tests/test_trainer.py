@@ -13,6 +13,7 @@ import atoshield
 from atoshield import trainer
 from atoshield.config import default_scenario_path, load_config
 from atoshield.drl.agents import DdpgAgent
+from atoshield.drl.buffers import ReplayBuffer
 from atoshield.drl.nets import Mlp
 from atoshield.dynamics import OperationState, validate_track
 from atoshield.trainer import (
@@ -29,7 +30,7 @@ from atoshield.trainer import (
     variant_correction,
 )
 
-from conftest import make_model, make_track, seeded_sections
+from conftest import make_track, seeded_sections
 from oracles import pcc_brute, ref_true_overspeed
 
 
@@ -39,8 +40,25 @@ def scenario(**run_overrides):
 
 
 @pytest.fixture(scope="module")
-def short_ssa_result():
-    return train(scenario(max_episodes=12, agent="ssa_ddpg"), seed=0)
+def short_ssa_run():
+    """A 12-episode ssa_ddpg training at seed 0, with the done flag of every
+    transition it pushed to the replay buffer, in push order."""
+    dones = []
+    push = ReplayBuffer.push
+
+    def recording(buffer, s, a, r, s2, d):
+        dones.append(d)
+        push(buffer, s, a, r, s2, d)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ReplayBuffer, "push", recording)
+        result = train(scenario(max_episodes=12, agent="ssa_ddpg"), seed=0)
+    return result, dones
+
+
+@pytest.fixture(scope="module")
+def short_ssa_result(short_ssa_run):
+    return short_ssa_run[0]
 
 
 class TestVariants:
@@ -59,13 +77,14 @@ class TestVariants:
 
 
 class TestTrainEnv:
-    def test_budget_truncates_without_arrival(self):
-        env = TrainEnv(make_model(), make_track(), step_budget=5)
-        env.reset()
-        out = None
-        for _ in range(5):
-            out = env.step(0.0)  # coasting from rest goes nowhere
-        assert out.done and not out.arrived
+    def test_budget_truncates_without_arrival(self, monkeypatch):
+        # the episode loop ends an episode at the step budget: coasting from
+        # rest goes nowhere, so only the budget ends this one
+        spans = record_spans(monkeypatch)
+        cfg = scenario(step_budget=5)
+        (metrics,) = noise_test(cfg, 0.0)
+        assert len(spans) == 5 and metrics.run_time_s == 5 * cfg.track.dt
+        assert not metrics.arrived and not spans[-1][1].arrived
 
     def test_normalization_ranges(self):
         track = make_track()
@@ -137,7 +156,8 @@ class TestTrain:
         # each elite record is its episode as executed: replaying the commands
         # from rest gives back its states, speeds, accelerations and return
         cfg = scenario(max_episodes=12, agent="ssa_ddpg")
-        env = TrainEnv(cfg.train, cfg.track, cfg.reward, cfg.run.resolved_budget(cfg.track))
+        env = TrainEnv(cfg.train, cfg.track, cfg.reward)
+        budget = cfg.run.resolved_budget(cfg.track)
         assert len(short_ssa_result.elite) > 0
         for traj in short_ssa_result.elite:
             assert traj.states.shape == (len(traj), 3)
@@ -148,7 +168,7 @@ class TestTrain:
                 out = env.step(float(cmd))
                 assert out.next_state.vel == traj.speeds[t]
                 assert out.accel_applied == traj.accels[t]
-                assert out.done == (t == len(traj) - 1)
+                assert (out.arrived or t + 1 == budget) == (t == len(traj) - 1)
                 total += out.reward
                 state = out.next_state
             assert total == traj.total_return
@@ -173,6 +193,17 @@ class TestTrain:
         steps = [round(m.run_time_s / cfg.track.dt) for m in result.metrics]
         assert any(n % cfg.run.t_up == 0 for n in steps)
         assert len(calls) == sum(n // cfg.run.t_up for n in steps)
+
+    def test_done_marks_the_last_transition_of_each_episode(self, short_ssa_run):
+        # an episode ends on arrival or at the step budget, and only its last
+        # transition is stored as done; the run has episodes of both kinds
+        result, dones = short_ssa_run
+        cfg = scenario(max_episodes=12, agent="ssa_ddpg")
+        budget = cfg.run.resolved_budget(cfg.track)
+        steps = [round(m.run_time_s / cfg.track.dt) for m in result.metrics]
+        assert any(m.arrived for m in result.metrics)
+        assert any(not m.arrived and n == budget for m, n in zip(result.metrics, steps))
+        assert dones == [float(k == n - 1) for n in steps for k in range(n)]
 
     def test_protect_times_counts_every_intervention(self, short_ssa_result):
         assert all(m.protect_times >= 0 for m in short_ssa_result.metrics)
