@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -354,15 +355,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _command(text: str) -> float:
-    """A ``--cmd`` value: a finite number in [-1, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not -1.0 <= value <= 1.0:  # NaN fails the comparison
-        raise argparse.ArgumentTypeError(f"expected a finite number in [-1, 1], got {text!r}")
-    return value
+def _number_in(lo: float, hi: float, words: str):
+    """An argparse type: a finite number in [lo, hi], else an error saying
+    ``expected a finite number <words>``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and lo <= value <= hi):
+            raise argparse.ArgumentTypeError(f"expected a finite number {words}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,13 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-test", help="constant-command probe through the shield path")
     common(p, episodes=1)
-    p.add_argument("--cmd", type=_command, default=1.0, help="constant command in [-1, 1]")
+    p.add_argument("--cmd", type=_number_in(-1.0, 1.0, "in [-1, 1]"), default=1.0,
+                   help="constant command in [-1, 1]")
     p.set_defaults(func=cmd_noise_test)
 
     p = sub.add_parser("robustness", help="disturbed-execution correlation study")
     common(p, checkpoint=True)
-    p.add_argument("--eps-r", type=float, default=None, help="disturbance probability")
-    p.add_argument("--delta-r", type=float, default=None, help="disturbance magnitude")
+    p.add_argument("--eps-r", type=_number_in(0.0, 1.0, "in [0, 1]"), default=None,
+                   help="disturbance probability in [0, 1]")
+    p.add_argument("--delta-r", type=_number_in(0.0, math.inf, ">= 0"), default=None,
+                   help="disturbance magnitude, >= 0")
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("transfer", help="deploy a checkpoint onto a new section")

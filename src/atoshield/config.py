@@ -4,15 +4,16 @@ The file has seven blocks (train, track, safety, reward, agent, search, run),
 each mapping onto one runtime dataclass.  Validation is all-at-once: every
 violated invariant is reported with its field path, and unknown keys are
 rejected rather than ignored.  Each field's type comes from its annotation:
-a value of the wrong type (a string or a bool where a number belongs, a
-fraction where an integer belongs, a number where true/false belongs) is
-reported, and a block holding one is not checked against its invariants,
-nor is any check that reads that block.
+a value of the wrong type (a string, a bool, a NaN or an infinity where a
+number belongs, a fraction where an integer belongs, a number where
+true/false belongs) is reported, and a block holding one is not checked
+against its invariants, nor is any check that reads that block.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 import typing
 from dataclasses import dataclass
 from importlib import resources
@@ -57,8 +58,10 @@ def default_scenario_path() -> Path:
 
 
 def _is_number(value) -> bool:
-    """A YAML int or float; ``True`` is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite YAML int or float: ``True``, ``.nan``, ``.inf`` and an integer
+    too large for a float are not numbers here (NaN fails the comparison)."""
+    is_real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return is_real and abs(value) <= sys.float_info.max
 
 
 def _is_int(value) -> bool:
@@ -75,12 +78,13 @@ def _is_segment(value) -> bool:
 # value must satisfy and how an error names it.  A ``tuple[...]`` field holds
 # a list, and its predicate and words are for each element.
 _KINDS = {
-    "float": (_is_number, "a number"),
+    "float": (_is_number, "a finite number"),
     "int": (_is_int, "an integer"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[int, ...]": (_is_int, "an integer"),
-    "tuple[tuple[float, float, float], ...]": (_is_segment, "three numbers [start, end, value]"),
+    "tuple[tuple[float, float, float], ...]":
+        (_is_segment, "three finite numbers [start, end, value]"),
 }
 
 

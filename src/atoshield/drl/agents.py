@@ -349,8 +349,9 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
     the stored weights are written into its own nets, rounded to their dtype.
     Raises CheckpointError, naming the file and the field, for a file that is
     not a format-1 checkpoint of a known kind holding exactly that kind's
-    nets, each with weights and biases shaped as its layer sizes say and
-    with the layer sizes and activation the agent builds for it.
+    nets, each with weights and biases shaped as its layer sizes say, finite
+    in the agent's dtype, and with the layer sizes and activation the agent
+    builds for it.
     """
     try:
         blob = json.loads(Path(path).read_text())
@@ -387,6 +388,14 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
         if got != want:
             raise CheckpointError(path, f"nets.{name}",
                                   f"expected (layer sizes, activation) {want}, got {got}")
-        built.copy_from(net)
+        # checked in the agent's dtype, where a finite stored weight can round to inf
+        with np.errstate(over="ignore"):
+            built.copy_from(net)
+        for field in ("weights", "biases"):
+            for i, values in enumerate(getattr(built, field)):
+                finite = np.isfinite(values)
+                if not finite.all():
+                    raise CheckpointError(path, f"nets.{name}", f"{field}[{i}]: expected finite "
+                                          f"{values.dtype} values, got {values[~finite][0]}")
     agent.additional_converged = bool(blob.get("additional_converged", False))
     return agent

@@ -7,8 +7,9 @@ command that entered it (``last_cmd``, 0 for a fresh state), so the shield's
 reversal rule reads the drivetrain's last working condition from its sign.
 
 Each formula has one body over a table of elementwise primitives, run on
-Python floats by :func:`step` and on numpy arrays by :func:`step_batch`, so a
-physics fix edits only that body.  The motion of an interval has its own
+Python floats by :func:`step` and on numpy arrays by the search tree, which
+steps a whole tree level through :func:`_transition` at once, so a physics
+fix edits only that body.  The motion of an interval has its own
 body, which the shield certifies on without the energies and reward that a
 step adds on top.
 """
@@ -238,14 +239,20 @@ def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel
     return loc1, vel1, t1, -(e_term + d_term + c_term), energy_traction, energy_regen, a, arrived
 
 
-def _check_step_inputs(ops: Ops, track, loc, vel, cmd) -> None:
-    """Raise the ValueError of the first out-of-range input: a command outside
-    [-1, 1], a negative speed, then a position outside the section (on arrays,
-    naming the first offending row).  Each check states what is in range, so
-    that NaN, which fails every comparison, is out of range."""
+def _check_command(ops: Ops, cmd) -> None:
+    """Raise the ValueError of a command outside [-1, 1] (on arrays, naming
+    the first offending row).  The check states what is in range, so that
+    NaN, which fails every comparison, is out of range."""
     ok = abs(cmd) <= 1.0 + 1e-12
     if not ops.all(ok):
         raise ValueError(f"command must lie in [-1, 1], got {ops.first_bad(cmd, ok)}")
+
+
+def _check_step_inputs(ops: Ops, track, loc, vel, cmd) -> None:
+    """Raise the ValueError of the first out-of-range input: a command outside
+    [-1, 1], a negative speed, then a position outside the section (on arrays,
+    naming the first offending row), each checked as in :func:`_check_command`."""
+    _check_command(ops, cmd)
     ok = vel >= 0.0
     if not ops.all(ok):
         raise ValueError(f"velocity must be nonnegative, got {ops.first_bad(vel, ok)}")
@@ -275,47 +282,6 @@ def step(
     # positional: keyword arguments cost a third of the construction
     next_state = OperationState(loc, vel, time, cmd)
     return StepOutcome(next_state, reward, energy_traction, energy_regen, accel, arrived)
-
-
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Transitions of many (state, command) rows at once, as parallel arrays."""
-
-    loc: np.ndarray  # m
-    vel: np.ndarray  # km/h
-    time: np.ndarray  # s
-    reward: np.ndarray
-    accel: np.ndarray  # m/s^2 after clamping
-    arrived: np.ndarray  # bool
-
-
-def step_batch(
-    model: TrainModel,
-    track: TrackSection,
-    loc,
-    vel,
-    time,
-    cmd,
-    weights: RewardWeights = DEFAULT_WEIGHTS,
-    prev_accel=0.0,
-) -> BatchOutcome:
-    """:func:`step` over broadcast arrays of states and commands.
-
-    Every row is bitwise what :func:`step` gives for the same state, command
-    and previous acceleration, since both run the same kernel, and the same
-    invalid inputs raise the same errors.
-    """
-    loc, vel, time, cmd, prev_accel = (
-        np.asarray(x, dtype=float) for x in (loc, vel, time, cmd, prev_accel)
-    )
-    _check_step_inputs(ARRAYS, track, loc, vel, cmd)
-    loc1, vel1, t1, reward, _, _, accel, arrived = _transition(
-        ARRAYS, model, track, loc, vel, time, cmd, weights, prev_accel
-    )
-    return BatchOutcome(
-        loc=loc1, vel=vel1, time=np.broadcast_to(t1, arrived.shape),
-        reward=reward, accel=accel, arrived=arrived,
-    )
 
 
 def validate_model(model: TrainModel) -> list[str]:

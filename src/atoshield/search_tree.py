@@ -11,16 +11,20 @@ The tree is one struct-of-arrays per level, with no Python object per node.
 Every node of a level sits at the same environment step, so level k holds
 the nodes entered at step ``t + 1 + k`` as parallel arrays (:class:`Level`):
 command, reward, state, applied acceleration, whether the episode ended, and
-the row of the parent in the previous level.  :func:`build_tree` appends one
-level per step: one sampler call over the raw ``(loc, vel, time)`` rows of the
-level's open nodes, then one array step (:func:`~.dynamics.step_batch`) over
-the (node, sample) pairs, whose outcome both certifies each pair
-(:func:`~.shield.rule_codes` is 0, with the parent's ``cmd`` as the command
-that entered its state) and, when it is safe, becomes a row of the next
-level.  A level wider than ``_BLOCK_PAIRS`` pairs is stepped in blocks of
-that many.  Children keep their sample order under their parent, so a level's
-``parent`` column never decreases, and a sampler whose draws depend only on
-the state gives the same tree as expanding one node at a time, depth first.
+the row of the parent in the previous level.  :func:`build_tree` steps each
+root with :func:`~.dynamics.step` from the unsafe state, then appends one
+level per step: one sampler call over the raw ``(loc, vel, time)`` rows of
+the level's open nodes, one range check of the sampled commands, and one
+array step of the transition kernel over the (node, sample) pairs, whose
+outcome both certifies each pair (:func:`~.shield.rule_codes` is 0, with the
+parent's ``cmd`` as the command that entered its state) and, when it is
+safe, becomes a row of the next level.  The commands are the only level
+inputs from outside the tree: every parent row is the kernel's own output
+from checked inputs.  A level wider than ``_BLOCK_PAIRS`` pairs is stepped
+in blocks of that many.  Children keep their sample order under their
+parent, so a level's ``parent`` column never decreases, and a sampler whose
+draws depend only on the state gives the same tree as expanding one node at
+a time, depth first.
 
 :func:`prune` and :func:`backup` are each one bottom-up pass over the levels,
 and :func:`select_safe_action` reads the root level.  Children are summed
@@ -35,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .dynamics import BatchOutcome, OperationState, step_batch
+from .dynamics import ARRAYS, OperationState, _check_command, _transition, step
 from .shield import SafetySpec, rule_codes
 
 if TYPE_CHECKING:
@@ -85,15 +89,6 @@ class Level:
 
 
 _ARRAYS = tuple(f.name for f in fields(Level) if f.name not in ("alive", "ret"))
-
-
-def _level(out: BatchOutcome, cmd: np.ndarray, parent: np.ndarray, rows=slice(None)) -> Level:
-    """The selected rows of a transition batch as a level."""
-    return Level(
-        cmd=cmd[rows], reward=out.reward[rows], loc=out.loc[rows], vel=out.vel[rows],
-        time=out.time[rows], accel=out.accel[rows], terminal=out.arrived[rows],
-        parent=parent[rows],
-    )
 
 
 class SearchTree:
@@ -163,11 +158,14 @@ def build_tree(
         raise ValueError("t_up must be >= 1")
     model, track, weights = env.model, env.track, env.weights
     cmds = np.asarray(safe_set, dtype=float)
-    out = step_batch(
-        model, track, state_unsafe.loc, state_unsafe.vel, state_unsafe.time,
-        cmds, weights, prev_accel,
-    )
-    levels = [_level(out, cmds, np.zeros(cmds.size, dtype=np.intp))]
+    # step checks the unsafe state, the roots' only input from outside the tree
+    outs = [step(model, track, state_unsafe, cmd, weights, prev_accel) for cmd in cmds.tolist()]
+    reward, loc, vel, time, accel = np.array([
+        (out.reward, out.next_state.loc, out.next_state.vel, out.next_state.time, out.accel_applied)
+        for out in outs
+    ], dtype=float).T
+    terminal = np.array([out.arrived for out in outs], dtype=bool)
+    levels = [Level(cmds, reward, loc, vel, time, accel, terminal, np.zeros(cmds.size, np.intp))]
     width = cfg.expansion_width
     depth_step = t + 1
     while depth_step % t_up != 0:
@@ -182,6 +180,7 @@ def build_tree(
                 f"sampler returned shape {samples.shape}, expected {(open_rows.size, width)}"
             )
         cmd = samples.ravel()  # pair k is sample k % width of open row k // width
+        _check_command(ARRAYS, cmd)
         pair_parent = np.repeat(open_rows, width)
         depth_step += 1
         blocks = []
@@ -189,10 +188,15 @@ def build_tree(
             pairs = slice(lo, lo + _BLOCK_PAIRS)
             parent, block_cmd = pair_parent[pairs], cmd[pairs]
             loc, vel = above.loc[parent], above.vel[parent]
-            out = step_batch(model, track, loc, vel, above.time[parent], block_cmd, weights,
-                             above.accel[parent])
-            safe = rule_codes(spec, model, track, loc, vel, above.cmd[parent], block_cmd, out) == 0
-            blocks.append(_level(out, block_cmd, parent, np.flatnonzero(safe)))
+            loc1, vel1, time1, reward, _, _, accel, arrived = _transition(
+                ARRAYS, model, track, loc, vel, above.time[parent], block_cmd, weights,
+                above.accel[parent],
+            )
+            codes = rule_codes(spec, model, track, loc, vel, above.cmd[parent], block_cmd,
+                               accel, loc1, vel1, arrived)
+            safe = np.flatnonzero(codes == 0)
+            blocks.append(Level(block_cmd[safe], reward[safe], loc1[safe], vel1[safe],
+                                time1[safe], accel[safe], arrived[safe], parent[safe]))
         level = blocks[0] if len(blocks) == 1 else Level(
             *(np.concatenate([getattr(b, name) for b in blocks]) for name in _ARRAYS)
         )

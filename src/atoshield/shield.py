@@ -37,7 +37,6 @@ from .dynamics import (
     ARRAYS,
     FLOATS,
     KMH_PER_MPS,
-    BatchOutcome,
     OperationState,
     Ops,
     TrackSection,
@@ -254,27 +253,23 @@ def is_safe(
 
 
 def rule_codes(
-    spec: SafetySpec,
-    model: TrainModel,
-    track: TrackSection,
-    loc: np.ndarray,
-    vel: np.ndarray,
-    last_cmd: np.ndarray,
-    cmd: np.ndarray,
-    out: BatchOutcome,
+    spec: SafetySpec, model: TrainModel, track: TrackSection,
+    loc, vel, last_cmd, cmd, accel, next_loc, next_vel, arrived,
 ) -> np.ndarray:
     """The code of :func:`is_safe`'s verdict for every row; see :class:`Verdict`.
 
     Row i is the state (loc[i], vel[i]) entered by command ``last_cmd[i]``,
-    under command ``cmd[i]``; ``out`` is :func:`step_batch` of those rows.
-    Only the outcome's kinematics are read, so rewards computed with any
-    weights and previous accelerations serve.
+    under command ``cmd[i]``; ``accel``, ``next_loc``, ``next_vel`` and
+    ``arrived`` are that interval's applied acceleration, next state and
+    arrival, as :func:`~.dynamics._kinematics` or
+    :func:`~.dynamics._transition` of the rows gives them.  Like those
+    kernels, it leaves checking the rows' commands and states to its caller.
     """
-    over = _span_overspeed(ARRAYS, track, loc, vel, out.accel, out.loc, out.vel)
-    code = _one_step_code(ARRAYS, spec, track, last_cmd, cmd, over, out.arrived, out.loc, out.vel)
+    over = _span_overspeed(ARRAYS, track, loc, vel, accel, next_loc, next_vel)
+    code = _one_step_code(ARRAYS, spec, track, last_cmd, cmd, over, arrived, next_loc, next_vel)
     rows = np.flatnonzero(code == 0)
     if rows.size:
-        ok = _brake_recoverable_batch(spec, model, track, out.loc[rows], out.vel[rows], cmd[rows])
+        ok = _brake_recoverable_batch(spec, model, track, next_loc[rows], next_vel[rows], cmd[rows])
         code[rows[~ok]] = 4
     return code
 

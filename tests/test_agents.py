@@ -566,6 +566,26 @@ class TestCheckpoint:
         assert message.startswith(f"checkpoint {path}: {field}: ")
         assert "\n" not in message
 
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    @pytest.mark.parametrize("field, index, value, shown", [
+        ("weights", 0, float("nan"), "nan"),
+        ("biases", 1, float("inf"), "inf"),
+        ("weights", 2, float("-inf"), "-inf"),
+        ("biases", 0, 1e300, "inf"),  # finite as stored, infinite in the float32 net
+    ])
+    def test_non_finite_weight_names_the_field(self, rng, tmp_path, cls, field, index, value,
+                                               shown):
+        def edit(blob):
+            stored = blob["nets"]["additional"][field][index]
+            row = stored[-1] if field == "weights" else stored
+            row[-1] = value
+
+        path = saved(tmp_path, cls(3, SMALL, rng), edit)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, SMALL, np.random.default_rng(0))
+        assert str(info.value) == (f"checkpoint {path}: nets.additional: {field}[{index}]: "
+                                   f"expected finite float32 values, got {shown}")
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
     def test_unreadable_file(self, tmp_path, text):
         path = tmp_path / "ckpt.json"

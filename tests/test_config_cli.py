@@ -64,24 +64,29 @@ BAD_SIZES = [
 ]
 
 MISTYPED = [
-    ("train", "mass_tonnes", "heavy", "a number"),
-    ("train", "max_decel", None, "a number"),
-    ("track", "length", "long", "a number"),
-    ("track", "dt", True, "a number"),
-    ("safety", "min_speed", "x", "a number"),
-    ("safety", "terminal_zone", True, "a number"),
-    ("reward", "alpha_traction", "x", "a number"),
-    ("agent", "gamma", "x", "a number"),
-    ("agent", "actor_lr", "1e-3", "a number"),  # YAML 1.1 reads this as a string
-    ("agent", "additional_actor_lr", False, "a number"),
+    ("train", "mass_tonnes", "heavy", "a finite number"),
+    ("train", "max_decel", None, "a finite number"),
+    ("track", "length", "long", "a finite number"),
+    ("track", "dt", True, "a finite number"),
+    ("safety", "min_speed", "x", "a finite number"),
+    ("safety", "terminal_zone", True, "a finite number"),
+    ("reward", "alpha_traction", "x", "a finite number"),
+    ("agent", "gamma", "x", "a finite number"),
+    ("agent", "actor_lr", "1e-3", "a finite number"),  # YAML 1.1 reads this as a string
+    ("agent", "additional_actor_lr", False, "a finite number"),
     ("agent", "batch_size", "256", "an integer"),
     ("agent", "noise_kind", 5, "a string"),
     ("search", "expansion_width", "5", "an integer"),
-    ("search", "backup_discount", False, "a number"),
+    ("search", "backup_discount", False, "a finite number"),
     ("run", "t_up", "x", "an integer"),
     ("run", "step_budget", "x", "an integer"),
     ("run", "agent", ["ssa_ddpg"], "a string"),
 ]
+
+# every float field of every block, by annotation
+FLOAT_FIELDS = [(block, field.name) for block, cls in config._FIELD_MAP.items()
+                for field in dataclasses.fields(cls)
+                if field.type.removesuffix(" | None") == "float"]
 
 
 class TestValidateConfig:
@@ -146,6 +151,18 @@ class TestValidateConfig:
             for field in dataclasses.fields(cls):
                 kind = field.type.removesuffix(" | None")
                 assert kind in config._KINDS, f"{block}.{field.name}: {field.type}"
+
+    @pytest.mark.parametrize("block, key", FLOAT_FIELDS, ids=[f"{b}-{k}" for b, k in FLOAT_FIELDS])
+    def test_non_finite_float_is_one_error_naming_the_field(self, tmp_path, default_yaml, block,
+                                                            key):
+        # a NaN davis_r1 once validated and sent the +1 probe on for 330
+        # steps without an intervention or an arrival
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400):
+            blob = copy.deepcopy(default_yaml)
+            blob[block][key] = value
+            with pytest.raises(ConfigError) as err:
+                load_config(dump(tmp_path, blob))
+            assert err.value.errors == [f"{block}.{key}: expected a finite number, got {value!r}"]
 
     def test_overlapping_limits_reported(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
@@ -276,14 +293,16 @@ class TestValidateConfig:
         blob[block][key] = None
         load_config(dump(tmp_path, blob))
 
-    @pytest.mark.parametrize("segment", [[0.0, "a", 80.0], [0.0, 1500.0], [0.0, 1500.0, True], 7])
+    @pytest.mark.parametrize("segment", [[0.0, "a", 80.0], [0.0, 1500.0], [0.0, 1500.0, True], 7,
+                                         [0.0, 1500.0, float("nan")], [0.0, float("inf"), 0.0]])
     def test_segment_must_be_three_numbers(self, tmp_path, default_yaml, segment):
         blob = copy.deepcopy(default_yaml)
         blob["track"]["grade_segments"] = [segment]
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
         assert err.value.errors == [
-            f"track.grade_segments[0]: expected three numbers [start, end, value], got {segment!r}"
+            f"track.grade_segments[0]: expected three finite numbers [start, end, value], "
+            f"got {segment!r}"
         ]
 
     def test_run_block_not_a_mapping_is_one_error(self, tmp_path, default_yaml):
@@ -399,10 +418,19 @@ class TestCli:
         ["noise-test", "--cmd", "x"],
         ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3"],
         ["robustness", "--checkpoint", "ckpt.json", "--delta-r", "0.3"],
+        ["robustness", "--checkpoint", "ckpt.json", "--delta-r", "0.3", "--eps-r", "1.5"],
+        ["robustness", "--checkpoint", "ckpt.json", "--delta-r", "0.3", "--eps-r", "-0.1"],
+        ["robustness", "--checkpoint", "ckpt.json", "--delta-r", "0.3", "--eps-r", "inf"],
+        ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3", "--delta-r", "-5"],
+        ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3", "--delta-r", "nan"],
+        ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3", "--delta-r", "inf"],
+        ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3", "--delta-r", "x"],
     ])
     def test_bad_flag_exit_2_one_line(self, argv, tiny_yaml, tmp_path, capsys):
         # argparse rejects the flag before any command runs: a command outside
-        # [-1, 1] or not a number, or one disturbance flag without the other
+        # [-1, 1], a disturbance probability outside [0, 1], a negative
+        # disturbance magnitude, a value that is not a finite number, or one
+        # disturbance flag without the other
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_:
             main([*argv, "--config", str(tiny_yaml), "--out", str(out)])
@@ -410,6 +438,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "error: " in err
         assert argv[-2] in err  # the flag at fault
+        assert not out.exists()
+
+    def test_disturbance_flags_checked_before_the_checkpoint_loads(self, tiny_yaml, tmp_path,
+                                                                   capsys):
+        # a NaN probability never fires, so this once wrote an undisturbed
+        # run as a disturbed cell and exited 0
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["robustness", "--config", str(tiny_yaml), "--checkpoint", "ckpt.json",
+                  "--eps-r", "nan", "--delta-r", "-5", "--out", str(out)])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--eps-r: expected a finite number in [0, 1], got 'nan'" in err
         assert not out.exists()
 
     def test_train_writes_expected_artifacts(self, tiny_yaml, tmp_path):
@@ -456,6 +498,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {ckpt}: nets: ")
         assert err.count("\n") == 1
+
+    def test_non_finite_checkpoint_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
+        train_out = tmp_path / "t"
+        assert main(["train", "--config", str(tiny_yaml), "--seed", "0",
+                     "--out", str(train_out)]) == 0
+        ckpt = train_out / "checkpoint_ssa_ddpg_seed0.json"
+        blob = json.loads(ckpt.read_text())
+        blob["nets"]["actor"]["weights"][1][0][0] = float("nan")
+        ckpt.write_text(json.dumps(blob))
+        capsys.readouterr()
+        code = main(["execute", "--config", str(tiny_yaml), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: checkpoint {ckpt}: nets.actor: weights[1]: "
+                       "expected finite float32 values, got nan\n")
 
     def test_noise_test_command(self, tiny_yaml, tmp_path):
         out = tmp_path / "nt"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from atoshield.dynamics import (
     OperationState,
     RewardWeights,
     TrainModel,
+    _check_step_inputs,
     _kinematics,
     _motor_accel,
     _reward_terms,
+    _transition,
     davis_resistance_accel,
     segment_value,
     step,
-    step_batch,
     validate_model,
     validate_track,
 )
@@ -193,8 +195,8 @@ WEIGHTS = RewardWeights(alpha_traction=2.0, alpha_regen=4.0, jerk_threshold=2.5)
 
 
 def assert_rows_match(track, rows, weights=WEIGHTS):
-    """step_batch over the rows equals the scalar step of each row, and the
-    reference copy of the scalar step, bitwise.
+    """The transition kernel on arrays of the rows equals the scalar step of
+    each row, and the reference copy of the scalar step, bitwise.
 
     A row is (loc, vel, time, cmd, prev_accel); a prev_accel of None sits
     exactly one jerk threshold below the row's applied acceleration.
@@ -207,7 +209,9 @@ def assert_rows_match(track, rows, weights=WEIGHTS):
             prev_accel = a - weights.jerk_threshold * track.dt
         prev.append(prev_accel)
     loc, vel, time, cmd = (np.array(col) for col in list(zip(*rows))[:4])
-    out = step_batch(model, track, loc, vel, time, cmd, weights, np.array(prev))
+    loc1, vel1, time1, reward, _, _, accel, arrived = _transition(
+        ARRAYS, model, track, loc, vel, time, cmd, weights, np.array(prev)
+    )
     for i, (row, prev_accel) in enumerate(zip(rows, prev)):
         state = OperationState(*row[:3])
         want = step(model, track, state, row[3], weights, prev_accel)
@@ -215,13 +219,13 @@ def assert_rows_match(track, rows, weights=WEIGHTS):
         assert [x.hex() for x in (want.energy_traction, want.energy_regen)] == [
             x.hex() for x in (ref.energy_traction, ref.energy_regen)
         ], row
-        got = (out.loc[i], out.vel[i], out.time[i], out.reward[i], out.accel[i])
+        got = (loc1[i], vel1[i], time1[i], reward[i], accel[i])
         for outcome in (want, ref):
             assert [float(x).hex() for x in got] == [
                 x.hex() for x in (outcome.next_state.loc, outcome.next_state.vel,
                                   outcome.next_state.time, outcome.reward, outcome.accel_applied)
             ], row
-            assert out.arrived[i] == outcome.arrived
+            assert arrived[i] == outcome.arrived
 
 
 BOUNDARIES = [0.0, 499.999, 500.0, 600.0, 700.0, 1000.0, 1499.0, 1500.0]
@@ -234,7 +238,7 @@ ROW = st.tuples(
 )
 
 
-class TestStepBatch:
+class TestArrayTransition:
     @given(rows=st.lists(ROW, min_size=1, max_size=30), graded=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_step_bitwise(self, rows, graded):
@@ -255,18 +259,23 @@ class TestStepBatch:
 
     def test_broadcasts_one_state_over_commands(self, model, track):
         cmds = np.array([-1.0, 0.0, 1.0])
-        out = step_batch(model, track, 100.0, 30.0, 5.0, cmds)
-        assert out.time.shape == out.loc.shape == (3,)
+        loc1, vel1, time1, reward, _, _, accel, arrived = _transition(
+            ARRAYS, model, track, 100.0, 30.0, 5.0, cmds, DEFAULT_WEIGHTS, 0.0
+        )
+        assert loc1.shape == vel1.shape == reward.shape == accel.shape == arrived.shape == (3,)
         for i, cmd in enumerate(cmds):
             want = step(model, track, OperationState(100.0, 30.0, 5.0), cmd)
-            assert out.vel[i] == want.next_state.vel
+            assert (loc1[i], vel1[i], time1, reward[i]) == (
+                want.next_state.loc, want.next_state.vel, want.next_state.time, want.reward)
 
     @pytest.mark.parametrize("loc, vel, cmd", BAD_STEP_INPUTS)
     def test_rejects_what_step_rejects(self, model, track, loc, vel, cmd):
-        with pytest.raises(ValueError):
+        # the array check names the first bad row, the second here
+        with pytest.raises(ValueError) as want:
             step(model, track, OperationState(loc, vel), cmd)
-        with pytest.raises(ValueError):
-            step_batch(model, track, [100.0, loc], [30.0, vel], 0.0, [0.0, cmd])
+        rows = (np.array([100.0, loc]), np.array([30.0, vel]), np.array([0.0, cmd]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            _check_step_inputs(ARRAYS, track, *rows)
 
 
 # standstill under each command, and arrivals at and onto the section end
@@ -277,26 +286,28 @@ KINEMATIC_EDGES = [
 
 
 class TestKinematics:
-    """The kinematic body the shield certifies on is the motion step and
-    step_batch report, bitwise."""
+    """The kinematic body the shield certifies on is the motion that step and
+    the array transition report, bitwise."""
 
     @given(rows=st.lists(ROW, min_size=1, max_size=30), graded=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_matches_step_and_step_batch_bitwise(self, rows, graded):
+    def test_matches_step_and_array_transition_bitwise(self, rows, graded):
         track = GRADED if graded else make_track()
         model = make_model()
         rows = [*rows, *KINEMATIC_EDGES]
         loc, vel, time, cmd = (np.array(col) for col in list(zip(*rows))[:4])
-        batch = step_batch(model, track, loc, vel, time, cmd)
+        t_loc, t_vel, _, _, _, _, t_accel, t_arrived = _transition(
+            ARRAYS, model, track, loc, vel, time, cmd, DEFAULT_WEIGHTS, 0.0
+        )
         _, accel, _, _, loc1, vel1, arrived = _kinematics(ARRAYS, model, track, loc, vel, cmd)
         for i, (row_loc, row_vel, row_time, row_cmd, _) in enumerate(rows):
             out = step(model, track, OperationState(row_loc, row_vel, row_time), row_cmd)
             want = [x.hex() for x in (out.next_state.loc, out.next_state.vel, out.accel_applied)]
             kin = _kinematics(FLOATS, model, track, row_loc, row_vel, row_cmd)
             assert [x.hex() for x in (kin[4], kin[5], kin[1])] == want, rows[i]
-            assert [float(x[i]).hex() for x in (batch.loc, batch.vel, batch.accel)] == want
+            assert [float(x[i]).hex() for x in (t_loc, t_vel, t_accel)] == want
             assert [float(x[i]).hex() for x in (loc1, vel1, accel)] == want
-            assert kin[6] == out.arrived == batch.arrived[i] == arrived[i]
+            assert kin[6] == out.arrived == t_arrived[i] == arrived[i]
 
 
 class TestRewardTerms:

@@ -106,6 +106,21 @@ def test_built_tree_walks_under_the_ledger(ledger_module):
     assert ledger.counters["fallbacks"] == 0
 
 
+def test_root_steps_count_as_dynamics_step_calls(ledger_module):
+    # build_tree steps each root with the dynamics.step it binds, so the
+    # ledger's dynamics.step count takes in one call per safe candidate
+    model, track, spec = make_model(), make_track(), SafetySpec()
+    env = TrainEnv(model, track)
+    state = OperationState(loc=100.0, vel=30.0)
+    safe_set = safe_action_set(spec, model, track, state, 9)
+    with ledger_module.Ledger() as ledger:
+        before = ledger.stats["dynamics.step"].calls
+        search_tree.build_tree(env, spec, lambda states, n: np.full((len(states), n), 0.5),
+                               state, safe_set, 0, 5, SearchConfig(expansion_width=2))
+    assert ledger.stats["search_tree.build_tree"].calls == 1
+    assert ledger.stats["dynamics.step"].calls - before == len(safe_set) > 1
+
+
 @pytest.mark.parametrize("run", ["noise_test", "train"])
 def test_every_episode_resets_and_steps_through_train_env(monkeypatch, run):
     # benchmarks/run.py places its host-speed marks by patching TrainEnv.reset

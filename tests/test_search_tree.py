@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atoshield import trainer
+from atoshield import search_tree, trainer
 from atoshield.config import ConfigError, default_scenario_path, load_config
-from atoshield.dynamics import OperationState
+from atoshield.dynamics import OperationState, RewardWeights, step
 from atoshield.search_tree import (
     Level,
     SearchConfig,
@@ -23,7 +24,7 @@ from atoshield.search_tree import (
 from atoshield.shield import SafetySpec, is_safe, safe_action_set
 from atoshield.trainer import TrainEnv
 
-from conftest import make_model, make_track
+from conftest import BAD_STEP_INPUTS, make_model, make_track
 from oracles import (
     RefNode,
     breadth_first_levels,
@@ -190,6 +191,70 @@ class TestBuildTree:
         assert sum(count(root) for root in tree) == sum(len(level) for level in tree.levels)
         prune(tree, T_UP)
         assert sum(count(root) for root in tree) == sum(int(lv.alive.sum()) for lv in tree.levels)
+
+
+class TestStepping:
+    """Roots are scalar steps from the unsafe state; a level's sampled
+    commands are range-checked once, before any of its pairs is stepped."""
+
+    @pytest.mark.parametrize("loc, vel, time, prev_accel", [
+        (300.0, 55.0, 3.0, 0.0), (460.0, 66.0, 1.0, 0.8), (1495.0, 30.0, 90.0, -1.1),
+    ], ids=["mid-section", "jerky", "arriving"])
+    @pytest.mark.parametrize("graded", [False, True], ids=["flat", "graded"])
+    def test_root_rows_are_scalar_steps_bitwise(self, loc, vel, time, prev_accel, graded):
+        track = GRADED if graded else make_track()
+        env = TrainEnv(make_model(), track, RewardWeights(alpha_traction=2.0, jerk_threshold=2.5))
+        state = OperationState(loc, vel, time, 0.3)
+        safe_set = [-1.0, -0.5, 0.0, 0.25, 1.0]
+        roots = build_tree(env, PLAIN, steady_policy(0.0), state, safe_set, 3, T_UP, CFG,
+                           prev_accel).levels[0]
+        outs = [step(env.model, track, state, cmd, env.weights, prev_accel) for cmd in safe_set]
+        want = {
+            "reward": [out.reward for out in outs],
+            "loc": [out.next_state.loc for out in outs],
+            "vel": [out.next_state.vel for out in outs],
+            "time": [out.next_state.time for out in outs],
+            "accel": [out.accel_applied for out in outs],
+        }
+        for name, values in want.items():
+            column = getattr(roots, name)
+            assert column.dtype == np.float64, name
+            assert [x.hex() for x in column.tolist()] == [x.hex() for x in values], name
+        assert roots.terminal.dtype == bool
+        assert roots.terminal.tolist() == [out.arrived for out in outs]
+        assert any(roots.terminal) == (loc > 1400.0)
+        assert roots.cmd.dtype == np.float64 and roots.cmd.tolist() == safe_set
+        assert roots.parent.dtype == np.intp and not roots.parent.any()
+
+    @pytest.mark.parametrize("loc, vel, cmd", BAD_STEP_INPUTS)
+    def test_unsafe_state_checked_as_step_checks_it(self, env, loc, vel, cmd):
+        state = OperationState(loc, vel)
+        with pytest.raises(ValueError) as want:
+            step(env.model, env.track, state, cmd)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            build_tree(env, PLAIN, steady_policy(0.0), state, [cmd], 0, T_UP, CFG)
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0 - 1e-9, math.nan], ids=["above", "below", "nan"])
+    @pytest.mark.parametrize("width", [3, 1000], ids=["one-block", "wider-than-a-block"])
+    def test_bad_sample_raises_before_any_pair_steps(self, env, monkeypatch, bad, width):
+        state = OperationState(loc=300.0, vel=55.0)
+        safe_set = safe_action_set(PLAIN, env.model, env.track, state, 9)
+        assert (len(safe_set) * width > search_tree._BLOCK_PAIRS) == (width == 1000)
+
+        def sampler(states, n):
+            samples = np.full((len(states), n), 0.1)
+            samples[-1, -1] = bad  # the level's last pair, in its last block
+            return samples
+
+        stepped = []
+        kernel = search_tree._transition
+        monkeypatch.setattr(search_tree, "_transition", lambda *a: stepped.append(a) or kernel(*a))
+        with pytest.raises(ValueError) as want:
+            step(env.model, env.track, state, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            build_tree(env, PLAIN, sampler, state, safe_set, 0, T_UP,
+                       SearchConfig(expansion_width=width))
+        assert stepped == []
 
 
 def wavy_policy(states, n):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from atoshield import dynamics, shield
 from atoshield.dynamics import (
-    OperationState, davis_resistance_accel, step, step_batch, validate_track,
+    ARRAYS, OperationState, _check_step_inputs, _kinematics, davis_resistance_accel, step,
+    validate_track,
 )
 from atoshield.shield import (
     SafetySpec,
@@ -399,9 +400,11 @@ class TestBrakeRecoverable:
 
 
 def batch_args(track, rows):
-    """The (loc, vel, last_cmd, cmd, out) arrays of (loc, vel, last_cmd, cmd) rows."""
+    """The :func:`rule_codes` arrays of (loc, vel, last_cmd, cmd) rows: the
+    rows, then each interval's applied acceleration, next loc, next vel and arrival."""
     loc, vel, last, cmd = (np.array(column) for column in zip(*rows))
-    return loc, vel, last, cmd, step_batch(make_model(), track, loc, vel, 0.0, cmd)
+    _, accel, _, _, loc1, vel1, arrived = _kinematics(ARRAYS, make_model(), track, loc, vel, cmd)
+    return loc, vel, last, cmd, accel, loc1, vel1, arrived
 
 
 def mask_and_verdicts(spec, track, rows):
@@ -510,7 +513,8 @@ class TestCertifierRunsKinematicsOnly:
     @pytest.mark.parametrize("spec", [PLAIN, REVERSAL, FLOOR_AND_REVERSAL],
                              ids=["plain", "reversal", "floor-and-reversal"])
     def test_no_reward_or_energy_term(self, spec, model, track, monkeypatch):
-        loc, vel, last, cmd, out = batch_args(track, ROLLOUT_ROWS)
+        args = batch_args(track, ROLLOUT_ROWS)
+        loc, vel, last, cmd = args[:4]
         states = [OperationState(r[0], r[1], 0.0, r[2]) for r in ROLLOUT_ROWS]
 
         def certify():
@@ -519,7 +523,7 @@ class TestCertifierRunsKinematicsOnly:
                 [safe_action_set(spec, model, track, s, 9) for s in states],
                 [brake_recoverable(spec, model, track, s) for s in states],
                 shield._brake_recoverable_batch(spec, model, track, loc, vel, last).tolist(),
-                rule_codes(spec, model, track, loc, vel, last, cmd, out).tolist(),
+                rule_codes(spec, model, track, *args).tolist(),
             )
 
         want = certify()
@@ -530,8 +534,8 @@ class TestCertifierRunsKinematicsOnly:
         def no_reward(*args):
             raise AssertionError("the certifier ran a reward or energy term")
 
-        # _transition runs _reward_terms after both energies, so no step or
-        # step_batch can run unseen
+        # _transition runs _reward_terms after both energies, so no scalar or
+        # array transition can run unseen
         monkeypatch.setattr(dynamics, "_reward_terms", no_reward)
         assert certify() == want
         # the rollouts stepped: more intervals than one per certified command
@@ -570,10 +574,11 @@ class TestErrorParity:
             step(model, track, state, first)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             brake_recoverable(spec, model, track, state)
-        # a clear row before the bad one: step_batch names the first bad row
+        # a clear row before the bad one: the array check names the first bad row
         loc_rows, vel_rows, last_rows = [100.0, loc], [30.0, 100.0], [0.0, last_cmd]
         with pytest.raises(ValueError) as want:
-            step_batch(model, track, loc_rows, vel_rows, 0.0, [-1.0, first])
+            _check_step_inputs(ARRAYS, track, np.array(loc_rows), np.array(vel_rows),
+                               np.array([-1.0, first]))
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             shield._brake_recoverable_batch(
                 spec, model, track, np.array(loc_rows), np.array(vel_rows), np.array(last_rows)
