@@ -7,12 +7,15 @@ rejected rather than ignored.  Each field's type comes from its annotation:
 a value of the wrong type (a string, a bool, a NaN or an infinity where a
 number belongs, a fraction where an integer belongs, a number where
 true/false belongs) is reported, and a block holding one is not checked
-against its invariants, nor is any check that reads that block.
+against its invariants, nor is any check that reads that block.  The
+episode step budget a scenario resolves to is held to
+``trainer.MAX_STEP_BUDGET``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from .dynamics import (
 from .drl.agents import AgentConfig
 from .search_tree import SearchConfig
 from .shield import SafetySpec, default_terminal_zone, floor_applies
-from .trainer import VARIANTS, RunConfig
+from .trainer import MAX_STEP_BUDGET, VARIANTS, RunConfig
 
 
 class ConfigError(ValueError):
@@ -214,6 +217,22 @@ def _validate_run(run: RunConfig) -> list[str]:
     return errors
 
 
+def _validate_budget(run: RunConfig, track: TrackSection) -> list[str]:
+    """The episode step budget within ``MAX_STEP_BUDGET``, or one line
+    naming the field that sets it."""
+    try:
+        budget = run.resolved_budget(track)
+    except OverflowError:  # a track.dt so small that the default budget is infinite
+        budget = math.inf
+    if budget <= MAX_STEP_BUDGET:
+        return []
+    if run.step_budget is not None:
+        return [f"run.step_budget: {budget} steps per episode exceeds the cap of "
+                f"{MAX_STEP_BUDGET}"]
+    return [f"track.dt: {track.dt} s gives a default budget of {budget} steps per episode "
+            f"(3 x scheduled_time / dt), above the cap of {MAX_STEP_BUDGET}"]
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and fully validate one scenario file; raises ConfigError."""
     raw = yaml.safe_load(Path(path).read_text())
@@ -248,6 +267,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
                         ("run", _validate_run)):
         if blocks[name]:
             errors += check(blocks[name])
+    # the budget divides by track.dt, which validate_track has checked is > 0
+    if blocks["run"] and track and track.dt > 0.0:
+        errors += _validate_budget(blocks["run"], track)
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(**blocks)

@@ -348,7 +348,8 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
     The agent is built as ``cfg`` says but with the stored hidden sizes, and
     the stored weights are written into its own nets, rounded to their dtype.
     Raises CheckpointError, naming the file and the field, for a file that is
-    not a format-1 checkpoint of a known kind holding exactly that kind's
+    not a format-1 checkpoint of a known kind, with an ``additional_converged``
+    of true or false (missing means false), holding exactly that kind's
     nets, each with weights and biases shaped as its layer sizes say, finite
     in the agent's dtype, and with the layer sizes and activation the agent
     builds for it.
@@ -364,6 +365,10 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
     kind = blob.get("kind")
     if kind not in AGENT_KINDS:
         raise CheckpointError(path, "kind", f"expected one of {sorted(AGENT_KINDS)}, got {kind!r}")
+    converged = blob.get("additional_converged", False)
+    if not isinstance(converged, bool):
+        raise CheckpointError(path, "additional_converged",
+                              f"expected true or false, got {converged!r}")
     agent_cls = AGENT_KINDS[kind]
     stored = blob.get("nets")
     if not isinstance(stored, dict) or set(stored) != set(agent_cls.net_names):
@@ -397,5 +402,5 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
                 if not finite.all():
                     raise CheckpointError(path, f"nets.{name}", f"{field}[{i}]: expected finite "
                                           f"{values.dtype} values, got {values[~finite][0]}")
-    agent.additional_converged = bool(blob.get("additional_converged", False))
+    agent.additional_converged = converged
     return agent

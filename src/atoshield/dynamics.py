@@ -7,11 +7,13 @@ command that entered it (``last_cmd``, 0 for a fresh state), so the shield's
 reversal rule reads the drivetrain's last working condition from its sign.
 
 Each formula has one body over a table of elementwise primitives, run on
-Python floats by :func:`step` and on numpy arrays by the search tree, which
-steps a whole tree level through :func:`_transition` at once, so a physics
-fix edits only that body.  The motion of an interval has its own
-body, which the shield certifies on without the energies and reward that a
-step adds on top.
+Python floats by :func:`step` and on numpy arrays by the search tree, so a
+physics fix edits only that body.  An interval is two bodies:
+:func:`_kinematics`, its motion, and :func:`_price`, the energies and
+reward of that motion, which :func:`_transition` runs one after the other.
+The shield certifies on the motion alone.  The search tree steps whole
+levels on it too, and prices only the trees that survive pruning, each
+level in one array call.
 """
 
 from __future__ import annotations
@@ -219,24 +221,36 @@ def _kinematics(ops: Ops, model, track, loc, vel, cmd):
     )
 
 
-def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel):
-    """One unchecked interval: (loc, vel, time, reward, traction energy,
-    regen energy, applied acceleration, arrived) of the next state."""
-    a_motor, a, mean_speed, dist, loc1, vel1, arrived = _kinematics(
-        ops, model, track, loc, vel, cmd
-    )
-    t1 = time + track.dt
+def _price(ops: Ops, model, track, weights, cmd, a_motor, accel, mean_speed, arrived, t1,
+           prev_accel):
+    """An interval's (reward, traction energy, regen energy) from its motion:
+    the command, the motor and applied accelerations and mean speed that
+    :func:`_kinematics` gives, whether it arrived, the time it ends at, and
+    the applied acceleration of the interval before it (for the jerk term).
+    The energies come first, and :func:`_reward_terms` reads them."""
     traction = cmd > 0.0
     mass = model.mass_kg
+    dist = mean_speed * track.dt
     energy_traction = ops.where(traction, a_motor * mass * dist / JOULES_PER_KWH, 0.0)
     energy_regen = ops.where(
         traction, 0.0, -model.regen_efficiency * abs(a_motor) * mass * dist / JOULES_PER_KWH
     )
     e_term, d_term, c_term = _reward_terms(
         ops, track, weights, cmd, energy_traction, energy_regen,
-        mean_speed, a, prev_accel, arrived, t1,
+        mean_speed, accel, prev_accel, arrived, t1,
     )
-    return loc1, vel1, t1, -(e_term + d_term + c_term), energy_traction, energy_regen, a, arrived
+    return -(e_term + d_term + c_term), energy_traction, energy_regen
+
+
+def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel):
+    """One unchecked interval: (loc, vel, time, reward, traction energy,
+    regen energy, applied acceleration, arrived) of the next state."""
+    a_motor, a, mean_speed, _, loc1, vel1, arrived = _kinematics(ops, model, track, loc, vel, cmd)
+    t1 = time + track.dt
+    reward, energy_traction, energy_regen = _price(
+        ops, model, track, weights, cmd, a_motor, a, mean_speed, arrived, t1, prev_accel
+    )
+    return loc1, vel1, t1, reward, energy_traction, energy_regen, a, arrived
 
 
 def _check_command(ops: Ops, cmd) -> None:

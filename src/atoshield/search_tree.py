@@ -10,25 +10,31 @@ return wins (ties resolve toward harder braking).
 The tree is one struct-of-arrays per level, with no Python object per node.
 Every node of a level sits at the same environment step, so level k holds
 the nodes entered at step ``t + 1 + k`` as parallel arrays (:class:`Level`):
-command, reward, state, applied acceleration, whether the episode ended, and
-the row of the parent in the previous level.  :func:`build_tree` steps each
-root with :func:`~.dynamics.step` from the unsafe state, then appends one
-level per step: one sampler call over the raw ``(loc, vel, time)`` rows of
-the level's open nodes, one range check of the sampled commands, and one
-array step of the transition kernel over the (node, sample) pairs, whose
-outcome both certifies each pair (:func:`~.shield.rule_codes` is 0, with the
-parent's ``cmd`` as the command that entered its state) and, when it is
-safe, becomes a row of the next level.  The commands are the only level
-inputs from outside the tree: every parent row is the kernel's own output
-from checked inputs.  A level wider than ``_BLOCK_PAIRS`` pairs is stepped
-in blocks of that many.  Children keep their sample order under their
-parent, so a level's ``parent`` column never decreases, and a sampler whose
-draws depend only on the state gives the same tree as expanding one node at
-a time, depth first.
+command, the motion of the interval that entered the node (motor and
+applied acceleration, mean speed), state, whether the episode ended, and
+the row of the parent in the previous level.  The tree is built on motion
+alone, with :func:`~.dynamics._kinematics`.  :func:`build_tree` checks the
+unsafe state and the safe set as :func:`~.dynamics.step` would, steps all
+roots in one array call, then appends one level per step: one sampler call
+over the raw ``(loc, vel, time)`` rows of the level's open nodes, one range
+check of the sampled commands, and one array step over the (node, sample)
+pairs, whose outcome both certifies each pair
+(:func:`~.shield.rule_codes` is 0, with the parent's ``cmd`` as the command
+that entered its state) and, when it is safe, becomes a row of the next
+level.  The commands are the only level inputs from outside the tree: every
+parent row is the kernel's own output from checked inputs.  A level wider
+than ``_BLOCK_PAIRS`` pairs is stepped in blocks of that many.  Children
+keep their sample order under their parent, so a level's ``parent`` column
+never decreases, and a sampler whose draws depend only on the state gives
+the same tree as expanding one node at a time, depth first.
 
-:func:`prune` and :func:`backup` are each one bottom-up pass over the levels,
-and :func:`select_safe_action` reads the root level.  Children are summed
-with ``np.bincount(parent, weights=...)``, which adds in input order (sample
+A tree that :func:`prune` kills needs no rewards, so they are computed
+only for a tree that keeps a root: :func:`price` runs
+:func:`~.dynamics._price`, the reward body of :func:`~.dynamics.step`, once
+per level, and gives every node the reward ``step`` would have given it.  :func:`prune` and :func:`backup`
+are each one bottom-up pass over the levels, and :func:`select_safe_action`
+reads the root level.  Children are summed with
+``np.bincount(parent, weights=...)``, which adds in input order (sample
 order), as a sequential sum over each node's children does.
 """
 
@@ -39,7 +45,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ARRAYS, OperationState, _check_command, _transition, step
+from .dynamics import (
+    ARRAYS, FLOATS, OperationState, _check_command, _check_step_inputs, _kinematics, _price,
+)
 from .shield import SafetySpec, rule_codes
 
 if TYPE_CHECKING:
@@ -74,7 +82,8 @@ class Level:
     """The nodes of one tree depth as parallel arrays, one row per node."""
 
     cmd: np.ndarray  # command entering the node
-    reward: np.ndarray  # reward of that transition
+    a_motor: np.ndarray  # motor accel of that transition, m/s^2: prices its energy
+    mean_speed: np.ndarray  # its mean speed, m/s: prices its energy and timekeeping
     loc: np.ndarray  # state entered: m
     vel: np.ndarray  # km/h
     time: np.ndarray  # s
@@ -82,13 +91,14 @@ class Level:
     terminal: np.ndarray  # bool: the transition ended the episode
     parent: np.ndarray  # row of the parent in the previous level; roots: 0, the unsafe state
     alive: np.ndarray | None = None  # bool, set by prune
+    reward: np.ndarray | None = None  # reward of the transition, set by price
     ret: np.ndarray | None = None  # backed-up return, set by backup
 
     def __len__(self) -> int:
         return len(self.cmd)
 
 
-_ARRAYS = tuple(f.name for f in fields(Level) if f.name not in ("alive", "ret"))
+_ARRAYS = tuple(f.name for f in fields(Level) if f.name not in ("alive", "reward", "ret"))
 
 
 class SearchTree:
@@ -142,30 +152,33 @@ def build_tree(
     t: int,
     t_up: int,
     cfg: SearchConfig,
-    prev_accel: float = 0.0,
 ) -> SearchTree:
     """Grow one root per safe candidate command taken from the unsafe state.
 
     ``t`` is the environment step at which the unsafe proposal occurred; roots
     therefore sit at step t+1.  Branches end at the next multiple of ``t_up``,
-    the policy-update cadence.  Transitions use ``env``'s model, track and
-    reward weights.  Unsafe policy samples are dropped rather than replaced,
-    so branches can die out before the update step and get pruned.
+    the policy-update cadence.  Transitions use ``env``'s model and track,
+    and no node is priced (see :func:`price`).  Unsafe policy samples are
+    dropped rather than replaced, so branches can die out before the update
+    step and get pruned.
     """
     if not safe_set:
         raise ValueError("safe_set must be nonempty")
     if t_up < 1:
         raise ValueError("t_up must be >= 1")
-    model, track, weights = env.model, env.track, env.weights
+    model, track = env.model, env.track
     cmds = np.asarray(safe_set, dtype=float)
-    # step checks the unsafe state, the roots' only input from outside the tree
-    outs = [step(model, track, state_unsafe, cmd, weights, prev_accel) for cmd in cmds.tolist()]
-    reward, loc, vel, time, accel = np.array([
-        (out.reward, out.next_state.loc, out.next_state.vel, out.next_state.time, out.accel_applied)
-        for out in outs
-    ], dtype=float).T
-    terminal = np.array([out.arrived for out in outs], dtype=bool)
-    levels = [Level(cmds, reward, loc, vel, time, accel, terminal, np.zeros(cmds.size, np.intp))]
+    # the unsafe state and the safe set are the roots' only inputs from outside
+    # the tree: checked as stepping each command in turn would check them
+    loc, vel = state_unsafe.loc, state_unsafe.vel
+    _check_step_inputs(FLOATS, track, loc, vel, float(cmds[0]))
+    _check_command(ARRAYS, cmds)
+    a_motor, accel, mean_speed, _, loc1, vel1, arrived = _kinematics(
+        ARRAYS, model, track, loc, vel, cmds
+    )
+    time1 = np.full(cmds.size, state_unsafe.time + track.dt)
+    levels = [Level(cmds, a_motor, mean_speed, loc1, vel1, time1, accel, arrived,
+                    np.zeros(cmds.size, np.intp))]
     width = cfg.expansion_width
     depth_step = t + 1
     while depth_step % t_up != 0:
@@ -188,15 +201,16 @@ def build_tree(
             pairs = slice(lo, lo + _BLOCK_PAIRS)
             parent, block_cmd = pair_parent[pairs], cmd[pairs]
             loc, vel = above.loc[parent], above.vel[parent]
-            loc1, vel1, time1, reward, _, _, accel, arrived = _transition(
-                ARRAYS, model, track, loc, vel, above.time[parent], block_cmd, weights,
-                above.accel[parent],
+            a_motor, accel, mean_speed, _, loc1, vel1, arrived = _kinematics(
+                ARRAYS, model, track, loc, vel, block_cmd
             )
             codes = rule_codes(spec, model, track, loc, vel, above.cmd[parent], block_cmd,
                                accel, loc1, vel1, arrived)
             safe = np.flatnonzero(codes == 0)
-            blocks.append(Level(block_cmd[safe], reward[safe], loc1[safe], vel1[safe],
-                                time1[safe], accel[safe], arrived[safe], parent[safe]))
+            kept = parent[safe]
+            blocks.append(Level(block_cmd[safe], a_motor[safe], mean_speed[safe], loc1[safe],
+                                vel1[safe], above.time[kept] + track.dt, accel[safe],
+                                arrived[safe], kept))
         level = blocks[0] if len(blocks) == 1 else Level(
             *(np.concatenate([getattr(b, name) for b in blocks]) for name in _ARRAYS)
         )
@@ -225,6 +239,21 @@ def prune(tree: SearchTree, t_up: int) -> SearchTree | None:
         level.alive = alive
         below = level
     return tree if tree.levels[0].alive.any() else None
+
+
+def price(tree: SearchTree, env: "TrainEnv", prev_accel: float = 0.0) -> None:
+    """Fill each level's ``reward`` with ``env``'s reward weights: each node
+    gets the reward of :func:`~.dynamics.step` into it, bitwise.  Roots follow
+    the unsafe state, entered with applied acceleration ``prev_accel``; every
+    other node follows its parent's ``accel``."""
+    model, track, weights = env.model, env.track, env.weights
+    accel_in = prev_accel
+    for depth, level in enumerate(tree.levels):
+        if depth:
+            accel_in = tree.levels[depth - 1].accel[level.parent]
+        level.reward = _price(ARRAYS, model, track, weights, level.cmd, level.a_motor,
+                              level.accel, level.mean_speed, level.terminal, level.time,
+                              accel_in)[0]
 
 
 def backup(tree: SearchTree, cfg: SearchConfig) -> None:
@@ -264,13 +293,16 @@ def search_safe_action(
     cfg: SearchConfig,
     prev_accel: float = 0.0,
 ) -> float:
-    """Full correction pipeline: build, prune, back up, select.
+    """Full correction pipeline: build, prune, price, back up, select.
 
     Falls back to the hardest-braking safe candidate when pruning kills every
-    root, the conservative default for a train protection system.
+    root, the conservative default for a train protection system; a tree that
+    falls back is never priced.  ``prev_accel`` is the applied acceleration
+    that entered the unsafe state, for the roots' jerk term.
     """
-    tree = build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg, prev_accel)
+    tree = build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg)
     if prune(tree, t_up) is None:
         return min(safe_set)
+    price(tree, env, prev_accel)
     backup(tree, cfg)
     return select_safe_action(tree)

@@ -72,6 +72,12 @@ def variant_correction(variant: str) -> str:
     return "none"
 
 
+# The most environment steps one episode may take.  ``config.load_config``
+# rejects a scenario whose ``RunConfig.resolved_budget`` exceeds it, so every
+# validated scenario runs episodes of bounded length (the bundled one: 330).
+MAX_STEP_BUDGET = 100_000
+
+
 @dataclass
 class RunConfig:
     max_episodes: int | None = None  # per-variant default: 400 ddpg, 500 sac

@@ -586,6 +586,21 @@ class TestCheckpoint:
         assert str(info.value) == (f"checkpoint {path}: nets.additional: {field}[{index}]: "
                                    f"expected finite float32 values, got {shown}")
 
+    @pytest.mark.parametrize("value", ["false", 1], ids=["string", "integer"])
+    def test_converged_flag_must_be_a_json_boolean(self, rng, tmp_path, value):
+        # bool("false") is True: a lax read would run the additional actor
+        path = saved(tmp_path, DdpgAgent(3, SMALL, rng),
+                     lambda blob: blob.update(additional_converged=value))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, SMALL, np.random.default_rng(0))
+        assert str(info.value) == (f"checkpoint {path}: additional_converged: "
+                                   f"expected true or false, got {value!r}")
+
+    def test_missing_converged_flag_means_false(self, rng, tmp_path):
+        path = saved(tmp_path, DdpgAgent(3, SMALL, rng),
+                     lambda blob: blob.pop("additional_converged"))
+        assert load_checkpoint(path, SMALL, np.random.default_rng(0)).additional_converged is False
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
     def test_unreadable_file(self, tmp_path, text):
         path = tmp_path / "ckpt.json"

@@ -95,6 +95,35 @@ class TestValidateConfig:
         assert cfg.track.length == 1500.0
         assert cfg.safety.terminal_zone is not None
 
+    def test_bundled_budget_is_under_the_cap(self):
+        cfg = load_config(default_scenario_path())
+        assert cfg.run.resolved_budget(cfg.track) == 330 < trainer.MAX_STEP_BUDGET
+
+    @pytest.mark.parametrize("block, key, value, field", [
+        ("run", "step_budget", 1_000_000_000_000, "run.step_budget"),
+        ("run", "step_budget", trainer.MAX_STEP_BUDGET + 1, "run.step_budget"),
+        # 330 million steps per episode by the default budget
+        ("track", "dt", 1.0e-6, "track.dt"),
+        # so small that the default budget overflows a float
+        ("track", "dt", 5e-324, "track.dt"),
+    ], ids=["trillion", "one-over", "microsecond", "subnormal"])
+    def test_step_budget_capped(self, tmp_path, default_yaml, block, key, value, field):
+        blob = copy.deepcopy(default_yaml)
+        blob[block][key] = value
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(f"{field}: ")
+        assert str(trainer.MAX_STEP_BUDGET) in err.value.errors[0]
+
+    def test_step_budget_at_the_cap_loads(self, tmp_path, default_yaml):
+        blob = copy.deepcopy(default_yaml)
+        # a budget of its own overrides the default one of a fine dt
+        blob["run"]["step_budget"] = trainer.MAX_STEP_BUDGET
+        blob["track"]["dt"] = 1.0e-6
+        cfg = load_config(dump(tmp_path, blob))
+        assert cfg.run.resolved_budget(cfg.track) == trainer.MAX_STEP_BUDGET
+
     def test_steep_grade_reported(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
         blob["track"]["grade_segments"] = [[0.0, 1500.0, -2.0]]
@@ -498,6 +527,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {ckpt}: nets: ")
         assert err.count("\n") == 1
+
+    def test_string_converged_flag_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
+        train_out = tmp_path / "t"
+        assert main(["train", "--config", str(tiny_yaml), "--seed", "0",
+                     "--out", str(train_out)]) == 0
+        ckpt = train_out / "checkpoint_ssa_ddpg_seed0.json"
+        blob = json.loads(ckpt.read_text())
+        blob["additional_converged"] = "false"
+        ckpt.write_text(json.dumps(blob))
+        capsys.readouterr()
+        code = main(["execute", "--config", str(tiny_yaml), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: checkpoint {ckpt}: additional_converged: "
+                       "expected true or false, got 'false'\n")
 
     def test_non_finite_checkpoint_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
         train_out = tmp_path / "t"

@@ -106,19 +106,25 @@ def test_built_tree_walks_under_the_ledger(ledger_module):
     assert ledger.counters["fallbacks"] == 0
 
 
-def test_root_steps_count_as_dynamics_step_calls(ledger_module):
-    # build_tree steps each root with the dynamics.step it binds, so the
-    # ledger's dynamics.step count takes in one call per safe candidate
+def test_tree_search_makes_no_dynamics_step_call(ledger_module):
+    # the tree steps roots and levels on dynamics._kinematics and prices on
+    # dynamics._price, so the ledger's dynamics.step count is environment
+    # steps alone
     model, track, spec = make_model(), make_track(), SafetySpec()
     env = TrainEnv(model, track)
     state = OperationState(loc=100.0, vel=30.0)
     safe_set = safe_action_set(spec, model, track, state, 9)
+    args = (env, spec, lambda states, n: np.full((len(states), n), 0.5), state, safe_set, 0, 5,
+            SearchConfig(expansion_width=2))
     with ledger_module.Ledger() as ledger:
         before = ledger.stats["dynamics.step"].calls
-        search_tree.build_tree(env, spec, lambda states, n: np.full((len(states), n), 0.5),
-                               state, safe_set, 0, 5, SearchConfig(expansion_width=2))
-    assert ledger.stats["search_tree.build_tree"].calls == 1
-    assert ledger.stats["dynamics.step"].calls - before == len(safe_set) > 1
+        search_tree.build_tree(*args)
+        assert ledger.stats["dynamics.step"].calls == before
+        assert search_tree.search_safe_action(*args) in safe_set
+        assert ledger.stats["dynamics.step"].calls == before
+    assert ledger.stats["search_tree.build_tree"].calls == 2
+    assert ledger.counters["nodes_built"] > 2 * len(safe_set) > 2
+    assert ledger.counters["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("run", ["noise_test", "train"])

@@ -8,7 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atoshield import search_tree, trainer
+from atoshield import dynamics, search_tree, trainer
 from atoshield.config import ConfigError, default_scenario_path, load_config
 from atoshield.dynamics import OperationState, RewardWeights, step
 from atoshield.search_tree import (
@@ -17,6 +17,7 @@ from atoshield.search_tree import (
     SearchTree,
     backup,
     build_tree,
+    price,
     prune,
     search_safe_action,
     select_safe_action,
@@ -71,20 +72,25 @@ def to_tree(roots, root_step):
             return column(lambda n: 0.0 if n.state is None else getattr(n.state, name))
 
         levels.append(Level(
-            cmd=column(lambda n: n.cmd), reward=column(lambda n: n.reward),
+            cmd=column(lambda n: n.cmd), a_motor=column(lambda n: 0.0),
+            mean_speed=column(lambda n: 0.0),
             loc=state("loc"), vel=state("vel"), time=state("time"),
             accel=column(lambda n: n.accel),
             terminal=np.array([n.terminal for n in nodes], dtype=bool),
             parent=np.array([k for _, k in rows], dtype=np.intp),
+            reward=column(lambda n: n.reward),
         ))
     return SearchTree(levels, root_step)
 
 
-def assert_same_levels(tree, roots):
-    """Every level equals the reference forest's breadth-first rows, exactly."""
+def assert_same_levels(tree, roots, env, prev_accel=0.0):
+    """Every level equals the reference forest's breadth-first rows, exactly,
+    rewards once :func:`price` has run: ``build_tree`` leaves them unset."""
     want = breadth_first_levels(roots)
     assert tree.root_step == roots[0].depth_step
     assert len(tree.levels) == len(want)
+    assert all(level.reward is None for level in tree.levels)
+    price(tree, env, prev_accel)
     for depth, (level, rows) in enumerate(zip(tree.levels, want)):
         nodes = [n for n, _ in rows]
         assert all(n.depth_step == tree.root_step + depth for n in nodes)
@@ -164,6 +170,7 @@ class TestBuildTree:
         def run():
             tree = build_tree(env, PLAIN, seeded_policy(7), state, [-0.5, 0.0], 2, T_UP, CFG)
             assert prune(tree, T_UP) is tree
+            price(tree, env, 0.4)
             backup(tree, CFG)
             return [level.ret.tolist() for level in tree.levels]
 
@@ -194,8 +201,9 @@ class TestBuildTree:
 
 
 class TestStepping:
-    """Roots are scalar steps from the unsafe state; a level's sampled
-    commands are range-checked once, before any of its pairs is stepped."""
+    """Roots and levels step on kinematics and, once priced, equal scalar
+    steps from the unsafe state; a level's sampled commands are
+    range-checked once, before any of its pairs is stepped."""
 
     @pytest.mark.parametrize("loc, vel, time, prev_accel", [
         (300.0, 55.0, 3.0, 0.0), (460.0, 66.0, 1.0, 0.8), (1495.0, 30.0, 90.0, -1.1),
@@ -206,8 +214,9 @@ class TestStepping:
         env = TrainEnv(make_model(), track, RewardWeights(alpha_traction=2.0, jerk_threshold=2.5))
         state = OperationState(loc, vel, time, 0.3)
         safe_set = [-1.0, -0.5, 0.0, 0.25, 1.0]
-        roots = build_tree(env, PLAIN, steady_policy(0.0), state, safe_set, 3, T_UP, CFG,
-                           prev_accel).levels[0]
+        tree = build_tree(env, PLAIN, steady_policy(0.0), state, safe_set, 3, T_UP, CFG)
+        price(tree, env, prev_accel)
+        roots = tree.levels[0]
         outs = [step(env.model, track, state, cmd, env.weights, prev_accel) for cmd in safe_set]
         want = {
             "reward": [out.reward for out in outs],
@@ -247,14 +256,48 @@ class TestStepping:
             return samples
 
         stepped = []
-        kernel = search_tree._transition
-        monkeypatch.setattr(search_tree, "_transition", lambda *a: stepped.append(a) or kernel(*a))
+        kernel = search_tree._kinematics
+        monkeypatch.setattr(search_tree, "_kinematics", lambda *a: stepped.append(a) or kernel(*a))
         with pytest.raises(ValueError) as want:
             step(env.model, env.track, state, bad)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             build_tree(env, PLAIN, sampler, state, safe_set, 0, T_UP,
                        SearchConfig(expansion_width=width))
-        assert stepped == []
+        # the roots' one array step over the safe set, and no pair of the bad level
+        assert [args[-1].tolist() for args in stepped] == [safe_set]
+
+
+class TestPricedAfterPrune:
+    """No reward or energy term runs while a tree is built, nor for a tree
+    that falls back; a tree that keeps a root is priced."""
+
+    @pytest.fixture()
+    def unpriced(self, monkeypatch):
+        def no_reward(*args):
+            raise AssertionError("a reward or energy term ran")
+
+        # _price runs _reward_terms after both energies, so no pricing runs unseen
+        monkeypatch.setattr(dynamics, "_reward_terms", no_reward)
+
+    def test_build_runs_no_reward_term(self, env, unpriced):
+        state = OperationState(loc=300.0, vel=55.0)
+        safe_set = safe_action_set(PLAIN, env.model, env.track, state, 9)
+        tree = build_tree(env, PLAIN, seeded_policy(3), state, safe_set, 1, T_UP, CFG)
+        assert len(tree.levels) > 1
+        assert all(level.reward is None for level in tree.levels)
+
+    def test_fallback_runs_no_reward_term(self, env, unpriced):
+        state = OperationState(loc=200.0, vel=79.8)
+        assert search_safe_action(
+            env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG
+        ) == -1.0
+
+    def test_kept_root_is_priced(self, env, unpriced):
+        state = OperationState(loc=300.0, vel=55.0)
+        tree = build_tree(env, PLAIN, seeded_policy(3), state, [-0.5, 0.0], 1, T_UP, CFG)
+        assert prune(tree, T_UP) is tree
+        with pytest.raises(AssertionError, match="reward or energy"):
+            search_safe_action(env, PLAIN, seeded_policy(3), state, [-0.5, 0.0], 1, T_UP, CFG)
 
 
 def wavy_policy(states, n):
@@ -295,14 +338,15 @@ class TestMatchesDepthFirstReference:
             if not safe_set:
                 continue
             args = (env, spec, policy, state, safe_set, t, 4, cfg, prev_accel)
-            assert_same_levels(build_tree(*args), reference_build_tree(*args))
+            assert_same_levels(build_tree(*args[:-1]), reference_build_tree(*args), env,
+                               prev_accel)
             assert search_safe_action(*args) == reference_search(*args)
 
     def test_all_unsafe_samples_fall_back_to_hardest_braking(self, env):
         state = OperationState(loc=200.0, vel=79.8)
         args = (env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG)
         tree = build_tree(*args)
-        assert_same_levels(tree, reference_build_tree(*args))
+        assert_same_levels(tree, reference_build_tree(*args), env)
         assert prune(tree, T_UP) is None
         assert not tree.levels[0].alive.any()
         assert search_safe_action(*args) == reference_search(*args) == -1.0
@@ -315,7 +359,7 @@ class TestMatchesDepthFirstReference:
 
         def checked_search(*args):
             want = reference_build_tree(*args)
-            assert_same_levels(build_tree(*args), want)
+            assert_same_levels(build_tree(*args[:8]), want, args[0], args[8])
             chosen = search_safe_action(*args)
             assert args[6] == 7
             assert chosen == reference_choice(want, args[4], args[6], args[7])
@@ -325,6 +369,32 @@ class TestMatchesDepthFirstReference:
         monkeypatch.setattr(trainer, "search_safe_action", checked_search)
         metrics = trainer.noise_test(cfg, 1.0, episodes=1)
         assert len(checked) == metrics[0].protect_times > 0
+
+    def test_probe_tree_shape_pinned(self, monkeypatch):
+        # the +1 probe's digest and pins read only the executed commands,
+        # which mostly fall back to min(safe_set): the tree's size and its
+        # fallbacks are pinned here
+        cfg = load_config(default_scenario_path())
+        cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, t_up=7))
+        built, fell_back = [], []
+        build, cut = search_tree.build_tree, search_tree.prune
+
+        def counted_build(*args):
+            tree = build(*args)
+            built.append(sum(len(level) for level in tree.levels))
+            return tree
+
+        def counted_prune(tree, t_up):
+            kept = cut(tree, t_up)
+            fell_back.append(kept is None)
+            return kept
+
+        monkeypatch.setattr(search_tree, "build_tree", counted_build)
+        monkeypatch.setattr(search_tree, "prune", counted_prune)
+        metrics = trainer.noise_test(cfg, 1.0, episodes=1)
+        assert metrics[0].protect_times == len(built) == len(fell_back) == 30
+        assert sum(fell_back) == 20
+        assert sum(built) == 6112
 
     def test_sampler_gets_raw_state_rows_of_open_nodes(self, env):
         seen = []

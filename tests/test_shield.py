@@ -534,8 +534,8 @@ class TestCertifierRunsKinematicsOnly:
         def no_reward(*args):
             raise AssertionError("the certifier ran a reward or energy term")
 
-        # _transition runs _reward_terms after both energies, so no scalar or
-        # array transition can run unseen
+        # _price runs _reward_terms after both energies, so no scalar or
+        # array pricing can run unseen
         monkeypatch.setattr(dynamics, "_reward_terms", no_reward)
         assert certify() == want
         # the rollouts stepped: more intervals than one per certified command
