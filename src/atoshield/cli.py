@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +167,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     seeds = list(cfg.run.seeds)
     if args.workers > 1 and len(seeds) > 1:
+        # imported here so that every other command skips concurrent.futures,
+        # which loads multiprocessing and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = [pool.submit(_train_one_seed, cfg, seed, out) for seed in seeds]
             runs = [_seed_run(seed, fut.result) for seed, fut in zip(seeds, futures)]
@@ -249,12 +252,12 @@ def cmd_robustness(args) -> int:
     else:
         levels = [round(0.1 * k, 1) for k in range(1, 6)]
         grid = [(e, d) for e in levels for d in levels]
+    cells = robustness_run(agent, cfg, grid, seed=cfg.run.seeds[0])
     with open(out / "pcc_grid.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps_r", "delta_r", "pcc_speed", "pcc_action", "pcc_accel",
                          "arrived", "overspeed"])
-        for eps_r, delta_r in grid:
-            metrics, triple = robustness_run(agent, cfg, eps_r, delta_r, seed=cfg.run.seeds[0])
+        for (eps_r, delta_r), (metrics, triple) in zip(grid, cells):
             writer.writerow([
                 eps_r, delta_r,
                 "" if triple.speed is None else f"{triple.speed:.6f}",

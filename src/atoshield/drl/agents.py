@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..dynamics import ARRAYS, FLOATS, Ops
 from .buffers import EliteBuffer, Trajectory
 from .nets import Adam, Mlp, soft_update
 from .noise import NoiseProcess, act, act_with_noise
@@ -108,27 +109,26 @@ def gaussian_log_prob(eps: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     return -0.5 * (eps**2 + math.log(2.0 * math.pi)) - log_std
 
 
-def squashed_draw(out: np.ndarray, rng: np.random.Generator):
-    """One reparameterized tanh-squashed action per row of a policy output.
-
-    ``out`` is the policy's (rows, 2) output of means and raw log-stds, from
-    ``forward`` or ``forward_cached``.  The unit draw is made in its dtype,
-    so every array here has it.  Returns the actions, (rows, 1), then what
-    the log-prob and the gradients need: the clipped log-std, std and the
-    unit draw.
+def squashed_draw(ops: Ops, mean, raw_log_std, eps):
+    """Reparameterized tanh-squashed actions from a policy's means, raw
+    log-stds and unit draws: one row's numpy scalars with ``FLOATS``, or
+    (rows, 1) columns with ``ARRAYS``, all in the net's dtype.  The clip
+    bounds take that dtype and ``exp`` and ``tanh`` are numpy's on both, so
+    a row gives the bytes of its column entry.  Returns the actions, then
+    the clipped log-std and std that the log-prob and the gradients need.
     """
-    log_std = np.minimum(np.maximum(out[:, 1:2], LOG_STD_MIN), LOG_STD_MAX)
+    bound = raw_log_std.dtype.type
+    log_std = ops.minimum(ops.maximum(raw_log_std, bound(LOG_STD_MIN)), bound(LOG_STD_MAX))
     std = np.exp(log_std)
-    eps = rng.standard_normal((out.shape[0], 1), dtype=out.dtype)
-    a = np.tanh(out[:, 0:1] + std * eps)
-    return a, log_std, std, eps
+    return np.tanh(mean + std * eps), log_std, std
 
 
 def squashed_sample(policy: Mlp, s: np.ndarray, rng: np.random.Generator):
     """Draw tanh-squashed actions with everything the gradients need."""
     out, cache = policy.forward_cached(s)
-    a, log_std, std, eps = squashed_draw(out, rng)
     raw = out[:, 1:2]
+    eps = rng.standard_normal((out.shape[0], 1), dtype=out.dtype)
+    a, log_std, std = squashed_draw(ARRAYS, out[:, 0:1], raw, eps)
     log_prob = gaussian_log_prob(eps, log_std) - np.log(1.0 - a**2 + _TANH_EPS)
     clip_mask = ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(raw.dtype)
     return a, log_prob, cache, {
@@ -300,12 +300,16 @@ class SacAgent:
         return float(np.tanh(out[0, 0]))
 
     def propose(self, s_vec: np.ndarray) -> float:
-        return float(squashed_draw(self.policy.forward(s_vec), self.rng)[0][0, 0])
+        out = self.policy.forward(s_vec)
+        # one scalar draw takes the stream's next value, as a (1, 1) draw does
+        eps = self.rng.standard_normal(dtype=out.dtype)
+        return float(squashed_draw(FLOATS, out[0, 0], out[0, 1], eps)[0])
 
     def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
         """n squashed policy samples per state, (rows, n), drawn row-major."""
-        s = np.repeat(np.atleast_2d(states), n, axis=0)
-        return squashed_draw(self.policy.forward(s), self.rng)[0].reshape(-1, n)
+        out = self.policy.forward(np.repeat(np.atleast_2d(states), n, axis=0))
+        eps = self.rng.standard_normal((out.shape[0], 1), dtype=out.dtype)
+        return squashed_draw(ARRAYS, out[:, 0:1], out[:, 1:2], eps)[0].reshape(-1, n)
 
     def act_additional(self, s_vec: np.ndarray) -> float:
         return act(self.additional, s_vec)

@@ -202,8 +202,8 @@ def _reward_terms(
 
 def _kinematics(ops: Ops, model, track, loc, vel, cmd):
     """One unchecked interval's motion: (motor acceleration, applied
-    acceleration, mean speed in m/s, distance, next loc, next vel in km/h,
-    arrived).  The next loc is clamped to the section end on arrival."""
+    acceleration, mean speed in m/s, next loc, next vel in km/h, arrived).
+    The next loc is clamped to the section end on arrival."""
     dt = track.dt
     v0 = vel / KMH_PER_MPS  # m/s
     a_motor = _motor_accel(ops, model, cmd, vel)
@@ -212,12 +212,11 @@ def _kinematics(ops: Ops, model, track, loc, vel, cmd):
 
     v1 = ops.maximum(0.0, v0 + a * dt)
     mean_speed = 0.5 * (v0 + v1)
-    dist = mean_speed * dt
-    raw_loc = loc + dist
+    raw_loc = loc + mean_speed * dt
     arrived = raw_loc >= track.length
     return (
-        a_motor, a, mean_speed, dist, ops.where(arrived, track.length, raw_loc),
-        v1 * KMH_PER_MPS, arrived,
+        a_motor, a, mean_speed, ops.where(arrived, track.length, raw_loc), v1 * KMH_PER_MPS,
+        arrived,
     )
 
 
@@ -245,7 +244,7 @@ def _price(ops: Ops, model, track, weights, cmd, a_motor, accel, mean_speed, arr
 def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel):
     """One unchecked interval: (loc, vel, time, reward, traction energy,
     regen energy, applied acceleration, arrived) of the next state."""
-    a_motor, a, mean_speed, _, loc1, vel1, arrived = _kinematics(ops, model, track, loc, vel, cmd)
+    a_motor, a, mean_speed, loc1, vel1, arrived = _kinematics(ops, model, track, loc, vel, cmd)
     t1 = time + track.dt
     reward, energy_traction, energy_regen = _price(
         ops, model, track, weights, cmd, a_motor, a, mean_speed, arrived, t1, prev_accel

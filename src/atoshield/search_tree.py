@@ -173,7 +173,7 @@ def build_tree(
     loc, vel = state_unsafe.loc, state_unsafe.vel
     _check_step_inputs(FLOATS, track, loc, vel, float(cmds[0]))
     _check_command(ARRAYS, cmds)
-    a_motor, accel, mean_speed, _, loc1, vel1, arrived = _kinematics(
+    a_motor, accel, mean_speed, loc1, vel1, arrived = _kinematics(
         ARRAYS, model, track, loc, vel, cmds
     )
     time1 = np.full(cmds.size, state_unsafe.time + track.dt)
@@ -201,7 +201,7 @@ def build_tree(
             pairs = slice(lo, lo + _BLOCK_PAIRS)
             parent, block_cmd = pair_parent[pairs], cmd[pairs]
             loc, vel = above.loc[parent], above.vel[parent]
-            a_motor, accel, mean_speed, _, loc1, vel1, arrived = _kinematics(
+            a_motor, accel, mean_speed, loc1, vel1, arrived = _kinematics(
                 ARRAYS, model, track, loc, vel, block_cmd
             )
             codes = rule_codes(spec, model, track, loc, vel, above.cmd[parent], block_cmd,

@@ -169,7 +169,7 @@ def brake_recoverable(
         if steps == 0:
             # every later state is the kernel's own output, in range by construction
             _check_step_inputs(FLOATS, track, loc, vel, cmd)
-        _, accel, _, _, loc1, vel1, _ = _kinematics(FLOATS, model, track, loc, vel, cmd)
+        _, accel, _, loc1, vel1, _ = _kinematics(FLOATS, model, track, loc, vel, cmd)
         if span_overspeed(track, loc, vel, accel, loc1, vel1):
             return False
         loc, vel, coast, steps = loc1, vel1, False, steps + 1
@@ -209,7 +209,7 @@ def _brake_recoverable_batch(
             # the caller: every later state is the kernel's own output
             cmd = ARRAYS.where(coast[keep], 0.0, FULL_BRAKING)
             _check_step_inputs(ARRAYS, track, loc, vel, cmd)
-        _, accel, _, _, loc1, vel1, _ = _kinematics(ARRAYS, model, track, loc, vel, cmd)
+        _, accel, _, loc1, vel1, _ = _kinematics(ARRAYS, model, track, loc, vel, cmd)
         live = ~_span_overspeed(ARRAYS, track, loc, vel, accel, loc1, vel1)
         rows, loc, vel = rows[live], loc1[live], vel1[live]
         coast, cmd, steps = False, FULL_BRAKING, steps + 1
@@ -243,7 +243,7 @@ def is_safe(
     # rule rejects, one brake_recoverable, over the interval's kinematics
     loc, vel = state.loc, state.vel
     _check_step_inputs(FLOATS, track, loc, vel, cmd)
-    _, accel, _, _, loc1, vel1, arrived = _kinematics(FLOATS, model, track, loc, vel, cmd)
+    _, accel, _, loc1, vel1, arrived = _kinematics(FLOATS, model, track, loc, vel, cmd)
     over = span_overspeed(track, loc, vel, accel, loc1, vel1)
     code = _one_step_code(FLOATS, spec, track, state.last_cmd, cmd, over, arrived, loc1, vel1)
     # the rollout reads no clock, so the next state's time is left at 0

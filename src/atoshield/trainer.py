@@ -405,19 +405,27 @@ def _pcc_or_none(x, y) -> float | None:
 def robustness_run(
     agent,
     cfg: "ScenarioConfig",
-    eps_r: float,
-    delta_r: float,
+    cells: list[tuple[float, float]],
     seed: int = 0,
-) -> tuple[EpisodeMetrics, PccTriple]:
-    """Compare one disturbed execution against its undisturbed twin.
+) -> list[tuple[EpisodeMetrics, PccTriple]]:
+    """Compare one disturbed execution per cell ``(eps_r, delta_r)`` against
+    their undisturbed twin.
 
     Each final command is replaced, with probability eps_r, by itself plus
     uniform noise within +-delta_r (clipped, and shield-checked again).  The
     correlation triple covers the aligned speed, action and acceleration
-    sequences, truncated to the shorter run.
+    sequences, truncated to the shorter run.  The twin depends only on the
+    agent, ``cfg`` and ``seed``, and every run reseeds ``agent.rng``, so the
+    twin runs once for all cells and each cell's result is its result alone.
     """
     env, policy, correct = _greedy_rollout(agent, cfg, False, seed)
     _, base = _run_episode(cfg, env, policy, correct, 0)
+    return [_disturbed_run(agent, cfg, base, eps_r, delta_r, seed) for eps_r, delta_r in cells]
+
+
+def _disturbed_run(agent, cfg: "ScenarioConfig", base: Trajectory, eps_r: float,
+                   delta_r: float, seed: int) -> tuple[EpisodeMetrics, PccTriple]:
+    """One cell of :func:`robustness_run` against the twin's record ``base``."""
     drng = np.random.default_rng(seed + 7919)
     env, policy, correct = _greedy_rollout(agent, cfg, False, seed)
 

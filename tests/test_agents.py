@@ -28,7 +28,7 @@ from atoshield.drl.agents import (
 )
 from atoshield.drl.buffers import EliteBuffer, Trajectory
 from atoshield.drl.nets import Adam, Mlp
-from atoshield.dynamics import OperationState
+from atoshield.dynamics import ARRAYS, FLOATS, OperationState
 from atoshield.search_tree import SearchConfig, search_safe_action
 from atoshield.shield import SafetySpec, is_safe, safe_action_set
 from atoshield.trainer import TrainEnv, normalize_states
@@ -202,15 +202,31 @@ class TestSac:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_log_std_clip_equals_numpy_clip(self, dtype):
-        # at the bounds, past them, inside, at -0.0, and at non-finite values
-        raw = np.array([LOG_STD_MIN, LOG_STD_MAX, LOG_STD_MIN - 5.0, LOG_STD_MAX + 5.0,
-                        np.nextafter(LOG_STD_MIN, 0.0), np.nextafter(LOG_STD_MAX, 0.0),
+        # at the bounds and one ulp either side, past them, inside, at -0.0
+        # and at non-finite values: as a column, and each value alone
+        bounds = np.array([LOG_STD_MIN, LOG_STD_MIN, LOG_STD_MAX, LOG_STD_MAX], dtype)
+        ulps = np.nextafter(bounds, np.array([-np.inf, np.inf, -np.inf, np.inf], dtype))
+        raw = np.array([LOG_STD_MIN, LOG_STD_MAX, *ulps, LOG_STD_MIN - 5.0, LOG_STD_MAX + 5.0,
                         -0.0, 0.0, 0.7, -np.inf, np.inf, np.nan], dtype)
-        out = np.stack([np.zeros_like(raw), raw], axis=1)
-        _, log_std, _, _ = squashed_draw(out, np.random.default_rng(0))
-        want = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)[:, None]
-        assert log_std.dtype == want.dtype == dtype
-        assert log_std.tobytes() == want.tobytes()
+        want = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
+        zeros = np.zeros_like(raw)[:, None]
+        _, log_std, std = squashed_draw(ARRAYS, zeros, raw[:, None], zeros)
+        assert log_std.dtype == std.dtype == want.dtype == dtype
+        assert log_std.tobytes() == want[:, None].tobytes()
+        for value, clipped in zip(raw, want):
+            _, log_std, std = squashed_draw(FLOATS, dtype(0.0), value, dtype(0.0))
+            assert type(log_std) is type(std) is dtype, value
+            assert log_std.tobytes() == clipped.tobytes(), value
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_row_draw_equals_the_column_draw(self, dtype, rng):
+        # numpy's exp and tanh on one scalar give the bytes of their array loop
+        mean, raw, eps = (rng.normal(0.0, scale, 5000).astype(dtype) for scale in (3.0, 8.0, 1.0))
+        columns = squashed_draw(ARRAYS, mean[:, None], raw[:, None], eps[:, None])
+        for i in range(mean.size):
+            row = squashed_draw(FLOATS, mean[i], raw[i], eps[i])
+            assert [type(x) for x in row] == [dtype] * 3
+            assert [x.tobytes() for x in row] == [col[i, 0].tobytes() for col in columns], i
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),

@@ -1,10 +1,15 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import atoshield
 from atoshield import cli, config, trainer
 from atoshield.cli import (
     ablation_hidden,
@@ -416,6 +421,18 @@ class TestCli:
     def test_validate_command(self, capsys):
         assert main(["validate", "--config", str(default_scenario_path())]) == 0
         assert "valid" in capsys.readouterr().out
+
+    def test_validate_loads_no_process_pool(self):
+        # only train --workers > 1 uses the pool, so no other command loads
+        # concurrent.futures or the multiprocessing it pulls in
+        script = ("import sys; from atoshield.cli import main; main(['validate']); "
+                  "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        src = str(Path(atoshield.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_validate_bad_config_exit_2(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)

@@ -299,15 +299,15 @@ class TestKinematics:
         t_loc, t_vel, _, _, _, _, t_accel, t_arrived = _transition(
             ARRAYS, model, track, loc, vel, time, cmd, DEFAULT_WEIGHTS, 0.0
         )
-        _, accel, _, _, loc1, vel1, arrived = _kinematics(ARRAYS, model, track, loc, vel, cmd)
+        _, accel, _, loc1, vel1, arrived = _kinematics(ARRAYS, model, track, loc, vel, cmd)
         for i, (row_loc, row_vel, row_time, row_cmd, _) in enumerate(rows):
             out = step(model, track, OperationState(row_loc, row_vel, row_time), row_cmd)
             want = [x.hex() for x in (out.next_state.loc, out.next_state.vel, out.accel_applied)]
             kin = _kinematics(FLOATS, model, track, row_loc, row_vel, row_cmd)
-            assert [x.hex() for x in (kin[4], kin[5], kin[1])] == want, rows[i]
+            assert [x.hex() for x in (kin[3], kin[4], kin[1])] == want, rows[i]
             assert [float(x[i]).hex() for x in (t_loc, t_vel, t_accel)] == want
             assert [float(x[i]).hex() for x in (loc1, vel1, accel)] == want
-            assert kin[6] == out.arrived == t_arrived[i] == arrived[i]
+            assert kin[5] == out.arrived == t_arrived[i] == arrived[i]
 
 
 class TestRewardTerms:

@@ -403,7 +403,7 @@ def batch_args(track, rows):
     """The :func:`rule_codes` arrays of (loc, vel, last_cmd, cmd) rows: the
     rows, then each interval's applied acceleration, next loc, next vel and arrival."""
     loc, vel, last, cmd = (np.array(column) for column in zip(*rows))
-    _, accel, _, _, loc1, vel1, arrived = _kinematics(ARRAYS, make_model(), track, loc, vel, cmd)
+    _, accel, _, loc1, vel1, arrived = _kinematics(ARRAYS, make_model(), track, loc, vel, cmd)
     return loc, vel, last, cmd, accel, loc1, vel1, arrived
 
 

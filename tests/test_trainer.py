@@ -324,7 +324,7 @@ class TestPcc:
 class TestRobustness:
     def test_zero_disturbance_is_identity(self, short_ssa_result):
         cfg = scenario(max_episodes=12)
-        metrics, triple = robustness_run(short_ssa_result.agent, cfg, 0.0, 0.3, seed=4)
+        [(metrics, triple)] = robustness_run(short_ssa_result.agent, cfg, [(0.0, 0.3)], seed=4)
         assert triple.speed == pytest.approx(1.0)
         assert triple.action == pytest.approx(1.0)
         assert triple.accel == pytest.approx(1.0)
@@ -332,9 +332,25 @@ class TestRobustness:
 
     def test_disturbed_run_stays_shielded(self, short_ssa_result):
         cfg = scenario(max_episodes=12)
-        metrics, triple = robustness_run(short_ssa_result.agent, cfg, 0.5, 0.5, seed=4)
+        [(metrics, triple)] = robustness_run(short_ssa_result.agent, cfg, [(0.5, 0.5)], seed=4)
         assert metrics.overspeed_steps == 0
         assert triple.speed is None or -1.0 <= triple.speed <= 1.0
+
+    def test_grid_runs_the_twin_once_and_each_cell_as_alone(self, short_ssa_result, monkeypatch):
+        cfg, agent = scenario(max_episodes=12), short_ssa_result.agent
+        cells = [(0.0, 0.3), (0.5, 0.5), (0.3, 0.1)]
+
+        def untimed(runs):
+            return [(dataclasses.replace(m, action_select_mean_s=0.0), triple) for m, triple in runs]
+
+        alone = [untimed(robustness_run(agent, cfg, [cell], seed=4)) for cell in cells]
+        episodes = []
+        run_episode = trainer._run_episode
+        monkeypatch.setattr(trainer, "_run_episode",
+                            lambda *a, **kw: episodes.append(a) or run_episode(*a, **kw))
+        grid = untimed(robustness_run(agent, cfg, cells, seed=4))
+        assert len(episodes) == 1 + len(cells)
+        assert [[cell] for cell in grid] == alone
 
 
 def record_spans(monkeypatch) -> list:
