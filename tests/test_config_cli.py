@@ -88,6 +88,78 @@ MISTYPED = [
     ("run", "agent", ["ssa_ddpg"], "a string"),
 ]
 
+# a value just outside each field's range, and the rule it breaks: the file
+# loads to the one line f"{block}.{key}: must be {rule}"
+OUT_OF_RANGE = [
+    ("train", "mass_tonnes", 0.0, "> 0"),
+    ("train", "davis_r1", -0.1, ">= 0"),
+    ("train", "davis_r2", -0.001, ">= 0"),
+    ("train", "davis_r3", -0.0001, ">= 0"),
+    ("train", "max_accel", 5.01, "in (0, 5]"),
+    ("train", "max_decel", 0.0, "in (0, 5]"),
+    ("train", "max_decel", 5.01, "in (0, 5]"),
+    ("train", "base_speed_traction", 0.0, "> 0"),
+    ("train", "base_speed_braking", 0.0, "> 0"),
+    ("train", "regen_efficiency", -0.01, "in [0, 1]"),
+    ("train", "regen_efficiency", 1.01, "in [0, 1]"),
+    ("track", "length", 0.0, "> 0"),
+    ("track", "scheduled_time", 0.0, "> 0"),
+    ("track", "dt", 0.0, "> 0"),
+    ("safety", "min_speed", -0.1, ">= 0"),
+    ("safety", "terminal_zone", -1.0, ">= 0"),
+    ("agent", "actor_lr", 0.0, "> 0"),
+    ("agent", "critic_lr", 0.0, "> 0"),
+    ("agent", "sac_value_lr", 0.0, "> 0"),
+    ("agent", "sac_softq_lr", 0.0, "> 0"),
+    ("agent", "additional_actor_lr", 0.0, "> 0"),
+    ("agent", "gamma", 0.0, "in (0, 1]"),
+    ("agent", "gamma", 1.01, "in (0, 1]"),
+    ("agent", "soft_tau", 0.0, "in (0, 1]"),
+    ("agent", "soft_tau", 1.01, "in (0, 1]"),
+    ("agent", "entropy_alpha", -0.1, ">= 0"),
+    ("agent", "convergence_eps", 0.0, "> 0"),
+    ("agent", "elite_minibatch", 0, ">= 1"),
+    ("agent", "elite_capacity", 9, ">= elite_minibatch"),
+    ("agent", "batch_size", 0, ">= 1"),
+    ("agent", "replay_capacity", 255, ">= batch_size"),
+    ("agent", "additional_updates_per_episode", -1, ">= 0"),
+    ("search", "expansion_width", 0, ">= 1"),
+    ("search", "backup_discount", 0.0, "in (0, 1]"),
+    ("search", "backup_discount", 1.01, "in (0, 1]"),
+    ("search", "action_grid", 1, ">= 2"),
+    ("run", "max_episodes", 0, ">= 1"),
+    ("run", "t_up", 0, ">= 1"),
+    ("run", "step_budget", 0, ">= 1"),
+    ("run", "execution_episodes", 0, ">= 1"),
+]
+
+# what else a case edits so that its bound is the only rule it breaks: a
+# negative davis_r1 makes the flat grade a downhill one
+OUT_OF_RANGE_EDITS = {"train.davis_r1": ("track", "grade_segments", [[0.0, 1500.0, -0.001]])}
+# the lines a case cannot avoid beside its own: no segment can end at a
+# length <= 0
+OUT_OF_RANGE_ALSO = {"track.length": ["track.limit_segments[2]: must end at track length",
+                                      "track.grade_segments[0]: must end at track length"]}
+
+# each closed end of a range, which loads
+AT_THE_BOUND = [
+    ("train", "davis_r1", 0.0),
+    ("train", "regen_efficiency", 0.0),
+    ("train", "regen_efficiency", 1.0),
+    ("train", "max_accel", 5.0),
+    ("train", "max_decel", 5.0),
+    ("agent", "gamma", 1.0),
+    ("agent", "soft_tau", 1.0),
+    ("agent", "entropy_alpha", 0.0),
+    ("agent", "additional_updates_per_episode", 0),
+    ("agent", "elite_capacity", 10),  # == elite_minibatch
+    ("agent", "replay_capacity", 256),  # == batch_size
+    ("search", "backup_discount", 1.0),
+    ("search", "action_grid", 2),
+    ("safety", "terminal_zone", 0.0),
+    ("run", "t_up", 1),
+]
+
 # every float field of every block, by annotation
 FLOAT_FIELDS = [(block, field.name) for block, cls in config._FIELD_MAP.items()
                 for field in dataclasses.fields(cls)
@@ -185,6 +257,26 @@ class TestValidateConfig:
             for field in dataclasses.fields(cls):
                 kind = field.type.removesuffix(" | None")
                 assert kind in config._KINDS, f"{block}.{field.name}: {field.type}"
+
+    @pytest.mark.parametrize("block, key, value, rule", OUT_OF_RANGE, ids=case_ids(OUT_OF_RANGE))
+    def test_value_out_of_range_is_one_error_in_the_rule_words(self, tmp_path, default_yaml,
+                                                                block, key, value, rule):
+        blob = copy.deepcopy(default_yaml)
+        blob[block][key] = value
+        if f"{block}.{key}" in OUT_OF_RANGE_EDITS:
+            other, other_key, other_value = OUT_OF_RANGE_EDITS[f"{block}.{key}"]
+            blob[other][other_key] = other_value
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == [f"{block}.{key}: must be {rule}",
+                                    *OUT_OF_RANGE_ALSO.get(f"{block}.{key}", [])]
+
+    @pytest.mark.parametrize("block, key, value", AT_THE_BOUND,
+                             ids=[f"{b}-{k}-{v}" for b, k, v in AT_THE_BOUND])
+    def test_closed_end_of_a_range_loads(self, tmp_path, default_yaml, block, key, value):
+        blob = copy.deepcopy(default_yaml)
+        blob[block][key] = value
+        assert getattr(getattr(load_config(dump(tmp_path, blob)), block), key) == value
 
     @pytest.mark.parametrize("block, key", FLOAT_FIELDS, ids=[f"{b}-{k}" for b, k in FLOAT_FIELDS])
     def test_non_finite_float_is_one_error_naming_the_field(self, tmp_path, default_yaml, block,
