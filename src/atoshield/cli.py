@@ -112,10 +112,13 @@ def _load(args) -> ScenarioConfig:
         except ValueError:
             raise ConfigError([f"--seed: expected comma-separated integers, got {args.seed!r}"]) from None
         run = dataclasses.replace(run, seeds=seeds)
-    if getattr(args, "episodes", None) is not None:
-        run = dataclasses.replace(run, max_episodes=args.episodes)
+    # --episodes sets the field its command reads
+    for field in ("max_episodes", "execution_episodes"):
+        if getattr(args, field, None) is not None:
+            run = dataclasses.replace(run, **{field: getattr(args, field)})
     # the file itself passed validation, so every error here comes from a flag
-    flags = {"run.agent": "--agent", "run.seeds": "--seed", "run.max_episodes": "--episodes"}
+    flags = {"run.agent": "--agent", "run.seeds": "--seed", "run.max_episodes": "--episodes",
+             "run.execution_episodes": "--episodes"}
     errors = _validate_run(run)
     if errors:
         raise ConfigError([f"{flags.get(e.split(':')[0], 'override')}: {e}" for e in errors])
@@ -231,7 +234,7 @@ def cmd_noise_test(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     # the probe is deterministic, so every seed's rows are the same run
-    metrics = noise_test(cfg, args.cmd, episodes=args.episodes)
+    metrics = noise_test(cfg, args.cmd, episodes=cfg.run.execution_episodes)
     rows = [(seed, m) for seed in cfg.run.seeds for m in metrics]
     write_metrics_csv(out / "noise_test_metrics.csv", rows)
     write_summary(out / "summary.json", {
@@ -381,11 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, episodes=None):
+    def common(p, checkpoint=False, episodes="max_episodes"):
+        """The flags every command takes; ``--episodes`` sets the run field
+        ``episodes`` names, and a command without one takes no such flag."""
         p.add_argument("--config", default=str(default_scenario_path()),
                        help="scenario YAML (defaults to the bundled section)")
         p.add_argument("--seed", default=None, help="comma-separated seed list override")
-        p.add_argument("--episodes", type=int, default=episodes, help="episode count override")
+        if episodes:
+            p.add_argument("--episodes", type=int, dest=episodes, metavar="N",
+                           help=f"run.{episodes} override")
         p.add_argument("--agent", default=None, choices=[v.replace("_", "-") for v in VARIANTS],
                        help="agent variant override")
         p.add_argument("--out", required=True, help="output directory")
@@ -398,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("execute", help="greedy shielded rollouts of a checkpoint")
-    common(p, checkpoint=True)
+    common(p, checkpoint=True, episodes="execution_episodes")
     p.add_argument("--use-additional", action=argparse.BooleanOptionalAction, default=None,
                    help="force the additional actor on/off (default: if converged)")
     p.add_argument("--compare-with", default=None,
@@ -406,13 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_execute)
 
     p = sub.add_parser("noise-test", help="constant-command probe through the shield path")
-    common(p, episodes=1)
+    common(p, episodes="execution_episodes")
     p.add_argument("--cmd", type=_number_in(-1.0, 1.0, "in [-1, 1]"), default=1.0,
                    help="constant command in [-1, 1]")
-    p.set_defaults(func=cmd_noise_test)
+    # one probe episode unless --episodes says otherwise
+    p.set_defaults(func=cmd_noise_test, execution_episodes=1)
 
     p = sub.add_parser("robustness", help="disturbed-execution correlation study")
-    common(p, checkpoint=True)
+    common(p, checkpoint=True, episodes=None)  # one episode per cell
     p.add_argument("--eps-r", type=_number_in(0.0, 1.0, "in [0, 1]"), default=None,
                    help="disturbance probability in [0, 1]")
     p.add_argument("--delta-r", type=_number_in(0.0, math.inf, ">= 0"), default=None,
@@ -420,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("transfer", help="deploy a checkpoint onto a new section")
-    common(p, checkpoint=True)
+    common(p, checkpoint=True, episodes="execution_episodes")
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("ablation", help="six additional-actor structures, trained and executed")

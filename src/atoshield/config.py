@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import sys
 import typing
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from pathlib import Path
 import yaml
 
 from .dynamics import (
-    OperationState, RewardWeights, TrackSection, TrainModel, step, validate_model, validate_track,
+    OperationState, RewardWeights, TrackSection, TrainModel, step, validate_track,
 )
 from .drl.agents import AgentConfig
 from .search_tree import SearchConfig
@@ -129,13 +130,55 @@ def _coerce_block(name: str, cls, raw: dict, errors: list[str]):
         return None
 
 
+# The range of each bounded field, by block.  A rule compares the field with
+# a number (``> 0``), a field of the same block (``>= batch_size``) or an
+# interval (``in (0, 1]``), and its text is the error's wording; a None, where
+# None is the default, is not checked.
+_BOUNDS = {
+    "train": {
+        "mass_tonnes": "> 0", "davis_r1": ">= 0", "davis_r2": ">= 0", "davis_r3": ">= 0",
+        "max_accel": "in (0, 5]", "max_decel": "in (0, 5]", "base_speed_traction": "> 0",
+        "base_speed_braking": "> 0", "regen_efficiency": "in [0, 1]",
+    },
+    "track": {"length": "> 0", "scheduled_time": "> 0", "dt": "> 0"},
+    "safety": {"min_speed": ">= 0", "terminal_zone": ">= 0"},
+    "agent": {
+        "actor_lr": "> 0", "critic_lr": "> 0", "sac_value_lr": "> 0", "sac_softq_lr": "> 0",
+        "additional_actor_lr": "> 0", "gamma": "in (0, 1]", "soft_tau": "in (0, 1]",
+        "entropy_alpha": ">= 0", "convergence_eps": "> 0", "elite_minibatch": ">= 1",
+        "elite_capacity": ">= elite_minibatch", "batch_size": ">= 1",
+        "replay_capacity": ">= batch_size", "additional_updates_per_episode": ">= 0",
+    },
+    "search": {"expansion_width": ">= 1", "backup_discount": "in (0, 1]", "action_grid": ">= 2"},
+    "run": {"max_episodes": ">= 1", "t_up": ">= 1", "step_budget": ">= 1",
+            "execution_episodes": ">= 1"},
+}
+
+# the comparison of a rule, or of one end of its interval, by its symbol
+_COMPARE = {">": operator.gt, ">=": operator.ge, "(": operator.gt, "[": operator.ge,
+            "]": operator.le}
+
+
+def _holds(rule: str, value, block) -> bool:
+    """Whether ``value`` meets ``rule``: ``> 0``, ``>= batch_size`` (a field of
+    ``block``) or ``in (0, 5]``.  None, where it is the default, always does."""
+    if rule.startswith("in "):
+        lo, hi = rule[4:-1].split(", ")
+        return _holds(f"{rule[3]} {lo}", value, block) and _holds(f"{rule[-1]} {hi}", value, block)
+    symbol, operand = rule.split(" ")
+    bound = getattr(block, operand) if operand.isidentifier() else float(operand)
+    return value is None or _COMPARE[symbol](value, bound)
+
+
+def _bound_errors(name: str, block) -> list[str]:
+    """One line per field of ``block`` outside its ``_BOUNDS`` range."""
+    return [f"{name}.{key}: must be {rule}" for key, rule in _BOUNDS[name].items()
+            if not _holds(rule, getattr(block, key), block)]
+
+
 def _validate_safety(spec: SafetySpec, model: TrainModel, track: TrackSection) -> list[str]:
-    errors = []
-    if spec.min_speed < 0.0:
-        errors.append("safety.min_speed: must be >= 0")
-    if spec.terminal_zone < 0.0:
-        errors.append("safety.terminal_zone: must be >= 0")
-    elif spec.terminal_zone >= track.length:
+    errors = _bound_errors("safety", spec)
+    if spec.terminal_zone >= track.length:
         errors.append("safety.terminal_zone: must be smaller than the track length")
     if errors:
         return errors
@@ -158,32 +201,9 @@ def _validate_safety(spec: SafetySpec, model: TrainModel, track: TrackSection) -
 
 
 def _validate_agent(agent: AgentConfig) -> list[str]:
-    errors = []
-    for name in ("actor_lr", "critic_lr", "sac_value_lr", "sac_softq_lr"):
-        if getattr(agent, name) <= 0.0:
-            errors.append(f"agent.{name}: must be > 0")
-    if agent.additional_actor_lr is not None and agent.additional_actor_lr <= 0.0:
-        errors.append("agent.additional_actor_lr: must be > 0")
-    if not 0.0 < agent.gamma <= 1.0:
-        errors.append("agent.gamma: must be in (0, 1]")
-    if not 0.0 < agent.soft_tau <= 1.0:
-        errors.append("agent.soft_tau: must be in (0, 1]")
-    if agent.entropy_alpha < 0.0:
-        errors.append("agent.entropy_alpha: must be >= 0")
-    if agent.convergence_eps <= 0.0:
-        errors.append("agent.convergence_eps: must be > 0")
+    errors = _bound_errors("agent", agent)
     if agent.noise_kind not in ("ou", "gaussian"):
         errors.append("agent.noise_kind: must be 'ou' or 'gaussian'")
-    if agent.elite_minibatch < 1:
-        errors.append("agent.elite_minibatch: must be >= 1")
-    if agent.elite_capacity < agent.elite_minibatch:
-        errors.append("agent.elite_capacity: must be >= elite_minibatch")
-    if agent.batch_size < 1:
-        errors.append("agent.batch_size: must be >= 1")
-    if agent.replay_capacity < agent.batch_size:
-        errors.append("agent.replay_capacity: must be >= batch_size")
-    if agent.additional_updates_per_episode < 0:
-        errors.append("agent.additional_updates_per_episode: must be >= 0")
     if not agent.hidden_sizes or min(agent.hidden_sizes) < 1:
         errors.append("agent.hidden_sizes: need at least one layer width, each >= 1")
     if agent.additional_hidden_sizes and min(agent.additional_hidden_sizes) < 1:
@@ -191,23 +211,8 @@ def _validate_agent(agent: AgentConfig) -> list[str]:
     return errors
 
 
-def _validate_search(search: SearchConfig) -> list[str]:
-    errors = []
-    if search.expansion_width < 1:
-        errors.append("search.expansion_width: must be >= 1")
-    if not 0.0 < search.backup_discount <= 1.0:
-        errors.append("search.backup_discount: must be in (0, 1]")
-    if search.action_grid < 2:
-        errors.append("search.action_grid: must be >= 2")
-    return errors
-
-
 def _validate_run(run: RunConfig) -> list[str]:
-    errors = []
-    for name in ("max_episodes", "t_up", "step_budget", "execution_episodes"):
-        value = getattr(run, name)
-        if value is not None and value < 1:
-            errors.append(f"run.{name}: must be >= 1")
+    errors = _bound_errors("run", run)
     if not run.seeds:
         errors.append("run.seeds: need at least one seed")
     elif min(run.seeds) < 0:
@@ -244,7 +249,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
             errors.append(f"{key}: unknown block")
     blocks: dict[str, object] = {}
     for name, cls in _FIELD_MAP.items():
-        content = raw.get(name, {}) or {}
+        # only a missing or null block is empty: a 0, false, [] or "" is not a mapping
+        content = {} if raw.get(name) is None else raw[name]
         if not isinstance(content, dict):
             errors.append(f"{name}: expected a mapping")
             content = {}
@@ -252,7 +258,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     # a block that failed its type check is not checked against its
     # invariants, nor is a check that reads it; the other blocks still are
     train, track, safety = blocks["train"], blocks["track"], blocks["safety"]
-    physics_errors = validate_model(train) if train else []
+    physics_errors = [line for name in ("train", "track") if blocks[name]
+                      for line in _bound_errors(name, blocks[name])]
     if train and track:
         physics_errors += validate_track(train, track)
     errors += physics_errors
@@ -263,12 +270,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
             safety = dataclasses.replace(safety, terminal_zone=default_terminal_zone(train, track))
             blocks["safety"] = safety
         errors += _validate_safety(safety, train, track)
-    for name, check in (("agent", _validate_agent), ("search", _validate_search),
+    for name, check in (("agent", _validate_agent),
+                        ("search", lambda search: _bound_errors("search", search)),
                         ("run", _validate_run)):
         if blocks[name]:
             errors += check(blocks[name])
-    # the budget divides by track.dt, which validate_track has checked is > 0
-    if blocks["run"] and track and track.dt > 0.0:
+    # the budget divides by track.dt, so it waits for dt's bound
+    if blocks["run"] and track and not any(e.startswith("track.dt:") for e in errors):
         errors += _validate_budget(blocks["run"], track)
     if errors:
         raise ConfigError(errors)

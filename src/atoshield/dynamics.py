@@ -297,27 +297,6 @@ def step(
     return StepOutcome(next_state, reward, energy_traction, energy_regen, accel, arrived)
 
 
-def validate_model(model: TrainModel) -> list[str]:
-    """Invariant violations on the vehicle parameters, empty when sound."""
-    errors = []
-    if model.mass_tonnes <= 0.0:
-        errors.append("train.mass_tonnes: must be > 0")
-    for name in ("davis_r1", "davis_r2", "davis_r3"):
-        if getattr(model, name) < 0.0:
-            errors.append(f"train.{name}: must be >= 0")
-    if not 0.0 < model.max_accel <= 5.0:
-        errors.append("train.max_accel: must be in (0, 5]")
-    if not 0.0 < model.max_decel <= 5.0:
-        errors.append("train.max_decel: must be in (0, 5]")
-    if model.base_speed_traction <= 0.0:
-        errors.append("train.base_speed_traction: must be > 0")
-    if model.base_speed_braking <= 0.0:
-        errors.append("train.base_speed_braking: must be > 0")
-    if not 0.0 <= model.regen_efficiency <= 1.0:
-        errors.append("train.regen_efficiency: must be in [0, 1]")
-    return errors
-
-
 def _check_tiling(
     segments: tuple[tuple[float, float, float], ...], length: float, label: str
 ) -> list[str]:
@@ -341,7 +320,8 @@ def _check_tiling(
 
 
 def validate_track(model: TrainModel, track: TrackSection) -> list[str]:
-    """Invariant violations on the section, including the no-steep-slope check.
+    """Invariant violations on the section's geometry: limit and grade
+    segments that tile [0, length], limits > 0, and the no-steep-slope check.
 
     The slope check requires, over every grade segment and any posted limit it
     overlaps, that resistance minus grade acceleration stays within
@@ -350,14 +330,7 @@ def validate_track(model: TrainModel, track: TrackSection) -> list[str]:
     The lower bound is exact, with no tolerance: the shield's recovery
     rollout relies on unpowered motion never speeding up.
     """
-    errors = []
-    if track.length <= 0.0:
-        errors.append("track.length: must be > 0")
-    if track.scheduled_time <= 0.0:
-        errors.append("track.scheduled_time: must be > 0")
-    if track.dt <= 0.0:
-        errors.append("track.dt: must be > 0")
-    errors += _check_tiling(track.limit_segments, track.length, "limit_segments")
+    errors = _check_tiling(track.limit_segments, track.length, "limit_segments")
     errors += _check_tiling(track.grade_segments, track.length, "grade_segments")
     for i, (_, _, limit) in enumerate(track.limit_segments):
         if limit <= 0.0:

@@ -261,9 +261,8 @@ def rule_codes(
     Row i is the state (loc[i], vel[i]) entered by command ``last_cmd[i]``,
     under command ``cmd[i]``; ``accel``, ``next_loc``, ``next_vel`` and
     ``arrived`` are that interval's applied acceleration, next state and
-    arrival, as :func:`~.dynamics._kinematics` or
-    :func:`~.dynamics._transition` of the rows gives them.  Like those
-    kernels, it leaves checking the rows' commands and states to its caller.
+    arrival, as :func:`~.dynamics._kinematics` of the rows gives them.  Like
+    that kernel, it leaves checking the rows' commands and states to its caller.
     """
     over = _span_overspeed(ARRAYS, track, loc, vel, accel, next_loc, next_vel)
     code = _one_step_code(ARRAYS, spec, track, last_cmd, cmd, over, arrived, next_loc, next_vel)

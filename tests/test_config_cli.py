@@ -208,6 +208,18 @@ class TestValidateConfig:
             load_config(dump(tmp_path, blob))
         assert any("motor bound" in e for e in err.value.errors)
 
+    def test_bad_schedule_still_reports_the_grades(self, tmp_path, default_yaml):
+        # the track's scalar bounds and its grades are checked side by side
+        blob = copy.deepcopy(default_yaml)
+        blob["track"].update(scheduled_time=0.0, grade_segments=[[0.0, 1500.0, 0.1]])
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == [
+            "track.scheduled_time: must be > 0",
+            "track.grade_segments[0]: downhill grade 0.1 exceeds standstill resistance "
+            "(coasting would accelerate)",
+        ]
+
     @pytest.mark.parametrize("block, edits, field", [
         # a hair above standstill resistance (0.0084 m/s^2): the shield's
         # recovery rollout relies on the exact bound
@@ -250,6 +262,17 @@ class TestValidateConfig:
         assert error in capsys.readouterr().err
         blob["safety"]["enforce_min_speed"] = False
         load_config(dump(tmp_path, blob))
+
+    def test_bounds_table_names_numeric_fields(self):
+        # a misspelled key would raise AttributeError at load
+        for block, rules in config._BOUNDS.items():
+            fields = {f.name: f.type for f in dataclasses.fields(config._FIELD_MAP[block])}
+            for key, rule in rules.items():
+                assert fields.get(key, "").removesuffix(" | None") in ("float", "int"), \
+                    f"{block}.{key}"
+                operand = rule.split(" ")[-1]
+                if operand.isidentifier():
+                    assert operand in fields, f"{block}.{key}: {rule}"
 
     def test_type_table_knows_every_field(self):
         # a field of a type the table lacks would raise KeyError at load
@@ -330,6 +353,16 @@ class TestValidateConfig:
             load_config(dump(tmp_path, blob))
         assert err.value.errors == ["agent.batch_size: expected an integer, got 16.5",
                                     "train.mass_tonnes: must be > 0", "run.t_up: must be >= 1"]
+
+    def test_track_bounds_checked_beside_a_mistyped_train(self, tmp_path, default_yaml):
+        # the track's own bounds read nothing of the train
+        blob = copy.deepcopy(default_yaml)
+        blob["train"]["mass_tonnes"] = "heavy"
+        blob["track"]["dt"] = 0.0
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == ["train.mass_tonnes: expected a finite number, got 'heavy'",
+                                    "track.dt: must be > 0"]
 
     @pytest.mark.parametrize("block, key", [
         # the tree's depth bound is run.t_up; a separate search key could only disagree
@@ -431,9 +464,11 @@ class TestValidateConfig:
             f"got {segment!r}"
         ]
 
-    def test_run_block_not_a_mapping_is_one_error(self, tmp_path, default_yaml):
+    # only a missing or null block means an empty one: a falsy value is not a mapping
+    @pytest.mark.parametrize("value", [5, 0, False, [], ""])
+    def test_run_block_not_a_mapping_is_one_error(self, tmp_path, default_yaml, value):
         blob = copy.deepcopy(default_yaml)
-        blob["run"] = 5
+        blob["run"] = value
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
         assert err.value.errors == ["run: expected a mapping"]
@@ -563,6 +598,8 @@ class TestCli:
         ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3", "--delta-r", "nan"],
         ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3", "--delta-r", "inf"],
         ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3", "--delta-r", "x"],
+        # one episode per cell: the grid takes no episode count
+        ["robustness", "--checkpoint", "ckpt.json", "--episodes", "3"],
     ])
     def test_bad_flag_exit_2_one_line(self, argv, tiny_yaml, tmp_path, capsys):
         # argparse rejects the flag before any command runs: a command outside
@@ -620,6 +657,21 @@ class TestCli:
         summary = json.loads((exec_out / "summary.json").read_text())
         assert "comparison" in summary
         assert (exec_out / "execution_metrics.csv").exists()
+
+    @pytest.mark.parametrize("command, metrics", [("execute", "execution_metrics.csv"),
+                                                  ("transfer", "transfer_metrics.csv")])
+    def test_episodes_flag_sets_execution_episodes(self, tiny_yaml, tmp_path, command, metrics):
+        # the file asks for 2 execution episodes; the flag used to be ignored
+        train_out = tmp_path / "t"
+        assert main(["train", "--config", str(tiny_yaml), "--seed", "0",
+                     "--out", str(train_out)]) == 0
+        out = tmp_path / "e"
+        assert main([command, "--config", str(tiny_yaml), "--seed", "0,1", "--episodes", "1",
+                     "--checkpoint", str(train_out / "checkpoint_ssa_ddpg_seed0.json"),
+                     "--out", str(out)]) == 0
+        rows = read_metrics_csv(out / metrics)
+        # transfer runs the first seed only
+        assert [r["seed"] for r in rows] == ([0, 1] if command == "execute" else [0])
 
     def test_missing_checkpoint_exit_2(self, tiny_yaml, tmp_path):
         code = main(["execute", "--config", str(tiny_yaml),

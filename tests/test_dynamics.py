@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atoshield.config import _bound_errors
 from atoshield.dynamics import (
     ARRAYS,
     DEFAULT_WEIGHTS,
@@ -21,7 +22,6 @@ from atoshield.dynamics import (
     davis_resistance_accel,
     segment_value,
     step,
-    validate_model,
     validate_track,
 )
 
@@ -343,7 +343,8 @@ class TestRewardTerms:
 
 class TestValidators:
     def test_default_setup_is_valid(self, model, track):
-        assert validate_model(model) == []
+        assert _bound_errors("train", model) == []
+        assert _bound_errors("track", track) == []
         assert validate_track(model, track) == []
 
     def test_steep_uphill_rejected(self, model):
@@ -377,7 +378,8 @@ class TestValidators:
         assert any("gap" in e for e in errors)
 
     def test_negative_mass_rejected(self):
-        assert any("mass" in e for e in validate_model(make_model(mass_tonnes=-1.0)))
+        assert _bound_errors("train", make_model(mass_tonnes=-1.0)) == [
+            "train.mass_tonnes: must be > 0"]
 
 
 def test_limit_lookup_half_open(track):
