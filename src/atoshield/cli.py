@@ -34,9 +34,12 @@ from .trainer import (
 )
 
 SMOOTH_WINDOW = 8
-METRICS_HEADER = (
-    "seed", "episode", "reward", "protect_times", "overspeed", "energy", "time", "deviation",
-)
+# each metrics column and the type of its cells, in file order
+METRICS_COLUMNS = {"seed": int, "episode": int, "reward": float, "protect_times": int,
+                   "overspeed": int, "energy": float, "time": float, "deviation": float}
+METRICS_HEADER = tuple(METRICS_COLUMNS)
+# the words a failed run is reported with, by the kind of its failure
+RUN_FAILURES = {UnrecoverableStateError: "shield abort", FloatingPointError: "numerical error"}
 
 
 def moving_average(values, window: int = SMOOTH_WINDOW) -> list[float]:
@@ -67,24 +70,24 @@ def write_metrics_csv(path: Path, rows: list[tuple[int, EpisodeMetrics]]) -> Non
             ])
 
 
+class MetricsFileError(ValueError):
+    """A metrics CSV that does not hold metrics rows; the message names the file."""
+
+
 def read_metrics_csv(path: Path) -> list[dict]:
+    """The rows of a metrics CSV, each cell as its column's type; raises
+    :class:`MetricsFileError` on a wrong header, a bad cell or no rows."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row's missing cells read as ""
         if tuple(reader.fieldnames or ()) != METRICS_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {reader.fieldnames}")
-        return [
-            {
-                "seed": int(r["seed"]),
-                "episode": int(r["episode"]),
-                "reward": float(r["reward"]),
-                "protect_times": int(r["protect_times"]),
-                "overspeed": int(r["overspeed"]),
-                "energy": float(r["energy"]),
-                "time": float(r["time"]),
-                "deviation": float(r["deviation"]),
-            }
-            for r in reader
-        ]
+            raise MetricsFileError(f"{path}: unexpected metrics header {reader.fieldnames}")
+        try:
+            rows = [{c: kind(r[c]) for c, kind in METRICS_COLUMNS.items()} for r in reader]
+        except ValueError as exc:
+            raise MetricsFileError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise MetricsFileError(f"{path}: no metrics rows")
+    return rows
 
 
 def write_curve_csv(path: Path, rewards: list[float]) -> None:
@@ -152,15 +155,18 @@ def _train_one_seed(cfg: ScenarioConfig, seed: int, out: Path) -> dict:
     }
 
 
+def _failure(exc: Exception) -> str:
+    """A failed run in one line: the words of its kind in ``RUN_FAILURES``, then its message."""
+    return next(f"{words}: {exc}" for kind, words in RUN_FAILURES.items() if isinstance(exc, kind))
+
+
 def _seed_run(seed: int, run) -> dict:
     """``run()``'s digest, or ``{"seed", "error"}`` when the seed's training
-    hit a shield abort or a numerical error; a failure prints one line."""
+    failed in one of the ``RUN_FAILURES``; a failure prints one line."""
     try:
         return run()
-    except UnrecoverableStateError as exc:
-        error = f"shield abort: {exc}"
-    except FloatingPointError as exc:
-        error = f"numerical error: {exc}"
+    except tuple(RUN_FAILURES) as exc:
+        error = _failure(exc)
     print(f"seed {seed}: {error}", file=sys.stderr)
     return {"seed": seed, "error": error}
 
@@ -199,24 +205,22 @@ def _exec_summary(metrics: list[EpisodeMetrics]) -> dict:
 
 def cmd_execute(args) -> int:
     cfg = _load(args)
+    # a bad baseline is reported before any episode runs
+    baseline = read_metrics_csv(Path(args.compare_with)) if args.compare_with else None
     out = _out_dir(args)
     rows = []
     summaries = {}
     for seed in cfg.run.seeds:
         agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(seed))
-        use_additional = (
-            args.use_additional
-            if args.use_additional is not None
-            else getattr(agent, "additional_converged", False)
-        )
+        use_additional = (args.use_additional if args.use_additional is not None
+                          else agent.additional_converged)
         metrics = execute(agent, cfg, use_additional=use_additional,
                           episodes=cfg.run.execution_episodes, seed=seed)
         rows += [(seed, m) for m in metrics]
         summaries[str(seed)] = {**_exec_summary(metrics), "use_additional": use_additional}
     write_metrics_csv(out / "execution_metrics.csv", rows)
     payload = {"command": "execute", "checkpoint": str(args.checkpoint), "per_seed": summaries}
-    if args.compare_with:
-        baseline = read_metrics_csv(Path(args.compare_with))
+    if baseline is not None:
         base_mean = float(np.mean([r["protect_times"] for r in baseline]))
         ours = float(np.mean([r[1].protect_times for r in rows]))
         payload["comparison"] = {
@@ -233,14 +237,15 @@ def cmd_execute(args) -> int:
 def cmd_noise_test(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
-    # the probe is deterministic, so every seed's rows are the same run
+    # the probe is deterministic, so one run, labelled with the first seed,
+    # stands for every seed in run.seeds
     metrics = noise_test(cfg, args.cmd, episodes=cfg.run.execution_episodes)
-    rows = [(seed, m) for seed in cfg.run.seeds for m in metrics]
-    write_metrics_csv(out / "noise_test_metrics.csv", rows)
+    write_metrics_csv(out / "noise_test_metrics.csv", [(cfg.run.seeds[0], m) for m in metrics])
     write_summary(out / "summary.json", {
         "command": "noise_test",
         "constant_cmd": args.cmd,
-        **_exec_summary([m for _, m in rows]),
+        "seeds": list(cfg.run.seeds),
+        **_exec_summary(metrics),
     })
     print(f"noise test ({args.cmd:+.1f}) -> {out}")
     return 0
@@ -277,7 +282,7 @@ def cmd_transfer(args) -> int:
     out = _out_dir(args)
     seed = cfg.run.seeds[0]
     agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(seed))
-    use_additional = getattr(agent, "additional_converged", False)
+    use_additional = agent.additional_converged
     metrics = execute(agent, cfg, use_additional=use_additional,
                       episodes=cfg.run.execution_episodes, seed=seed)
     baseline = noise_test(cfg, 1.0, episodes=1, seed=seed)
@@ -452,14 +457,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (CheckpointError, FileNotFoundError) as exc:
+    except (CheckpointError, MetricsFileError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnrecoverableStateError as exc:
-        print(f"shield abort: {exc}", file=sys.stderr)
-        return 1
-    except FloatingPointError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except tuple(RUN_FAILURES) as exc:
+        print(_failure(exc), file=sys.stderr)
         return 1
 
 

@@ -148,6 +148,7 @@ _BOUNDS = {
         "entropy_alpha": ">= 0", "convergence_eps": "> 0", "elite_minibatch": ">= 1",
         "elite_capacity": ">= elite_minibatch", "batch_size": ">= 1",
         "replay_capacity": ">= batch_size", "additional_updates_per_episode": ">= 0",
+        "noise_scale": ">= 0", "ou_sigma": ">= 0", "ou_theta": "in [0, 2]",
     },
     "search": {"expansion_width": ">= 1", "backup_discount": "in (0, 1]", "action_grid": ">= 2"},
     "run": {"max_episodes": ">= 1", "t_up": ">= 1", "step_budget": ">= 1",

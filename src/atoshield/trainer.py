@@ -1,10 +1,12 @@
 """Training and evaluation on one episode loop over simulator, shield, tree and learners.
 
 ``_run_episode`` runs every episode of ``train``, ``execute``, ``noise_test``
-and ``robustness_run``.  Per step, the policy (a plain ``s_vec -> float``
-callable) proposes, the corrector ``(state, proposed, t) -> (cmd,
-interventions)`` shields the proposal as ``variant_correction`` says, the
-environment executes the command, and the optional learner hook
+and ``robustness_run``, and owns the live state and ``prev_accel``, the
+applied acceleration that entered it (0.0 at the start).  Per step, the
+policy (a plain ``s_vec -> float`` callable) proposes, the corrector
+``(state, proposed, t, prev_accel) -> (cmd, interventions)`` shields the
+proposal as ``variant_correction`` says, the stateless :class:`TrainEnv`
+steps from the loop's state, and the optional learner hook
 ``learn(s_vec, cmd, outcome, s2_vec, done, t)`` sees the transition, with
 ``done`` set when it ends the episode: on arrival, or at the step budget of
 ``RunConfig.resolved_budget``.  Each state is normalized once: ``s2_vec`` is
@@ -53,8 +55,8 @@ from .shield import shield_filter, span_overspeed
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
-# (state, proposed, t) -> (executed command, number of shield interventions)
-Corrector = Callable[[OperationState, float, int], tuple[float, int]]
+# (state, proposed, t, prev_accel) -> (executed command, shield interventions)
+Corrector = Callable[[OperationState, float, int, float], tuple[float, int]]
 
 VARIANTS = ("ssa_ddpg", "ssa_sac", "shield_ddpg", "shield_sac", "plain_ddpg", "plain_sac")
 
@@ -120,33 +122,25 @@ class TrainResult:
     converged: bool
 
 
+@dataclass(frozen=True)
 class TrainEnv:
-    """Episode-stateful wrapper over the pure dynamics step.
+    """The environment of an episode: ``model``, ``track`` and ``weights``.
 
-    ``step`` advances the live episode, threading the previous acceleration
-    into the comfort term; the episode loop ends the episode.  The tree search
-    reads ``model``, ``track`` and ``weights`` to simulate the same
-    transitions without touching the episode.
+    It holds no episode state.  ``reset`` gives the start state, and ``step``
+    is the pure dynamics step from the caller's state, with ``prev_accel`` the
+    applied acceleration that entered it; the episode loop threads both.  The
+    tree search reads the same three fields to simulate transitions.
     """
 
-    def __init__(self, model: TrainModel, track: TrackSection,
-                 weights: RewardWeights = DEFAULT_WEIGHTS):
-        self.model = model
-        self.track = track
-        self.weights = weights
-        self.state = OperationState()
-        self.prev_accel = 0.0
+    model: TrainModel
+    track: TrackSection
+    weights: RewardWeights = DEFAULT_WEIGHTS
 
     def reset(self) -> OperationState:
-        self.state = OperationState()
-        self.prev_accel = 0.0
-        return self.state
+        return OperationState()
 
-    def step(self, cmd: float) -> StepOutcome:
-        out = step(self.model, self.track, self.state, cmd, self.weights, self.prev_accel)
-        self.state = out.next_state
-        self.prev_accel = out.accel_applied
-        return out
+    def step(self, state: OperationState, cmd: float, prev_accel: float) -> StepOutcome:
+        return step(self.model, self.track, state, cmd, self.weights, prev_accel)
 
 
 def normalize_states(states: np.ndarray, track: TrackSection) -> np.ndarray:
@@ -179,13 +173,14 @@ def _corrector(cfg: "ScenarioConfig", env: TrainEnv, correction: str, sampler) -
     fixed fallback) or, for ``"tree"``, with the search over ``sampler``.
     """
     if correction == "none":
-        return lambda state, proposed, t: (proposed, 0)
+        return lambda state, proposed, t, prev_accel: (proposed, 0)
 
-    def correct(state: OperationState, proposed: float, t: int) -> tuple[float, int]:
+    def correct(state: OperationState, proposed: float, t: int,
+                prev_accel: float) -> tuple[float, int]:
         def tree(safe_set: Sequence[float]) -> float:
             return search_safe_action(
                 env, cfg.safety, sampler, state, safe_set, t, cfg.run.t_up, cfg.search,
-                env.prev_accel,
+                prev_accel,
             )
 
         return shield_filter(
@@ -210,17 +205,17 @@ def _run_episode(
     """
     track = cfg.track
     budget = cfg.run.resolved_budget(track)
-    state = env.reset()
+    state, prev_accel = env.reset(), 0.0
     states, actions, speeds, accels = [], [], [], []
     reward = traction = regen = select_s = 0.0
     protect = overspeed = t = 0
     s_vec = normalize_state(state, track)
     while True:
         tic = time.perf_counter()
-        cmd, interventions = correct(state, policy(s_vec), t)
+        cmd, interventions = correct(state, policy(s_vec), t, prev_accel)
         select_s += time.perf_counter() - tic
         protect += interventions
-        out = env.step(cmd)
+        out = env.step(state, cmd, prev_accel)
         if span_overspeed(track, state.loc, state.vel, out.accel_applied,
                           out.next_state.loc, out.next_state.vel):
             overspeed += 1
@@ -235,7 +230,7 @@ def _run_episode(
         done = out.arrived or t + 1 >= budget
         if learn is not None:
             learn(s_vec, cmd, out, s2_vec, done, t)
-        state = out.next_state
+        state, prev_accel = out.next_state, out.accel_applied
         s_vec = s2_vec
         t += 1
         if done:
@@ -429,11 +424,12 @@ def _disturbed_run(agent, cfg: "ScenarioConfig", base: Trajectory, eps_r: float,
     drng = np.random.default_rng(seed + 7919)
     env, policy, correct = _greedy_rollout(agent, cfg, False, seed)
 
-    def disturbed(state: OperationState, proposed: float, t: int) -> tuple[float, int]:
-        cmd, interventions = correct(state, proposed, t)
+    def disturbed(state: OperationState, proposed: float, t: int,
+                  prev_accel: float) -> tuple[float, int]:
+        cmd, interventions = correct(state, proposed, t, prev_accel)
         if drng.random() < eps_r:
             noisy = float(np.clip(cmd + drng.uniform(-delta_r, delta_r), -1.0, 1.0))
-            cmd, again = correct(state, noisy, t)
+            cmd, again = correct(state, noisy, t, prev_accel)
             interventions += again
         return cmd, interventions
 

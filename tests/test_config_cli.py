@@ -123,6 +123,10 @@ OUT_OF_RANGE = [
     ("agent", "batch_size", 0, ">= 1"),
     ("agent", "replay_capacity", 255, ">= batch_size"),
     ("agent", "additional_updates_per_episode", -1, ">= 0"),
+    ("agent", "noise_scale", -0.35, ">= 0"),
+    ("agent", "ou_sigma", -0.2, ">= 0"),
+    ("agent", "ou_theta", -0.15, "in [0, 2]"),
+    ("agent", "ou_theta", 2.01, "in [0, 2]"),
     ("search", "expansion_width", 0, ">= 1"),
     ("search", "backup_discount", 0.0, "in (0, 1]"),
     ("search", "backup_discount", 1.01, "in (0, 1]"),
@@ -152,6 +156,10 @@ AT_THE_BOUND = [
     ("agent", "soft_tau", 1.0),
     ("agent", "entropy_alpha", 0.0),
     ("agent", "additional_updates_per_episode", 0),
+    ("agent", "noise_scale", 0.0),
+    ("agent", "ou_sigma", 0.0),
+    ("agent", "ou_theta", 0.0),
+    ("agent", "ou_theta", 2.0),
     ("agent", "elite_capacity", 10),  # == elite_minibatch
     ("agent", "replay_capacity", 256),  # == batch_size
     ("search", "backup_discount", 1.0),
@@ -658,6 +666,31 @@ class TestCli:
         assert "comparison" in summary
         assert (exec_out / "execution_metrics.csv").exists()
 
+    @pytest.mark.parametrize("text, problem", [
+        ("seed,episode,reward\n0,0,-1.0\n",
+         "unexpected metrics header ['seed', 'episode', 'reward']"),
+        (",".join(cli.METRICS_HEADER) + "\n0,0,-1.0,x,0,1.0,90.0,0.0\n",
+         "line 2: invalid literal for int() with base 10: 'x'"),
+        (",".join(cli.METRICS_HEADER) + "\n0,0,-1.0,3,0,1.0,90.0,0.0\n0,1,-1.0\n",
+         "line 3: invalid literal for int() with base 10: ''"),
+        (",".join(cli.METRICS_HEADER) + "\n", "no metrics rows"),
+    ], ids=["header", "non-numeric", "short-row", "no-rows"])
+    def test_bad_baseline_exit_2_one_line(self, tiny_yaml, tmp_path, monkeypatch, capsys, text,
+                                          problem):
+        # a wrong header once raised a traceback, and a header alone wrote a
+        # NaN mean into summary.json; the baseline is read before any episode
+        # runs, so the checkpoint, which does not exist, is never opened
+        baseline = tmp_path / "base.csv"
+        baseline.write_text(text)
+        monkeypatch.setattr(cli, "execute", lambda *args, **kwargs: pytest.fail("episode ran"))
+        out = tmp_path / "e"
+        code = main(["execute", "--config", str(tiny_yaml), "--checkpoint",
+                     str(tmp_path / "nope.json"), "--compare-with", str(baseline),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {baseline}: {problem}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, metrics", [("execute", "execution_metrics.csv"),
                                                   ("transfer", "transfer_metrics.csv")])
     def test_episodes_flag_sets_execution_episodes(self, tiny_yaml, tmp_path, command, metrics):
@@ -729,6 +762,8 @@ class TestCli:
         assert summary["mean_protect_times"] > 0
 
     def test_noise_test_runs_probe_once_for_all_seeds(self, tiny_yaml, tmp_path, monkeypatch):
+        # the probe is deterministic, so one run stands for every seed: it is
+        # written once, labelled with the first seed, and the summary lists them
         calls = []
 
         def counted(*args, **kwargs):
@@ -737,21 +772,20 @@ class TestCli:
 
         monkeypatch.setattr(cli, "noise_test", counted)
         out = tmp_path / "nt"
-        assert main(["noise-test", "--config", str(tiny_yaml), "--seed", "0,1,2",
+        assert main(["noise-test", "--config", str(tiny_yaml), "--seed", "2,0,1",
                      "--cmd", "1.0", "--out", str(out)]) == 0
         assert len(calls) == 1
-        # the same bytes as one probe per seed, each under its own label
-        cfg = load_config(tiny_yaml)
-        per_seed = [(seed, m) for seed in (0, 1, 2)
-                    for m in noise_test(cfg, 1.0, episodes=1, seed=seed)]
-        write_metrics_csv(tmp_path / "per_seed.csv", per_seed)
+        once = [(2, m) for m in noise_test(load_config(tiny_yaml), 1.0, episodes=1)]
+        write_metrics_csv(tmp_path / "once.csv", once)
         assert (out / "noise_test_metrics.csv").read_bytes() == (
-            tmp_path / "per_seed.csv").read_bytes()
+            tmp_path / "once.csv").read_bytes()
         summary = json.loads((out / "summary.json").read_text())
-        want = cli._exec_summary([m for _, m in per_seed])
+        want = cli._exec_summary([m for _, m in once])
         for timing in (summary, want):
             del timing["mean_action_select_ms"]
-        assert summary == {"command": "noise_test", "constant_cmd": 1.0, **want}
+        assert summary == {"command": "noise_test", "constant_cmd": 1.0, "seeds": [2, 0, 1],
+                           **want}
+        assert summary["episodes"] == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("error, label", [

@@ -104,6 +104,114 @@ class TestTrainEnv:
             assert row.tolist() == normalize_state(state, track).tolist()
 
 
+class TestPrevAccelThreading:
+    """The loop owns ``prev_accel``: every step and every correction tree gets
+    the applied acceleration of the episode's previous executed step, and 0.0
+    at its start."""
+
+    @staticmethod
+    def record(monkeypatch) -> list:
+        """Every executed step and every tree search, in call order."""
+        events = []
+        env_step, search = TrainEnv.step, trainer.search_safe_action
+
+        def stepping(env, state, cmd, prev_accel):
+            out = env_step(env, state, cmd, prev_accel)
+            events.append(("step", state, prev_accel, out))
+            return out
+
+        def searching(env, spec, sampler, state, safe_set, t, t_up, cfg, prev_accel):
+            events.append(("search", state, prev_accel, t))
+            return search(env, spec, sampler, state, safe_set, t, t_up, cfg, prev_accel)
+
+        monkeypatch.setattr(TrainEnv, "step", stepping)
+        monkeypatch.setattr(trainer, "search_safe_action", searching)
+        return events
+
+    @staticmethod
+    def check(events, budget) -> tuple[int, int, int]:
+        """Walk the events episode by episode; returns (episodes, searches,
+        searches that got a non-zero prev_accel)."""
+        episodes = searches = nonzero = n = 0
+        expected, searched = 0.0, []
+        for kind, state, prev_accel, t_or_out in events:
+            assert prev_accel == expected
+            if kind == "search":
+                assert t_or_out == n  # the step about to execute
+                searched.append(state)
+                searches += 1
+                nonzero += prev_accel != 0.0
+                continue
+            assert n > 0 or state == OperationState()
+            assert all(s is state for s in searched)  # each correction was of this step
+            searched.clear()
+            expected, n = t_or_out.accel_applied, n + 1
+            if t_or_out.arrived or n == budget:
+                episodes += 1
+                expected, n = 0.0, 0
+        assert n == 0 and not searched
+        return episodes, searches, nonzero
+
+    def test_deep_probe(self, monkeypatch):
+        events = self.record(monkeypatch)
+        cfg = scenario(t_up=7)
+        (metrics,) = noise_test(cfg, 1.0, episodes=1)
+        episodes, searches, nonzero = self.check(events, cfg.run.resolved_budget(cfg.track))
+        assert episodes == 1 and searches == metrics.protect_times == 30
+        assert nonzero > 0
+
+    def test_short_ssa_training(self, monkeypatch):
+        events = self.record(monkeypatch)
+        cfg = scenario(max_episodes=3, agent="ssa_ddpg")
+        result = train(cfg, seed=0)
+        episodes, searches, nonzero = self.check(events, cfg.run.resolved_budget(cfg.track))
+        assert episodes == 3
+        assert searches == sum(m.protect_times for m in result.metrics) > 0
+        assert nonzero > 0
+
+    def test_disturbed_run_corrects_twice_from_one_prev_accel(self, monkeypatch):
+        # a greedy full-traction agent with every command disturbed: a step
+        # whose disturbed command is unsafe again is corrected a second time
+        class FullTraction:
+            def act(self, s_vec):
+                return 1.0
+
+            def sample_actions(self, states, n):
+                return np.ones((len(states), n))
+
+        events = self.record(monkeypatch)
+        cfg = scenario(agent="ssa_ddpg")
+        robustness_run(FullTraction(), cfg, [(1.0, 1.0)], seed=0)
+        episodes, _, nonzero = self.check(events, cfg.run.resolved_budget(cfg.track))
+        assert episodes == 2 and nonzero > 0
+        kinds = [e[0] for e in events]
+        assert any(a == b == "search" for a, b in zip(kinds, kinds[1:]))
+
+    def test_interleaved_episodes_on_one_env_match_separate_envs(self):
+        # the env holds no episode state, so two episodes stepped in turn on
+        # one env give what each gives on an env of its own
+        cfg = scenario()
+        rng = np.random.default_rng(5)
+        commands = rng.uniform(-1.0, 1.0, (2, 40))
+
+        def episode(env, cmds):
+            state, prev_accel = env.reset(), 0.0
+            for cmd in cmds:
+                out = env.step(state, float(cmd), prev_accel)
+                state, prev_accel = out.next_state, out.accel_applied
+                yield out
+
+        alone = [list(episode(TrainEnv(cfg.train, cfg.track, cfg.reward), c)) for c in commands]
+        shared = TrainEnv(cfg.train, cfg.track, cfg.reward)
+        a, b = episode(shared, commands[0]), episode(shared, commands[1])
+        together = [[], []]
+        for _ in commands[0]:
+            together[0].append(next(a))
+            together[1].append(next(b))
+        assert together == alone
+        assert alone[0] != alone[1]
+
+
 @pytest.mark.parametrize("std", [0.0, 0.5])
 def test_jitter_sampler_is_clipped_gaussian_jitter_bitwise(std):
     # the additional actor's tree sampler: the net's command on the normalized
@@ -162,15 +270,15 @@ class TestTrain:
         for traj in short_ssa_result.elite:
             assert traj.states.shape == (len(traj), 3)
             assert len(traj.speeds) == len(traj.accels) == len(traj)
-            state, total = env.reset(), 0.0
+            state, prev_accel, total = env.reset(), 0.0, 0.0
             for t, cmd in enumerate(traj.actions):
                 assert traj.states[t].tobytes() == normalize_state(state, cfg.track).tobytes()
-                out = env.step(float(cmd))
+                out = env.step(state, float(cmd), prev_accel)
                 assert out.next_state.vel == traj.speeds[t]
                 assert out.accel_applied == traj.accels[t]
                 assert (out.arrived or t + 1 == budget) == (t == len(traj) - 1)
                 total += out.reward
-                state = out.next_state
+                state, prev_accel = out.next_state, out.accel_applied
             assert total == traj.total_return
 
     def test_seeded_determinism(self):
@@ -358,10 +466,9 @@ def record_spans(monkeypatch) -> list:
     spans = []
     env_step = TrainEnv.step
 
-    def recording(self, cmd):
-        before = self.state
-        out = env_step(self, cmd)
-        spans.append((before, out))
+    def recording(self, state, cmd, prev_accel):
+        out = env_step(self, state, cmd, prev_accel)
+        spans.append((state, out))
         return out
 
     monkeypatch.setattr(TrainEnv, "step", recording)
