@@ -214,8 +214,7 @@ def cmd_execute(args) -> int:
         agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(seed))
         use_additional = (args.use_additional if args.use_additional is not None
                           else agent.additional_converged)
-        metrics = execute(agent, cfg, use_additional=use_additional,
-                          episodes=cfg.run.execution_episodes, seed=seed)
+        metrics = execute(agent, cfg, use_additional=use_additional, seed=seed)
         rows += [(seed, m) for m in metrics]
         summaries[str(seed)] = {**_exec_summary(metrics), "use_additional": use_additional}
     write_metrics_csv(out / "execution_metrics.csv", rows)
@@ -283,8 +282,7 @@ def cmd_transfer(args) -> int:
     seed = cfg.run.seeds[0]
     agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(seed))
     use_additional = agent.additional_converged
-    metrics = execute(agent, cfg, use_additional=use_additional,
-                      episodes=cfg.run.execution_episodes, seed=seed)
+    metrics = execute(agent, cfg, use_additional=use_additional, seed=seed)
     baseline = noise_test(cfg, 1.0, episodes=1, seed=seed)
     write_metrics_csv(out / "transfer_metrics.csv", [(seed, m) for m in metrics])
     exec_protect = float(np.mean([m.protect_times for m in metrics]))
@@ -308,24 +306,16 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-ABLATION_VARIANTS = ("half", "quarter", "double", "quadruple", "layer_less", "layer_more")
-
-
-def ablation_hidden(base: tuple[int, ...], variant: str) -> tuple[int, ...]:
-    """The six alternative widths/depths tried for the additional actor."""
-    if variant == "half":
-        return tuple(max(1, h // 2) for h in base)
-    if variant == "quarter":
-        return tuple(max(1, h // 4) for h in base)
-    if variant == "double":
-        return tuple(h * 2 for h in base)
-    if variant == "quadruple":
-        return tuple(h * 4 for h in base)
-    if variant == "layer_less":
-        return base[:-1] if len(base) > 1 else base
-    if variant == "layer_more":
-        return base + (base[-1],)
-    raise ValueError(f"unknown ablation variant {variant!r}")
+# the additional-actor structures the ablation tries, in run order: each
+# name's rule for the hidden widths from the agent's own
+ABLATION_STRUCTURES = {
+    "half": lambda base: tuple(max(1, h // 2) for h in base),
+    "quarter": lambda base: tuple(max(1, h // 4) for h in base),
+    "double": lambda base: tuple(h * 2 for h in base),
+    "quadruple": lambda base: tuple(h * 4 for h in base),
+    "layer_less": lambda base: base[:-1] if len(base) > 1 else base,
+    "layer_more": lambda base: base + (base[-1],),
+}
 
 
 def cmd_ablation(args) -> int:
@@ -333,13 +323,12 @@ def cmd_ablation(args) -> int:
     out = _out_dir(args)
     seed = cfg.run.seeds[0]
     results = {}
-    for variant in ABLATION_VARIANTS:
-        hidden = ablation_hidden(tuple(cfg.agent.hidden_sizes), variant)
+    for variant, widths in ABLATION_STRUCTURES.items():
+        hidden = widths(tuple(cfg.agent.hidden_sizes))
         agent_cfg = dataclasses.replace(cfg.agent, additional_hidden_sizes=hidden)
         vcfg = dataclasses.replace(cfg, agent=agent_cfg)
         result = train(vcfg, seed)
-        metrics = execute(result.agent, vcfg, use_additional=result.converged,
-                          episodes=vcfg.run.execution_episodes, seed=seed)
+        metrics = execute(result.agent, vcfg, use_additional=result.converged, seed=seed)
         write_metrics_csv(out / f"ablation_{variant}_metrics.csv", [(seed, m) for m in metrics])
         results[variant] = {
             "additional_hidden_sizes": list(hidden),
@@ -347,7 +336,7 @@ def cmd_ablation(args) -> int:
             **_exec_summary(metrics),
         }
     write_summary(out / "summary.json", {"command": "ablation", "per_variant": results})
-    print(f"ablation over {len(ABLATION_VARIANTS)} structures -> {out}")
+    print(f"ablation over {len(ABLATION_STRUCTURES)} structures -> {out}")
     return 0
 
 
@@ -457,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (CheckpointError, MetricsFileError, FileNotFoundError) as exc:
+    except (CheckpointError, MetricsFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except tuple(RUN_FAILURES) as exc:

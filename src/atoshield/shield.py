@@ -12,12 +12,14 @@ speeds up and braking on from a clear state only slows the train; the
 rollout relies on that.  Recoverability is the computable stand-in for the
 winning region of the underlying safety game.
 
-Each safety formula has one body over the primitives of ``dynamics``, run on
-floats for one state and on arrays for the tree, so a fix edits only that
-body.  A (state, command) row gets a rule code, a :class:`Verdict`'s value,
-in two stages: the one-step rules (reversal, overspeed, then the floor) read
-the state's ``last_cmd``, the command and the interval's motion, and only a
-row that breaks none of them is rolled out for recoverability.
+Each safety formula, the recovery rollout included, has one body over the
+primitives of ``dynamics``, run on floats for one state and on arrays for the
+tree, so a fix edits only that body; the rollout drops rows as they end
+through the row primitives of :class:`~.dynamics.Ops`.  A (state, command)
+row gets a rule code, a :class:`Verdict`'s value, in two stages: the
+one-step rules (reversal, overspeed, then the floor) read the state's
+``last_cmd``, the command and the interval's motion, and only a row that
+breaks none of them is rolled out for recoverability.
 :func:`is_safe` runs the stages on one state and returns the verdict;
 :func:`rule_codes` runs them on the tree's rows.  The certifier steps on the
 kinematic body of ``dynamics`` alone, with no reward or energy terms, and
@@ -144,6 +146,35 @@ def _rollout_ends(ops: Ops, track: TrackSection, loc, vel, coast):
     return within | ops.where(coast, False, loc >= track.length)
 
 
+def _recovered(ops: Ops, spec, model, track, loc, vel, last_cmd):
+    """:func:`brake_recoverable` of each state (loc, vel) entered by ``last_cmd``.
+
+    A rollout ends recovered where :func:`_rollout_ends` holds, and fails at
+    its first overspeed.  On arrays a row leaves the rollout where it ends,
+    and its verdict is written back to its row.  Only the first interval's
+    states come from the caller, so only those are checked, on the rows that
+    step.
+    """
+    coast = (last_cmd > 0.0) & spec.forbid_direct_reversal
+    ok = _rollout_ends(ops, track, loc, vel, coast)
+    if ops.all(ok):  # the common exit: every state is clear already
+        return ok
+    cmd = ops.where(coast, 0.0, FULL_BRAKING)
+    loc, vel, cmd, rows = ops.open_rows(ok, loc, vel, cmd, ops.row_ids(ok))
+    _check_step_inputs(ops, track, loc, vel, cmd)
+    for _ in range(_RECOVERY_STEP_CAP):
+        _, accel, _, loc1, vel1, _ = _kinematics(ops, model, track, loc, vel, cmd)
+        over = _span_overspeed(ops, track, loc, vel, accel, loc1, vel1)
+        clear = ops.where(over, False, _rollout_ends(ops, track, loc1, vel1, False))
+        ok = ops.set_rows(ok, rows, clear)
+        ended = over | clear
+        if ops.all(ended):
+            return ok
+        loc, vel, rows = ops.open_rows(ended, loc1, vel1, rows)
+        cmd = FULL_BRAKING
+    raise RuntimeError("braking trajectory failed to terminate")
+
+
 def brake_recoverable(
     spec: SafetySpec, model: TrainModel, track: TrackSection, state: OperationState
 ) -> bool:
@@ -155,64 +186,12 @@ def brake_recoverable(
     the given one included, at or below every downstream limit: on a
     validated track standstill resistance is at least every grade, so
     braking only slows the train from there and rolling on to a stop would
-    give the same verdict.
+    give the same verdict.  This is :func:`_recovered` on one state, the
+    body :func:`rule_codes` runs on the tree's rows.
     The recovery only answers for speed limits; the floor and transition
     rules are one-step concerns.
     """
-    loc, vel = state.loc, state.vel
-    coast = spec.forbid_direct_reversal and state.last_cmd > 0.0
-    steps = 0
-    while not _rollout_ends(FLOATS, track, loc, vel, coast):
-        if steps == _RECOVERY_STEP_CAP:
-            raise RuntimeError("braking trajectory failed to terminate")
-        cmd = 0.0 if coast else FULL_BRAKING
-        if steps == 0:
-            # every later state is the kernel's own output, in range by construction
-            _check_step_inputs(FLOATS, track, loc, vel, cmd)
-        _, accel, _, loc1, vel1, _ = _kinematics(FLOATS, model, track, loc, vel, cmd)
-        if span_overspeed(track, loc, vel, accel, loc1, vel1):
-            return False
-        loc, vel, coast, steps = loc1, vel1, False, steps + 1
-    return True
-
-
-def _brake_recoverable_batch(
-    spec: SafetySpec,
-    model: TrainModel,
-    track: TrackSection,
-    loc: np.ndarray,
-    vel: np.ndarray,
-    last_cmd: np.ndarray,
-) -> np.ndarray:
-    """:func:`brake_recoverable` over arrays of states.
-
-    The rows follow their trajectories together, one array step per interval.
-    A row leaves the loop where the scalar rollout ends: recovered at its
-    first provably clear state or at the section end, or failed at its first
-    overspeed.
-    """
-    ok = np.zeros(loc.shape, dtype=bool)
-    rows = np.arange(loc.size)
-    coast = (last_cmd > 0.0) & spec.forbid_direct_reversal
-    steps = 0
-    while True:
-        done = _rollout_ends(ARRAYS, track, loc, vel, coast)
-        ok[rows] = done  # rows still open were never set
-        keep = ~done
-        rows, loc, vel = rows[keep], loc[keep], vel[keep]
-        if rows.size == 0:
-            return ok
-        if steps == _RECOVERY_STEP_CAP:
-            raise RuntimeError("braking trajectory failed to terminate")
-        if steps == 0:
-            # only the first interval coasts, and only its states come from
-            # the caller: every later state is the kernel's own output
-            cmd = ARRAYS.where(coast[keep], 0.0, FULL_BRAKING)
-            _check_step_inputs(ARRAYS, track, loc, vel, cmd)
-        _, accel, _, loc1, vel1, _ = _kinematics(ARRAYS, model, track, loc, vel, cmd)
-        live = ~_span_overspeed(ARRAYS, track, loc, vel, accel, loc1, vel1)
-        rows, loc, vel = rows[live], loc1[live], vel1[live]
-        coast, cmd, steps = False, FULL_BRAKING, steps + 1
+    return _recovered(FLOATS, spec, model, track, state.loc, state.vel, state.last_cmd)
 
 
 def _one_step_code(ops: Ops, spec, track, last_cmd, cmd, overspeeds, arrived, loc, vel):
@@ -268,7 +247,7 @@ def rule_codes(
     code = _one_step_code(ARRAYS, spec, track, last_cmd, cmd, over, arrived, next_loc, next_vel)
     rows = np.flatnonzero(code == 0)
     if rows.size:
-        ok = _brake_recoverable_batch(spec, model, track, next_loc[rows], next_vel[rows], cmd[rows])
+        ok = _recovered(ARRAYS, spec, model, track, next_loc[rows], next_vel[rows], cmd[rows])
         code[rows[~ok]] = 4
     return code
 

@@ -338,12 +338,13 @@ def execute(
     agent,
     cfg: "ScenarioConfig",
     use_additional: bool = False,
-    episodes: int = 10,
     seed: int = 0,
 ) -> list[EpisodeMetrics]:
-    """Greedy shielded rollouts of a trained agent; no learning, no noise."""
+    """``run.execution_episodes`` greedy shielded rollouts of a trained agent;
+    no learning, no noise."""
     env, policy, correct = _greedy_rollout(agent, cfg, use_additional, seed)
-    return [_run_episode(cfg, env, policy, correct, ep)[0] for ep in range(episodes)]
+    episodes = range(cfg.run.execution_episodes)
+    return [_run_episode(cfg, env, policy, correct, ep)[0] for ep in episodes]
 
 
 def noise_test(

@@ -12,7 +12,7 @@ import yaml
 import atoshield
 from atoshield import cli, config, trainer
 from atoshield.cli import (
-    ablation_hidden,
+    ABLATION_STRUCTURES,
     main,
     moving_average,
     protect_decline_pct,
@@ -533,12 +533,10 @@ class TestHelpers:
 
     def test_ablation_structures(self):
         base = (64, 64)
-        assert ablation_hidden(base, "half") == (32, 32)
-        assert ablation_hidden(base, "quarter") == (16, 16)
-        assert ablation_hidden(base, "double") == (128, 128)
-        assert ablation_hidden(base, "quadruple") == (256, 256)
-        assert ablation_hidden(base, "layer_less") == (64,)
-        assert ablation_hidden(base, "layer_more") == (64, 64, 64)
+        assert [(name, widths(base)) for name, widths in ABLATION_STRUCTURES.items()] == [
+            ("half", (32, 32)), ("quarter", (16, 16)), ("double", (128, 128)),
+            ("quadruple", (256, 256)), ("layer_less", (64,)), ("layer_more", (64, 64, 64)),
+        ]
 
 
 @pytest.fixture()
@@ -705,6 +703,18 @@ class TestCli:
         rows = read_metrics_csv(out / metrics)
         # transfer runs the first seed only
         assert [r["seed"] for r in rows] == ([0, 1] if command == "execute" else [0])
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--config", "{dir}"],
+        ["execute", "--config", "{yaml}", "--checkpoint", "{dir}", "--out", "{out}"],
+        ["execute", "--config", "{yaml}", "--checkpoint", "{dir}/nope.json",
+         "--compare-with", "{dir}", "--out", "{out}"],
+    ], ids=["validate-config", "execute-checkpoint", "execute-compare-with"])
+    def test_directory_for_a_file_exit_2_one_line(self, argv, tiny_yaml, tmp_path, capsys):
+        # a directory where a file belongs once ended in an IsADirectoryError traceback
+        paths = {"dir": tmp_path, "yaml": tiny_yaml, "out": tmp_path / "out"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_missing_checkpoint_exit_2(self, tiny_yaml, tmp_path):
         code = main(["execute", "--config", str(tiny_yaml),

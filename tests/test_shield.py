@@ -349,8 +349,8 @@ class TestRecoverabilityAgainstFullRollout:
         recoverable = [ref_brake_recoverable(spec, model, track, s) for s in states]
         assert [brake_recoverable(spec, model, track, s) for s in states] == recoverable
         loc, vel, last, _ = zip(*rows)
-        assert shield._brake_recoverable_batch(
-            spec, model, track, np.array(loc), np.array(vel), np.array(last)
+        assert shield._recovered(
+            ARRAYS, spec, model, track, np.array(loc), np.array(vel), np.array(last)
         ).tolist() == recoverable
         got, verdicts = mask_and_verdicts(spec, track, rows)
         want = [ref_is_safe(spec, model, track, OperationState(loc, vel, 0.0, last), cmd)
@@ -377,8 +377,32 @@ class TestBrakeRecoverable:
         assert brake_recoverable(PLAIN, model, track, OperationState(loc=300.0, vel=75.0))
         assert len(calls) == 5
         loc, vel = np.array([300.0]), np.array([75.0])
-        assert shield._brake_recoverable_batch(PLAIN, model, track, loc, vel, np.array([0.0]))
+        assert shield._recovered(ARRAYS, PLAIN, model, track, loc, vel, np.array([0.0]))
         assert len(calls) == 10
+
+    def test_array_rollout_steps_only_the_open_rows(self, model, track, monkeypatch):
+        # rows that end after 0 intervals (clear), 1 (80 km/h one metre before
+        # the 60 km/h zone), 3 (an overspeed) and 2-8 (recovered above that
+        # zone, the last after the coast the reversal rule forces)
+        rows = [(100.0, 30.0, 0.0), (499.0, 80.0, 0.0), (420.0, 66.0, 0.0), (440.0, 78.0, 0.0),
+                (380.0, 72.0, 0.0), (300.0, 75.0, 0.0), (250.0, 80.0, 0.0), (200.0, 80.0, 1.0)]
+        stepped = []
+        kinematics = shield._kinematics
+        monkeypatch.setattr(shield, "_kinematics",
+                            lambda *a: stepped.append(np.size(a[3])) or kinematics(*a))
+        lengths, verdicts = [], []
+        for loc, vel, last in rows:
+            stepped.clear()
+            verdicts.append(brake_recoverable(REVERSAL, model, track,
+                                              OperationState(loc, vel, 0.0, last)))
+            lengths.append(len(stepped))
+        assert lengths == [0, 1, 2, 3, 4, 5, 7, 8]
+        assert verdicts == [True, False, True, False, True, True, True, True]
+        stepped.clear()
+        loc, vel, last = (np.array(column) for column in zip(*rows))
+        assert shield._recovered(ARRAYS, REVERSAL, model, track, loc, vel, last).tolist() == verdicts
+        # interval k steps the rows whose rollouts are longer than k, and no other
+        assert stepped == [sum(n > k for n in lengths) for k in range(max(lengths))]
 
     def test_hopeless_state_not_recoverable(self, model, track):
         # 80 km/h one metre before the 60 zone
@@ -393,8 +417,8 @@ class TestBrakeRecoverable:
         assert not ref_brake_to_stop(REVERSAL, model, track, state)
         assert not ref_brake_recoverable(REVERSAL, model, track, state)
         assert not brake_recoverable(REVERSAL, model, track, state)
-        assert not shield._brake_recoverable_batch(
-            REVERSAL, model, track, np.array([600.0]), np.array([31.0]), np.array([1.0])
+        assert not shield._recovered(
+            ARRAYS, REVERSAL, model, track, np.array([600.0]), np.array([31.0]), np.array([1.0])
         ).any()
         assert brake_recoverable(PLAIN, model, track, state)
 
@@ -522,7 +546,7 @@ class TestCertifierRunsKinematicsOnly:
                 [is_safe(spec, model, track, s, c) for s, c in zip(states, cmd.tolist())],
                 [safe_action_set(spec, model, track, s, 9) for s in states],
                 [brake_recoverable(spec, model, track, s) for s in states],
-                shield._brake_recoverable_batch(spec, model, track, loc, vel, last).tolist(),
+                shield._recovered(ARRAYS, spec, model, track, loc, vel, last).tolist(),
                 rule_codes(spec, model, track, *args).tolist(),
             )
 
@@ -580,15 +604,14 @@ class TestErrorParity:
             _check_step_inputs(ARRAYS, track, np.array(loc_rows), np.array(vel_rows),
                                np.array([-1.0, first]))
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            shield._brake_recoverable_batch(
-                spec, model, track, np.array(loc_rows), np.array(vel_rows), np.array(last_rows)
-            )
+            shield._recovered(ARRAYS, spec, model, track,
+                              np.array(loc_rows), np.array(vel_rows), np.array(last_rows))
 
     @pytest.mark.parametrize("loc, vel", [(100.0, -1.0), (1500.5, 100.0), (-1.0, 30.0)])
     def test_rollout_ends_before_stepping_from_a_clear_state(self, model, track, loc, vel):
         # a start state the rollout does not step from is judged, not checked
         state = OperationState(loc, vel)
         assert brake_recoverable(PLAIN, model, track, state)
-        assert shield._brake_recoverable_batch(
-            PLAIN, model, track, np.array([loc]), np.array([vel]), np.array([0.0])
+        assert shield._recovered(
+            ARRAYS, PLAIN, model, track, np.array([loc]), np.array([vel]), np.array([0.0])
         ).all()

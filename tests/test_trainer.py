@@ -360,20 +360,21 @@ class TestAdditionalFitWorker:
 
 class TestExecute:
     def test_same_seed_same_checkpoint_identical(self, short_ssa_result):
-        cfg = scenario(max_episodes=12)
-        a = execute(short_ssa_result.agent, cfg, episodes=2, seed=5)
-        b = execute(short_ssa_result.agent, cfg, episodes=2, seed=5)
+        cfg = scenario(max_episodes=12, execution_episodes=2)
+        a = execute(short_ssa_result.agent, cfg, seed=5)
+        b = execute(short_ssa_result.agent, cfg, seed=5)
+        assert len(a) == 2
         assert [m.total_reward for m in a] == [m.total_reward for m in b]
         assert [m.protect_times for m in a] == [m.protect_times for m in b]
 
     def test_shield_active_during_execution(self, short_ssa_result):
-        cfg = scenario(max_episodes=12)
-        metrics = execute(short_ssa_result.agent, cfg, episodes=3, seed=1)
+        cfg = scenario(max_episodes=12, execution_episodes=3)
+        metrics = execute(short_ssa_result.agent, cfg, seed=1)
         assert all(m.overspeed_steps == 0 for m in metrics)
 
     def test_additional_policy_path(self, short_ssa_result):
-        cfg = scenario(max_episodes=12)
-        metrics = execute(short_ssa_result.agent, cfg, use_additional=True, episodes=2, seed=2)
+        cfg = scenario(max_episodes=12, execution_episodes=2)
+        metrics = execute(short_ssa_result.agent, cfg, use_additional=True, seed=2)
         assert all(m.overspeed_steps == 0 for m in metrics)
 
 
