@@ -2,10 +2,11 @@
 
 Every command reads one scenario file, writes per-seed metrics CSVs, a raw
 plus window-smoothed reward-curve CSV where training is involved, and a JSON
-summary with the run's comparison statistics.  Exit status is 0 only when
-every requested seed completed without a shield abort.  ``train`` runs every
-seed even when one fails: a failed seed's summary entry is ``{"seed",
-"error"}``, one stderr line names it, and the exit status is 1.
+summary with the run's comparison statistics, which identical runs write
+byte for byte; action-selection times go to ``timing.json`` beside it.  Exit
+status is 0 only when every requested seed completed without a shield abort.
+``train`` runs every seed even when one fails: a failed seed's summary entry
+is ``{"seed", "error"}``, one stderr line names it, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _train_one_seed(cfg: ScenarioConfig, seed: int, out: Path) -> dict:
     result = train(cfg, seed)
     tag = f"{cfg.run.agent}_seed{seed}"
     ckpt = out / f"checkpoint_{tag}.json"
-    save_checkpoint(ckpt, result.agent, result.converged)
+    save_checkpoint(ckpt, result.agent)
     write_metrics_csv(out / f"metrics_{tag}.csv", [(seed, m) for m in result.metrics])
     write_curve_csv(out / f"curve_{tag}.csv", [m.total_reward for m in result.metrics])
     last = result.metrics[-min(10, len(result.metrics)):]
@@ -147,7 +148,7 @@ def _train_one_seed(cfg: ScenarioConfig, seed: int, out: Path) -> dict:
         "seed": seed,
         "agent": cfg.run.agent,
         "episodes": len(result.metrics),
-        "converged": result.converged,
+        "converged": result.agent.additional_converged,
         "checkpoint": str(ckpt),
         "mean_protect_times": float(np.mean([m.protect_times for m in result.metrics])),
         "total_overspeed_steps": int(sum(m.overspeed_steps for m in result.metrics)),
@@ -192,31 +193,33 @@ def cmd_train(args) -> int:
     return 1 if failed else 0
 
 
-def _exec_summary(metrics: list[EpisodeMetrics]) -> dict:
+def _exec_summary(metrics: list[EpisodeMetrics]) -> tuple[dict, dict]:
+    """A run's seeded summary, and apart from it its wall-clock timing."""
     return {
         "episodes": len(metrics),
         "mean_protect_times": float(np.mean([m.protect_times for m in metrics])),
         "total_overspeed_steps": int(sum(m.overspeed_steps for m in metrics)),
         "arrival_rate": float(np.mean([m.arrived for m in metrics])),
         "mean_abs_deviation_s": float(np.mean([abs(m.schedule_deviation_s) for m in metrics])),
-        "mean_action_select_ms": float(np.mean([m.action_select_mean_s for m in metrics])) * 1e3,
-    }
+    }, {"mean_action_select_ms": float(np.mean([m.action_select_mean_s for m in metrics])) * 1e3}
 
 
 def cmd_execute(args) -> int:
     cfg = _load(args)
-    # a bad baseline is reported before any episode runs
+    # a bad baseline or checkpoint is reported before --out is made
     baseline = read_metrics_csv(Path(args.compare_with)) if args.compare_with else None
+    # every run reseeds agent.rng, so one build serves every seed
+    agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(cfg.run.seeds[0]))
     out = _out_dir(args)
+    use_additional = (args.use_additional if args.use_additional is not None
+                      else agent.additional_converged)
     rows = []
-    summaries = {}
+    summaries, timings = {}, {}
     for seed in cfg.run.seeds:
-        agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(seed))
-        use_additional = (args.use_additional if args.use_additional is not None
-                          else agent.additional_converged)
         metrics = execute(agent, cfg, use_additional=use_additional, seed=seed)
         rows += [(seed, m) for m in metrics]
-        summaries[str(seed)] = {**_exec_summary(metrics), "use_additional": use_additional}
+        summary, timings[str(seed)] = _exec_summary(metrics)
+        summaries[str(seed)] = {**summary, "use_additional": use_additional}
     write_metrics_csv(out / "execution_metrics.csv", rows)
     payload = {"command": "execute", "checkpoint": str(args.checkpoint), "per_seed": summaries}
     if baseline is not None:
@@ -229,6 +232,7 @@ def cmd_execute(args) -> int:
             "protect_decline_pct": protect_decline_pct(ours, base_mean),
         }
     write_summary(out / "summary.json", payload)
+    write_summary(out / "timing.json", {"command": "execute", "per_seed": timings})
     print(f"executed {len(rows)} episode(s) -> {out}")
     return 0
 
@@ -239,21 +243,23 @@ def cmd_noise_test(args) -> int:
     # the probe is deterministic, so one run, labelled with the first seed,
     # stands for every seed in run.seeds
     metrics = noise_test(cfg, args.cmd, episodes=cfg.run.execution_episodes)
+    summary, timing = _exec_summary(metrics)
     write_metrics_csv(out / "noise_test_metrics.csv", [(cfg.run.seeds[0], m) for m in metrics])
     write_summary(out / "summary.json", {
         "command": "noise_test",
         "constant_cmd": args.cmd,
         "seeds": list(cfg.run.seeds),
-        **_exec_summary(metrics),
+        **summary,
     })
+    write_summary(out / "timing.json", {"command": "noise_test", **timing})
     print(f"noise test ({args.cmd:+.1f}) -> {out}")
     return 0
 
 
 def cmd_robustness(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args)
     agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(cfg.run.seeds[0]))
+    out = _out_dir(args)
     if args.eps_r is not None and args.delta_r is not None:
         grid = [(args.eps_r, args.delta_r)]
     else:
@@ -278,11 +284,10 @@ def cmd_robustness(args) -> int:
 
 def cmd_transfer(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args)
     seed = cfg.run.seeds[0]
     agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(seed))
-    use_additional = agent.additional_converged
-    metrics = execute(agent, cfg, use_additional=use_additional, seed=seed)
+    out = _out_dir(args)
+    metrics = execute(agent, cfg, use_additional=agent.additional_converged, seed=seed)
     baseline = noise_test(cfg, 1.0, episodes=1, seed=seed)
     write_metrics_csv(out / "transfer_metrics.csv", [(seed, m) for m in metrics])
     exec_protect = float(np.mean([m.protect_times for m in metrics]))
@@ -295,7 +300,7 @@ def cmd_transfer(args) -> int:
     write_summary(out / "summary.json", {
         "command": "transfer",
         "checkpoint": str(args.checkpoint),
-        "use_additional": use_additional,
+        "use_additional": agent.additional_converged,
         "mean_protect_times": exec_protect,
         "noise_test_protect_times": noise_protect,
         "protect_decline_pct": protect_decline_pct(exec_protect, noise_protect),
@@ -322,20 +327,22 @@ def cmd_ablation(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     seed = cfg.run.seeds[0]
-    results = {}
+    results, timings = {}, {}
     for variant, widths in ABLATION_STRUCTURES.items():
         hidden = widths(tuple(cfg.agent.hidden_sizes))
         agent_cfg = dataclasses.replace(cfg.agent, additional_hidden_sizes=hidden)
         vcfg = dataclasses.replace(cfg, agent=agent_cfg)
-        result = train(vcfg, seed)
-        metrics = execute(result.agent, vcfg, use_additional=result.converged, seed=seed)
+        agent = train(vcfg, seed).agent
+        metrics = execute(agent, vcfg, use_additional=agent.additional_converged, seed=seed)
         write_metrics_csv(out / f"ablation_{variant}_metrics.csv", [(seed, m) for m in metrics])
+        summary, timings[variant] = _exec_summary(metrics)
         results[variant] = {
             "additional_hidden_sizes": list(hidden),
-            "converged": result.converged,
-            **_exec_summary(metrics),
+            "converged": agent.additional_converged,
+            **summary,
         }
     write_summary(out / "summary.json", {"command": "ablation", "per_variant": results})
+    write_summary(out / "timing.json", {"command": "ablation", "per_variant": timings})
     print(f"ablation over {len(ABLATION_STRUCTURES)} structures -> {out}")
     return 0
 

@@ -217,12 +217,25 @@ def additional_actor_converged(elite: EliteBuffer, net: Mlp, eps: float) -> bool
     return True
 
 
-class DdpgAgent:
+class _Agent:
+    """What both learner families share: float32 nets, and the additional actor
+    with its convergence flag, which training and a loaded checkpoint set."""
+
+    dtype = np.float32
+    additional_converged = False
+
+    def act_additional(self, s_vec: np.ndarray) -> float:
+        return act(self.additional, s_vec)
+
+    def named_nets(self) -> dict[str, Mlp]:
+        return {name: getattr(self, name) for name in self.net_names}
+
+
+class DdpgAgent(_Agent):
     """Deterministic policy-gradient learner with OU/Gaussian exploration."""
 
     kind = "ddpg"
     net_names = ("actor", "critic", "actor_target", "critic_target", "additional")
-    dtype = np.float32
 
     def __init__(self, state_dim: int, cfg: AgentConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -253,9 +266,6 @@ class DdpgAgent:
         greedy command plus Gaussian jitter drawn row-major."""
         return jitter_samples(self.actor, states, n, self.rng, max(self.noise.exploration_std(), 1e-3))
 
-    def act_additional(self, s_vec: np.ndarray) -> float:
-        return act(self.additional, s_vec)
-
     def update(self, batch) -> dict[str, float]:
         s, a, r, s2, d = batch
         s2 = np.atleast_2d(s2)
@@ -267,16 +277,12 @@ class DdpgAgent:
         soft_update(self.critic_target, self.critic, self.cfg.soft_tau)
         return {"critic_loss": critic_loss, "actor_objective": actor_objective}
 
-    def named_nets(self) -> dict[str, Mlp]:
-        return {name: getattr(self, name) for name in self.net_names}
 
-
-class SacAgent:
+class SacAgent(_Agent):
     """Entropy-regularized stochastic learner with value and soft-Q heads."""
 
     kind = "sac"
     net_names = ("policy", "value", "value_target", "softq", "additional")
-    dtype = np.float32
 
     def __init__(self, state_dim: int, cfg: AgentConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -311,25 +317,19 @@ class SacAgent:
         eps = self.rng.standard_normal((out.shape[0], 1), dtype=out.dtype)
         return squashed_draw(ARRAYS, out[:, 0:1], out[:, 1:2], eps)[0].reshape(-1, n)
 
-    def act_additional(self, s_vec: np.ndarray) -> float:
-        return act(self.additional, s_vec)
-
     def update(self, batch) -> dict[str, float]:
         return update_sac(
             self.policy, self.value, self.value_target, self.softq,
             self.adams, batch, self.cfg, self.rng,
         )
 
-    def named_nets(self) -> dict[str, Mlp]:
-        return {name: getattr(self, name) for name in self.net_names}
 
-
-def save_checkpoint(path: str | Path, agent, additional_converged: bool = False) -> None:
-    """Portable JSON checkpoint: agent kind plus every net's sizes and weights."""
+def save_checkpoint(path: str | Path, agent) -> None:
+    """Portable JSON checkpoint: kind, convergence flag, every net's sizes and weights."""
     blob = {
         "format": 1,
         "kind": agent.kind,
-        "additional_converged": bool(additional_converged),
+        "additional_converged": agent.additional_converged,
         "nets": {name: net.to_dict() for name, net in agent.named_nets().items()},
     }
     Path(path).write_text(json.dumps(blob))

@@ -5,8 +5,8 @@ and ``robustness_run``, and owns the live state and ``prev_accel``, the
 applied acceleration that entered it (0.0 at the start).  Per step, the
 policy (a plain ``s_vec -> float`` callable) proposes, the corrector
 ``(state, proposed, t, prev_accel) -> (cmd, interventions)`` shields the
-proposal as ``variant_correction`` says, the stateless :class:`TrainEnv`
-steps from the loop's state, and the optional learner hook
+proposal as the variant's row of ``VARIANTS`` says, the stateless
+:class:`TrainEnv` steps from the loop's state, and the optional learner hook
 ``learn(s_vec, cmd, outcome, s2_vec, done, t)`` sees the transition, with
 ``done`` set when it ends the episode: on arrival, or at the step budget of
 ``RunConfig.resolved_budget``.  Each state is normalized once: ``s2_vec`` is
@@ -58,20 +58,11 @@ if TYPE_CHECKING:
 # (state, proposed, t, prev_accel) -> (executed command, shield interventions)
 Corrector = Callable[[OperationState, float, int, float], tuple[float, int]]
 
-VARIANTS = ("ssa_ddpg", "ssa_sac", "shield_ddpg", "shield_sac", "plain_ddpg", "plain_sac")
-
-
-def variant_base(variant: str) -> str:
-    return "sac" if variant.endswith("sac") else "ddpg"
-
-
-def variant_correction(variant: str) -> str:
-    """How unsafe proposals are handled: tree search, fixed chooser, or not at all."""
-    if variant.startswith("ssa"):
-        return "tree"
-    if variant.startswith("shield"):
-        return "chooser"
-    return "none"
+# each variant's learner (an ``AGENT_KINDS`` key) and how it handles an
+# unsafe proposal: tree search, the fixed chooser, or not at all
+VARIANTS = {"ssa_ddpg": ("ddpg", "tree"), "ssa_sac": ("sac", "tree"),
+            "shield_ddpg": ("ddpg", "chooser"), "shield_sac": ("sac", "chooser"),
+            "plain_ddpg": ("ddpg", "none"), "plain_sac": ("sac", "none")}
 
 
 # The most environment steps one episode may take.  ``config.load_config``
@@ -92,7 +83,7 @@ class RunConfig:
     def resolved_episodes(self, variant: str | None = None) -> int:
         if self.max_episodes is not None:
             return self.max_episodes
-        return 400 if variant_base(variant or self.agent) == "ddpg" else 500
+        return 400 if VARIANTS[variant or self.agent][0] == "ddpg" else 500
 
     def resolved_budget(self, track: TrackSection) -> int:
         if self.step_budget is not None:
@@ -119,7 +110,6 @@ class TrainResult:
     agent: object
     elite: EliteBuffer
     metrics: list[EpisodeMetrics]
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -166,7 +156,7 @@ def _agent_sampler(agent, track: TrackSection):
 
 
 def _corrector(cfg: "ScenarioConfig", env: TrainEnv, correction: str, sampler) -> Corrector:
-    """The shield step of one correction kind (see :func:`variant_correction`).
+    """The shield step of one correction kind (see ``VARIANTS``).
 
     ``"none"`` executes every proposal.  Otherwise ``shield_filter`` replaces
     an unsafe proposal with ``min`` of the safe set (hardest safe braking, the
@@ -267,20 +257,21 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     then submits one job that runs the imitation steps in sequence.  Only the
     worker touches ``agent.additional`` and ``agent.additional_adam`` between
     a submit and its join; the last fit is joined before the convergence
-    check, and a fit's exception reaches the caller at the next join.
+    check sets ``agent.additional_converged``, and a fit's exception reaches
+    the caller at the next join.
     """
     # imported here, so that importing the package (every command's set-up)
     # does not pay for concurrent.futures, which loads logging
     from concurrent.futures import ThreadPoolExecutor
 
-    variant = cfg.run.agent
+    learner, correction = VARIANTS[cfg.run.agent]
     rng = np.random.default_rng(seed)
-    agent = AGENT_KINDS[variant_base(variant)](3, cfg.agent, rng)
+    agent = AGENT_KINDS[learner](3, cfg.agent, rng)
     env = TrainEnv(cfg.train, cfg.track, cfg.reward)
     replay = ReplayBuffer(cfg.agent.replay_capacity)
     elite = EliteBuffer(cfg.agent.elite_capacity)
-    episodes = cfg.run.resolved_episodes(variant)
-    correct = _corrector(cfg, env, variant_correction(variant), _agent_sampler(agent, cfg.track))
+    episodes = cfg.run.resolved_episodes()
+    correct = _corrector(cfg, env, correction, _agent_sampler(agent, cfg.track))
     noise = getattr(agent, "noise", None)
 
     def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, s2_vec: np.ndarray, done: bool,
@@ -312,10 +303,10 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
             all_metrics.append(metrics)
         fit.result()
 
-    converged = len(elite) > 0 and additional_actor_converged(
+    agent.additional_converged = len(elite) > 0 and additional_actor_converged(
         elite, agent.additional, cfg.agent.convergence_eps
     )
-    return TrainResult(agent=agent, elite=elite, metrics=all_metrics, converged=converged)
+    return TrainResult(agent=agent, elite=elite, metrics=all_metrics)
 
 
 def _greedy_rollout(agent, cfg: "ScenarioConfig", use_additional: bool, seed: int):
@@ -331,7 +322,7 @@ def _greedy_rollout(agent, cfg: "ScenarioConfig", use_additional: bool, seed: in
     else:
         policy = agent.act
         sampler = _agent_sampler(agent, cfg.track)
-    return env, policy, _corrector(cfg, env, variant_correction(cfg.run.agent), sampler)
+    return env, policy, _corrector(cfg, env, VARIANTS[cfg.run.agent][1], sampler)
 
 
 def execute(

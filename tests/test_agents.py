@@ -422,8 +422,10 @@ class TestAgents:
 
     def test_checkpoint_round_trip(self, rng, tmp_path):
         agent = DdpgAgent(3, SMALL, rng)
+        assert agent.additional_converged is False  # until training says otherwise
+        agent.additional_converged = True
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, agent, additional_converged=True)
+        save_checkpoint(path, agent)
         twin = load_checkpoint(path, SMALL, np.random.default_rng(0))
         s = rng.normal(0, 1, 3)
         assert twin.act(s) == agent.act(s)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -20,6 +21,7 @@ from atoshield.cli import (
     write_metrics_csv,
 )
 from atoshield.config import ConfigError, default_scenario_path, load_config
+from atoshield.drl.agents import AGENT_KINDS, load_checkpoint, save_checkpoint
 from atoshield.drl.nets import Mlp
 from atoshield.shield import UnrecoverableStateError
 from atoshield.trainer import EpisodeMetrics, noise_test
@@ -716,6 +718,71 @@ class TestCli:
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
+    @pytest.mark.parametrize("command", ["execute", "transfer", "robustness"])
+    def test_directory_checkpoint_leaves_no_out_dir(self, command, tiny_yaml, tmp_path, capsys):
+        # the checkpoint is read before --out is made; a bad one once left an
+        # empty output directory behind
+        out = tmp_path / "out"
+        assert main([command, "--config", str(tiny_yaml), "--checkpoint", str(tmp_path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["ssa_ddpg", "ssa_sac", "shield_ddpg"])
+    def test_one_agent_serves_every_seed(self, variant, tiny_yaml, tmp_path):
+        # execute builds the checkpoint's agent once; each seed's rows are the
+        # bytes a fresh build per seed writes, with or without the additional
+        # actor.  Both policies are biased to full traction, so the shield
+        # intervenes and the tree draws its samples from agent.rng.
+        cfg = load_config(tiny_yaml)
+        cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, agent=variant))
+        agent = AGENT_KINDS[trainer.VARIANTS[variant][0]](3, cfg.agent, np.random.default_rng(5))
+        for name in (agent.net_names[0], "additional"):
+            getattr(agent, name).biases[-1][0] = 3.0
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, agent)
+        for use_additional in (False, True):
+            out = tmp_path / f"e{use_additional}"
+            actor = "--use-additional" if use_additional else "--no-use-additional"
+            assert main(["execute", "--config", str(tiny_yaml), "--seed", "0,1",
+                         "--agent", variant.replace("_", "-"), "--checkpoint", str(ckpt), actor,
+                         "--out", str(out)]) == 0
+            rows = []
+            for seed in (0, 1):
+                agent = load_checkpoint(ckpt, cfg.agent, np.random.default_rng(seed))
+                rows += [(seed, m) for m in trainer.execute(agent, cfg, use_additional, seed)]
+            assert all(m.protect_times > 0 for _, m in rows)
+            write_metrics_csv(tmp_path / "fresh.csv", rows)
+            assert (out / "execution_metrics.csv").read_bytes() == (
+                tmp_path / "fresh.csv").read_bytes()
+
+    def test_identical_runs_write_identical_artifacts(self, tiny_yaml, tmp_path):
+        # the action-selection time is a wall-clock figure: it goes to
+        # timing.json, keyed as the summary is, so the summary is seeded
+        train_out = tmp_path / "t"
+        assert main(["train", "--config", str(tiny_yaml), "--seed", "0",
+                     "--out", str(train_out)]) == 0
+        ckpt = train_out / "checkpoint_ssa_ddpg_seed0.json"
+        runs = {"noise-test": (["--cmd", "1.0"], "noise_test_metrics.csv"),
+                "execute": (["--episodes", "1", "--checkpoint", str(ckpt)],
+                            "execution_metrics.csv")}
+        for command, (argv, metrics) in runs.items():
+            for i in (0, 1):
+                assert main([command, "--config", str(tiny_yaml), *argv,
+                             "--out", str(tmp_path / f"{command}{i}")]) == 0
+            for name in ("summary.json", metrics):
+                assert (tmp_path / f"{command}0" / name).read_bytes() == (
+                    tmp_path / f"{command}1" / name).read_bytes()
+        probe = json.loads((tmp_path / "noise-test0" / "timing.json").read_text())
+        assert set(probe) == {"command", "mean_action_select_ms"}
+        summary = json.loads((tmp_path / "execute0" / "summary.json").read_text())
+        timing = json.loads((tmp_path / "execute0" / "timing.json").read_text())
+        assert set(timing) == {"command", "per_seed"}
+        assert timing["per_seed"].keys() == summary["per_seed"].keys() == {"0", "1"}
+        for seed, entry in timing["per_seed"].items():
+            assert set(entry) == {"mean_action_select_ms"} and entry["mean_action_select_ms"] > 0
+            assert "mean_action_select_ms" not in summary["per_seed"][seed]
+
     def test_missing_checkpoint_exit_2(self, tiny_yaml, tmp_path):
         code = main(["execute", "--config", str(tiny_yaml),
                      "--checkpoint", str(tmp_path / "nope.json"),
@@ -790,11 +857,8 @@ class TestCli:
         assert (out / "noise_test_metrics.csv").read_bytes() == (
             tmp_path / "once.csv").read_bytes()
         summary = json.loads((out / "summary.json").read_text())
-        want = cli._exec_summary([m for _, m in once])
-        for timing in (summary, want):
-            del timing["mean_action_select_ms"]
         assert summary == {"command": "noise_test", "constant_cmd": 1.0, "seeds": [2, 0, 1],
-                           **want}
+                           **cli._exec_summary([m for _, m in once])[0]}
         assert summary["episodes"] == 1
 
     @pytest.mark.parametrize("workers", [1, 2])

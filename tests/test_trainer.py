@@ -12,11 +12,12 @@ import pytest
 import atoshield
 from atoshield import trainer
 from atoshield.config import default_scenario_path, load_config
-from atoshield.drl.agents import DdpgAgent
+from atoshield.drl.agents import AGENT_KINDS, DdpgAgent, load_checkpoint, save_checkpoint
 from atoshield.drl.buffers import ReplayBuffer
 from atoshield.drl.nets import Mlp
 from atoshield.dynamics import OperationState, validate_track
 from atoshield.trainer import (
+    VARIANTS,
     RunConfig,
     TrainEnv,
     execute,
@@ -26,8 +27,6 @@ from atoshield.trainer import (
     pcc,
     robustness_run,
     train,
-    variant_base,
-    variant_correction,
 )
 
 from conftest import make_track, seeded_sections
@@ -63,11 +62,13 @@ def short_ssa_result(short_ssa_run):
 
 class TestVariants:
     def test_base_and_correction_split(self):
-        assert variant_base("ssa_sac") == "sac"
-        assert variant_base("plain_ddpg") == "ddpg"
-        assert variant_correction("ssa_ddpg") == "tree"
-        assert variant_correction("shield_sac") == "chooser"
-        assert variant_correction("plain_sac") == "none"
+        assert VARIANTS["ssa_sac"][0] == "sac"
+        assert VARIANTS["plain_ddpg"][0] == "ddpg"
+        assert VARIANTS["ssa_ddpg"][1] == "tree"
+        assert VARIANTS["shield_sac"][1] == "chooser"
+        assert VARIANTS["plain_sac"][1] == "none"
+        assert {learner for learner, _ in VARIANTS.values()} == set(AGENT_KINDS)
+        assert {correction for _, correction in VARIANTS.values()} == {"tree", "chooser", "none"}
 
     def test_episode_defaults_follow_buffer_note(self):
         run = RunConfig(max_episodes=None)
@@ -316,6 +317,19 @@ class TestTrain:
     def test_protect_times_counts_every_intervention(self, short_ssa_result):
         assert all(m.protect_times >= 0 for m in short_ssa_result.metrics)
         assert any(m.protect_times > 0 for m in short_ssa_result.metrics)
+
+    @pytest.mark.parametrize("eps, converged", [(5.0, True), (1e-12, False)])
+    def test_convergence_flag_survives_the_checkpoint(self, tmp_path, eps, converged):
+        # train sets the agent's flag after the last fit has joined; an
+        # imitation error lies in [0, 4], so eps 5 always converges
+        cfg = scenario(max_episodes=2, agent="shield_ddpg")
+        cfg = dataclasses.replace(cfg, agent=dataclasses.replace(
+            cfg.agent, hidden_sizes=(16, 16), batch_size=32, convergence_eps=eps))
+        agent = train(cfg, seed=0).agent
+        assert agent.additional_converged is converged
+        save_checkpoint(tmp_path / "ckpt.json", agent)
+        twin = load_checkpoint(tmp_path / "ckpt.json", cfg.agent, np.random.default_rng(1))
+        assert twin.additional_converged is converged
 
 
 class TestAdditionalFitWorker:
