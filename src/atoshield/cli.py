@@ -40,7 +40,8 @@ METRICS_COLUMNS = {"seed": int, "episode": int, "reward": float, "protect_times"
                    "overspeed": int, "energy": float, "time": float, "deviation": float}
 METRICS_HEADER = tuple(METRICS_COLUMNS)
 # the words a failed run is reported with, by the kind of its failure
-RUN_FAILURES = {UnrecoverableStateError: "shield abort", FloatingPointError: "numerical error"}
+RUN_FAILURES = {UnrecoverableStateError: "shield abort", FloatingPointError: "numerical error",
+                MemoryError: "out of memory"}
 
 
 def moving_average(values, window: int = SMOOTH_WINDOW) -> list[float]:
@@ -77,15 +78,20 @@ class MetricsFileError(ValueError):
 
 def read_metrics_csv(path: Path) -> list[dict]:
     """The rows of a metrics CSV, each cell as its column's type; raises
-    :class:`MetricsFileError` on a wrong header, a bad cell or no rows."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row's missing cells read as ""
-        if tuple(reader.fieldnames or ()) != METRICS_HEADER:
-            raise MetricsFileError(f"{path}: unexpected metrics header {reader.fieldnames}")
+    :class:`MetricsFileError` on text that is not UTF-8, a wrong header, a bad
+    cell or no rows."""
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
-            rows = [{c: kind(r[c]) for c, kind in METRICS_COLUMNS.items()} for r in reader]
-        except ValueError as exc:
-            raise MetricsFileError(f"{path}: line {reader.line_num}: {exc}") from None
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise MetricsFileError(f"{path}: {exc}") from None
+    reader = csv.DictReader(lines, restval="")  # a short row's missing cells read as ""
+    if tuple(reader.fieldnames or ()) != METRICS_HEADER:
+        raise MetricsFileError(f"{path}: unexpected metrics header {reader.fieldnames}")
+    try:
+        rows = [{c: kind(r[c]) for c, kind in METRICS_COLUMNS.items()} for r in reader]
+    except ValueError as exc:
+        raise MetricsFileError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise MetricsFileError(f"{path}: no metrics rows")
     return rows

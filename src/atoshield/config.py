@@ -239,9 +239,21 @@ def _validate_budget(run: RunConfig, track: TrackSection) -> list[str]:
             f"(3 x scheduled_time / dt), above the cap of {MAX_STEP_BUDGET}"]
 
 
+def _unparsed(exc: UnicodeDecodeError | yaml.YAMLError) -> str:
+    """A file that is not UTF-8 YAML, as one line naming the problem and,
+    where the parser marks it, its line and column."""
+    mark = getattr(exc, "problem_mark", None)
+    problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+    return f"file: {problem}{where}"
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and fully validate one scenario file; raises ConfigError."""
-    raw = yaml.safe_load(Path(path).read_text())
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError([_unparsed(exc)]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a mapping of config blocks"])
     errors: list[str] = []

@@ -124,28 +124,10 @@ class Ops:
     one state, :data:`ARRAYS` for the tree's rows (``abs`` and the operators
     work on both).  ``any`` and ``all`` say whether some or every row is set;
     a body uses them only to skip work or to raise, and ``first_bad(x, ok)``
-    is x on the first row that ``ok`` leaves unset.
-
-    Three primitives keep the books of a body that drops rows as they
-    finish.  ``row_ids(x)`` is None on floats and each row's index on
-    arrays.  ``open_rows(ended, *cols)`` gives the columns back unchanged on
-    floats, where the body has already stopped a state that ended, and on
-    arrays each column cut to the rows ``ended`` leaves unset.
-    ``set_rows(ok, rows, values)`` is ``values`` on floats; on arrays it
-    writes ``values`` into ``ok`` at ``rows`` and returns ``ok``."""
+    is x on the first row that ``ok`` leaves unset."""
 
     def __init__(self, **primitives):
         vars(self).update(primitives)  # plain instance attributes read fastest
-
-
-def _open_rows(ended, *cols):
-    keep = ~ended
-    return tuple(col[keep] for col in cols)
-
-
-def _set_rows(ok, rows, values):
-    ok[rows] = values
-    return ok
 
 
 FLOATS = Ops(
@@ -154,14 +136,11 @@ FLOATS = Ops(
     maximum=lambda a, b: b if b > a else a,
     minimum=lambda a, b: b if b < a else a,
     sqrt=math.sqrt, any=operator.truth, all=operator.truth, first_bad=lambda x, ok: x,
-    row_ids=lambda x: None, open_rows=lambda ended, *cols: cols,
-    set_rows=lambda ok, rows, values: values,
 )
 ARRAYS = Ops(
     where=np.where, maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
     any=operator.methodcaller("any"), all=operator.methodcaller("all"),
     first_bad=lambda x, ok: x[~ok][0],
-    row_ids=lambda x: np.arange(x.size), open_rows=_open_rows, set_rows=_set_rows,
 )
 
 

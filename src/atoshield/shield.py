@@ -14,12 +14,11 @@ winning region of the underlying safety game.
 
 Each safety formula, the recovery rollout included, has one body over the
 primitives of ``dynamics``, run on floats for one state and on arrays for the
-tree, so a fix edits only that body; the rollout drops rows as they end
-through the row primitives of :class:`~.dynamics.Ops`.  A (state, command)
-row gets a rule code, a :class:`Verdict`'s value, in two stages: the
-one-step rules (reversal, overspeed, then the floor) read the state's
-``last_cmd``, the command and the interval's motion, and only a row that
-breaks none of them is rolled out for recoverability.
+tree, so a fix edits only that body.  A (state, command) row gets a rule
+code, a :class:`Verdict`'s value, in two stages: the one-step rules
+(reversal, overspeed, then the floor) read the state's ``last_cmd``, the
+command and the interval's motion, and only a row that breaks none of them
+is judged on recoverability.
 :func:`is_safe` runs the stages on one state and returns the verdict;
 :func:`rule_codes` runs them on the tree's rows.  The certifier steps on the
 kinematic body of ``dynamics`` alone, with no reward or energy terms, and
@@ -146,32 +145,34 @@ def _rollout_ends(ops: Ops, track: TrackSection, loc, vel, coast):
     return within | ops.where(coast, False, loc >= track.length)
 
 
-def _recovered(ops: Ops, spec, model, track, loc, vel, last_cmd):
-    """:func:`brake_recoverable` of each state (loc, vel) entered by ``last_cmd``.
+def _recovered(ops: Ops, spec, model, track, loc, vel, last_cmd, done=False):
+    """:func:`brake_recoverable` of each state (loc, vel) entered by ``last_cmd``,
+    on the rows its caller has not decided already (``done``).
 
     A rollout ends recovered where :func:`_rollout_ends` holds, and fails at
-    its first overspeed.  On arrays a row leaves the rollout where it ends,
-    and its verdict is written back to its row.  Only the first interval's
-    states come from the caller, so only those are checked, on the rows that
-    step.
+    its first overspeed.  On arrays every row steps until every rollout has
+    ended, and a row's verdict is fixed where its own rollout ends.  Only
+    the first interval's states come from the caller, so they are checked
+    on the open rows alone: an ended row is judged, not checked, and steps
+    on from a standstill at 0.
     """
     coast = (last_cmd > 0.0) & spec.forbid_direct_reversal
     ok = _rollout_ends(ops, track, loc, vel, coast)
-    if ops.all(ok):  # the common exit: every state is clear already
+    ended = done | ok
+    if ops.all(ended):  # the common exit: every row is decided or clear already
         return ok
     cmd = ops.where(coast, 0.0, FULL_BRAKING)
-    loc, vel, cmd, rows = ops.open_rows(ok, loc, vel, cmd, ops.row_ids(ok))
+    loc, vel = ops.where(ended, 0.0, loc), ops.where(ended, 0.0, vel)
     _check_step_inputs(ops, track, loc, vel, cmd)
     for _ in range(_RECOVERY_STEP_CAP):
         _, accel, _, loc1, vel1, _ = _kinematics(ops, model, track, loc, vel, cmd)
         over = _span_overspeed(ops, track, loc, vel, accel, loc1, vel1)
         clear = ops.where(over, False, _rollout_ends(ops, track, loc1, vel1, False))
-        ok = ops.set_rows(ok, rows, clear)
-        ended = over | clear
+        ok = ops.where(ended, ok, clear)
+        ended = ended | over | clear
         if ops.all(ended):
             return ok
-        loc, vel, rows = ops.open_rows(ended, loc1, vel1, rows)
-        cmd = FULL_BRAKING
+        loc, vel, cmd = loc1, vel1, FULL_BRAKING
     raise RuntimeError("braking trajectory failed to terminate")
 
 
@@ -245,11 +246,9 @@ def rule_codes(
     """
     over = _span_overspeed(ARRAYS, track, loc, vel, accel, next_loc, next_vel)
     code = _one_step_code(ARRAYS, spec, track, last_cmd, cmd, over, arrived, next_loc, next_vel)
-    rows = np.flatnonzero(code == 0)
-    if rows.size:
-        ok = _recovered(ARRAYS, spec, model, track, next_loc[rows], next_vel[rows], cmd[rows])
-        code[rows[~ok]] = 4
-    return code
+    done = code != 0
+    ok = _recovered(ARRAYS, spec, model, track, next_loc, next_vel, cmd, done)
+    return np.where(done | ok, code, 4)
 
 
 def command_grid(size: int) -> list[float]:

@@ -575,6 +575,25 @@ class TestCli:
         path = dump(tmp_path, blob)
         assert main(["validate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "train"])
+    @pytest.mark.parametrize("text, problem", [
+        (b"train: {mass_tonnes: 3\n  bad: [", "expected ',' or '}', but got ':' at line 2, column 6"),
+        (b"train: !!python/object:os.system {}\n",
+         "could not determine a constructor for the tag "
+         "'tag:yaml.org,2002:python/object:os.system' at line 1, column 8"),
+        (b"\xfftrain: {}\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["syntax", "unsafe-tag", "not-utf8"])
+    def test_unparsable_scenario_is_one_config_error(self, tmp_path, capsys, command, text,
+                                                     problem):
+        # each once ended in a parser or decoder traceback with exit 1
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "train" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"invalid scenario config:\n  - file: {problem}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["train", "--episodes", "0"], "--episodes"),
         (["train", "--episodes", "-2"], "--episodes"),
@@ -689,6 +708,20 @@ class TestCli:
                      "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {baseline}: {problem}\n"
+        assert not out.exists()
+
+    def test_non_utf8_baseline_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
+        # a byte that is not UTF-8 once ended in a decoder traceback with exit 1
+        baseline = tmp_path / "base.csv"
+        baseline.write_bytes(b"seed,episode\n\xff\n")
+        out = tmp_path / "e"
+        code = main(["execute", "--config", str(tiny_yaml), "--checkpoint",
+                     str(tmp_path / "nope.json"), "--compare-with", str(baseline),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {baseline}: 'utf-8' codec can't decode byte 0xff in position 13: "
+            "invalid start byte\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, metrics", [("execute", "execution_metrics.csv"),
@@ -911,6 +944,25 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "seed 0: numerical error: network produced non-finite output\n"
+
+    def test_out_of_memory_exit_1_one_line_per_seed(self, tiny_yaml, tmp_path, capsys):
+        # learner sizes are not bounded at load, so this file validates; its
+        # replay buffer asks for more memory than any machine has, and
+        # each seed once ended train in a numpy._ArrayMemoryError traceback
+        blob = yaml.safe_load(tiny_yaml.read_text())
+        blob["agent"]["replay_capacity"] = 10_000_000_000_000
+        path = dump(tmp_path, blob, "huge.yaml")
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for seed, line in zip((0, 1), lines):
+            assert line.startswith(f"seed {seed}: out of memory: Unable to allocate ")
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [r["seed"] for r in runs] == [0, 1]
+        assert all(r["error"].startswith("out of memory: ") for r in runs)
 
     def test_robustness_single_cell(self, tiny_yaml, tmp_path):
         train_out = tmp_path / "t2"

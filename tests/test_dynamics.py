@@ -290,19 +290,6 @@ class TestOps:
         # a shared body meets a primitive one table lacks only when that path reaches the call
         assert sorted(vars(FLOATS)) == sorted(vars(ARRAYS))
 
-    def test_row_primitives(self):
-        assert FLOATS.row_ids(3.0) is None
-        assert FLOATS.open_rows(False, 1.0, 2.0) == (1.0, 2.0)
-        assert FLOATS.set_rows(False, None, True) is True
-        ended = np.array([True, False, True, False])
-        rows = ARRAYS.row_ids(ended)
-        assert rows.tolist() == [0, 1, 2, 3]
-        loc, rows = ARRAYS.open_rows(ended, np.array([5.0, 6.0, 7.0, 8.0]), rows)
-        assert loc.tolist() == [6.0, 8.0] and rows.tolist() == [1, 3]
-        ok = np.zeros(4, dtype=bool)
-        assert ARRAYS.set_rows(ok, rows, np.array([True, False])) is ok
-        assert ok.tolist() == [False, True, False, False]
-
 
 class TestKinematics:
     """The kinematic body the shield certifies on is the motion that step and

@@ -380,7 +380,8 @@ class TestBrakeRecoverable:
         assert shield._recovered(ARRAYS, PLAIN, model, track, loc, vel, np.array([0.0]))
         assert len(calls) == 10
 
-    def test_array_rollout_steps_only_the_open_rows(self, model, track, monkeypatch):
+    def test_array_rollout_steps_every_row_until_the_longest_ends(self, model, track,
+                                                                   monkeypatch):
         # rows that end after 0 intervals (clear), 1 (80 km/h one metre before
         # the 60 km/h zone), 3 (an overspeed) and 2-8 (recovered above that
         # zone, the last after the coast the reversal rule forces)
@@ -401,8 +402,8 @@ class TestBrakeRecoverable:
         stepped.clear()
         loc, vel, last = (np.array(column) for column in zip(*rows))
         assert shield._recovered(ARRAYS, REVERSAL, model, track, loc, vel, last).tolist() == verdicts
-        # interval k steps the rows whose rollouts are longer than k, and no other
-        assert stepped == [sum(n > k for n in lengths) for k in range(max(lengths))]
+        # every interval steps every row, and the longest rollout sets how many there are
+        assert stepped == [len(rows)] * max(lengths)
 
     def test_hopeless_state_not_recoverable(self, model, track):
         # 80 km/h one metre before the 60 zone
