@@ -182,12 +182,15 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     seeds = list(cfg.run.seeds)
-    if args.workers > 1 and len(seeds) > 1:
+    # a forked pool starts all its processes at the first submit, so it
+    # gets no more of them than there are seeds
+    workers = min(args.workers, len(seeds))
+    if workers > 1:
         # imported here so that every other command skips concurrent.futures,
         # which loads multiprocessing and logging
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_train_one_seed, cfg, seed, out) for seed in seeds]
             runs = [_seed_run(seed, fut.result) for seed, fut in zip(seeds, futures)]
     else:
@@ -384,6 +387,17 @@ def _number_in(lo: float, hi: float, words: str):
     return parse
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="atoshield",
@@ -408,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the configured variant over the seed list")
     common(p)
-    p.add_argument("--workers", type=int, default=1, help="parallel seed workers")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="parallel seed workers, at most one per seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("execute", help="greedy shielded rollouts of a checkpoint")

@@ -71,14 +71,32 @@ def critic_target(r: np.ndarray, v2: np.ndarray, d: np.ndarray, gamma: float) ->
     return np.asarray(r, dtype=float) + gamma * (1.0 - np.asarray(d, dtype=float)) * v2
 
 
+# rows per block of a regression step: an elite sample runs to thousands of
+# rows, and the layer caches and the net's scratch follow the block, not it
+_REGRESS_ROWS = 256
+
+
 def regress(net: Mlp, adam: Adam, x: np.ndarray, y: np.ndarray) -> float:
-    """One MSE descent step of net(x)[:, 0] toward y; returns the pre-step loss."""
-    pred, cache = net.forward_cached(x)
-    err = pred[:, 0] - y
-    loss = float(np.mean(err**2))
-    grads, _ = net.backward(cache, (2.0 * err / err.size)[:, None])
+    """One MSE descent step of net(x)[:, 0] toward y; returns the pre-step loss.
+
+    The rows run through ``forward_cached`` and ``backward`` in blocks of at
+    most ``_REGRESS_ROWS``, each block's output gradient scaled by the whole
+    row count, and the blocks' parameter gradients are summed in block order
+    before one ``adam.step``.  So up to ``_REGRESS_ROWS`` rows take the
+    operations of one whole-batch step, and the loss, summed in float64, has
+    ``np.mean``'s value and dtype there.
+    """
+    n = len(y)
+    grads, sq_err = None, 0.0
+    for lo in range(0, n, _REGRESS_ROWS):
+        rows = slice(lo, lo + _REGRESS_ROWS)
+        pred, cache = net.forward_cached(x[rows])
+        err = pred[:, 0] - y[rows]
+        sq_err += float(np.sum(err**2))
+        block, _ = net.backward(cache, (2.0 * err / n)[:, None])
+        grads = block if grads is None else np.add(grads, block, out=grads)
     adam.step(net, grads)
-    return loss
+    return float(err.dtype.type(sq_err / n))
 
 
 def update_critic(critic: Mlp, adam: Adam, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:

@@ -34,6 +34,10 @@ the target network owns.  Each in-place form does the floating-point
 operations of the plain expression it stands for, in the same order, so
 results are bitwise those of that expression.
 
+The scratch follows the largest batch a network has run.  The agents'
+regression steps (``drl.agents.regress``) run in blocks of at most 256 rows,
+so a regression of any size needs scratch and caches for 256 rows only.
+
 One dtype per network: ``Mlp(..., dtype=)`` sets the dtype of ``flat``
 (float64 by default), and every array a network or its ``Adam`` makes
 follows ``flat.dtype``: caches, outputs, parameter and input gradients, and

@@ -627,12 +627,16 @@ class TestCli:
         ["robustness", "--checkpoint", "ckpt.json", "--eps-r", "0.3", "--delta-r", "x"],
         # one episode per cell: the grid takes no episode count
         ["robustness", "--checkpoint", "ckpt.json", "--episodes", "3"],
+        # once accepted and run in sequence
+        ["train", "--workers", "0"],
+        ["train", "--workers", "-3"],
+        ["train", "--workers", "x"],
     ])
     def test_bad_flag_exit_2_one_line(self, argv, tiny_yaml, tmp_path, capsys):
         # argparse rejects the flag before any command runs: a command outside
         # [-1, 1], a disturbance probability outside [0, 1], a negative
-        # disturbance magnitude, a value that is not a finite number, or one
-        # disturbance flag without the other
+        # disturbance magnitude, a value that is not a finite number, one
+        # disturbance flag without the other, or a worker count below 1
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_:
             main([*argv, "--config", str(tiny_yaml), "--out", str(out)])
@@ -893,6 +897,39 @@ class TestCli:
         assert summary == {"command": "noise_test", "constant_cmd": 1.0, "seeds": [2, 0, 1],
                            **cli._exec_summary([m for _, m in once])[0]}
         assert summary["episodes"] == 1
+
+    @pytest.mark.parametrize("workers, pool", [(1, []), (2, [2]), (3, [3]), (64, [3])])
+    def test_train_pool_has_at_most_one_process_per_seed(self, tiny_yaml, tmp_path, monkeypatch,
+                                                         workers, pool):
+        # a forked pool starts max_workers processes at its first submit; the
+        # stand-in records the size it is given and runs each job inline
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_train_one_seed", lambda cfg, seed, out: {"seed": seed})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tiny_yaml), "--seed", "0,1,2",
+                     "--workers", str(workers), "--out", str(out)]) == 0
+        assert sizes == pool
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert runs == [{"seed": 0}, {"seed": 1}, {"seed": 2}]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("error, label", [

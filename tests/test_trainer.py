@@ -526,10 +526,11 @@ class TestNoExecutedOverspeed:
         assert true_overspeeds(cfg.track, spans) == []
 
 
-# Each pinned training runs in a child interpreter with one BLAS thread, set
-# before numpy loads: the additional actor's large imitation matmuls round
-# differently with the BLAS thread count, so the pins must not depend on the
-# host's default.  The child prints the repr of a dict of plain values.
+# Each pinned training runs in a child interpreter with the BLAS thread count
+# set before numpy loads, so a pin names the count it was run at rather than
+# the host's default; every regression step multiplies blocks of at most 256
+# rows, which give the same bytes at one and at two threads (both are
+# pinned).  The child prints the repr of a dict of plain values.
 _PINNED_RUN = """
 import dataclasses, hashlib, sys
 import numpy as np
@@ -559,28 +560,30 @@ print(repr({
 # agents moved to float32 nets, float32 SAC draws and float32 replay states,
 # and for ssa_ddpg again after the shield held a limit boundary's crossing
 # speed to the lower of its two limits; an optimisation of the learner's data
-# path, or the fit's overlap with the rollout, may not change any value.
+# path, or the fit's overlap with the rollout, may not change any value.  The
+# three additional actors were re-recorded when the imitation step went to
+# 256-row blocks, which regroups its gradient sums.
 PINNED = {
     "shield_sac": (
         [(0, -24720.264657647145, 0, 0, 45.21124827243675, -12.555519528918586, 179.0, 69.0, True),
          (1, -85124.23772283921, 0, 0, 26.3494835674501, -7.0875054103746, 330.0, 220.0, False),
          (2, -83515.88027922717, 0, 0, 17.075242101343417, -4.728227200615383, 330.0, 220.0, False)],
         {"policy": "f16e8f33c21d5c7d", "value": "56472580af8c8e19", "value_target": "43abb869cf958e2a",
-         "softq": "9d35c1755649a422", "additional": "2f65418fff9ef63c"},
+         "softq": "9d35c1755649a422", "additional": "d4f9e8a4f38cc711"},
     ),
     "ssa_ddpg": (
         [(0, -38810.35852302294, 3, 0, 33.74978152518154, -4.19287254886525, 198.0, 88.0, True),
          (1, -38140.68829381618, 7, 0, 37.435363097199506, -3.5342324459092644, 188.0, 78.0, True),
          (2, -32549.320815197316, 3, 0, 29.59197789971807, -1.3636713233258444, 176.0, 66.0, True)],
         {"actor": "f91c7aff809c8cfc", "critic": "b94795b581aa1c02", "actor_target": "772e9e2aad6ea9c0",
-         "critic_target": "96d62734f06e9ae5", "additional": "28b6d0ed8ff554b0"},
+         "critic_target": "96d62734f06e9ae5", "additional": "bdbc8007b44694b4"},
     ),
     "ssa_sac": (
         [(0, -49387.484591895474, 0, 0, 48.80853858478582, -7.395879287672748, 231.0, 121.0, True),
          (1, -34146.168745721014, 4, 0, 49.05277442933249, -6.98878429443225, 179.0, 69.0, True),
          (2, -14399.563815867827, 2, 0, 37.54395411814582, -6.117982160904052, 131.0, 21.0, True)],
         {"policy": "7e28c4e290bce8ff", "value": "12b3548382d894a4", "value_target": "d65fe41230e6cbfc",
-         "softq": "98b1b3a4572dd36d", "additional": "b93ef331807c41c9"},
+         "softq": "98b1b3a4572dd36d", "additional": "b4499941cf39fde3"},
     ),
 }
 # the training seed of each pin: ssa_sac at seed 4 never intervenes, so it
@@ -589,11 +592,11 @@ PINNED = {
 PINNED_SEEDS = {"shield_sac": 4, "ssa_ddpg": 4, "ssa_sac": 2}
 
 
-def _run_with_one_blas_thread(script: str, *args: str):
-    """Run ``script`` in a child interpreter with one BLAS thread; return the
-    literal it prints."""
+def _run_with_blas_threads(threads: int, script: str, *args: str):
+    """Run ``script`` in a child interpreter with ``threads`` BLAS threads;
+    return the literal it prints."""
     src = str(Path(atoshield.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, check=True, timeout=300)
@@ -602,8 +605,16 @@ def _run_with_one_blas_thread(script: str, *args: str):
 
 @pytest.mark.parametrize("variant", sorted(PINNED))
 def test_seeded_training_outputs_pinned(variant):
-    out = _run_with_one_blas_thread(_PINNED_RUN, variant, str(PINNED_SEEDS[variant]))
+    out = _run_with_blas_threads(1, _PINNED_RUN, variant, str(PINNED_SEEDS[variant]))
     assert out["wraps"]
+    assert (out["rows"], out["weights"]) == PINNED[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED))
+def test_seeded_training_outputs_pinned_at_two_blas_threads(variant):
+    # an imitation step over the whole elite sample at once rounded its
+    # products differently at two BLAS threads; its 256-row blocks do not
+    out = _run_with_blas_threads(2, _PINNED_RUN, variant, str(PINNED_SEEDS[variant]))
     assert (out["rows"], out["weights"]) == PINNED[variant]
 
 
@@ -648,4 +659,4 @@ print(repr({"alive": sum(t.is_alive() for t in threads), "same": [r == alone for
 
 
 def test_concurrent_trainings_under_fast_thread_switching_match_one_alone():
-    assert _run_with_one_blas_thread(_STRESS_RUN) == {"alive": 0, "same": [True] * 3}
+    assert _run_with_blas_threads(1, _STRESS_RUN) == {"alive": 0, "same": [True] * 3}
