@@ -28,7 +28,7 @@ import numpy as np
 
 from ..dynamics import ARRAYS, FLOATS, Ops
 from .buffers import EliteBuffer, Trajectory
-from .nets import Adam, Mlp, soft_update
+from .nets import Adam, Mlp, Scratch, soft_update
 from .noise import NoiseProcess, act, act_with_noise
 
 LOG_STD_MIN = -20.0
@@ -229,7 +229,9 @@ def additional_actor_converged(elite: EliteBuffer, net: Mlp, eps: float) -> bool
     if len(elite) == 0:
         raise ValueError("convergence is undefined on an empty elite buffer")
     for traj in elite:
-        pred = net.forward(traj.states)[:, 0]
+        # in regression-sized blocks, so the net's scratch stays at 256 rows
+        pred = np.concatenate([net.forward(traj.states[lo : lo + _REGRESS_ROWS])[:, 0]
+                               for lo in range(0, len(traj), _REGRESS_ROWS)])
         if float(np.mean((traj.actions - pred) ** 2)) >= eps:
             return False
     return True
@@ -237,7 +239,10 @@ def additional_actor_converged(elite: EliteBuffer, net: Mlp, eps: float) -> bool
 
 class _Agent:
     """What both learner families share: float32 nets, and the additional actor
-    with its convergence flag, which training and a loaded checkpoint set."""
+    with its convergence flag, which training and a loaded checkpoint set.
+
+    The nets that run on the agent's own thread share one ``Scratch``; the
+    additional actor, which ``train`` fits on a worker thread, keeps its own."""
 
     dtype = np.float32
     additional_converged = False
@@ -259,10 +264,12 @@ class DdpgAgent(_Agent):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
-        self.actor = Mlp([state_dim, *hidden, 1], "tanh", rng, dtype=self.dtype)
-        self.critic = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype)
-        self.actor_target = self.actor.clone()
-        self.critic_target = self.critic.clone()
+        scratch = Scratch(self.dtype)  # the main thread's nets run one at a time
+        self.actor = Mlp([state_dim, *hidden, 1], "tanh", rng, dtype=self.dtype, scratch=scratch)
+        self.critic = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
+                          scratch=scratch)
+        self.actor_target = self.actor.clone(scratch)
+        self.critic_target = self.critic.clone(scratch)
         self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
                               dtype=self.dtype)
         self.actor_adam = Adam(self.actor, cfg.actor_lr)
@@ -306,10 +313,12 @@ class SacAgent(_Agent):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
-        self.policy = Mlp([state_dim, *hidden, 2], "identity", rng, dtype=self.dtype)
-        self.value = Mlp([state_dim, *hidden, 1], "identity", rng, dtype=self.dtype)
-        self.value_target = self.value.clone()
-        self.softq = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype)
+        scratch = Scratch(self.dtype)  # the main thread's nets run one at a time
+        self.policy = Mlp([state_dim, *hidden, 2], "identity", rng, dtype=self.dtype, scratch=scratch)
+        self.value = Mlp([state_dim, *hidden, 1], "identity", rng, dtype=self.dtype, scratch=scratch)
+        self.value_target = self.value.clone(scratch)
+        self.softq = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
+                         scratch=scratch)
         self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
                               dtype=self.dtype)
         self.adams = {

@@ -28,16 +28,21 @@ class Trajectory:
 class ReplayBuffer:
     """Bounded FIFO store of (s, a, r, s', d) transitions with uniform sampling.
 
-    Transitions live in preallocated ring arrays, one per field; the state
-    arrays take the shape and the floating dtype of the first pushed state;
-    every later state must match that shape and is stored in that dtype.
-    Actions, rewards and done flags are float64.  Row ``next`` is written
-    next, so once the ring is full it holds the oldest transition.
+    Transitions live in ring arrays, one per field, that the first push
+    makes ``_FIRST_ROWS`` rows long (or ``capacity``, if smaller) and that
+    double, by copy, whenever a push reaches their end, up to ``capacity``
+    rows; so the ring costs the rows a run fills, not its capacity.  The
+    state arrays take the shape and the floating dtype of the first pushed
+    state; every later state must match that shape and is stored in that
+    dtype.  Actions, rewards and done flags are float64.  Row ``next`` is
+    written next, so once the ring is full it holds the oldest transition.
     ``sample`` draws indices counted oldest first, as over a FIFO queue, and
     maps index ``i`` to row ``(i + next) % capacity`` once full (to row ``i``
     before).  It gathers those rows with ``ndarray.take``, which copies the
     same rows as fancy indexing but on numpy's contiguous gather loop.
     """
+
+    _FIRST_ROWS = 1024
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -45,21 +50,21 @@ class ReplayBuffer:
         self.capacity = capacity
         self._size = 0
         self._next = 0
-        # np.empty leaves capacity that is never written out of resident memory
-        self._s = self._s2 = None
-        self._a = np.empty(capacity)
-        self._r = np.empty(capacity)
-        self._d = np.empty(capacity)
+        self._s = self._a = self._r = self._s2 = self._d = None
 
     def push(self, s: np.ndarray, a: float, r: float, s2: np.ndarray, d: float) -> None:
         if self._s is None:
+            rows = min(self._FIRST_ROWS, self.capacity)
             dtype = np.promote_types(np.asarray(s).dtype, np.float32)  # integer states store as floats
-            self._s = np.empty((self.capacity, *np.shape(s)), dtype=dtype)
+            self._s = np.empty((rows, *np.shape(s)), dtype=dtype)
             self._s2 = np.empty_like(self._s)
+            self._a, self._r, self._d = np.empty(rows), np.empty(rows), np.empty(rows)
         shape = self._s.shape[1:]
         if np.shape(s) != shape or np.shape(s2) != shape:
             raise ValueError(f"state shapes {np.shape(s)} and {np.shape(s2)} do not match the stored {shape}")
         i = self._next
+        if i == len(self._a):  # only before the ring is full: then i is the row count
+            self._grow(min(2 * i, self.capacity))
         self._s[i] = s
         self._a[i] = a
         self._r[i] = r
@@ -67,6 +72,14 @@ class ReplayBuffer:
         self._d[i] = d
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
+
+    def _grow(self, rows: int) -> None:
+        """Copy each ring array into a new one of ``rows`` rows."""
+        for field in ("_s", "_a", "_r", "_s2", "_d"):
+            old = getattr(self, field)
+            new = np.empty((rows, *old.shape[1:]), dtype=old.dtype)
+            new[: len(old)] = old
+            setattr(self, field, new)
 
     def __len__(self) -> int:
         return self._size

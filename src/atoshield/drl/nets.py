@@ -17,15 +17,18 @@ that differentiate through a network they do not train.
 In place, but only on what the call owns: ``forward_cached`` applies each
 layer's bias and activation in place to the array its matmul allocated, and
 ``forward``, the same loop without the cache, writes its hidden layers into
-scratch the network owns, so only its output is fresh.  The ReLU runs
+the network's ``Scratch``, so only its output is fresh.  The ReLU runs
 against a same-shape zeros block: the same bytes as against 0.0, on numpy's
 contiguous loop.  ``backward`` writes each hidden layer's input-gradient
 product (``np.dot``, BLAS's fast path also for the one-column output layer,
 where ``@`` is several times slower) and ReLU mask into that scratch: two
 product buffers that alternate by layer, the bool mask and the zeros, each
 flat, the largest batch seen times the widest hidden layer (3 x itemsize +
-1 bytes per row and unit), used through C-contiguous views.  So one network
-runs one ``forward`` or ``backward`` at a time.  Neither method writes into
+1 bytes per row and unit), used through C-contiguous views.  A net builds
+a scratch of its own unless it is handed one; nets that never run at the
+same time, such as an agent's nets on one thread, may share one, so the
+nets of one scratch run one ``forward`` or ``backward`` at a time among
+them, and no scratch view leaves a call.  Neither method writes into
 an array the caller passed in or still holds (the input, ``grad_out``, a
 cache), and every array they return or cache is fresh on every call, so a
 caller may keep any of them as long as it likes.  ``Adam`` runs its update
@@ -34,9 +37,10 @@ the target network owns.  Each in-place form does the floating-point
 operations of the plain expression it stands for, in the same order, so
 results are bitwise those of that expression.
 
-The scratch follows the largest batch a network has run.  The agents'
-regression steps (``drl.agents.regress``) run in blocks of at most 256 rows,
-so a regression of any size needs scratch and caches for 256 rows only.
+A scratch follows the largest batch its nets have run.  The agents'
+regression steps (``drl.agents.regress``) and convergence check run in
+blocks of at most 256 rows, so a regression of any size needs scratch and
+caches for 256 rows only.
 
 One dtype per network: ``Mlp(..., dtype=)`` sets the dtype of ``flat``
 (float64 by default), and every array a network or its ``Adam`` makes
@@ -55,7 +59,45 @@ import numpy as np
 _ACTIVATIONS = ("tanh", "identity")
 
 
+class Scratch:
+    """The layer loops' working memory (see above), for the nets handed it.
+
+    ``size`` is the elements of each of the four flat buffers: the largest
+    rows times widest hidden layer a ``views`` call has asked for.
+    ``views(rows, widths)`` gives per hidden layer (rows, width) views of a
+    product buffer (alternating by layer), the mask and the zeros; the views
+    of up to 16 (rows, widths) keys are kept.
+    """
+
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
+        self.size = -1
+        self._buffers = None
+        self._views = {}
+
+    def views(self, rows: int, widths: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        views = self._views.get((rows, widths))
+        if views is None:
+            size = rows * max(widths, default=0)
+            if size > self.size:
+                self._buffers = (np.empty(size, self.dtype), np.empty(size, self.dtype),
+                                 np.empty(size, bool), np.zeros(size, self.dtype))
+                self.size, self._views = size, {}
+            elif len(self._views) >= 16:
+                self._views = {}
+            first, second, mask, zeros = self._buffers
+            views = self._views[rows, widths] = [
+                tuple(a[: rows * n].reshape(rows, n) for a in ((first, second)[j % 2], mask, zeros))
+                for j, n in enumerate(widths)
+            ]
+        return views
+
+
 class Mlp:
+    """A ReLU stack with a tanh or identity output over one flat parameter
+    vector.  ``scratch`` is the working memory of its layer loops: its own
+    unless the builder hands it one that other nets share (see ``Scratch``)."""
+
     def __init__(
         self,
         layer_sizes: list[int],
@@ -63,6 +105,7 @@ class Mlp:
         rng: np.random.Generator | None = None,
         final_init_scale: float = 3e-3,
         dtype=np.float64,
+        scratch: "Scratch | None" = None,
     ):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
@@ -76,12 +119,11 @@ class Mlp:
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs), dtype=dtype)
         self.weights, self.biases = self._split(self.flat)
-        # the layer loops' scratch and its views (see _scratch_views), and
-        # soft_update's blend vector when this net is a target
-        self._scratch_rows = -1
-        self._scratch = None
-        self._views = {}
-        self._blend = None
+        self.scratch = Scratch(dtype) if scratch is None else scratch
+        if self.scratch.dtype != self.flat.dtype:
+            raise ValueError(f"scratch dtype {self.scratch.dtype} is not the net's {self.flat.dtype}")
+        self._hidden = tuple(self.layer_sizes[1:-1])
+        self._blend = None  # soft_update's blend vector when this net is a target
         for i, (n_in, n_out) in enumerate(pairs):
             if i == len(pairs) - 1:
                 self.weights[i][...] = rng.uniform(-final_init_scale, final_init_scale, (n_in, n_out))
@@ -120,7 +162,7 @@ class Mlp:
         h = np.array(x, dtype=self.flat.dtype, copy=None, ndmin=2)
         if cache is not None:
             cache.append(h)
-        hidden = zip(self.weights, self.biases, self._scratch_views(h.shape[0]))
+        hidden = zip(self.weights, self.biases, self.scratch.views(h.shape[0], self._hidden))
         for w, b, (product, _, zeros) in hidden:
             h = h @ w if cache is not None else np.matmul(h, w, out=product)
             h += b
@@ -136,26 +178,6 @@ class Mlp:
         if not np.isfinite(h).all():
             raise FloatingPointError("network produced non-finite output")
         return h
-
-    def _scratch_views(self, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per hidden layer, (rows, width) views of the scratch: a product
-        buffer (alternating by layer), the ReLU mask and the ReLU zeros; the
-        views of up to 16 batch sizes are kept."""
-        views = self._views.get(rows)
-        if views is None:
-            if rows > self._scratch_rows:
-                size, dtype = rows * max(self.layer_sizes[1:-1], default=0), self.flat.dtype
-                self._scratch = (np.empty(size, dtype), np.empty(size, dtype),
-                                 np.empty(size, bool), np.zeros(size, dtype))
-                self._scratch_rows, self._views = rows, {}
-            elif len(self._views) >= 16:
-                self._views = {}
-            first, second, mask, zeros = self._scratch
-            views = self._views[rows] = [
-                tuple(a[: rows * n].reshape(rows, n) for a in ((first, second)[j % 2], mask, zeros))
-                for j, n in enumerate(self.layer_sizes[1:-1])
-            ]
-        return views
 
     def backward(
         self, cache: list[np.ndarray], grad_out: np.ndarray, params: bool = True
@@ -175,7 +197,7 @@ class Mlp:
         if params:
             param_grad = np.empty_like(self.flat)
             grad_w, grad_b = self._split(param_grad)
-        views = self._scratch_views(grad.shape[0])
+        views = self.scratch.views(grad.shape[0], self._hidden)
         for i in range(self.n_layers - 1, -1, -1):
             if params:
                 np.matmul(cache[i].T, grad, out=grad_w[i])
@@ -196,9 +218,10 @@ class Mlp:
             raise ValueError("layer size mismatch")
         self.flat[...] = other.flat
 
-    def clone(self) -> "Mlp":
+    def clone(self, scratch: "Scratch | None" = None) -> "Mlp":
+        """A twin holding the same weights, with its own scratch unless one is given."""
         twin = Mlp(self.layer_sizes, self.output_activation, np.random.default_rng(0),
-                   dtype=self.flat.dtype)
+                   dtype=self.flat.dtype, scratch=scratch)
         twin.copy_from(self)
         return twin
 

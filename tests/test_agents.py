@@ -442,6 +442,67 @@ class TestRegressBlocks:
         assert peak < 1_000_000
 
 
+class TestSharedScratch:
+    """An agent's nets on its own thread share one layer scratch; the
+    additional actor, which train fits on a worker thread, keeps its own."""
+
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_main_thread_nets_share_one_scratch(self, cls, loaded, rng, tmp_path):
+        agent = cls(3, SMALL, rng)
+        if loaded:
+            agent = load_checkpoint(saved(tmp_path, agent), SMALL, np.random.default_rng(0))
+        nets = agent.named_nets()
+        shared = {id(nets[name].scratch) for name in agent.net_names if name != "additional"}
+        assert len(shared) == 1
+        assert id(agent.additional.scratch) not in shared
+        other = cls(3, SMALL, rng)  # and no two agents share one
+        assert {id(net.scratch) for net in other.named_nets().values()}.isdisjoint(
+            {id(net.scratch) for net in nets.values()})
+
+    def test_convergence_check_runs_in_regression_blocks(self, rng):
+        # the mean is over all 1,000 rows: one error of 0.8 on the last row
+        # is 6.4e-4 over them, but above eps over its own 232-row block
+        net = Mlp([3, 64, 64, 1], "tanh", rng, dtype=np.float32)
+        traj = flat_traj(net.clone(), rng, n=1000)
+        elite = EliteBuffer(1)
+        elite.insert(traj)
+        assert additional_actor_converged(elite, net, 1e-3)
+        assert net.scratch.size == 256 * 64
+        for miss, converged in ((0.8, True), (1.2, False)):
+            traj.actions[-1] = net.forward(traj.states[-1])[0, 0] + miss
+            assert additional_actor_converged(elite, net, 1e-3) is converged
+
+    def test_warmed_ddpg_agent_keeps_two_scratches(self):
+        # a batch-256 update and an additional-actor fit: the four main-thread
+        # nets fill one 256-row scratch and the additional actor its own
+        cfg = AgentConfig(hidden_sizes=(64, 64), batch_size=256)
+        rng = np.random.default_rng(43)
+        states = rng.uniform(0.0, 1.2, (2, 256, 3)).astype(np.float32)
+        batch = (states[0], rng.uniform(-1, 1, 256), rng.normal(0, 1, 256), states[1], np.zeros(256))
+
+        def warm(agent, trajs):
+            agent.update(batch)
+            update_additional_actor(trajs, agent.additional, agent.additional_adam)
+
+        # a twin's warm-up fills numpy's small-buffer caches, which the
+        # traced difference would otherwise count
+        twin = DdpgAgent(3, cfg, np.random.default_rng(0))
+        warm(twin, [flat_traj(twin.additional.clone(), rng, n=200) for _ in range(2)])
+        agent = DdpgAgent(3, cfg, np.random.default_rng(1))
+        trajs = [flat_traj(agent.additional.clone(), rng, n=200) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            warm(agent, trajs)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        scratch = 256 * 64 * (3 * 4 + 1)  # two float32 products, the zeros and a bool mask
+        blends = agent.actor.flat.nbytes + agent.critic.flat.nbytes  # soft_update's, one per target
+        assert kept <= 2 * scratch + blends + 3 * 4096
+
+
 class TestAgents:
     def test_ddpg_update_runs_and_moves_critic(self, rng):
         agent = DdpgAgent(3, SMALL, rng)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,62 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match="shape"):
             buf.push(np.zeros(3), 0.0, 0.0, bad, 0.0)
         assert len(buf) == 1
+
+
+def ring_rows(buf):
+    """Row counts of the ring's five arrays."""
+    return {len(a) for a in (buf._s, buf._a, buf._r, buf._s2, buf._d)}
+
+
+class TestGrowingRing:
+    """The ring arrays start small and double up to ``capacity``, and sampling
+    gives the bytes of the FIFO reference across every growth step."""
+
+    @pytest.mark.parametrize("capacity,growth", [
+        (1, [1]), (3, [3]), (1500, [1024, 1500]), (5000, [1024, 2048, 4096, 5000]),
+    ])
+    def test_samples_equal_the_reference_across_growth_and_wrap(self, capacity, growth):
+        data = np.random.default_rng(capacity)
+        buf, ref = ReplayBuffer(capacity), ReferenceReplayBuffer(capacity)
+        seen = []
+        for n in range(1, 2 * capacity + 1):
+            row = (data.uniform(0, 1.2, 3).astype(np.float32), float(data.uniform(-1, 1)),
+                   float(data.normal()), data.uniform(0, 1.2, 3).astype(np.float32), float(n % 2))
+            buf.push(*row)
+            ref.push(*row)
+            (rows,) = ring_rows(buf)
+            if not seen or seen[-1] != rows:
+                seen.append(rows)
+            got = buf.sample(8, np.random.default_rng(n))
+            want = ref.sample(8, np.random.default_rng(n))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert seen == growth
+
+    @pytest.mark.parametrize("capacity", [1, 3, 1023, 1024, 1025, 1500, 2048, 5000])
+    def test_rows_follow_the_pushes_and_never_pass_capacity(self, capacity):
+        buf = ReplayBuffer(capacity)
+        for n in range(1, 2 * capacity + 2):
+            buf.push(np.zeros(2), 0.0, 0.0, np.zeros(2), 0.0)
+            (rows,) = ring_rows(buf)
+            assert rows <= min(capacity, max(ReplayBuffer._FIRST_ROWS, 2 * n))
+            if n >= capacity:
+                assert rows == capacity
+
+    def test_huge_capacity_holds_what_it_filled(self):
+        # 2,000 pushes fill 2,048 rows of two float32 states and three floats
+        states = np.random.default_rng(5).uniform(0, 1.2, (2001, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            buf = ReplayBuffer(10**13)
+            for i in range(2000):
+                buf.push(states[i], 0.5, -1.0, states[i + 1], 0.0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(buf) == 2000
+        assert kept <= 2048 * (2 * states[0].nbytes + 3 * 8) + 4096
 
 
 class TestEliteBuffer:

@@ -983,11 +983,11 @@ class TestCli:
         assert err == "seed 0: numerical error: network produced non-finite output\n"
 
     def test_out_of_memory_exit_1_one_line_per_seed(self, tiny_yaml, tmp_path, capsys):
-        # learner sizes are not bounded at load, so this file validates; its
-        # replay buffer asks for more memory than any machine has, and
+        # hidden sizes are not bounded at load, so this file validates; each
+        # net's weights ask for 256 PiB, beyond any 64-bit address space, and
         # each seed once ended train in a numpy._ArrayMemoryError traceback
         blob = yaml.safe_load(tiny_yaml.read_text())
-        blob["agent"]["replay_capacity"] = 10_000_000_000_000
+        blob["agent"]["hidden_sizes"] = [268435456, 268435456]
         path = dump(tmp_path, blob, "huge.yaml")
         assert main(["validate", "--config", str(path)]) == 0
         capsys.readouterr()
@@ -1000,6 +1000,19 @@ class TestCli:
         runs = json.loads((out / "summary.json").read_text())["runs"]
         assert [r["seed"] for r in runs] == [0, 1]
         assert all(r["error"].startswith("out of memory: ") for r in runs)
+
+    def test_huge_replay_capacity_trains(self, tiny_yaml, tmp_path, capsys):
+        # the replay ring grows with the rows a run pushes, so a capacity no
+        # machine could reserve costs only what the run fills
+        blob = yaml.safe_load(tiny_yaml.read_text())
+        blob["agent"]["replay_capacity"] = 10_000_000_000_000
+        path = dump(tmp_path, blob, "huge.yaml")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [r["seed"] for r in runs] == [0, 1]
+        assert not any("error" in r for r in runs)
 
     def test_robustness_single_cell(self, tiny_yaml, tmp_path):
         train_out = tmp_path / "t2"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from atoshield.drl.nets import Adam, Mlp, soft_update
+from atoshield.drl.nets import Adam, Mlp, Scratch, soft_update
 
 from oracles import (
     ReferenceAdam,
@@ -200,6 +200,27 @@ class TestFlatLayout:
             kept.append((got, want))
         for got, want in kept:
             assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_shared_scratch_equals_reference(self, dtype):
+        # two nets of different widths on one scratch, interleaved while it
+        # grows and while it is reused; every call, and every array it
+        # returned, must still match the reference at the end
+        rng = np.random.default_rng(14)
+        scratch = Scratch(dtype)
+        wide = Mlp([3, 32, 96, 2], "tanh", rng, final_init_scale=0.5, dtype=dtype, scratch=scratch)
+        narrow = Mlp([5, 48, 1], "identity", rng, final_init_scale=0.5, dtype=dtype, scratch=scratch)
+        kept = []
+        for which, rows in [(narrow, 256), (wide, 256), (narrow, 1077), (wide, 300), (narrow, 256)]:
+            got, want = backward_and_reference(which, rows, rng)
+            assert_same_bytes(got, want)
+            kept.append((got, want))
+        for got, want in kept:
+            assert_same_bytes(got, want)
+
+    def test_scratch_of_another_dtype_is_rejected(self, rng):
+        with pytest.raises(ValueError, match="scratch dtype"):
+            Mlp([3, 8, 1], "tanh", rng, dtype=np.float32, scratch=Scratch(np.float64))
 
     def test_views_share_the_flat_vector(self, rng):
         net = Mlp([3, 8, 8, 2], "identity", rng)
