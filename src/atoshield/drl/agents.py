@@ -241,8 +241,8 @@ class _Agent:
     """What both learner families share: float32 nets, and the additional actor
     with its convergence flag, which training and a loaded checkpoint set.
 
-    The nets that run on the agent's own thread share one ``Scratch``; the
-    additional actor, which ``train`` fits on a worker thread, keeps its own."""
+    All five nets, the additional actor included, run one at a time and share
+    one ``Scratch``."""
 
     dtype = np.float32
     additional_converged = False
@@ -264,14 +264,14 @@ class DdpgAgent(_Agent):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
-        scratch = Scratch(self.dtype)  # the main thread's nets run one at a time
+        scratch = Scratch(self.dtype)  # the agent's nets run one at a time
         self.actor = Mlp([state_dim, *hidden, 1], "tanh", rng, dtype=self.dtype, scratch=scratch)
         self.critic = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
                           scratch=scratch)
         self.actor_target = self.actor.clone(scratch)
         self.critic_target = self.critic.clone(scratch)
         self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
-                              dtype=self.dtype)
+                              dtype=self.dtype, scratch=scratch)
         self.actor_adam = Adam(self.actor, cfg.actor_lr)
         self.critic_adam = Adam(self.critic, cfg.critic_lr)
         self.additional_adam = Adam(self.additional, cfg.resolved_additional_lr())
@@ -313,14 +313,14 @@ class SacAgent(_Agent):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
-        scratch = Scratch(self.dtype)  # the main thread's nets run one at a time
+        scratch = Scratch(self.dtype)  # the agent's nets run one at a time
         self.policy = Mlp([state_dim, *hidden, 2], "identity", rng, dtype=self.dtype, scratch=scratch)
         self.value = Mlp([state_dim, *hidden, 1], "identity", rng, dtype=self.dtype, scratch=scratch)
         self.value_target = self.value.clone(scratch)
         self.softq = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
                          scratch=scratch)
         self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
-                              dtype=self.dtype)
+                              dtype=self.dtype, scratch=scratch)
         self.adams = {
             "policy": Adam(self.policy, cfg.actor_lr),
             "value": Adam(self.value, cfg.sac_value_lr),

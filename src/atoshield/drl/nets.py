@@ -26,9 +26,9 @@ product buffers that alternate by layer, the bool mask and the zeros, each
 flat, the largest batch seen times the widest hidden layer (3 x itemsize +
 1 bytes per row and unit), used through C-contiguous views.  A net builds
 a scratch of its own unless it is handed one; nets that never run at the
-same time, such as an agent's nets on one thread, may share one, so the
-nets of one scratch run one ``forward`` or ``backward`` at a time among
-them, and no scratch view leaves a call.  Neither method writes into
+same time, such as an agent's five nets, may share one, so the nets of
+one scratch run one ``forward`` or ``backward`` at a time among them, and
+no scratch view leaves a call.  Neither method writes into
 an array the caller passed in or still holds (the input, ``grad_out``, a
 cache), and every array they return or cache is fresh on every call, so a
 caller may keep any of them as long as it likes.  ``Adam`` runs its update

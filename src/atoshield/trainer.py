@@ -14,10 +14,8 @@ the next step's ``s_vec``.  The loop returns the metrics and the episode's
 :class:`~atoshield.drl.buffers.Trajectory`, which training inserts into the
 elite buffer as is and the robustness study correlates column by column.
 
-Inside ``train``, each episode's additional-actor fit runs on one worker
-thread, overlapped with the next episode's rollout.  Between a fit's submit
-and its join only the worker touches the additional actor and its optimiser;
-nothing in the rollout reads them.
+Inside ``train``, each episode's additional-actor fit runs in place at the
+episode's end, on the calling thread, before the next rollout starts.
 
 One ``train`` call runs a single seed of a single agent variant; multi-seed
 experiments are independent runs (safe to execute in parallel processes).
@@ -250,20 +248,12 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     through the elite gate, and the additional actor regresses onto elite
     samples at every episode end.
 
-    That regression runs on one worker thread, overlapped with the next
-    episode's rollout: at each episode end the main thread draws all of the
-    episode's elite samples from ``rng`` (in the order a sequential fit would
-    draw them, since no draw depends on a fit), waits for the previous fit,
-    then submits one job that runs the imitation steps in sequence.  Only the
-    worker touches ``agent.additional`` and ``agent.additional_adam`` between
-    a submit and its join; the last fit is joined before the convergence
-    check sets ``agent.additional_converged``, and a fit's exception reaches
-    the caller at the next join.
+    That regression runs in place, before the next episode starts: the loop
+    draws all of the episode's elite samples from ``rng``, then runs the
+    imitation steps in sequence.  No draw depends on a fit.  A fit's error
+    reaches the caller at the end of its own episode, and the convergence
+    check after the last episode sets ``agent.additional_converged``.
     """
-    # imported here, so that importing the package (every command's set-up)
-    # does not pay for concurrent.futures, which loads logging
-    from concurrent.futures import ThreadPoolExecutor
-
     learner, correction = VARIANTS[cfg.run.agent]
     rng = np.random.default_rng(seed)
     agent = AGENT_KINDS[learner](3, cfg.agent, rng)
@@ -282,26 +272,19 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
         if (t + 1) % cfg.run.t_up == 0 and len(replay) >= cfg.agent.batch_size:
             agent.update(replay.sample(cfg.agent.batch_size, rng))
 
-    def fit_additional(samples: list[list[Trajectory]]) -> None:
+    all_metrics: list[EpisodeMetrics] = []
+    for j in range(episodes):
+        if noise is not None:
+            noise.reset()
+            if noise.kind == "gaussian" and episodes > 1:
+                noise.scale = cfg.agent.noise_scale * max(0.0, 1.0 - j / (episodes - 1))
+        metrics, trajectory = _run_episode(cfg, env, agent.propose, correct, j, learn)
+        elite.insert(trajectory)
+        samples = [elite.sample(cfg.agent.elite_minibatch, rng)
+                   for _ in range(cfg.agent.additional_updates_per_episode)]
         for sample in samples:
             update_additional_actor(sample, agent.additional, agent.additional_adam)
-
-    all_metrics: list[EpisodeMetrics] = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        fit = worker.submit(fit_additional, [])  # nothing to fit before the first episode
-        for j in range(episodes):
-            if noise is not None:
-                noise.reset()
-                if noise.kind == "gaussian" and episodes > 1:
-                    noise.scale = cfg.agent.noise_scale * max(0.0, 1.0 - j / (episodes - 1))
-            metrics, trajectory = _run_episode(cfg, env, agent.propose, correct, j, learn)
-            elite.insert(trajectory)
-            samples = [elite.sample(cfg.agent.elite_minibatch, rng)
-                       for _ in range(cfg.agent.additional_updates_per_episode)]
-            fit.result()
-            fit = worker.submit(fit_additional, samples)
-            all_metrics.append(metrics)
-        fit.result()
+        all_metrics.append(metrics)
 
     agent.additional_converged = len(elite) > 0 and additional_actor_converged(
         elite, agent.additional, cfg.agent.convergence_eps

@@ -443,22 +443,20 @@ class TestRegressBlocks:
 
 
 class TestSharedScratch:
-    """An agent's nets on its own thread share one layer scratch; the
-    additional actor, which train fits on a worker thread, keeps its own."""
+    """An agent's five nets, the additional actor included, share one layer scratch."""
 
     @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
     @pytest.mark.parametrize("loaded", [False, True])
-    def test_main_thread_nets_share_one_scratch(self, cls, loaded, rng, tmp_path):
+    def test_all_five_nets_share_one_scratch(self, cls, loaded, rng, tmp_path):
         agent = cls(3, SMALL, rng)
         if loaded:
             agent = load_checkpoint(saved(tmp_path, agent), SMALL, np.random.default_rng(0))
         nets = agent.named_nets()
-        shared = {id(nets[name].scratch) for name in agent.net_names if name != "additional"}
+        assert len(nets) == 5
+        shared = {id(net.scratch) for net in nets.values()}
         assert len(shared) == 1
-        assert id(agent.additional.scratch) not in shared
         other = cls(3, SMALL, rng)  # and no two agents share one
-        assert {id(net.scratch) for net in other.named_nets().values()}.isdisjoint(
-            {id(net.scratch) for net in nets.values()})
+        assert {id(net.scratch) for net in other.named_nets().values()}.isdisjoint(shared)
 
     def test_convergence_check_runs_in_regression_blocks(self, rng):
         # the mean is over all 1,000 rows: one error of 0.8 on the last row
@@ -473,9 +471,9 @@ class TestSharedScratch:
             traj.actions[-1] = net.forward(traj.states[-1])[0, 0] + miss
             assert additional_actor_converged(elite, net, 1e-3) is converged
 
-    def test_warmed_ddpg_agent_keeps_two_scratches(self):
-        # a batch-256 update and an additional-actor fit: the four main-thread
-        # nets fill one 256-row scratch and the additional actor its own
+    def test_warmed_ddpg_agent_keeps_one_scratch(self):
+        # a batch-256 update and an additional-actor fit in 256-row blocks:
+        # all five nets fill one 256-row scratch
         cfg = AgentConfig(hidden_sizes=(64, 64), batch_size=256)
         rng = np.random.default_rng(43)
         states = rng.uniform(0.0, 1.2, (2, 256, 3)).astype(np.float32)
@@ -500,7 +498,7 @@ class TestSharedScratch:
             tracemalloc.stop()
         scratch = 256 * 64 * (3 * 4 + 1)  # two float32 products, the zeros and a bool mask
         blends = agent.actor.flat.nbytes + agent.critic.flat.nbytes  # soft_update's, one per target
-        assert kept <= 2 * scratch + blends + 3 * 4096
+        assert kept <= scratch + blends + 3 * 4096
 
 
 class TestAgents:

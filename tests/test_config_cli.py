@@ -971,7 +971,8 @@ class TestCli:
 
     def test_numerical_error_in_additional_fit_exit_1_one_line(self, tiny_yaml, tmp_path,
                                                               monkeypatch, capsys):
-        # the fit runs on a worker thread; its error must reach the CLI like any other
+        # the fit runs inside train, at each episode's end; its error reaches the CLI
+        # like any other
         def diverged(*args):
             raise FloatingPointError("network produced non-finite output")
 

@@ -332,30 +332,38 @@ class TestTrain:
         assert twin.additional_converged is converged
 
 
-class TestAdditionalFitWorker:
-    """The additional actor's fit runs on one worker thread, joined inside ``train``."""
+class TestAdditionalFit:
+    """The additional actor's fit runs in place, on the calling thread, at each
+    episode's end."""
 
-    def test_fit_runs_off_the_main_thread_and_the_worker_is_joined(self, monkeypatch):
+    def test_fit_runs_on_the_calling_thread_and_starts_no_thread(self, monkeypatch):
         cfg = scenario(max_episodes=3, agent="plain_ddpg")
-        threads = []
-        update = trainer.update_additional_actor
+        episodes, fits, started = [], [], []
+        run_episode, update = trainer._run_episode, trainer.update_additional_actor
+        monkeypatch.setattr(trainer, "_run_episode",
+                            lambda *args: episodes.append(None) or run_episode(*args))
         monkeypatch.setattr(trainer, "update_additional_actor",
-                            lambda *args: threads.append(threading.current_thread()) or update(*args))
-        before = threading.active_count()
+                            lambda *args: fits.append((threading.current_thread(), len(episodes)))
+                            or update(*args))
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
         train(cfg, seed=0)
-        assert threading.active_count() == before
-        assert len(threads) == 3 * cfg.agent.additional_updates_per_episode
-        assert threading.main_thread() not in threads
+        assert started == []
+        # each episode's fits run after its rollout and before the next one starts
+        per_episode = cfg.agent.additional_updates_per_episode
+        assert per_episode == 10
+        assert fits == [(threading.main_thread(), j + 1) for j in range(3) for _ in range(per_episode)]
 
     @pytest.mark.parametrize("episode", [0, 2])
     def test_fit_error_reaches_the_caller_unchanged(self, monkeypatch, episode):
-        # episode 0's fit is joined after episode 1's rollout; episode 2's, the last,
-        # just before train returns
+        # the error surfaces at the end of the failing fit's own episode: no
+        # later episode's rollout starts
         cfg = scenario(max_episodes=3, agent="plain_ddpg")
         per_episode = cfg.agent.additional_updates_per_episode
         error = FloatingPointError("network produced non-finite output")
-        calls = []
-        update = trainer.update_additional_actor
+        episodes, calls = [], []
+        run_episode, update = trainer._run_episode, trainer.update_additional_actor
 
         def failing(*args):
             calls.append(None)
@@ -363,13 +371,14 @@ class TestAdditionalFitWorker:
                 raise error
             return update(*args)
 
+        monkeypatch.setattr(trainer, "_run_episode",
+                            lambda *args: episodes.append(None) or run_episode(*args))
         monkeypatch.setattr(trainer, "update_additional_actor", failing)
-        before = threading.active_count()
         with pytest.raises(FloatingPointError) as err:
             train(cfg, seed=0)
         assert err.value is error
-        assert threading.active_count() == before
-        assert len(calls) == episode * per_episode + 1  # the failed job stops at its failing step
+        assert len(episodes) == episode + 1
+        assert len(calls) == episode * per_episode + 1  # the fit stops at its failing step
 
 
 class TestExecute:
@@ -526,6 +535,51 @@ class TestNoExecutedOverspeed:
         assert true_overspeeds(cfg.track, spans) == []
 
 
+class TestRewardTimekeeping:
+    """Learner-free: fixed speed-tracking controllers under the ``min`` chooser
+    on the bundled section.  A change to the reward flips this by name."""
+
+    class Tracker:
+        """``cmd = clip(0.2 (v_c - v), -1, 1)``, with speeds in km/h."""
+
+        def __init__(self, v_c: float, max_limit: float):
+            self.v_c, self.max_limit = v_c, max_limit
+
+        def act(self, s_vec: np.ndarray) -> float:
+            return float(np.clip(0.2 * (self.v_c - s_vec[1] * self.max_limit), -1.0, 1.0))
+
+    def test_reward_prefers_a_late_arrival(self):
+        # tracking 49 km/h arrives 7 s late and scores higher (-2,266.10)
+        # than tracking 52 km/h, 1 s late (-3,884.03): the per-step term
+        # charges every step whose mean speed is off the schedule's
+        cfg = scenario(agent="shield_ddpg", execution_episodes=1)
+        (late,) = execute(self.Tracker(49.0, cfg.track.max_limit), cfg)
+        (on_time,) = execute(self.Tracker(52.0, cfg.track.max_limit), cfg)
+        for m in (late, on_time):
+            assert m.arrived and m.protect_times == 0
+        assert (late.schedule_deviation_s, on_time.schedule_deviation_s) == (7.0, 1.0)
+        assert late.total_reward > on_time.total_reward
+
+
+class TestLearningFloor:
+    """What any reproduction must do: ``ssa_ddpg`` learns the bundled section
+    in 40 episodes.  A seeded-output change that breaks this is a defect of
+    that change, not of the test; no bound on schedule deviation is set."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ssa_ddpg_learns_the_bundled_section_in_40_episodes(self, monkeypatch, seed):
+        spans = record_spans(monkeypatch)
+        cfg = scenario(max_episodes=40, agent="ssa_ddpg", execution_episodes=1)
+        result = train(cfg, seed=seed)
+        first, last = result.metrics[:10], result.metrics[-10:]
+        assert all(m.arrived for m in last)
+        assert sum(m.protect_times for m in last) < sum(m.protect_times for m in first)
+        (greedy,) = execute(result.agent, cfg, seed=seed)
+        assert greedy.arrived
+        assert spans
+        assert true_overspeeds(cfg.track, spans) == []
+
+
 # Each pinned training runs in a child interpreter with the BLAS thread count
 # set before numpy loads, so a pin names the count it was run at rather than
 # the host's default; every regression step multiplies blocks of at most 256
@@ -560,9 +614,9 @@ print(repr({
 # agents moved to float32 nets, float32 SAC draws and float32 replay states,
 # and for ssa_ddpg again after the shield held a limit boundary's crossing
 # speed to the lower of its two limits; an optimisation of the learner's data
-# path, or the fit's overlap with the rollout, may not change any value.  The
-# three additional actors were re-recorded when the imitation step went to
-# 256-row blocks, which regroups its gradient sums.
+# path, or where the additional actor's fit runs, may not change any value.
+# The three additional actors were re-recorded when the imitation step went
+# to 256-row blocks, which regroups its gradient sums.
 PINNED = {
     "shield_sac": (
         [(0, -24720.264657647145, 0, 0, 45.21124827243675, -12.555519528918586, 179.0, 69.0, True),
@@ -628,9 +682,9 @@ def test_deep_probe_outputs_pinned():
                    91.0, -19.0, True)
 
 
-# Three trainings on threads of their own (each with its fit worker: more
-# threads than cores), switching threads every 10 us; a write to any net
-# outside the fit's ownership rule would show as a changed weight.
+# Three trainings on threads of their own (more threads than cores),
+# switching threads every 10 us; a write from one training into another's
+# nets or scratch would show as a changed weight.
 _STRESS_RUN = """
 import dataclasses, sys, threading
 from atoshield.config import default_scenario_path, load_config
