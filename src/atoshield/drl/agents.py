@@ -28,9 +28,10 @@ import numpy as np
 
 from ..dynamics import ARRAYS, FLOATS, Ops
 from .buffers import EliteBuffer, Trajectory
-from .nets import Adam, Mlp, Scratch, soft_update
+from .nets import Adam, Mlp, Scratch, check_layer_sizes, soft_update
 from .noise import NoiseProcess, act, act_with_noise
 
+STATE_DIM = 3  # every agent net reads the normalized (loc, vel, time) state
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _TANH_EPS = 1e-6
@@ -260,17 +261,17 @@ class DdpgAgent(_Agent):
     kind = "ddpg"
     net_names = ("actor", "critic", "actor_target", "critic_target", "additional")
 
-    def __init__(self, state_dim: int, cfg: AgentConfig, rng: np.random.Generator):
+    def __init__(self, cfg: AgentConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
         scratch = Scratch(self.dtype)  # the agent's nets run one at a time
-        self.actor = Mlp([state_dim, *hidden, 1], "tanh", rng, dtype=self.dtype, scratch=scratch)
-        self.critic = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
+        self.actor = Mlp([STATE_DIM, *hidden, 1], "tanh", rng, dtype=self.dtype, scratch=scratch)
+        self.critic = Mlp([STATE_DIM + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
                           scratch=scratch)
         self.actor_target = self.actor.clone(scratch)
         self.critic_target = self.critic.clone(scratch)
-        self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
+        self.additional = Mlp([STATE_DIM, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
                               dtype=self.dtype, scratch=scratch)
         self.actor_adam = Adam(self.actor, cfg.actor_lr)
         self.critic_adam = Adam(self.critic, cfg.critic_lr)
@@ -309,17 +310,17 @@ class SacAgent(_Agent):
     kind = "sac"
     net_names = ("policy", "value", "value_target", "softq", "additional")
 
-    def __init__(self, state_dim: int, cfg: AgentConfig, rng: np.random.Generator):
+    def __init__(self, cfg: AgentConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
         scratch = Scratch(self.dtype)  # the agent's nets run one at a time
-        self.policy = Mlp([state_dim, *hidden, 2], "identity", rng, dtype=self.dtype, scratch=scratch)
-        self.value = Mlp([state_dim, *hidden, 1], "identity", rng, dtype=self.dtype, scratch=scratch)
+        self.policy = Mlp([STATE_DIM, *hidden, 2], "identity", rng, dtype=self.dtype, scratch=scratch)
+        self.value = Mlp([STATE_DIM, *hidden, 1], "identity", rng, dtype=self.dtype, scratch=scratch)
         self.value_target = self.value.clone(scratch)
-        self.softq = Mlp([state_dim + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
+        self.softq = Mlp([STATE_DIM + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
                          scratch=scratch)
-        self.additional = Mlp([state_dim, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
+        self.additional = Mlp([STATE_DIM, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
                               dtype=self.dtype, scratch=scratch)
         self.adams = {
             "policy": Adam(self.policy, cfg.actor_lr),
@@ -376,14 +377,14 @@ AGENT_KINDS = {"ddpg": DdpgAgent, "sac": SacAgent}
 def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator):
     """Rebuild an agent from a checkpoint; stored hidden sizes win over cfg.
 
-    The agent is built as ``cfg`` says but with the stored hidden sizes, and
-    the stored weights are written into its own nets, rounded to their dtype.
-    Raises CheckpointError, naming the file and the field, for a file that is
-    not a format-1 checkpoint of a known kind, with an ``additional_converged``
-    of true or false (missing means false), holding exactly that kind's
-    nets, each with weights and biases shaped as its layer sizes say, finite
-    in the agent's dtype, and with the layer sizes and activation the agent
-    builds for it.
+    The agent is built once from ``rng``, as a fresh build with the stored
+    hidden sizes is, and each stored net is written into the agent's net of
+    its name (``Mlp.load_dict``).  Raises CheckpointError, naming the file
+    and the field, for a file that is not a format-1 checkpoint of a known
+    kind, with an ``additional_converged`` of true or false (missing means
+    false), holding exactly that kind's nets, each with the layer sizes
+    (input ``STATE_DIM``) and activation the agent builds for it, and
+    weights and biases of those sizes, finite in the agent's dtype.
     """
     try:
         blob = json.loads(Path(path).read_text())
@@ -406,32 +407,20 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
         got = sorted(stored) if isinstance(stored, dict) else stored
         raise CheckpointError(path, "nets",
                               f"kind {kind!r} needs nets {sorted(agent_cls.net_names)}, got {got!r}")
-    nets = {}
-    for name in agent_cls.net_names:
+
+    def read(name: str, use):
+        """``use(stored[name])``, a fault in it named as the net's."""
         try:
-            nets[name] = Mlp.from_dict(stored[name])
+            return use(stored[name])
         except KeyError as exc:
             raise CheckpointError(path, f"nets.{name}", f"missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise CheckpointError(path, f"nets.{name}", str(exc)) from None
-    main, extra = nets[agent_cls.net_names[0]].layer_sizes, nets["additional"].layer_sizes
-    agent = agent_cls(extra[0], replace(cfg, hidden_sizes=tuple(main[1:-1]),
-                                        additional_hidden_sizes=tuple(extra[1:-1])), rng)
-    for name, net in nets.items():
-        built = getattr(agent, name)
-        want = (built.layer_sizes, built.output_activation)
-        got = (net.layer_sizes, net.output_activation)
-        if got != want:
-            raise CheckpointError(path, f"nets.{name}",
-                                  f"expected (layer sizes, activation) {want}, got {got}")
-        # checked in the agent's dtype, where a finite stored weight can round to inf
-        with np.errstate(over="ignore"):
-            built.copy_from(net)
-        for field in ("weights", "biases"):
-            for i, values in enumerate(getattr(built, field)):
-                finite = np.isfinite(values)
-                if not finite.all():
-                    raise CheckpointError(path, f"nets.{name}", f"{field}[{i}]: expected finite "
-                                          f"{values.dtype} values, got {values[~finite][0]}")
+
+    main, extra = (read(name, lambda net: tuple(check_layer_sizes(net["layer_sizes"])[1:-1]))
+                   for name in (agent_cls.net_names[0], "additional"))
+    agent = agent_cls(replace(cfg, hidden_sizes=main, additional_hidden_sizes=extra), rng)
+    for name, net in agent.named_nets().items():
+        read(name, net.load_dict)
     agent.additional_converged = converged
     return agent

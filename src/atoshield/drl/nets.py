@@ -8,8 +8,8 @@ Each network keeps all of its parameters in one vector, ``Mlp.flat``, laid
 out layer by layer as weights (row-major) then biases.  ``weights[i]`` and
 ``biases[i]`` are reshaped views into it, so writing through a view writes
 the vector.  ``backward`` returns the parameter gradient as one vector of the
-same layout, and ``Adam``, ``soft_update`` and ``copy_from`` each run their
-elementwise arithmetic once over the whole vector; elementwise results do not
+same layout, and ``Adam``, ``soft_update`` and ``clone`` each run their
+elementwise work once over the whole vector; elementwise results do not
 depend on how the vector is split, so they equal a per-array update bitwise.
 ``backward(..., params=False)`` computes only d(loss)/d(input), for callers
 that differentiate through a network they do not train.
@@ -93,10 +93,20 @@ class Scratch:
         return views
 
 
+def check_layer_sizes(layer_sizes) -> list[int]:
+    """``layer_sizes`` as a list: input, output and any hidden sizes, each >= 1."""
+    if len(layer_sizes) < 2:
+        raise ValueError("need at least input and output sizes")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in layer_sizes):
+        raise ValueError(f"layer sizes must be positive integers, got {list(layer_sizes)}")
+    return list(layer_sizes)
+
+
 class Mlp:
     """A ReLU stack with a tanh or identity output over one flat parameter
     vector.  ``scratch`` is the working memory of its layer loops: its own
-    unless the builder hands it one that other nets share (see ``Scratch``)."""
+    unless the builder hands it one that other nets share (see ``Scratch``).
+    Without ``rng`` nothing is drawn and the weights start at zero."""
 
     def __init__(
         self,
@@ -107,14 +117,9 @@ class Mlp:
         dtype=np.float64,
         scratch: "Scratch | None" = None,
     ):
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in layer_sizes):
-            raise ValueError(f"layer sizes must be positive integers, got {list(layer_sizes)}")
+        self.layer_sizes = check_layer_sizes(layer_sizes)
         if output_activation not in _ACTIVATIONS:
             raise ValueError(f"output_activation must be one of {_ACTIVATIONS}")
-        rng = rng if rng is not None else np.random.default_rng()
-        self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs), dtype=dtype)
@@ -124,7 +129,7 @@ class Mlp:
             raise ValueError(f"scratch dtype {self.scratch.dtype} is not the net's {self.flat.dtype}")
         self._hidden = tuple(self.layer_sizes[1:-1])
         self._blend = None  # soft_update's blend vector when this net is a target
-        for i, (n_in, n_out) in enumerate(pairs):
+        for i, (n_in, n_out) in enumerate(pairs if rng is not None else ()):
             if i == len(pairs) - 1:
                 self.weights[i][...] = rng.uniform(-final_init_scale, final_init_scale, (n_in, n_out))
             else:
@@ -213,16 +218,11 @@ class Mlp:
             np.greater(cache[i], 0.0, out=mask)
             grad *= mask
 
-    def copy_from(self, other: "Mlp") -> None:
-        if other.layer_sizes != self.layer_sizes:
-            raise ValueError("layer size mismatch")
-        self.flat[...] = other.flat
-
     def clone(self, scratch: "Scratch | None" = None) -> "Mlp":
-        """A twin holding the same weights, with its own scratch unless one is given."""
-        twin = Mlp(self.layer_sizes, self.output_activation, np.random.default_rng(0),
-                   dtype=self.flat.dtype, scratch=scratch)
-        twin.copy_from(self)
+        """A twin holding the same weights, with its own scratch unless one is
+        given; nothing is drawn."""
+        twin = Mlp(self.layer_sizes, self.output_activation, dtype=self.flat.dtype, scratch=scratch)
+        twin.flat[...] = self.flat
         return twin
 
     def to_dict(self) -> dict:
@@ -233,24 +233,32 @@ class Mlp:
             "biases": [b.tolist() for b in self.biases],
         }
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "Mlp":
-        """Rebuild a network from ``to_dict`` output.
+    def load_dict(self, blob: dict) -> None:
+        """Write ``to_dict`` output into this net, rounded to its dtype.
 
-        Raises ValueError naming the first field whose shape does not match
-        ``layer_sizes`` exactly, since a view would broadcast some mismatches.
+        Raises KeyError for a missing field, else ValueError naming the first
+        one that is not this net's: the layer sizes and activation, an array
+        of another shape (a view would broadcast some), or a value that is
+        not finite in this dtype, where a finite stored one can round to inf.
         """
-        net = cls(blob["layer_sizes"], blob["output_activation"], np.random.default_rng(0))
-        for field, views in (("weights", net.weights), ("biases", net.biases)):
+        want = (self.layer_sizes, self.output_activation)
+        got = (blob["layer_sizes"], blob["output_activation"])
+        if got != want:
+            raise ValueError(f"expected (layer sizes, activation) {want}, got {got}")
+        for field, views in (("weights", self.weights), ("biases", self.biases)):
             stored = blob[field]
-            if not isinstance(stored, list) or len(stored) != net.n_layers:
-                raise ValueError(f"{field}: expected a list of {net.n_layers} arrays")
+            if not isinstance(stored, list) or len(stored) != self.n_layers:
+                raise ValueError(f"{field}: expected a list of {self.n_layers} arrays")
             for i, (view, values) in enumerate(zip(views, stored)):
                 values = np.asarray(values, dtype=float)
                 if values.shape != view.shape:
                     raise ValueError(f"{field}[{i}]: expected shape {view.shape}, got {values.shape}")
-                view[...] = values
-        return net
+                with np.errstate(over="ignore"):
+                    view[...] = values
+                finite = np.isfinite(view)
+                if not finite.all():
+                    raise ValueError(f"{field}[{i}]: expected finite {view.dtype} values, "
+                                     f"got {view[~finite][0]}")
 
 
 class Adam:

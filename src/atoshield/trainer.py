@@ -14,8 +14,8 @@ the next step's ``s_vec``.  The loop returns the metrics and the episode's
 :class:`~atoshield.drl.buffers.Trajectory`, which training inserts into the
 elite buffer as is and the robustness study correlates column by column.
 
-Inside ``train``, each episode's additional-actor fit runs in place at the
-episode's end, on the calling thread, before the next rollout starts.
+Inside ``train``, each episode's additional-actor fit runs at the episode's
+end, before the next rollout starts.
 
 One ``train`` call runs a single seed of a single agent variant; multi-seed
 experiments are independent runs (safe to execute in parallel processes).
@@ -246,17 +246,16 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     corrector.  The learner hook stores every executed transition and runs
     one learner update every t_up steps.  Each finished episode passes
     through the elite gate, and the additional actor regresses onto elite
-    samples at every episode end.
-
-    That regression runs in place, before the next episode starts: the loop
-    draws all of the episode's elite samples from ``rng``, then runs the
-    imitation steps in sequence.  No draw depends on a fit.  A fit's error
-    reaches the caller at the end of its own episode, and the convergence
-    check after the last episode sets ``agent.additional_converged``.
+    samples at every episode end, each drawn from ``rng`` just before its
+    fit.  A fit's error reaches the caller at the end of its own episode, and
+    the convergence check after the last episode sets
+    ``agent.additional_converged``.  The noise scale is reset to the
+    configured one, which a checkpoint loads, so the trained agent's tree
+    samples spread as its checkpoint's do.
     """
     learner, correction = VARIANTS[cfg.run.agent]
     rng = np.random.default_rng(seed)
-    agent = AGENT_KINDS[learner](3, cfg.agent, rng)
+    agent = AGENT_KINDS[learner](cfg.agent, rng)
     env = TrainEnv(cfg.train, cfg.track, cfg.reward)
     replay = ReplayBuffer(cfg.agent.replay_capacity)
     elite = EliteBuffer(cfg.agent.elite_capacity)
@@ -280,12 +279,13 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
                 noise.scale = cfg.agent.noise_scale * max(0.0, 1.0 - j / (episodes - 1))
         metrics, trajectory = _run_episode(cfg, env, agent.propose, correct, j, learn)
         elite.insert(trajectory)
-        samples = [elite.sample(cfg.agent.elite_minibatch, rng)
-                   for _ in range(cfg.agent.additional_updates_per_episode)]
-        for sample in samples:
-            update_additional_actor(sample, agent.additional, agent.additional_adam)
+        for _ in range(cfg.agent.additional_updates_per_episode):
+            update_additional_actor(elite.sample(cfg.agent.elite_minibatch, rng),
+                                    agent.additional, agent.additional_adam)
         all_metrics.append(metrics)
 
+    if noise is not None:
+        noise.scale = cfg.agent.noise_scale
     agent.additional_converged = len(elite) > 0 and additional_actor_converged(
         elite, agent.additional, cfg.agent.convergence_eps
     )

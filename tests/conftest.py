@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from atoshield.config import default_scenario_path, load_config
+from atoshield.drl.nets import Mlp
 from atoshield.dynamics import TrackSection, TrainModel, davis_resistance_accel, validate_track
 
 
@@ -68,6 +69,14 @@ def seeded_sections(seed: int, count: int) -> list[TrackSection]:
         if validate_track(make_model(), track) == []:
             sections.append(track)
     return sections
+
+
+def wider_state_nets(agent, rng) -> dict:
+    """``to_dict`` blobs of nets shaped as ``agent``'s, but each reading one
+    more state column."""
+    return {name: Mlp([net.layer_sizes[0] + 1, *net.layer_sizes[1:]], net.output_activation,
+                      rng).to_dict()
+            for name, net in agent.named_nets().items()}
 
 
 @pytest.fixture(scope="session")

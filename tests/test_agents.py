@@ -1,6 +1,7 @@
 import json
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from atoshield.drl.agents import (
     LOG_STD_MAX,
     LOG_STD_MIN,
+    STATE_DIM,
     AgentConfig,
     CheckpointError,
     DdpgAgent,
@@ -35,7 +37,7 @@ from atoshield.search_tree import SearchConfig, search_safe_action
 from atoshield.shield import SafetySpec, is_safe, safe_action_set
 from atoshield.trainer import TrainEnv, normalize_states
 
-from conftest import make_model, make_track
+from conftest import make_model, make_track, wider_state_nets
 
 from oracles import layer_arrays, max_rel_error, numeric_gradient, relu_kink_margin
 
@@ -86,7 +88,7 @@ class TestCriticTarget:
     def test_ddpg_form_uses_target_actor_and_critic(self, rng):
         # the critic regresses toward r + gamma (1 - d) Q'(s', mu'(s')), with
         # the target twins moved off the online nets so a mix-up shows
-        agent = DdpgAgent(3, SMALL, rng)
+        agent = DdpgAgent(SMALL, rng)
         agent.actor_target.flat += 0.1
         agent.critic_target.flat -= 0.1
         s, a, r, s2, d = batch = random_batch(rng)
@@ -98,7 +100,7 @@ class TestCriticTarget:
     def test_sac_form_uses_value_net(self, rng):
         # soft-Q regresses toward r + gamma (1 - d) V_target(s'), with the
         # value target moved off the online value net so a mix-up shows
-        agent = SacAgent(3, SMALL, rng)
+        agent = SacAgent(SMALL, rng)
         agent.value_target.flat += 0.1
         s, a, r, s2, d = batch = random_batch(rng)
         y = r + SMALL.gamma * (1.0 - d) * agent.value_target.forward(s2)[:, 0]
@@ -238,7 +240,7 @@ class TestSac:
            log_std_shift=st.sampled_from([0.0, -30.0, 5.0]))
     def test_command_draws_equal_the_full_sample(self, seed, states, n, log_std_shift):
         # propose and sample_actions skip the log-prob but make the same draw
-        agent = SacAgent(3, SMALL, np.random.default_rng(seed))
+        agent = SacAgent(SMALL, np.random.default_rng(seed))
         agent.policy.biases[-1][1] += log_std_shift  # reach both log-std clips
         policy, states = agent.policy, np.array(states)
 
@@ -448,14 +450,14 @@ class TestSharedScratch:
     @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
     @pytest.mark.parametrize("loaded", [False, True])
     def test_all_five_nets_share_one_scratch(self, cls, loaded, rng, tmp_path):
-        agent = cls(3, SMALL, rng)
+        agent = cls(SMALL, rng)
         if loaded:
             agent = load_checkpoint(saved(tmp_path, agent), SMALL, np.random.default_rng(0))
         nets = agent.named_nets()
         assert len(nets) == 5
         shared = {id(net.scratch) for net in nets.values()}
         assert len(shared) == 1
-        other = cls(3, SMALL, rng)  # and no two agents share one
+        other = cls(SMALL, rng)  # and no two agents share one
         assert {id(net.scratch) for net in other.named_nets().values()}.isdisjoint(shared)
 
     def test_convergence_check_runs_in_regression_blocks(self, rng):
@@ -485,9 +487,9 @@ class TestSharedScratch:
 
         # a twin's warm-up fills numpy's small-buffer caches, which the
         # traced difference would otherwise count
-        twin = DdpgAgent(3, cfg, np.random.default_rng(0))
+        twin = DdpgAgent(cfg, np.random.default_rng(0))
         warm(twin, [flat_traj(twin.additional.clone(), rng, n=200) for _ in range(2)])
-        agent = DdpgAgent(3, cfg, np.random.default_rng(1))
+        agent = DdpgAgent(cfg, np.random.default_rng(1))
         trajs = [flat_traj(agent.additional.clone(), rng, n=200) for _ in range(2)]
         tracemalloc.start()
         try:
@@ -503,7 +505,7 @@ class TestSharedScratch:
 
 class TestAgents:
     def test_ddpg_update_runs_and_moves_critic(self, rng):
-        agent = DdpgAgent(3, SMALL, rng)
+        agent = DdpgAgent(SMALL, rng)
         batch = (
             rng.normal(0, 1, (8, 3)), rng.uniform(-1, 1, 8), rng.normal(0, 1, 8),
             rng.normal(0, 1, (8, 3)), np.zeros(8),
@@ -513,7 +515,7 @@ class TestAgents:
         assert np.isfinite(losses["actor_objective"])
 
     def test_sac_agent_update(self, rng):
-        agent = SacAgent(3, SMALL, rng)
+        agent = SacAgent(SMALL, rng)
         batch = (
             rng.normal(0, 1, (8, 3)), rng.uniform(-1, 1, 8), rng.normal(0, 1, 8),
             rng.normal(0, 1, (8, 3)), np.zeros(8),
@@ -522,7 +524,7 @@ class TestAgents:
         assert set(losses) == {"softq_loss", "value_loss", "policy_loss"}
 
     def test_commands_in_range(self, rng):
-        for agent in (DdpgAgent(3, SMALL, rng), SacAgent(3, SMALL, rng)):
+        for agent in (DdpgAgent(SMALL, rng), SacAgent(SMALL, rng)):
             for _ in range(20):
                 s = rng.normal(0, 1, 3)
                 assert -1.0 <= agent.act(s) <= 1.0
@@ -530,7 +532,7 @@ class TestAgents:
                 assert np.all(np.abs(agent.sample_actions(s, 5)) <= 1.0)
 
     def test_ddpg_sample_actions_is_clipped_jitter(self, rng):
-        agent = DdpgAgent(3, SMALL, rng)
+        agent = DdpgAgent(SMALL, rng)
         agent.actor.biases[-1][...] = 0.9  # push some rows past the clip
         states = rng.normal(0, 1, (7, 3))
         std = max(agent.noise.exploration_std(), 1e-3)
@@ -540,20 +542,20 @@ class TestAgents:
 
     def test_nan_weight_faults_at_the_net(self, rng):
         # the net's output check is what stops a non-finite command
-        agent = DdpgAgent(3, SMALL, rng)
+        agent = DdpgAgent(SMALL, rng)
         agent.actor.weights[-1][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="network produced non-finite output"):
             agent.propose(rng.normal(0, 1, 3))
 
     def test_batched_sample_actions_shape_and_range(self, rng):
-        for agent in (DdpgAgent(3, SMALL, rng), SacAgent(3, SMALL, rng)):
+        for agent in (DdpgAgent(SMALL, rng), SacAgent(SMALL, rng)):
             for rows, n in ((1, 5), (7, 3), (45, 5)):
                 samples = agent.sample_actions(rng.normal(0, 1, (rows, 3)), n)
                 assert samples.shape == (rows, n)
                 assert np.all(np.abs(samples) <= 1.0)
 
     def test_checkpoint_round_trip(self, rng, tmp_path):
-        agent = DdpgAgent(3, SMALL, rng)
+        agent = DdpgAgent(SMALL, rng)
         assert agent.additional_converged is False  # until training says otherwise
         agent.additional_converged = True
         path = tmp_path / "ckpt.json"
@@ -565,7 +567,7 @@ class TestAgents:
         assert twin.kind == "ddpg"
 
     def test_sac_checkpoint_round_trip(self, rng, tmp_path):
-        agent = SacAgent(3, SMALL, rng)
+        agent = SacAgent(SMALL, rng)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, agent)
         twin = load_checkpoint(path, SMALL, np.random.default_rng(0))
@@ -578,7 +580,7 @@ class TestSafetyBoundary:
 
     @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
     def test_commands_are_python_floats(self, cls, rng):
-        agent = cls(3, SMALL, rng)
+        agent = cls(SMALL, rng)
         assert all(net.flat.dtype == np.float32 for net in agent.named_nets().values())
         for s in rng.uniform(0.0, 1.2, (10, 3)):
             for cmd in (agent.propose(s), agent.act(s), agent.act_additional(s)):
@@ -589,7 +591,7 @@ class TestSafetyBoundary:
     @pytest.mark.parametrize("loc,vel,t", [(300.0, 55.0, 1), (460.0, 66.0, 2), (1380.0, 40.0, 0)])
     def test_tree_over_sample_actions_picks_a_safe_command(self, cls, loc, vel, t, rng):
         model, track = make_model(), make_track()
-        agent = cls(3, SMALL, rng)
+        agent = cls(SMALL, rng)
         env = TrainEnv(model, track)
         spec, cfg = SafetySpec(), SearchConfig(expansion_width=3, action_grid=9)
         state = OperationState(loc=loc, vel=vel, time=float(t))
@@ -621,7 +623,7 @@ def saved(tmp_path, agent, edit=None):
 class TestCheckpoint:
     @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
     def test_loaded_nets_keep_flat_views(self, cls, rng, tmp_path):
-        agent = cls(3, SMALL, rng)
+        agent = cls(SMALL, rng)
         twin = load_checkpoint(saved(tmp_path, agent), SMALL, np.random.default_rng(0))
         for name, net in twin.named_nets().items():
             assert net is getattr(twin, name)
@@ -636,9 +638,9 @@ class TestCheckpoint:
     ])
     def test_optimizers_rebuilt_for_stored_sizes(self, cls, adams, rng, tmp_path):
         # stored hidden sizes win over the config, and so must the Adam state
-        agent = cls(3, AgentConfig(hidden_sizes=(5, 7)), rng)
+        agent = cls(AgentConfig(hidden_sizes=(5, 7)), rng)
         twin = load_checkpoint(saved(tmp_path, agent), SMALL, np.random.default_rng(0))
-        fresh = adams(cls(3, SMALL, np.random.default_rng(0)))
+        fresh = adams(cls(SMALL, np.random.default_rng(0)))
         for name, adam in adams(twin).items():
             assert adam._m.shape == getattr(twin, name).flat.shape
             assert adam.lr == fresh[name].lr
@@ -654,7 +656,7 @@ class TestCheckpoint:
         cfg = AgentConfig(hidden_sizes=tuple(hidden),
                           additional_hidden_sizes=None if extra is None else tuple(extra))
         rng = np.random.default_rng(seed)
-        agent = (DdpgAgent if kind == "ddpg" else SacAgent)(3, cfg, rng)
+        agent = (DdpgAgent if kind == "ddpg" else SacAgent)(cfg, rng)
         with tempfile.TemporaryDirectory() as tmp:
             twin = load_checkpoint(saved(Path(tmp), agent), SMALL, np.random.default_rng(0))
         assert twin.kind == kind
@@ -672,7 +674,7 @@ class TestCheckpoint:
     def test_float64_weights_load_into_float32_nets(self, cls, rng, tmp_path):
         # a blob written from float64 nets of the same sizes: each stored
         # weight is rounded to the nearest float32
-        agent = cls(3, SMALL, rng)
+        agent = cls(SMALL, rng)
         doubles = {name: Mlp(net.layer_sizes, net.output_activation, rng, final_init_scale=0.5)
                    for name, net in agent.named_nets().items()}
         path = saved(tmp_path, agent, lambda b: b["nets"].update(
@@ -701,6 +703,7 @@ class TestCheckpoint:
         ("nets.critic", lambda b: b["nets"]["critic"]["biases"].__setitem__(2, [])),
         ("nets.actor", lambda b: b["nets"]["actor"]["weights"].pop()),
         ("nets.actor", lambda b: b["nets"]["actor"].update(layer_sizes=[3, 0, 1])),
+        ("nets.additional", lambda b: b["nets"]["additional"].update(layer_sizes=[3, 0, 1])),
         ("nets.additional", lambda b: b["nets"]["additional"].update(output_activation="relu")),
         ("nets.actor", lambda b: b["nets"]["actor"].update(output_activation="identity")),
         ("nets.critic", lambda b: b["nets"].update(critic=b["nets"]["actor_target"])),
@@ -708,13 +711,63 @@ class TestCheckpoint:
             critic=Mlp([4, 5, 1], "identity", np.random.default_rng(0)).to_dict())),
     ])
     def test_bad_schema_names_file_and_field(self, rng, tmp_path, field, edit):
-        path = saved(tmp_path, DdpgAgent(3, SMALL, rng), edit)
+        path = saved(tmp_path, DdpgAgent(SMALL, rng), edit)
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path, SMALL, np.random.default_rng(0))
         message = str(info.value)
         assert isinstance(info.value, ValueError)
         assert message.startswith(f"checkpoint {path}: {field}: ")
         assert "\n" not in message
+
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    @pytest.mark.parametrize("edit", [
+        lambda net: net.update(layer_sizes=[3, 0, 1]),
+        lambda net: net.update(layer_sizes=[3]),
+        lambda net: net.update(layer_sizes="abc"),
+        lambda net: net.update(layer_sizes=None),
+        lambda net: net.pop("layer_sizes"),
+    ], ids=["zero-width", "no-output", "string", "null", "missing"])
+    def test_bad_layer_sizes_name_their_own_net(self, cls, edit, rng, tmp_path):
+        # the main net and the additional actor also give the sizes the
+        # agent is built with, and a fault there is still theirs
+        for name in cls.net_names:
+            path = saved(tmp_path, cls(SMALL, rng), lambda blob: edit(blob["nets"][name]))
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path, SMALL, np.random.default_rng(0))
+            assert str(info.value).startswith(f"checkpoint {path}: nets.{name}: ")
+            assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    def test_wider_state_fails_at_load(self, cls, rng, tmp_path):
+        # nets reading a 4-wide state once loaded, and failed at the first
+        # state the episode loop fed them
+        agent = cls(SMALL, rng)
+        path = saved(tmp_path, agent, lambda blob: blob["nets"].update(wider_state_nets(agent, rng)))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, SMALL, np.random.default_rng(0))
+        main = getattr(agent, cls.net_names[0])
+        wide = [STATE_DIM + 1, *main.layer_sizes[1:]]
+        assert str(info.value) == (
+            f"checkpoint {path}: nets.{cls.net_names[0]}: expected (layer sizes, activation) "
+            f"({main.layer_sizes}, '{main.output_activation}'), got ({wide}, '{main.output_activation}')")
+
+    @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
+    @pytest.mark.parametrize("hidden", [(8, 8), (5, 7, 3)])
+    def test_load_builds_the_agent_once(self, cls, hidden, monkeypatch, tmp_path):
+        # a load builds exactly a fresh agent's five nets, and draws from rng
+        # as that fresh build does; the stored sizes win over SMALL's
+        cfg = replace(SMALL, hidden_sizes=hidden)
+        path = saved(tmp_path, cls(cfg, np.random.default_rng(1)))
+        built, init = [], Mlp.__init__
+        monkeypatch.setattr(Mlp, "__init__", lambda net, *args, **kw: built.append(net)
+                            or init(net, *args, **kw))
+        fresh_rng, load_rng = np.random.default_rng(7), np.random.default_rng(7)
+        cls(cfg, fresh_rng)
+        assert len(built) == 5
+        twin = load_checkpoint(path, SMALL, load_rng)
+        assert len(built) == 10
+        assert [id(net) for net in built[5:]] == [id(net) for net in twin.named_nets().values()]
+        assert load_rng.bit_generator.state == fresh_rng.bit_generator.state
 
     @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
     @pytest.mark.parametrize("field, index, value, shown", [
@@ -730,7 +783,7 @@ class TestCheckpoint:
             row = stored[-1] if field == "weights" else stored
             row[-1] = value
 
-        path = saved(tmp_path, cls(3, SMALL, rng), edit)
+        path = saved(tmp_path, cls(SMALL, rng), edit)
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path, SMALL, np.random.default_rng(0))
         assert str(info.value) == (f"checkpoint {path}: nets.additional: {field}[{index}]: "
@@ -739,7 +792,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", ["false", 1], ids=["string", "integer"])
     def test_converged_flag_must_be_a_json_boolean(self, rng, tmp_path, value):
         # bool("false") is True: a lax read would run the additional actor
-        path = saved(tmp_path, DdpgAgent(3, SMALL, rng),
+        path = saved(tmp_path, DdpgAgent(SMALL, rng),
                      lambda blob: blob.update(additional_converged=value))
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path, SMALL, np.random.default_rng(0))
@@ -747,7 +800,7 @@ class TestCheckpoint:
                                    f"expected true or false, got {value!r}")
 
     def test_missing_converged_flag_means_false(self, rng, tmp_path):
-        path = saved(tmp_path, DdpgAgent(3, SMALL, rng),
+        path = saved(tmp_path, DdpgAgent(SMALL, rng),
                      lambda blob: blob.pop("additional_converged"))
         assert load_checkpoint(path, SMALL, np.random.default_rng(0)).additional_converged is False
 

@@ -26,6 +26,8 @@ from atoshield.drl.nets import Mlp
 from atoshield.shield import UnrecoverableStateError
 from atoshield.trainer import EpisodeMetrics, noise_test
 
+from conftest import wider_state_nets
+
 
 @pytest.fixture()
 def default_yaml():
@@ -765,6 +767,26 @@ class TestCli:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["execute", "transfer", "robustness"])
+    def test_wider_state_checkpoint_exit_2_one_line(self, command, tiny_yaml, tmp_path, capsys):
+        # nets reading a 4-wide state once loaded, and then each command
+        # made --out and failed at the first forward pass with a traceback
+        cfg = load_config(tiny_yaml)
+        rng = np.random.default_rng(5)
+        agent = AGENT_KINDS["ddpg"](cfg.agent, rng)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, agent)
+        blob = json.loads(ckpt.read_text())
+        blob["nets"].update(wider_state_nets(agent, rng))
+        ckpt.write_text(json.dumps(blob))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(tiny_yaml), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt}: nets.actor: expected (layer sizes, ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("variant", ["ssa_ddpg", "ssa_sac", "shield_ddpg"])
     def test_one_agent_serves_every_seed(self, variant, tiny_yaml, tmp_path):
         # execute builds the checkpoint's agent once; each seed's rows are the
@@ -773,7 +795,7 @@ class TestCli:
         # intervenes and the tree draws its samples from agent.rng.
         cfg = load_config(tiny_yaml)
         cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, agent=variant))
-        agent = AGENT_KINDS[trainer.VARIANTS[variant][0]](3, cfg.agent, np.random.default_rng(5))
+        agent = AGENT_KINDS[trainer.VARIANTS[variant][0]](cfg.agent, np.random.default_rng(5))
         for name in (agent.net_names[0], "additional"):
             getattr(agent, name).biases[-1][0] = 3.0
         ckpt = tmp_path / "ckpt.json"

@@ -224,7 +224,9 @@ class TestFlatLayout:
 
     def test_views_share_the_flat_vector(self, rng):
         net = Mlp([3, 8, 8, 2], "identity", rng)
-        for twin in (net, net.clone(), Mlp.from_dict(net.to_dict())):
+        loaded = Mlp([3, 8, 8, 2], "identity")
+        loaded.load_dict(net.to_dict())
+        for twin in (net, net.clone(), loaded):
             assert len(twin.weights) == len(twin.biases) == len(twin.layer_sizes) - 1
             for p in layer_arrays(twin):
                 assert np.shares_memory(p, twin.flat)
@@ -244,17 +246,36 @@ class TestFlatLayout:
     @pytest.mark.parametrize("field,index,shape", [
         ("biases", 0, (1, 8)), ("biases", 1, (1,)), ("weights", 0, (8, 3)), ("weights", 1, (8, 1)),
     ])
-    def test_from_dict_rejects_misshapen_arrays(self, rng, field, index, shape):
+    def test_load_dict_rejects_misshapen_arrays(self, rng, field, index, shape):
         blob = Mlp([3, 8, 2], "identity", rng).to_dict()
         blob[field][index] = np.zeros(shape).tolist()
         with pytest.raises(ValueError, match=rf"{field}\[{index}\]"):
-            Mlp.from_dict(blob)
+            Mlp([3, 8, 2], "identity", rng).load_dict(blob)
 
-    def test_from_dict_rejects_missing_layer(self, rng):
+    def test_load_dict_rejects_missing_layer(self, rng):
         blob = Mlp([3, 8, 2], "identity", rng).to_dict()
         blob["biases"].pop()
         with pytest.raises(ValueError, match="biases"):
-            Mlp.from_dict(blob)
+            Mlp([3, 8, 2], "identity", rng).load_dict(blob)
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda b: b.update(layer_sizes=[4, 8, 2]), r"expected \(layer sizes, activation\)"),
+        (lambda b: b.update(output_activation="tanh"), r"expected \(layer sizes, activation\)"),
+        (lambda b: b["biases"][0].__setitem__(0, 1e300),
+         r"biases\[0\]: expected finite float32 values, got inf"),
+    ])
+    def test_load_dict_rejects_another_net(self, rng, edit, problem):
+        # 1e300 is finite as stored, infinite in the float32 net
+        blob = Mlp([3, 8, 2], "identity", rng).to_dict()
+        edit(blob)
+        with pytest.raises(ValueError, match=problem):
+            Mlp([3, 8, 2], "identity", dtype=np.float32).load_dict(blob)
+
+    def test_clone_and_a_net_without_rng_draw_nothing(self, rng, monkeypatch):
+        net = Mlp([3, 8, 2], "identity", rng)
+        monkeypatch.setattr(np.random, "default_rng", None)  # a fresh generator would fail
+        assert not Mlp([3, 8, 2], "identity").flat.any()
+        assert net.clone().flat.tobytes() == net.flat.tobytes()
 
     @pytest.mark.parametrize("sizes", [[3, 0, 1], [3, -2, 1], [3, 2.5, 1], [3, "8", 1]])
     def test_layer_sizes_must_be_positive_integers(self, sizes):
@@ -547,6 +568,7 @@ class TestSerialization:
     def test_round_trip(self, rng, tmp_path):
         net = Mlp([3, 8, 1], "tanh", rng)
         blob = json.dumps(net.to_dict())
-        twin = Mlp.from_dict(json.loads(blob))
+        twin = Mlp([3, 8, 1], "tanh")
+        twin.load_dict(json.loads(blob))
         x = rng.normal(0, 1, (4, 3))
         assert np.array_equal(net.forward(x), twin.forward(x))

@@ -381,6 +381,50 @@ class TestAdditionalFit:
         assert len(calls) == episode * per_episode + 1  # the fit stops at its failing step
 
 
+    def test_each_fit_draws_its_sample_just_before_it(self, monkeypatch):
+        cfg = scenario(max_episodes=2, agent="plain_ddpg")
+        events = []
+        sample, update = trainer.EliteBuffer.sample, trainer.update_additional_actor
+        monkeypatch.setattr(trainer.EliteBuffer, "sample",
+                            lambda elite, *args: events.append("draw") or sample(elite, *args))
+        monkeypatch.setattr(trainer, "update_additional_actor",
+                            lambda *args: events.append("fit") or update(*args))
+        train(cfg, seed=0)
+        assert events == ["draw", "fit"] * (2 * cfg.agent.additional_updates_per_episode)
+
+
+class TestTrainedAgentIsItsCheckpoint:
+    def test_same_tree_samples_from_both_samplers(self, tmp_path, monkeypatch):
+        # train once left the annealed Gaussian noise at scale 0, which no
+        # checkpoint stores: the trained agent's tree samples spread by the
+        # 1e-3 floor (main actor) or not at all (additional actor), and its
+        # checkpoint's by the configured scale
+        cfg = scenario(max_episodes=3, agent="ssa_ddpg", execution_episodes=1)
+        agent = train(cfg, seed=0).agent
+        for name in ("actor", "additional"):
+            getattr(agent, name).biases[-1][0] = 3.0  # full traction, so the tree runs
+        save_checkpoint(tmp_path / "ckpt.json", agent)
+        twin = load_checkpoint(tmp_path / "ckpt.json", cfg.agent, np.random.default_rng(0))
+        search, drawn = trainer.search_safe_action, []
+
+        def recording(env, spec, sampler, *args):
+            def kept(states, n):
+                drawn[-1].append(sampler(states, n))
+                return drawn[-1][-1]
+
+            return search(env, spec, kept, *args)
+
+        monkeypatch.setattr(trainer, "search_safe_action", recording)
+        for use_additional in (False, True):
+            for which in (agent, twin):
+                drawn.append([])
+                execute(which, cfg, use_additional, seed=3)
+            mine, theirs = drawn[-2:]
+            assert len(mine) == len(theirs) > 0
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, theirs))
+            assert max(np.ptp(a, axis=1).max() for a in mine) > 0.1
+
+
 class TestExecute:
     def test_same_seed_same_checkpoint_identical(self, short_ssa_result):
         cfg = scenario(max_episodes=12, execution_episodes=2)
