@@ -17,8 +17,15 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# the learner's products are too small to gain from a second thread, which
+# only burns a core (and every ``train --workers`` process inherits this).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 

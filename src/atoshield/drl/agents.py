@@ -6,15 +6,17 @@ value and soft-Q heads.  Both emit commands in [-1, 1].  The additional actor
 is a plain regression onto the elite buffer's stored safe actions; once it
 reproduces every stored trajectory it can serve as the final policy.
 
-Both agents build every net in float32 (``dtype``).  An update stays
-float32 from the replay sample to ``Adam.step``: states, net inputs,
-activations, caches, gradients, the SAC draws and log-probs, and the Adam
-state.  Only the columns built from the float64 rewards (regression
-targets and errors) stay float64, as do the losses reported; they reach a
-net through the cast at ``backward``'s entry.  Every command an agent
-hands out (``act``, ``propose``, ``act_additional``) is a Python float, and
-the tree casts ``sample_actions`` rows to float64, so the shield and the
-dynamics see the same float64 arithmetic at any net dtype.
+Both agents build every net in ``NET_DTYPE``, float32, and the episode loop
+hands them state rows already cast to it, so a decision's forward and the
+replay ring take them without a copy.  An update stays float32 from the
+replay sample to ``Adam.step``: states, net inputs, activations, caches,
+gradients, the SAC draws and log-probs, and the Adam state.  Only the
+columns built from the float64 rewards (regression targets and errors) stay
+float64, as do the losses reported; they reach a net through the cast at
+``backward``'s entry.  Every command an agent hands out (``act``,
+``propose``, ``act_additional``) is a Python float, and the tree casts
+``sample_actions`` rows to float64, so the shield and the dynamics see the
+same float64 arithmetic at any net dtype.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .nets import Adam, Mlp, Scratch, check_layer_sizes, soft_update
 from .noise import NoiseProcess, act, act_with_noise
 
 STATE_DIM = 3  # every agent net reads the normalized (loc, vel, time) state
+NET_DTYPE = np.float32  # every agent net's dtype, and the episode loop's state rows'
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 _TANH_EPS = 1e-6
@@ -221,7 +224,7 @@ def jitter_samples(net: Mlp, states: np.ndarray, n: int, rng: np.random.Generato
     jitter of scale ``std`` drawn row-major, clipped to [-1, 1]."""
     base = net.forward(states)
     jitter = rng.normal(0.0, std, (base.shape[0], n))
-    jitter += base
+    jitter += base  # float32 into float64: at the tree's row counts, cheaper than an upcast
     return np.clip(jitter, -1.0, 1.0, out=jitter)
 
 
@@ -245,7 +248,6 @@ class _Agent:
     All five nets, the additional actor included, run one at a time and share
     one ``Scratch``."""
 
-    dtype = np.float32
     additional_converged = False
 
     def act_additional(self, s_vec: np.ndarray) -> float:
@@ -265,14 +267,14 @@ class DdpgAgent(_Agent):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
-        scratch = Scratch(self.dtype)  # the agent's nets run one at a time
-        self.actor = Mlp([STATE_DIM, *hidden, 1], "tanh", rng, dtype=self.dtype, scratch=scratch)
-        self.critic = Mlp([STATE_DIM + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
+        scratch = Scratch(NET_DTYPE)  # the agent's nets run one at a time
+        self.actor = Mlp([STATE_DIM, *hidden, 1], "tanh", rng, dtype=NET_DTYPE, scratch=scratch)
+        self.critic = Mlp([STATE_DIM + 1, *hidden, 1], "identity", rng, dtype=NET_DTYPE,
                           scratch=scratch)
         self.actor_target = self.actor.clone(scratch)
         self.critic_target = self.critic.clone(scratch)
         self.additional = Mlp([STATE_DIM, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
-                              dtype=self.dtype, scratch=scratch)
+                              dtype=NET_DTYPE, scratch=scratch)
         self.actor_adam = Adam(self.actor, cfg.actor_lr)
         self.critic_adam = Adam(self.critic, cfg.critic_lr)
         self.additional_adam = Adam(self.additional, cfg.resolved_additional_lr())
@@ -314,14 +316,14 @@ class SacAgent(_Agent):
         self.cfg = cfg
         self.rng = rng
         hidden = list(cfg.hidden_sizes)
-        scratch = Scratch(self.dtype)  # the agent's nets run one at a time
-        self.policy = Mlp([STATE_DIM, *hidden, 2], "identity", rng, dtype=self.dtype, scratch=scratch)
-        self.value = Mlp([STATE_DIM, *hidden, 1], "identity", rng, dtype=self.dtype, scratch=scratch)
+        scratch = Scratch(NET_DTYPE)  # the agent's nets run one at a time
+        self.policy = Mlp([STATE_DIM, *hidden, 2], "identity", rng, dtype=NET_DTYPE, scratch=scratch)
+        self.value = Mlp([STATE_DIM, *hidden, 1], "identity", rng, dtype=NET_DTYPE, scratch=scratch)
         self.value_target = self.value.clone(scratch)
-        self.softq = Mlp([STATE_DIM + 1, *hidden, 1], "identity", rng, dtype=self.dtype,
+        self.softq = Mlp([STATE_DIM + 1, *hidden, 1], "identity", rng, dtype=NET_DTYPE,
                          scratch=scratch)
         self.additional = Mlp([STATE_DIM, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
-                              dtype=self.dtype, scratch=scratch)
+                              dtype=NET_DTYPE, scratch=scratch)
         self.adams = {
             "policy": Adam(self.policy, cfg.actor_lr),
             "value": Adam(self.value, cfg.sac_value_lr),

@@ -11,11 +11,12 @@ import numpy as np
 @dataclass(frozen=True)
 class Trajectory:
     """One complete episode, one row per step: the normalized state each
-    command was chosen in, the executed command, the speed after the step
-    (km/h) and the applied acceleration (m/s^2).  ``total_return``, the
-    reward summed in step order, ranks it in the elite buffer."""
+    command was chosen in, in the nets' dtype as the episode loop casts it,
+    the executed command, the speed after the step (km/h) and the applied
+    acceleration (m/s^2).  ``total_return``, the reward summed in step
+    order, ranks it in the elite buffer."""
 
-    states: np.ndarray  # (T, state_dim)
+    states: np.ndarray  # (T, state_dim), float32
     actions: np.ndarray  # (T,)
     speeds: np.ndarray  # (T,)
     accels: np.ndarray  # (T,)

@@ -14,28 +14,36 @@ depend on how the vector is split, so they equal a per-array update bitwise.
 ``backward(..., params=False)`` computes only d(loss)/d(input), for callers
 that differentiate through a network they do not train.
 
+One product rule for both layer loops: every layer product (forward
+products, weight and input gradients) runs on ``np.dot``, which gives the
+bytes of ``@`` at less call overhead, most of all on the one-row forward of
+the decision loop; a one-element by one-element product stays on ``@``,
+whose sum turns a -0.0 that ``np.dot``'s scalar product keeps into +0.0.
+The forward loop adds each bias as a (1, n) row view of ``flat``, which
+numpy adds to a one-row layer on its same-shape path; ``biases[i]`` stays
+the 1-D view of the same memory, so every write to ``flat`` shows in both.
+
 In place, but only on what the call owns: ``forward_cached`` applies each
-layer's bias and activation in place to the array its matmul allocated, and
-``forward``, the same loop without the cache, writes its hidden layers into
-the network's ``Scratch``, so only its output is fresh.  The ReLU runs
+layer's bias and activation in place to the array its product allocated,
+and ``forward``, the same loop without the cache, writes its hidden layers
+into the network's ``Scratch``, so only its output is fresh.  The ReLU runs
 against a same-shape zeros block: the same bytes as against 0.0, on numpy's
 contiguous loop.  ``backward`` writes each hidden layer's input-gradient
-product (``np.dot``, BLAS's fast path also for the one-column output layer,
-where ``@`` is several times slower) and ReLU mask into that scratch: two
-product buffers that alternate by layer, the bool mask and the zeros, each
-flat, the largest batch seen times the widest hidden layer (3 x itemsize +
-1 bytes per row and unit), used through C-contiguous views.  A net builds
+product and ReLU mask into that scratch: two product buffers that alternate
+by layer, the bool mask and the zeros, each flat, the largest batch seen
+times the widest hidden layer (3 x itemsize + 1 bytes per row and unit),
+used through C-contiguous views.  A net builds
 a scratch of its own unless it is handed one; nets that never run at the
 same time, such as an agent's five nets, may share one, so the nets of
 one scratch run one ``forward`` or ``backward`` at a time among them, and
 no scratch view leaves a call.  Neither method writes into
 an array the caller passed in or still holds (the input, ``grad_out``, a
-cache), and every array they return or cache is fresh on every call, so a
-caller may keep any of them as long as it likes.  ``Adam`` runs its update
-in two scratch vectors of its own, and ``soft_update`` blends in one that
-the target network owns.  Each in-place form does the floating-point
-operations of the plain expression it stands for, in the same order, so
-results are bitwise those of that expression.
+cache), and every array they return or cache, but the input itself, is
+fresh on every call, so a caller may keep any of them as long as it likes.
+``Adam`` runs its update in two scratch vectors of its own, and
+``soft_update`` blends in one that the target network owns.  Each in-place
+form does the floating-point operations of the plain expression it stands
+for, in the same order, so results are bitwise those of that expression.
 
 A scratch follows the largest batch its nets have run.  The agents'
 regression steps (``drl.agents.regress``) and convergence check run in
@@ -47,7 +55,8 @@ One dtype per network: ``Mlp(..., dtype=)`` sets the dtype of ``flat``
 follows ``flat.dtype``: caches, outputs, parameter and input gradients, and
 the Adam moments and scratch.  ``forward_cached`` and ``backward`` cast
 their input and ``grad_out`` to that dtype once, at entry, so a float32 net
-fed float64 arrays still computes wholly in float32.  The initial weights
+fed float64 arrays still computes wholly in float32; an input already in
+that dtype passes without a copy.  The initial weights
 are drawn in float64 and rounded, so float32 and float64 nets built from the
 same generator hold the same weights up to that rounding.
 """
@@ -93,6 +102,13 @@ class Scratch:
         return views
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` by the one product rule (see above), into ``out`` if given."""
+    if a.size == b.size == 1:
+        return np.matmul(a, b, out=out)
+    return np.dot(a, b, out=out)
+
+
 def check_layer_sizes(layer_sizes) -> list[int]:
     """``layer_sizes`` as a list: input, output and any hidden sizes, each >= 1."""
     if len(layer_sizes) < 2:
@@ -124,6 +140,7 @@ class Mlp:
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs), dtype=dtype)
         self.weights, self.biases = self._split(self.flat)
+        self._bias_rows = [b.reshape(1, -1) for b in self.biases]  # (1, n) views for the layer loop
         self.scratch = Scratch(dtype) if scratch is None else scratch
         if self.scratch.dtype != self.flat.dtype:
             raise ValueError(f"scratch dtype {self.scratch.dtype} is not the net's {self.flat.dtype}")
@@ -167,15 +184,15 @@ class Mlp:
         h = np.array(x, dtype=self.flat.dtype, copy=None, ndmin=2)
         if cache is not None:
             cache.append(h)
-        hidden = zip(self.weights, self.biases, self.scratch.views(h.shape[0], self._hidden))
+        hidden = zip(self.weights, self._bias_rows, self.scratch.views(h.shape[0], self._hidden))
         for w, b, (product, _, zeros) in hidden:
-            h = h @ w if cache is not None else np.matmul(h, w, out=product)
+            h = _product(h, w, None if cache is not None else product)
             h += b
             np.maximum(h, zeros, out=h)
             if cache is not None:
                 cache.append(h)
-        h = h @ self.weights[-1]
-        h += self.biases[-1]
+        h = _product(h, self.weights[-1])
+        h += self._bias_rows[-1]
         if self.output_activation == "tanh":
             np.tanh(h, out=h)
         if cache is not None:
@@ -205,16 +222,12 @@ class Mlp:
         views = self.scratch.views(grad.shape[0], self._hidden)
         for i in range(self.n_layers - 1, -1, -1):
             if params:
-                np.matmul(cache[i].T, grad, out=grad_w[i])
+                _product(cache[i].T, grad, grad_w[i])
                 np.add.reduce(grad, axis=0, out=grad_b[i])
-            w_t = self.weights[i].T
-            # np.dot multiplies two one-element operands as scalars and keeps
-            # a -0.0 that @ sums to +0.0, so that one case stays on @
-            dot = np.matmul if grad.size == w_t.size == 1 else np.dot
             if i == 0:
-                return param_grad, dot(grad, w_t)
+                return param_grad, _product(grad, self.weights[i].T)
             product, mask, _ = views[i - 1]
-            grad = dot(grad, w_t, out=product)
+            grad = _product(grad, self.weights[i].T, product)
             np.greater(cache[i], 0.0, out=mask)
             grad *= mask
 

@@ -9,10 +9,13 @@ proposal as the variant's row of ``VARIANTS`` says, the stateless
 :class:`TrainEnv` steps from the loop's state, and the optional learner hook
 ``learn(s_vec, cmd, outcome, s2_vec, done, t)`` sees the transition, with
 ``done`` set when it ends the episode: on arrival, or at the step budget of
-``RunConfig.resolved_budget``.  Each state is normalized once: ``s2_vec`` is
-the next step's ``s_vec``.  The loop returns the metrics and the episode's
-:class:`~atoshield.drl.buffers.Trajectory`, which training inserts into the
-elite buffer as is and the robustness study correlates column by column.
+``RunConfig.resolved_budget``.  Each state is normalized once, in float64,
+and cast once to the agents' ``NET_DTYPE`` (:func:`normalize_state`):
+``s2_vec`` is the next step's ``s_vec``, and the policy, the learner's
+replay ring and ``Trajectory.states`` all take that row as it is.  The loop
+returns the metrics and the episode's :class:`~atoshield.drl.buffers.Trajectory`,
+which training inserts into the elite buffer as is and the robustness study
+correlates column by column.
 
 Inside ``train``, each episode's additional-actor fit runs at the episode's
 end, before the next rollout starts.
@@ -42,6 +45,7 @@ from .dynamics import (
 )
 from .drl.agents import (
     AGENT_KINDS,
+    NET_DTYPE,
     additional_actor_converged,
     jitter_samples,
     update_additional_actor,
@@ -138,8 +142,10 @@ def normalize_states(states: np.ndarray, track: TrackSection) -> np.ndarray:
 
 
 def normalize_state(state: OperationState, track: TrackSection) -> np.ndarray:
-    """:func:`normalize_states` of one state's ``(loc, vel, time)`` vector."""
-    return normalize_states(np.array([state.loc, state.vel, state.time]), track)
+    """:func:`normalize_states` of one state's ``(loc, vel, time)`` vector,
+    cast once to the agents' ``NET_DTYPE``: the row the episode loop hands
+    the policy, the learner and the trajectory."""
+    return normalize_states(np.array([state.loc, state.vel, state.time]), track).astype(NET_DTYPE)
 
 
 def _jitter_sampler(net, track: TrackSection, rng: np.random.Generator, std: float):
@@ -265,9 +271,7 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
 
     def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, s2_vec: np.ndarray, done: bool,
               t: int) -> None:
-        # the ring stores states in the dtype of the first push: the learner's
-        s, s2 = s_vec.astype(agent.dtype), s2_vec.astype(agent.dtype)
-        replay.push(s, cmd, out.reward, s2, float(done))
+        replay.push(s_vec, cmd, out.reward, s2_vec, float(done))
         if (t + 1) % cfg.run.t_up == 0 and len(replay) >= cfg.agent.batch_size:
             agent.update(replay.sample(cfg.agent.batch_size, rng))
 

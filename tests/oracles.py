@@ -536,6 +536,20 @@ class ReferenceReplayBuffer:
         )
 
 
+def reference_forward(net, x):
+    """The layer loop's cache from plain expressions in the net's dtype, with
+    ``@`` for every product and the 1-D biases: each layer's input, then
+    the output."""
+    h = np.atleast_2d(np.asarray(x, dtype=net.flat.dtype))
+    cache = [h]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        cache.append(h)
+    out = h @ net.weights[-1] + net.biases[-1]
+    cache.append(np.tanh(out) if net.output_activation == "tanh" else out)
+    return cache
+
+
 def reference_backward(net, cache, grad_out):
     """Per-layer (d/dW, d/db) pairs and d/d(input), one array per parameter,
     from plain expressions in the net's dtype, with ``@`` for every product."""

@@ -571,6 +571,28 @@ class TestCli:
                               capture_output=True, text=True, check=True, timeout=120)
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+    def test_blas_threads_default_to_one(self, given, want):
+        # the CLI sets one BLAS thread before numpy loads, unless the caller
+        # set the variables; the OpenBLAS that numpy loaded then runs one
+        root = Path(__file__).resolve().parents[1]
+        script = ("import os, sys; import atoshield.cli; sys.path.insert(0, sys.argv[1]); "
+                  "from run import blas_threads; "
+                  "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'], "
+                  "blas_threads())")
+        src = str(Path(atoshield.__file__).resolve().parents[1])
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if given is not None:
+            env.update(dict.fromkeys(names, given))
+        proc = subprocess.run([sys.executable, "-c", script, str(root / "benchmarks")], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        openblas, omp, blas = proc.stdout.split()
+        assert openblas == omp == want
+        if given is None:  # OpenBLAS caps a larger request at the core count
+            assert blas in ("1", "None")  # None: a numpy not built on OpenBLAS
+
     def test_validate_bad_config_exit_2(self, tmp_path, default_yaml):
         blob = copy.deepcopy(default_yaml)
         blob["agent"]["gamma"] = -1

@@ -12,6 +12,7 @@ from oracles import (
     max_rel_error,
     numeric_gradient,
     reference_backward,
+    reference_forward,
     relu_kink_margin,
 )
 
@@ -281,6 +282,69 @@ class TestFlatLayout:
     def test_layer_sizes_must_be_positive_integers(self, sizes):
         with pytest.raises(ValueError, match="positive integers"):
             Mlp(sizes, "tanh", np.random.default_rng(0))
+
+
+class TestOneProductRule:
+    """Every layer product of both loops runs on np.dot, a one-element by
+    one-element product on @, and each gives the bytes of the @ expression;
+    the bias adds read (1, n) row views of ``flat``."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("sizes,activation", BACKWARD_SHAPES)
+    def test_both_loops_equal_the_matmul_oracle(self, sizes, activation, dtype):
+        # the (1, 1) net at one row multiplies one-element operands, which
+        # stay on @; zero output gradients make products of signed zeros
+        rng = np.random.default_rng(43)
+        net = Mlp(list(sizes), activation, rng, final_init_scale=0.5, dtype=dtype)
+        for rows in (1, 2, 45, 256, 1077):
+            x = rng.normal(0, 1, (rows, sizes[0])).astype(dtype)
+            want = reference_forward(net, x)
+            out, cache = net.forward_cached(x)
+            assert len(cache) == len(want)
+            assert_same_bytes([net.forward(x), out, *cache], [want[-1], want[-1], *want])
+            g_out = rng.normal(0, 1, (rows, sizes[-1])).astype(dtype)
+            g_out[::3] = 0.0
+            pairs, ref_in = reference_backward(net, want, g_out)
+            ref = np.concatenate([g.ravel() for pair in pairs for g in pair])
+            assert_same_bytes(net.backward(cache, g_out), [ref, ref_in])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_element_products_keep_the_matmul_zero(self, dtype):
+        # a zero output gradient times an input of -1 and a weight of -0.5:
+        # np.dot's scalar products are -0.0 where @ gives +0.0, in the
+        # weight and the input gradient alike
+        net = Mlp([1, 1], "identity", dtype=dtype)
+        net.weights[0][...] = -0.5
+        _, cache = net.forward_cached(np.full((1, 1), -1.0, dtype))
+        g_out = np.zeros((1, 1), dtype)
+        grads, grad_in = net.backward(cache, g_out)
+        pairs, ref_in = reference_backward(net, cache, g_out)
+        assert_same_bytes([grads[:1], grad_in], [pairs[0][0].ravel(), ref_in])
+        assert not np.signbit(grads[0]) and not np.signbit(grad_in[0, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_row_forward_follows_every_write_to_flat(self, dtype):
+        # Adam, soft_update and load_dict write flat in place; the row
+        # views the layer loop adds must show each write, as the 1-D
+        # biases the oracle adds do
+        rng = np.random.default_rng(47)
+        net, online, stored = (Mlp([3, 64, 64, 1], "tanh", rng, final_init_scale=0.5, dtype=dtype)
+                               for _ in range(3))
+        for other in (online, stored):
+            for b in other.biases:
+                b[...] = rng.normal(0, 0.5, b.shape)
+        adam = Adam(net, lr=1e-2)
+        grad = rng.normal(0, 1, net.flat.shape).astype(dtype)
+        x = rng.normal(0, 1, 3).astype(dtype)
+        writes = (lambda: adam.step(net, grad), lambda: soft_update(net, online, 0.5),
+                  lambda: net.load_dict(stored.to_dict()))
+        for write in writes:
+            biases, before = [b.copy() for b in net.biases], net.forward(x)
+            write()
+            assert all(not np.array_equal(b, old) for b, old in zip(net.biases, biases))
+            want = reference_forward(net, x)[-1]
+            assert_same_bytes([net.forward(x), net.clone().forward(x)], [want, want])
+            assert want.tobytes() != before.tobytes()
 
 
 class TestSoftUpdate:

@@ -12,7 +12,13 @@ import pytest
 import atoshield
 from atoshield import trainer
 from atoshield.config import default_scenario_path, load_config
-from atoshield.drl.agents import AGENT_KINDS, DdpgAgent, load_checkpoint, save_checkpoint
+from atoshield.drl.agents import (
+    AGENT_KINDS,
+    NET_DTYPE,
+    DdpgAgent,
+    load_checkpoint,
+    save_checkpoint,
+)
 from atoshield.drl.buffers import ReplayBuffer
 from atoshield.drl.nets import Mlp
 from atoshield.dynamics import OperationState, validate_track
@@ -100,9 +106,65 @@ class TestTrainEnv:
         states = [OperationState(loc=750.0, vel=40.0, time=55.0), OperationState(loc=3.0, vel=0.1),
                   OperationState(loc=1234.567, vel=77.7, time=101.3)]
         rows = normalize_states(np.array([[s.loc, s.vel, s.time] for s in states]), track)
-        assert rows.shape == (3, 3)
-        for row, state in zip(rows, states):
-            assert row.tolist() == normalize_state(state, track).tolist()
+        assert rows.shape == (3, 3) and rows.dtype == np.float64
+        # one state's row is the float64 batch row cast once to the nets' dtype
+        for row, state in zip(rows.astype(NET_DTYPE), states):
+            single = normalize_state(state, track)
+            assert single.dtype == NET_DTYPE and single.tobytes() == row.tobytes()
+
+
+class TestStateRows:
+    """The loop normalizes each state once, in float64, and casts it once to
+    the nets' dtype; every consumer of the state row sees that one cast."""
+
+    def test_every_state_row_is_the_float64_row_cast_once(self, monkeypatch):
+        episodes, rings = [], set()
+        run, push = trainer._run_episode, ReplayBuffer.push
+
+        def recording_run(cfg, env, policy, correct, episode, learn=None):
+            raw, proposed, seen = [], [], []
+            episodes.append((raw, proposed, seen))
+
+            def proposing(s_vec):
+                proposed.append(s_vec)
+                return policy(s_vec)
+
+            def seeing(s_vec, cmd, out, s2_vec, done, t):
+                raw.append(out.next_state)
+                seen.append((s_vec, s2_vec))
+                learn(s_vec, cmd, out, s2_vec, done, t)
+
+            metrics, traj = run(cfg, env, proposing, correct, episode, seeing)
+            episodes[-1] += (traj,)
+            return metrics, traj
+
+        def pushing(buffer, s, a, r, s2, d):
+            rings.add(buffer)
+            push(buffer, s, a, r, s2, d)
+
+        monkeypatch.setattr(trainer, "_run_episode", recording_run)
+        monkeypatch.setattr(ReplayBuffer, "push", pushing)
+        cfg = scenario(max_episodes=2, agent="ssa_ddpg")
+        train(cfg, seed=0)
+        (ring,) = rings
+        ring_rows, ring_next = [], []
+        for raw, proposed, seen, traj in episodes:
+            states = [OperationState(), *raw]
+            want = normalize_states(np.array([[s.loc, s.vel, s.time] for s in states]), cfg.track)
+            assert want.dtype == np.float64
+            want = want.astype(NET_DTYPE)
+            assert len(proposed) == len(seen) == len(traj) == len(want) - 1
+            for got in (np.stack(proposed), np.stack([s for s, _ in seen]), traj.states):
+                assert got.dtype == NET_DTYPE and got.tobytes() == want[:-1].tobytes()
+            s2 = np.stack([s2 for _, s2 in seen])
+            assert s2.dtype == NET_DTYPE and s2.tobytes() == want[1:].tobytes()
+            ring_rows.append(want[:-1])
+            ring_next.append(want[1:])
+        n = len(ring)
+        assert n == sum(map(len, ring_rows))  # the ring has not wrapped
+        for stored, want in ((ring._s, ring_rows), (ring._s2, ring_next)):
+            assert stored.dtype == NET_DTYPE
+            assert stored[:n].tobytes() == np.concatenate(want).tobytes()
 
 
 class TestPrevAccelThreading:
