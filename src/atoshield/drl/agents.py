@@ -4,7 +4,8 @@ Two learner families share the picture: a deterministic actor with a Q critic
 and target twins, and an entropy-regularized stochastic actor with separate
 value and soft-Q heads.  Both emit commands in [-1, 1].  The additional actor
 is a plain regression onto the elite buffer's stored safe actions; once it
-reproduces every stored trajectory it can serve as the final policy.
+reproduces every stored trajectory it can serve as the final policy.  Each
+family is one table of its nets, ``NETS``, that one build reads (``_Agent``).
 
 Both agents build every net in ``NET_DTYPE``, float32, and the episode loop
 hands them state rows already cast to it, so a decision's forward and the
@@ -49,25 +50,19 @@ class AgentConfig:
     sac_value_lr: float = 1e-3
     sac_softq_lr: float = 3e-5
     entropy_alpha: float = 0.2
-    additional_actor_lr: float | None = None  # defaults to 5x the actor rate
+    additional_actor_lr: float | None = None  # None: 5x actor_lr, in the agent build
     elite_minibatch: int = 10
     elite_capacity: int = 20
     convergence_eps: float = 1e-3
     batch_size: int = 256
     replay_capacity: int = 100_000
     hidden_sizes: tuple[int, ...] = (256, 256, 256, 256)
-    additional_hidden_sizes: tuple[int, ...] | None = None
+    additional_hidden_sizes: tuple[int, ...] | None = None  # None: hidden_sizes, in the build
     noise_kind: str = "ou"
     ou_theta: float = 0.15
     ou_sigma: float = 0.2
     noise_scale: float = 1.0
     additional_updates_per_episode: int = 10
-
-    def resolved_additional_lr(self) -> float:
-        return self.additional_actor_lr if self.additional_actor_lr is not None else 5.0 * self.actor_lr
-
-    def resolved_additional_hidden(self) -> tuple[int, ...]:
-        return self.additional_hidden_sizes if self.additional_hidden_sizes is not None else tuple(self.hidden_sizes)
 
 
 def critic_target(r: np.ndarray, v2: np.ndarray, d: np.ndarray, gamma: float) -> np.ndarray:
@@ -242,42 +237,56 @@ def additional_actor_converged(elite: EliteBuffer, net: Mlp, eps: float) -> bool
 
 
 class _Agent:
-    """What both learner families share: float32 nets, and the additional actor
-    with its convergence flag, which training and a loaded checkpoint set.
-
-    All five nets, the additional actor included, run one at a time and share
-    one ``Scratch``."""
+    """What both learner families share: one build from the family's ``NETS``,
+    its nets in build order with the additional actor last, and that actor's
+    convergence flag, which training and a loaded checkpoint set.  A trained
+    net's row is its (input width, output width, output activation,
+    ``AgentConfig`` rate field), and it gets one ``Adam`` in ``adams``; a
+    target's row names the net it copies.  The nets run one at a time and
+    share one ``Scratch``."""
 
     additional_converged = False
+
+    def __init__(self, cfg: AgentConfig, rng: np.random.Generator):
+        self.cfg, self.rng = cfg, rng
+        scratch = Scratch(NET_DTYPE)
+        self.adams: dict[str, Adam] = {}
+        for name, row in self.NETS.items():
+            if isinstance(row, str):  # a target
+                setattr(self, name, getattr(self, row).clone(scratch))
+                continue
+            n_in, n_out, activation, lr_field = row
+            hidden = cfg.hidden_sizes
+            if name == "additional" and cfg.additional_hidden_sizes is not None:
+                hidden = cfg.additional_hidden_sizes
+            lr = getattr(cfg, lr_field)
+            if lr is None:  # the additional actor's default rate
+                lr = 5.0 * cfg.actor_lr
+            net = Mlp([n_in, *hidden, n_out], activation, rng, dtype=NET_DTYPE, scratch=scratch)
+            setattr(self, name, net)
+            self.adams[name] = Adam(net, lr)
 
     def act_additional(self, s_vec: np.ndarray) -> float:
         return act(self.additional, s_vec)
 
     def named_nets(self) -> dict[str, Mlp]:
-        return {name: getattr(self, name) for name in self.net_names}
+        return {name: getattr(self, name) for name in self.NETS}
 
 
 class DdpgAgent(_Agent):
     """Deterministic policy-gradient learner with OU/Gaussian exploration."""
 
     kind = "ddpg"
-    net_names = ("actor", "critic", "actor_target", "critic_target", "additional")
+    NETS = {
+        "actor": (STATE_DIM, 1, "tanh", "actor_lr"),
+        "critic": (STATE_DIM + 1, 1, "identity", "critic_lr"),
+        "actor_target": "actor",
+        "critic_target": "critic",
+        "additional": (STATE_DIM, 1, "tanh", "additional_actor_lr"),
+    }
 
     def __init__(self, cfg: AgentConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.rng = rng
-        hidden = list(cfg.hidden_sizes)
-        scratch = Scratch(NET_DTYPE)  # the agent's nets run one at a time
-        self.actor = Mlp([STATE_DIM, *hidden, 1], "tanh", rng, dtype=NET_DTYPE, scratch=scratch)
-        self.critic = Mlp([STATE_DIM + 1, *hidden, 1], "identity", rng, dtype=NET_DTYPE,
-                          scratch=scratch)
-        self.actor_target = self.actor.clone(scratch)
-        self.critic_target = self.critic.clone(scratch)
-        self.additional = Mlp([STATE_DIM, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
-                              dtype=NET_DTYPE, scratch=scratch)
-        self.actor_adam = Adam(self.actor, cfg.actor_lr)
-        self.critic_adam = Adam(self.critic, cfg.critic_lr)
-        self.additional_adam = Adam(self.additional, cfg.resolved_additional_lr())
+        super().__init__(cfg, rng)
         self.noise = NoiseProcess(
             kind=cfg.noise_kind, ou_theta=cfg.ou_theta, ou_sigma=cfg.ou_sigma,
             scale=cfg.noise_scale, seed=int(rng.integers(2**31)),
@@ -299,8 +308,8 @@ class DdpgAgent(_Agent):
         s2 = np.atleast_2d(s2)
         q2 = self.critic_target.forward(np.concatenate([s2, self.actor_target.forward(s2)], axis=1))
         y = critic_target(r, q2[:, 0], d, self.cfg.gamma)
-        critic_loss = update_critic(self.critic, self.critic_adam, s, a, y)
-        actor_objective = update_actor(self.actor, self.actor_adam, self.critic, s)
+        critic_loss = update_critic(self.critic, self.adams["critic"], s, a, y)
+        actor_objective = update_actor(self.actor, self.adams["actor"], self.critic, s)
         soft_update(self.actor_target, self.actor, self.cfg.soft_tau)
         soft_update(self.critic_target, self.critic, self.cfg.soft_tau)
         return {"critic_loss": critic_loss, "actor_objective": actor_objective}
@@ -310,26 +319,13 @@ class SacAgent(_Agent):
     """Entropy-regularized stochastic learner with value and soft-Q heads."""
 
     kind = "sac"
-    net_names = ("policy", "value", "value_target", "softq", "additional")
-
-    def __init__(self, cfg: AgentConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.rng = rng
-        hidden = list(cfg.hidden_sizes)
-        scratch = Scratch(NET_DTYPE)  # the agent's nets run one at a time
-        self.policy = Mlp([STATE_DIM, *hidden, 2], "identity", rng, dtype=NET_DTYPE, scratch=scratch)
-        self.value = Mlp([STATE_DIM, *hidden, 1], "identity", rng, dtype=NET_DTYPE, scratch=scratch)
-        self.value_target = self.value.clone(scratch)
-        self.softq = Mlp([STATE_DIM + 1, *hidden, 1], "identity", rng, dtype=NET_DTYPE,
-                         scratch=scratch)
-        self.additional = Mlp([STATE_DIM, *cfg.resolved_additional_hidden(), 1], "tanh", rng,
-                              dtype=NET_DTYPE, scratch=scratch)
-        self.adams = {
-            "policy": Adam(self.policy, cfg.actor_lr),
-            "value": Adam(self.value, cfg.sac_value_lr),
-            "softq": Adam(self.softq, cfg.sac_softq_lr),
-        }
-        self.additional_adam = Adam(self.additional, cfg.resolved_additional_lr())
+    NETS = {
+        "policy": (STATE_DIM, 2, "identity", "actor_lr"),
+        "value": (STATE_DIM, 1, "identity", "sac_value_lr"),
+        "value_target": "value",
+        "softq": (STATE_DIM + 1, 1, "identity", "sac_softq_lr"),
+        "additional": (STATE_DIM, 1, "tanh", "additional_actor_lr"),
+    }
 
     def act(self, s_vec: np.ndarray) -> float:
         out = self.policy.forward(s_vec)
@@ -405,10 +401,10 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
                               f"expected true or false, got {converged!r}")
     agent_cls = AGENT_KINDS[kind]
     stored = blob.get("nets")
-    if not isinstance(stored, dict) or set(stored) != set(agent_cls.net_names):
+    if not isinstance(stored, dict) or set(stored) != set(agent_cls.NETS):
         got = sorted(stored) if isinstance(stored, dict) else stored
         raise CheckpointError(path, "nets",
-                              f"kind {kind!r} needs nets {sorted(agent_cls.net_names)}, got {got!r}")
+                              f"kind {kind!r} needs nets {sorted(agent_cls.NETS)}, got {got!r}")
 
     def read(name: str, use):
         """``use(stored[name])``, a fault in it named as the net's."""
@@ -420,7 +416,7 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
             raise CheckpointError(path, f"nets.{name}", str(exc)) from None
 
     main, extra = (read(name, lambda net: tuple(check_layer_sizes(net["layer_sizes"])[1:-1]))
-                   for name in (agent_cls.net_names[0], "additional"))
+                   for name in (next(iter(agent_cls.NETS)), "additional"))
     agent = agent_cls(replace(cfg, hidden_sizes=main, additional_hidden_sizes=extra), rng)
     for name, net in agent.named_nets().items():
         read(name, net.load_dict)

@@ -113,7 +113,7 @@ def check_layer_sizes(layer_sizes) -> list[int]:
     """``layer_sizes`` as a list: input, output and any hidden sizes, each >= 1."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in layer_sizes):
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in layer_sizes):
         raise ValueError(f"layer sizes must be positive integers, got {list(layer_sizes)}")
     return list(layer_sizes)
 
@@ -138,7 +138,10 @@ class Mlp:
             raise ValueError(f"output_activation must be one of {_ACTIVATIONS}")
         self.output_activation = output_activation
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-        self.flat = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in pairs), dtype=dtype)
+        size = sum(n_in * n_out + n_out for n_in, n_out in pairs)
+        if size * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:  # numpy's ValueError otherwise
+            raise MemoryError(f"{size} parameters of layer sizes {self.layer_sizes} exceed the address space")
+        self.flat = np.zeros(size, dtype=dtype)
         self.weights, self.biases = self._split(self.flat)
         self._bias_rows = [b.reshape(1, -1) for b in self.biases]  # (1, n) views for the layer loop
         self.scratch = Scratch(dtype) if scratch is None else scratch

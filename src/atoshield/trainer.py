@@ -285,7 +285,7 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
         elite.insert(trajectory)
         for _ in range(cfg.agent.additional_updates_per_episode):
             update_additional_actor(elite.sample(cfg.agent.elite_minibatch, rng),
-                                    agent.additional, agent.additional_adam)
+                                    agent.additional, agent.adams["additional"])
         all_metrics.append(metrics)
 
     if noise is not None:

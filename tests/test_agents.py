@@ -483,7 +483,7 @@ class TestSharedScratch:
 
         def warm(agent, trajs):
             agent.update(batch)
-            update_additional_actor(trajs, agent.additional, agent.additional_adam)
+            update_additional_actor(trajs, agent.additional, agent.adams["additional"])
 
         # a twin's warm-up fills numpy's small-buffer caches, which the
         # traced difference would otherwise count
@@ -632,9 +632,9 @@ class TestCheckpoint:
                 assert np.shares_memory(p, net.flat)
 
     @pytest.mark.parametrize("cls,adams", [
-        (DdpgAgent, lambda a: {"actor": a.actor_adam, "critic": a.critic_adam,
-                               "additional": a.additional_adam}),
-        (SacAgent, lambda a: {**a.adams, "additional": a.additional_adam}),
+        (DdpgAgent, lambda a: {"actor": a.adams["actor"], "critic": a.adams["critic"],
+                               "additional": a.adams["additional"]}),
+        (SacAgent, lambda a: a.adams),
     ])
     def test_optimizers_rebuilt_for_stored_sizes(self, cls, adams, rng, tmp_path):
         # stored hidden sizes win over the config, and so must the Adam state
@@ -726,11 +726,12 @@ class TestCheckpoint:
         lambda net: net.update(layer_sizes="abc"),
         lambda net: net.update(layer_sizes=None),
         lambda net: net.pop("layer_sizes"),
-    ], ids=["zero-width", "no-output", "string", "null", "missing"])
+        lambda net: net["layer_sizes"].__setitem__(1, True),
+    ], ids=["zero-width", "no-output", "string", "null", "missing", "boolean"])
     def test_bad_layer_sizes_name_their_own_net(self, cls, edit, rng, tmp_path):
         # the main net and the additional actor also give the sizes the
         # agent is built with, and a fault there is still theirs
-        for name in cls.net_names:
+        for name in cls.NETS:
             path = saved(tmp_path, cls(SMALL, rng), lambda blob: edit(blob["nets"][name]))
             with pytest.raises(CheckpointError) as info:
                 load_checkpoint(path, SMALL, np.random.default_rng(0))
@@ -745,10 +746,10 @@ class TestCheckpoint:
         path = saved(tmp_path, agent, lambda blob: blob["nets"].update(wider_state_nets(agent, rng)))
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path, SMALL, np.random.default_rng(0))
-        main = getattr(agent, cls.net_names[0])
+        main = getattr(agent, next(iter(cls.NETS)))
         wide = [STATE_DIM + 1, *main.layer_sizes[1:]]
         assert str(info.value) == (
-            f"checkpoint {path}: nets.{cls.net_names[0]}: expected (layer sizes, activation) "
+            f"checkpoint {path}: nets.{next(iter(cls.NETS))}: expected (layer sizes, activation) "
             f"({main.layer_sizes}, '{main.output_activation}'), got ({wide}, '{main.output_activation}')")
 
     @pytest.mark.parametrize("cls", [DdpgAgent, SacAgent])
@@ -810,3 +811,54 @@ class TestCheckpoint:
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(CheckpointError, match=r": file: "):
             load_checkpoint(path, SMALL, np.random.default_rng(0))
+
+
+class TestNetTable:
+    """Each family's nets, rates and targets, pinned apart from its ``NETS``."""
+
+    @staticmethod
+    def expected(kind: str, cfg: AgentConfig, main: list, extra: list) -> dict:
+        """Each net in build order: (layer sizes, activation, Adam rate), or
+        the name of the online net a target copies."""
+        additional = ([3, *extra, 1], "tanh",
+                      5.0 * cfg.actor_lr if cfg.additional_actor_lr is None else cfg.additional_actor_lr)
+        if kind == "ddpg":
+            return {"actor": ([3, *main, 1], "tanh", cfg.actor_lr),
+                    "critic": ([4, *main, 1], "identity", cfg.critic_lr),
+                    "actor_target": "actor", "critic_target": "critic", "additional": additional}
+        return {"policy": ([3, *main, 2], "identity", cfg.actor_lr),
+                "value": ([3, *main, 1], "identity", cfg.sac_value_lr),
+                "value_target": "value",
+                "softq": ([4, *main, 1], "identity", cfg.sac_softq_lr), "additional": additional}
+
+    @pytest.mark.parametrize("kind", ["ddpg", "sac"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["fresh", "loaded"])
+    @pytest.mark.parametrize("extra_hidden,extra_lr", [(None, None), ((6,), 0.25)],
+                             ids=["defaults", "set"])
+    def test_nets_rates_and_targets(self, kind, loaded, extra_hidden, extra_lr, tmp_path):
+        cfg = AgentConfig(hidden_sizes=(5, 7), actor_lr=0.01, critic_lr=0.02, sac_value_lr=0.03,
+                          sac_softq_lr=0.04, additional_hidden_sizes=extra_hidden,
+                          additional_actor_lr=extra_lr)
+        agent = {"ddpg": DdpgAgent, "sac": SacAgent}[kind](cfg, np.random.default_rng(3))
+        if loaded:
+            # the stored sizes win over the load's config, and its rates hold
+            agent = load_checkpoint(saved(tmp_path, agent),
+                                    replace(cfg, hidden_sizes=(2,), additional_hidden_sizes=(9,)),
+                                    np.random.default_rng(0))
+        want = self.expected(kind, cfg, [5, 7], list(extra_hidden or (5, 7)))
+        nets = agent.named_nets()
+        assert list(nets) == list(want)
+        stored = json.loads(saved(tmp_path, agent).read_text())["nets"]
+        assert list(stored) == list(want)
+        assert list(agent.adams) == [name for name, row in want.items() if not isinstance(row, str)]
+        for name, row in want.items():
+            if isinstance(row, str):
+                assert nets[name] is not nets[row]
+                assert nets[name].layer_sizes == nets[row].layer_sizes
+                assert nets[name].output_activation == nets[row].output_activation
+                assert nets[name].flat.tobytes() == nets[row].flat.tobytes()
+                continue
+            sizes, activation, lr = row
+            assert (nets[name].layer_sizes, nets[name].output_activation) == (sizes, activation)
+            assert agent.adams[name].lr == lr
+            assert agent.adams[name]._m.shape == nets[name].flat.shape

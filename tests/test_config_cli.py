@@ -809,6 +809,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_boolean_layer_size_checkpoint_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
+        # isinstance(True, int) holds: a true width once passed the size
+        # check and crashed execute in Mlp._split with a traceback
+        cfg = load_config(tiny_yaml)
+        agent = AGENT_KINDS["ddpg"](dataclasses.replace(cfg.agent, hidden_sizes=(1,)),
+                                    np.random.default_rng(5))
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, agent)
+        blob = json.loads(ckpt.read_text())
+        for net in blob["nets"].values():
+            net["layer_sizes"][1] = True
+        ckpt.write_text(json.dumps(blob))
+        out = tmp_path / "out"
+        assert main(["execute", "--config", str(tiny_yaml), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: checkpoint {ckpt}: nets.actor: layer sizes "
+                                           f"must be positive integers, got [3, True, 1]\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("variant", ["ssa_ddpg", "ssa_sac", "shield_ddpg"])
     def test_one_agent_serves_every_seed(self, variant, tiny_yaml, tmp_path):
         # execute builds the checkpoint's agent once; each seed's rows are the
@@ -818,7 +837,7 @@ class TestCli:
         cfg = load_config(tiny_yaml)
         cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, agent=variant))
         agent = AGENT_KINDS[trainer.VARIANTS[variant][0]](cfg.agent, np.random.default_rng(5))
-        for name in (agent.net_names[0], "additional"):
+        for name in (next(iter(agent.NETS)), "additional"):
             getattr(agent, name).biases[-1][0] = 3.0
         ckpt = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, agent)
@@ -1045,6 +1064,44 @@ class TestCli:
         runs = json.loads((out / "summary.json").read_text())["runs"]
         assert [r["seed"] for r in runs] == [0, 1]
         assert all(r["error"].startswith("out of memory: ") for r in runs)
+
+    def test_unaddressable_width_exit_1_one_line_per_seed(self, tiny_yaml, tmp_path, capsys):
+        # a width whose weights numpy cannot even address once raised its
+        # ValueError out of train: a traceback, no summary, no later seeds
+        blob = yaml.safe_load(tiny_yaml.read_text())
+        blob["agent"]["hidden_sizes"] = [10**20]
+        path = dump(tmp_path, blob, "huge.yaml")
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for seed, line in zip((0, 1), lines):
+            assert line.startswith(f"seed {seed}: out of memory: ")
+            assert "[3, 100000000000000000000, 1]" in line
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [r["seed"] for r in runs] == [0, 1]
+        assert all(r["error"].startswith("out of memory: ") for r in runs)
+
+    @pytest.mark.parametrize("command", ["execute", "transfer", "robustness"])
+    def test_unaddressable_width_checkpoint_exit_1_one_line(self, command, tiny_yaml, tmp_path,
+                                                            capsys):
+        cfg = load_config(tiny_yaml)
+        agent = AGENT_KINDS["ddpg"](dataclasses.replace(cfg.agent, hidden_sizes=(1,)),
+                                    np.random.default_rng(5))
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, agent)
+        blob = json.loads(ckpt.read_text())
+        blob["nets"]["actor"]["layer_sizes"] = [3, 10**20, 1]
+        ckpt.write_text(json.dumps(blob))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(tiny_yaml), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_huge_replay_capacity_trains(self, tiny_yaml, tmp_path, capsys):
         # the replay ring grows with the rows a run pushes, so a capacity no
