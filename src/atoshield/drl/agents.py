@@ -92,7 +92,7 @@ def regress(net: Mlp, adam: Adam, x: np.ndarray, y: np.ndarray) -> float:
         pred, cache = net.forward_cached(x[rows])
         err = pred[:, 0] - y[rows]
         sq_err += float(np.sum(err**2))
-        block, _ = net.backward(cache, (2.0 * err / n)[:, None])
+        block = net.backward(cache, (2.0 * err / n)[:, None])
         grads = block if grads is None else np.add(grads, block, out=grads)
     adam.step(net, grads)
     return float(err.dtype.type(sq_err / n))
@@ -108,15 +108,15 @@ def update_actor(actor: Mlp, adam: Adam, critic, s: np.ndarray) -> float:
     """One ascent step on mean Q(s, mu(s)); returns the pre-step objective.
 
     The critic only needs ``forward_cached`` and an input-only
-    ``backward(..., params=False)``, so analytic stand-ins work in tests; its
-    parameters are left untouched here.
+    ``backward(..., params=False)`` that returns d(Q)/d(input) alone, so
+    analytic stand-ins work in tests; its parameters are left untouched here.
     """
     s = np.atleast_2d(s)
     a, cache_a = actor.forward_cached(s)
     q, cache_q = critic.forward_cached(np.concatenate([s, a], axis=1))
     objective = float(np.mean(q[:, 0]))
-    _, grad_in = critic.backward(cache_q, np.full_like(q, 1.0 / q.shape[0]), params=False)
-    grads, _ = actor.backward(cache_a, grad_in[:, -1:])
+    grad_in = critic.backward(cache_q, np.full_like(q, 1.0 / q.shape[0]), params=False)
+    grads = actor.backward(cache_a, grad_in[:, -1:])
     adam.step(actor, np.negative(grads, out=grads))
     return objective
 
@@ -141,16 +141,16 @@ def squashed_draw(ops: Ops, mean, raw_log_std, eps):
 
 
 def squashed_sample(policy: Mlp, s: np.ndarray, rng: np.random.Generator):
-    """Draw tanh-squashed actions with everything the gradients need."""
+    """Draw tanh-squashed actions with everything the gradients need,
+    the squash slope 1 - a^2 (``dsquash``) among them."""
     out, cache = policy.forward_cached(s)
     raw = out[:, 1:2]
     eps = rng.standard_normal((out.shape[0], 1), dtype=out.dtype)
     a, log_std, std = squashed_draw(ARRAYS, out[:, 0:1], raw, eps)
-    log_prob = gaussian_log_prob(eps, log_std) - np.log(1.0 - a**2 + _TANH_EPS)
+    dsquash = 1.0 - a**2
+    log_prob = gaussian_log_prob(eps, log_std) - np.log(dsquash + _TANH_EPS)
     clip_mask = ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(raw.dtype)
-    return a, log_prob, cache, {
-        "a": a, "std": std, "eps": eps, "clip_mask": clip_mask,
-    }
+    return a, log_prob, cache, {"dsquash": dsquash, "std": std, "eps": eps, "clip_mask": clip_mask}
 
 
 def update_sac(
@@ -185,18 +185,17 @@ def update_sac(
 
     # policy loss mean(alpha log pi - Q) through the reparameterized sample
     batch_n = s.shape[0]
-    _, dq_in = softq.backward(cache_q, np.ones_like(q_new), params=False)
-    dq_da = dq_in[:, -1:]
-    a_sq = aux["a"]
-    dsquash = 1.0 - a_sq**2
+    dq_da = softq.backward(cache_q, np.ones_like(q_new), params=False)[:, -1:]
+    dsquash = aux["dsquash"]
+    dq_du = dq_da * dsquash
     # d(-log(1 - a^2 + eps))/du, the squash correction's slope
-    g_corr = 2.0 * a_sq * dsquash / (1.0 - a_sq**2 + _TANH_EPS)
+    g_corr = 2.0 * a_new * dsquash / (dsquash + _TANH_EPS)
     du_dlogstd = aux["std"] * aux["eps"]
-    dl_dmean = (alpha * g_corr - dq_da * dsquash) / batch_n
-    dl_draw = (alpha * (-1.0 + g_corr * du_dlogstd) - dq_da * dsquash * du_dlogstd) / batch_n
+    dl_dmean = (alpha * g_corr - dq_du) / batch_n
+    dl_draw = (alpha * (-1.0 + g_corr * du_dlogstd) - dq_du * du_dlogstd) / batch_n
     dl_draw = dl_draw * aux["clip_mask"]
     pi_loss = float(np.mean(alpha * log_prob[:, 0] - q_new[:, 0]))
-    pi_grads, _ = policy.backward(cache_pi, np.concatenate([dl_dmean, dl_draw], axis=1))
+    pi_grads = policy.backward(cache_pi, np.concatenate([dl_dmean, dl_draw], axis=1))
     adams["policy"].step(policy, pi_grads)
 
     soft_update(value_target, value, cfg.soft_tau)

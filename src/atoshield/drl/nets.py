@@ -11,8 +11,9 @@ the vector.  ``backward`` returns the parameter gradient as one vector of the
 same layout, and ``Adam``, ``soft_update`` and ``clone`` each run their
 elementwise work once over the whole vector; elementwise results do not
 depend on how the vector is split, so they equal a per-array update bitwise.
-``backward(..., params=False)`` computes only d(loss)/d(input), for callers
-that differentiate through a network they do not train.
+``backward(..., params=False)`` returns only d(loss)/d(input), for callers
+that differentiate through a network they do not train; it makes no weight
+products, and the parameter pass skips the first layer's input product.
 
 One product rule for both layer loops: every layer product (forward
 products, weight and input gradients) runs on ``np.dot``, which gives the
@@ -204,13 +205,11 @@ class Mlp:
             raise FloatingPointError("network produced non-finite output")
         return h
 
-    def backward(
-        self, cache: list[np.ndarray], grad_out: np.ndarray, params: bool = True
-    ) -> tuple[np.ndarray | None, np.ndarray]:
+    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, params: bool = True) -> np.ndarray:
         """Backpropagate d(loss)/d(output).
 
-        Returns d(loss)/d(parameters) as one vector laid out like ``flat``
-        (None when ``params`` is false) and d(loss)/d(input).
+        Returns d(loss)/d(parameters) as one vector laid out like ``flat``,
+        or with ``params`` false d(loss)/d(input) alone.
         """
         grad = np.array(grad_out, dtype=self.flat.dtype, copy=None, ndmin=2)
         if self.output_activation == "tanh":
@@ -218,7 +217,6 @@ class Mlp:
             np.subtract(1.0, slope, out=slope)
             slope *= grad
             grad = slope
-        param_grad = None
         if params:
             param_grad = np.empty_like(self.flat)
             grad_w, grad_b = self._split(param_grad)
@@ -228,7 +226,7 @@ class Mlp:
                 _product(cache[i].T, grad, grad_w[i])
                 np.add.reduce(grad, axis=0, out=grad_b[i])
             if i == 0:
-                return param_grad, _product(grad, self.weights[i].T)
+                return param_grad if params else _product(grad, self.weights[0].T)
             product, mask, _ = views[i - 1]
             grad = _product(grad, self.weights[i].T, product)
             np.greater(cache[i], 0.0, out=mask)

@@ -9,8 +9,10 @@ provably clear state, one at or below every downstream limit, at the section
 end or at an overspeed.  Track validation guarantees, exactly, that
 standstill resistance is at least every grade, so unpowered motion never
 speeds up and braking on from a clear state only slows the train; the
-rollout relies on that.  Recoverability is the computable stand-in for the
-winning region of the underlying safety game.
+rollout relies on that.  With the floor and the reversal rule both on, a
+state entered by braking must also let a coast clear the floor.
+Recoverability is the computable stand-in for the winning region of the
+underlying safety game.
 
 Each safety formula, the recovery rollout included, has one body over the
 primitives of ``dynamics``, run on floats for one state and on arrays for the
@@ -159,6 +161,12 @@ def _recovered(ops: Ops, spec, model, track, loc, vel, last_cmd, done=False):
     coast = (last_cmd > 0.0) & spec.forbid_direct_reversal
     ok = _rollout_ends(ops, track, loc, vel, coast)
     ended = done | ok
+    if spec.forbid_direct_reversal and spec.enforce_min_speed:
+        # after a brake the fastest legal command is a coast; one that breaks the floor leaves none
+        _, _, _, loc2, vel2, arrived = _kinematics(ops, model, track, loc, vel, 0.0)
+        floor = _one_step_code(ops, spec, track, 0.0, 0.0, False, arrived, loc2, vel2) == 3
+        stuck = (last_cmd < 0.0) & floor
+        ok, ended = ops.where(stuck, False, ok), ended | stuck
     if ops.all(ended):  # the common exit: every row is decided or clear already
         return ok
     cmd = ops.where(coast, 0.0, FULL_BRAKING)
@@ -189,8 +197,9 @@ def brake_recoverable(
     braking only slows the train from there and rolling on to a stop would
     give the same verdict.  This is :func:`_recovered` on one state, the
     body :func:`rule_codes` runs on the tree's rows.
-    The recovery only answers for speed limits; the floor and transition
-    rules are one-step concerns.
+    The rollout answers for speed limits; the floor and transition rules
+    are one-step concerns, but with both on, a state entered by braking
+    whose coast breaks the floor is not recoverable: no command keeps both.
     """
     return _recovered(FLOATS, spec, model, track, state.loc, state.vel, state.last_cmd)
 

@@ -269,7 +269,14 @@ def ref_brake_recoverable(spec, model, track, state):
     every downstream limit, on a track where standstill resistance outweighs
     every grade, is recoverable.  The final segment's limit is downstream of
     every position, its end point included.  Any other state goes to
-    :func:`ref_brake_to_stop`."""
+    :func:`ref_brake_to_stop`.  With the floor and the reversal rule both on,
+    a state entered by braking whose coast ends on the floor is not
+    recoverable, whatever its speed: coasting is the fastest command left."""
+    if spec.enforce_min_speed and spec.forbid_direct_reversal and _ref_condition(state.last_cmd) == "braking":
+        coast = ref_step(model, track, state, 0.0)
+        after = coast.next_state
+        if not coast.arrived and floor_applies(spec, track, after.loc) and after.vel <= spec.min_speed:
+            return False
     segments = track.limit_segments
     downstream = [lim for _, end, lim in segments[:-1] if end > state.loc] + [segments[-1][2]]
     steepest = max(grade for _, _, grade in track.grade_segments)

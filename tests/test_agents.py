@@ -55,7 +55,7 @@ class BowlCritic:
     def backward(self, cache, grad_out, params=True):
         grad_in = np.zeros_like(cache)
         grad_in[:, -1:] = grad_out * (-2.0 * (cache[:, -1:] - 0.5))
-        return None, grad_in
+        return grad_in
 
 
 class ConstantCritic:
@@ -63,7 +63,7 @@ class ConstantCritic:
         return np.full((x.shape[0], 1), 3.0), x
 
     def backward(self, cache, grad_out, params=True):
-        return None, np.zeros_like(cache)
+        return np.zeros_like(cache)
 
 
 def random_batch(rng, rows=8):
@@ -181,8 +181,8 @@ class TestUpdateActor:
 
             a, cache_a = actor.forward_cached(s)
             q, cache_q = bowl.forward_cached(np.concatenate([s, a], axis=1))
-            _, grad_in = bowl.backward(cache_q, np.full_like(q, 1.0 / q.shape[0]))
-            grads, _ = actor.backward(cache_a, grad_in[:, -1:])
+            grad_in = bowl.backward(cache_q, np.full_like(q, 1.0 / q.shape[0]), params=False)
+            grads = actor.backward(cache_a, grad_in[:, -1:])
             numeric = numeric_gradient(objective, actor)
             assert max_rel_error(grads, numeric) < 1e-4
 
@@ -369,7 +369,7 @@ class TestAdditionalActor:
 
             pred, cache = net.forward_cached(states)
             err = pred - actions[:, None]
-            grads, _ = net.backward(cache, 2.0 * err / err.size)
+            grads = net.backward(cache, 2.0 * err / err.size)
             assert max_rel_error(grads, numeric_gradient(loss, net)) < 1e-4
 
 
@@ -389,7 +389,7 @@ class TestRegressBlocks:
             loss = regress(net, adam, x, y)
             pred, cache = twin.forward_cached(x)
             err = pred[:, 0] - y
-            grads, _ = twin.backward(cache, (2.0 * err / err.size)[:, None])
+            grads = twin.backward(cache, (2.0 * err / err.size)[:, None])
             twin_adam.step(twin, grads)
             assert loss == float(np.mean(err**2))
             for mine, theirs in ((net.flat, twin.flat), (adam._m, twin_adam._m),
@@ -419,7 +419,7 @@ class TestRegressBlocks:
         twin_adam = Adam(double, 1e-3)
         pred, cache = forward_cached(double, x)
         err = pred[:, 0] - y
-        grads, _ = double.backward(cache, (2.0 * err / err.size)[:, None])
+        grads = double.backward(cache, (2.0 * err / err.size)[:, None])
         twin_adam.step(double, grads)
         assert single.flat.dtype == adam._m.dtype == np.float32
         assert np.max(np.abs(single.flat - double.flat)) <= 1e-6 * np.max(np.abs(double.flat))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from atoshield.drl import nets
 from atoshield.drl.nets import Adam, Mlp, Scratch, soft_update
 
 from oracles import (
@@ -68,7 +69,7 @@ class TestGradients:
 
             out, cache = net.forward_cached(x)
             err = out[:, 0] - target
-            grads, _ = net.backward(cache, (2.0 * err / err.size)[:, None])
+            grads = net.backward(cache, (2.0 * err / err.size)[:, None])
             assert max_rel_error(grads, numeric_gradient(loss, net)) < 1e-4
 
     def test_tanh_head_gradient_matches_finite_differences(self):
@@ -79,13 +80,13 @@ class TestGradients:
                 return float(np.sum(net.forward(x)))
 
             _, cache = net.forward_cached(x)
-            grads, _ = net.backward(cache, np.ones((4, 1)))
+            grads = net.backward(cache, np.ones((4, 1)))
             assert max_rel_error(grads, numeric_gradient(loss, net)) < 1e-4
 
     def test_input_gradient(self):
         net, x, _ = sample_clear_of_kinks(7, (3, 5, 1), "identity", 1)
         _, cache = net.forward_cached(x)
-        _, grad_in = net.backward(cache, np.ones((1, 1)))
+        grad_in = net.backward(cache, np.ones((1, 1)), params=False)
         eps = 1e-6
         for i in range(3):
             up = x.copy()
@@ -105,12 +106,12 @@ BACKWARD_SHAPES = NET_SHAPES + [((4, 64, 64, 1), "identity"), ((3, 64, 64, 1), "
 
 
 def backward_and_reference(net, rows, rng):
-    """``net.backward`` on a fresh batch, with the reference's param and
-    input gradients flattened the same way."""
+    """``net.backward``'s parameter and input passes on a fresh batch, with
+    the reference's param and input gradients flattened the same way."""
     _, cache = net.forward_cached(rng.normal(0, 1, (rows, net.layer_sizes[0])))
     g_out = rng.normal(0, 1, (rows, net.layer_sizes[-1]))
     g_out[::3] = 0.0  # zero gradients: the products must keep their signed zeros
-    grads, grad_in = net.backward(cache, g_out)
+    grads, grad_in = net.backward(cache, g_out), net.backward(cache, g_out, params=False)
     pairs, ref_in = reference_backward(net, cache, g_out)
     ref = np.concatenate([g.ravel() for pair in pairs for g in pair])
     return (grads, grad_in), (ref, ref_in)
@@ -170,16 +171,15 @@ class TestFlatLayout:
             assert h.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("sizes,activation", NET_SHAPES)
-    def test_input_only_backward_equals_full_bitwise(self, sizes, activation):
+    def test_input_only_backward_equals_reference_bitwise(self, sizes, activation):
         rng = np.random.default_rng(12)
         net = Mlp(list(sizes), activation, rng, final_init_scale=0.5)
         for rows in (1, 7, 256):
             _, cache = net.forward_cached(rng.normal(0, 1, (rows, sizes[0])))
             g_out = rng.normal(0, 1, (rows, sizes[-1]))
-            _, full = net.backward(cache, g_out)
-            none, only = net.backward(cache, g_out, params=False)
-            assert none is None
-            assert only.tobytes() == full.tobytes()
+            _, ref_in = reference_backward(net, cache, g_out)
+            only = net.backward(cache, g_out, params=False)
+            assert only.tobytes() == ref_in.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_backward_scratch_reuse_equals_reference(self, dtype):
@@ -306,7 +306,8 @@ class TestOneProductRule:
             g_out[::3] = 0.0
             pairs, ref_in = reference_backward(net, want, g_out)
             ref = np.concatenate([g.ravel() for pair in pairs for g in pair])
-            assert_same_bytes(net.backward(cache, g_out), [ref, ref_in])
+            got = [net.backward(cache, g_out), net.backward(cache, g_out, params=False)]
+            assert_same_bytes(got, [ref, ref_in])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_one_element_products_keep_the_matmul_zero(self, dtype):
@@ -317,7 +318,7 @@ class TestOneProductRule:
         net.weights[0][...] = -0.5
         _, cache = net.forward_cached(np.full((1, 1), -1.0, dtype))
         g_out = np.zeros((1, 1), dtype)
-        grads, grad_in = net.backward(cache, g_out)
+        grads, grad_in = net.backward(cache, g_out), net.backward(cache, g_out, params=False)
         pairs, ref_in = reference_backward(net, cache, g_out)
         assert_same_bytes([grads[:1], grad_in], [pairs[0][0].ravel(), ref_in])
         assert not np.signbit(grads[0]) and not np.signbit(grad_in[0, 0])
@@ -345,6 +346,34 @@ class TestOneProductRule:
             want = reference_forward(net, x)[-1]
             assert_same_bytes([net.forward(x), net.clone().forward(x)], [want, want])
             assert want.tobytes() != before.tobytes()
+
+
+class TestBackwardProducts:
+    """Each backward pass makes only the products of the array it returns."""
+
+    @pytest.mark.parametrize("sizes,activation", [((4, 64, 64, 1), "identity"), ((3, 64, 64, 1), "tanh")])
+    def test_each_pass_skips_the_other_passes_products(self, sizes, activation, monkeypatch):
+        # the parameter pass makes three weight products and the two hidden
+        # input products, but no (rows, input width) one; the input pass
+        # makes the three input products and no weight product
+        rng = np.random.default_rng(53)
+        net = Mlp(list(sizes), activation, rng, final_init_scale=0.5, dtype=np.float32)
+        _, cache = net.forward_cached(rng.normal(0, 1, (256, sizes[0])))
+        g_out = rng.normal(0, 1, (256, 1))
+        shapes, product = [], nets._product
+
+        def spy(a, b, out=None):
+            shapes.append((a.shape[0], b.shape[1]))
+            return product(a, b, out)
+
+        monkeypatch.setattr(nets, "_product", spy)
+        weight_shapes = [w.shape for w in net.weights]
+        net.backward(cache, g_out)
+        assert len(shapes) == 5 and (256, sizes[0]) not in shapes
+        assert sorted(shape for shape in shapes if shape in weight_shapes) == sorted(weight_shapes)
+        shapes.clear()
+        net.backward(cache, g_out, params=False)
+        assert shapes == [(256, 64), (256, 64), (256, sizes[0])]
 
 
 class TestSoftUpdate:
@@ -559,9 +588,9 @@ class TestAllocations:
         net.backward(cache, grad_out)  # warm-up: makes the scratch
         out = []
         peak = traced_peak(lambda: out.append(net.backward(cache, grad_out)))
-        grads, grad_in = out[0]
-        assert grads.dtype == grad_in.dtype == dtype
-        assert peak <= grads.nbytes + grad_in.nbytes + 256 * 64 * np.dtype(dtype).itemsize
+        grads = out[0]
+        assert grads.dtype == dtype
+        assert peak <= grads.nbytes + 256 * 64 * np.dtype(dtype).itemsize
 
     def test_wide_net_scratch_is_two_products_a_mask_and_zeros(self, dtype):
         # the paper's four 256-wide layers: what a warmed net keeps between
@@ -622,8 +651,8 @@ class TestPrecision:
         assert y32.dtype == np.float32 and y64.dtype == np.float64
         assert np.max(np.abs(y32 - y64)) <= 1e-5 * np.max(np.abs(y64))
         g_out = rng.normal(0, 1, y64.shape) / 256
-        g32, _ = single.backward(cache32, g_out)
-        g64, _ = double.backward(cache64, g_out)
+        g32 = single.backward(cache32, g_out)
+        g64 = double.backward(cache64, g_out)
         assert g32.dtype == np.float32
         assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64))
 

@@ -290,8 +290,15 @@ def generated_sections(draw):
     return track
 
 
+# the floor that a first interval of full traction clears on every generated
+# section, the steepest uphill included
+LOW_FLOOR_AND_REVERSAL = SafetySpec(min_speed=2.0, enforce_min_speed=True,
+                                    forbid_direct_reversal=True, terminal_zone=100.0)
+
+
 class TestRecoverabilityOnGeneratedSections:
-    @pytest.mark.parametrize("spec", [PLAIN, REVERSAL], ids=["plain", "reversal"])
+    @pytest.mark.parametrize("spec", [PLAIN, REVERSAL, LOW_FLOOR_AND_REVERSAL],
+                             ids=["plain", "reversal", "floor-and-reversal"])
     @settings(max_examples=25, deadline=None)
     @given(track=generated_sections(), seed=st.integers(0, 2**32 - 1),
            floor=st.sampled_from([-1.0, -0.5, 0.0, 0.5]))
@@ -310,6 +317,21 @@ class TestRecoverabilityOnGeneratedSections:
                 continue
             state = out.next_state
             assert safe_action_set(spec, model, track, state, 9)
+
+
+def test_brake_into_a_floor_dead_end_is_unrecoverable(model):
+    # with both rules on, a state entered by braking leaves a coast at best:
+    # a 3.75 km/h train braking lightly uphill would reach 2.8 km/h, where a
+    # coast ends at 1.85 km/h, below the 2 km/h floor, and traction reverses
+    spec, uphill = LOW_FLOOR_AND_REVERSAL, make_track(grades=((0.0, 1500.0, -0.25),))
+    state = OperationState(loc=19.8, vel=3.753, last_cmd=-0.002)
+    out = step(model, uphill, state, -0.002)
+    assert [is_safe(spec, model, uphill, out.next_state, c) for c in (-1.0, 0.0, 0.25)] \
+        == [Verdict.UNDERSPEED, Verdict.UNDERSPEED, Verdict.REVERSAL]
+    assert is_safe(spec, model, uphill, state, -0.002) is Verdict.UNRECOVERABLE
+    assert not ref_is_safe(spec, model, uphill, state, -0.002)
+    assert is_safe(spec, model, uphill, state, 0.0) is Verdict.SAFE
+    assert safe_action_set(spec, model, uphill, step(model, uphill, state, 0.0).next_state, 9)
 
 
 def downstream_minimum(track, loc):

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import atoshield
-from atoshield import trainer
+from atoshield import shield, trainer
 from atoshield.config import default_scenario_path, load_config
 from atoshield.drl.agents import (
     AGENT_KINDS,
@@ -22,6 +23,7 @@ from atoshield.drl.agents import (
 from atoshield.drl.buffers import ReplayBuffer
 from atoshield.drl.nets import Mlp
 from atoshield.dynamics import OperationState, validate_track
+from atoshield.shield import Verdict
 from atoshield.trainer import (
     VARIANTS,
     RunConfig,
@@ -36,7 +38,7 @@ from atoshield.trainer import (
 )
 
 from conftest import make_track, seeded_sections
-from oracles import pcc_brute, ref_true_overspeed
+from oracles import pcc_brute, ref_step, ref_true_overspeed
 
 
 def scenario(**run_overrides):
@@ -639,6 +641,62 @@ class TestNoExecutedOverspeed:
         train(cfg, seed=0)
         assert spans
         assert true_overspeeds(cfg.track, spans) == []
+
+
+class TestEveryRuleFires:
+    """One short ``ssa_ddpg`` training and the +1 probe on a graded seeded
+    section with a limit drop, with the reversal rule and the floor on and a
+    jerk threshold below the coast-to-traction jump: every shield rule and
+    the comfort term fire, and the independent judge finds no overspeed."""
+
+    def test_every_verdict_and_the_comfort_term(self, tmp_path, monkeypatch):
+        # 955 m at 72, 64 and 90 km/h, uphill at 0.25 m/s^2 then as steep
+        # downhill as validation allows; full traction from standstill clears
+        # the 2 km/h floor in the first interval
+        track = seeded_sections(2311, 16)[0]
+        assert any(g != 0.0 for _, _, g in track.grade_segments)
+        assert track.limit_segments[1][2] < track.limit_segments[0][2]
+        blob = yaml.safe_load(default_scenario_path().read_text())
+        blob["track"] = {"length": float(track.length), "scheduled_time": float(track.scheduled_time),
+                         "dt": track.dt,
+                         "limit_segments": [[float(v) for v in seg] for seg in track.limit_segments],
+                         "grade_segments": [[float(v) for v in seg] for seg in track.grade_segments]}
+        blob["safety"].update(enforce_min_speed=True, forbid_direct_reversal=True, min_speed=2.0)
+        blob["reward"]["jerk_threshold"] = 1.0
+        blob["run"].update(agent="ssa_ddpg", max_episodes=2)
+        path = tmp_path / "graded.yaml"
+        path.write_text(yaml.safe_dump(blob))
+        cfg = load_config(path)
+        assert cfg.track == track
+
+        verdicts = set()
+        executed = []  # (state, command, prev_accel, outcome) of every executed step
+        is_safe, env_step = shield.is_safe, TrainEnv.step
+
+        def certifying(*args):
+            verdict = is_safe(*args)
+            verdicts.add(verdict)
+            return verdict
+
+        def recording(self, state, cmd, prev_accel):
+            out = env_step(self, state, cmd, prev_accel)
+            executed.append((state, cmd, prev_accel, out))
+            return out
+
+        monkeypatch.setattr(shield, "is_safe", certifying)
+        monkeypatch.setattr(TrainEnv, "step", recording)
+        train(cfg, seed=0)
+        noise_test(cfg, 1.0)
+        assert verdicts == set(Verdict)
+        # C_t from the oracle step: the reward without the comfort penalty
+        # less the reward with it
+        no_comfort = dataclasses.replace(cfg.reward, comfort_penalty=0.0)
+        c_terms = [ref_step(cfg.train, track, state, cmd, no_comfort, prev).reward
+                   - ref_step(cfg.train, track, state, cmd, cfg.reward, prev).reward
+                   for state, cmd, prev, _ in executed]
+        assert max(c_terms) > 0.0
+        assert not any(ref_true_overspeed(track, state.loc, state.vel, out.accel_applied,
+                                          out.next_state.loc) for state, _, _, out in executed)
 
 
 class TestRewardTimekeeping:
