@@ -148,7 +148,7 @@ _BOUNDS = {
         "entropy_alpha": ">= 0", "convergence_eps": "> 0", "elite_minibatch": ">= 1",
         "elite_capacity": ">= elite_minibatch", "batch_size": ">= 1",
         "replay_capacity": ">= batch_size", "additional_updates_per_episode": ">= 0",
-        "noise_scale": ">= 0", "ou_sigma": ">= 0", "ou_theta": "in [0, 2]",
+        "noise_scale": ">= 0",
     },
     "search": {"expansion_width": ">= 1", "backup_discount": "in (0, 1]", "action_grid": ">= 2"},
     "run": {"max_episodes": ">= 1", "t_up": ">= 1", "step_budget": ">= 1",
@@ -203,8 +203,6 @@ def _validate_safety(spec: SafetySpec, model: TrainModel, track: TrackSection) -
 
 def _validate_agent(agent: AgentConfig) -> list[str]:
     errors = _bound_errors("agent", agent)
-    if agent.noise_kind not in ("ou", "gaussian"):
-        errors.append("agent.noise_kind: must be 'ou' or 'gaussian'")
     if not agent.hidden_sizes or min(agent.hidden_sizes) < 1:
         errors.append("agent.hidden_sizes: need at least one layer width, each >= 1")
     if agent.additional_hidden_sizes and min(agent.additional_hidden_sizes) < 1:

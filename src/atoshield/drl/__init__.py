@@ -1,1 +1,1 @@
-"""Learners: nets, replay and elite buffers, exploration noise, and the agents."""
+"""Learners: nets, replay and elite buffers, and the agents."""

@@ -32,7 +32,6 @@ import numpy as np
 from ..dynamics import ARRAYS, FLOATS, Ops
 from .buffers import EliteBuffer, Trajectory
 from .nets import Adam, Mlp, Scratch, check_layer_sizes, soft_update
-from .noise import NoiseProcess, act, act_with_noise
 
 STATE_DIM = 3  # every agent net reads the normalized (loc, vel, time) state
 NET_DTYPE = np.float32  # every agent net's dtype, and the episode loop's state rows'
@@ -58,9 +57,6 @@ class AgentConfig:
     replay_capacity: int = 100_000
     hidden_sizes: tuple[int, ...] = (256, 256, 256, 256)
     additional_hidden_sizes: tuple[int, ...] | None = None  # None: hidden_sizes, in the build
-    noise_kind: str = "ou"
-    ou_theta: float = 0.15
-    ou_sigma: float = 0.2
     noise_scale: float = 1.0
     additional_updates_per_episode: int = 10
 
@@ -266,14 +262,15 @@ class _Agent:
             self.adams[name] = Adam(net, lr)
 
     def act_additional(self, s_vec: np.ndarray) -> float:
-        return act(self.additional, s_vec)
+        return float(self.additional.forward(s_vec)[0, 0])
 
     def named_nets(self) -> dict[str, Mlp]:
         return {name: getattr(self, name) for name in self.NETS}
 
 
 class DdpgAgent(_Agent):
-    """Deterministic policy-gradient learner with OU/Gaussian exploration."""
+    """Deterministic policy-gradient learner that explores with Gaussian noise
+    of scale ``noise_scale``, drawn from its own stream ``noise_rng``."""
 
     kind = "ddpg"
     NETS = {
@@ -286,21 +283,21 @@ class DdpgAgent(_Agent):
 
     def __init__(self, cfg: AgentConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
-        self.noise = NoiseProcess(
-            kind=cfg.noise_kind, ou_theta=cfg.ou_theta, ou_sigma=cfg.ou_sigma,
-            scale=cfg.noise_scale, seed=int(rng.integers(2**31)),
-        )
+        self.noise_rng = np.random.default_rng(int(rng.integers(2**31)))
+        self.noise_scale = cfg.noise_scale
 
     def act(self, s_vec: np.ndarray) -> float:
-        return act(self.actor, s_vec)
+        return float(self.actor.forward(s_vec)[0, 0])
 
     def propose(self, s_vec: np.ndarray) -> float:
-        return act_with_noise(self.actor, s_vec, self.noise)
+        """The greedy command plus one noise draw, clipped to [-1, 1]."""
+        noise = self.noise_scale * float(self.noise_rng.standard_normal())
+        return min(1.0, max(-1.0, self.act(s_vec) + noise))
 
     def sample_actions(self, states: np.ndarray, n: int) -> np.ndarray:
         """Diversified proposals for tree expansion, (rows, n): each state's
         greedy command plus Gaussian jitter drawn row-major."""
-        return jitter_samples(self.actor, states, n, self.rng, max(self.noise.exploration_std(), 1e-3))
+        return jitter_samples(self.actor, states, n, self.rng, max(self.noise_scale, 1e-3))
 
     def update(self, batch) -> dict[str, float]:
         s, a, r, s2, d = batch

@@ -255,9 +255,10 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     samples at every episode end, each drawn from ``rng`` just before its
     fit.  A fit's error reaches the caller at the end of its own episode, and
     the convergence check after the last episode sets
-    ``agent.additional_converged``.  The noise scale is reset to the
-    configured one, which a checkpoint loads, so the trained agent's tree
-    samples spread as its checkpoint's do.
+    ``agent.additional_converged``.  A DDPG agent's ``noise_scale`` anneals
+    linearly from the configured scale to zero over the episodes, and is
+    reset to the configured one after the last, which a checkpoint loads,
+    so the trained agent's tree samples spread as its checkpoint's do.
     """
     learner, correction = VARIANTS[cfg.run.agent]
     rng = np.random.default_rng(seed)
@@ -267,7 +268,6 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     elite = EliteBuffer(cfg.agent.elite_capacity)
     episodes = cfg.run.resolved_episodes()
     correct = _corrector(cfg, env, correction, _agent_sampler(agent, cfg.track))
-    noise = getattr(agent, "noise", None)
 
     def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, s2_vec: np.ndarray, done: bool,
               t: int) -> None:
@@ -277,10 +277,8 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
 
     all_metrics: list[EpisodeMetrics] = []
     for j in range(episodes):
-        if noise is not None:
-            noise.reset()
-            if noise.kind == "gaussian" and episodes > 1:
-                noise.scale = cfg.agent.noise_scale * max(0.0, 1.0 - j / (episodes - 1))
+        if learner == "ddpg" and episodes > 1:
+            agent.noise_scale = cfg.agent.noise_scale * (1.0 - j / (episodes - 1))
         metrics, trajectory = _run_episode(cfg, env, agent.propose, correct, j, learn)
         elite.insert(trajectory)
         for _ in range(cfg.agent.additional_updates_per_episode):
@@ -288,8 +286,8 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
                                     agent.additional, agent.adams["additional"])
         all_metrics.append(metrics)
 
-    if noise is not None:
-        noise.scale = cfg.agent.noise_scale
+    if learner == "ddpg":
+        agent.noise_scale = cfg.agent.noise_scale
     agent.additional_converged = len(elite) > 0 and additional_actor_converged(
         elite, agent.additional, cfg.agent.convergence_eps
     )
@@ -302,8 +300,8 @@ def _greedy_rollout(agent, cfg: "ScenarioConfig", use_additional: bool, seed: in
     agent.rng = np.random.default_rng(seed)
     env = TrainEnv(cfg.train, cfg.track, cfg.reward)
     if use_additional:
-        noise = getattr(agent, "noise", None)
-        std = noise.exploration_std() if noise is not None else 0.2
+        # SAC has no exploration scale: its additional actor jitters at 0.2
+        std = getattr(agent, "noise_scale", 0.2)
         policy = agent.act_additional
         sampler = _jitter_sampler(agent.additional, cfg.track, agent.rng, std)
     else:

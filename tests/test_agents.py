@@ -3,6 +3,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -535,7 +536,7 @@ class TestAgents:
         agent = DdpgAgent(SMALL, rng)
         agent.actor.biases[-1][...] = 0.9  # push some rows past the clip
         states = rng.normal(0, 1, (7, 3))
-        std = max(agent.noise.exploration_std(), 1e-3)
+        std = max(agent.noise_scale, 1e-3)
         agent.rng, twin = np.random.default_rng(3), np.random.default_rng(3)
         want = np.clip(agent.actor.forward(states) + twin.normal(0.0, std, (7, 4)), -1.0, 1.0)
         assert agent.sample_actions(states, 4).tobytes() == want.tobytes()
@@ -573,6 +574,42 @@ class TestAgents:
         twin = load_checkpoint(path, SMALL, np.random.default_rng(0))
         s = rng.normal(0, 1, 3)
         assert twin.act(s) == agent.act(s)
+
+
+class TestDdpgExploration:
+    """``propose`` is the greedy command plus ``noise_scale`` times one draw
+    from ``noise_rng``, clipped to [-1, 1]."""
+
+    X = np.array([0.2, 0.4, 0.1])
+
+    def test_zero_scale_gaussian_equals_policy(self, rng):
+        agent = DdpgAgent(SMALL, rng)
+        agent.noise_scale = 0.0
+        assert agent.propose(self.X) == agent.act(self.X)
+
+    @pytest.mark.parametrize("bias", [-2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.0])
+    @pytest.mark.parametrize("noise_value", [-2.5, -0.5, 0.0, 0.5, 2.5])
+    def test_clip_equals_numpy_clip(self, bias, noise_value, rng):
+        # an identity head with zero weights commands exactly its bias, so the
+        # sum lands on, inside and beyond both bounds, including exactly +-1
+        agent = DdpgAgent(SMALL, rng)
+        agent.actor = Mlp([3, 1], "identity", np.random.default_rng(0))
+        agent.actor.biases[0][...] = bias
+        agent.noise_scale, agent.noise_rng = 1.0, SimpleNamespace(standard_normal=lambda: noise_value)
+        got = agent.propose(self.X)
+        want = float(np.clip(agent.act(self.X) + noise_value, -1.0, 1.0))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_commands_always_clipped(self, rng):
+        agent = DdpgAgent(SMALL, rng)
+        agent.noise_scale = 50.0
+        for _ in range(100):
+            assert -1.0 <= agent.propose(self.X) <= 1.0
+
+    def test_seeded_determinism(self):
+        a, b = (DdpgAgent(SMALL, np.random.default_rng(9)) for _ in range(2))
+        assert [a.propose(self.X) for _ in range(5)] == [b.propose(self.X) for _ in range(5)]
 
 
 class TestSafetyBoundary:

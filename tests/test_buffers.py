@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atoshield.drl.buffers import EliteBuffer, ReplayBuffer, Trajectory
-from atoshield.drl.nets import Mlp
-from atoshield.drl.noise import NoiseProcess, act, act_with_noise
 
 from oracles import ReferenceReplayBuffer
 
@@ -210,56 +208,3 @@ class TestEliteBuffer:
                 assert buf.min_return >= last_min
                 last_min = buf.min_return
 
-
-class TestNoise:
-    def test_zero_scale_gaussian_equals_policy(self):
-        net = Mlp([3, 4, 1], "tanh", np.random.default_rng(0))
-        noise = NoiseProcess(kind="gaussian", scale=0.0, seed=1)
-        x = np.array([0.2, 0.4, 0.1])
-        assert act_with_noise(net, x, noise) == act(net, x)
-
-    @pytest.mark.parametrize("bias", [-2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.0])
-    @pytest.mark.parametrize("noise_value", [-2.5, -0.5, 0.0, 0.5, 2.5])
-    def test_clip_equals_numpy_clip(self, bias, noise_value):
-        # an identity head with zero weights commands exactly its bias, so the
-        # sum lands on, inside and beyond both bounds, including exactly +-1
-        net = Mlp([3, 1], "identity", np.random.default_rng(0))
-        net.biases[0][...] = bias
-        noise = NoiseProcess(kind="gaussian", scale=0.0, seed=0)
-        noise.sample = lambda: noise_value
-        x = np.array([0.2, 0.4, 0.1])
-        got = act_with_noise(net, x, noise)
-        want = float(np.clip(act(net, x) + noise_value, -1.0, 1.0))
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-    def test_ou_mean_reversion_without_diffusion(self):
-        noise = NoiseProcess(kind="ou", ou_theta=0.25, ou_sigma=0.0, seed=0)
-        noise._state = 1.0
-        values = [noise.sample() for _ in range(10)]
-        assert values[0] == pytest.approx(0.75)
-        assert all(b < a for a, b in zip(values, values[1:]))
-        assert values[-1] > 0.0
-
-    def test_reset_clears_state(self):
-        noise = NoiseProcess(kind="ou", seed=3)
-        for _ in range(10):
-            noise.sample()
-        noise.reset()
-        assert noise._state == 0.0
-
-    def test_commands_always_clipped(self):
-        net = Mlp([3, 4, 1], "tanh", np.random.default_rng(0))
-        noise = NoiseProcess(kind="gaussian", scale=50.0, seed=2)
-        x = np.array([0.2, 0.4, 0.1])
-        for _ in range(100):
-            assert -1.0 <= act_with_noise(net, x, noise) <= 1.0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseProcess(kind="pink")
-
-    def test_seeded_determinism(self):
-        a = NoiseProcess(kind="ou", seed=9)
-        b = NoiseProcess(kind="ou", seed=9)
-        assert [a.sample() for _ in range(5)] == [b.sample() for _ in range(5)]

@@ -84,7 +84,6 @@ MISTYPED = [
     ("agent", "actor_lr", "1e-3", "a finite number"),  # YAML 1.1 reads this as a string
     ("agent", "additional_actor_lr", False, "a finite number"),
     ("agent", "batch_size", "256", "an integer"),
-    ("agent", "noise_kind", 5, "a string"),
     ("search", "expansion_width", "5", "an integer"),
     ("search", "backup_discount", False, "a finite number"),
     ("run", "t_up", "x", "an integer"),
@@ -128,9 +127,6 @@ OUT_OF_RANGE = [
     ("agent", "replay_capacity", 255, ">= batch_size"),
     ("agent", "additional_updates_per_episode", -1, ">= 0"),
     ("agent", "noise_scale", -0.35, ">= 0"),
-    ("agent", "ou_sigma", -0.2, ">= 0"),
-    ("agent", "ou_theta", -0.15, "in [0, 2]"),
-    ("agent", "ou_theta", 2.01, "in [0, 2]"),
     ("search", "expansion_width", 0, ">= 1"),
     ("search", "backup_discount", 0.0, "in (0, 1]"),
     ("search", "backup_discount", 1.01, "in (0, 1]"),
@@ -161,9 +157,6 @@ AT_THE_BOUND = [
     ("agent", "entropy_alpha", 0.0),
     ("agent", "additional_updates_per_episode", 0),
     ("agent", "noise_scale", 0.0),
-    ("agent", "ou_sigma", 0.0),
-    ("agent", "ou_theta", 0.0),
-    ("agent", "ou_theta", 2.0),
     ("agent", "elite_capacity", 10),  # == elite_minibatch
     ("agent", "replay_capacity", 256),  # == batch_size
     ("search", "backup_discount", 1.0),
@@ -381,7 +374,14 @@ class TestValidateConfig:
         ("search", "update_frequency"),
         # nothing read the schedule margin, so a file that sets it must hear so
         ("track", "schedule_margin"),
-    ], ids=["search.update_frequency", "track.schedule_margin"])
+        # DDPG explores with annealed Gaussian noise only, so there is no kind to pick
+        ("agent", "noise_kind"),
+        # the Ornstein-Uhlenbeck reversion rate went with the process
+        ("agent", "ou_theta"),
+        # the Ornstein-Uhlenbeck innovation scale went with the process
+        ("agent", "ou_sigma"),
+    ], ids=["search.update_frequency", "track.schedule_margin", "agent.noise_kind",
+            "agent.ou_theta", "agent.ou_sigma"])
     def test_retired_key_is_unknown(self, tmp_path, default_yaml, block, key):
         blob = copy.deepcopy(default_yaml)
         blob[block][key] = 5

@@ -489,6 +489,39 @@ class TestTrainedAgentIsItsCheckpoint:
             assert max(np.ptp(a, axis=1).max() for a in mine) > 0.1
 
 
+class TestNoiseAnneal:
+    """``train`` anneals a DDPG agent's ``noise_scale`` s linearly to zero,
+    s * (1 - j / (episodes - 1)) in episode j, and hands the agent back at s."""
+
+    @staticmethod
+    def proposal_scales(monkeypatch, cfg):
+        """The set of scales each episode's proposals ran at, and the trained agent."""
+        episodes = []
+        run_episode, propose = trainer._run_episode, DdpgAgent.propose
+        monkeypatch.setattr(trainer, "_run_episode",
+                            lambda *args: episodes.append(set()) or run_episode(*args))
+        monkeypatch.setattr(DdpgAgent, "propose",
+                            lambda agent, s: episodes[-1].add(agent.noise_scale) or propose(agent, s))
+        return episodes, train(cfg, seed=0).agent
+
+    def test_three_episodes_anneal_to_zero_and_hand_back_the_scale(self, monkeypatch):
+        cfg = scenario(max_episodes=3, step_budget=40, agent="ssa_ddpg")
+        s = cfg.agent.noise_scale
+        episodes, agent = self.proposal_scales(monkeypatch, cfg)
+        assert episodes == [{s * (1 - j / 2)} for j in range(3)] == [{0.35}, {0.175}, {0.0}]
+        assert agent.noise_scale == s
+
+    def test_one_episode_proposes_at_the_configured_scale(self, monkeypatch):
+        cfg = scenario(max_episodes=1, step_budget=40, agent="ssa_ddpg")
+        episodes, agent = self.proposal_scales(monkeypatch, cfg)
+        assert episodes == [{cfg.agent.noise_scale}]
+        assert agent.noise_scale == cfg.agent.noise_scale
+
+    def test_sac_agent_has_no_noise_scale(self):
+        agent = train(scenario(max_episodes=1, step_budget=10, agent="shield_sac"), seed=0).agent
+        assert not hasattr(agent, "noise_scale")
+
+
 class TestExecute:
     def test_same_seed_same_checkpoint_identical(self, short_ssa_result):
         cfg = scenario(max_episodes=12, execution_episodes=2)
