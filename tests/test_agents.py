@@ -611,6 +611,37 @@ class TestDdpgExploration:
         a, b = (DdpgAgent(SMALL, np.random.default_rng(9)) for _ in range(2))
         assert [a.propose(self.X) for _ in range(5)] == [b.propose(self.X) for _ in range(5)]
 
+    def test_noise_is_the_scaled_draw_of_noise_rng(self, rng):
+        # a zero head commands exactly 0, so each proposal is its own draw:
+        # white noise, one standard normal per call and no state between calls
+        agent = DdpgAgent(SMALL, rng)
+        agent.actor = Mlp([3, 1], "identity", np.random.default_rng(0))
+        agent.actor.weights[0][...] = 0.0
+        agent.actor.biases[0][...] = 0.0
+        agent.noise_scale, agent.noise_rng = 0.01, np.random.default_rng(4)
+        twin = np.random.default_rng(4)
+        got = [agent.propose(self.X) for _ in range(50)]
+        assert got == [0.01 * float(twin.standard_normal()) for _ in range(50)]
+
+    def test_propose_leaves_the_sampling_stream_alone(self, rng):
+        # exploration draws come from noise_rng only, so proposing does not
+        # move the stream that tree samples and SAC draws are taken from
+        agent = DdpgAgent(SMALL, rng)
+        before = agent.rng.bit_generator.state
+        for _ in range(10):
+            agent.propose(self.X)
+        assert agent.rng.bit_generator.state == before
+
+    def test_zero_scale_samples_jitter_at_the_floor(self, rng):
+        # the last annealed episode runs at scale 0, where tree samples still
+        # spread by 1e-3
+        agent = DdpgAgent(SMALL, rng)
+        agent.noise_scale = 0.0
+        states = rng.normal(0, 1, (5, 3))
+        agent.rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        want = np.clip(agent.actor.forward(states) + twin.normal(0.0, 1e-3, (5, 4)), -1.0, 1.0)
+        assert agent.sample_actions(states, 4).tobytes() == want.tobytes()
+
 
 class TestSafetyBoundary:
     """Float32 nets hand the shield and the tree float64 commands only."""

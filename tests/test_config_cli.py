@@ -83,6 +83,7 @@ MISTYPED = [
     ("agent", "gamma", "x", "a finite number"),
     ("agent", "actor_lr", "1e-3", "a finite number"),  # YAML 1.1 reads this as a string
     ("agent", "additional_actor_lr", False, "a finite number"),
+    ("agent", "noise_scale", "high", "a finite number"),
     ("agent", "batch_size", "256", "an integer"),
     ("search", "expansion_width", "5", "an integer"),
     ("search", "backup_discount", False, "a finite number"),

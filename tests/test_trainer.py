@@ -459,10 +459,9 @@ class TestAdditionalFit:
 
 class TestTrainedAgentIsItsCheckpoint:
     def test_same_tree_samples_from_both_samplers(self, tmp_path, monkeypatch):
-        # train once left the annealed Gaussian noise at scale 0, which no
-        # checkpoint stores: the trained agent's tree samples spread by the
-        # 1e-3 floor (main actor) or not at all (additional actor), and its
-        # checkpoint's by the configured scale
+        # train hands the agent back at the configured noise scale, which no
+        # checkpoint stores but its load sets too, so the trained agent and
+        # its checkpoint spread their tree samples alike
         cfg = scenario(max_episodes=3, agent="ssa_ddpg", execution_episodes=1)
         agent = train(cfg, seed=0).agent
         for name in ("actor", "additional"):
@@ -520,6 +519,24 @@ class TestNoiseAnneal:
     def test_sac_agent_has_no_noise_scale(self):
         agent = train(scenario(max_episodes=1, step_budget=10, agent="shield_sac"), seed=0).agent
         assert not hasattr(agent, "noise_scale")
+
+    @pytest.mark.parametrize("kind, use_additional, stds", [
+        ("ssa_ddpg", True, [0.05]),  # the agent's own scale, not the configured one
+        ("ssa_sac", True, [0.2]),  # SAC has no scale: its additional actor jitters at 0.2
+        ("ssa_ddpg", False, []),  # the main actor samples through sample_actions
+    ], ids=["ddpg-additional", "sac-additional", "ddpg-main"])
+    def test_greedy_rollout_jitters_the_additional_actor(self, monkeypatch, kind, use_additional,
+                                                         stds):
+        cfg = scenario(agent=kind)
+        agent = AGENT_KINDS[VARIANTS[kind][0]](cfg.agent, np.random.default_rng(0))
+        if hasattr(agent, "noise_scale"):
+            agent.noise_scale = 0.05
+        seen, jitter_sampler = [], trainer._jitter_sampler
+        monkeypatch.setattr(trainer, "_jitter_sampler",
+                            lambda net, track, rng, std: seen.append(std)
+                            or jitter_sampler(net, track, rng, std))
+        trainer._greedy_rollout(agent, cfg, use_additional, seed=1)
+        assert seen == stds
 
 
 class TestExecute:
