@@ -693,6 +693,31 @@ class TestNoExecutedOverspeed:
         assert true_overspeeds(cfg.track, spans) == []
 
 
+def write_every_rule_scenario(directory: Path) -> Path:
+    """Write the scenario where every shield rule and the comfort term fire
+    to a YAML file in ``directory``; return its path.
+
+    The section is ``seeded_sections(2311, 16)[0]``: 955 m at 72, 64 and
+    90 km/h, uphill at 0.25 m/s^2 then as steep downhill as validation
+    allows, where full traction from standstill clears the 2 km/h floor in
+    the first interval.  Both rules are on, and the 1.0 m/s^3 jerk threshold
+    lies below the coast-to-traction jump.  The run is a 2-episode
+    ``ssa_ddpg`` training.
+    """
+    track = seeded_sections(2311, 16)[0]
+    blob = yaml.safe_load(default_scenario_path().read_text())
+    blob["track"] = {"length": float(track.length), "scheduled_time": float(track.scheduled_time),
+                     "dt": track.dt,
+                     "limit_segments": [[float(v) for v in seg] for seg in track.limit_segments],
+                     "grade_segments": [[float(v) for v in seg] for seg in track.grade_segments]}
+    blob["safety"].update(enforce_min_speed=True, forbid_direct_reversal=True, min_speed=2.0)
+    blob["reward"]["jerk_threshold"] = 1.0
+    blob["run"].update(agent="ssa_ddpg", max_episodes=2)
+    path = directory / "graded.yaml"
+    path.write_text(yaml.safe_dump(blob))
+    return path
+
+
 class TestEveryRuleFires:
     """One short ``ssa_ddpg`` training and the +1 probe on a graded seeded
     section with a limit drop, with the reversal rule and the floor on and a
@@ -700,23 +725,10 @@ class TestEveryRuleFires:
     the comfort term fire, and the independent judge finds no overspeed."""
 
     def test_every_verdict_and_the_comfort_term(self, tmp_path, monkeypatch):
-        # 955 m at 72, 64 and 90 km/h, uphill at 0.25 m/s^2 then as steep
-        # downhill as validation allows; full traction from standstill clears
-        # the 2 km/h floor in the first interval
         track = seeded_sections(2311, 16)[0]
         assert any(g != 0.0 for _, _, g in track.grade_segments)
         assert track.limit_segments[1][2] < track.limit_segments[0][2]
-        blob = yaml.safe_load(default_scenario_path().read_text())
-        blob["track"] = {"length": float(track.length), "scheduled_time": float(track.scheduled_time),
-                         "dt": track.dt,
-                         "limit_segments": [[float(v) for v in seg] for seg in track.limit_segments],
-                         "grade_segments": [[float(v) for v in seg] for seg in track.grade_segments]}
-        blob["safety"].update(enforce_min_speed=True, forbid_direct_reversal=True, min_speed=2.0)
-        blob["reward"]["jerk_threshold"] = 1.0
-        blob["run"].update(agent="ssa_ddpg", max_episodes=2)
-        path = tmp_path / "graded.yaml"
-        path.write_text(yaml.safe_dump(blob))
-        cfg = load_config(path)
+        cfg = load_config(write_every_rule_scenario(tmp_path))
         assert cfg.track == track
 
         verdicts = set()
@@ -894,6 +906,52 @@ def test_deep_probe_outputs_pinned():
     row = tuple(v for k, v in dataclasses.asdict(metrics).items() if k != "action_select_mean_s")
     assert row == (0, -11138.660031768753, 30, 0, 71.918336529981, -13.70347005084101,
                    91.0, -19.0, True)
+
+
+# The every-rule scenario (see ``write_every_rule_scenario``), the only run
+# where the comfort term fires: a wrong entering acceleration in a step or a
+# tree root changes its bytes, and no other pin or digest can see one.  The
+# child trains at seed 0 and runs the +1 probe.
+_EVERY_RULE_RUN = """
+import dataclasses, hashlib, sys
+from atoshield.config import load_config
+from atoshield.trainer import noise_test, train
+
+def row(m):
+    return tuple(v for k, v in dataclasses.asdict(m).items() if k != "action_select_mean_s")
+
+cfg = load_config(sys.argv[1])
+result = train(cfg, seed=0)
+(probe,) = noise_test(cfg, 1.0)
+print(repr({
+    "rows": [row(m) for m in result.metrics],
+    "weights": {
+        name: hashlib.sha256(net.flat.tobytes()).hexdigest()[:16]
+        for name, net in result.agent.named_nets().items()
+    },
+    "probe": row(probe),
+}))
+"""
+
+# Recorded with one and with two BLAS threads (numpy 2.4, OpenBLAS 0.3.31),
+# which give the same bytes.
+EVERY_RULE_PINNED = {
+    "rows": [(0, -5524.553530178158, 39, 0, 33.26787542159891, -1.2459555781609608, 90.0,
+              16.031581115741247, True),
+             (1, -65637.57253022064, 184, 0, 6.1417779395774215, -0.06162256788245907, 221.0,
+              147.03158111574123, False)],
+    "weights": {"actor": "11804ccfa491bc8b", "critic": "545471a057a02107",
+                "actor_target": "a5b62450ba537117", "critic_target": "d1ca498ffc35f974",
+                "additional": "aa0ce80cf665758e"},
+    "probe": (0, -8934.85470910654, 12, 0, 54.60011066383588, -1.357242362093595, 61.0,
+              -12.968418884258753, True),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_rule_run_pinned(tmp_path, threads):
+    out = _run_with_blas_threads(threads, _EVERY_RULE_RUN, str(write_every_rule_scenario(tmp_path)))
+    assert out == EVERY_RULE_PINNED
 
 
 # Three trainings on threads of their own (more threads than cores),
