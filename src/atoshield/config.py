@@ -203,10 +203,10 @@ def _validate_safety(spec: SafetySpec, model: TrainModel, track: TrackSection) -
 
 def _validate_agent(agent: AgentConfig) -> list[str]:
     errors = _bound_errors("agent", agent)
-    if not agent.hidden_sizes or min(agent.hidden_sizes) < 1:
-        errors.append("agent.hidden_sizes: need at least one layer width, each >= 1")
-    if agent.additional_hidden_sizes and min(agent.additional_hidden_sizes) < 1:
-        errors.append("agent.additional_hidden_sizes: every layer width must be >= 1")
+    for key in ("hidden_sizes", "additional_hidden_sizes"):
+        sizes = getattr(agent, key)
+        if sizes is not None and (not sizes or min(sizes) < 1):
+            errors.append(f"agent.{key}: need at least one layer width, each >= 1")
     return errors
 
 

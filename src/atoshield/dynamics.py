@@ -3,8 +3,10 @@
 All operations here are pure functions of their inputs; states are immutable.
 Velocities are carried in km/h (what speed limits are posted in), accelerations
 in m/s^2, positions in m, times in s, energies in kWh.  A state carries the
-command that entered it (``last_cmd``, 0 for a fresh state), so the shield's
-reversal rule reads the drivetrain's last working condition from its sign.
+command and the applied acceleration that entered it (``last_cmd`` and
+``last_accel``, both 0 for a fresh state): the shield's reversal rule reads
+the drivetrain's last working condition from the command's sign, and the
+reward's comfort term reads the jerk from that acceleration to the next.
 
 Each formula has one body over a table of elementwise primitives, run on
 Python floats by :func:`step` and on numpy arrays by the search tree, so a
@@ -86,12 +88,14 @@ class TrackSection:
 @dataclass(frozen=True)
 class OperationState:
     """Instantaneous operating point: where, how fast, for how long, and the
-    command that entered it (> 0 traction, < 0 braking, 0 coasting)."""
+    command (> 0 traction, < 0 braking, 0 coasting) and applied acceleration
+    of the interval that entered it."""
 
     loc: float = 0.0  # m
     vel: float = 0.0  # km/h
     time: float = 0.0  # s
     last_cmd: float = 0.0
+    last_accel: float = 0.0  # m/s^2 after clamping
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,6 @@ class StepOutcome:
     reward: float
     energy_traction: float  # kWh, >= 0
     energy_regen: float  # kWh, stored negative
-    accel_applied: float  # m/s^2 after clamping
     arrived: bool
 
 
@@ -280,21 +283,21 @@ def step(
     state: OperationState,
     cmd: float,
     weights: RewardWeights = DEFAULT_WEIGHTS,
-    prev_accel: float = 0.0,
 ) -> StepOutcome:
     """Advance one control interval with semi-implicit Euler integration.
 
     Net acceleration is motor - resistance + grade, clamped to the vehicle
     bounds; velocity is floored at zero (the train does not roll back) and
-    displacement uses the interval's mean speed.
+    displacement uses the interval's mean speed.  The jerk term reads the
+    state's ``last_accel``, and the next state carries this interval's.
     """
     _check_step_inputs(FLOATS, track, state.loc, state.vel, cmd)
     loc, vel, time, reward, energy_traction, energy_regen, accel, arrived = _transition(
-        FLOATS, model, track, state.loc, state.vel, state.time, cmd, weights, prev_accel
+        FLOATS, model, track, state.loc, state.vel, state.time, cmd, weights, state.last_accel
     )
     # positional: keyword arguments cost a third of the construction
-    next_state = OperationState(loc, vel, time, cmd)
-    return StepOutcome(next_state, reward, energy_traction, energy_regen, accel, arrived)
+    next_state = OperationState(loc, vel, time, cmd, accel)
+    return StepOutcome(next_state, reward, energy_traction, energy_regen, arrived)
 
 
 def _check_tiling(

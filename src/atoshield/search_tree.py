@@ -241,13 +241,12 @@ def prune(tree: SearchTree, t_up: int) -> SearchTree | None:
     return tree if tree.levels[0].alive.any() else None
 
 
-def price(tree: SearchTree, env: "TrainEnv", prev_accel: float = 0.0) -> None:
+def price(tree: SearchTree, env: "TrainEnv", accel_in: float) -> None:
     """Fill each level's ``reward`` with ``env``'s reward weights: each node
     gets the reward of :func:`~.dynamics.step` into it, bitwise.  Roots follow
-    the unsafe state, entered with applied acceleration ``prev_accel``; every
+    the unsafe state, entered with applied acceleration ``accel_in``; every
     other node follows its parent's ``accel``."""
     model, track, weights = env.model, env.track, env.weights
-    accel_in = prev_accel
     for depth, level in enumerate(tree.levels):
         if depth:
             accel_in = tree.levels[depth - 1].accel[level.parent]
@@ -291,18 +290,17 @@ def search_safe_action(
     t: int,
     t_up: int,
     cfg: SearchConfig,
-    prev_accel: float = 0.0,
 ) -> float:
     """Full correction pipeline: build, prune, price, back up, select.
 
     Falls back to the hardest-braking safe candidate when pruning kills every
     root, the conservative default for a train protection system; a tree that
-    falls back is never priced.  ``prev_accel`` is the applied acceleration
-    that entered the unsafe state, for the roots' jerk term.
+    falls back is never priced.  The roots' jerk term reads the applied
+    acceleration that entered the unsafe state, its ``last_accel``.
     """
     tree = build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg)
     if prune(tree, t_up) is None:
         return min(safe_set)
-    price(tree, env, prev_accel)
+    price(tree, env, state_unsafe.last_accel)
     backup(tree, cfg)
     return select_safe_action(tree)

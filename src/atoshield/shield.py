@@ -235,7 +235,8 @@ def is_safe(
     _, accel, _, loc1, vel1, arrived = _kinematics(FLOATS, model, track, loc, vel, cmd)
     over = span_overspeed(track, loc, vel, accel, loc1, vel1)
     code = _one_step_code(FLOATS, spec, track, state.last_cmd, cmd, over, arrived, loc1, vel1)
-    # the rollout reads no clock, so the next state's time is left at 0
+    # the rollout reads neither the clock nor the entering acceleration, so
+    # the next state's time and last_accel are left at 0
     if code == 0 and not brake_recoverable(spec, model, track, OperationState(loc1, vel1, 0.0, cmd)):
         code = 4
     return _VERDICTS[code]

@@ -1,11 +1,11 @@
 """Training and evaluation on one episode loop over simulator, shield, tree and learners.
 
 ``_run_episode`` runs every episode of ``train``, ``execute``, ``noise_test``
-and ``robustness_run``, and owns the live state and ``prev_accel``, the
-applied acceleration that entered it (0.0 at the start).  Per step, the
-policy (a plain ``s_vec -> float`` callable) proposes, the corrector
-``(state, proposed, t, prev_accel) -> (cmd, interventions)`` shields the
-proposal as the variant's row of ``VARIANTS`` says, the stateless
+and ``robustness_run``, and owns the live state, which carries the command
+and the applied acceleration that entered it.  Per step, the policy (a
+plain ``s_vec -> float`` callable) proposes, the corrector
+``(state, proposed, t) -> (cmd, interventions)`` shields the proposal as
+the variant's row of ``VARIANTS`` says, the stateless
 :class:`TrainEnv` steps from the loop's state, and the optional learner hook
 ``learn(s_vec, cmd, outcome, s2_vec, done, t)`` sees the transition, with
 ``done`` set when it ends the episode: on arrival, or at the step budget of
@@ -57,8 +57,8 @@ from .shield import shield_filter, span_overspeed
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
-# (state, proposed, t, prev_accel) -> (executed command, shield interventions)
-Corrector = Callable[[OperationState, float, int, float], tuple[float, int]]
+# (state, proposed, t) -> (executed command, shield interventions)
+Corrector = Callable[[OperationState, float, int], tuple[float, int]]
 
 # each variant's learner (an ``AGENT_KINDS`` key) and how it handles an
 # unsafe proposal: tree search, the fixed chooser, or not at all
@@ -110,7 +110,6 @@ class EpisodeMetrics:
 @dataclass
 class TrainResult:
     agent: object
-    elite: EliteBuffer
     metrics: list[EpisodeMetrics]
 
 
@@ -119,9 +118,9 @@ class TrainEnv:
     """The environment of an episode: ``model``, ``track`` and ``weights``.
 
     It holds no episode state.  ``reset`` gives the start state, and ``step``
-    is the pure dynamics step from the caller's state, with ``prev_accel`` the
-    applied acceleration that entered it; the episode loop threads both.  The
-    tree search reads the same three fields to simulate transitions.
+    is the pure dynamics step from the caller's state, which the episode
+    loop threads.  The tree search reads the same three fields to simulate
+    transitions.
     """
 
     model: TrainModel
@@ -131,8 +130,8 @@ class TrainEnv:
     def reset(self) -> OperationState:
         return OperationState()
 
-    def step(self, state: OperationState, cmd: float, prev_accel: float) -> StepOutcome:
-        return step(self.model, self.track, state, cmd, self.weights, prev_accel)
+    def step(self, state: OperationState, cmd: float) -> StepOutcome:
+        return step(self.model, self.track, state, cmd, self.weights)
 
 
 def normalize_states(states: np.ndarray, track: TrackSection) -> np.ndarray:
@@ -167,14 +166,12 @@ def _corrector(cfg: "ScenarioConfig", env: TrainEnv, correction: str, sampler) -
     fixed fallback) or, for ``"tree"``, with the search over ``sampler``.
     """
     if correction == "none":
-        return lambda state, proposed, t, prev_accel: (proposed, 0)
+        return lambda state, proposed, t: (proposed, 0)
 
-    def correct(state: OperationState, proposed: float, t: int,
-                prev_accel: float) -> tuple[float, int]:
+    def correct(state: OperationState, proposed: float, t: int) -> tuple[float, int]:
         def tree(safe_set: Sequence[float]) -> float:
             return search_safe_action(
-                env, cfg.safety, sampler, state, safe_set, t, cfg.run.t_up, cfg.search,
-                prev_accel,
+                env, cfg.safety, sampler, state, safe_set, t, cfg.run.t_up, cfg.search
             )
 
         return shield_filter(
@@ -199,33 +196,32 @@ def _run_episode(
     """
     track = cfg.track
     budget = cfg.run.resolved_budget(track)
-    state, prev_accel = env.reset(), 0.0
+    state = env.reset()
     states, actions, speeds, accels = [], [], [], []
     reward = traction = regen = select_s = 0.0
     protect = overspeed = t = 0
     s_vec = normalize_state(state, track)
     while True:
         tic = time.perf_counter()
-        cmd, interventions = correct(state, policy(s_vec), t, prev_accel)
+        cmd, interventions = correct(state, policy(s_vec), t)
         select_s += time.perf_counter() - tic
         protect += interventions
-        out = env.step(state, cmd, prev_accel)
-        if span_overspeed(track, state.loc, state.vel, out.accel_applied,
-                          out.next_state.loc, out.next_state.vel):
+        out = env.step(state, cmd)
+        nxt = out.next_state
+        if span_overspeed(track, state.loc, state.vel, nxt.last_accel, nxt.loc, nxt.vel):
             overspeed += 1
         states.append(s_vec)
         actions.append(cmd)
-        speeds.append(out.next_state.vel)
-        accels.append(out.accel_applied)
+        speeds.append(nxt.vel)
+        accels.append(nxt.last_accel)
         reward += out.reward
         traction += out.energy_traction
         regen += out.energy_regen
-        s2_vec = normalize_state(out.next_state, track)
+        s2_vec = normalize_state(nxt, track)
         done = out.arrived or t + 1 >= budget
         if learn is not None:
             learn(s_vec, cmd, out, s2_vec, done, t)
-        state, prev_accel = out.next_state, out.accel_applied
-        s_vec = s2_vec
+        state, s_vec = nxt, s2_vec
         t += 1
         if done:
             break
@@ -291,7 +287,7 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     agent.additional_converged = len(elite) > 0 and additional_actor_converged(
         elite, agent.additional, cfg.agent.convergence_eps
     )
-    return TrainResult(agent=agent, elite=elite, metrics=all_metrics)
+    return TrainResult(agent=agent, metrics=all_metrics)
 
 
 def _greedy_rollout(agent, cfg: "ScenarioConfig", use_additional: bool, seed: int):
@@ -401,12 +397,11 @@ def _disturbed_run(agent, cfg: "ScenarioConfig", base: Trajectory, eps_r: float,
     drng = np.random.default_rng(seed + 7919)
     env, policy, correct = _greedy_rollout(agent, cfg, False, seed)
 
-    def disturbed(state: OperationState, proposed: float, t: int,
-                  prev_accel: float) -> tuple[float, int]:
-        cmd, interventions = correct(state, proposed, t, prev_accel)
+    def disturbed(state: OperationState, proposed: float, t: int) -> tuple[float, int]:
+        cmd, interventions = correct(state, proposed, t)
         if drng.random() < eps_r:
             noisy = float(np.clip(cmd + drng.uniform(-delta_r, delta_r), -1.0, 1.0))
-            cmd, again = correct(state, noisy, t, prev_accel)
+            cmd, again = correct(state, noisy, t)
             interventions += again
         return cmd, interventions
 

@@ -127,14 +127,16 @@ def ref_step(
     state,
     cmd,
     weights=DEFAULT_WEIGHTS,
-    prev_accel=0.0,
 ):
     """Advance one control interval with semi-implicit Euler integration.
 
     Net acceleration is motor - resistance + grade, clamped to the vehicle
     bounds; velocity is floored at zero (the train does not roll back) and
-    displacement uses the interval's mean speed.
+    displacement uses the interval's mean speed.  The comfort term reads the
+    applied acceleration that entered ``state``; the next state carries this
+    interval's.
     """
+    prev_accel = state.last_accel
     if abs(cmd) > 1.0 + 1e-12:
         raise ValueError(f"command must lie in [-1, 1], got {cmd}")
     dt = track.dt
@@ -162,13 +164,13 @@ def ref_step(
         track, weights, cmd, energy_traction, energy_regen,
         mean_speed, a, prev_accel, arrived, t1,
     )
-    next_state = OperationState(loc=loc1, vel=v1 * KMH_PER_MPS, time=t1, last_cmd=cmd)
+    next_state = OperationState(loc=loc1, vel=v1 * KMH_PER_MPS, time=t1, last_cmd=cmd,
+                                last_accel=a)
     return StepOutcome(
         next_state=next_state,
         reward=-(e_term + d_term + c_term),
         energy_traction=energy_traction,
         energy_regen=energy_regen,
-        accel_applied=a,
         arrived=arrived,
     )
 
@@ -235,7 +237,7 @@ def ref_true_overspeed(track, start_loc, start_vel, accel, end_loc):
 
 def _overspeeds(track, state, out):
     nxt = out.next_state
-    return ref_span_overspeed(track, state.loc, state.vel, out.accel_applied, nxt.loc, nxt.vel)
+    return ref_span_overspeed(track, state.loc, state.vel, nxt.last_accel, nxt.loc, nxt.vel)
 
 
 def _ref_condition(cmd):
@@ -302,13 +304,11 @@ def ref_is_safe(spec, model, track, state, cmd):
 class RefNode:
     """One tree node as a Python object, children in sample order."""
 
-    def __init__(self, cmd, reward, depth_step, state=None, accel=0.0, terminal=False,
-                 children=()):
+    def __init__(self, cmd, reward, depth_step, state=None, terminal=False, children=()):
         self.cmd = cmd
         self.reward = reward
         self.depth_step = depth_step
         self.state = state  # OperationState entered, None in synthetic trees
-        self.accel = accel
         self.terminal = terminal
         self.children = list(children)
         self.ret = None
@@ -414,14 +414,14 @@ def breadth_first_levels(roots):
         levels.append(below)
 
 
-def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg, prev_accel=0.0):
+def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg):
     """Depth-first tree growth, one node at a time: a one-row sampler call per
     expanded node, then the scalar ``is_safe`` and ``step`` per sample."""
 
-    def child_of(state, cmd, accel, depth_step):
-        out = step(env.model, env.track, state, cmd, env.weights, accel)
+    def child_of(state, cmd, depth_step):
+        out = step(env.model, env.track, state, cmd, env.weights)
         return RefNode(cmd=cmd, reward=out.reward, depth_step=depth_step,
-                       state=out.next_state, accel=out.accel_applied, terminal=out.arrived)
+                       state=out.next_state, terminal=out.arrived)
 
     def expand(node):
         if node.terminal or node.depth_step % t_up == 0:
@@ -431,21 +431,21 @@ def reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg
             cmd = float(cmd)
             if not is_safe(spec, env.model, env.track, s, cmd).safe:
                 continue
-            child = child_of(s, cmd, node.accel, node.depth_step + 1)
+            child = child_of(s, cmd, node.depth_step + 1)
             node.children.append(child)
             expand(child)
 
     roots = []
     for cmd in safe_set:
-        root = child_of(state_unsafe, cmd, prev_accel, t + 1)
+        root = child_of(state_unsafe, cmd, t + 1)
         expand(root)
         roots.append(root)
     return roots
 
 
-def reference_search(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg, prev_accel=0.0):
+def reference_search(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg):
     """The correction pipeline over :func:`reference_build_tree`."""
-    roots = reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg, prev_accel)
+    roots = reference_build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg)
     return reference_choice(roots, safe_set, t_up, cfg)
 
 

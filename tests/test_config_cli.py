@@ -54,7 +54,9 @@ BAD_SIZES = [
     ("agent", "additional_hidden_sizes", [16, 2.5],
      "agent.additional_hidden_sizes[1]: expected an integer, got 2.5"),
     ("agent", "additional_hidden_sizes", [0],
-     "agent.additional_hidden_sizes: every layer width must be >= 1"),
+     "agent.additional_hidden_sizes: need at least one layer width, each >= 1"),
+    ("agent", "additional_hidden_sizes", [],
+     "agent.additional_hidden_sizes: need at least one layer width, each >= 1"),
     ("agent", "batch_size", 16.5, "agent.batch_size: expected an integer, got 16.5"),
     ("agent", "batch_size", True, "agent.batch_size: expected an integer, got True"),
     ("agent", "replay_capacity", 5e4, "agent.replay_capacity: expected an integer, got 50000.0"),

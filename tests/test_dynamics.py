@@ -119,7 +119,19 @@ class TestStep:
 
     def test_accel_clamped_to_vehicle_bounds(self, model, track):
         out = step(model, track, OperationState(loc=0.0, vel=30.0), -1.0)
-        assert out.accel_applied == pytest.approx(-model.max_decel)
+        assert out.next_state.last_accel == pytest.approx(-model.max_decel)
+
+    @pytest.mark.parametrize("last_accel", [-1.2, 0.4, 3.0])
+    def test_next_state_carries_the_clamped_acceleration(self, model, track, last_accel):
+        # a fresh state was entered with no acceleration; from a state entered
+        # with any, the next state carries this interval's applied one, clamped
+        assert OperationState().last_accel == 0.0
+        state = OperationState(loc=0.0, vel=30.0, last_accel=last_accel)
+        braked = step(model, track, state, -1.0).next_state
+        assert braked.last_accel == -model.max_decel
+        coasted = step(model, track, braked, 0.0).next_state
+        assert coasted.last_accel == _kinematics(FLOATS, model, track, braked.loc, braked.vel, 0.0)[1]
+        assert -model.max_decel < coasted.last_accel < 0.0
 
     def test_determinism(self, model, track):
         state = OperationState(loc=321.0, vel=47.0, time=30.0)
@@ -165,13 +177,13 @@ class TestStep:
     @settings(max_examples=100)
     def test_reward_is_negated_term_sum(self, cmd, vel, prev_accel):
         model, track = make_model(), make_track()
-        state = OperationState(loc=700.0, vel=vel)
-        out = step(model, track, state, cmd, prev_accel=prev_accel)
+        state = OperationState(loc=700.0, vel=vel, last_accel=prev_accel)
+        out = step(model, track, state, cmd)
         # mean speed reconstructed from km/h states carries one float roundtrip
         mean_speed = 0.5 * (vel + out.next_state.vel) / 3.6
         e, d, c = _reward_terms(
             FLOATS, track, DEFAULT_WEIGHTS, cmd, out.energy_traction, out.energy_regen,
-            mean_speed, out.accel_applied, prev_accel, out.arrived, out.next_state.time,
+            mean_speed, out.next_state.last_accel, prev_accel, out.arrived, out.next_state.time,
         )
         assert out.reward == pytest.approx(-(e + d + c), abs=1e-9)
 
@@ -198,24 +210,25 @@ def assert_rows_match(track, rows, weights=WEIGHTS):
     """The transition kernel on arrays of the rows equals the scalar step of
     each row, and the reference copy of the scalar step, bitwise.
 
-    A row is (loc, vel, time, cmd, prev_accel); a prev_accel of None sits
-    exactly one jerk threshold below the row's applied acceleration.
+    A row is (loc, vel, time, cmd, prev_accel), the state's entering
+    acceleration; a prev_accel of None sits exactly one jerk threshold below
+    the row's applied acceleration.
     """
     model = make_model()
     prev = []
     for loc, vel, time, cmd, prev_accel in rows:
         if prev_accel is None:
-            a = step(model, track, OperationState(loc, vel, time), cmd, weights).accel_applied
-            prev_accel = a - weights.jerk_threshold * track.dt
+            out = step(model, track, OperationState(loc, vel, time), cmd, weights)
+            prev_accel = out.next_state.last_accel - weights.jerk_threshold * track.dt
         prev.append(prev_accel)
     loc, vel, time, cmd = (np.array(col) for col in list(zip(*rows))[:4])
     loc1, vel1, time1, reward, _, _, accel, arrived = _transition(
         ARRAYS, model, track, loc, vel, time, cmd, weights, np.array(prev)
     )
     for i, (row, prev_accel) in enumerate(zip(rows, prev)):
-        state = OperationState(*row[:3])
-        want = step(model, track, state, row[3], weights, prev_accel)
-        ref = ref_step(model, track, state, row[3], weights, prev_accel)
+        state = OperationState(*row[:3], last_accel=prev_accel)
+        want = step(model, track, state, row[3], weights)
+        ref = ref_step(model, track, state, row[3], weights)
         assert [x.hex() for x in (want.energy_traction, want.energy_regen)] == [
             x.hex() for x in (ref.energy_traction, ref.energy_regen)
         ], row
@@ -223,7 +236,8 @@ def assert_rows_match(track, rows, weights=WEIGHTS):
         for outcome in (want, ref):
             assert [float(x).hex() for x in got] == [
                 x.hex() for x in (outcome.next_state.loc, outcome.next_state.vel,
-                                  outcome.next_state.time, outcome.reward, outcome.accel_applied)
+                                  outcome.next_state.time, outcome.reward,
+                                  outcome.next_state.last_accel)
             ], row
             assert arrived[i] == outcome.arrived
 
@@ -308,7 +322,8 @@ class TestKinematics:
         _, accel, _, loc1, vel1, arrived = _kinematics(ARRAYS, model, track, loc, vel, cmd)
         for i, (row_loc, row_vel, row_time, row_cmd, _) in enumerate(rows):
             out = step(model, track, OperationState(row_loc, row_vel, row_time), row_cmd)
-            want = [x.hex() for x in (out.next_state.loc, out.next_state.vel, out.accel_applied)]
+            want = [x.hex() for x in (out.next_state.loc, out.next_state.vel,
+                                      out.next_state.last_accel)]
             kin = _kinematics(FLOATS, model, track, row_loc, row_vel, row_cmd)
             assert [x.hex() for x in (kin[3], kin[4], kin[1])] == want, rows[i]
             assert [float(x[i]).hex() for x in (t_loc, t_vel, t_accel)] == want

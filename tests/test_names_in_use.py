@@ -3,8 +3,11 @@
 A top-level function, class or constant, or a non-dunder method, defined
 in ``src/`` must be referenced somewhere in ``src/`` or ``benchmarks/``
 other than its own definition: as a name, an attribute, an import or an
-identifier string (the benchmark ledger wraps methods by name).  Tests do
-not count, so a name that only a test reaches fails here.
+identifier string (the benchmark ledger wraps methods by name).  An
+annotated field of a class defined in ``src/`` must be read there: as an
+attribute, or named in an identifier string; a write or a constructor
+keyword is not a read.  Tests do not count, so a name or a field that only
+a test reaches fails here.
 """
 
 import ast
@@ -48,9 +51,37 @@ def references(tree: ast.Module):
                 yield node.value
 
 
+def fields(tree: ast.Module):
+    """(class, field, line) of each annotated field of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def reads(tree: ast.Module):
+    """The attributes a module loads and the identifier strings it holds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
 def test_every_defined_name_is_used_outside_the_tests():
     used = {name for tree in trees("src", "benchmarks").values() for name in references(tree)}
     defined = [(path.relative_to(ROOT), line, name)
                for path, tree in trees("src").items() for name, line in definitions(tree)]
     assert len(defined) > 150  # the scan sees the package
     assert [f"{path}:{line}: {name}" for path, line, name in defined if name not in used] == []
+
+
+def test_every_field_is_read_outside_the_tests():
+    read = {name for tree in trees("src", "benchmarks").values() for name in reads(tree)}
+    defined = [(path.relative_to(ROOT), line, f"{cls}.{name}")
+               for path, tree in trees("src").items() for cls, name, line in fields(tree)]
+    assert len(defined) > 80  # the scan sees the dataclasses
+    assert [f"{path}:{line}: {name}" for path, line, name in defined
+            if name.split(".")[1] not in read] == []

@@ -75,7 +75,7 @@ def to_tree(roots, root_step):
             cmd=column(lambda n: n.cmd), a_motor=column(lambda n: 0.0),
             mean_speed=column(lambda n: 0.0),
             loc=state("loc"), vel=state("vel"), time=state("time"),
-            accel=column(lambda n: n.accel),
+            accel=state("last_accel"),
             terminal=np.array([n.terminal for n in nodes], dtype=bool),
             parent=np.array([k for _, k in rows], dtype=np.intp),
             reward=column(lambda n: n.reward),
@@ -83,14 +83,15 @@ def to_tree(roots, root_step):
     return SearchTree(levels, root_step)
 
 
-def assert_same_levels(tree, roots, env, prev_accel=0.0):
+def assert_same_levels(tree, roots, env, accel_in=0.0):
     """Every level equals the reference forest's breadth-first rows, exactly,
-    rewards once :func:`price` has run: ``build_tree`` leaves them unset."""
+    rewards once :func:`price` has run from an unsafe state entered with
+    ``accel_in``: ``build_tree`` leaves them unset."""
     want = breadth_first_levels(roots)
     assert tree.root_step == roots[0].depth_step
     assert len(tree.levels) == len(want)
     assert all(level.reward is None for level in tree.levels)
-    price(tree, env, prev_accel)
+    price(tree, env, accel_in)
     for depth, (level, rows) in enumerate(zip(tree.levels, want)):
         nodes = [n for n, _ in rows]
         assert all(n.depth_step == tree.root_step + depth for n in nodes)
@@ -99,7 +100,7 @@ def assert_same_levels(tree, roots, env, prev_accel=0.0):
         assert level.loc.tolist() == [n.state.loc for n in nodes]
         assert level.vel.tolist() == [n.state.vel for n in nodes]
         assert level.time.tolist() == [n.state.time for n in nodes]
-        assert level.accel.tolist() == [n.accel for n in nodes]
+        assert level.accel.tolist() == [n.state.last_accel for n in nodes]
         assert level.terminal.tolist() == [n.terminal for n in nodes]
         assert level.parent.tolist() == [k for _, k in rows]
 
@@ -205,25 +206,25 @@ class TestStepping:
     steps from the unsafe state; a level's sampled commands are
     range-checked once, before any of its pairs is stepped."""
 
-    @pytest.mark.parametrize("loc, vel, time, prev_accel", [
+    @pytest.mark.parametrize("loc, vel, time, last_accel", [
         (300.0, 55.0, 3.0, 0.0), (460.0, 66.0, 1.0, 0.8), (1495.0, 30.0, 90.0, -1.1),
     ], ids=["mid-section", "jerky", "arriving"])
     @pytest.mark.parametrize("graded", [False, True], ids=["flat", "graded"])
-    def test_root_rows_are_scalar_steps_bitwise(self, loc, vel, time, prev_accel, graded):
+    def test_root_rows_are_scalar_steps_bitwise(self, loc, vel, time, last_accel, graded):
         track = GRADED if graded else make_track()
         env = TrainEnv(make_model(), track, RewardWeights(alpha_traction=2.0, jerk_threshold=2.5))
-        state = OperationState(loc, vel, time, 0.3)
+        state = OperationState(loc, vel, time, 0.3, last_accel)
         safe_set = [-1.0, -0.5, 0.0, 0.25, 1.0]
         tree = build_tree(env, PLAIN, steady_policy(0.0), state, safe_set, 3, T_UP, CFG)
-        price(tree, env, prev_accel)
+        price(tree, env, state.last_accel)
         roots = tree.levels[0]
-        outs = [step(env.model, track, state, cmd, env.weights, prev_accel) for cmd in safe_set]
+        outs = [step(env.model, track, state, cmd, env.weights) for cmd in safe_set]
         want = {
             "reward": [out.reward for out in outs],
             "loc": [out.next_state.loc for out in outs],
             "vel": [out.next_state.vel for out in outs],
             "time": [out.next_state.time for out in outs],
-            "accel": [out.accel_applied for out in outs],
+            "accel": [out.next_state.last_accel for out in outs],
         }
         for name, values in want.items():
             column = getattr(roots, name)
@@ -331,15 +332,14 @@ class TestMatchesDepthFirstReference:
     def test_trees_and_choices_identical(self, spec, policy, track):
         env = TrainEnv(make_model(), track)
         cfg = SearchConfig(expansion_width=3)
-        for loc, vel, t, prev_accel in [(300.0, 55.0, 0, 0.0), (460.0, 66.0, 1, 0.8),
+        for loc, vel, t, last_accel in [(300.0, 55.0, 0, 0.0), (460.0, 66.0, 1, 0.8),
                                         (1380.0, 40.0, 5, -1.1), (40.0, 12.0, 2, 0.3)]:
-            state = OperationState(loc=loc, vel=vel, time=float(t))
+            state = OperationState(loc=loc, vel=vel, time=float(t), last_accel=last_accel)
             safe_set = safe_action_set(spec, env.model, track, state, 9)
             if not safe_set:
                 continue
-            args = (env, spec, policy, state, safe_set, t, 4, cfg, prev_accel)
-            assert_same_levels(build_tree(*args[:-1]), reference_build_tree(*args), env,
-                               prev_accel)
+            args = (env, spec, policy, state, safe_set, t, 4, cfg)
+            assert_same_levels(build_tree(*args), reference_build_tree(*args), env, last_accel)
             assert search_safe_action(*args) == reference_search(*args)
 
     def test_all_unsafe_samples_fall_back_to_hardest_braking(self, env):
@@ -359,7 +359,7 @@ class TestMatchesDepthFirstReference:
 
         def checked_search(*args):
             want = reference_build_tree(*args)
-            assert_same_levels(build_tree(*args[:8]), want, args[0], args[8])
+            assert_same_levels(build_tree(*args), want, args[0], args[3].last_accel)
             chosen = search_safe_action(*args)
             assert args[6] == 7
             assert chosen == reference_choice(want, args[4], args[6], args[7])

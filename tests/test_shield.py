@@ -40,7 +40,7 @@ def oracle_violation(model, track, state, cmd, subsamples=64):
 
     def span_bad(s0, out):
         v0 = s0.vel / 3.6
-        a = out.accel_applied
+        a = out.next_state.last_accel
         d_total = out.next_state.loc - s0.loc
         for k in range(subsamples + 1):
             d = d_total * k / subsamples
@@ -378,6 +378,29 @@ class TestRecoverabilityAgainstFullRollout:
         want = [ref_is_safe(spec, model, track, OperationState(loc, vel, 0.0, last), cmd)
                 for loc, vel, last, cmd in rows]
         assert got == verdicts == want
+
+
+class TestCertifierIgnoresEnteringAcceleration:
+    """The shield certifies on motion alone: the applied acceleration that
+    entered a state, which only the reward's comfort term reads, changes no
+    verdict, recovery or safe set."""
+
+    @pytest.mark.parametrize("spec", [PLAIN, REVERSAL, LOW_FLOOR_AND_REVERSAL],
+                             ids=["plain", "reversal", "floor-and-reversal"])
+    @settings(max_examples=30, deadline=None)
+    @given(case=sections_with_states(),
+           last_accel=st.one_of(st.sampled_from([-1.2, 1.2]), st.floats(-3.0, 3.0)))
+    def test_same_verdicts_whatever_the_entering_acceleration(self, spec, case, last_accel):
+        track, rows = case
+        model = make_model()
+        for loc, vel, last_cmd, cmd in rows:
+            fresh = OperationState(loc, vel, 0.0, last_cmd)
+            entered = OperationState(loc, vel, 0.0, last_cmd, last_accel)
+            assert is_safe(spec, model, track, entered, cmd) is is_safe(spec, model, track, fresh, cmd)
+            assert (brake_recoverable(spec, model, track, entered)
+                    == brake_recoverable(spec, model, track, fresh))
+            assert (safe_action_set(spec, model, track, entered, 9)
+                    == safe_action_set(spec, model, track, fresh, 9))
 
 
 class TestBrakeRecoverable:

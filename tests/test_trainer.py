@@ -20,7 +20,7 @@ from atoshield.drl.agents import (
     load_checkpoint,
     save_checkpoint,
 )
-from atoshield.drl.buffers import ReplayBuffer
+from atoshield.drl.buffers import EliteBuffer, ReplayBuffer
 from atoshield.drl.nets import Mlp
 from atoshield.dynamics import OperationState, validate_track
 from atoshield.shield import Verdict
@@ -49,23 +49,35 @@ def scenario(**run_overrides):
 @pytest.fixture(scope="module")
 def short_ssa_run():
     """A 12-episode ssa_ddpg training at seed 0, with the done flag of every
-    transition it pushed to the replay buffer, in push order."""
-    dones = []
-    push = ReplayBuffer.push
+    transition it pushed to the replay buffer, in push order, and the elite
+    buffer it inserted each episode into."""
+    dones, elites = [], []
+    push, insert = ReplayBuffer.push, EliteBuffer.insert
 
     def recording(buffer, s, a, r, s2, d):
         dones.append(d)
         push(buffer, s, a, r, s2, d)
 
+    def inserting(buffer, traj):
+        elites.append(buffer)
+        return insert(buffer, traj)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ReplayBuffer, "push", recording)
+        patch.setattr(EliteBuffer, "insert", inserting)
         result = train(scenario(max_episodes=12, agent="ssa_ddpg"), seed=0)
-    return result, dones
+    assert len(elites) == 12 and all(buffer is elites[0] for buffer in elites)
+    return result, dones, elites[0]
 
 
 @pytest.fixture(scope="module")
 def short_ssa_result(short_ssa_run):
     return short_ssa_run[0]
+
+
+@pytest.fixture(scope="module")
+def short_ssa_elite(short_ssa_run):
+    return short_ssa_run[2]
 
 
 class TestVariants:
@@ -169,10 +181,10 @@ class TestStateRows:
             assert stored[:n].tobytes() == np.concatenate(want).tobytes()
 
 
-class TestPrevAccelThreading:
-    """The loop owns ``prev_accel``: every step and every correction tree gets
-    the applied acceleration of the episode's previous executed step, and 0.0
-    at its start."""
+class TestEnteringAcceleration:
+    """The state carries the applied acceleration that entered it: every step
+    and every correction tree starts from a state whose ``last_accel`` is
+    that of the episode's previous executed step, and 0.0 at its start."""
 
     @staticmethod
     def record(monkeypatch) -> list:
@@ -180,14 +192,14 @@ class TestPrevAccelThreading:
         events = []
         env_step, search = TrainEnv.step, trainer.search_safe_action
 
-        def stepping(env, state, cmd, prev_accel):
-            out = env_step(env, state, cmd, prev_accel)
-            events.append(("step", state, prev_accel, out))
+        def stepping(env, state, cmd):
+            out = env_step(env, state, cmd)
+            events.append(("step", state, out))
             return out
 
-        def searching(env, spec, sampler, state, safe_set, t, t_up, cfg, prev_accel):
-            events.append(("search", state, prev_accel, t))
-            return search(env, spec, sampler, state, safe_set, t, t_up, cfg, prev_accel)
+        def searching(env, spec, sampler, state, safe_set, t, t_up, cfg):
+            events.append(("search", state, t))
+            return search(env, spec, sampler, state, safe_set, t, t_up, cfg)
 
         monkeypatch.setattr(TrainEnv, "step", stepping)
         monkeypatch.setattr(trainer, "search_safe_action", searching)
@@ -196,21 +208,21 @@ class TestPrevAccelThreading:
     @staticmethod
     def check(events, budget) -> tuple[int, int, int]:
         """Walk the events episode by episode; returns (episodes, searches,
-        searches that got a non-zero prev_accel)."""
+        searches from a state entered with a non-zero acceleration)."""
         episodes = searches = nonzero = n = 0
         expected, searched = 0.0, []
-        for kind, state, prev_accel, t_or_out in events:
-            assert prev_accel == expected
+        for kind, state, t_or_out in events:
+            assert state.last_accel == expected
             if kind == "search":
                 assert t_or_out == n  # the step about to execute
                 searched.append(state)
                 searches += 1
-                nonzero += prev_accel != 0.0
+                nonzero += state.last_accel != 0.0
                 continue
             assert n > 0 or state == OperationState()
             assert all(s is state for s in searched)  # each correction was of this step
             searched.clear()
-            expected, n = t_or_out.accel_applied, n + 1
+            expected, n = t_or_out.next_state.last_accel, n + 1
             if t_or_out.arrived or n == budget:
                 episodes += 1
                 expected, n = 0.0, 0
@@ -234,7 +246,7 @@ class TestPrevAccelThreading:
         assert searches == sum(m.protect_times for m in result.metrics) > 0
         assert nonzero > 0
 
-    def test_disturbed_run_corrects_twice_from_one_prev_accel(self, monkeypatch):
+    def test_disturbed_run_corrects_twice_from_one_state(self, monkeypatch):
         # a greedy full-traction agent with every command disturbed: a step
         # whose disturbed command is unsafe again is corrected a second time
         class FullTraction:
@@ -260,10 +272,10 @@ class TestPrevAccelThreading:
         commands = rng.uniform(-1.0, 1.0, (2, 40))
 
         def episode(env, cmds):
-            state, prev_accel = env.reset(), 0.0
+            state = env.reset()
             for cmd in cmds:
-                out = env.step(state, float(cmd), prev_accel)
-                state, prev_accel = out.next_state, out.accel_applied
+                out = env.step(state, float(cmd))
+                state = out.next_state
                 yield out
 
         alone = [list(episode(TrainEnv(cfg.train, cfg.track, cfg.reward), c)) for c in commands]
@@ -316,34 +328,34 @@ class TestTrain:
         assert sum(m.overspeed_steps for m in result.metrics) > 0
         assert all(m.protect_times == 0 for m in result.metrics)
 
-    def test_elite_gate_only_admits_terminal_returns_above_minimum(self, short_ssa_result):
-        elite = short_ssa_result.elite
-        returns = [t.total_return for t in elite]
+    def test_elite_gate_only_admits_terminal_returns_above_minimum(self, short_ssa_result,
+                                                                   short_ssa_elite):
+        returns = [t.total_return for t in short_ssa_elite]
         assert returns == sorted(returns, reverse=True)
         episode_returns = [m.total_reward for m in short_ssa_result.metrics]
         # every stored return belongs to a really finished episode
         for r in returns:
             assert any(abs(r - er) < 1e-9 for er in episode_returns)
 
-    def test_elite_trajectories_replay_bitwise(self, short_ssa_result):
+    def test_elite_trajectories_replay_bitwise(self, short_ssa_elite):
         # each elite record is its episode as executed: replaying the commands
         # from rest gives back its states, speeds, accelerations and return
         cfg = scenario(max_episodes=12, agent="ssa_ddpg")
         env = TrainEnv(cfg.train, cfg.track, cfg.reward)
         budget = cfg.run.resolved_budget(cfg.track)
-        assert len(short_ssa_result.elite) > 0
-        for traj in short_ssa_result.elite:
+        assert len(short_ssa_elite) > 0
+        for traj in short_ssa_elite:
             assert traj.states.shape == (len(traj), 3)
             assert len(traj.speeds) == len(traj.accels) == len(traj)
-            state, prev_accel, total = env.reset(), 0.0, 0.0
+            state, total = env.reset(), 0.0
             for t, cmd in enumerate(traj.actions):
                 assert traj.states[t].tobytes() == normalize_state(state, cfg.track).tobytes()
-                out = env.step(state, float(cmd), prev_accel)
+                out = env.step(state, float(cmd))
                 assert out.next_state.vel == traj.speeds[t]
-                assert out.accel_applied == traj.accels[t]
+                assert out.next_state.last_accel == traj.accels[t]
                 assert (out.arrived or t + 1 == budget) == (t == len(traj) - 1)
                 total += out.reward
-                state, prev_accel = out.next_state, out.accel_applied
+                state = out.next_state
             assert total == traj.total_return
 
     def test_seeded_determinism(self):
@@ -370,7 +382,7 @@ class TestTrain:
     def test_done_marks_the_last_transition_of_each_episode(self, short_ssa_run):
         # an episode ends on arrival or at the step budget, and only its last
         # transition is stored as done; the run has episodes of both kinds
-        result, dones = short_ssa_run
+        result, dones, _ = short_ssa_run
         cfg = scenario(max_episodes=12, agent="ssa_ddpg")
         budget = cfg.run.resolved_budget(cfg.track)
         steps = [round(m.run_time_s / cfg.track.dt) for m in result.metrics]
@@ -648,8 +660,8 @@ def record_spans(monkeypatch) -> list:
     spans = []
     env_step = TrainEnv.step
 
-    def recording(self, state, cmd, prev_accel):
-        out = env_step(self, state, cmd, prev_accel)
+    def recording(self, state, cmd):
+        out = env_step(self, state, cmd)
         spans.append((state, out))
         return out
 
@@ -658,8 +670,8 @@ def record_spans(monkeypatch) -> list:
 
 
 def true_overspeeds(track, spans) -> list:
-    return [(before.loc, before.vel, out.accel_applied) for before, out in spans
-            if ref_true_overspeed(track, before.loc, before.vel, out.accel_applied,
+    return [(before.loc, before.vel, out.next_state.last_accel) for before, out in spans
+            if ref_true_overspeed(track, before.loc, before.vel, out.next_state.last_accel,
                                   out.next_state.loc)]
 
 
@@ -732,7 +744,7 @@ class TestEveryRuleFires:
         assert cfg.track == track
 
         verdicts = set()
-        executed = []  # (state, command, prev_accel, outcome) of every executed step
+        executed = []  # (state, command, outcome) of every executed step
         is_safe, env_step = shield.is_safe, TrainEnv.step
 
         def certifying(*args):
@@ -740,9 +752,9 @@ class TestEveryRuleFires:
             verdicts.add(verdict)
             return verdict
 
-        def recording(self, state, cmd, prev_accel):
-            out = env_step(self, state, cmd, prev_accel)
-            executed.append((state, cmd, prev_accel, out))
+        def recording(self, state, cmd):
+            out = env_step(self, state, cmd)
+            executed.append((state, cmd, out))
             return out
 
         monkeypatch.setattr(shield, "is_safe", certifying)
@@ -753,12 +765,12 @@ class TestEveryRuleFires:
         # C_t from the oracle step: the reward without the comfort penalty
         # less the reward with it
         no_comfort = dataclasses.replace(cfg.reward, comfort_penalty=0.0)
-        c_terms = [ref_step(cfg.train, track, state, cmd, no_comfort, prev).reward
-                   - ref_step(cfg.train, track, state, cmd, cfg.reward, prev).reward
-                   for state, cmd, prev, _ in executed]
+        c_terms = [ref_step(cfg.train, track, state, cmd, no_comfort).reward
+                   - ref_step(cfg.train, track, state, cmd, cfg.reward).reward
+                   for state, cmd, _ in executed]
         assert max(c_terms) > 0.0
-        assert not any(ref_true_overspeed(track, state.loc, state.vel, out.accel_applied,
-                                          out.next_state.loc) for state, _, _, out in executed)
+        assert not any(ref_true_overspeed(track, state.loc, state.vel, out.next_state.last_accel,
+                                          out.next_state.loc) for state, _, out in executed)
 
 
 class TestRewardTimekeeping:
