@@ -38,17 +38,25 @@ def definitions(tree: ast.Module):
                 yield target.id, node.lineno
 
 
-def references(tree: ast.Module):
+def reads(tree: ast.Module):
+    """The attributes a module loads and the identifier strings it holds:
+    what reads a field."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 yield node.value
+
+
+def references(tree: ast.Module):
+    """:func:`reads`, and the names a module loads or imports."""
+    yield from reads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
 
 
 def fields(tree: ast.Module):
@@ -58,16 +66,6 @@ def fields(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     yield node.name, item.target.id, item.lineno
-
-
-def reads(tree: ast.Module):
-    """The attributes a module loads and the identifier strings it holds."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                yield node.value
 
 
 def test_every_defined_name_is_used_outside_the_tests():
