@@ -86,7 +86,7 @@ class MetricsFileError(ValueError):
 def read_metrics_csv(path: Path) -> list[dict]:
     """The rows of a metrics CSV, each cell as its column's type; raises
     :class:`MetricsFileError` on text that is not UTF-8, a wrong header, a bad
-    cell or no rows."""
+    cell, a row longer than the header or no rows."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -95,10 +95,14 @@ def read_metrics_csv(path: Path) -> list[dict]:
     reader = csv.DictReader(lines, restval="")  # a short row's missing cells read as ""
     if tuple(reader.fieldnames or ()) != METRICS_HEADER:
         raise MetricsFileError(f"{path}: unexpected metrics header {reader.fieldnames}")
-    try:
-        rows = [{c: kind(r[c]) for c, kind in METRICS_COLUMNS.items()} for r in reader]
-    except ValueError as exc:
-        raise MetricsFileError(f"{path}: line {reader.line_num}: {exc}") from None
+    rows = []
+    for r in reader:
+        try:
+            if None in r:  # the reader files the cells past the header under None
+                raise ValueError(f"{len(r[None])} more cells than the header")
+            rows.append({c: kind(r[c]) for c, kind in METRICS_COLUMNS.items()})
+        except ValueError as exc:
+            raise MetricsFileError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise MetricsFileError(f"{path}: no metrics rows")
     return rows

@@ -179,18 +179,16 @@ def _bound_errors(name: str, block) -> list[str]:
 
 def _validate_safety(spec: SafetySpec, model: TrainModel, track: TrackSection) -> list[str]:
     errors = _bound_errors("safety", spec)
-    if spec.terminal_zone >= track.length:
+    if spec.min_speed is not None and spec.terminal_zone >= track.length:
         errors.append("safety.terminal_zone: must be smaller than the track length")
-    if errors:
+    if errors or spec.min_speed is None:
         return errors
     # where the floor applies, a segment must leave speeds above the floor
     # and at or below its limit
-    low = next(((i, seg) for i, seg in enumerate(track.limit_segments)
-                if seg[0] < track.length - spec.terminal_zone and seg[2] <= spec.min_speed), None)
-    if spec.enforce_min_speed and low:
-        i, (start, end, limit) = low
-        return [f"safety.min_speed: {spec.min_speed} km/h is not below the {limit} km/h limit "
-                f"of track.limit_segments[{i}] ({start}-{end} m), where the floor applies"]
+    for i, (start, end, limit) in enumerate(track.limit_segments):
+        if start < track.length - spec.terminal_zone and limit <= spec.min_speed:
+            return [f"safety.min_speed: {spec.min_speed} km/h is not below the {limit} km/h "
+                    f"limit of track.limit_segments[{i}] ({start}-{end} m), where the floor applies"]
     # the shield's floor test on the fastest first interval: when even full
     # traction from standstill breaks the floor, no first command is safe
     out = step(model, track, OperationState(), 1.0)
@@ -222,19 +220,20 @@ def _validate_run(run: RunConfig) -> list[str]:
 
 
 def _validate_budget(run: RunConfig, track: TrackSection) -> list[str]:
-    """The episode step budget within ``MAX_STEP_BUDGET``, or one line
+    """The episode step budget in [1, ``MAX_STEP_BUDGET``], or one line
     naming the field that sets it."""
     try:
         budget = run.resolved_budget(track)
     except OverflowError:  # a track.dt so small that the default budget is infinite
         budget = math.inf
-    if budget <= MAX_STEP_BUDGET:
+    if 1 <= budget <= MAX_STEP_BUDGET:
         return []
-    if run.step_budget is not None:
-        return [f"run.step_budget: {budget} steps per episode exceeds the cap of "
-                f"{MAX_STEP_BUDGET}"]
+    if run.step_budget is not None:  # its own bound reports one below 1
+        return [] if budget < 1 else [f"run.step_budget: {budget} steps per episode exceeds "
+                                      f"the cap of {MAX_STEP_BUDGET}"]
+    bound = f"above the cap of {MAX_STEP_BUDGET}" if budget > 1 else "below the least budget of 1"
     return [f"track.dt: {track.dt} s gives a default budget of {budget} steps per episode "
-            f"(3 x scheduled_time / dt), above the cap of {MAX_STEP_BUDGET}"]
+            f"(3 x scheduled_time / dt), {bound}"]
 
 
 def _unparsed(exc: UnicodeDecodeError | yaml.YAMLError) -> str:
@@ -274,10 +273,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if train and track:
         physics_errors += validate_track(train, track)
     errors += physics_errors
-    # the safety block needs a sound train and track: its derived terminal
-    # zone divides by the braking rate, and the floor check steps the train
+    # the safety block needs a sound train and track: a floor's derived
+    # terminal zone divides by the braking rate, and its check steps the train
     if train and track and safety and not physics_errors:
-        if safety.terminal_zone is None:
+        if safety.min_speed is not None and safety.terminal_zone is None:
             safety = dataclasses.replace(safety, terminal_zone=default_terminal_zone(train, track))
             blocks["safety"] = safety
         errors += _validate_safety(safety, train, track)
@@ -286,8 +285,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
                         ("run", _validate_run)):
         if blocks[name]:
             errors += check(blocks[name])
-    # the budget divides by track.dt, so it waits for dt's bound
-    if blocks["run"] and track and not any(e.startswith("track.dt:") for e in errors):
+    # the budget is 3 x scheduled_time / dt, so it waits for both to be > 0
+    if blocks["run"] and track and min(track.dt, track.scheduled_time) > 0:
         errors += _validate_budget(blocks["run"], track)
     if errors:
         raise ConfigError(errors)

@@ -386,7 +386,7 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
         raise CheckpointError(path, "file", f"not JSON ({exc})") from None
     if not isinstance(blob, dict):
         raise CheckpointError(path, "file", "expected a JSON object")
-    if blob.get("format") != 1:
+    if type(blob.get("format")) is not int or blob["format"] != 1:  # true and 1.0 equal 1
         raise CheckpointError(path, "format", f"expected 1, got {blob.get('format')!r}")
     kind = blob.get("kind")
     if kind not in AGENT_KINDS:

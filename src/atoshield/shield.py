@@ -73,11 +73,10 @@ _VERDICTS = tuple(Verdict)  # by code: Verdict(code) costs a fifth of an is_safe
 class SafetySpec:
     """Configured safety rules layered over the track's posted limits."""
 
-    min_speed: float = 0.0  # km/h, mid-section floor
-    enforce_min_speed: bool = False
+    min_speed: float | None = None  # km/h, mid-section floor; None means no floor
     forbid_direct_reversal: bool = False
-    # metres from the section end where the floor is waived so the train can
-    # stop; None means "derive from the braking distance" at config load
+    # metres before the section end where a floor is waived so the train can
+    # stop; with a floor, None is derived from the braking distance at load
     terminal_zone: float | None = None
 
 
@@ -92,7 +91,8 @@ def default_terminal_zone(model: TrainModel, track: TrackSection) -> float:
 
 
 def floor_applies(spec: SafetySpec, track: TrackSection, loc: float) -> bool:
-    if not spec.enforce_min_speed:
+    """Whether a floor is set and holds at ``loc``, short of the terminal zone."""
+    if spec.min_speed is None:
         return False
     if spec.terminal_zone is None:
         raise ValueError("terminal_zone must be resolved before enforcing the floor")
@@ -161,7 +161,7 @@ def _recovered(ops: Ops, spec, model, track, loc, vel, last_cmd, done=False):
     coast = (last_cmd > 0.0) & spec.forbid_direct_reversal
     ok = _rollout_ends(ops, track, loc, vel, coast)
     ended = done | ok
-    if spec.forbid_direct_reversal and spec.enforce_min_speed:
+    if spec.forbid_direct_reversal and spec.min_speed is not None:
         # after a brake the fastest legal command is a coast; one that breaks the floor leaves none
         _, _, _, loc2, vel2, arrived = _kinematics(ops, model, track, loc, vel, 0.0)
         floor = _one_step_code(ops, spec, track, 0.0, 0.0, False, arrived, loc2, vel2) == 3
@@ -184,24 +184,23 @@ def _recovered(ops: Ops, spec, model, track, loc, vel, last_cmd, done=False):
     raise RuntimeError("braking trajectory failed to terminate")
 
 
-def brake_recoverable(
-    spec: SafetySpec, model: TrainModel, track: TrackSection, state: OperationState
-) -> bool:
-    """Whether full braking from a state clears every downstream limit.
+def brake_recoverable(spec: SafetySpec, model: TrainModel, track: TrackSection,
+                      loc: float, vel: float, last_cmd: float) -> bool:
+    """Whether full braking from the state (loc, vel) clears every downstream limit.
 
-    When direct reversals are forbidden and the state was just produced by
-    traction, braking is not immediately available, so the recovery trajectory
-    coasts for one interval first.  The trajectory ends at its first state,
-    the given one included, at or below every downstream limit: on a
-    validated track standstill resistance is at least every grade, so
-    braking only slows the train from there and rolling on to a stop would
-    give the same verdict.  This is :func:`_recovered` on one state, the
-    body :func:`rule_codes` runs on the tree's rows.
+    When direct reversals are forbidden and ``last_cmd``, the command that
+    entered the state, was traction, braking is not immediately available,
+    so the recovery trajectory coasts for one interval first.  The
+    trajectory ends at its first state, the given one included, at or below
+    every downstream limit: on a validated track standstill resistance is at
+    least every grade, so braking only slows the train from there and rolling
+    on to a stop would give the same verdict.  This is :func:`_recovered` on
+    one state, the body :func:`rule_codes` runs on the tree's rows.
     The rollout answers for speed limits; the floor and transition rules
     are one-step concerns, but with both on, a state entered by braking
     whose coast breaks the floor is not recoverable: no command keeps both.
     """
-    return _recovered(FLOATS, spec, model, track, state.loc, state.vel, state.last_cmd)
+    return _recovered(FLOATS, spec, model, track, loc, vel, last_cmd)
 
 
 def _one_step_code(ops: Ops, spec, track, last_cmd, cmd, overspeeds, arrived, loc, vel):
@@ -214,7 +213,7 @@ def _one_step_code(ops: Ops, spec, track, last_cmd, cmd, overspeeds, arrived, lo
         # signs, not a product: -0.5 * 5e-324 rounds to -0.0
         code = 1 * ((last_cmd > 0.0) & (cmd < 0.0) | (last_cmd < 0.0) & (cmd > 0.0))
     code = code + 2 * ((code == 0) & overspeeds)
-    if spec.enforce_min_speed:
+    if spec.min_speed is not None:
         floor = floor_applies(spec, track, loc) & (vel <= spec.min_speed)
         code = code + 3 * ((code == 0) & ops.where(arrived, False, floor))
     return code
@@ -235,9 +234,7 @@ def is_safe(
     _, accel, _, loc1, vel1, arrived = _kinematics(FLOATS, model, track, loc, vel, cmd)
     over = span_overspeed(track, loc, vel, accel, loc1, vel1)
     code = _one_step_code(FLOATS, spec, track, state.last_cmd, cmd, over, arrived, loc1, vel1)
-    # the rollout reads neither the clock nor the entering acceleration, so
-    # the next state's time and last_accel are left at 0
-    if code == 0 and not brake_recoverable(spec, model, track, OperationState(loc1, vel1, 0.0, cmd)):
+    if code == 0 and not brake_recoverable(spec, model, track, loc1, vel1, cmd):
         code = 4
     return _VERDICTS[code]
 

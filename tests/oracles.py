@@ -274,7 +274,8 @@ def ref_brake_recoverable(spec, model, track, state):
     :func:`ref_brake_to_stop`.  With the floor and the reversal rule both on,
     a state entered by braking whose coast ends on the floor is not
     recoverable, whatever its speed: coasting is the fastest command left."""
-    if spec.enforce_min_speed and spec.forbid_direct_reversal and _ref_condition(state.last_cmd) == "braking":
+    if (spec.min_speed is not None and spec.forbid_direct_reversal
+            and _ref_condition(state.last_cmd) == "braking"):
         coast = ref_step(model, track, state, 0.0)
         after = coast.next_state
         if not coast.arrived and floor_applies(spec, track, after.loc) and after.vel <= spec.min_speed:

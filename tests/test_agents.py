@@ -777,6 +777,9 @@ class TestCheckpoint:
         ("nets.critic", lambda b: b["nets"].update(critic=b["nets"]["actor_target"])),
         ("nets.critic", lambda b: b["nets"].update(
             critic=Mlp([4, 5, 1], "identity", np.random.default_rng(0)).to_dict())),
+        # both equal 1, but neither is the integer 1
+        ("format", lambda b: b.update(format=True)),
+        ("format", lambda b: b.update(format=1.0)),
     ])
     def test_bad_schema_names_file_and_field(self, rng, tmp_path, field, edit):
         path = saved(tmp_path, DdpgAgent(SMALL, rng), edit)

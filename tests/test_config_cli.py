@@ -23,7 +23,7 @@ from atoshield.cli import (
 from atoshield.config import ConfigError, default_scenario_path, load_config
 from atoshield.drl.agents import AGENT_KINDS, load_checkpoint, save_checkpoint
 from atoshield.drl.nets import Mlp
-from atoshield.shield import UnrecoverableStateError
+from atoshield.shield import UnrecoverableStateError, default_terminal_zone
 from atoshield.trainer import EpisodeMetrics, noise_test
 
 from conftest import wider_state_nets
@@ -178,7 +178,44 @@ class TestValidateConfig:
     def test_bundled_default_is_valid(self):
         cfg = load_config(default_scenario_path())
         assert cfg.track.length == 1500.0
-        assert cfg.safety.terminal_zone is not None
+        # no floor is set, so no terminal zone is derived
+        assert cfg.safety.min_speed is None and cfg.safety.terminal_zone is None
+
+    def test_bundled_file_sets_every_field_and_nothing_else(self, default_yaml):
+        # the bundled file is the full list of settable values, so a retired
+        # key cannot linger in it
+        assert {name: set(blob) for name, blob in default_yaml.items()} == {
+            name: {f.name for f in dataclasses.fields(cls)}
+            for name, cls in config._FIELD_MAP.items()}
+
+    def test_terminal_zone_is_derived_and_held_only_with_a_floor(self, tmp_path, default_yaml):
+        blob = copy.deepcopy(default_yaml)
+        blob["safety"]["min_speed"] = 0.0
+        cfg = load_config(dump(tmp_path, blob))
+        assert cfg.safety.terminal_zone == default_terminal_zone(cfg.train, cfg.track)
+        # 100 m at 8 s: the derived zone, 12.5^2 / 2.4 + 50 = 115 m, is longer
+        # than the section, which matters only with a floor
+        blob["track"].update(length=100.0, scheduled_time=8.0,
+                             limit_segments=[[0.0, 100.0, 80.0]],
+                             grade_segments=[[0.0, 100.0, 0.0]])
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == ["safety.terminal_zone: must be smaller than the track length"]
+        blob["safety"]["min_speed"] = None
+        assert load_config(dump(tmp_path, blob)).safety.terminal_zone is None
+
+    def test_default_budget_below_one_is_one_error_naming_dt(self, tmp_path, default_yaml):
+        # int(3 * 0.5 / 2.0) = 0 steps: episodes ran one step over a budget of 0
+        blob = copy.deepcopy(default_yaml)
+        blob["track"].update(scheduled_time=0.5, dt=2.0)
+        with pytest.raises(ConfigError) as err:
+            load_config(dump(tmp_path, blob))
+        assert err.value.errors == [
+            "track.dt: 2.0 s gives a default budget of 0 steps per episode "
+            "(3 x scheduled_time / dt), below the least budget of 1"]
+        blob["run"]["step_budget"] = 1
+        cfg = load_config(dump(tmp_path, blob))
+        assert cfg.run.resolved_budget(cfg.track) == 1
 
     def test_bundled_budget_is_under_the_cap(self):
         cfg = load_config(default_scenario_path())
@@ -235,7 +272,7 @@ class TestValidateConfig:
          "track.grade_segments[0]: downhill"),
         # full traction from standstill reaches about 4.3 km/h in one interval,
         # so every episode would abort at its first command
-        ("safety", {"enforce_min_speed": True, "min_speed": 5.0}, "safety.min_speed: "),
+        ("safety", {"min_speed": 5.0}, "safety.min_speed: "),
         # the derived terminal zone divides by the braking rate
         ("train", {"max_decel": 0.0}, "train.max_decel: "),
     ], ids=["band_grade", "infeasible_floor", "no_braking"])
@@ -259,7 +296,7 @@ class TestValidateConfig:
         blob = copy.deepcopy(default_yaml)
         blob["track"]["limit_segments"][1][2] = 4.0
         blob["track"]["scheduled_time"] = 600
-        blob["safety"].update(enforce_min_speed=True, min_speed=4.2)
+        blob["safety"]["min_speed"] = 4.2
         path = dump(tmp_path, blob)
         with pytest.raises(ConfigError) as err:
             load_config(path)
@@ -268,7 +305,7 @@ class TestValidateConfig:
         assert err.value.errors == [error]
         assert main(["validate", "--config", str(path)]) == 2
         assert error in capsys.readouterr().err
-        blob["safety"]["enforce_min_speed"] = False
+        blob["safety"]["min_speed"] = None
         load_config(dump(tmp_path, blob))
 
     def test_bounds_table_names_numeric_fields(self):
@@ -383,14 +420,19 @@ class TestValidateConfig:
         ("agent", "ou_theta"),
         # the Ornstein-Uhlenbeck innovation scale went with the process
         ("agent", "ou_sigma"),
+        # a set safety.min_speed turns the floor on, so no flag is left to set
+        ("safety", "enforce_min_speed"),
     ], ids=["search.update_frequency", "track.schedule_margin", "agent.noise_kind",
-            "agent.ou_theta", "agent.ou_sigma"])
-    def test_retired_key_is_unknown(self, tmp_path, default_yaml, block, key):
+            "agent.ou_theta", "agent.ou_sigma", "safety.enforce_min_speed"])
+    def test_retired_key_is_unknown(self, tmp_path, default_yaml, capsys, block, key):
         blob = copy.deepcopy(default_yaml)
         blob[block][key] = 5
+        path = dump(tmp_path, blob)
         with pytest.raises(ConfigError) as err:
-            load_config(dump(tmp_path, blob))
+            load_config(path)
         assert err.value.errors == [f"{block}.{key}: unknown key"]
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"invalid scenario config:\n  - {block}.{key}: unknown key\n"
 
     def test_action_grid_below_two_rejected(self, tmp_path, default_yaml):
         # a one-point grid has no room for both -1 and +1; it must fail at load,
@@ -450,10 +492,11 @@ class TestValidateConfig:
     def test_flag_must_be_true_or_false(self, tmp_path, default_yaml, value):
         # a non-empty string used to switch the rule on silently
         blob = copy.deepcopy(default_yaml)
-        blob["safety"]["enforce_min_speed"] = value
+        blob["safety"]["forbid_direct_reversal"] = value
         with pytest.raises(ConfigError) as err:
             load_config(dump(tmp_path, blob))
-        assert err.value.errors == [f"safety.enforce_min_speed: expected true or false, got {value!r}"]
+        assert err.value.errors == [
+            f"safety.forbid_direct_reversal: expected true or false, got {value!r}"]
 
     @pytest.mark.parametrize("block, key", [
         ("agent", "additional_actor_lr"),
@@ -723,8 +766,11 @@ class TestCli:
          "line 2: invalid literal for int() with base 10: 'x'"),
         (",".join(cli.METRICS_HEADER) + "\n0,0,-1.0,3,0,1.0,90.0,0.0\n0,1,-1.0\n",
          "line 3: invalid literal for int() with base 10: ''"),
+        # csv.DictReader files the cells past the header under the key None
+        (",".join(cli.METRICS_HEADER) + "\n0,0,1.0,2,0,3.0,100.0,5.0,EXTRA,MORE\n",
+         "line 2: 2 more cells than the header"),
         (",".join(cli.METRICS_HEADER) + "\n", "no metrics rows"),
-    ], ids=["header", "non-numeric", "short-row", "no-rows"])
+    ], ids=["header", "non-numeric", "short-row", "long-row", "no-rows"])
     def test_bad_baseline_exit_2_one_line(self, tiny_yaml, tmp_path, monkeypatch, capsys, text,
                                           problem):
         # a wrong header once raised a traceback, and a header alone wrote a
@@ -901,6 +947,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {ckpt}: nets: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", [True, 1.0])
+    def test_format_equal_to_one_but_not_the_integer_exit_2_one_line(self, tiny_yaml, tmp_path,
+                                                                       capsys, fmt):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps({"format": fmt, "kind": "ddpg", "nets": {}}))
+        code = main(["execute", "--config", str(tiny_yaml), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: checkpoint {ckpt}: format: expected 1, got {fmt!r}\n"
 
     def test_string_converged_flag_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
         train_out = tmp_path / "t"

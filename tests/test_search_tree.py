@@ -314,9 +314,7 @@ GRADED = make_track(
     limits=((0.0, 600.0, 70.0), (600.0, 1000.0, 45.0), (1000.0, 1500.0, 80.0)),
     grades=((0.0, 700.0, -0.004), (700.0, 1500.0, 0.006)),
 )
-FLOOR_AND_REVERSAL = SafetySpec(
-    min_speed=8.0, enforce_min_speed=True, forbid_direct_reversal=True, terminal_zone=200.0
-)
+FLOOR_AND_REVERSAL = SafetySpec(min_speed=8.0, forbid_direct_reversal=True, terminal_zone=200.0)
 
 
 class TestMatchesDepthFirstReference:

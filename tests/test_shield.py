@@ -26,7 +26,7 @@ from atoshield.shield import (
 from conftest import BAD_STEP_INPUTS, make_model, make_track
 from oracles import _ref_limit_at, ref_brake_recoverable, ref_brake_to_stop, ref_is_safe
 
-STRICT_FLOOR = SafetySpec(min_speed=0.0, enforce_min_speed=True, terminal_zone=150.0)
+STRICT_FLOOR = SafetySpec(min_speed=0.0, terminal_zone=150.0)
 PLAIN = SafetySpec()
 REVERSAL = SafetySpec(forbid_direct_reversal=True)
 # a command, or the last command a state carries: full braking, coasting and
@@ -292,8 +292,7 @@ def generated_sections(draw):
 
 # the floor that a first interval of full traction clears on every generated
 # section, the steepest uphill included
-LOW_FLOOR_AND_REVERSAL = SafetySpec(min_speed=2.0, enforce_min_speed=True,
-                                    forbid_direct_reversal=True, terminal_zone=100.0)
+LOW_FLOOR_AND_REVERSAL = SafetySpec(min_speed=2.0, forbid_direct_reversal=True, terminal_zone=100.0)
 
 
 class TestRecoverabilityOnGeneratedSections:
@@ -369,7 +368,8 @@ class TestRecoverabilityAgainstFullRollout:
         model = make_model()
         states = [OperationState(loc, vel, 0.0, last) for loc, vel, last, _ in rows]
         recoverable = [ref_brake_recoverable(spec, model, track, s) for s in states]
-        assert [brake_recoverable(spec, model, track, s) for s in states] == recoverable
+        assert [brake_recoverable(spec, model, track, loc, vel, last)
+                for loc, vel, last, _ in rows] == recoverable
         loc, vel, last, _ = zip(*rows)
         assert shield._recovered(
             ARRAYS, spec, model, track, np.array(loc), np.array(vel), np.array(last)
@@ -397,8 +397,8 @@ class TestCertifierIgnoresEnteringAcceleration:
             fresh = OperationState(loc, vel, 0.0, last_cmd)
             entered = OperationState(loc, vel, 0.0, last_cmd, last_accel)
             assert is_safe(spec, model, track, entered, cmd) is is_safe(spec, model, track, fresh, cmd)
-            assert (brake_recoverable(spec, model, track, entered)
-                    == brake_recoverable(spec, model, track, fresh))
+            assert (brake_recoverable(spec, model, track, entered.loc, entered.vel, entered.last_cmd)
+                    == brake_recoverable(spec, model, track, fresh.loc, fresh.vel, fresh.last_cmd))
             assert (safe_action_set(spec, model, track, entered, 9)
                     == safe_action_set(spec, model, track, fresh, 9))
 
@@ -410,7 +410,7 @@ class TestBrakeRecoverable:
             loc = float(rng.uniform(0.0, track.length - 1.0))
             vel = float(rng.uniform(0.0, 59.0))
             state = OperationState(loc=loc, vel=vel)
-            assert brake_recoverable(PLAIN, model, track, state)
+            assert brake_recoverable(PLAIN, model, track, loc, vel, 0.0)
             assert ref_brake_to_stop(PLAIN, model, track, state)
 
     def test_rollout_stops_at_first_clear_state(self, model, track, monkeypatch):
@@ -419,7 +419,7 @@ class TestBrakeRecoverable:
         calls = []
         kinematics = shield._kinematics
         monkeypatch.setattr(shield, "_kinematics", lambda *a: calls.append(a) or kinematics(*a))
-        assert brake_recoverable(PLAIN, model, track, OperationState(loc=300.0, vel=75.0))
+        assert brake_recoverable(PLAIN, model, track, 300.0, 75.0, 0.0)
         assert len(calls) == 5
         loc, vel = np.array([300.0]), np.array([75.0])
         assert shield._recovered(ARRAYS, PLAIN, model, track, loc, vel, np.array([0.0]))
@@ -439,8 +439,7 @@ class TestBrakeRecoverable:
         lengths, verdicts = [], []
         for loc, vel, last in rows:
             stepped.clear()
-            verdicts.append(brake_recoverable(REVERSAL, model, track,
-                                              OperationState(loc, vel, 0.0, last)))
+            verdicts.append(brake_recoverable(REVERSAL, model, track, loc, vel, last))
             lengths.append(len(stepped))
         assert lengths == [0, 1, 2, 3, 4, 5, 7, 8]
         assert verdicts == [True, False, True, False, True, True, True, True]
@@ -452,8 +451,7 @@ class TestBrakeRecoverable:
 
     def test_hopeless_state_not_recoverable(self, model, track):
         # 80 km/h one metre before the 60 zone
-        state = OperationState(loc=499.0, vel=80.0)
-        assert not brake_recoverable(PLAIN, model, track, state)
+        assert not brake_recoverable(PLAIN, model, track, 499.0, 80.0, 0.0)
 
     def test_section_end_is_under_the_last_limit(self, model):
         # the reversal rule makes the rollout coast first from the section end,
@@ -462,11 +460,11 @@ class TestBrakeRecoverable:
         state = OperationState(loc=600.0, vel=31.0, last_cmd=1.0)
         assert not ref_brake_to_stop(REVERSAL, model, track, state)
         assert not ref_brake_recoverable(REVERSAL, model, track, state)
-        assert not brake_recoverable(REVERSAL, model, track, state)
+        assert not brake_recoverable(REVERSAL, model, track, 600.0, 31.0, 1.0)
         assert not shield._recovered(
             ARRAYS, REVERSAL, model, track, np.array([600.0]), np.array([31.0]), np.array([1.0])
         ).any()
-        assert brake_recoverable(PLAIN, model, track, state)
+        assert brake_recoverable(PLAIN, model, track, 600.0, 31.0, 1.0)
 
 
 def batch_args(track, rows):
@@ -512,7 +510,7 @@ class TestSafeMask:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_is_safe(self, rows, forbid, floor, graded):
-        spec = SafetySpec(min_speed=8.0, enforce_min_speed=floor,
+        spec = SafetySpec(min_speed=8.0 if floor else None,
                           forbid_direct_reversal=forbid, terminal_zone=200.0)
         track = GRADED_SHIELD if graded else make_track()
         got, want = mask_and_verdicts(spec, track, rows)
@@ -528,7 +526,7 @@ class TestSafeMask:
     def test_rule_codes_match_violated_rule(self, rows, forbid, floor, graded):
         # the last row breaks both the reversal rule and the 60 km/h limit ahead
         rows = [*rows, (495.0, 79.0, -1.0, 1.0)]
-        spec = SafetySpec(min_speed=8.0, enforce_min_speed=floor,
+        spec = SafetySpec(min_speed=8.0 if floor else None,
                           forbid_direct_reversal=forbid, terminal_zone=200.0)
         track = GRADED_SHIELD if graded else make_track()
         model = make_model()
@@ -565,14 +563,13 @@ class TestSafeMask:
 def test_unrecoverable_error_carries_position(model, track):
     # force an empty safe set by shrinking the grid to commands that all
     # violate an artificially strict floor
-    spec = SafetySpec(min_speed=200.0, enforce_min_speed=True, terminal_zone=10.0)
+    spec = SafetySpec(min_speed=200.0, terminal_zone=10.0)
     with pytest.raises(UnrecoverableStateError):
         shield_filter(spec, make_model(), track, OperationState(loc=100.0, vel=30.0), 0.5, min,
                       grid_size=21)
 
 
-FLOOR_AND_REVERSAL = SafetySpec(min_speed=8.0, enforce_min_speed=True,
-                                forbid_direct_reversal=True, terminal_zone=200.0)
+FLOOR_AND_REVERSAL = SafetySpec(min_speed=8.0, forbid_direct_reversal=True, terminal_zone=200.0)
 # (loc, vel, last_cmd, cmd) rows whose recovery rollouts step: above the
 # 60 km/h zone ahead, entered by traction, braking and coasting
 ROLLOUT_ROWS = [(300.0, 75.0, 1.0, 0.2), (300.0, 75.0, 0.0, -1.0),
@@ -591,7 +588,7 @@ class TestCertifierRunsKinematicsOnly:
             return (
                 [is_safe(spec, model, track, s, c) for s, c in zip(states, cmd.tolist())],
                 [safe_action_set(spec, model, track, s, 9) for s in states],
-                [brake_recoverable(spec, model, track, s) for s in states],
+                [brake_recoverable(spec, model, track, *r[:3]) for r in ROLLOUT_ROWS],
                 shield._recovered(ARRAYS, spec, model, track, loc, vel, last).tolist(),
                 rule_codes(spec, model, track, *args).tolist(),
             )
@@ -612,7 +609,7 @@ class TestCertifierRunsKinematicsOnly:
         assert len(intervals) > len(ROLLOUT_ROWS) * (1 + 9)
         if spec.forbid_direct_reversal:
             intervals.clear()
-            assert brake_recoverable(spec, model, track, states[0])
+            assert brake_recoverable(spec, model, track, *ROLLOUT_ROWS[0][:3])
             assert intervals[0][-1] == 0.0  # the coast the reversal rule forces
 
 
@@ -643,7 +640,7 @@ class TestErrorParity:
         with pytest.raises(ValueError) as want:
             step(model, track, state, first)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            brake_recoverable(spec, model, track, state)
+            brake_recoverable(spec, model, track, loc, 100.0, last_cmd)
         # a clear row before the bad one: the array check names the first bad row
         loc_rows, vel_rows, last_rows = [100.0, loc], [30.0, 100.0], [0.0, last_cmd]
         with pytest.raises(ValueError) as want:
@@ -656,8 +653,7 @@ class TestErrorParity:
     @pytest.mark.parametrize("loc, vel", [(100.0, -1.0), (1500.5, 100.0), (-1.0, 30.0)])
     def test_rollout_ends_before_stepping_from_a_clear_state(self, model, track, loc, vel):
         # a start state the rollout does not step from is judged, not checked
-        state = OperationState(loc, vel)
-        assert brake_recoverable(PLAIN, model, track, state)
+        assert brake_recoverable(PLAIN, model, track, loc, vel, 0.0)
         assert shield._recovered(
             ARRAYS, PLAIN, model, track, np.array([loc]), np.array([vel]), np.array([0.0])
         ).all()

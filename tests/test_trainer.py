@@ -722,7 +722,7 @@ def write_every_rule_scenario(directory: Path) -> Path:
                      "dt": track.dt,
                      "limit_segments": [[float(v) for v in seg] for seg in track.limit_segments],
                      "grade_segments": [[float(v) for v in seg] for seg in track.grade_segments]}
-    blob["safety"].update(enforce_min_speed=True, forbid_direct_reversal=True, min_speed=2.0)
+    blob["safety"].update(forbid_direct_reversal=True, min_speed=2.0)
     blob["reward"]["jerk_threshold"] = 1.0
     blob["run"].update(agent="ssa_ddpg", max_episodes=2)
     path = directory / "graded.yaml"
