@@ -273,7 +273,7 @@ class TestValidateConfig:
         # full traction from standstill reaches about 4.3 km/h in one interval,
         # so every episode would abort at its first command
         ("safety", {"min_speed": 5.0}, "safety.min_speed: "),
-        # the derived terminal zone divides by the braking rate
+        # a floor's derived terminal zone divides by the braking rate
         ("train", {"max_decel": 0.0}, "train.max_decel: "),
     ], ids=["band_grade", "infeasible_floor", "no_braking"])
     def test_unrunnable_scenario_is_one_error_naming_the_field(
@@ -947,16 +947,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {ckpt}: nets: ")
         assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("fmt", [True, 1.0])
-    def test_format_equal_to_one_but_not_the_integer_exit_2_one_line(self, tiny_yaml, tmp_path,
-                                                                       capsys, fmt):
-        ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(json.dumps({"format": fmt, "kind": "ddpg", "nets": {}}))
-        code = main(["execute", "--config", str(tiny_yaml), "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: checkpoint {ckpt}: format: expected 1, got {fmt!r}\n"
 
     def test_string_converged_flag_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
         train_out = tmp_path / "t"
