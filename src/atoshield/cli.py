@@ -51,13 +51,10 @@ RUN_FAILURES = {UnrecoverableStateError: "shield abort", FloatingPointError: "nu
                 MemoryError: "out of memory"}
 
 
-def moving_average(values, window: int = SMOOTH_WINDOW) -> list[float]:
-    """Trailing moving average used for the reported reward curves."""
-    out = []
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        out.append(float(np.mean(values[lo : i + 1])))
-    return out
+def moving_average(values) -> list[float]:
+    """Trailing ``SMOOTH_WINDOW`` moving average used for the reported reward curves."""
+    return [float(np.mean(values[max(0, i - SMOOTH_WINDOW + 1) : i + 1]))
+            for i in range(len(values))]
 
 
 def protect_decline_pct(ssa_mean: float, shield_mean: float) -> float | None:
@@ -84,9 +81,9 @@ class MetricsFileError(ValueError):
 
 
 def read_metrics_csv(path: Path) -> list[dict]:
-    """The rows of a metrics CSV, each cell as its column's type; raises
-    :class:`MetricsFileError` on text that is not UTF-8, a wrong header, a bad
-    cell, a row longer than the header or no rows."""
+    """The rows of a metrics CSV, each cell an int >= 0 or a finite float as
+    its column says; raises :class:`MetricsFileError` on text that is not
+    UTF-8, a wrong header, a bad cell, a row longer than the header or no rows."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -97,12 +94,17 @@ def read_metrics_csv(path: Path) -> list[dict]:
         raise MetricsFileError(f"{path}: unexpected metrics header {reader.fieldnames}")
     rows = []
     for r in reader:
-        try:
-            if None in r:  # the reader files the cells past the header under None
-                raise ValueError(f"{len(r[None])} more cells than the header")
-            rows.append({c: kind(r[c]) for c, kind in METRICS_COLUMNS.items()})
-        except ValueError as exc:
-            raise MetricsFileError(f"{path}: line {reader.line_num}: {exc}") from None
+        where = f"{path}: line {reader.line_num}"
+        if None in r:  # the reader files the cells past the header under None
+            raise MetricsFileError(f"{where}: {len(r[None])} more cells than the header")
+        rows.append({})
+        for c, kind in METRICS_COLUMNS.items():
+            try:
+                rows[-1][c] = value = kind(r[c])
+                if not (value >= 0 if kind is int else math.isfinite(value)):
+                    raise ValueError(f"expected {'>= 0' if kind is int else 'finite'}, got {r[c]!r}")
+            except ValueError as exc:
+                raise MetricsFileError(f"{where}: {c}: {exc}") from None
     if not rows:
         raise MetricsFileError(f"{path}: no metrics rows")
     return rows

@@ -378,7 +378,7 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
     kind, with an ``additional_converged`` of true or false (missing means
     false), holding exactly that kind's nets, each with the layer sizes
     (input ``STATE_DIM``) and activation the agent builds for it, and
-    weights and biases of those sizes, finite in the agent's dtype.
+    weights and biases of those sizes: numbers, finite in the agent's dtype.
     """
     try:
         blob = json.loads(Path(path).read_text())
@@ -408,7 +408,7 @@ def load_checkpoint(path: str | Path, cfg: AgentConfig, rng: np.random.Generator
             return use(stored[name])
         except KeyError as exc:
             raise CheckpointError(path, f"nets.{name}", f"missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past float
             raise CheckpointError(path, f"nets.{name}", str(exc)) from None
 
     main, extra = (read(name, lambda net: tuple(check_layer_sizes(net["layer_sizes"])[1:-1]))

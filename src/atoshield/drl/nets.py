@@ -252,8 +252,8 @@ class Mlp:
 
         Raises KeyError for a missing field, else ValueError naming the first
         one that is not this net's: the layer sizes and activation, an array
-        of another shape (a view would broadcast some), or a value that is
-        not finite in this dtype, where a finite stored one can round to inf.
+        of another shape (a view would broadcast some), a non-number, or a
+        value not finite in this dtype, where a finite one can round to inf.
         """
         want = (self.layer_sizes, self.output_activation)
         got = (blob["layer_sizes"], blob["output_activation"])
@@ -264,11 +264,14 @@ class Mlp:
             if not isinstance(stored, list) or len(stored) != self.n_layers:
                 raise ValueError(f"{field}: expected a list of {self.n_layers} arrays")
             for i, (view, values) in enumerate(zip(views, stored)):
-                values = np.asarray(values, dtype=float)
+                values = np.asarray(values, dtype=object)
                 if values.shape != view.shape:
                     raise ValueError(f"{field}[{i}]: expected shape {view.shape}, got {values.shape}")
+                bad = [x for x in values.flat if type(x) not in (int, float)]
+                if bad:
+                    raise ValueError(f"{field}[{i}]: expected numbers, got {bad[0]!r}")
                 with np.errstate(over="ignore"):
-                    view[...] = values
+                    view[...] = values.astype(float)
                 finite = np.isfinite(view)
                 if not finite.all():
                     raise ValueError(f"{field}[{i}]: expected finite {view.dtype} values, "

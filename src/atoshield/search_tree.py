@@ -2,14 +2,14 @@
 
 Each safe candidate command seeds one root; nodes expand with policy-sampled
 actions kept only when the shield certifies them, and every branch runs out
-exactly at the next policy-update step so the lookahead never outlives the
-network weights it was computed with.  Returns back up with a fixed discount
-over the uniform mean of children, and the root with the best backed-up
-return wins (ties resolve toward harder braking).
+exactly at the next policy-update step, ``horizon`` levels below the roots,
+so the lookahead never outlives the network weights it was computed with.
+Returns back up with a fixed discount over the uniform mean of children, and
+the root with the best backed-up return wins (ties brake harder).
 
 The tree is one struct-of-arrays per level, with no Python object per node.
 Every node of a level sits at the same environment step, so level k holds
-the nodes entered at step ``t + 1 + k`` as parallel arrays (:class:`Level`):
+the nodes entered k steps after the roots as parallel arrays (:class:`Level`):
 command, the motion of the interval that entered the node (motor and
 applied acceleration, mean speed), state, whether the episode ended, and
 the row of the parent in the previous level.  The tree is built on motion
@@ -104,15 +104,15 @@ _ARRAYS = tuple(f.name for f in fields(Level) if f.name not in ("alive", "reward
 class SearchTree:
     """The correction tree from one unsafe state, level by level.
 
-    ``levels[0]`` holds the roots, entered at environment step ``root_step``;
-    no level is empty.  Iterating the tree (or reading ``children``) walks it
+    ``levels[0]`` holds the roots and level ``horizon``, if the tree reaches
+    it, the next policy-update step; no level is empty.  Iterating the tree (or reading ``children``) walks it
     node by node as :class:`NodeView` objects, made only on demand; after
     :func:`prune` only surviving nodes are walked.
     """
 
-    def __init__(self, levels: list[Level], root_step: int):
+    def __init__(self, levels: list[Level], horizon: int):
         self.levels = levels
-        self.root_step = root_step
+        self.horizon = horizon
 
     @property
     def children(self) -> list["NodeView"]:
@@ -149,23 +149,19 @@ def build_tree(
     policy: PolicySampler,
     state_unsafe: OperationState,
     safe_set: Sequence[float],
-    t: int,
-    t_up: int,
+    horizon: int,
     cfg: SearchConfig,
 ) -> SearchTree:
     """Grow one root per safe candidate command taken from the unsafe state.
 
-    ``t`` is the environment step at which the unsafe proposal occurred; roots
-    therefore sit at step t+1.  Branches end at the next multiple of ``t_up``,
-    the policy-update cadence.  Transitions use ``env``'s model and track,
-    and no node is priced (see :func:`price`).  Unsafe policy samples are
-    dropped rather than replaced, so branches can die out before the update
-    step and get pruned.
+    The tree grows at most ``horizon`` levels below the roots: ``horizon`` is
+    the number of steps from the roots to the next policy update, 0 when the
+    roots sit on it.  Transitions use ``env``'s model and track, and no node is
+    priced (see :func:`price`).  Unsafe policy samples are dropped rather than
+    replaced, so branches can die out before the update step and get pruned.
     """
     if not safe_set:
         raise ValueError("safe_set must be nonempty")
-    if t_up < 1:
-        raise ValueError("t_up must be >= 1")
     model, track = env.model, env.track
     cmds = np.asarray(safe_set, dtype=float)
     # the unsafe state and the safe set are the roots' only inputs from outside
@@ -180,8 +176,7 @@ def build_tree(
     levels = [Level(cmds, a_motor, mean_speed, loc1, vel1, time1, accel, arrived,
                     np.zeros(cmds.size, np.intp))]
     width = cfg.expansion_width
-    depth_step = t + 1
-    while depth_step % t_up != 0:
+    for _ in range(horizon):
         above = levels[-1]
         open_rows = np.flatnonzero(~above.terminal)
         if open_rows.size == 0:
@@ -195,7 +190,6 @@ def build_tree(
         cmd = samples.ravel()  # pair k is sample k % width of open row k // width
         _check_command(ARRAYS, cmd)
         pair_parent = np.repeat(open_rows, width)
-        depth_step += 1
         blocks = []
         for lo in range(0, cmd.size, _BLOCK_PAIRS):
             pairs = slice(lo, lo + _BLOCK_PAIRS)
@@ -217,20 +211,20 @@ def build_tree(
         if not len(level):
             break
         levels.append(level)
-    return SearchTree(levels, t + 1)
+    return SearchTree(levels, horizon)
 
 
-def prune(tree: SearchTree, t_up: int) -> SearchTree | None:
+def prune(tree: SearchTree) -> SearchTree | None:
     """Keep only the branches that reach the update step or end the episode.
 
     One bottom-up pass sets each level's ``alive``: a node survives when it
-    ended the episode, sits on an update step, or has a surviving child.
-    Returns the tree, or None when no root survives.
+    ended the episode, sits at depth ``tree.horizon`` (the update step), or
+    has a surviving child.  Returns the tree, or None when no root survives.
     """
     below = None
     for depth in range(len(tree.levels) - 1, -1, -1):
         level = tree.levels[depth]
-        if (tree.root_step + depth) % t_up == 0:
+        if depth == tree.horizon:
             alive = np.ones(len(level), dtype=bool)
         else:
             alive = level.terminal.copy()
@@ -287,8 +281,7 @@ def search_safe_action(
     policy: PolicySampler,
     state_unsafe: OperationState,
     safe_set: Sequence[float],
-    t: int,
-    t_up: int,
+    horizon: int,
     cfg: SearchConfig,
 ) -> float:
     """Full correction pipeline: build, prune, price, back up, select.
@@ -298,8 +291,8 @@ def search_safe_action(
     falls back is never priced.  The roots' jerk term reads the applied
     acceleration that entered the unsafe state, its ``last_accel``.
     """
-    tree = build_tree(env, spec, policy, state_unsafe, safe_set, t, t_up, cfg)
-    if prune(tree, t_up) is None:
+    tree = build_tree(env, spec, policy, state_unsafe, safe_set, horizon, cfg)
+    if prune(tree) is None:
         return min(safe_set)
     price(tree, env, state_unsafe.last_accel)
     backup(tree, cfg)

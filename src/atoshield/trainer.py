@@ -1,21 +1,22 @@
 """Training and evaluation on one episode loop over simulator, shield, tree and learners.
 
 ``_run_episode`` runs every episode of ``train``, ``execute``, ``noise_test``
-and ``robustness_run``, and owns the live state, which carries the command
-and the applied acceleration that entered it.  Per step, the policy (a
-plain ``s_vec -> float`` callable) proposes, the corrector
-``(state, proposed, t) -> (cmd, interventions)`` shields the proposal as
-the variant's row of ``VARIANTS`` says, the stateless
-:class:`TrainEnv` steps from the loop's state, and the optional learner hook
-``learn(s_vec, cmd, outcome, s2_vec, done, t)`` sees the transition, with
-``done`` set when it ends the episode: on arrival, or at the step budget of
-``RunConfig.resolved_budget``.  Each state is normalized once, in float64,
-and cast once to the agents' ``NET_DTYPE`` (:func:`normalize_state`):
-``s2_vec`` is the next step's ``s_vec``, and the policy, the learner's
-replay ring and ``Trajectory.states`` all take that row as it is.  The loop
-returns the metrics and the episode's :class:`~atoshield.drl.buffers.Trajectory`,
-which training inserts into the elite buffer as is and the robustness study
-correlates column by column.
+and ``robustness_run``, and owns the update cadence and the live state, which
+carries the command and the applied acceleration that entered it.  At step t,
+the policy (a plain ``s_vec -> float`` callable) proposes, the corrector
+``(state, proposed, horizon) -> (cmd, interventions)`` shields the proposal as
+the variant's row of ``VARIANTS`` says, the stateless :class:`TrainEnv` steps
+from the loop's state, and the optional learner hook
+``learn(s_vec, cmd, outcome, s2_vec, done, update)`` sees the transition.
+``horizon = -(t + 1) % t_up`` counts the steps left to the next learner update,
+``update`` is ``horizon == 0`` and ``done`` ends the episode: on arrival, or at
+the step budget of ``RunConfig.resolved_budget``.  Each state is normalized
+once, in float64, and cast once to the agents' ``NET_DTYPE``
+(:func:`normalize_state`): ``s2_vec`` is the next step's ``s_vec``, and the
+policy, the learner's replay ring and ``Trajectory.states`` all take that row
+as it is.  The loop returns the metrics and the episode's
+:class:`~atoshield.drl.buffers.Trajectory`, which training inserts into the
+elite buffer as is and the robustness study correlates column by column.
 
 Inside ``train``, each episode's additional-actor fit runs at the episode's
 end, before the next rollout starts.
@@ -57,7 +58,7 @@ from .shield import shield_filter, span_overspeed
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
-# (state, proposed, t) -> (executed command, shield interventions)
+# (state, proposed, horizon) -> (executed command, shield interventions)
 Corrector = Callable[[OperationState, float, int], tuple[float, int]]
 
 # each variant's learner (an ``AGENT_KINDS`` key) and how it handles an
@@ -166,13 +167,11 @@ def _corrector(cfg: "ScenarioConfig", env: TrainEnv, correction: str, sampler) -
     fixed fallback) or, for ``"tree"``, with the search over ``sampler``.
     """
     if correction == "none":
-        return lambda state, proposed, t: (proposed, 0)
+        return lambda state, proposed, horizon: (proposed, 0)
 
-    def correct(state: OperationState, proposed: float, t: int) -> tuple[float, int]:
+    def correct(state: OperationState, proposed: float, horizon: int) -> tuple[float, int]:
         def tree(safe_set: Sequence[float]) -> float:
-            return search_safe_action(
-                env, cfg.safety, sampler, state, safe_set, t, cfg.run.t_up, cfg.search
-            )
+            return search_safe_action(env, cfg.safety, sampler, state, safe_set, horizon, cfg.search)
 
         return shield_filter(
             cfg.safety, cfg.train, cfg.track, state, proposed,
@@ -188,7 +187,7 @@ def _run_episode(
     policy: Callable[[np.ndarray], float],
     correct: Corrector,
     episode: int,
-    learn: Callable[[np.ndarray, float, StepOutcome, np.ndarray, bool, int], None] | None = None,
+    learn: Callable[[np.ndarray, float, StepOutcome, np.ndarray, bool, bool], None] | None = None,
 ) -> tuple[EpisodeMetrics, Trajectory]:
     """One episode, to arrival or the step budget; returns its metrics and :class:`Trajectory`.
 
@@ -202,8 +201,9 @@ def _run_episode(
     protect = overspeed = t = 0
     s_vec = normalize_state(state, track)
     while True:
+        horizon = -(t + 1) % cfg.run.t_up
         tic = time.perf_counter()
-        cmd, interventions = correct(state, policy(s_vec), t)
+        cmd, interventions = correct(state, policy(s_vec), horizon)
         select_s += time.perf_counter() - tic
         protect += interventions
         out = env.step(state, cmd)
@@ -220,7 +220,7 @@ def _run_episode(
         s2_vec = normalize_state(nxt, track)
         done = out.arrived or t + 1 >= budget
         if learn is not None:
-            learn(s_vec, cmd, out, s2_vec, done, t)
+            learn(s_vec, cmd, out, s2_vec, done, horizon == 0)
         state, s_vec = nxt, s2_vec
         t += 1
         if done:
@@ -245,16 +245,16 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     """Run one seeded training of the configured variant on the scenario.
 
     Episodes run the agent's exploring ``propose`` through the variant's
-    corrector.  The learner hook stores every executed transition and runs
-    one learner update every t_up steps.  Each finished episode passes
-    through the elite gate, and the additional actor regresses onto elite
-    samples at every episode end, each drawn from ``rng`` just before its
-    fit.  A fit's error reaches the caller at the end of its own episode, and
-    the convergence check after the last episode sets
+    corrector.  The learner hook stores every executed transition and runs one
+    learner update on each step the loop marks ``update``.  Each finished
+    episode passes through the elite gate, and the additional actor regresses
+    onto elite samples at every episode end, each drawn from ``rng`` just
+    before its fit.  A fit's error reaches the caller at the end of its own
+    episode, and the convergence check after the last episode sets
     ``agent.additional_converged``.  A DDPG agent's ``noise_scale`` anneals
-    linearly from the configured scale to zero over the episodes, and is
-    reset to the configured one after the last, which a checkpoint loads,
-    so the trained agent's tree samples spread as its checkpoint's do.
+    linearly from the configured scale to zero over the episodes, and is reset
+    to the configured one after the last, which a checkpoint loads, so the
+    trained agent's tree samples spread as its checkpoint's do.
     """
     learner, correction = VARIANTS[cfg.run.agent]
     rng = np.random.default_rng(seed)
@@ -266,9 +266,9 @@ def train(cfg: "ScenarioConfig", seed: int) -> TrainResult:
     correct = _corrector(cfg, env, correction, _agent_sampler(agent, cfg.track))
 
     def learn(s_vec: np.ndarray, cmd: float, out: StepOutcome, s2_vec: np.ndarray, done: bool,
-              t: int) -> None:
+              update: bool) -> None:
         replay.push(s_vec, cmd, out.reward, s2_vec, float(done))
-        if (t + 1) % cfg.run.t_up == 0 and len(replay) >= cfg.agent.batch_size:
+        if update and len(replay) >= cfg.agent.batch_size:
             agent.update(replay.sample(cfg.agent.batch_size, rng))
 
     all_metrics: list[EpisodeMetrics] = []
@@ -397,11 +397,11 @@ def _disturbed_run(agent, cfg: "ScenarioConfig", base: Trajectory, eps_r: float,
     drng = np.random.default_rng(seed + 7919)
     env, policy, correct = _greedy_rollout(agent, cfg, False, seed)
 
-    def disturbed(state: OperationState, proposed: float, t: int) -> tuple[float, int]:
-        cmd, interventions = correct(state, proposed, t)
+    def disturbed(state: OperationState, proposed: float, horizon: int) -> tuple[float, int]:
+        cmd, interventions = correct(state, proposed, horizon)
         if drng.random() < eps_r:
             noisy = float(np.clip(cmd + drng.uniform(-delta_r, delta_r), -1.0, 1.0))
-            cmd, again = correct(state, noisy, t)
+            cmd, again = correct(state, noisy, horizon)
             interventions += again
         return cmd, interventions
 

@@ -670,7 +670,8 @@ class TestSafetyBoundary:
             drawn.append(agent.sample_actions(normalize_states(states, track), n))
             return drawn[-1]
 
-        chosen = search_safe_action(env, spec, sampler, state, safe_set, t, 5, cfg)
+        # at step t, a t_up of 5 leaves -(t + 1) % 5 steps before the next update
+        chosen = search_safe_action(env, spec, sampler, state, safe_set, -(t + 1) % 5, cfg)
         assert drawn, "the tree never expanded"
         assert type(chosen) is float
         assert chosen in safe_set

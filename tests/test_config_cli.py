@@ -540,21 +540,25 @@ class TestValidateConfig:
         blob = copy.deepcopy(default_yaml)
         blob["run"]["t_up"] = 4
         cfg = load_config(dump(tmp_path, blob))
-        cadences = []
+        seen = []
 
-        def recording(env, spec, policy, state, safe_set, t, t_up, *rest):
-            cadences.append(t_up)
+        def recording(env, spec, policy, state, safe_set, horizon, *rest):
+            seen.append((round(state.time / cfg.track.dt), horizon))
             return min(safe_set)
 
         monkeypatch.setattr(trainer, "search_safe_action", recording)
         trainer.noise_test(cfg, 1.0, episodes=1)
-        assert cadences and set(cadences) == {4}
+        # the probe's state time counts its steps: the search at step t looks
+        # ahead to the next multiple of run.t_up
+        assert seen and all(horizon == -(t + 1) % 4 for t, horizon in seen)
+        assert {horizon for _, horizon in seen} == {0, 1, 2, 3}
 
 
 class TestHelpers:
     def test_moving_average_window(self):
         vals = list(range(10))
-        smooth = moving_average(vals, window=8)
+        assert cli.SMOOTH_WINDOW == 8
+        smooth = moving_average(vals)
         assert smooth[0] == 0.0
         assert smooth[7] == pytest.approx(sum(range(8)) / 8)
         assert smooth[9] == pytest.approx(sum(range(2, 10)) / 8)
@@ -763,14 +767,29 @@ class TestCli:
         ("seed,episode,reward\n0,0,-1.0\n",
          "unexpected metrics header ['seed', 'episode', 'reward']"),
         (",".join(cli.METRICS_HEADER) + "\n0,0,-1.0,x,0,1.0,90.0,0.0\n",
-         "line 2: invalid literal for int() with base 10: 'x'"),
+         "line 2: protect_times: invalid literal for int() with base 10: 'x'"),
         (",".join(cli.METRICS_HEADER) + "\n0,0,-1.0,3,0,1.0,90.0,0.0\n0,1,-1.0\n",
-         "line 3: invalid literal for int() with base 10: ''"),
+         "line 3: protect_times: invalid literal for int() with base 10: ''"),
+        # these rows once read as clean, and a negative mean of protect times
+        # then made protect_decline_pct
+        (",".join(cli.METRICS_HEADER) + "\n0,0,nan,-3,-1,inf,100.0,5.0\n",
+         "line 2: reward: expected finite, got 'nan'"),
+        (",".join(cli.METRICS_HEADER) + "\n0,0,-1.0,3,0,1.0,90.0,0.0\n0,1,-1.0,-3,0,1.0,90.0,0.0\n",
+         "line 3: protect_times: expected >= 0, got '-3'"),
+        (",".join(cli.METRICS_HEADER) + "\n-2,-1,-1.0,3,0,1.0,90.0,0.0\n",
+         "line 2: seed: expected >= 0, got '-2'"),
+        (",".join(cli.METRICS_HEADER) + "\n0,-1,-1.0,3,0,1.0,90.0,0.0\n",
+         "line 2: episode: expected >= 0, got '-1'"),
+        (",".join(cli.METRICS_HEADER) + "\n0,0,-1.0,3,-1,1.0,90.0,0.0\n",
+         "line 2: overspeed: expected >= 0, got '-1'"),
+        (",".join(cli.METRICS_HEADER) + "\n0,0,-1.0,3,0,1.0,90.0,-inf\n",
+         "line 2: deviation: expected finite, got '-inf'"),
         # csv.DictReader files the cells past the header under the key None
         (",".join(cli.METRICS_HEADER) + "\n0,0,1.0,2,0,3.0,100.0,5.0,EXTRA,MORE\n",
          "line 2: 2 more cells than the header"),
         (",".join(cli.METRICS_HEADER) + "\n", "no metrics rows"),
-    ], ids=["header", "non-numeric", "short-row", "long-row", "no-rows"])
+    ], ids=["header", "non-numeric", "short-row", "non-finite", "negative-count", "negative-seed",
+            "negative-episode", "negative-overspeed", "infinite-deviation", "long-row", "no-rows"])
     def test_bad_baseline_exit_2_one_line(self, tiny_yaml, tmp_path, monkeypatch, capsys, text,
                                           problem):
         # a wrong header once raised a traceback, and a header alone wrote a
@@ -979,6 +998,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == (f"error: checkpoint {ckpt}: nets.actor: weights[1]: "
                        "expected finite float32 values, got nan\n")
+
+    def test_non_number_checkpoint_exit_2_one_line(self, tiny_yaml, tmp_path, capsys):
+        # float() once read a string or a bool as a weight, and an integer past
+        # the float range ended in a traceback
+        train_out = tmp_path / "t"
+        assert main(["train", "--config", str(tiny_yaml), "--seed", "0",
+                     "--out", str(train_out)]) == 0
+        ckpt = train_out / "checkpoint_ssa_ddpg_seed0.json"
+        stored = json.loads(ckpt.read_text())
+        for field, value, problem in [
+            ("weights", "0.5", "weights[0]: expected numbers, got '0.5'"),
+            ("biases", True, "biases[0]: expected numbers, got True"),
+            ("biases", None, "biases[0]: expected numbers, got None"),
+            ("weights", 10**400, "int too large to convert to float"),
+        ]:
+            blob = copy.deepcopy(stored)
+            entries = blob["nets"]["actor"][field][0]
+            (entries[0] if field == "weights" else entries)[0] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(blob))
+            capsys.readouterr()
+            out = tmp_path / "x"
+            code = main(["execute", "--config", str(tiny_yaml), "--checkpoint", str(bad),
+                         "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: checkpoint {bad}: nets.actor: {problem}\n"
+            assert not out.exists()
 
     def test_noise_test_command(self, tiny_yaml, tmp_path):
         out = tmp_path / "nt"

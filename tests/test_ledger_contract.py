@@ -90,14 +90,15 @@ def test_built_tree_walks_under_the_ledger(ledger_module):
     def walk(node) -> int:
         return sum(1 + walk(child) for child in node.children)
 
-    tree = build_tree(env, spec, sampler, state, safe_set, 0, 5, cfg)
+    horizon = 4  # step 0 at a t_up of 5: four steps before the next update
+    tree = build_tree(env, spec, sampler, state, safe_set, horizon, cfg)
     built = sum(len(level) for level in tree.levels)
     assert walk(tree) == built > len(safe_set)
-    kept = sum(int(level.alive.sum()) for level in prune(tree, 5).levels)
+    kept = sum(int(level.alive.sum()) for level in prune(tree).levels)
     assert walk(tree) == kept > 0
 
     with ledger_module.Ledger() as ledger:
-        choice = search_tree.search_safe_action(env, spec, sampler, state, safe_set, 0, 5, cfg)
+        choice = search_tree.search_safe_action(env, spec, sampler, state, safe_set, horizon, cfg)
     assert choice in safe_set
     assert ledger.stats["search_tree.search_safe_action"].calls == 1
     assert ledger.stats["search_tree.build_tree"].calls == 1
@@ -114,7 +115,7 @@ def test_tree_search_makes_no_dynamics_step_call(ledger_module):
     env = TrainEnv(model, track)
     state = OperationState(loc=100.0, vel=30.0)
     safe_set = safe_action_set(spec, model, track, state, 9)
-    args = (env, spec, lambda states, n: np.full((len(states), n), 0.5), state, safe_set, 0, 5,
+    args = (env, spec, lambda states, n: np.full((len(states), n), 0.5), state, safe_set, 4,
             SearchConfig(expansion_width=2))
     with ledger_module.Ledger() as ledger:
         before = ledger.stats["dynamics.step"].calls

@@ -264,6 +264,12 @@ class TestFlatLayout:
         (lambda b: b.update(output_activation="tanh"), r"expected \(layer sizes, activation\)"),
         (lambda b: b["biases"][0].__setitem__(0, 1e300),
          r"biases\[0\]: expected finite float32 values, got inf"),
+        # float() would read each of these as a number
+        (lambda b: b["weights"][0][0].__setitem__(0, "0.5"),
+         r"weights\[0\]: expected numbers, got '0.5'"),
+        (lambda b: b["biases"][1].__setitem__(0, True), r"biases\[1\]: expected numbers, got True"),
+        (lambda b: b["weights"][1][0].__setitem__(0, [0.5]),
+         r"weights\[1\]: expected numbers, got \[0.5\]"),
     ])
     def test_load_dict_rejects_another_net(self, rng, edit, problem):
         # 1e300 is finite as stored, infinite in the float32 net

@@ -45,6 +45,12 @@ T_UP = 5  # the policy-update cadence: every branch ends on a multiple of it
 PLAIN = SafetySpec()
 
 
+def horizon_at(t, t_up=T_UP):
+    """The episode loop's ``horizon`` at step t: steps from the roots, at
+    step t + 1, to the next multiple of ``t_up``."""
+    return -(t + 1) % t_up
+
+
 def steady_policy(cmd):
     return lambda states, n: np.full((len(states), n), cmd)
 
@@ -59,8 +65,9 @@ def env(model, track):
     return TrainEnv(model, track)
 
 
-def to_tree(roots, root_step):
-    """The SearchTree of a reference forest, flattened breadth first."""
+def to_tree(roots, root_step, t_up=T_UP):
+    """The SearchTree of a reference forest whose roots sit at ``root_step``,
+    flattened breadth first."""
     levels = []
     for rows in breadth_first_levels(roots):
         nodes = [n for n, _ in rows]
@@ -80,21 +87,22 @@ def to_tree(roots, root_step):
             parent=np.array([k for _, k in rows], dtype=np.intp),
             reward=column(lambda n: n.reward),
         ))
-    return SearchTree(levels, root_step)
+    return SearchTree(levels, -root_step % t_up)
 
 
-def assert_same_levels(tree, roots, env, accel_in=0.0):
+def assert_same_levels(tree, roots, env, accel_in=0.0, t_up=T_UP):
     """Every level equals the reference forest's breadth-first rows, exactly,
     rewards once :func:`price` has run from an unsafe state entered with
     ``accel_in``: ``build_tree`` leaves them unset."""
     want = breadth_first_levels(roots)
-    assert tree.root_step == roots[0].depth_step
+    root_step = roots[0].depth_step
+    assert tree.horizon == -root_step % t_up
     assert len(tree.levels) == len(want)
     assert all(level.reward is None for level in tree.levels)
     price(tree, env, accel_in)
     for depth, (level, rows) in enumerate(zip(tree.levels, want)):
         nodes = [n for n, _ in rows]
-        assert all(n.depth_step == tree.root_step + depth for n in nodes)
+        assert all(n.depth_step == root_step + depth for n in nodes)
         assert level.cmd.tolist() == [n.cmd for n in nodes]
         assert level.reward.tolist() == [n.reward for n in nodes]
         assert level.loc.tolist() == [n.state.loc for n in nodes]
@@ -105,8 +113,9 @@ def assert_same_levels(tree, roots, env, accel_in=0.0):
         assert level.parent.tolist() == [k for _, k in rows]
 
 
-def surviving_leaves(tree):
-    """(environment step, terminal) of every surviving node without a surviving child."""
+def surviving_leaves(tree, root_step):
+    """(environment step, terminal) of every surviving node without a surviving
+    child, for roots at ``root_step``."""
     out = []
     for depth, level in enumerate(tree.levels):
         below = tree.levels[depth + 1] if depth + 1 < len(tree.levels) else None
@@ -114,7 +123,7 @@ def surviving_leaves(tree):
         if below is not None:
             has_child[below.parent[below.alive]] = True
         for row in np.flatnonzero(level.alive & ~has_child):
-            out.append((tree.root_step + depth, bool(level.terminal[row])))
+            out.append((root_step + depth, bool(level.terminal[row])))
     return out
 
 
@@ -122,14 +131,14 @@ class TestBuildTree:
     def test_update_step_gives_depth_one(self, env):
         state = OperationState(loc=100.0, vel=40.0)
         # roots land on step t+1 = 5, an update step, so no expansion happens
-        tree = build_tree(env, PLAIN, steady_policy(0.2), state, [0.0, 0.5], 4, T_UP, CFG)
+        tree = build_tree(env, PLAIN, steady_policy(0.2), state, [0.0, 0.5], horizon_at(4), CFG)
         assert len(tree.levels) == 1 and len(tree.levels[0]) == 2
-        assert tree.root_step == 5
+        assert tree.horizon == 0
 
     def test_width_one_is_single_path(self, env):
         cfg = SearchConfig(expansion_width=1, action_grid=9)
         state = OperationState(loc=100.0, vel=40.0)
-        tree = build_tree(env, PLAIN, steady_policy(0.1), state, [0.3], 0, T_UP, cfg)
+        tree = build_tree(env, PLAIN, steady_policy(0.1), state, [0.3], horizon_at(0), cfg)
         assert all(len(level) == 1 for level in tree.levels)
         assert all(level.parent.tolist() == [0] for level in tree.levels)
         assert len(tree.levels) <= T_UP
@@ -138,13 +147,13 @@ class TestBuildTree:
         # a policy that always floors the throttle right at the limit is
         # never certified, so non-update-step roots end up childless
         state = OperationState(loc=200.0, vel=79.8)
-        tree = build_tree(env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG)
-        if prune(tree, T_UP) is not None:
+        tree = build_tree(env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], horizon_at(0), CFG)
+        if prune(tree) is not None:
             assert all(terminal or step % T_UP == 0
-                       for step, terminal in surviving_leaves(tree))
+                       for step, terminal in surviving_leaves(tree, 1))
         # the orchestrator falls back to hardest braking
         chosen = search_safe_action(
-            env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG
+            env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], horizon_at(0), CFG
         )
         assert chosen in (-1.0, -0.5)
 
@@ -153,7 +162,7 @@ class TestBuildTree:
     def test_every_node_shield_certified(self, env, model, track, spec):
         state = OperationState(loc=300.0, vel=55.0)
         safe_set = safe_action_set(spec, model, track, state, 9)
-        tree = build_tree(env, spec, seeded_policy(3), state, safe_set, 1, T_UP, CFG)
+        tree = build_tree(env, spec, seeded_policy(3), state, safe_set, horizon_at(1), CFG)
         assert len(tree.levels) > 1
         for cmd in tree.levels[0].cmd:
             assert is_safe(spec, model, track, state, float(cmd)).safe
@@ -169,8 +178,8 @@ class TestBuildTree:
         state = OperationState(loc=300.0, vel=55.0)
 
         def run():
-            tree = build_tree(env, PLAIN, seeded_policy(7), state, [-0.5, 0.0], 2, T_UP, CFG)
-            assert prune(tree, T_UP) is tree
+            tree = build_tree(env, PLAIN, seeded_policy(7), state, [-0.5, 0.0], horizon_at(2), CFG)
+            assert prune(tree) is tree
             price(tree, env, 0.4)
             backup(tree, CFG)
             return [level.ret.tolist() for level in tree.levels]
@@ -180,24 +189,24 @@ class TestBuildTree:
     def test_depth_law_after_pruning(self, env):
         state = OperationState(loc=300.0, vel=50.0)
         for t in range(0, 10):
-            tree = build_tree(env, PLAIN, seeded_policy(t), state, [0.0, 0.3], t, T_UP, CFG)
+            tree = build_tree(env, PLAIN, seeded_policy(t), state, [0.0, 0.3], horizon_at(t), CFG)
             assert len(tree.levels) <= T_UP
-            if prune(tree, T_UP) is None:
+            if prune(tree) is None:
                 continue
-            for step, terminal in surviving_leaves(tree):
+            for step, terminal in surviving_leaves(tree, t + 1):
                 assert terminal or step % T_UP == 0
 
     def test_node_walk_counts_nodes(self, env):
         # the on-demand node views walk every node before pruning, survivors after
         state = OperationState(loc=300.0, vel=55.0)
-        tree = build_tree(env, PLAIN, seeded_policy(5, scale=0.9), state, [-0.5, 0.0, 0.4], 1,
-                          T_UP, CFG)
+        tree = build_tree(env, PLAIN, seeded_policy(5, scale=0.9), state, [-0.5, 0.0, 0.4],
+                          horizon_at(1), CFG)
 
         def count(node):
             return 1 + sum(count(child) for child in node.children)
 
         assert sum(count(root) for root in tree) == sum(len(level) for level in tree.levels)
-        prune(tree, T_UP)
+        prune(tree)
         assert sum(count(root) for root in tree) == sum(int(lv.alive.sum()) for lv in tree.levels)
 
 
@@ -215,7 +224,7 @@ class TestStepping:
         env = TrainEnv(make_model(), track, RewardWeights(alpha_traction=2.0, jerk_threshold=2.5))
         state = OperationState(loc, vel, time, 0.3, last_accel)
         safe_set = [-1.0, -0.5, 0.0, 0.25, 1.0]
-        tree = build_tree(env, PLAIN, steady_policy(0.0), state, safe_set, 3, T_UP, CFG)
+        tree = build_tree(env, PLAIN, steady_policy(0.0), state, safe_set, horizon_at(3), CFG)
         price(tree, env, state.last_accel)
         roots = tree.levels[0]
         outs = [step(env.model, track, state, cmd, env.weights) for cmd in safe_set]
@@ -242,7 +251,7 @@ class TestStepping:
         with pytest.raises(ValueError) as want:
             step(env.model, env.track, state, cmd)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            build_tree(env, PLAIN, steady_policy(0.0), state, [cmd], 0, T_UP, CFG)
+            build_tree(env, PLAIN, steady_policy(0.0), state, [cmd], horizon_at(0), CFG)
 
     @pytest.mark.parametrize("bad", [1.5, -1.0 - 1e-9, math.nan], ids=["above", "below", "nan"])
     @pytest.mark.parametrize("width", [3, 1000], ids=["one-block", "wider-than-a-block"])
@@ -262,7 +271,7 @@ class TestStepping:
         with pytest.raises(ValueError) as want:
             step(env.model, env.track, state, bad)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            build_tree(env, PLAIN, sampler, state, safe_set, 0, T_UP,
+            build_tree(env, PLAIN, sampler, state, safe_set, horizon_at(0),
                        SearchConfig(expansion_width=width))
         # the roots' one array step over the safe set, and no pair of the bad level
         assert [args[-1].tolist() for args in stepped] == [safe_set]
@@ -283,22 +292,23 @@ class TestPricedAfterPrune:
     def test_build_runs_no_reward_term(self, env, unpriced):
         state = OperationState(loc=300.0, vel=55.0)
         safe_set = safe_action_set(PLAIN, env.model, env.track, state, 9)
-        tree = build_tree(env, PLAIN, seeded_policy(3), state, safe_set, 1, T_UP, CFG)
+        tree = build_tree(env, PLAIN, seeded_policy(3), state, safe_set, horizon_at(1), CFG)
         assert len(tree.levels) > 1
         assert all(level.reward is None for level in tree.levels)
 
     def test_fallback_runs_no_reward_term(self, env, unpriced):
         state = OperationState(loc=200.0, vel=79.8)
         assert search_safe_action(
-            env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG
+            env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], horizon_at(0), CFG
         ) == -1.0
 
     def test_kept_root_is_priced(self, env, unpriced):
         state = OperationState(loc=300.0, vel=55.0)
-        tree = build_tree(env, PLAIN, seeded_policy(3), state, [-0.5, 0.0], 1, T_UP, CFG)
-        assert prune(tree, T_UP) is tree
+        tree = build_tree(env, PLAIN, seeded_policy(3), state, [-0.5, 0.0], horizon_at(1), CFG)
+        assert prune(tree) is tree
         with pytest.raises(AssertionError, match="reward or energy"):
-            search_safe_action(env, PLAIN, seeded_policy(3), state, [-0.5, 0.0], 1, T_UP, CFG)
+            search_safe_action(env, PLAIN, seeded_policy(3), state, [-0.5, 0.0], horizon_at(1),
+                               CFG)
 
 
 def wavy_policy(states, n):
@@ -336,18 +346,20 @@ class TestMatchesDepthFirstReference:
             safe_set = safe_action_set(spec, env.model, track, state, 9)
             if not safe_set:
                 continue
-            args = (env, spec, policy, state, safe_set, t, 4, cfg)
-            assert_same_levels(build_tree(*args), reference_build_tree(*args), env, last_accel)
-            assert search_safe_action(*args) == reference_search(*args)
+            args, horizon = (env, spec, policy, state, safe_set), horizon_at(t, 4)
+            assert_same_levels(build_tree(*args, horizon, cfg),
+                               reference_build_tree(*args, t, 4, cfg), env, last_accel, 4)
+            assert search_safe_action(*args, horizon, cfg) == reference_search(*args, t, 4, cfg)
 
     def test_all_unsafe_samples_fall_back_to_hardest_braking(self, env):
         state = OperationState(loc=200.0, vel=79.8)
-        args = (env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5], 0, T_UP, CFG)
-        tree = build_tree(*args)
-        assert_same_levels(tree, reference_build_tree(*args), env)
-        assert prune(tree, T_UP) is None
+        args = (env, PLAIN, steady_policy(1.0), state, [-1.0, -0.5])
+        tree = build_tree(*args, horizon_at(0), CFG)
+        assert_same_levels(tree, reference_build_tree(*args, 0, T_UP, CFG), env)
+        assert prune(tree) is None
         assert not tree.levels[0].alive.any()
-        assert search_safe_action(*args) == reference_search(*args) == -1.0
+        assert (search_safe_action(*args, horizon_at(0), CFG)
+                == reference_search(*args, 0, T_UP, CFG) == -1.0)
 
     def test_constant_probe_at_t_up_7(self, monkeypatch):
         # every correction of a +1 noise-test episode, checked against the reference
@@ -355,12 +367,17 @@ class TestMatchesDepthFirstReference:
         cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, t_up=7))
         checked = []
 
-        def checked_search(*args):
-            want = reference_build_tree(*args)
-            assert_same_levels(build_tree(*args), want, args[0], args[3].last_accel)
-            chosen = search_safe_action(*args)
-            assert args[6] == 7
-            assert chosen == reference_choice(want, args[4], args[6], args[7])
+        def checked_search(env, spec, policy, state, safe_set, horizon, search_cfg):
+            # the probe's state time counts its steps, so the reference grows
+            # from the step the loop is at, on its own (t, t_up) rule
+            t = round(state.time / cfg.track.dt)
+            assert horizon == horizon_at(t, 7)
+            args = (env, spec, policy, state, safe_set)
+            want = reference_build_tree(*args, t, 7, search_cfg)
+            assert_same_levels(build_tree(*args, horizon, search_cfg), want, env,
+                               state.last_accel, 7)
+            chosen = search_safe_action(*args, horizon, search_cfg)
+            assert chosen == reference_choice(want, safe_set, 7, search_cfg)
             checked.append(chosen)
             return chosen
 
@@ -382,8 +399,8 @@ class TestMatchesDepthFirstReference:
             built.append(sum(len(level) for level in tree.levels))
             return tree
 
-        def counted_prune(tree, t_up):
-            kept = cut(tree, t_up)
+        def counted_prune(tree):
+            kept = cut(tree)
             fell_back.append(kept is None)
             return kept
 
@@ -402,7 +419,7 @@ class TestMatchesDepthFirstReference:
             return wavy_policy(states, n)
 
         state = OperationState(loc=300.0, vel=55.0, time=3.0)
-        tree = build_tree(env, PLAIN, recording, state, [-0.5, 0.0, 0.4], 3, T_UP, CFG)
+        tree = build_tree(env, PLAIN, recording, state, [-0.5, 0.0, 0.4], horizon_at(3), CFG)
         assert len(seen) == len(tree.levels) - 1 > 0
         for states, level in zip(seen, tree.levels):
             open_rows = ~level.terminal
@@ -413,7 +430,7 @@ class TestMatchesDepthFirstReference:
     def test_sampler_shape_checked(self, env):
         with pytest.raises(ValueError, match="shape"):
             build_tree(env, PLAIN, lambda states, n: np.zeros(n),
-                       OperationState(loc=100.0, vel=30.0), [0.0], 0, T_UP, CFG)
+                       OperationState(loc=100.0, vel=30.0), [0.0], horizon_at(0), CFG)
 
 
 def node(step_idx, reward, children=(), terminal=False, cmd=0.0):
@@ -424,7 +441,7 @@ def node(step_idx, reward, children=(), terminal=False, cmd=0.0):
 class TestPrune:
     def test_complete_tree_unchanged(self):
         tree = to_tree([node(4, 1.0, [node(5, 2.0), node(5, 3.0)])], 4)
-        assert prune(tree, 5) is tree
+        assert prune(tree) is tree
         assert [lv.alive.tolist() for lv in tree.levels] == [[True], [True, True]]
 
     def test_truncated_branch_removed(self):
@@ -432,24 +449,24 @@ class TestPrune:
         short = node(4, 9.0)  # 4 % 5 != 0, childless
         full = node(4, 1.0, [node(5, 2.0)])
         tree = to_tree([node(3, 0.0, [short, full])], 3)
-        assert prune(tree, 5) is tree
+        assert prune(tree) is tree
         assert [lv.alive.tolist() for lv in tree.levels] == [[True], [False, True], [True]]
         (root,) = tree.children
         assert [child.row for child in root.children] == [1]
 
     def test_everything_truncated_gives_none(self):
         tree = to_tree([node(3, 0.0, [node(4, 1.0), node(4, 2.0)])], 3)
-        assert prune(tree, 5) is None
+        assert prune(tree) is None
         assert tree.children == []
 
     def test_terminal_leaf_survives_off_cadence(self):
         tree = to_tree([node(3, 0.0, [node(4, 5.0, terminal=True)])], 3)
-        assert prune(tree, 5) is tree
+        assert prune(tree) is tree
         assert [lv.alive.tolist() for lv in tree.levels] == [[True], [True]]
 
     def test_dead_roots_dropped_live_ones_kept(self):
         tree = to_tree([node(4, 0.0), node(4, 0.0, [node(5, 1.0)]), node(4, 0.0)], 4)
-        assert prune(tree, 5) is tree
+        assert prune(tree) is tree
         assert tree.levels[0].alive.tolist() == [False, True, False]
 
 
@@ -457,7 +474,7 @@ class TestBackup:
     @staticmethod
     def backed(roots, root_step, discount=CFG.backup_discount):
         tree = to_tree(roots, root_step)
-        assert prune(tree, T_UP) is tree
+        assert prune(tree) is tree
         backup(tree, dataclasses.replace(CFG, backup_discount=discount))
         return tree
 
@@ -496,7 +513,7 @@ class TestSelect:
     def chosen(returns_and_cmds):
         # roots on an update step survive and are leaves, so ret is the reward
         tree = to_tree([node(5, r, cmd=c) for r, c in returns_and_cmds], 5)
-        prune(tree, 5)
+        prune(tree)
         backup(tree, CFG)
         return select_safe_action(tree)
 
@@ -512,7 +529,7 @@ class TestSelect:
 
     def test_empty_rejected(self):
         tree = to_tree([node(3, 0.0), node(3, 1.0)], 3)
-        assert prune(tree, 5) is None
+        assert prune(tree) is None
         with pytest.raises(ValueError):
             select_safe_action(tree)
 
@@ -543,10 +560,10 @@ def test_array_prune_backup_select_equal_naive_oracle(
     rng = np.random.default_rng(seed)
     roots = random_forest(rng, t_up, root_step, max_width, p_stop, p_terminal)
     full = breadth_first_levels(roots)
-    tree = to_tree(roots, root_step)
+    tree = to_tree(roots, root_step, t_up)
     cfg = SearchConfig(expansion_width=1, backup_discount=discount)
 
-    kept = prune(tree, t_up)
+    kept = prune(tree)
     survivors = [r for r in roots if ref_prune(r, t_up) is not None]
     alive = {id(n) for rows in breadth_first_levels(survivors) for n, _ in rows}
     assert [lv.alive.tolist() for lv in tree.levels] == [
@@ -572,6 +589,3 @@ def test_search_config_validation(tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert [e.split(":")[0] for e in err.value.errors] == [f"search.{key}"]
-    with pytest.raises(ValueError, match="t_up"):
-        build_tree(TrainEnv(make_model(), make_track()), PLAIN, steady_policy(0.0),
-                   OperationState(loc=100.0, vel=30.0), [0.0], 0, 0, CFG)

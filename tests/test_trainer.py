@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import atoshield
-from atoshield import shield, trainer
+from atoshield import search_tree, shield, trainer
 from atoshield.config import default_scenario_path, load_config
 from atoshield.drl.agents import (
     AGENT_KINDS,
@@ -143,10 +143,10 @@ class TestStateRows:
                 proposed.append(s_vec)
                 return policy(s_vec)
 
-            def seeing(s_vec, cmd, out, s2_vec, done, t):
+            def seeing(s_vec, cmd, out, s2_vec, done, update):
                 raw.append(out.next_state)
                 seen.append((s_vec, s2_vec))
-                learn(s_vec, cmd, out, s2_vec, done, t)
+                learn(s_vec, cmd, out, s2_vec, done, update)
 
             metrics, traj = run(cfg, env, proposing, correct, episode, seeing)
             episodes[-1] += (traj,)
@@ -181,6 +181,53 @@ class TestStateRows:
             assert stored[:n].tobytes() == np.concatenate(want).tobytes()
 
 
+class TestUpdateCadence:
+    """The loop owns the update cadence: at step t the corrector gets
+    ``horizon = -(t + 1) % t_up``, the learner hook's ``update`` is true
+    exactly when that is 0, and no correction tree grows past its horizon."""
+
+    @pytest.mark.parametrize("t_up", [1, 2, 5, 7])
+    def test_horizon_update_and_tree_depth_follow_the_step(self, monkeypatch, t_up):
+        run, build = trainer._run_episode, search_tree.build_tree
+        episodes, trees = [], []  # [horizon, update] per step; (horizon, levels) per tree
+
+        def recording_run(cfg, env, policy, correct, episode, learn=None):
+            steps = []
+            episodes.append((steps, learn is not None))
+
+            def correcting(state, proposed, horizon):
+                steps.append([horizon])
+                return correct(state, proposed, horizon)
+
+            def learning(s_vec, cmd, out, s2_vec, done, update):
+                steps[-1].append(update)
+                learn(s_vec, cmd, out, s2_vec, done, update)
+
+            return run(cfg, env, policy, correcting, episode, learn and learning)
+
+        def recording_build(env, spec, policy, state, safe_set, horizon, cfg):
+            assert horizon == episodes[-1][0][-1][0]  # the horizon of the step it corrects
+            tree = build(env, spec, policy, state, safe_set, horizon, cfg)
+            trees.append((horizon, len(tree.levels)))
+            return tree
+
+        monkeypatch.setattr(trainer, "_run_episode", recording_run)
+        monkeypatch.setattr(search_tree, "build_tree", recording_build)
+        cfg = scenario(max_episodes=3, agent="ssa_ddpg", t_up=t_up)
+        train(cfg, seed=0)
+        trained_trees = len(trees)
+        noise_test(cfg, 1.0)
+        assert 0 < trained_trees < len(trees)
+        assert [learns for _, learns in episodes] == [True, True, True, False]
+        for steps, learns in episodes:
+            assert [step[0] for step in steps] == [-(t + 1) % t_up for t in range(len(steps))]
+            if learns:
+                assert all(update == (horizon == 0) for horizon, update in steps)
+                assert all(update for _, update in steps) == (t_up == 1)
+        assert all(levels <= horizon + 1 for horizon, levels in trees)
+        assert any(levels > 1 for _, levels in trees) == (t_up > 1)
+
+
 class TestEnteringAcceleration:
     """The state carries the applied acceleration that entered it: every step
     and every correction tree starts from a state whose ``last_accel`` is
@@ -197,24 +244,27 @@ class TestEnteringAcceleration:
             events.append(("step", state, out))
             return out
 
-        def searching(env, spec, sampler, state, safe_set, t, t_up, cfg):
-            events.append(("search", state, t))
-            return search(env, spec, sampler, state, safe_set, t, t_up, cfg)
+        def searching(env, spec, sampler, state, safe_set, horizon, cfg):
+            events.append(("search", state, horizon))
+            return search(env, spec, sampler, state, safe_set, horizon, cfg)
 
         monkeypatch.setattr(TrainEnv, "step", stepping)
         monkeypatch.setattr(trainer, "search_safe_action", searching)
         return events
 
     @staticmethod
-    def check(events, budget) -> tuple[int, int, int]:
-        """Walk the events episode by episode; returns (episodes, searches,
-        searches from a state entered with a non-zero acceleration)."""
+    def check(events, cfg) -> tuple[int, int, int]:
+        """Walk the events of a run of ``cfg`` episode by episode; returns
+        (episodes, searches, searches from a state entered with a non-zero
+        acceleration)."""
+        budget = cfg.run.resolved_budget(cfg.track)
         episodes = searches = nonzero = n = 0
         expected, searched = 0.0, []
-        for kind, state, t_or_out in events:
+        for kind, state, horizon_or_out in events:
             assert state.last_accel == expected
             if kind == "search":
-                assert t_or_out == n  # the step about to execute
+                # the horizon of the step about to execute
+                assert horizon_or_out == -(n + 1) % cfg.run.t_up
                 searched.append(state)
                 searches += 1
                 nonzero += state.last_accel != 0.0
@@ -222,8 +272,8 @@ class TestEnteringAcceleration:
             assert n > 0 or state == OperationState()
             assert all(s is state for s in searched)  # each correction was of this step
             searched.clear()
-            expected, n = t_or_out.next_state.last_accel, n + 1
-            if t_or_out.arrived or n == budget:
+            expected, n = horizon_or_out.next_state.last_accel, n + 1
+            if horizon_or_out.arrived or n == budget:
                 episodes += 1
                 expected, n = 0.0, 0
         assert n == 0 and not searched
@@ -233,7 +283,7 @@ class TestEnteringAcceleration:
         events = self.record(monkeypatch)
         cfg = scenario(t_up=7)
         (metrics,) = noise_test(cfg, 1.0, episodes=1)
-        episodes, searches, nonzero = self.check(events, cfg.run.resolved_budget(cfg.track))
+        episodes, searches, nonzero = self.check(events, cfg)
         assert episodes == 1 and searches == metrics.protect_times == 30
         assert nonzero > 0
 
@@ -241,7 +291,7 @@ class TestEnteringAcceleration:
         events = self.record(monkeypatch)
         cfg = scenario(max_episodes=3, agent="ssa_ddpg")
         result = train(cfg, seed=0)
-        episodes, searches, nonzero = self.check(events, cfg.run.resolved_budget(cfg.track))
+        episodes, searches, nonzero = self.check(events, cfg)
         assert episodes == 3
         assert searches == sum(m.protect_times for m in result.metrics) > 0
         assert nonzero > 0
@@ -259,7 +309,7 @@ class TestEnteringAcceleration:
         events = self.record(monkeypatch)
         cfg = scenario(agent="ssa_ddpg")
         robustness_run(FullTraction(), cfg, [(1.0, 1.0)], seed=0)
-        episodes, _, nonzero = self.check(events, cfg.run.resolved_budget(cfg.track))
+        episodes, _, nonzero = self.check(events, cfg)
         assert episodes == 2 and nonzero > 0
         kinds = [e[0] for e in events]
         assert any(a == b == "search" for a, b in zip(kinds, kinds[1:]))
