@@ -267,9 +267,9 @@ class Mlp:
                 values = np.asarray(values, dtype=object)
                 if values.shape != view.shape:
                     raise ValueError(f"{field}[{i}]: expected shape {view.shape}, got {values.shape}")
-                bad = [x for x in values.flat if type(x) not in (int, float)]
-                if bad:
-                    raise ValueError(f"{field}[{i}]: expected numbers, got {bad[0]!r}")
+                if not set(map(type, values.flat)) <= {int, float}:  # type() is exact: no bool
+                    bad = next(x for x in values.flat if type(x) not in (int, float))
+                    raise ValueError(f"{field}[{i}]: expected numbers, got {bad!r}")
                 with np.errstate(over="ignore"):
                     view[...] = values.astype(float)
                 finite = np.isfinite(view)

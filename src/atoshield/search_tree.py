@@ -2,10 +2,10 @@
 
 Each safe candidate command seeds one root; nodes expand with policy-sampled
 actions kept only when the shield certifies them, and every branch runs out
-exactly at the next policy-update step, ``horizon`` levels below the roots,
-so the lookahead never outlives the network weights it was computed with.
-Returns back up with a fixed discount over the uniform mean of children, and
-the root with the best backed-up return wins (ties brake harder).
+exactly at the next policy-update step, ``horizon`` levels below the roots, so
+the lookahead never outlives the network weights it was computed with.  Returns
+back up with a fixed discount over the uniform mean of children, and the root
+with the best backed-up return wins (ties resolve toward harder braking).
 
 The tree is one struct-of-arrays per level, with no Python object per node.
 Every node of a level sits at the same environment step, so level k holds
@@ -105,9 +105,9 @@ class SearchTree:
     """The correction tree from one unsafe state, level by level.
 
     ``levels[0]`` holds the roots and level ``horizon``, if the tree reaches
-    it, the next policy-update step; no level is empty.  Iterating the tree (or reading ``children``) walks it
-    node by node as :class:`NodeView` objects, made only on demand; after
-    :func:`prune` only surviving nodes are walked.
+    it, the next policy-update step; no level is empty.  Iterating the tree (or
+    reading ``children``) walks it node by node as :class:`NodeView` objects,
+    made only on demand; after :func:`prune` only surviving nodes are walked.
     """
 
     def __init__(self, levels: list[Level], horizon: int):
