@@ -284,7 +284,7 @@ def search_safe_action(
     horizon: int,
     cfg: SearchConfig,
 ) -> float:
-    """Full correction pipeline: build, prune, price, back up, select.
+    """Full correction pipeline, at most ``horizon`` levels deep: build, prune, price, back up, select.
 
     Falls back to the hardest-braking safe candidate when pruning kills every
     root, the conservative default for a train protection system; a tree that
