@@ -1,12 +1,14 @@
 """Command-line surface: config validation, training and the experiment suite.
 
-Every command reads one scenario file, writes per-seed metrics CSVs, a raw
-plus window-smoothed reward-curve CSV where training is involved, and a JSON
-summary with the run's comparison statistics, which identical runs write
-byte for byte; action-selection times go to ``timing.json`` beside it.  Exit
-status is 0 only when every requested seed completed without a shield abort.
-``train`` runs every seed even when one fails: a failed seed's summary entry
-is ``{"seed", "error"}``, one stderr line names it, and the exit status is 1.
+Every command reads one scenario file, which ``main`` loads and checks once.
+``validate`` writes nothing and ``robustness`` only ``pcc_grid.csv``; the
+others write metrics CSVs (``train`` also each seed's raw and smoothed reward
+curve) and a JSON summary, which identical runs write byte for byte, and
+``execute``, ``noise-test`` and ``ablation`` put action-selection times in
+``timing.json`` beside it.  Exit status is 0 only when every requested seed
+completed without a shield abort.  ``train`` runs every seed even when one
+fails: a failed seed's summary entry is ``{"seed", "error"}``, one stderr
+line names it, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -191,8 +193,7 @@ def _seed_run(seed: int, run) -> dict:
     return {"seed": seed, "error": error}
 
 
-def cmd_train(args) -> int:
-    cfg = _load(args)
+def cmd_train(args, cfg: ScenarioConfig) -> int:
     out = _out_dir(args)
     seeds = list(cfg.run.seeds)
     # a forked pool starts all its processes at the first submit, so it
@@ -226,8 +227,7 @@ def _exec_summary(metrics: list[EpisodeMetrics]) -> tuple[dict, dict]:
     }, {"mean_action_select_ms": float(np.mean([m.action_select_mean_s for m in metrics])) * 1e3}
 
 
-def cmd_execute(args) -> int:
-    cfg = _load(args)
+def cmd_execute(args, cfg: ScenarioConfig) -> int:
     # a bad baseline or checkpoint is reported before --out is made
     baseline = read_metrics_csv(Path(args.compare_with)) if args.compare_with else None
     # every run reseeds agent.rng, so one build serves every seed
@@ -259,8 +259,7 @@ def cmd_execute(args) -> int:
     return 0
 
 
-def cmd_noise_test(args) -> int:
-    cfg = _load(args)
+def cmd_noise_test(args, cfg: ScenarioConfig) -> int:
     out = _out_dir(args)
     # the probe is deterministic, so one run, labelled with the first seed,
     # stands for every seed in run.seeds
@@ -278,8 +277,7 @@ def cmd_noise_test(args) -> int:
     return 0
 
 
-def cmd_robustness(args) -> int:
-    cfg = _load(args)
+def cmd_robustness(args, cfg: ScenarioConfig) -> int:
     agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(cfg.run.seeds[0]))
     out = _out_dir(args)
     if args.eps_r is not None and args.delta_r is not None:
@@ -304,8 +302,7 @@ def cmd_robustness(args) -> int:
     return 0
 
 
-def cmd_transfer(args) -> int:
-    cfg = _load(args)
+def cmd_transfer(args, cfg: ScenarioConfig) -> int:
     seed = cfg.run.seeds[0]
     agent = load_checkpoint(args.checkpoint, cfg.agent, np.random.default_rng(seed))
     out = _out_dir(args)
@@ -345,8 +342,7 @@ ABLATION_STRUCTURES = {
 }
 
 
-def cmd_ablation(args) -> int:
-    cfg = _load(args)
+def cmd_ablation(args, cfg: ScenarioConfig) -> int:
     out = _out_dir(args)
     seed = cfg.run.seeds[0]
     results, timings = {}, {}
@@ -369,8 +365,7 @@ def cmd_ablation(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_validate(args, cfg: ScenarioConfig) -> int:
     print(f"{args.config}: valid ({cfg.track.length:.0f} m section, "
           f"agent {cfg.run.agent}, {len(cfg.run.seeds)} seed(s))")
     return 0
@@ -483,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "robustness" and (args.eps_r is None) != (args.delta_r is None):
         parser.error("robustness: --eps-r and --delta-r go together; give both or neither")
     try:
-        return args.func(args)
+        return args.func(args, _load(args))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -142,6 +142,8 @@ _BOUNDS = {
     },
     "track": {"length": "> 0", "scheduled_time": "> 0", "dt": "> 0"},
     "safety": {"min_speed": ">= 0", "terminal_zone": ">= 0"},
+    "reward": dict.fromkeys(("alpha_traction", "alpha_regen", "alpha_time_terminal",
+                             "alpha_time_step", "comfort_penalty", "jerk_threshold"), ">= 0"),
     "agent": {
         "actor_lr": "> 0", "critic_lr": "> 0", "sac_value_lr": "> 0", "sac_softq_lr": "> 0",
         "additional_actor_lr": "> 0", "gamma": "in (0, 1]", "soft_tau": "in (0, 1]",
@@ -214,6 +216,8 @@ def _validate_run(run: RunConfig) -> list[str]:
         errors.append("run.seeds: need at least one seed")
     elif min(run.seeds) < 0:
         errors.append("run.seeds: every seed must be >= 0")
+    elif len(set(run.seeds)) < len(run.seeds):
+        errors.append("run.seeds: every seed must be distinct")
     if run.agent not in VARIANTS:
         errors.append(f"run.agent: must be one of {', '.join(VARIANTS)}")
     return errors
@@ -280,7 +284,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
             safety = dataclasses.replace(safety, terminal_zone=default_terminal_zone(train, track))
             blocks["safety"] = safety
         errors += _validate_safety(safety, train, track)
-    for name, check in (("agent", _validate_agent),
+    for name, check in (("reward", lambda reward: _bound_errors("reward", reward)),
+                        ("agent", _validate_agent),
                         ("search", lambda search: _bound_errors("search", search)),
                         ("run", _validate_run)):
         if blocks[name]:

@@ -12,10 +12,10 @@ Each formula has one body over a table of elementwise primitives, run on
 Python floats by :func:`step` and on numpy arrays by the search tree, so a
 physics fix edits only that body.  An interval is two bodies:
 :func:`_kinematics`, its motion, and :func:`_price`, the energies and
-reward of that motion, which :func:`_transition` runs one after the other.
-The shield certifies on the motion alone.  The search tree steps whole
-levels on it too, and prices only the trees that survive pruning, each
-level in one array call.
+reward of that motion.  :func:`step` runs one after the other, and so does
+the search tree.  The shield certifies on the motion alone.  The search
+tree steps whole levels on it too, and prices only the trees that survive
+pruning, each level in one array call.
 """
 
 from __future__ import annotations
@@ -244,17 +244,6 @@ def _price(ops: Ops, model, track, weights, cmd, a_motor, accel, mean_speed, arr
     return -(e_term + d_term + c_term), energy_traction, energy_regen
 
 
-def _transition(ops: Ops, model, track, loc, vel, time, cmd, weights, prev_accel):
-    """One unchecked interval: (loc, vel, time, reward, traction energy,
-    regen energy, applied acceleration, arrived) of the next state."""
-    a_motor, a, mean_speed, loc1, vel1, arrived = _kinematics(ops, model, track, loc, vel, cmd)
-    t1 = time + track.dt
-    reward, energy_traction, energy_regen = _price(
-        ops, model, track, weights, cmd, a_motor, a, mean_speed, arrived, t1, prev_accel
-    )
-    return loc1, vel1, t1, reward, energy_traction, energy_regen, a, arrived
-
-
 def _check_command(ops: Ops, cmd) -> None:
     """Raise the ValueError of a command outside [-1, 1] (on arrays, naming
     the first offending row).  The check states what is in range, so that
@@ -292,8 +281,13 @@ def step(
     state's ``last_accel``, and the next state carries this interval's.
     """
     _check_step_inputs(FLOATS, track, state.loc, state.vel, cmd)
-    loc, vel, time, reward, energy_traction, energy_regen, accel, arrived = _transition(
-        FLOATS, model, track, state.loc, state.vel, state.time, cmd, weights, state.last_accel
+    a_motor, accel, mean_speed, loc, vel, arrived = _kinematics(
+        FLOATS, model, track, state.loc, state.vel, cmd
+    )
+    time = state.time + track.dt
+    reward, energy_traction, energy_regen = _price(
+        FLOATS, model, track, weights, cmd, a_motor, accel, mean_speed, arrived, time,
+        state.last_accel,
     )
     # positional: keyword arguments cost a third of the construction
     next_state = OperationState(loc, vel, time, cmd, accel)

@@ -70,6 +70,8 @@ BAD_SIZES = [
     ("run", "step_budget", 20.5, "run.step_budget: expected an integer, got 20.5"),
     ("run", "execution_episodes", True, "run.execution_episodes: expected an integer, got True"),
     ("run", "seeds", [0, 1.5], "run.seeds[1]: expected an integer, got 1.5"),
+    # a repeated seed once trained twice, both runs writing one checkpoint path
+    ("run", "seeds", [0, 0], "run.seeds: every seed must be distinct"),
     ("search", "expansion_width", 2.5, "search.expansion_width: expected an integer, got 2.5"),
     ("search", "action_grid", 4.5, "search.action_grid: expected an integer, got 4.5"),
 ]
@@ -113,6 +115,12 @@ OUT_OF_RANGE = [
     ("track", "dt", 0.0, "> 0"),
     ("safety", "min_speed", -0.1, ">= 0"),
     ("safety", "terminal_zone", -1.0, ">= 0"),
+    ("reward", "alpha_traction", -3.0, ">= 0"),
+    ("reward", "alpha_regen", -0.01, ">= 0"),
+    ("reward", "alpha_time_terminal", -15.0, ">= 0"),
+    ("reward", "alpha_time_step", -0.01, ">= 0"),
+    ("reward", "comfort_penalty", -10.0, ">= 0"),
+    ("reward", "jerk_threshold", -1.0, ">= 0"),
     ("agent", "actor_lr", 0.0, "> 0"),
     ("agent", "critic_lr", 0.0, "> 0"),
     ("agent", "sac_value_lr", 0.0, "> 0"),
@@ -165,6 +173,12 @@ AT_THE_BOUND = [
     ("search", "backup_discount", 1.0),
     ("search", "action_grid", 2),
     ("safety", "terminal_zone", 0.0),
+    ("reward", "alpha_traction", 0.0),
+    ("reward", "alpha_regen", 0.0),
+    ("reward", "alpha_time_terminal", 0.0),
+    ("reward", "alpha_time_step", 0.0),
+    ("reward", "comfort_penalty", 0.0),
+    ("reward", "jerk_threshold", 0.0),
     ("run", "t_up", 1),
 ]
 
@@ -649,7 +663,8 @@ class TestCli:
         path = dump(tmp_path, blob)
         assert main(["validate", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("command", ["validate", "train"])
+    @pytest.mark.parametrize("command", ["validate", "train", "execute", "noise-test",
+                                         "robustness", "transfer", "ablation"])
     @pytest.mark.parametrize("text, problem", [
         (b"train: {mass_tonnes: 3\n  bad: [", "expected ',' or '}', but got ':' at line 2, column 6"),
         (b"train: !!python/object:os.system {}\n",
@@ -663,7 +678,12 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_bytes(text)
         out = tmp_path / "out"
-        argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "train" else [])
+        argv = [command, "--config", str(path)]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        if command in ("execute", "robustness", "transfer"):
+            # the scenario is loaded first, so the checkpoint need not exist
+            argv += ["--checkpoint", str(tmp_path / "ckpt.json")]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"invalid scenario config:\n  - file: {problem}\n"
         assert not out.exists()
@@ -677,6 +697,7 @@ class TestCli:
         (["train", "--seed", ""], "--seed"),
         (["noise-test", "--seed", "1,,2"], "--seed"),
         (["noise-test", "--seed", "-1"], "--seed"),
+        (["train", "--seed", "0,0"], "--seed"),
     ])
     def test_bad_override_exit_2_names_flag(self, argv, flag, tiny_yaml, tmp_path, capsys):
         out = tmp_path / "out"

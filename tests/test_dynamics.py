@@ -18,12 +18,13 @@ from atoshield.dynamics import (
     _kinematics,
     _motor_accel,
     _reward_terms,
-    _transition,
     davis_resistance_accel,
     segment_value,
     step,
     validate_track,
 )
+from atoshield.search_tree import Level, SearchTree, price
+from atoshield.trainer import TrainEnv
 
 from conftest import BAD_STEP_INPUTS, make_model, make_track
 from oracles import ref_step
@@ -206,9 +207,22 @@ GRADED = make_track(
 WEIGHTS = RewardWeights(alpha_traction=2.0, alpha_regen=4.0, jerk_threshold=2.5)
 
 
+def tree_interval(model, track, weights, loc, vel, time, cmd, accel_in):
+    """The rows' interval as the search tree runs it: ``_kinematics`` on
+    arrays, then :func:`search_tree.price` over a one-level tree of the rows,
+    each at its own time plus ``dt``, entered with ``accel_in``."""
+    a_motor, accel, mean_speed, loc1, vel1, arrived = _kinematics(
+        ARRAYS, model, track, loc, vel, cmd
+    )
+    level = Level(cmd, a_motor, mean_speed, loc1, vel1, time + track.dt, accel, arrived,
+                  np.zeros(cmd.size, np.intp))
+    price(SearchTree([level], 0), TrainEnv(model, track, weights), accel_in)
+    return level
+
+
 def assert_rows_match(track, rows, weights=WEIGHTS):
-    """The transition kernel on arrays of the rows equals the scalar step of
-    each row, and the reference copy of the scalar step, bitwise.
+    """The tree's interval over the rows equals the scalar step of each row,
+    and the reference copy of the scalar step, bitwise.
 
     A row is (loc, vel, time, cmd, prev_accel), the state's entering
     acceleration; a prev_accel of None sits exactly one jerk threshold below
@@ -222,9 +236,7 @@ def assert_rows_match(track, rows, weights=WEIGHTS):
             prev_accel = out.next_state.last_accel - weights.jerk_threshold * track.dt
         prev.append(prev_accel)
     loc, vel, time, cmd = (np.array(col) for col in list(zip(*rows))[:4])
-    loc1, vel1, time1, reward, _, _, accel, arrived = _transition(
-        ARRAYS, model, track, loc, vel, time, cmd, weights, np.array(prev)
-    )
+    level = tree_interval(model, track, weights, loc, vel, time, cmd, np.array(prev))
     for i, (row, prev_accel) in enumerate(zip(rows, prev)):
         state = OperationState(*row[:3], last_accel=prev_accel)
         want = step(model, track, state, row[3], weights)
@@ -232,14 +244,14 @@ def assert_rows_match(track, rows, weights=WEIGHTS):
         assert [x.hex() for x in (want.energy_traction, want.energy_regen)] == [
             x.hex() for x in (ref.energy_traction, ref.energy_regen)
         ], row
-        got = (loc1[i], vel1[i], time1[i], reward[i], accel[i])
+        got = (level.loc[i], level.vel[i], level.time[i], level.reward[i], level.accel[i])
         for outcome in (want, ref):
             assert [float(x).hex() for x in got] == [
                 x.hex() for x in (outcome.next_state.loc, outcome.next_state.vel,
                                   outcome.next_state.time, outcome.reward,
                                   outcome.next_state.last_accel)
             ], row
-            assert arrived[i] == outcome.arrived
+            assert level.terminal[i] == outcome.arrived
 
 
 BOUNDARIES = [0.0, 499.999, 500.0, 600.0, 700.0, 1000.0, 1499.0, 1500.0]
@@ -253,6 +265,9 @@ ROW = st.tuples(
 
 
 class TestArrayTransition:
+    """The search tree's interval, ``_kinematics`` then ``price``, is the
+    interval of ``step``."""
+
     @given(rows=st.lists(ROW, min_size=1, max_size=30), graded=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_step_bitwise(self, rows, graded):
@@ -272,14 +287,15 @@ class TestArrayTransition:
         assert_rows_match(GRADED, [(650.0, 30.0, 0.0, 0.2, 0.0), (700.0, 30.0, 0.0, -0.2, None)])
 
     def test_broadcasts_one_state_over_commands(self, model, track):
+        # the roots: one unsafe state under each safe command
         cmds = np.array([-1.0, 0.0, 1.0])
-        loc1, vel1, time1, reward, _, _, accel, arrived = _transition(
-            ARRAYS, model, track, 100.0, 30.0, 5.0, cmds, DEFAULT_WEIGHTS, 0.0
-        )
-        assert loc1.shape == vel1.shape == reward.shape == accel.shape == arrived.shape == (3,)
+        level = tree_interval(model, track, DEFAULT_WEIGHTS, 100.0, 30.0, np.full(3, 5.0), cmds,
+                              0.0)
+        assert all(getattr(level, name).shape == (3,)
+                   for name in ("loc", "vel", "time", "reward", "accel", "terminal"))
         for i, cmd in enumerate(cmds):
             want = step(model, track, OperationState(100.0, 30.0, 5.0), cmd)
-            assert (loc1[i], vel1[i], time1, reward[i]) == (
+            assert (level.loc[i], level.vel[i], level.time[i], level.reward[i]) == (
                 want.next_state.loc, want.next_state.vel, want.next_state.time, want.reward)
 
     @pytest.mark.parametrize("loc, vel, cmd", BAD_STEP_INPUTS)
@@ -306,19 +322,16 @@ class TestOps:
 
 
 class TestKinematics:
-    """The kinematic body the shield certifies on is the motion that step and
-    the array transition report, bitwise."""
+    """The kinematic body the shield certifies on, on floats and on arrays,
+    is the motion that step reports, bitwise."""
 
     @given(rows=st.lists(ROW, min_size=1, max_size=30), graded=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_matches_step_and_array_transition_bitwise(self, rows, graded):
+    def test_matches_step_on_floats_and_arrays_bitwise(self, rows, graded):
         track = GRADED if graded else make_track()
         model = make_model()
         rows = [*rows, *KINEMATIC_EDGES]
-        loc, vel, time, cmd = (np.array(col) for col in list(zip(*rows))[:4])
-        t_loc, t_vel, _, _, _, _, t_accel, t_arrived = _transition(
-            ARRAYS, model, track, loc, vel, time, cmd, DEFAULT_WEIGHTS, 0.0
-        )
+        loc, vel, _, cmd = (np.array(col) for col in list(zip(*rows))[:4])
         _, accel, _, loc1, vel1, arrived = _kinematics(ARRAYS, model, track, loc, vel, cmd)
         for i, (row_loc, row_vel, row_time, row_cmd, _) in enumerate(rows):
             out = step(model, track, OperationState(row_loc, row_vel, row_time), row_cmd)
@@ -326,9 +339,8 @@ class TestKinematics:
                                       out.next_state.last_accel)]
             kin = _kinematics(FLOATS, model, track, row_loc, row_vel, row_cmd)
             assert [x.hex() for x in (kin[3], kin[4], kin[1])] == want, rows[i]
-            assert [float(x[i]).hex() for x in (t_loc, t_vel, t_accel)] == want
             assert [float(x[i]).hex() for x in (loc1, vel1, accel)] == want
-            assert kin[5] == out.arrived == t_arrived[i] == arrived[i]
+            assert kin[5] == out.arrived == arrived[i]
 
 
 class TestRewardTerms:
